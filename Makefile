@@ -27,7 +27,11 @@
 # `make serve WORKLOAD=random:128 PORT=7433`); `bench-service` runs
 # just the network-service throughput/latency rows; `docs-check`
 # runs the documentation consistency tests (no dangling *.md references
-# from docstrings).
+# from docstrings); `perf` runs the repo benchmark declared in
+# BENCHMARK.json (five closed-loop workloads, each in a fresh child; writes
+# perf/out/<run-id>/summary.json) and `perf-compare BASE=... NEW=...` holds
+# one such summary.json to another by the declared bounds -- the two
+# commands behind every before/after table in EXPERIMENTS.md.
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -35,7 +39,7 @@ export PYTHONPATH := src
 WORKLOAD ?= path:64
 PORT ?= 7432
 
-.PHONY: test test-fast test-ivm test-dred test-columnar test-service test-router test-obs serve bench bench-engine bench-all bench-all-quick bench-check bench-ivm bench-service docs-check
+.PHONY: test test-fast test-ivm test-dred test-columnar test-service test-router test-obs serve bench bench-engine bench-all bench-all-quick bench-check bench-ivm bench-service docs-check perf perf-compare
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -87,3 +91,9 @@ bench-service:
 
 docs-check:
 	$(PYTHON) -m pytest tests/test_docs.py -q
+
+perf:
+	$(PYTHON) perf/run.py
+
+perf-compare:
+	$(PYTHON) perf/compare.py $(BASE) $(NEW)

@@ -22,10 +22,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.api import Database, Q, Row, connect
 from repro.engine import Engine
 from repro.nra.ast import Apply, Ext, Lambda, Pair, Proj1, Singleton, Var
+from repro.nra.cost import cost_run
 from repro.nra.eval import run
 from repro.nra.pretty import pretty
 from repro.objects.types import BASE, ProdType, SetType
+from repro.objects.values import from_python
 from repro.relational.queries import (
+    REL_T,
     parity_esr_translated,
     reachable_pairs_query,
     tagged_boolean_set,
@@ -162,6 +165,24 @@ def main() -> None:
     inp = tagged_boolean_set(bits)
     assert eng.run(parity, inp) == run(parity, inp)
     print("   checked  : optimized result equals the reference interpreter")
+
+    # ------------------------------------------- seed-closure: work over depth
+    # The opposite trade: a selection on one column of fix() is pushed into
+    # the iteration.  log_loop of squarings (depth log n, every pair derived)
+    # becomes a linear loop seeded at the selected edges (depth n, only the
+    # selected pairs derived) -- fewer total operations, longer critical path.
+    reach = Q.coll("edges").fix().where(lambda e: e.fst == Q.param("src"))
+    template = reach.elaborate({"edges": REL_T}).expr
+    env = {"edges": path_graph(12).value(), "$src": from_python(3)}
+    seeded = eng.explain(template)
+    _, c_squaring = cost_run(template, env=env)
+    _, c_seeded = cost_run(seeded.optimized, env=env)
+    assert run(seeded.optimized, env=env) == run(template, env=env)
+    print("\n-- seed-closure (a selection pushed through fix(), cost-directed)")
+    print(f"   fired    : {', '.join(seeded.fired_rules)}")
+    print(f"   squaring : work {c_squaring.work:>6}  depth {c_squaring.depth:>3}")
+    print(f"   seeded   : work {c_seeded.work:>6}  depth {c_seeded.depth:>3}")
+    print("   checked  : both forms agree on the reference interpreter")
 
     # ------------------------------------------------------------ memoization
     # TC-by-dcr has a constant item function, so all leaves of the combining

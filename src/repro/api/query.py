@@ -51,8 +51,6 @@ from ..nra.ast import (
     If,
     IsEmpty,
     Lambda,
-    LogLoop,
-    Pair,
     Singleton,
     Union as UnionE,
     Var,
@@ -60,8 +58,8 @@ from ..nra.ast import (
 )
 from ..nra.derived import (
     bool_not,
+    closure,
     ext_apply,
-    field_of,
     let,
     nest as nest_expr,
     rel_proj1,
@@ -447,15 +445,8 @@ class Query:
             et = _edge(t, "fix")
             if et.fst != et.snd:
                 raise TypeError(f"fix needs a homogeneous binary relation, got {et!r}")
-            base = et.fst
-            from ..nra.derived import compose as compose_expr
-
             r = fresh_name("fx")
-            step = Lambda(
-                "rr", t, UnionE(Var("rr"), compose_expr(Var("rr"), Var("rr"), base))
-            )
-            body = Apply(LogLoop(step, base), Pair(field_of(Var(r), base, base), Var(r)))
-            return let(r, t, src, body), t
+            return let(r, t, src, closure(Var(r), et.fst)), t
 
         return Query(build, f"{self._label}.fix()")
 

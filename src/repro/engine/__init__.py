@@ -44,7 +44,9 @@ is undecidable), and :data:`STRUCTURAL_RULES` turns the rewrite off for
 callers who evaluate deliberately ill-behaved combiners.  ``tests/engine``
 cross-check the engine against the reference interpreter value-for-value and
 check under the work/depth model of :mod:`repro.nra.cost` that the rewrite
-rules do not increase work or depth on their target shapes.  See DESIGN.md
+rules do not increase work or depth on their target shapes -- but for
+``seed-closure``, which buys the work of a selected closure with depth, and
+which materialized views therefore leave out (:data:`VIEW_RULES`).  See DESIGN.md
 for where this sits in the package architecture.
 """
 
@@ -64,6 +66,7 @@ from .rewrite import (
     COST_DIRECTED_RULES,
     DEFAULT_RULES,
     STRUCTURAL_RULES,
+    VIEW_RULES,
     Rewriter,
     Rule,
     RuleFiring,
@@ -107,4 +110,5 @@ __all__ = [
     "DEFAULT_RULES",
     "STRUCTURAL_RULES",
     "COST_DIRECTED_RULES",
+    "VIEW_RULES",
 ]

@@ -72,7 +72,7 @@ from ..relational.relation import Relation
 from .interning import InternTable
 from .memo import MemoEvaluator, MemoStats
 from .parallel import ParallelEvaluator, ParStats
-from .rewrite import DEFAULT_RULES, Rewriter, Rule, RuleFiring
+from .rewrite import DEFAULT_RULES, VIEW_RULES, Rewriter, Rule, RuleFiring
 from .router import RouteDecision, Router
 from .vectorized import PlanNode, VecStats, VectorizedEvaluator
 
@@ -308,6 +308,17 @@ class Engine:
                 self.plan_hits += 1
             return plan
 
+    def optimize_view(self, e: Expr) -> Expr:
+        """The template a materialized view over ``e`` maintains.
+
+        Rewritten with :data:`~repro.engine.rewrite.VIEW_RULES` -- this
+        engine's rules minus the ones that trade away a shape incremental
+        maintenance keeps state for.  Uncached: views are built once.
+        """
+        with self._lock:
+            rules = [r for r in self.rewriter.rules if r in VIEW_RULES]
+            return Rewriter(rules, self.sigma, self.rewriter.seed).rewrite(e)[0]
+
     def clear_plans(self) -> None:
         """Drop all per-query caches (long-lived engines over many ad-hoc queries).
 
@@ -362,10 +373,15 @@ class Engine:
         shown; otherwise a fresh statistics-free decision is made.
         """
         with self._lock:
-            expr = self.optimize(e).optimized if optimize else e
             chosen = _validate_backend(
                 backend if backend is not None else self.backend, explain=True
             )
+            if not optimize:
+                expr = e
+            elif chosen == "incremental":
+                expr = self.optimize_view(e)
+            else:
+                expr = self.optimize(e).optimized
             if chosen == "auto":
                 router = self.router()
                 decision = router.route(expr)

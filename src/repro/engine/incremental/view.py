@@ -262,10 +262,10 @@ class MaterializedView:
         # compile-cache lookups are worth hoisting.
         self._ijoin_fns: dict = {}
         with engine.lock:
-            # The view maintains the *optimized* template: it is what a cold
-            # run evaluates, and its compiled closures are already (or will
-            # be) in the engine's vectorized compile cache.
-            self.expr = engine.optimize(template).optimized
+            # The view maintains the *optimized* template, rewritten with
+            # the view rules: a query's rules minus the ones that would
+            # trade away a shape the delta state below is built for.
+            self.expr = engine.optimize_view(template)
             self._vec = engine._vec()
             self._it = self._vec.interner
             self._env = {k: self._it.intern(v) if isinstance(v, Value) else v

@@ -28,6 +28,14 @@ the paper's expressiveness translations read as an optimization:
   takes the combining chain from depth ``Theta(n)`` to ``Theta(log n)`` --
   exactly the paper's NC-versus-PTIME contrast, applied as an optimization.
 
+* **Selection through closure** -- ``seed-closure`` pushes a selection on one
+  column of ``closure(R)`` (the repeated-squaring idiom of Example 7.1) into
+  the iteration: a linear ``loop`` seeded at the selected tuples of ``R``
+  derives exactly what the selection would keep.  An unconditional identity,
+  cost-directed the other way round: depth ``Theta(log n)`` joins becomes
+  ``Theta(n)`` rounds, work drops from the whole closure to the selected
+  part.  With ``p <= 2`` processors Brent's ``W/p + D`` is all work.
+
 Rules live in a registry (:data:`DEFAULT_RULES`); a :class:`Rewriter` runs
 them bottom-up to a fixpoint and records every firing, which is what
 ``Engine.explain`` reports.
@@ -41,6 +49,7 @@ from typing import Callable, Optional
 
 from ..nra import ast
 from ..nra.ast import Expr, fresh_name, free_variables, map_children, substitute
+from ..nra.derived import closure, let, match_closure, seeded_closure
 from ..nra.errors import NRAEvalError, NRATypeError
 from ..nra.externals import EMPTY_SIGMA, Signature
 from ..nra.typecheck import FunType, infer
@@ -77,11 +86,10 @@ class Rule:
         doc: str = "",
     ) -> None:
         self.name = name
-        self._apply = apply
+        #: ``apply(e, rewriter)``: the replacement for ``e``, or ``None``.
+        #: Stored, not wrapped: the rewriter calls it once per rule per node.
+        self.apply = apply
         self.doc = doc or (apply.__doc__ or "").strip()
-
-    def apply(self, e: Expr, rw: "Rewriter") -> Optional[Expr]:
-        return self._apply(e, rw)
 
     def __repr__(self) -> str:
         return f"<rule {self.name}>"
@@ -296,24 +304,25 @@ def _ext_fusion(e: Expr, rw: "Rewriter") -> Optional[Expr]:
 # Proposition 2.1 as a cost-directed rewrite: sri/esr -> dcr
 # ---------------------------------------------------------------------------
 
-def _uses_var_only_under_proj1(e: Expr, name: str) -> bool:
-    """True iff every occurrence of ``Var(name)`` in ``e`` sits under ``Proj1``."""
-    if isinstance(e, ast.Proj1) and isinstance(e.pair, ast.Var) and e.pair.name == name:
+def _only_under(e: Expr, name: str, proj: type) -> bool:
+    """True iff every occurrence of ``Var(name)`` in ``e`` sits under ``proj``
+    (:class:`~repro.nra.ast.Proj1` or :class:`~repro.nra.ast.Proj2`)."""
+    if isinstance(e, proj) and isinstance(e.pair, ast.Var) and e.pair.name == name:
         return True
     if isinstance(e, ast.Var):
         return e.name != name
     if isinstance(e, ast.Lambda) and e.var == name:
         return True
-    return all(_uses_var_only_under_proj1(c, name) for c in e.children())
+    return all(_only_under(c, name, proj) for c in e.children())
 
 
-def _replace_proj1_var(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Rewrite ``pi1(Var(name))`` to ``replacement`` everywhere in ``e``."""
-    if isinstance(e, ast.Proj1) and isinstance(e.pair, ast.Var) and e.pair.name == name:
+def _replace_under(e: Expr, name: str, proj: type, replacement: Expr) -> Expr:
+    """Rewrite ``proj(Var(name))`` to ``replacement`` everywhere in ``e``."""
+    if isinstance(e, proj) and isinstance(e.pair, ast.Var) and e.pair.name == name:
         return replacement
     if isinstance(e, ast.Lambda) and e.var == name:
         return e
-    return map_children(e, lambda c: _replace_proj1_var(c, name, replacement))
+    return map_children(e, lambda c: _replace_under(c, name, proj, replacement))
 
 
 @rule("sri-to-dcr")
@@ -350,13 +359,90 @@ def _sri_to_dcr(e: Expr, rw: "Rewriter") -> Optional[Expr]:
     item_expr = body.arg.fst
     if z in free_variables(u):
         return None
-    if not _uses_var_only_under_proj1(item_expr, z):
+    if not _only_under(item_expr, z, ast.Proj1):
         return None
     if not rw.combiner_is_acu(u, e.seed, ins.var_type.snd):
         return None
     x = fresh_name("d")
-    item = ast.Lambda(x, ins.var_type.fst, _replace_proj1_var(item_expr, z, ast.Var(x)))
+    item = ast.Lambda(
+        x, ins.var_type.fst, _replace_under(item_expr, z, ast.Proj1, ast.Var(x))
+    )
     return ast.Dcr(e.seed, item, u)
+
+
+# ---------------------------------------------------------------------------
+# Selection through closure: work over depth
+# ---------------------------------------------------------------------------
+
+@rule("seed-closure")
+def _seed_closure(e: Expr, rw: "Rewriter") -> Optional[Expr]:
+    """Push a single-column selection through the closure idiom.
+
+    ``ext(\\w. if p then X else {})(closure(R))`` with ``p`` reading ``w`` only
+    under ``pi1`` becomes the linear iterator seeded at the selection,
+    ``loop(\\rr. rr U rr o R)(field_of(R), sigma_p(R))``, and only under
+    ``pi2`` its mirror image ``rr U R o rr`` (:func:`seeded_closure`): every
+    tuple a round derives keeps the seed's selected column, so the loop grows
+    exactly the selected part of the closure and nothing else.  ``closure(R)``
+    is what :func:`repro.nra.derived.closure` builds and nothing looser -- in
+    particular the cardinality argument must be ``field_of(R)``, or the
+    ``log_loop`` and ``loop`` round budgets would disagree.
+
+    An unconditional identity, like the structural rules, but cost-directed
+    in the direction *opposite* to ``sri-to-dcr``: it gives up the
+    logarithmic depth of repeated squaring for the work of one frontier walk
+    from the seed (``tests/engine/test_seed_closure.py`` pins the trade under
+    :mod:`repro.nra.cost`), which is what few processors want.
+
+    The output reuses ``p``, the select lambda and the ``field_of(R)``
+    subtree of the input; for ``X = {w}`` the seeded loop is the whole
+    result, otherwise the original ``ext`` runs over it.  ``Query.fix()``
+    ``let``-binds a non-variable source, so the selection first moves under
+    that binding (a bare non-variable ``R`` is bound the same way).
+    """
+    if not (isinstance(e, ast.Apply) and isinstance(e.func, ast.Ext)):
+        return None
+    # Cheapest test first: the rewriter offers every node to every rule.
+    src = e.arg
+    bound = src.func if isinstance(src, ast.Apply) else None
+    loop = bound.body if isinstance(bound, ast.Lambda) else src
+    if not (isinstance(loop, ast.Apply) and isinstance(loop.func, ast.LogLoop)):
+        return None
+    sel = e.func.func
+    if not (
+        isinstance(sel, ast.Lambda)
+        and isinstance(sel.body, ast.If)
+        and isinstance(sel.body.orelse, ast.EmptySet)
+    ):
+        return None
+    w, p = sel.var, sel.body.cond
+    if w not in free_variables(p):
+        return None
+    if _only_under(p, w, ast.Proj1):
+        backward = False
+    elif _only_under(p, w, ast.Proj2):
+        backward = True
+    else:
+        return None
+    found = match_closure(loop)
+    if found is None:
+        return None
+    r, base = found
+    if loop is not src:
+        if bound.var in free_variables(sel):
+            return None
+        under = ast.Lambda(bound.var, bound.var_type, ast.Apply(e.func, loop))
+        return ast.Apply(under, src.arg)
+    if not isinstance(r, ast.Var):
+        x = fresh_name("fx")
+        bound_closure = closure(ast.Var(x), base)
+        return let(x, SetType(sel.var_type), r, ast.Apply(e.func, bound_closure))
+    keeps_row = sel.body.then == ast.Singleton(ast.Var(w))
+    seed_select = e.func if keeps_row else ast.Ext(
+        ast.Lambda(w, sel.var_type, ast.If(p, ast.Singleton(ast.Var(w)), sel.body.orelse))
+    )
+    seeded = seeded_closure(r, src.arg.fst, ast.Apply(seed_select, r), base, backward)
+    return seeded if keeps_row else ast.Apply(e.func, seeded)
 
 
 # ---------------------------------------------------------------------------
@@ -391,26 +477,6 @@ def is_inflationary_step(step: Expr) -> bool:
     )
 
 
-def _uses_var_only_under_proj2(e: Expr, name: str) -> bool:
-    """True iff every occurrence of ``Var(name)`` in ``e`` sits under ``Proj2``."""
-    if isinstance(e, ast.Proj2) and isinstance(e.pair, ast.Var) and e.pair.name == name:
-        return True
-    if isinstance(e, ast.Var):
-        return e.name != name
-    if isinstance(e, ast.Lambda) and e.var == name:
-        return True
-    return all(_uses_var_only_under_proj2(c, name) for c in e.children())
-
-
-def _replace_proj2_var(e: Expr, name: str, replacement: Expr) -> Expr:
-    """Rewrite ``pi2(Var(name))`` to ``replacement`` everywhere in ``e``."""
-    if isinstance(e, ast.Proj2) and isinstance(e.pair, ast.Var) and e.pair.name == name:
-        return replacement
-    if isinstance(e, ast.Lambda) and e.var == name:
-        return e
-    return map_children(e, lambda c: _replace_proj2_var(c, name, replacement))
-
-
 def insert_as_step(insert: Expr) -> Optional[ast.Lambda]:
     """View an ``sri``/``esr`` insert function as a pure iteration step.
 
@@ -425,15 +491,16 @@ def insert_as_step(insert: Expr) -> Optional[ast.Lambda]:
     """
     if not (isinstance(insert, ast.Lambda) and isinstance(insert.var_type, ProdType)):
         return None
-    if not _uses_var_only_under_proj2(insert.body, insert.var):
+    if not _only_under(insert.body, insert.var, ast.Proj2):
         return None
     acc = fresh_name("acc")
-    body = _replace_proj2_var(insert.body, insert.var, ast.Var(acc))
+    body = _replace_under(insert.body, insert.var, ast.Proj2, ast.Var(acc))
     return ast.Lambda(acc, insert.var_type.snd, body)
 
 
 #: The unconditionally semantics-preserving rules: algebraic identities of
-#: the pure, total object language that hold for every expression.
+#: the pure, total object language that hold for every expression
+#: (``seed-closure`` included: it is cost-directed but needs no sampled gate).
 STRUCTURAL_RULES: list[Rule] = [r for r in DEFAULT_RULES if r.name != "sri-to-dcr"]
 
 #: The Proposition 2.1 recursion rewrites: semantics-preserving exactly when
@@ -441,6 +508,14 @@ STRUCTURAL_RULES: list[Rule] = [r for r in DEFAULT_RULES if r.name != "sri-to-dc
 #: verifies on a sampled carrier (complete, not sound -- see
 #: :meth:`Rewriter.combiner_is_acu`).
 COST_DIRECTED_RULES: list[Rule] = [r for r in DEFAULT_RULES if r.name == "sri-to-dcr"]
+
+#: What a materialized view's template is optimized with.  A view over
+#: ``fix().where(...)`` maintains the *squaring* step: its counted two-sided
+#: indexes recognise ``\\v. v U v o v``, whose step reads nothing but the
+#: accumulator.  The seeded loop's step reads the base relation itself, so a
+#: commit would change the step function, not just the seed, and the view
+#: would fall back to recomputing on every commit.
+VIEW_RULES: list[Rule] = [r for r in DEFAULT_RULES if r.name != "seed-closure"]
 
 
 # ---------------------------------------------------------------------------

@@ -557,6 +557,17 @@ class PlanCompiler:
                 return ("pair", ("l", pa), ("l", pb))
         return None
 
+    def _flat_rhs(self, e: Expr) -> Optional[tuple]:
+        """The non-column side of a flat compare: a literal's dense id, or a
+        variable bound outside the select (a ``$param``, an enclosing
+        binder) whose dense id is looked up per run."""
+        cid = self._const_id(e)
+        if cid is not None:
+            return ("id", cid)
+        if isinstance(e, ast.Var):
+            return ("var", e.name)
+        return None
+
     def _flat_select_spec(
         self, cond: Expr, out_expr: Expr, var: str
     ) -> Optional[tuple]:
@@ -568,16 +579,12 @@ class PlanCompiler:
         if pa is not None and pb is not None:
             lpath, rhs = pa, ("path", pb)
         elif pa is not None:
-            cid = self._const_id(cond.right)
-            if cid is None:
-                return None
-            lpath, rhs = pa, ("id", cid)
+            lpath, rhs = pa, self._flat_rhs(cond.right)
         elif pb is not None:
-            cid = self._const_id(cond.left)
-            if cid is None:
-                return None
-            lpath, rhs = pb, ("id", cid)
+            lpath, rhs = pb, self._flat_rhs(cond.left)
         else:
+            return None
+        if rhs is None:
             return None
         if isinstance(out_expr, ast.Var) and out_expr.name == var:
             out: Optional[tuple] = ("elems",)
@@ -675,11 +682,18 @@ class PlanCompiler:
                 )
                 if flat_spec is not None:
                     lpath, rhs, flat_out = flat_spec
+                    dense_id = self.it.dense_id
 
                     def flat_select_fn(env, negate=negate):
                         source = expect_set(sfn(env), "ext")
                         try:
-                            return flat_select(ctx, source, lpath, rhs, flat_out, negate)
+                            against = rhs
+                            if rhs[0] == "var":
+                                try:
+                                    against = ("id", dense_id(env[rhs[1]]))
+                                except KeyError:  # unbound, or not a value
+                                    raise FlatUnavailable(rhs[1]) from None
+                            return flat_select(ctx, source, lpath, against, flat_out, negate)
                         except FlatUnavailable:
                             ctx.stats.flat_fallbacks += 1
                         return bulk_select(

@@ -395,6 +395,38 @@ def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
     return map_children(e, lambda c: substitute(c, name, replacement))
 
 
+def alpha_equal(a: Expr, b: Expr) -> bool:
+    """Structural equality up to consistent renaming of bound variables.
+
+    ``==`` on expressions compares binder names too, and every derived-form
+    builder draws its binders from :func:`fresh_name`; this is the comparison
+    under which two calls of the same builder agree.
+    """
+    return _alpha_equal(a, b, {}, {}, 0)
+
+
+def _alpha_equal(a: Expr, b: Expr, abound: dict, bbound: dict, depth: int) -> bool:
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Var):
+        # Bound occurrences must point at the same binder (numbered by
+        # nesting depth); free ones must carry the same name.
+        la, lb = abound.get(a.name), bbound.get(b.name)
+        return la == lb and (la is not None or a.name == b.name)
+    if isinstance(a, Lambda):
+        return a.var_type == b.var_type and _alpha_equal(
+            a.body, b.body, {**abound, a.var: depth}, {**bbound, b.var: depth}, depth + 1
+        )
+    for f in fields(a):  # type: ignore[arg-type]
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, Expr):
+            if not (isinstance(y, Expr) and _alpha_equal(x, y, abound, bbound, depth)):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
 def lam(var: str, var_type: Type, body: Expr) -> Lambda:
     """Convenience constructor for :class:`Lambda`."""
     return Lambda(var, var_type, body)

@@ -16,6 +16,8 @@ anything.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..objects.types import ProdType, SetType, Type
 from .ast import (
     Apply,
@@ -27,12 +29,15 @@ from .ast import (
     If,
     IsEmpty,
     Lambda,
+    LogLoop,
+    Loop,
     Pair,
     Proj1,
     Proj2,
     Singleton,
     Union,
     Var,
+    alpha_equal,
     fresh_name,
 )
 
@@ -152,22 +157,72 @@ def field_of(r: Expr, t1: Type, t2: Type) -> Expr:
     return Union(rel_proj1(r, t1, t2), rel_proj2(r, t1, t2))
 
 
-def compose(r1: Expr, r2: Expr, t: Type) -> Expr:
+def compose(r1: Expr, r2: Expr, t: Type, stream_right: bool = False) -> Expr:
     """Relation composition ``r1 o r2`` of binary relations over ``t``.
 
     ``{(x, z) | (x, y) in r1, (y, z) in r2}`` -- the join used by the
-    repeated-squaring transitive closure of Example 7.1.
+    repeated-squaring transitive closure of Example 7.1.  The outer ``ext``
+    ranges over ``r1`` (or over ``r2`` with ``stream_right``): the same
+    relation either way, but the set-at-a-time backends stream the outer
+    source and index the inner one.
     """
     rel_t = ProdType(t, t)
     p = fresh_name("cp")
     q = fresh_name("cq")
-    inner_body = If(
+    body = If(
         Eq(Proj2(Var(p)), Proj1(Var(q))),
         Singleton(Pair(Proj1(Var(p)), Proj2(Var(q)))),
         EmptySet(rel_t),
     )
-    inner = ext_apply(Lambda(q, rel_t, inner_body), r2)
-    return ext_apply(Lambda(p, rel_t, inner), r1)
+    if stream_right:
+        return ext_apply(Lambda(q, rel_t, ext_apply(Lambda(p, rel_t, body), r1)), r2)
+    return ext_apply(Lambda(p, rel_t, ext_apply(Lambda(q, rel_t, body), r2)), r1)
+
+
+def closure(r: Expr, base: Type) -> Expr:
+    """Transitive closure of ``r : {base x base}`` by repeated squaring.
+
+    Example 7.1: ``log_loop(\\rr. rr U rr o rr)(Pi_1(r) U Pi_2(r), r)`` --
+    ``ceil(log(n+1))`` squarings over the ``n`` nodes ``r`` mentions.  ``r``
+    occurs twice; callers with a non-trivial ``r`` should ``let``-bind it.
+    """
+    rel_t = SetType(ProdType(base, base))
+    step = Lambda("rr", rel_t, Union(Var("rr"), compose(Var("rr"), Var("rr"), base)))
+    return Apply(LogLoop(step, base), Pair(field_of(r, base, base), r))
+
+
+def match_closure(e: Expr) -> Optional[tuple[Expr, Type]]:
+    """The inverse of :func:`closure`: ``(r, base)`` iff ``e`` is ``closure(r, base)``.
+
+    Up to the names of bound variables, and nothing looser: a different
+    cardinality argument, step or iterator is not a closure.
+    """
+    if not (isinstance(e, Apply) and isinstance(e.func, LogLoop) and isinstance(e.arg, Pair)):
+        return None
+    r, base = e.arg.snd, e.func.set_elem_type
+    return (r, base) if alpha_equal(e, closure(r, base)) else None
+
+
+def seeded_closure(r: Var, nodes: Expr, seed: Expr, base: Type, backward: bool = False) -> Expr:
+    """The part of ``closure(r)`` grown from ``seed``, one edge per round.
+
+    ``loop(\\rr. rr U rr o r)(nodes, seed)`` -- or ``rr U r o rr`` when
+    ``backward`` -- with ``nodes`` the ``field_of(r)`` that bounds the rounds.
+    For ``seed`` the tuples of ``r`` whose first (resp. second) column
+    satisfies a predicate this is exactly the tuples of the closure whose
+    first (resp. second) column does: the linear iterator's ``n`` rounds
+    reach every path the logarithmic one's ``ceil(log(n+1))`` squarings do.
+    The accumulator is the outer source of the join in both directions, so a
+    semi-naive backend streams the frontier and probes an index on ``r``.
+    """
+    acc = "rr" if r.name != "rr" else fresh_name("rr")
+    grown = (
+        compose(r, Var(acc), base, stream_right=True)
+        if backward
+        else compose(Var(acc), r, base)
+    )
+    step = Lambda(acc, SetType(ProdType(base, base)), Union(Var(acc), grown))
+    return Apply(Loop(step, base), Pair(nodes, seed))
 
 
 def nest(r: Expr, t1: Type, t2: Type) -> Expr:

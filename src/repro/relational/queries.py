@@ -38,7 +38,6 @@ from ..nra.ast import (
     Expr,
     If,
     Lambda,
-    LogLoop,
     Pair,
     Proj1,
     Proj2,
@@ -47,7 +46,7 @@ from ..nra.ast import (
     Var,
     lam2,
 )
-from ..nra.derived import compose, field_of
+from ..nra.derived import closure, compose, field_of
 from ..nra.eval import run
 from .relation import Relation
 
@@ -173,13 +172,7 @@ def transitive_closure_logloop() -> Lambda:
     ``v = Pi1(r) U Pi2(r)``; repeat ``ceil(log(n+1))`` times
     ``rr <- rr U rr o rr`` starting from ``r``.
     """
-    r = Var("r")
-    step = Lambda(
-        "rr", REL_T,
-        Union(Var("rr"), compose(Var("rr"), Var("rr"), BASE)),
-    )
-    body = Apply(LogLoop(step, BASE), Pair(field_of(r, BASE, BASE), r))
-    return Lambda("r", REL_T, body)
+    return Lambda("r", REL_T, closure(Var("r"), BASE))
 
 
 def transitive_closure_sri() -> Lambda:
