@@ -30,8 +30,11 @@
 # from docstrings); `perf` runs the repo benchmark declared in
 # BENCHMARK.json (five closed-loop workloads, each in a fresh child; writes
 # perf/out/<run-id>/summary.json) and `perf-compare BASE=... NEW=...` holds
-# one such summary.json to another by the declared bounds -- the two
-# commands behind every before/after table in EXPERIMENTS.md.
+# one such summary.json to another by the declared bounds;
+# `perf-pairs BASE=<git-rev> [WORKLOADS=a,b] [N=10] [SEED0=300]` runs the
+# alternating parent/change pairs a performance claim rests on (BASE
+# exported with git archive into a temporary directory, one seed per pair)
+# and prints the median [q1, q3] / wins table EXPERIMENTS.md records.
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -39,7 +42,7 @@ export PYTHONPATH := src
 WORKLOAD ?= path:64
 PORT ?= 7432
 
-.PHONY: test test-fast test-ivm test-dred test-columnar test-service test-router test-obs serve bench bench-engine bench-all bench-all-quick bench-check bench-ivm bench-service docs-check perf perf-compare
+.PHONY: test test-fast test-ivm test-dred test-columnar test-service test-router test-obs serve bench bench-engine bench-all bench-all-quick bench-check bench-ivm bench-service docs-check perf perf-compare perf-pairs
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -97,3 +100,10 @@ perf:
 
 perf-compare:
 	$(PYTHON) perf/compare.py $(BASE) $(NEW)
+
+WORKLOADS ?=
+N ?= 10
+SEED0 ?= 300
+
+perf-pairs:
+	$(PYTHON) tools/perf_pairs.py $(BASE) --pairs $(N) --seed0 $(SEED0) $(if $(WORKLOADS),--workloads $(WORKLOADS))

@@ -210,6 +210,28 @@ class BatchContext:
             indexes.pop(next(iter(indexes)))
         return index
 
+    def select_index(
+        self, source: SetVal, key_path: tuple[str, ...]
+    ) -> Optional[dict[int, list[int]]]:
+        """The ``(set, path)`` index a key-equality select may probe, or ``None``.
+
+        ``None`` the first time ``source`` is selected from on ``key_path``:
+        building the index costs more than the one scan it would save, so a
+        set selected from once is scanned.  The touch is remembered in the
+        index cache itself (a ``None`` entry, aged out by the same LRU), and
+        from the second select on -- or at once when a join already indexed
+        this set on this path -- the index is built or fetched by
+        :meth:`flat_probe_index` and shared with the joins.
+        """
+        indexes = self._indexes
+        key = (id(source), ("flat", key_path))
+        if key in indexes:
+            return self.flat_probe_index(source, key_path)
+        indexes[key] = None
+        if len(indexes) > self.MAX_CACHED_INDEXES:
+            indexes.pop(next(iter(indexes)))
+        return None
+
 
 def bind(env: dict, var: str):
     """Save the binding ``var`` may shadow; returns a token for :func:`unbind`."""
@@ -427,32 +449,39 @@ def flat_select(
 
     ``rhs`` is ``("path", path)`` for a column-column compare or
     ``("id", dense_id)`` for a column-constant compare (identity equality of
-    interned values *is* dense-id equality).
+    interned values *is* dense-id equality).  A positive column-constant
+    compare is a key lookup: the kept rows come from the ``(set, path)``
+    index once :meth:`BatchContext.select_index` has one (O(matches)), and
+    from a scan of the column otherwise.
     """
     it = ctx.interner
     _guard_pack(ctx, out_spec)
-    la = ctx.flat_column(source, lpath)
-    mask = equal_mask(la, ctx.flat_column(source, rhs[1]) if rhs[0] == "path" else rhs[1])
-    if negate:
-        mask = [not m for m in mask]
+    rows = None  # the kept row numbers, ascending
+    if rhs[0] == "id" and not negate:
+        index = ctx.select_index(source, lpath)
+        if index is not None:
+            rows = index.get(rhs[1], ())
+    if rows is None:
+        la = ctx.flat_column(source, lpath)
+        mask = equal_mask(la, ctx.flat_column(source, rhs[1]) if rhs[0] == "path" else rhs[1])
+        rows = [r for r, m in enumerate(mask) if m != negate]
     if out_spec[0] == "elems":
         # Identity output: a kept subsequence of a canonical set is
         # canonical, so no re-sort (and no dedup) is needed.
-        kept = tuple(
-            x for x, m in zip(source.elements, mask) if m
-        )
-        result = source if len(kept) == len(source.elements) else it.canonical_set(kept)
+        elements = source.elements
+        if len(rows) == len(elements):
+            result = source
+        else:
+            result = it.canonical_set(elements[r] for r in rows)
     elif out_spec[0] == "one":
         col = ctx.flat_column(source, out_spec[2])
-        result = it.set_from_ids([v for v, m in zip(col, mask) if m])
+        result = it.set_from_ids([col[r] for r in rows])
         ctx.stats.flat_dedups += 1
     else:
         ca = ctx.flat_column(source, out_spec[1][1])
         cb = ctx.flat_column(source, out_spec[2][1])
         result = it.set_from_pair_codes(
-            (a << CODE_BITS) | b
-            for a, b, m in zip(ca, cb, mask)
-            if m
+            [(ca[r] << CODE_BITS) | cb[r] for r in rows]
         )
         ctx.stats.flat_dedups += 1
     ctx.stats.bulk_selects += 1

@@ -104,6 +104,67 @@ class Compiled:
 
     plan: PlanNode
     fn: Callable[[dict], object]
+    #: ``fn`` behind a once-per-run cell, set the first time the expression
+    #: feeds a kernel (``PlanCompiler._source``).  Every structurally equal
+    #: occurrence fetches this ``Compiled`` from the compile cache, so they
+    #: all share the one cell.
+    once: Optional["OnceCell"] = None
+
+
+class OnceCell:
+    """A kernel source evaluated at most once per run per binding.
+
+    Calling the cell evaluates ``fn(env)`` unless the last successful
+    evaluation happened in the same run (``PlanCompiler._run``) with every free
+    variable of the source bound to the *same object*: values are interned
+    and immutable and the language is pure, so identical bindings give the
+    identical value.  Only successful values are kept, and nothing is
+    evaluated before a kernel asks, so errors and laziness are the
+    reference interpreter's.
+
+    The free variables are not derived until the *second* evaluation in a
+    run: the first keeps a copy of the (small) environment instead and the
+    second narrows it, so a statement that evaluates each source once never
+    pays for the analysis.
+    """
+
+    __slots__ = ("run", "expr", "fn", "names", "last")
+
+    def __init__(self, run: list, expr: Expr, fn: Callable[[dict], object]):
+        # The compiler's run counter, not the compiler: a cell reachable
+        # from the compile cache must not point back at its owner, or a
+        # dropped evaluator would wait for the cycle collector.
+        self.run = run
+        self.expr = expr
+        self.fn = fn
+        self.names: Optional[tuple[str, ...]] = None
+        # (run, value, names, bindings of names), replaced whole: a
+        # concurrent reader sees the old cell or the new one, never a mixture.
+        self.last: Optional[tuple] = None
+
+    def __call__(self, env: dict):
+        run, last = self.run[0], self.last
+        if last is not None and last[0] == run:
+            names = self.names
+            if names is None:
+                names = self.names = tuple(free_variables(self.expr))
+            if last[2] is not names:
+                # Kept under the whole environment of the run's first
+                # evaluation: narrow it to the variables that matter.
+                seen = dict(zip(last[2], last[3]))
+                last = self.last = (run, last[1], names, tuple(map(seen.get, names)))
+            for n, v in zip(names, last[3]):
+                if env.get(n) is not v:
+                    break
+            else:
+                return last[1]
+        value = self.fn(env)
+        names = self.names
+        if names is None:
+            self.last = (run, value, tuple(env), tuple(env.values()))
+        else:
+            self.last = (run, value, names, tuple(map(env.get, names)))
+        return value
 
 
 def _value(d: object, what: str) -> Value:
@@ -316,10 +377,16 @@ class PlanCompiler:
         self.ctx = ctx
         self.it = ctx.interner
         self._cache: dict[Expr, Compiled] = {}
+        #: ``[n]``, advanced by every :meth:`compile` call.  Every entry point
+        #: fetches its plan through ``compile`` immediately before evaluating
+        #: it, so the count names the run a once-cell's value belongs to (a
+        #: list because the cells share it, see :class:`OnceCell`).
+        self._run = [0]
 
     # -- entry point --------------------------------------------------------------
 
-    def compile(self, e: Expr) -> Compiled:
+    def compile(self, e: Expr, once: bool = False) -> Compiled:
+        self._run[0] += 1
         c = self._cache.get(e)
         if c is None:
             if TRACER.enabled:
@@ -327,6 +394,9 @@ class PlanCompiler:
                     c = self._compile(e)
             else:
                 c = self._compile(e)
+            if once:  # compiled for a kernel-source position: say so
+                p = c.plan
+                c.plan = PlanNode(p.op, p.detail, p.children, p.annotations + ("once",))
             profiler = self.ctx.profiler
             if profiler is not None:
                 c = Compiled(c.plan, profiler.wrap(c.plan, c.fn))
@@ -557,15 +627,16 @@ class PlanCompiler:
                 return ("pair", ("l", pa), ("l", pb))
         return None
 
-    def _flat_rhs(self, e: Expr) -> Optional[tuple]:
-        """The non-column side of a flat compare: a literal's dense id, or a
-        variable bound outside the select (a ``$param``, an enclosing
-        binder) whose dense id is looked up per run."""
+    def _flat_rhs(self, e: Expr, var: str) -> Optional[tuple]:
+        """The non-column side of a flat compare: a literal's dense id, or the
+        closure of an expression that does not mention the selected element
+        (a ``$param``, an enclosing binder, ``pi1`` of one: the key of a
+        correlated select), evaluated once per select."""
         cid = self._const_id(e)
         if cid is not None:
             return ("id", cid)
-        if isinstance(e, ast.Var):
-            return ("var", e.name)
+        if isinstance(e, ast.Var) or var not in free_variables(e):
+            return ("key", self.compile(e).fn)
         return None
 
     def _flat_select_spec(
@@ -579,9 +650,9 @@ class PlanCompiler:
         if pa is not None and pb is not None:
             lpath, rhs = pa, ("path", pb)
         elif pa is not None:
-            lpath, rhs = pa, self._flat_rhs(cond.right)
+            lpath, rhs = pa, self._flat_rhs(cond.right, var)
         elif pb is not None:
-            lpath, rhs = pb, self._flat_rhs(cond.left)
+            lpath, rhs = pb, self._flat_rhs(cond.left, var)
         else:
             return None
         if rhs is None:
@@ -621,6 +692,32 @@ class PlanCompiler:
                 return lp, rp, ("pair", ca, cb)
         return None
 
+    # -- kernel sources -----------------------------------------------------------
+
+    def _source(self, e: Expr) -> Compiled:
+        """Compile ``e`` for a kernel-source position, behind its once-cell.
+
+        The derived operators (``nest``, ``difference``, ``member``, a
+        ``compose`` of computed relations) repeat an argument under an
+        ``ext`` binder because the calculus has no ``let``; taken literally
+        the inner occurrence is recomputed per element of the outer set.
+        :class:`OnceCell` covers loop-invariant sources (the enclosing binder
+        is not among the free variables) and repeated ones (the cell hangs
+        off the cached ``Compiled``) with one mechanism and without touching
+        the expression, so the shape analyses see the templates they always
+        saw.  Variables and projection chains over them are returned as they
+        are: reading them costs less than checking a cell.
+        """
+        path = e
+        while isinstance(path, (ast.Proj1, ast.Proj2)):
+            path = path.pair
+        if isinstance(path, ast.Var):
+            return self.compile(e)
+        c = self.compile(e, once=True)
+        if c.once is None:
+            c.once = OnceCell(self._run, e, c.fn)
+        return Compiled(c.plan, c.once)
+
     # -- ext shapes ---------------------------------------------------------------
 
     def _compile_ext_apply(self, ext_node: ast.Ext, src: Expr) -> Compiled:
@@ -635,7 +732,7 @@ class PlanCompiler:
             )
         ctx = self.ctx
         var, body = f.var, f.body
-        sc = self.compile(src)
+        sc = self._source(src)
         sfn = sc.fn
 
         # MAP: ext(\x. {out})(s)
@@ -688,11 +785,21 @@ class PlanCompiler:
                         source = expect_set(sfn(env), "ext")
                         try:
                             against = rhs
-                            if rhs[0] == "var":
+                            if rhs[0] == "key":
+                                # The scan evaluates the key per element,
+                                # after the column side: not at all over an
+                                # empty set, and when the key cannot be had
+                                # up front (unbound, raising, not an interned
+                                # value) the scan reproduces the canonical
+                                # outcome in the canonical order.
+                                if not source.elements:
+                                    return bulk_select(
+                                        ctx, env, source, var, pfn, out_fn, negate
+                                    )
                                 try:
-                                    against = ("id", dense_id(env[rhs[1]]))
-                                except KeyError:  # unbound, or not a value
-                                    raise FlatUnavailable(rhs[1]) from None
+                                    against = ("id", dense_id(rhs[1](env)))
+                                except Exception:
+                                    raise FlatUnavailable("select key") from None
                             return flat_select(ctx, source, lpath, against, flat_out, negate)
                         except FlatUnavailable:
                             ctx.stats.flat_fallbacks += 1
@@ -700,10 +807,13 @@ class PlanCompiler:
                             ctx, env, source, var, pfn, out_fn, negate
                         )
 
+                    annotations = ("flat-columns",)
+                    if rhs[0] != "path" and not negate:
+                        annotations += ("indexed",)
                     return Compiled(
                         node(
                             "select", var, sc.plan, pc.plan, oc.plan,
-                            annotations=("flat-columns",),
+                            annotations=annotations,
                         ),
                         flat_select_fn,
                     )
@@ -718,7 +828,7 @@ class PlanCompiler:
         join = match_join(var, body)
         if join is not None:
             rvar, lkey, rkey, out_expr, inner_src = join
-            rc = self.compile(inner_src)
+            rc = self._source(inner_src)
             lkc, rkc, oc = self.compile(lkey), self.compile(rkey), self.compile(out_expr)
             rfn, lkfn, rkfn, ofn = rc.fn, lkc.fn, rkc.fn, oc.fn
             out_fn = lambda env: _value(ofn(env), "singleton")
@@ -974,8 +1084,8 @@ class PlanCompiler:
                 if flat_specs is not None:
                     flat_inv_cs = [
                         (
-                            self.compile(s.left_src) if isinstance(s, FlatTermSpec) and s.left_src is not None else None,
-                            self.compile(s.right_src) if isinstance(s, FlatTermSpec) and s.right_src is not None else None,
+                            self._source(s.left_src) if isinstance(s, FlatTermSpec) and s.left_src is not None else None,
+                            self._source(s.right_src) if isinstance(s, FlatTermSpec) and s.right_src is not None else None,
                         )
                         for s in flat_specs
                     ]

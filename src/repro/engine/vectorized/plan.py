@@ -9,7 +9,11 @@ fell back to faithful element-wise evaluation.  The plan is what
 on; it carries no runtime state.
 
 Annotations are free-form strings refining an op.  The ones the compiler
-emits today: ``indexed`` (a reusable join index), ``semi-naive`` /
+emits today: ``indexed`` (a reusable join index; on a ``select``, a
+key-equality predicate answered by probing that index from the second time
+the same set is selected from), ``once`` (a kernel source behind a once-cell:
+evaluated at most once per run per binding of its free variables, however
+many occurrences or enclosing iterations demand it), ``semi-naive`` /
 ``early-exit`` (loop round structure), and ``flat-columns`` -- the node was
 compiled against the dense-id array kernels of
 :mod:`repro.engine.vectorized.flat` (the object kernels remain its runtime

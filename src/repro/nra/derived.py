@@ -184,7 +184,12 @@ def closure(r: Expr, base: Type) -> Expr:
 
     Example 7.1: ``log_loop(\\rr. rr U rr o rr)(Pi_1(r) U Pi_2(r), r)`` --
     ``ceil(log(n+1))`` squarings over the ``n`` nodes ``r`` mentions.  ``r``
-    occurs twice; callers with a non-trivial ``r`` should ``let``-bind it.
+    occurs three times (twice under ``field_of``, once as the start value).
+    The reference interpreter evaluates each occurrence; the vectorized
+    compiler evaluates a computed ``r`` once per run where it feeds a kernel
+    (the two projections of ``field_of`` share one once-cell) and once more
+    as the start value, so ``Query.fix()`` still ``let``-binds a non-trivial
+    source.
     """
     rel_t = SetType(ProdType(base, base))
     step = Lambda("rr", rel_t, Union(Var("rr"), compose(Var("rr"), Var("rr"), base)))
@@ -231,6 +236,14 @@ def nest(r: Expr, t1: Type, t2: Type) -> Expr:
     Each first-component value ``a`` is paired with the set of second
     components it is related to.  Duplicate groups collapse because sets are
     canonical.
+
+    ``r`` occurs twice, the second time under the binder of the first: the
+    calculus has no ``let``.  The reference interpreter therefore evaluates
+    ``r`` once more per row and scans it for each group, O(|r| * cost(r) +
+    |r|^2).  The vectorized compiler evaluates a computed ``r`` once per run
+    (both occurrences share a once-cell) and finds each group by probing one
+    ``(r, pi1)`` index, O(cost(r) + |r|), on the term as written: a caller
+    on that backend need not ``let``-bind.
     """
     rel_t = ProdType(t1, t2)
     p = fresh_name("np")

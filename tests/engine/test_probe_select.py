@@ -1,0 +1,230 @@
+"""Key-equality selects probe the cached ``(set, path)`` index.
+
+``ext(\\q. if path(q) = k then {out} else {})(s)`` with ``k`` free of ``q``
+is a key lookup: the flat select scans the first time ``s`` is selected from
+and probes the index :meth:`BatchContext.flat_probe_index` keeps for the
+joins from then on.  Every case below is run twice on one engine (so both
+the scan and the probe answer it) and held to the reference interpreter
+``repro.nra.eval.run``.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.api import Database, Q, connect
+from repro.engine import Engine
+from repro.nra.ast import (
+    Apply,
+    EmptySet,
+    Eq,
+    Ext,
+    If,
+    Lambda,
+    Pair,
+    Proj1,
+    Proj2,
+    Singleton,
+    Var,
+)
+from repro.nra.derived import compose, difference, intersection, member, nest
+from repro.nra.errors import NRAEvalError
+from repro.nra.eval import run as reference_run
+from repro.objects.types import BASE, ProdType
+from repro.objects.values import from_python
+from repro.relational.queries import REL_T
+from repro.workloads.nested_graphs import ADJ_T
+
+pytestmark = pytest.mark.columnar
+
+PAIR_T = ProdType(BASE, BASE)
+ATOMS = st.integers(min_value=0, max_value=5)
+FLAT = st.frozensets(st.tuples(ATOMS, ATOMS), max_size=12)              # {D x D}
+NESTED = st.frozensets(st.tuples(ATOMS, st.frozensets(ATOMS, max_size=3)), max_size=8)  # {D x {D}}
+
+
+def select(elem_t, key_side, key, out, source, negate=False):
+    """``ext(\\q. if key_side(q) = key then {out(q)} else {})(source)``."""
+    q = Var("q")
+    keep, drop = Singleton(out(q)), EmptySet(out_type(elem_t, out))
+    body = If(Eq(key_side(q), key), drop, keep) if negate else If(Eq(key_side(q), key), keep, drop)
+    return Apply(Ext(Lambda("q", elem_t, body)), source)
+
+
+def out_type(elem_t, out):
+    return {whole: elem_t, Proj1: elem_t.fst, Proj2: elem_t.snd, swap: ProdType(elem_t.snd, elem_t.fst)}[out]
+
+
+def whole(q):
+    return q
+
+
+def swap(q):
+    return Pair(Proj2(q), Proj1(q))
+
+
+def per_key(elem_t, select_expr, keys=Var("ks")):
+    """``ext(\\k. {(k, select)})(keys)``: the same set selected from per key."""
+    out = Singleton(Pair(Var("k"), select_expr))
+    return Apply(Ext(Lambda("k", BASE, out)), keys)
+
+
+def agree(expr, env):
+    """Scan (first run) and probe (second run) both equal the reference."""
+    want = reference_run(expr, env=env)
+    engine = Engine(backend="vectorized")
+    for _ in range(2):
+        assert engine.run(expr, env=env, optimize=False) == want
+        assert engine.last_stats.flat_fallbacks == 0
+    return engine
+
+
+# ---------------------------------------------------------------------------
+# The differential
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(FLAT, st.frozensets(ATOMS, max_size=6), st.sampled_from([whole, Proj1, Proj2, swap]))
+def test_bound_variable_key_on_flat_pairs(rel, keys, out):
+    env = {"r": from_python(set(rel)), "ks": from_python(set(keys))}
+    for side in (Proj1, Proj2):
+        agree(per_key(PAIR_T, select(PAIR_T, side, Var("k"), out, Var("r"))), env)
+
+
+@settings(max_examples=40, deadline=None)
+@given(FLAT, FLAT)
+def test_computed_key_under_an_outer_binder(rel, probes):
+    # nest's shape: the key is pi2 of the *outer* element, a computed value.
+    env = {"r": from_python(set(rel)), "ps": from_python(set(probes))}
+    inner = select(PAIR_T, Proj1, Proj2(Var("p")), Proj2, Var("r"))
+    expr = Apply(Ext(Lambda("p", PAIR_T, Singleton(Pair(Var("p"), inner)))), Var("ps"))
+    agree(expr, env)
+
+
+@settings(max_examples=40, deadline=None)
+@given(NESTED, st.frozensets(ATOMS, max_size=3))
+def test_set_valued_key_on_nested_records(adj, succ):
+    # {D x {D}}: select the records whose successor *set* equals a computed one.
+    env = {"adj": from_python(set(adj)), "s": from_python(set(succ)), "ks": from_python({0, 1})}
+    key = Apply(Ext(Lambda("z", BASE, Singleton(Var("z")))), Var("s"))  # = s, computed
+    agree(per_key(ADJ_T, select(ADJ_T, Proj2, key, Proj1, Var("adj"))), env)
+    agree(per_key(ADJ_T, select(ADJ_T, Proj1, Var("k"), whole, Var("adj"))), env)
+
+
+@settings(max_examples=40, deadline=None)
+@given(FLAT, FLAT)
+def test_whole_element_key_is_member(rel, probes):
+    env = {"r": from_python(set(rel)), "ps": from_python(set(probes))}
+    tagged = Lambda("p", PAIR_T, Singleton(Pair(Var("p"), member(Var("p"), Var("r"), PAIR_T))))
+    agree(Apply(Ext(tagged), Var("ps")), env)
+
+
+@settings(max_examples=40, deadline=None)
+@given(FLAT, FLAT)
+def test_derived_operators_over_computed_sides(a, b):
+    env = {"a": from_python(set(a)), "b": from_python(set(b))}
+    two_hop = compose(Var("a"), Var("b"), BASE)
+    for expr in (
+        nest(two_hop, BASE, BASE),
+        difference(Var("a"), two_hop, PAIR_T),
+        intersection(two_hop, Var("b"), PAIR_T),
+        difference(two_hop, two_hop, PAIR_T),
+    ):
+        want = reference_run(expr, env=env)
+        engine = Engine(backend="vectorized")
+        assert engine.run(expr, env=env) == want          # rewritten
+        assert engine.run(expr, env=env, optimize=False) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(FLAT, FLAT)
+def test_q_builders_agree_with_the_reference(a, b):
+    db = Database("d").register("a", from_python(set(a)), type=REL_T)
+    db.register("b", from_python(set(b)), type=REL_T)
+    qa, qb = Q.coll("a"), Q.coll("b")
+    with connect(db) as session:
+        for query in (qa.compose(qb).nest(), qa - qa.compose(qb), qa.compose(qb) & qb,
+                      (qa | qb).nest()):
+            template = query.elaborate(db.schema()).expr
+            want = reference_run(template, env=db.environment())
+            assert session.execute(query).value == want
+            assert session.execute(query).value == want
+
+
+# ---------------------------------------------------------------------------
+# What must stay a scan, and what the probe may not change
+# ---------------------------------------------------------------------------
+
+REL = {(0, 1), (0, 2), (1, 2), (3, 0)}
+
+
+def test_probe_starts_at_the_second_select_and_shares_the_join_index():
+    env = {"r": from_python(REL), "ks": from_python({0, 1, 2, 3, 4})}
+    expr = per_key(PAIR_T, select(PAIR_T, Proj1, Var("k"), Proj2, Var("r")))
+    engine = agree(expr, env)
+    assert "indexed" in next(
+        n for n in engine.explain_plan(expr, optimize=False).walk() if n.op == "select"
+    ).annotations
+    fresh = Engine(backend="vectorized")
+    fresh.run(expr, env=env, optimize=False)
+    first = fresh.last_stats
+    assert (first.index_builds, first.index_hits) == (1, 3)  # scan, build, 3 probes
+    fresh.run(expr, env=env, optimize=False)
+    assert (fresh.last_stats.index_builds, fresh.last_stats.index_hits) == (0, 5)
+    # A join on the same (set, path) leaves an index the very first select finds.
+    joined = Engine(backend="vectorized")
+    joined.run(compose(Var("r"), Var("r"), BASE), env=env, optimize=False)
+    joined.run(select(PAIR_T, Proj1, Var("k"), whole, Var("r")),
+               env={**env, "k": from_python(0)}, optimize=False)
+    assert (joined.last_stats.index_builds, joined.last_stats.index_hits) == (0, 1)
+
+
+def test_negated_predicate_remains_a_scan():
+    env = {"r": from_python(REL), "ks": from_python({0, 1, 2, 3, 4})}
+    expr = per_key(PAIR_T, select(PAIR_T, Proj1, Var("k"), Proj2, Var("r"), negate=True))
+    engine = agree(expr, env)
+    plan_select = next(
+        n for n in engine.explain_plan(expr, optimize=False).walk() if n.op == "select"
+    )
+    assert plan_select.annotations == ("flat-columns",)
+    assert (engine.last_stats.index_builds, engine.last_stats.index_hits) == (0, 0)
+
+
+def test_non_pair_elements_raise_the_object_kernels_error():
+    env = {"r": from_python({1, 2, 3}), "ks": from_python({1, 2})}
+    expr = per_key(PAIR_T, select(PAIR_T, Proj1, Var("k"), whole, Var("r")))
+    messages = []
+    for flat in (True, False):
+        engine = Engine(backend="vectorized", flat=flat)
+        for _ in range(2):
+            with pytest.raises(NRAEvalError, match="pi1: expected a pair") as err:
+                engine.run(expr, env=env, optimize=False)
+            messages.append(str(err.value))
+    assert len(set(messages)) == 1
+    with pytest.raises(NRAEvalError, match="pi1"):
+        reference_run(expr, env=env)
+
+
+def test_unevaluable_key_falls_back_to_the_scan():
+    # An unbound key: an error over a non-empty set, nothing over an empty one.
+    expr = select(PAIR_T, Proj1, Var("nowhere"), whole, Var("r"))
+    engine = Engine(backend="vectorized")
+    for _ in range(2):
+        assert engine.run(expr, env={"r": from_python(set())}, optimize=False) == from_python(set())
+        with pytest.raises(NRAEvalError, match="unbound variable 'nowhere'"):
+            engine.run(expr, env={"r": from_python(REL)}, optimize=False)
+
+
+def test_key_absent_from_the_set_or_never_interned_selects_nothing():
+    engine = Engine(backend="vectorized")
+    expr = select(PAIR_T, Proj1, Var("k"), whole, Var("r"))
+    r = from_python(REL)
+    for _ in range(3):
+        assert engine.run(expr, env={"r": r, "k": from_python(99)}, optimize=False) == from_python(set())
+    # Bypass intern_env: the key object is structurally 0 but not the interned 0.
+    ev = engine._vec()
+    env = {"r": ev.interner.intern(r), "k": from_python(0)}
+    for flat_engine in (ev, Engine(backend="vectorized", flat=False)._vec()):
+        env["r"] = flat_engine.interner.intern(r)
+        for _ in range(2):
+            assert len(flat_engine.compile(expr).fn(dict(env)).elements) == 0
