@@ -31,10 +31,13 @@
 # BENCHMARK.json (five closed-loop workloads, each in a fresh child; writes
 # perf/out/<run-id>/summary.json) and `perf-compare BASE=... NEW=...` holds
 # one such summary.json to another by the declared bounds;
-# `perf-pairs BASE=<git-rev> [WORKLOADS=a,b] [N=10] [SEED0=300]` runs the
-# alternating parent/change pairs a performance claim rests on (BASE
-# exported with git archive into a temporary directory, one seed per pair)
-# and prints the median [q1, q3] / wins table EXPERIMENTS.md records.
+# `perf-pairs BASE=<git-rev> [WORKLOADS=a,b] [N=10] [SEED0=300]
+# [CLAIM=workload:metric]` runs the alternating parent/change pairs a
+# performance claim rests on (BASE exported with git archive into a
+# temporary directory, one seed per pair), prints the median [q1, q3] /
+# wins table EXPERIMENTS.md records, and fails if a row is worse than its
+# BENCHMARK.json bound or the CLAIM row does not show the gain (>= 9/10
+# wins and a median gap wider than the parent's quartile distance).
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -104,6 +107,7 @@ perf-compare:
 WORKLOADS ?=
 N ?= 10
 SEED0 ?= 300
+CLAIM ?=
 
 perf-pairs:
-	$(PYTHON) tools/perf_pairs.py $(BASE) --pairs $(N) --seed0 $(SEED0) $(if $(WORKLOADS),--workloads $(WORKLOADS))
+	$(PYTHON) tools/perf_pairs.py $(BASE) --pairs $(N) --seed0 $(SEED0) $(if $(WORKLOADS),--workloads $(WORKLOADS)) $(if $(CLAIM),--claim $(CLAIM))

@@ -25,11 +25,12 @@ Mutation.  A database is **mutable** by default: :meth:`Database.insert`,
 registered collection (its schema type never changes) and return the
 normalized :class:`~repro.engine.incremental.changeset.Changeset` -- net
 effect only, validated element-by-element against the schema.  Every commit
-bumps the database *version* (so attached sessions refresh their interned
-environments) and is delivered, in commit order, to the
-:class:`~repro.engine.incremental.view.MaterializedView` objects registered
-by ``Session.materialize`` -- views absorb the delta (or fall back to
-recompute) before the mutating call returns.  Pass ``mutable=False`` for a
+bumps the database *version* and that of each collection it wrote, and is
+delivered in commit order first to the :class:`Snapshot` of every engine
+with an open session or view (advanced by the changeset, not re-interned),
+then to the :class:`~repro.engine.incremental.view.MaterializedView` objects
+registered by ``Session.materialize`` -- views absorb the delta (or fall back
+to recompute) before the mutating call returns.  Pass ``mutable=False`` for a
 frozen snapshot (the PR-3 behaviour) whose collections only change via
 :meth:`Database.drop` + re-register; dropping a collection marks dependent
 views *stale* rather than silently recomputing them against a new schema.
@@ -38,6 +39,7 @@ views *stale* rather than silently recomputing them against a new schema.
 from __future__ import annotations
 
 import threading
+import weakref
 from bisect import insort
 from typing import Iterator, Optional
 
@@ -46,6 +48,8 @@ from ..engine.router import CollectionStats, collection_stats
 from ..nra.ast import Const
 from ..nra.typecheck import infer
 from ..objects.types import SetType, Type
+from ..obs.metrics import METRICS
+from ..obs.trace import TRACER
 from ..objects.values import (
     SetVal,
     Value,
@@ -58,6 +62,55 @@ from ..objects.values import (
 from ..relational.database import OrderedDatabase
 from ..relational.relation import Relation
 from .query import PARAM_PREFIX, Schema
+
+
+class Snapshot:
+    """One engine's interned image of a database's collections.
+
+    Shared by every session and view of that engine on that database, which
+    own it: the database holds it weakly, and one nobody reads has none.
+    ``env`` (name -> interned value) is *replaced*, never mutated, so a
+    reader that took it sees one committed state; ``versions`` is the
+    per-collection version each value reflects.  A commit moves a collection
+    by ``Engine.advance`` -- O(|delta|), flat columns and indexes carried --
+    when the snapshot is at the version the commit started from and the
+    delta is no larger than the collection; otherwise, and on first use, it
+    is interned whole.  Hash-consing makes both the same object.
+    """
+
+    def __init__(self, engine, db: "Database") -> None:
+        self.engine = engine
+        with db._lock:
+            values, self.versions = dict(db._collections), dict(db._versions)
+        self.env: dict[str, Value] = {n: engine.intern(v) for n, v in values.items()}
+
+    def _move(self, moved: dict, changeset: Optional[Changeset] = None) -> None:
+        """Follow one commit, registration or drop (commit lock held): ``moved``
+        maps name to ``(version before, version after, value)``, ``None`` where absent."""
+        env, versions, engine = dict(self.env), dict(self.versions), self.engine
+        counts = {"delta": 0, "rebuild": 0}
+        with engine.lock, TRACER.span("snapshot-advance") as sp:
+            for name, (before, after, value) in moved.items():
+                if value is None:
+                    del env[name], versions[name]
+                    continue
+                d = changeset.get(name) if changeset is not None else None
+                if d is None:  # a registration: the cold load, not an advance
+                    env[name] = engine.intern(value)
+                elif (versions.get(name) == before
+                        and len(d.inserts) + len(d.deletes) <= len(env[name].elements)):
+                    env[name] = engine.advance(env[name], d.inserts, d.deletes)
+                    counts["delta"] += 1
+                else:
+                    env[name] = engine.intern(value)
+                    counts["rebuild"] += 1
+                versions[name] = after
+            if sp is not None:
+                sp.set(**counts)
+        for kind, n in counts.items():
+            if n and METRICS.enabled:
+                METRICS.counter(f'repro_snapshot_advances_total{{kind="{kind}"}}').inc(n)
+        self.env, self.versions = env, versions
 
 
 class Database:
@@ -81,8 +134,14 @@ class Database:
         # acquires the commit lock while holding either.
         self._commit_lock = threading.RLock()
         self._views: list = []
-        #: Bumped on every mutation; sessions compare it to re-intern lazily.
+        #: Bumped on every mutation (registration, drop, commit).
         self.version = 0
+        # Collection name -> the database version that last wrote it, so a
+        # write to one collection moves no other in a snapshot.
+        self._versions: dict[str, int] = {}
+        # id(engine) -> Snapshot, weakly: sessions and views hold them.  A
+        # live snapshot keeps its engine alive, so the id cannot be reused.
+        self._snapshots = weakref.WeakValueDictionary()
 
     # -- registration -------------------------------------------------------------
 
@@ -108,30 +167,56 @@ class Database:
         # Schema inference *via the type checker*: a Const node carrying the
         # value and candidate type only types if the value inhabits the type.
         inferred = infer(Const(value, t))
-        with self._lock:
-            if name in self._collections:
-                raise ValueError(f"collection {name!r} already registered")
-            self._collections[name] = value
-            self._schema[name] = inferred
-            self._stats[name] = collection_stats(value)
-            self.version += 1
+        with self._commit_lock:
+            with self._lock:
+                if name in self._collections:
+                    raise ValueError(f"collection {name!r} already registered")
+                self._collections[name] = value
+                self._schema[name] = inferred
+                self._stats[name] = collection_stats(value)
+                self.version += 1
+                self._versions[name] = self.version
+            # A re-registered name has a new version: interned whole,
+            # nothing of its namesake patched onto it.
+            self._notify({name: (None, self.version, value)})
         return self
 
     def drop(self, name: str) -> None:
-        with self._lock:
-            if name not in self._collections:
-                raise KeyError(f"no collection {name!r}")
-            del self._collections[name]
-            del self._schema[name]
-            self._stats.pop(name, None)
-            self.version += 1
-            views = list(self._views)
+        with self._commit_lock:
+            with self._lock:
+                if name not in self._collections:
+                    raise KeyError(f"no collection {name!r}")
+                del self._collections[name]
+                del self._schema[name]
+                self._stats.pop(name, None)
+                self.version += 1
+                before = self._versions.pop(name)
+                views = list(self._views)
+            self._notify({name: (before, None, None)})
         # The collection's schema entry is gone: dependent views can no
         # longer be maintained *or* recomputed meaningfully -- mark them
         # stale instead of serving a value over a vanished base.
         for v in views:
             if v.depends_on(name):
                 v.mark_stale()
+
+    # -- snapshots ------------------------------------------------------------
+
+    def snapshot(self, engine) -> Snapshot:
+        """``engine``'s :class:`Snapshot` of this database, made on first use.
+
+        Hold the result for as long as it should keep following commits.
+        """
+        with self._commit_lock:
+            snap = self._snapshots.get(id(engine))
+            if snap is None:
+                snap = self._snapshots[id(engine)] = Snapshot(engine, self)
+            return snap
+
+    def _notify(self, moved: dict, changeset: Optional[Changeset] = None) -> None:
+        """Move every live snapshot (commit lock held, state lock not)."""
+        for snap in list(self._snapshots.values()):
+            snap._move(moved, changeset)
 
     # -- mutation -------------------------------------------------------------
 
@@ -171,18 +256,25 @@ class Database:
         with self._commit_lock:
             with self._lock:
                 normalized, updates = self._normalize(changeset)
+                moved = {}
                 if updates:
                     self._collections.update(updates)
+                    self.version += 1
                     for name, value in updates.items():
                         old = self._stats.get(name)
                         self._stats[name] = collection_stats(
                             value, updates=(old.updates + 1) if old else 1
                         )
-                    self.version += 1
+                        moved[name] = (self._versions[name], self.version, value)
+                        self._versions[name] = self.version
                 views = list(self._views)
             if normalized:
-                for v in views:
-                    v._on_commit(normalized)
+                with TRACER.span("commit", db=self.name):
+                    # Snapshots first: a view reads its bases from its
+                    # engine's snapshot, already at this commit.
+                    self._notify(moved, normalized)
+                    for v in views:
+                        v._on_commit(normalized)
             return normalized
 
     def _normalize(self, changeset: Changeset) -> tuple[Changeset, dict[str, Value]]:

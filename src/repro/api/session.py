@@ -24,8 +24,10 @@ therefore its plan caches -- the engine serializes cache access internally
 (see the concurrency note in :class:`repro.engine.Engine`) -- or own a
 private engine (the default), which is the one-engine-per-worker-thread
 deployment shape.  The database is always shareable; its collection values
-are immutable and interned into the session engine's table on first use (and
-re-interned only when the database version changes).
+are immutable and interned into the session engine's table once per engine,
+in the :class:`~repro.api.catalog.Snapshot` every session and view of that
+engine reads; commits advance the snapshot by their changeset, so a read
+after a write re-interns nothing.
 """
 
 from __future__ import annotations
@@ -111,8 +113,9 @@ class Session:
         self.stats = SessionStats()
         self.closed = False
         self._lock = threading.RLock()
-        self._env: dict[str, Value] = {}
-        self._env_version: Optional[int] = None
+        # The engine's snapshot of the database, taken on the first read and
+        # held (it follows commits only while someone holds it) until close.
+        self._snapshot = None
         # Keyed on (template, defaults, backend): two raw expressions whose
         # lifted constants differ share the template but not the defaults,
         # and must not share a statement.
@@ -135,6 +138,7 @@ class Session:
         with self._lock:
             self._prepared.clear()
             views, self._views = self._views, []
+            self._snapshot = None
             self.closed = True
         for v in views:
             v.close()
@@ -149,25 +153,17 @@ class Session:
         return self.db.schema() if self.db is not None else {}
 
     def _environment(self) -> dict[str, Value]:
-        """The database's collections, interned into the engine's table (cached)."""
+        """The database's collections as interned in the engine's snapshot.
+
+        Read-only (copy before binding).  No session lock: making the snapshot
+        waits for the commit lock, whose holder may be waiting for ours.
+        """
         if self.db is None:
             return {}
-        with self._lock:
-            if self._env_version != self.db.version:
-                # Read the version BEFORE snapshotting: if a registration
-                # lands in between, we stamp the old version and re-intern on
-                # the next call, instead of stamping a fresh version onto a
-                # stale snapshot.  Engine.intern (not interner.intern):
-                # interning must happen under the engine lock to stay
-                # interned-exactly-once when sessions share an engine across
-                # threads.
-                version = self.db.version
-                intern = self.engine.intern
-                self._env = {
-                    name: intern(v) for name, v in self.db.environment().items()
-                }
-                self._env_version = version
-            return self._env
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = self.db.snapshot(self.engine)
+        return snapshot.env
 
     def _template_of(self, query: Runnable) -> tuple[Expr, dict, dict, str]:
         """(template, param types, default bindings, label) for any runnable."""

@@ -288,6 +288,20 @@ class Engine:
         with self._lock:
             return self.interner.intern(v)
 
+    def advance(self, s: Value, inserts, deletes) -> Value:
+        """Interned ``(s - deletes) | inserts``; what is cached for ``s`` follows it.
+
+        How an interned collection moves across a commit without being
+        re-interned or re-indexed: :meth:`InternTable.advance` splices the
+        delta in and the vectorized backend's columns and invariant indexes
+        over ``s`` are patched onto the result.
+        """
+        with self._lock:
+            new, dels, ins = self.interner.advance(s, inserts, deletes)
+            if new is not s and self._vectorized is not None:
+                self._vectorized.ctx.carry(s, new, dels, ins)
+            return new
+
     # -- planning -----------------------------------------------------------------
 
     def optimize(self, e: Expr) -> Plan:

@@ -257,6 +257,7 @@ class MaterializedView:
         # unregistered by accident.
         self._listeners: list = []
         self._registry = None
+        self._snapshot = None
         # Compiled (lkey, rkey, out) closures per indexed-fixpoint op, keyed
         # by op identity: probed once per cone element, so the per-call
         # compile-cache lookups are worth hoisting.
@@ -310,7 +311,13 @@ class MaterializedView:
             return ViewDelta()
         with self.engine.lock:
             with TRACER.span("ivm-apply", view=self.name) as sp:
-                self._refresh_env(changeset)
+                # The database advanced the engine's snapshot by this
+                # changeset just before delivering it here: the written
+                # bases are there, as a cold read would intern them.
+                env, current = self._env, self._snapshot.env
+                for name in changeset:
+                    if name in env:
+                        env[name] = current[name]
                 fallbacks_before = self.stats.fallback_recomputes
                 overdeletes_before = self.stats.dred_overdeletes
                 rederives_before = self.stats.dred_rederives
@@ -378,13 +385,20 @@ class MaterializedView:
         """Stop serving and maintenance; unregisters from the database."""
         self.closed = True
         self._listeners.clear()
+        self._snapshot = None
         registry, self._registry = self._registry, None
         if registry is not None:
             registry.remove_view(self)
 
     def bind_registry(self, registry) -> None:
-        """Attach the object (a Database) ``close`` should unregister from."""
+        """Attach the object (a Database) ``close`` should unregister from.
+
+        Its snapshot for this engine is where ``apply`` reads the base
+        collections from; the view holds it (so it keeps following commits)
+        until closed.
+        """
         self._registry = registry
+        self._snapshot = registry.snapshot(self.engine)
 
     def mark_stale(self) -> None:
         """A depended-on collection was dropped: refuse further service."""
@@ -411,32 +425,6 @@ class MaterializedView:
         mode = "recompute" if self.recompute_only else "delta"
         return (f"<MaterializedView {self.name!r} mode={mode} "
                 f"rows={len(self._value.elements)} applies={self.stats.delta_applies}>")
-
-    # -- environment upkeep ----------------------------------------------------
-
-    def _refresh_env(self, changeset: Changeset) -> None:
-        """Advance this view's collection values by the (net) changeset.
-
-        The view never re-reads the database: changesets arrive in commit
-        order, and net deltas applied to the previous snapshot reproduce the
-        database's collection value exactly.
-        """
-        it = self._it
-        for name in changeset:
-            if name not in self.bases and name not in self._env:
-                continue
-            d = changeset[name]
-            current = self._env.get(name, it.empty_set)
-            current = _expect_set(current, f"collection {name!r}")
-            if d.deletes:
-                current = it.difference(
-                    current, it.mkset(it.intern(v) for v in d.deletes)
-                )
-            if d.inserts:
-                current = it.union(
-                    current, it.mkset(it.intern(v) for v in d.inserts)
-                )
-            self._env[name] = current
 
     def _recompute_value(self) -> ViewDelta:
         old = self._value

@@ -25,6 +25,7 @@ when the engine is dropped.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Iterable, Optional, Sequence
 
 from ..objects.values import (
@@ -347,6 +348,52 @@ class InternTable:
         if len(kept) == len(xs):
             return a
         return self._set_from_canonical(kept)
+
+    def advance(
+        self, s: SetVal, inserts: Iterable[Value], deletes: Iterable[Value]
+    ) -> tuple[Value, list, list]:
+        """Interned ``(s - deletes) | inserts``, and the row patch that made it.
+
+        How a collection follows a commit: ``s`` is interned, the delta need
+        not be.  Each delta element is placed by bisection over cached sort
+        keys in one C-level copy of the element tuple: O(|delta| log |s|)
+        python steps.  Returns ``(new, dels, ins)`` -- ``(row, dense id)``
+        pairs, ``dels`` in descending row order and ``ins`` in the order
+        applied: deleting, then inserting, those rows turns any column of
+        ``s`` into that column of ``new`` (as done here for ``set_ids``).
+        """
+        keys, dense = self._keys, self._dense
+        key_of = lambda v: keys[id(v)]  # noqa: E731
+        elems = list(s.elements)
+        found = set()
+        for v in map(self.intern, deletes):
+            row = bisect_left(elems, keys[id(v)], key=key_of)
+            if row < len(elems) and elems[row] is v:
+                found.add((row, dense[id(v)]))
+        dels = sorted(found, reverse=True)
+        for row, _ in dels:
+            del elems[row]
+        ins: list = []
+        for v in sorted(map(self.intern, inserts), key=key_of):
+            row = bisect_left(elems, keys[id(v)], key=key_of)
+            if row == len(elems) or elems[row] is not v:
+                elems.insert(row, v)
+                ins.append((row, dense[id(v)]))
+        new = self._set_from_canonical(tuple(elems)) if dels or ins else s
+        col = self._set_cols.get(id(s))
+        if col is not None and id(new) not in self._set_cols:
+            self._set_cols[id(new)] = patch_column(col, dels, ins)
+        return new, dels, ins
+
+
+def patch_column(col: array, dels: list, ins: list) -> array:
+    """A copy of ``col`` without the rows of ``dels``, then with each ``(row, id)`` of ``ins``."""
+    col = array("q", col)
+    for row, _ in dels:
+        del col[row]
+    for row, v in ins:
+        col.insert(row, v)
+    return col
 
 
 def intern_env(

@@ -554,7 +554,6 @@ class ParallelEvaluator:
         )
         if specs is None:
             return None
-        it = self.interner
         try:
             inv_vals: list = []
             for spec in specs:
@@ -576,7 +575,7 @@ class ParallelEvaluator:
                     if not isinstance(rval, SetVal):
                         raise FlatUnavailable("invariant source is not a set")
                 inv_vals.append((lval, rval))
-            loop = FlatLoop(it, driver.stats, specs, chunks=self.workers)
+            loop = FlatLoop(driver.ctx, specs, chunks=self.workers)
             loop.setup(acc, delta, inv_vals)
         except FlatUnavailable:
             driver.stats.flat_fallbacks += 1

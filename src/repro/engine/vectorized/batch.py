@@ -34,12 +34,16 @@ from typing import Callable, Iterable, Optional
 from ...nra.errors import NRAEvalError
 from ...nra.externals import EMPTY_SIGMA, Signature
 from ...objects.values import SetVal, Value
-from ..interning import InternTable
+from ...obs.metrics import METRICS
+from ..interning import InternTable, patch_column
 from .flat import (
     CODE_BITS,
     ID_LIMIT,
     FlatUnavailable,
+    build_inv_index,
     equal_mask,
+    follow_id,
+    patch_inv_index,
     set_column,
 )
 
@@ -128,6 +132,13 @@ class BatchContext:
 
     # -- index plumbing -----------------------------------------------------------
 
+    def _keep(self, cache: dict, key: tuple, entry):
+        """Cache ``entry`` as most recently used, evicting the least recently used."""
+        cache[key] = entry
+        if len(cache) > self.MAX_CACHED_INDEXES:
+            cache.pop(next(iter(cache)))
+        return entry
+
     def probe_index(
         self,
         source: SetVal,
@@ -155,9 +166,7 @@ class BatchContext:
             index.setdefault(id(key_of(x)), []).append(x)
         self.stats.index_builds += 1
         if cache_tag is not None:
-            indexes[(id(source), cache_tag)] = index
-            if len(indexes) > self.MAX_CACHED_INDEXES:
-                indexes.pop(next(iter(indexes)))  # evict least recently used
+            self._keep(indexes, (id(source), cache_tag), index)
         return index
 
     # -- flat columns and indexes -------------------------------------------------
@@ -178,11 +187,7 @@ class BatchContext:
         if cached is not None:
             columns[key] = cached
             return cached
-        col = set_column(self.interner, source, path)
-        columns[key] = col
-        if len(columns) > self.MAX_CACHED_INDEXES:
-            columns.pop(next(iter(columns)))
-        return col
+        return self._keep(columns, key, set_column(self.interner, source, path))
 
     def flat_probe_index(
         self, source: SetVal, key_path: tuple[str, ...]
@@ -191,7 +196,9 @@ class BatchContext:
 
         The path is always a pure function of the element, so the index is
         cached per ``(set, path)`` like :meth:`probe_index` caches the object
-        indexes (and shares its LRU bound and counters).
+        indexes (and shares its LRU bound and counters).  It names rows, and
+        rows shift under an insert, so it does not follow a commit itself:
+        the next version's is built here, from the key column that did.
         """
         indexes = self._indexes
         key = (id(source), ("flat", key_path))
@@ -205,10 +212,7 @@ class BatchContext:
         for row, k in enumerate(self.flat_column(source, key_path)):
             setdefault(k, []).append(row)
         self.stats.index_builds += 1
-        indexes[key] = index
-        if len(indexes) > self.MAX_CACHED_INDEXES:
-            indexes.pop(next(iter(indexes)))
-        return index
+        return self._keep(indexes, key, index)
 
     def select_index(
         self, source: SetVal, key_path: tuple[str, ...]
@@ -227,10 +231,59 @@ class BatchContext:
         key = (id(source), ("flat", key_path))
         if key in indexes:
             return self.flat_probe_index(source, key_path)
-        indexes[key] = None
-        if len(indexes) > self.MAX_CACHED_INDEXES:
-            indexes.pop(next(iter(indexes)))
+        self._keep(indexes, key, None)
         return None
+
+    def inv_index(self, source: SetVal, tag: tuple) -> dict[int, list]:
+        """The flat loop's index over an invariant right source (LRU-cached).
+
+        ``tag`` is that of :func:`~repro.engine.vectorized.flat.build_inv_index`.
+        Readers must not mutate the result: it serves every run over ``source``.
+        """
+        indexes = self._indexes
+        key = (id(source), tag)
+        cached = indexes.pop(key, None)
+        if cached is not None:
+            indexes[key] = cached
+            self.stats.index_hits += 1
+            return cached
+        self.stats.index_builds += 1
+        _count_inv_index("built")
+        return self._keep(indexes, key, build_inv_index(self.interner, source, tag))
+
+    def carry(self, old: SetVal, new: SetVal, dels: list, ins: list) -> None:
+        """Give ``new`` what is cached for ``old``, moved by the row patch.
+
+        ``dels``/``ins`` came with ``new`` from :meth:`InternTable.advance`.
+        Each path column and invariant index of ``old`` is copied once at C
+        level and edited at the delta's rows only.  An entry the delta cannot
+        extend (a new element lacks the pair shape a path needs) is left out:
+        the read takes the cold build, and its errors.
+        """
+        it = self.interner
+        parts = it.pair_parts()
+        for key in [k for k in self._columns if k[0] == id(old)]:
+            if (id(new), key[1]) in self._columns:
+                continue
+            values = [(row, follow_id(parts, d, key[1])) for row, d in ins]
+            if None not in [v for _, v in values]:
+                self._keep(self._columns, (id(new), key[1]),
+                           patch_column(self._columns[key], dels, values))
+        for key in [k for k in self._indexes if k[0] == id(old)]:
+            tag = key[1]  # an Expr (object index), ("flat", path) or ("inv", ...)
+            if type(tag) is tuple and tag[0] == "inv" and (id(new), tag) not in self._indexes:
+                try:
+                    patched = patch_inv_index(self._indexes[key], it, tag, dels, ins)
+                except NRAEvalError:
+                    continue
+                self._keep(self._indexes, (id(new), tag), patched)
+                _count_inv_index("patched")
+
+
+def _count_inv_index(kind: str) -> None:
+    """Invariant-source indexes ``patched`` across a commit against ``built`` from scratch."""
+    if METRICS.enabled:
+        METRICS.counter(f'repro_carried_indexes_total{{kind="{kind}"}}').inc()
 
 
 def bind(env: dict, var: str):

@@ -1122,7 +1122,7 @@ class PlanCompiler:
                             if rc is not None:
                                 rval = expect_set(rc.fn(captured), "ext")
                         inv_vals.append((lval, rval))
-                    loop = FlatLoop(it, ctx.stats, flat_specs)
+                    loop = FlatLoop(ctx, flat_specs)
                     loop.setup(acc, delta, inv_vals)
                     ctx.stats.flat_fixpoints += 1
                     return loop

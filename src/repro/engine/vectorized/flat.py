@@ -272,6 +272,60 @@ def analyze_flat_terms(
 
 
 # ---------------------------------------------------------------------------
+# Flat fixpoint: the invariant-source index
+# ---------------------------------------------------------------------------
+
+def _inv_rows(it, ids, tag):
+    """``(key id, (out_a id, out_b id))`` per element dense id of ``ids``."""
+    parts, by_dense = it.pair_parts(), it._by_dense
+    _, rkey, apath, bpath = tag
+    for dense in ids:
+        yield (
+            _follow_or_raise(parts, by_dense, dense, rkey),
+            (
+                0 if apath is None else _follow_or_raise(parts, by_dense, dense, apath),
+                0 if bpath is None else _follow_or_raise(parts, by_dense, dense, bpath),
+            ),
+        )
+
+
+def build_inv_index(it, s: SetVal, tag: tuple) -> dict[int, list]:
+    """Index a loop-invariant right source: ``key id -> [(out_a id, out_b id)]``.
+
+    ``tag`` is ``("inv", key path, out_a path, out_b path)``, a ``None`` path
+    where the left row supplies the component (stored as 0).  No row is
+    named, so the index can follow a commit by its delta alone.
+    """
+    index: dict[int, list] = {}
+    setdefault = index.setdefault
+    for rk, out in _inv_rows(it, it.set_ids(s), tag):
+        setdefault(rk, []).append(out)
+    return index
+
+
+def patch_inv_index(index: dict, it, tag: tuple, dels: list, ins: list) -> dict[int, list]:
+    """A copy of ``index`` moved by a row patch of ``InternTable.advance``.
+
+    One C-level dict copy; only buckets the delta touches are copied and
+    edited.  Equals the build over the advanced set up to the order inside a
+    bucket, which no reader sees (a bucket's rows land in one output set).
+    """
+    gone = list(_inv_rows(it, [d for _, d in dels], tag))
+    come = list(_inv_rows(it, [d for _, d in ins], tag))
+    out = dict(index)
+    for rk in {rk for rk, _ in gone + come}:
+        out[rk] = list(out.get(rk, ()))
+    for rk, row in gone:
+        out[rk].remove(row)
+    for rk, row in come:
+        out[rk].append(row)
+    for rk, _ in gone:
+        if not out.get(rk, True):
+            del out[rk]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Flat fixpoint: runtime
 # ---------------------------------------------------------------------------
 
@@ -312,9 +366,10 @@ class FlatLoop:
     are frozen during a round, so concurrent readers are safe.
     """
 
-    def __init__(self, it, stats, specs: list, chunks: int = 1):
-        self.it = it
-        self.stats = stats
+    def __init__(self, ctx, specs: list, chunks: int = 1):
+        self.ctx = ctx  # the BatchContext: interner, stats, index cache
+        self.it = it = ctx.interner
+        self.stats = ctx.stats
         self.chunks = max(1, chunks)
         self._parts = it.pair_parts()
         self._by_dense = it._by_dense
@@ -364,46 +419,23 @@ class FlatLoop:
             if spec.left == "inv":
                 t.inv_rows = self._inv_left_rows(t, lval)
             if spec.right == "inv":
-                self._index_inv(t, rval)
-                stats.index_builds += 1
+                # Shared with later runs over ``rval``: never mutated
+                # (``_index_rows`` extends only acc/delta terms' indexes).
+                t.index = self.ctx.inv_index(rval, (
+                    "inv", spec.rkey,
+                    None if t.a_left else spec.out_a[1],
+                    None if t.b_left else spec.out_b[1],
+                ))
             elif spec.right == "acc":
                 self._index_rows(t, self._acc_f, self._acc_s)
                 stats.index_builds += 1
             self._terms.append(t)
 
     def _inv_left_rows(self, t: _FlatTerm, s: SetVal) -> list:
-        parts, by_dense = self._parts, self._by_dense
         spec = t.spec
-        rows = []
-        for dense in self.it.set_ids(s):
-            lk = _follow_or_raise(parts, by_dense, dense, spec.lkey)
-            la = (
-                _follow_or_raise(parts, by_dense, dense, spec.out_a[1])
-                if t.a_left else 0
-            )
-            lb = (
-                _follow_or_raise(parts, by_dense, dense, spec.out_b[1])
-                if t.b_left else 0
-            )
-            rows.append((lk, la, lb))
-        return rows
-
-    def _index_inv(self, t: _FlatTerm, s: SetVal) -> None:
-        """Index an invariant right source by its key path (element ids)."""
-        parts, by_dense = self._parts, self._by_dense
-        spec = t.spec
-        index = t.index
-        for dense in self.it.set_ids(s):
-            rk = _follow_or_raise(parts, by_dense, dense, spec.rkey)
-            ra = (
-                0 if t.a_left
-                else _follow_or_raise(parts, by_dense, dense, spec.out_a[1])
-            )
-            rb = (
-                0 if t.b_left
-                else _follow_or_raise(parts, by_dense, dense, spec.out_b[1])
-            )
-            index.setdefault(rk, []).append((ra, rb))
+        tag = ("inv", spec.lkey,
+               spec.out_a[1] if t.a_left else None, spec.out_b[1] if t.b_left else None)
+        return [(lk, la, lb) for lk, (la, lb) in _inv_rows(self.it, self.it.set_ids(s), tag)]
 
     def _index_rows(self, t: _FlatTerm, fs: array, ss: array) -> None:
         """Index (or extend the index of) pair rows by the right key path."""

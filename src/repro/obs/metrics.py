@@ -45,9 +45,14 @@ DEFAULT_LATENCY_BUCKETS = (
 
 
 def _sane(name: str) -> str:
-    """Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*."""
+    """Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.
+
+    A trailing ``{label="value"}`` block (how an instrument of one family is
+    labelled: the registry keys on the whole string) is kept as written.
+    """
+    name, brace, labels = name.partition("{")
     out = "".join(c if (c.isalnum() or c in "_:") else "_" for c in name)
-    return out if out and not out[0].isdigit() else "_" + out
+    return (out if out and not out[0].isdigit() else "_" + out) + brace + labels
 
 
 class Counter:
@@ -248,11 +253,14 @@ class MetricsRegistry:
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (0.0.4)."""
         lines: list[str] = []
+        family = None
         for c in sorted(self._counters.values(), key=lambda c: c.name):
             name = _sane(c.name)
-            if c.help:
-                lines.append(f"# HELP {name} {c.help}")
-            lines.append(f"# TYPE {name} counter")
+            if name.partition("{")[0] != family:  # once per labelled family
+                family = name.partition("{")[0]
+                if c.help:
+                    lines.append(f"# HELP {family} {c.help}")
+                lines.append(f"# TYPE {family} counter")
             lines.append(f"{name} {c.value}")
         for name, value in sorted(self.scraped().items()):
             name = _sane(name)

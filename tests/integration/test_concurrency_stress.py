@@ -143,3 +143,104 @@ def test_counter_attribution_is_exact_under_contention(setup):
     assert engine.plan_hits == THREADS * ITERATIONS - 1
     assert sum(s.stats.rewrites for s in sessions) == 1
     assert sum(s.stats.plan_hits for s in sessions) == THREADS * ITERATIONS - 1
+
+# -- one writer, two readers, one shared snapshot ---------------------------------
+
+class _OrderChecked:
+    """The database's commit lock, refusing to be taken under the engine lock."""
+
+    def __init__(self, lock, engine, violations: list) -> None:
+        self.lock, self.engine, self.violations = lock, engine, violations
+
+    def __enter__(self):
+        if self.engine.lock._is_owned() and not self.lock._is_owned():
+            self.violations.append(threading.current_thread().name)
+        return self.lock.__enter__()
+
+    def __exit__(self, *exc):
+        return self.lock.__exit__(*exc)
+
+
+def test_reads_during_commits_see_one_committed_prefix():
+    """No torn environment: every read is the closed form of *some* prefix.
+
+    Commit ``k`` extends the path in ``edges`` by one edge and adds row
+    ``(k, k)`` to both ``a`` and ``b`` in the same changeset.  A reader that
+    saw ``a`` from one commit and ``b`` from another, or a closure over a
+    half-advanced ``edges``, matches no prefix.  A view on the shared engine
+    makes the committer take the engine lock (and a session's stats lock)
+    under the commit lock while the readers hammer both.
+    """
+    import sys
+
+    from repro.api import Changeset, Row
+
+    n, commits = 12, 40
+    db = Database.of("g", edges=path_graph(n), a={(0, 0)}, b={(0, 0)})
+    engine = Engine(backend="vectorized")
+    sessions = [Session(db, engine=engine) for _ in range(2)]
+    view = sessions[0].materialize(Q.coll("edges").fix(), name="tc")
+    violations: list[str] = []
+    db._commit_lock = _OrderChecked(db._commit_lock, engine, violations)
+
+    reach = Q.coll("edges").fix().where(lambda e: e.fst == Q.param("src"))
+    both = (Q.coll("a").map(lambda e: Row.pair(e.fst, 0))
+            | Q.coll("b").map(lambda e: Row.pair(e.fst, 1)))
+    want_reach = [frozenset((0, j) for j in range(1, n + k)) for k in range(commits + 1)]
+    want_both = [frozenset((i, side) for i in range(k + 1) for side in (0, 1))
+                 for k in range(commits + 1)]
+    done = [0]  # commits that have returned
+    failures: list[str] = []
+    stop = threading.Event()
+
+    def reader(session) -> None:
+        statements = [(session.prepare(reach), {"src": 0}, want_reach),
+                      (session.prepare(both), None, want_both)]
+        seen = [0, 0]
+        try:
+            while not stop.is_set():
+                for which, (statement, params, want) in enumerate(statements):
+                    low = done[0]
+                    rows = statement.execute(params).rows()
+                    high = min(done[0] + 1, commits)  # one commit may be in flight
+                    prefix = next((k for k in range(low, high + 1) if rows == want[k]), None)
+                    if prefix is None:
+                        failures.append(f"read {which} matches no prefix in [{low}, {high}]")
+                    elif prefix < seen[which]:
+                        failures.append(f"read {which} went back from {seen[which]} to {prefix}")
+                    else:
+                        seen[which] = prefix
+        except Exception as exc:  # noqa: BLE001 - surfaced via the failure list
+            failures.append(f"reader raised {type(exc).__name__}: {exc}")
+
+    def writer() -> None:
+        try:
+            for k in range(1, commits + 1):
+                db.apply(Changeset.of(
+                    edges=([(n + k - 2, n + k - 1)], []), a=([(k, k)], []), b=([(k, k)], [])))
+                done[0] = k
+        except Exception as exc:  # noqa: BLE001
+            failures.append(f"writer raised {type(exc).__name__}: {exc}")
+        finally:
+            stop.set()
+
+    threads = [threading.Thread(target=reader, args=(s,), name=f"reader-{i}")
+               for i, s in enumerate(sessions)]
+    threads.append(threading.Thread(target=writer, name="writer"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        stop.set()
+    assert not any(t.is_alive() for t in threads), "readers and writer deadlocked"
+    assert not failures, "\n".join(failures[:10])
+    assert not violations, f"commit lock taken under the engine lock by {violations}"
+    assert done[0] == commits
+    assert sessions[0]._snapshot is sessions[1]._snapshot is view._snapshot
+    assert view.rows() == {(i, j) for i in range(n + commits) for j in range(i + 1, n + commits)}
+    assert sessions[1].execute(reach, {"src": 0}).rows() == want_reach[commits]

@@ -144,6 +144,18 @@ def test_prometheus_text_exposition():
     assert text.endswith("\n")
 
 
+def test_labelled_counters_render_as_one_family():
+    reg = MetricsRegistry()
+    reg.counter('repro_moves_total{kind="delta"}', help="collections moved").inc(3)
+    reg.counter('repro_moves_total{kind="rebuild"}', help="collections moved")
+    text = reg.render_prometheus()
+    assert text.count("# TYPE repro_moves_total counter") == 1
+    assert text.count("# HELP repro_moves_total collections moved") == 1
+    assert 'repro_moves_total{kind="delta"} 3.0' in text
+    assert 'repro_moves_total{kind="rebuild"} 0.0' in text
+    assert reg.as_dict()["counters"]['repro_moves_total{kind="delta"}'] == 3.0
+
+
 # ---------------------------------------------------------------------------
 # Engine integration (the real singleton; delta assertions only)
 # ---------------------------------------------------------------------------
@@ -179,3 +191,34 @@ def test_disabled_registry_skips_direct_instruments():
     finally:
         METRICS.enabled = True
     assert METRICS.counter("repro_queries_total").value == before
+
+
+def test_commits_count_how_each_collection_moved():
+    """delta / rebuild advances and patched / built invariant indexes, by label."""
+    def counts():
+        return {
+            (family, kind): METRICS.counter(f'repro_{family}_total{{kind="{kind}"}}').value
+            for family, kinds in (("snapshot_advances", ("delta", "rebuild")),
+                                  ("carried_indexes", ("patched", "built")))
+            for kind in kinds
+        }
+
+    db = Database.of("g", edges=path_graph(8), tiny={(0, 1)})
+    s = connect(db)
+    reach = s.prepare(Q.coll("edges").fix().where(lambda e: e.fst == Q.param("src")))
+    before = counts()
+    reach.execute({"src": 0}).value              # builds the invariant index of edges
+    db.insert("edges", [(7, 8)])                 # a delta; the index follows it
+    db.insert("tiny", [(1, 2), (2, 3)])          # a delta larger than the collection
+    assert len(reach.execute({"src": 0}).rows()) == 8
+    moved = {key: value - before[key] for key, value in counts().items()}
+    assert moved == {
+        ("snapshot_advances", "delta"): 1, ("snapshot_advances", "rebuild"): 1,
+        ("carried_indexes", "patched"): 1, ("carried_indexes", "built"): 1,
+    }
+    METRICS.enabled = False
+    try:
+        db.insert("edges", [(8, 9)])
+    finally:
+        METRICS.enabled = True
+    assert counts() == {key: value + before[key] for key, value in moved.items()}

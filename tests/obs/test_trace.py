@@ -197,3 +197,19 @@ def test_engine_query_span_shape(tracer):
     assert "fixpoint-round" in names
     rounds = [sp for sp in q.walk() if sp.name == "fixpoint-round"]
     assert all(sp.attrs["frontier"] >= 0 for sp in rounds)
+
+
+def test_a_commit_advances_the_snapshot_once_then_applies_views(tracer):
+    db = Database.of("g", edges=path_graph(6), other={(0, 1)})
+    s = connect(db)
+    s.materialize(Q.coll("edges").fix(), name="tc")
+    s.materialize(Q.coll("edges").compose(Q.coll("edges")), name="hops")
+    tracer.clear()
+    db.insert("edges", [(5, 6)])
+    (commit,) = [sp for sp in tracer.recent() if sp.name == "commit"]
+    assert [c.name for c in commit.children] == ["snapshot-advance", "ivm-apply", "ivm-apply"]
+    assert commit.children[0].attrs == {"delta": 1, "rebuild": 0}
+    assert commit.attrs == {"db": "g"}
+    tracer.clear()
+    db.insert("edges", [(5, 6)])  # already there: nothing committed, nothing traced
+    assert not tracer.recent()

@@ -131,6 +131,30 @@ class TestEndToEnd:
             assert (0, 16) in change.inserted  # closure reached the new node
             assert (0, 16) in view.rows()
 
+    def test_second_session_reads_anothers_commit_without_a_rebuild(self, mutable_server):
+        """Remote sessions share the server engine's one snapshot of the database."""
+        srv = mutable_server
+
+        def advances(conn) -> dict:
+            counters = conn.metrics()["metrics"]["counters"]
+            return {kind: counters.get(f'repro_snapshot_advances_total{{kind="{kind}"}}', 0)
+                    for kind in ("delta", "rebuild")}
+
+        with connect(srv.host, srv.port) as c1, connect(srv.host, srv.port) as c2, \
+                c1.session() as writer, c2.session() as reader:
+            statement = reader.prepare(reach_query())
+            assert set(statement.execute(src=13).fetchall()) == expected_reach(13, 16)
+            writer.execute(reach_query(), {"src": 13}).fetchall()
+            interner = srv.engine.interner
+            before, probes = advances(c1), interner.hits + interner.misses
+            assert writer.insert("edges", [(15, 16)])["applied"] == 1
+            # 15, 16, the pair, the advanced set: not the 15 rows already there.
+            assert interner.hits + interner.misses - probes <= 4
+            assert set(statement.execute(src=13).fetchall()) == expected_reach(13, 17)
+            after = advances(c1)
+            assert after["rebuild"] == before["rebuild"]
+            assert after["delta"] == before["delta"] + 1
+
     def test_push_after_in_process_database_insert(self, mutable_server):
         """The acceptance criterion: a push after a raw ``Database.insert``.
 
