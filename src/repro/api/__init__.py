@@ -14,9 +14,10 @@ hand-builds AST nodes or re-derives plumbing per query:
   combinator callables;
 * :class:`Session` (:mod:`repro.api.session`) -- execution, per-session
   stats, ``executemany`` batching over ``Engine.run_many``;
-* :class:`PreparedStatement` / :func:`lift_constants`
-  (:mod:`repro.api.prepare`) -- template/slot splitting so parametrized
-  queries cost one rewrite and one compile total;
+* :class:`PreparedStatement` / :func:`canonical_template`
+  (:mod:`repro.api.prepare`) -- the template/slot split every runnable goes
+  through, so one query shape costs one rewrite and one compile total,
+  whatever its literals and however often it is rebuilt;
 * :class:`Cursor` (:mod:`repro.api.cursor`) -- streaming results row by row;
 * :class:`MaterializedView` / :class:`Changeset`
   (:mod:`repro.engine.incremental`) -- standing queries registered with
@@ -44,7 +45,7 @@ from ..engine.incremental import Changeset, MaterializedView, ViewDelta, ViewSta
 from .catalog import Catalog, Database
 from .cursor import Cursor
 from .expr import Row
-from .prepare import PreparedStatement, lift_constants
+from .prepare import PreparedStatement, canonical_template
 from .query import Q, Query, param_var
 from .session import Session, SessionStats, connect
 
@@ -58,7 +59,7 @@ __all__ = [
     "ViewStats",
     "Row",
     "PreparedStatement",
-    "lift_constants",
+    "canonical_template",
     "Q",
     "Query",
     "param_var",

@@ -25,10 +25,13 @@ That split is what makes prepared statements cache: the elaborated
 engine's rewrite cache and the vectorized compile cache key on it once (see
 :mod:`repro.api.prepare`).
 
-Elaboration is cached per schema on the ``Query`` object itself, so repeated
-execution of the *same* ``Query`` value hits every engine cache.  (Two
-queries built by identical chains are semantically equal but may differ in
-generated bound-variable names -- reuse the value, or prepare it.)
+Elaboration is cached per schema on the ``Query`` object itself.  Two
+queries built by identical chains elaborate to terms that differ in their
+generated bound-variable names (and in whatever literals they splice in);
+sessions key the engine's caches on
+:func:`~repro.api.prepare.canonical_template` of the elaborated term, under
+which they are one template, so rebuilding a query per request costs the
+elaboration and nothing more.
 
 Combinator callables receive :class:`~repro.api.expr.Row` values (typed
 wrappers over element expressions) and return rows; see

@@ -5,14 +5,16 @@ one :class:`~repro.engine.Engine`, and per-session bookkeeping:
 
 * ``execute(query, params=...)`` -- elaborate a fluent
   :class:`~repro.api.query.Query` (or accept a raw :class:`Expr`) against the
-  database schema, evaluate it with collections and parameters supplied
-  through the environment, and hand back a streaming
-  :class:`~repro.api.cursor.Cursor`;
-* ``prepare(query)`` -- the prepared-statement path of
-  :mod:`repro.api.prepare`: one rewrite + one vectorized compile per
-  *template*, however many bindings follow;
-* ``executemany(query, bindings)`` -- the batch path; single-parameter
-  templates are closed into a unary function and delegated to
+  database schema, reduce it to its canonical template
+  (:func:`~repro.api.prepare.canonical_template`: literals become defaulted
+  slots, binder names a function of the term), evaluate that with
+  collections, parameters and literals supplied through the environment,
+  and hand back a streaming :class:`~repro.api.cursor.Cursor` -- one rewrite
+  + one vectorized compile per query *shape*, prepared or not;
+* ``prepare(query)`` -- the same template held as a statement: the split and
+  the cache warm-up are paid once, ahead of the first binding;
+* ``executemany(query, bindings)`` -- the batch path; templates with one
+  open parameter are closed into a unary function and delegated to
   ``Engine.run_many``, so the whole batch shares one compiled plan, one
   intern table and all join indexes;
 * ``stats`` -- per-session counters (executes, rewrites, vectorized
@@ -45,7 +47,7 @@ from ..objects.values import Value, from_python
 from ..obs.profile import QueryProfile
 from .catalog import Database
 from .cursor import Cursor
-from .prepare import PreparedStatement, lift_constants
+from .prepare import PreparedStatement, canonical_template
 from .query import Query, param_var
 
 
@@ -116,9 +118,9 @@ class Session:
         # The engine's snapshot of the database, taken on the first read and
         # held (it follows commits only while someone holds it) until close.
         self._snapshot = None
-        # Keyed on (template, defaults, backend): two raw expressions whose
-        # lifted constants differ share the template but not the defaults,
-        # and must not share a statement.
+        # Keyed on (template, defaults, backend): two queries whose literals
+        # differ share the template but not the defaults, and must not share
+        # a statement.
         self._prepared: dict[tuple, PreparedStatement] = {}
         # Views this session materialized; closed (and hence unregistered
         # from the database) with the session, so short-lived sessions do
@@ -166,14 +168,22 @@ class Session:
         return snapshot.env
 
     def _template_of(self, query: Runnable) -> tuple[Expr, dict, dict, str]:
-        """(template, param types, default bindings, label) for any runnable."""
+        """(template, param types, default bindings, label) for any runnable.
+
+        The one place a session turns a query into what the engine's caches
+        key on: everything but a prepared statement (whose template already
+        is) goes through :func:`~repro.api.prepare.canonical_template`, so
+        literals travel as defaulted slots and binder names say nothing.
+        """
         if isinstance(query, PreparedStatement):
             return query.template, query.param_types, query.defaults, query.label
         if isinstance(query, Query):
             el = query.elaborate(self.schema(), self.engine.sigma)
-            return el.expr, el.params, {}, query.label
+            template, ptypes, defaults = canonical_template(el.expr)
+            ptypes.update(el.params)
+            return template, ptypes, defaults, query.label
         if isinstance(query, Expr):
-            return query, {}, {}, "expr"
+            return (*canonical_template(query), "expr")
         raise TypeError(f"cannot execute {query!r}; expected Query, prepared or Expr")
 
     def _bind(self, param_types: dict, defaults: dict, params: Optional[dict]) -> dict:
@@ -260,62 +270,60 @@ class Session:
     ) -> list[Cursor]:
         """Run one query over many parameter bindings, caches shared batch-wide.
 
-        ``bindings`` is an iterable of parameter dicts (or, for single-
-        parameter queries, bare values).  Single-parameter templates are
-        closed into a unary function over the slot and delegated to
-        ``Engine.run_many`` -- one compiled plan, one intern table and all
-        join indexes serve the whole batch.  Multi-parameter templates fall
-        back to per-binding execution, which still hits every template-keyed
-        cache.
+        ``bindings`` is an iterable of parameter dicts (or, for queries with
+        one open parameter, bare values).  A template with a single slot
+        that has no default -- literals are slots too, but theirs are bound
+        once for the whole batch -- is closed into a unary function over
+        that slot and delegated to ``Engine.run_many``: one compiled plan,
+        one intern table and all join indexes serve the whole batch.
+        Templates with several open parameters fall back to per-binding
+        execution, which still hits every template-keyed cache.
         """
         self._check_open()
-        template, ptypes, defaults, _ = self._template_of(query)
+        template, ptypes, defaults, label = self._template_of(query)
         bindings = list(bindings)
         with self._lock:
             self.stats.batches += 1
         if backend is None and isinstance(query, PreparedStatement):
             backend = query.backend
-        if len(ptypes) == 1:
-            (name, ptype), = ptypes.items()
-            values = []
-            for b in bindings:
-                if isinstance(b, dict):
-                    bound = self._bind(ptypes, defaults, b)
-                    values.append(bound[param_var(name)])
-                else:
-                    v = b if isinstance(b, Value) else from_python(b)
-                    values.append(self.engine.intern(v))
-            closed = Lambda(param_var(name), ptype, template)
-            env = self._environment()
-            results = self._run_many(closed, values, env, backend)
-            return [self._cursor(v) for v in results]
+        open_slots = [n for n in ptypes if n not in defaults] or list(ptypes)
+        if len(open_slots) == 1:
+            (name,) = open_slots
+            slot, var = {name: ptypes[name]}, param_var(name)
+            values = [
+                self._bind(slot, defaults, b if isinstance(b, dict) else {name: b})[var]
+                for b in bindings
+            ]
+            shared = {n: t for n, t in ptypes.items() if n != name}
+            env = dict(self._environment())
+            env.update(self._bind(shared, defaults, None))
+            closed = Lambda(var, ptypes[name], template)
+            return [self._cursor(v) for v in self._run_many(closed, values, env, backend)]
+        # Split once for the whole batch, not once per binding.
+        statement = PreparedStatement(self, template, ptypes, defaults, label, backend)
         out = []
         for b in bindings:
             if not isinstance(b, dict):
                 raise TypeError(
                     "multi-parameter executemany needs dict bindings, "
-                    f"got {b!r} for parameters {sorted(ptypes)}"
+                    f"got {b!r} for parameters {sorted(open_slots)}"
                 )
-            out.append(self.execute(query, params=b, backend=backend))
+            out.append(self.execute(statement, params=b))
         return out
 
     def prepare(self, query: Runnable, backend: Optional[str] = None) -> PreparedStatement:
         """Split into template + slots and warm the template's caches.
 
-        Raw expressions are parametrized by :func:`~repro.api.prepare.lift_constants`
-        (every ``Const`` becomes a slot with its original value as default);
-        fluent queries are already templates.  Preparing the same template
-        twice returns the cached statement.
+        The split is :func:`~repro.api.prepare.canonical_template`'s, as for
+        every other entry point: each ``Const`` becomes a slot with its
+        original value as default, beside the ``Q.param`` slots.  Preparing
+        the same template with the same defaults twice returns the cached
+        statement.
         """
         self._check_open()
         if isinstance(query, PreparedStatement):
             return query
-        if isinstance(query, Expr):
-            template, ptypes, defaults = lift_constants(query)
-            label = "prepared-expr"
-        else:
-            template, ptypes, defaults, label = self._template_of(query)
-        return self.prepare_template(template, ptypes, defaults, label, backend)
+        return self.prepare_template(*self._template_of(query), backend)
 
     def prepare_template(
         self,

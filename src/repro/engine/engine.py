@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Optional, Union
 
-from ..nra.ast import Expr
+from ..nra.ast import Expr, subexpressions
 from ..nra.eval import run as reference_run
 from ..nra.externals import EMPTY_SIGMA, Signature
 from ..nra.pretty import pretty
@@ -122,6 +122,9 @@ class Plan:
     original: Expr
     optimized: Expr
     firings: list[RuleFiring] = field(default_factory=list)
+    #: Plan-cache lookups the engine had served when this plan was last
+    #: asked for (recency, for :meth:`Engine._evict_plans`).
+    used: int = field(default=0, compare=False, repr=False)
 
     @property
     def fired_rules(self) -> list[str]:
@@ -209,6 +212,11 @@ class Engine:
     layer (which accounts per call) rather than from the engine.
     """
 
+    #: Bound on cached plans (templates).  Sessions key plans on the query's
+    #: canonical shape, so only genuinely distinct queries count; past the
+    #: bound the least recently used quarter goes, with what only it compiled.
+    MAX_CACHED_PLANS = 1024
+
     def __init__(
         self,
         sigma: Signature = EMPTY_SIGMA,
@@ -240,6 +248,7 @@ class Engine:
         #: session layer reads deltas of these to attribute work per call.
         self.plan_hits = 0
         self.plan_misses = 0
+        self.plan_evictions = 0
         # The vectorized evaluator is created on first use and lives as long
         # as the engine: its compile cache and join indexes span runs.  The
         # parallel evaluator (also lazy) uses it as its driver, so both
@@ -316,11 +325,30 @@ class Engine:
                         sp.set(rules_fired=len(firings))
                 else:
                     optimized, firings = self.rewriter.rewrite(e)
-                plan = Plan(e, optimized, firings)
-                self._plans[e] = plan
+                plan = self._plans[e] = Plan(e, optimized, firings)
             else:
                 self.plan_hits += 1
+            plan.used = self.plan_hits + self.plan_misses
+            if len(self._plans) > self.MAX_CACHED_PLANS:
+                self._evict_plans()
             return plan
+
+    def _evict_plans(self) -> None:
+        """Drop the least recently used quarter of the plans (lock held).
+
+        Compiled subexpressions and route decisions go with them unless a
+        surviving plan's optimized tree contains their expression; anything
+        dropped that is asked for again is rewritten or recompiled.
+        """
+        plans = self._plans
+        for plan in sorted(plans.values(), key=lambda p: p.used)[: len(plans) // 4]:
+            del plans[plan.original]
+            self.plan_evictions += 1
+        live = {s for p in plans.values() for s in subexpressions(p.optimized)}
+        if self._vectorized is not None:
+            self._vectorized.compiler.retain(live)
+        if self._router is not None:
+            self._router.retain(live)
 
     def optimize_view(self, e: Expr) -> Expr:
         """The template a materialized view over ``e`` maintains.
@@ -661,6 +689,7 @@ class Engine:
         out: dict[str, float] = {
             "repro_plan_cache_hits_total": self.plan_hits,
             "repro_plan_cache_misses_total": self.plan_misses,
+            "repro_plan_cache_evictions_total": self.plan_evictions,
         }
         ev = self._vectorized
         if ev is not None:

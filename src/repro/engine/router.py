@@ -615,3 +615,7 @@ class Router:
     def clear(self) -> None:
         """Forget all decisions (paired with ``Engine.clear_plans``)."""
         self.records.clear()
+
+    def retain(self, live: set) -> None:
+        """Forget the decisions for templates not in ``live`` (plan eviction)."""
+        self.records = {e: r for e, r in self.records.items() if e in live}

@@ -408,6 +408,10 @@ class PlanCompiler:
         """Drop every cached compilation (recompiling is always sound)."""
         self._cache.clear()
 
+    def retain(self, live: set) -> None:
+        """Drop the cached compilations of expressions not in ``live``."""
+        self._cache = {e: c for e, c in self._cache.items() if e in live}
+
     # -- dispatch -----------------------------------------------------------------
 
     def _compile(self, e: Expr) -> Compiled:

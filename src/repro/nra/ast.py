@@ -45,6 +45,7 @@ evaluators and the compiler build on.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import is_
 from typing import Iterator, Optional
 
 from ..objects.types import Type
@@ -58,8 +59,10 @@ class Expr:
 
     def children(self) -> Iterator["Expr"]:
         """Yield the immediate subexpressions, in syntactic order."""
-        for f in fields(self):  # type: ignore[arg-type]
-            v = getattr(self, f.name)
+        # The class's own field table, not ``dataclasses.fields`` (which
+        # filters and copies it per call): every traversal comes through here.
+        for name in self.__dataclass_fields__:  # type: ignore[attr-defined]
+            v = getattr(self, name)
             if isinstance(v, Expr):
                 yield v
 
@@ -353,31 +356,28 @@ def free_variables(e: Expr) -> frozenset[str]:
     return result
 
 
-def _rebuild(e: Expr, new_children: list[Expr]) -> Expr:
-    """Rebuild a node with replaced Expr children (non-Expr fields preserved)."""
-    kwargs = {}
-    it = iter(new_children)
-    for f in fields(e):  # type: ignore[arg-type]
-        v = getattr(e, f.name)
-        kwargs[f.name] = next(it) if isinstance(v, Expr) else v
-    return type(e)(**kwargs)
-
-
 def map_children(e: Expr, fn) -> Expr:
-    """Apply ``fn`` to each immediate subexpression and rebuild the node."""
-    new_children = [fn(c) for c in e.children()]
-    if not new_children:
-        return e
-    return _rebuild(e, new_children)
+    """Apply ``fn`` to each immediate subexpression and rebuild the node.
+
+    Non-``Expr`` fields are preserved; a node none of whose children changed
+    is returned as it is.
+    """
+    old = [getattr(e, name) for name in e.__dataclass_fields__]  # type: ignore[attr-defined]
+    new = [fn(v) if isinstance(v, Expr) else v for v in old]
+    return e if all(map(is_, old, new)) else type(e)(*new)
 
 
 _FRESH_COUNTER = [0]
 
 
 def fresh_name(base: str = "x") -> str:
-    """Generate a variable name not used before in this process."""
+    """Generate a variable name not used before in this process.
+
+    Never a bare ``%N``: those are the canonical binders of query templates
+    (whose base, when one is renamed, is empty).
+    """
     _FRESH_COUNTER[0] += 1
-    return f"{base}%{_FRESH_COUNTER[0]}"
+    return f"{base or 'v'}%{_FRESH_COUNTER[0]}"
 
 
 def substitute(e: Expr, name: str, replacement: Expr) -> Expr:

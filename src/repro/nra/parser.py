@@ -32,9 +32,10 @@ Types inside ``[...]`` use the syntax of
 :func:`repro.objects.types.parse_type`.  ``NUMBER`` literals denote base-type
 constants.  Set literals ``{e1, ..., en}`` are sugar for unions of singletons.
 
-``IDENT`` admits a leading ``$``: parameter slots of prepared query templates
+``IDENT`` admits a leading ``$`` or ``%``: parameter slots of query templates
 (see :func:`repro.api.query.param_var`) are free variables in the reserved
-``$`` namespace, and the network service ships templates as this concrete
+``$`` namespace, canonical binders (:func:`repro.api.prepare.canonical_template`)
+are named ``%h``, and the network service ships templates as this concrete
 syntax -- ``parse(pretty(template))`` must round-trip them.
 """
 
@@ -55,7 +56,7 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+)
   | (?P<number>\d+)
   | (?P<unit>\(\))
-  | (?P<ident>[A-Za-z_$][A-Za-z0-9_%'$]*)
+  | (?P<ident>[A-Za-z_$%][A-Za-z0-9_%'$]*)
   | (?P<symbol>[\\:.;,(){}\[\]@])
     """,
     re.VERBOSE,

@@ -16,12 +16,15 @@ commits land server-side::
                 ...
 
 Queries ship as **text**: fluent :class:`~repro.api.query.Q` queries are
-elaborated *client-side* against the schema the handshake carried, constants
-are lifted into parameter slots (:func:`~repro.api.prepare.lift_constants`),
-and the template travels as NRA concrete syntax
-(``parse(pretty(template))`` round-trips, including ``$``-namespace slots).
-The server therefore caches plans by template text semantics, never sees
-client Python objects, and the wire stays pure JSON.
+elaborated *client-side* against the schema the handshake carried and split
+by :func:`~repro.api.prepare.canonical_template` -- the function the
+in-process session uses -- into the canonical template, which travels as NRA
+concrete syntax (``parse(pretty(template))`` round-trips, including the
+``$``-namespace slots and ``%h`` binders), and the literals, which travel as
+the slots' default bindings.  The server therefore sees one text per query
+shape, whatever the literals and whichever client built it, never sees
+client Python objects, and the wire stays pure JSON.  Raw template *text* is
+shipped as written and canonicalized by the server's session.
 
 One background **reader thread** per connection demultiplexes response
 frames to their waiting requests by correlation id and routes ``notify``
@@ -49,7 +52,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Union
 
-from ..api.prepare import lift_constants
+from ..api.prepare import canonical_template
 from ..api.query import Query
 from ..nra.ast import Expr
 from ..nra.externals import EMPTY_SIGMA, Signature
@@ -340,18 +343,16 @@ class RemoteSession:
         """(template text, param_types payload, defaults payload, label)."""
         if isinstance(query, str):
             return query, {}, {}, "text"
+        params, label = {}, "expr"
         if isinstance(query, Query):
             el = query.elaborate(self.conn.schema, self.conn.sigma)
-            template, types, defaults = lift_constants(el.expr)
-            types.update(el.params)
-            label = query.label
-        elif isinstance(query, Expr):
-            template, types, defaults = lift_constants(query)
-            label = "expr"
-        else:
+            query, params, label = el.expr, el.params, query.label
+        elif not isinstance(query, Expr):
             raise TypeError(
                 f"cannot ship {query!r}; expected Query, Expr or template text"
             )
+        template, types, defaults = canonical_template(query)
+        types.update(params)
         return (
             pretty(template),
             {n: format_type(t) for n, t in types.items()},

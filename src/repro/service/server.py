@@ -516,22 +516,26 @@ class QueryServer:
             for name, obj in (frame.get("params") or {}).items()
         }
 
-    def _prepare_from_frame(self, st: _SessionState, frame: dict) -> PreparedStatement:
-        template = parse(frame["query"])
-        param_types = {
-            name: parse_type(text)
-            for name, text in (frame.get("param_types") or {}).items()
-        }
-        defaults = {
-            name: from_jsonable(obj)
-            for name, obj in (frame.get("defaults") or {}).items()
-        }
-        return st.session.prepare_template(
-            template,
-            param_types,
-            defaults,
-            label=frame.get("label", "remote"),
-            backend=frame.get("backend", st.backend),
+    def _shipped(self, st: _SessionState, frame: dict) -> tuple:
+        """(template, slot types, defaults, label, backend) as the client split them.
+
+        The arguments of ``Session.prepare_template`` -- which only the
+        ``prepare`` op calls -- and of ``PreparedStatement(session, ...)``:
+        ``execute`` and ``materialize`` run such a statement and drop it, so
+        ad-hoc requests leave nothing registered in the session.
+        """
+        return (
+            parse(frame["query"]),
+            {
+                name: parse_type(text)
+                for name, text in (frame.get("param_types") or {}).items()
+            },
+            {
+                name: from_jsonable(obj)
+                for name, obj in (frame.get("defaults") or {}).items()
+            },
+            frame.get("label", "remote"),
+            frame.get("backend", st.backend),
         )
 
     def _cursor_reply(self, st: _SessionState, cursor: Cursor, chunk: int) -> dict:
@@ -560,7 +564,7 @@ class QueryServer:
         try:
             def work() -> Cursor:
                 if frame.get("param_types"):
-                    ps = self._prepare_from_frame(st, frame)
+                    ps = PreparedStatement(st.session, *self._shipped(st, frame))
                     return ps.execute(params=params)
                 template = parse(frame["query"])
                 return st.session.execute(
@@ -578,7 +582,8 @@ class QueryServer:
         st = self._state(conn, frame)
         self._admit(st)
         try:
-            ps = await self._offload(lambda: self._prepare_from_frame(st, frame))
+            ps = await self._offload(
+                lambda: st.session.prepare_template(*self._shipped(st, frame)))
         finally:
             self._release(st)
         pid = st.handle("p")
@@ -640,7 +645,7 @@ class QueryServer:
         try:
             def work():
                 if frame.get("param_types"):
-                    runnable = self._prepare_from_frame(st, frame)
+                    runnable = PreparedStatement(st.session, *self._shipped(st, frame))
                 else:
                     runnable = parse(frame["query"])
                 return st.session.materialize(runnable, name=name, params=params)

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.api import Database, PreparedStatement, Q, Row, connect, lift_constants
+from repro.api import Database, PreparedStatement, Q, Row, canonical_template, connect
 from repro.nra import ast
 from repro.nra.ast import Const, Eq, Lambda, Proj1, Var
 from repro.nra.eval import run as ref_run
@@ -69,13 +69,25 @@ def test_preparing_same_template_twice_returns_cached(session):
     assert session.stats.prepared_hits == 1
 
 
-def test_unprepared_distinct_constants_recompile(session):
-    """The counterfactual the prepared path removes: per-constant compiles."""
+def test_unprepared_distinct_constants_share_one_plan(session):
+    """Four rebuilt queries with four literals are one shape: the first pays
+    the rewrite and the compiles, the rest hit the plan cache."""
     before = session.stats.snapshot()
+    compiles = []
     for k in range(4):
-        session.execute(Q.coll("edges").where(lambda e, k=k: e.fst == k))
-    assert session.stats.rewrites - before.rewrites == 4
-    assert session.stats.vec_compiles > before.vec_compiles
+        cur = session.execute(Q.coll("edges").where(lambda e, k=k: e.fst == k))
+        assert cur.fetchall() == [(k, k + 1)]
+        compiles.append(session.stats.vec_compiles)
+    assert session.stats.rewrites - before.rewrites == 1
+    assert session.stats.plan_hits - before.plan_hits == 3
+    assert compiles[0] > before.vec_compiles
+    assert compiles[1:] == compiles[:1] * 3
+    assert len(session.engine._plans) == 1
+    # Per-session sums still equal the engine's counters.
+    engine = session.engine
+    assert session.stats.rewrites == engine.plan_misses
+    assert session.stats.plan_hits == engine.plan_hits
+    assert session.stats.vec_compiles == engine.vectorized_compiles()
 
 
 def test_prepare_raw_expr_lifts_constants(session):
@@ -104,9 +116,9 @@ def test_prepare_raw_expr_lifts_constants(session):
     assert session.stats.vec_compiles == snap.vec_compiles
 
 
-def test_lift_constants_dedups_equal_constants():
+def test_canonical_template_dedups_equal_constants():
     e = ast.Pair(Const(BaseVal(1), BASE), ast.Pair(Const(BaseVal(1), BASE), Const(BaseVal(2), BASE)))
-    template, types, defaults = lift_constants(e)
+    template, types, defaults = canonical_template(e)
     assert sorted(types) == ["c0", "c1"]
     assert defaults["c0"] == BaseVal(1)
     assert defaults["c1"] == BaseVal(2)

@@ -18,10 +18,12 @@ import time
 
 import pytest
 
-from repro.api import Q
+from repro.api import Q, Row
 from repro.nra.errors import NRAEvalError, NRAParseError
+from repro.nra.eval import run as reference_run
 from repro.nra.externals import ExternalFunction, Signature
 from repro.objects.types import BASE
+from repro.objects.values import to_python
 from repro.service import (
     ConnectionClosed,
     QueryServer,
@@ -192,6 +194,44 @@ class TestEndToEnd:
             assert [v["name"] for v in listed] == ["plain"]
             view.close()
             assert conn.views() == []
+
+
+# -- ad-hoc queries: one shape, one plan, nothing registered ----------------------
+
+class TestAdhocTemplates:
+    def test_adhoc_executes_leave_no_statement_and_one_plan(self, mutable_server):
+        """200 rebuilt queries with 200 literals: the client ships one text,
+        the server rewrites once and registers nothing in the session."""
+        srv = mutable_server
+        with connect(srv.host, srv.port) as conn, conn.session() as s:
+            session = srv._sessions[s.sid].session
+            misses = srv.engine.plan_misses
+            for i in range(200):
+                src, tag = i % 15, 1000 + i
+                q = (Q.coll("edges").compose(Q.coll("edges")).where(lambda e: e.fst == src)
+                     .map(lambda e: Row.pair(e.snd, tag)))
+                want = reference_run(q.elaborate(conn.schema).expr, env=srv.db.environment())
+                assert set(s.execute(q).fetchall()) == set(to_python(want))
+            assert len(session._prepared) == 0
+            assert srv.engine.plan_misses == misses + 1
+            assert s.stats()["stats"]["executes"] == 200
+
+    def test_adhoc_text_with_inline_literals_is_canonicalized_by_the_server(self, mutable_server):
+        srv = mutable_server
+        with connect(srv.host, srv.port) as conn, conn.session() as s:
+            misses = srv.engine.plan_misses
+            for k in (2, 5, 9):
+                text = f"(ext(\\e:(D x D). if eq(pi1(e), {k}) then {{e}} else empty[(D x D)]))(edges)"
+                assert s.execute(text).fetchall() == [(k, k + 1)]
+            assert srv.engine.plan_misses == misses + 1
+
+    def test_adhoc_views_leave_no_statement(self, mutable_server):
+        srv = mutable_server
+        with connect(srv.host, srv.port) as conn, conn.session() as s:
+            view = s.materialize(Q.coll("edges").fix().where(lambda e: e.fst == 12), name="from12")
+            s.insert("edges", [(15, 16)])
+            assert (12, 16) in view.notifications(timeout=10.0).inserted
+            assert len(srv._sessions[s.sid].session._prepared) == 0
 
 
 # -- concurrency ------------------------------------------------------------------
