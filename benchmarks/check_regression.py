@@ -81,11 +81,14 @@ COLUMNAR_BAR = 3.0
 #: churn stream through delete/rederive must clear the same bar (a
 #: regression here means DRed silently fell back to whole-view recompute,
 #: or the over-deletion sweep stopped scaling with the derivation cone).
-#: The deletion row's quick ratio sits at ~6-7x -- DRed still pays one
-#: O(result) canonical-set rebuild per batch where the insert row pays
-#: O(delta) -- so the shared 5x bar is deliberately close for deletions:
-#: any lost cone-scaling trips it.  The mixed-churn fallback row is
-#: deliberately NOT gated: its recompute path is expected to hover at ~1x.
+#: Both rows read every view's value inside the timed delta loop (outputs
+#: are rendered on read since PR 18, and the recompute side delivers a value
+#: per batch too).  The deletion row's quick ratio sits at ~7.5-8x: the
+#: walk is O(cone) and the read one C-level splice of the ~230 fallen pairs
+#: into ~7.7k, so any lost cone-scaling -- or a render that went back to
+#: python-level O(result) work -- trips the shared 5x bar.  The mixed-churn
+#: fallback row is deliberately NOT gated: its recompute path is expected
+#: to hover at ~1x.
 IVM_ACCEPTANCE_NAMES = ("ivm-small-delta", "ivm-deletion-delta")
 IVM_BAR = 5.0
 

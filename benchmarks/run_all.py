@@ -508,11 +508,14 @@ def _ivm_delta_workload(quick: bool) -> dict:
 
     TC (``fix``) and two-hop views are materialized over a mutable random
     graph and an insert-only update stream at 1% churn is committed batch by
-    batch.  Delta side: the commits themselves (each ``db.apply`` refreshes
-    both views by delta propagation before returning).  Baseline: the same
-    commits on a view-free copy, timing only the cold re-execution of both
-    queries after each batch on a fully warm session -- what serving these
-    standing queries costs without the subsystem.  Bar in full mode:
+    batch.  Delta side: the commits themselves (each ``db.apply`` maintains
+    both views by delta propagation before returning) *and a read of each
+    view's value after every batch* -- outputs are rendered on read, so a
+    timed side that never read would deliver nothing to compare with.
+    Baseline: the same commits on a view-free copy, timing only the cold
+    re-execution of both queries after each batch on a fully warm session --
+    what serving these standing queries costs without the subsystem.  Both
+    sides deliver both values per batch.  Bar in full mode:
     **>= 5x** (measured 25-200x; the win grows with the closure size because
     delta work scales with the change, recompute with the result).
     """
@@ -529,6 +532,7 @@ def _ivm_delta_workload(quick: bool) -> dict:
     t0 = time.perf_counter()
     for cs in batches:
         db_delta.apply(cs)
+        tc_view.value, hop_view.value
     t_delta = time.perf_counter() - t0
 
     db_cold = fresh()
@@ -585,6 +589,12 @@ def _ivm_deletion_delta_workload(quick: bool) -> dict:
     set materialization, changeset normalization) sit within noise of the
     bar; depth 9 is the same cone-vs-closure claim at a size where the
     measurement is stable.
+
+    PR 18 note: outputs are rendered on read, so the timed delta loop reads
+    both views' values after every batch -- the recompute side delivers two
+    values per batch and the delta side must too.  With the eager O(|TC|)
+    merge gone from ``apply`` and the read a C-level splice, the row reads
+    ~7.5-8x with the reads inside (5.6x at PR 17 without them).
     """
     # Quick mode runs the same shape as full: smaller trees put the whole
     # delta stream inside per-batch fixed costs and the gated ratio inside
@@ -616,6 +626,7 @@ def _ivm_deletion_delta_workload(quick: bool) -> dict:
         t0 = time.perf_counter()
         for cs in batches:
             db_delta.apply(cs)
+            tc_view.value, hop_view.value  # rendered on read: deliver them
         t_delta = min(t_delta, time.perf_counter() - t0)
 
         db_cold = fresh()
@@ -665,7 +676,8 @@ def _ivm_mixed_recompute_workload(quick: bool) -> dict:
     stream: both serve through whole-view recompute by design, so the ratio
     hovers around 1x.  The row exists so the fallback's cost keeps being
     measured, not assumed (DESIGN.md, "when maintenance loses") -- and so a
-    future PR that widens the delta grammar has a baseline to beat.
+    future PR that widens the delta grammar has a baseline to beat.  The
+    timed delta loop reads both values per batch, as the recompute side does.
     """
     n, p, steps = (32, 0.12, 3) if quick else (48, 0.08, 4)
     churn, seed = 0.02, 17
@@ -681,6 +693,7 @@ def _ivm_mixed_recompute_workload(quick: bool) -> dict:
     t0 = time.perf_counter()
     for cs in batches:
         db_delta.apply(cs)
+        diff_view.value, tc_minus_view.value
     t_delta = time.perf_counter() - t0
 
     db_cold = fresh()

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from bisect import insort
+from bisect import bisect_left
 from typing import Iterator, Optional
 
 from ..engine.incremental.changeset import Changeset, CollectionDelta
@@ -290,41 +290,49 @@ class Database:
             t = self._schema[name]
             elem_t = t.elem if isinstance(t, SetType) else None
             d = changeset[name]
-            present = set(current.elements)
-            dels = []
+            # The live contents tuple is canonical, so a row is found -- and a
+            # new one placed -- by bisection over the total order: a commit
+            # costs O(|delta| log n), with no pass over the collection.
+            elems = current.elements
+
+            def row_of(v: Value) -> tuple[int, bool]:
+                row = bisect_left(elems, sort_key(v), key=sort_key)
+                return row, row < len(elems) and elems[row] == v
+
+            dels: dict[Value, int] = {}  # element -> its row
             for v in d.deletes:
-                if v in present:
-                    dels.append(v)
-                    present.discard(v)
-            ins = []
+                row, present = row_of(v)
+                if present:
+                    dels[v] = row
+            ins: dict[Value, int] = {}   # element -> the row it goes before
             for v in d.inserts:
-                if v in present:
+                if v in ins:
+                    continue
+                row, present = row_of(v)
+                if present and v not in dels:
                     continue
                 if elem_t is not None and not check_type(v, elem_t):
                     raise TypeError(
                         f"insert into {name!r}: {v!r} does not have element "
                         f"type {elem_t!r}"
                     )
-                ins.append(v)
-                present.add(v)
-            dels_set = set(dels)
-            both = {v for v in ins if v in dels_set}
-            if both:
-                # Deleted and re-inserted in one commit: a no-op, and keeping
-                # the pair would break the changeset's disjointness invariant.
-                ins = [v for v in ins if v not in both]
-                dels = [v for v in dels if v not in both]
-                dels_set -= both
+                if present:
+                    # Deleted and re-inserted in one commit: a no-op, and
+                    # keeping the pair would break the changeset's
+                    # disjointness invariant.
+                    del dels[v]
+                else:
+                    ins[v] = row
             if ins or dels:
                 deltas[name] = CollectionDelta(ins, dels)
-                # The live contents tuple is canonical, a filtered subsequence
-                # of it stays canonical, and each (netted, so genuinely new)
-                # insert lands at its sort position -- no O(n) re-sort of the
-                # whole collection per commit.
-                kept = [e for e in current.elements if e not in dels_set]
-                if ins:
-                    for v in sorted(ins, key=sort_key):
-                        insort(kept, v, key=sort_key)
+                kept = list(elems)
+                gone = sorted(dels.values())
+                for row in reversed(gone):
+                    del kept[row]
+                # Rows were found in the old tuple: shift each insert left by
+                # the deletes before it and right by the inserts before it.
+                for n, v in enumerate(sorted(ins, key=sort_key)):
+                    kept.insert(ins[v] - bisect_left(gone, ins[v]) + n, v)
                 updates[name] = canonical_set(tuple(kept))
         return Changeset(deltas), updates
 

@@ -28,7 +28,25 @@ Runtime state, per :class:`~repro.engine.incremental.delta.DeltaOp` node:
 
 Between nodes only **set-level deltas** flow (``+1`` when an element appears
 in a node's output, ``-1`` when it disappears); multiplicities are private to
-each node.  All per-element evaluation (ext bodies, join keys, outputs,
+each node.
+
+**Outputs are rendered on read.**  A node's output ``SetVal`` is a rendering
+of the state above, not a second copy kept current per commit: ``apply``
+records the boundary elements that joined or left (netted -- an insert
+undone by a delete cancels) and the pending delta is spliced into the last
+rendered set, by bisection over cached sort keys
+(:meth:`~repro.engine.interning.InternTable.splice`), when and only when
+something reads it: :attr:`MaterializedView.value` / ``rows()`` /
+``refresh``, a ``recompute`` node's diff, the generic (non-indexed)
+fixpoint and DRed passes, the object-path indexed walk (which keeps no
+membership set of its own).  A commit therefore costs the derivation cone;
+a read costs O(|pending| log n) python steps plus one C-level copy and is
+free when nothing changed.  The property this rests on is that *a view is
+read less often than its bases are written*; a reader after every commit
+pays one splice per commit where an eager output paid one merge.
+``len(view)`` is kept from the root delta and renders nothing.
+
+All per-element evaluation (ext bodies, join keys, outputs,
 frontier terms) runs through closures compiled by the engine's
 :class:`~repro.engine.vectorized.compiler.PlanCompiler`, so a view shares the
 engine's compile cache and intern table, and all state mutation happens under
@@ -76,6 +94,7 @@ class ViewStats:
     dred_overdeletes: int = 0     # elements over-deleted across all DRed passes
     dred_rederives: int = 0       # over-deleted elements re-proved by rederivation
     flat_index_applies: int = 0   # indexed-fixpoint passes served by dense-id codes
+    materializations: int = 0     # node outputs rendered (pending deltas folded on a read)
 
     def rows_touched(self) -> int:
         return self.rows_inserted + self.rows_deleted
@@ -101,12 +120,22 @@ class ViewDelta:
 
 
 class _NodeState:
-    """Mutable runtime state of one DeltaOp node."""
+    """Mutable runtime state of one DeltaOp node.
 
-    __slots__ = ("out", "counts", "lindex", "rindex", "children", "flat")
+    The node's output set is *rendered on read*: maintenance records the
+    elements that joined or left (:meth:`moved`), and :attr:`out` splices
+    them into the last rendered ``SetVal`` when something asks for it.
+    """
 
-    def __init__(self) -> None:
-        self.out: Optional[SetVal] = None
+    __slots__ = ("it", "stats", "rendered", "pending", "counts", "lindex",
+                 "rindex", "children", "flat")
+
+    def __init__(self, it, stats: ViewStats) -> None:
+        self.it = it          # the engine's intern table (renders splice there)
+        self.stats = stats    # the owning view's counters
+        self.rendered: Optional[SetVal] = None
+        #: element -> +1 (joined) / -1 (left) since ``rendered``, netted.
+        self.pending: SetDelta = {}
         self.counts: Optional[dict] = None
         self.lindex: Optional[dict] = None
         self.rindex: Optional[dict] = None
@@ -114,6 +143,33 @@ class _NodeState:
         #: Dense-id mirror of the counted indexes (indexed fixpoints only);
         #: ``None`` runs the object-path probes.
         self.flat: Optional["_FlatIJoinState"] = None
+
+    @property
+    def out(self) -> Optional[SetVal]:
+        """The node's current output (engine lock held): folds what is pending."""
+        pending = self.pending
+        if pending:
+            self.rendered = self.it.splice(
+                self.rendered,
+                [v for v, dc in pending.items() if dc > 0],
+                [v for v, dc in pending.items() if dc < 0],
+            )[0]
+            pending.clear()
+            self.stats.materializations += 1
+        return self.rendered
+
+    @out.setter
+    def out(self, s: SetVal) -> None:
+        self.rendered = s
+
+    def moved(self, delta: SetDelta) -> None:
+        """Record a set-level delta of this node's output; opposite moves cancel."""
+        pending = self.pending
+        for v, dc in delta.items():
+            if pending.get(v) == -dc:
+                del pending[v]
+            else:
+                pending[v] = dc
 
 
 class _FlatIJoinState:
@@ -125,8 +181,7 @@ class _FlatIJoinState:
     outputs are projection chains, so a cone probe is dict lookups and
     integer packing -- no environment binds, no compiled-closure calls, no
     per-derivation pair interning.  Values are materialized only at the
-    boundaries (the elements that actually enter or leave the result, and
-    one set union/difference per apply).
+    boundaries (the elements that actually enter or leave the result).
 
     Built opportunistically by ``MaterializedView._flat_ijoin_build``; any
     element or key outside the flat pair domain demotes the node to the
@@ -272,24 +327,28 @@ class MaterializedView:
             self._env = {k: self._it.intern(v) if isinstance(v, Value) else v
                          for k, v in env.items()}
             self.plan_ops = derive(self.expr, self.bases)
-            cold = engine.run(self.expr, env=self._env, optimize=False, backend="vectorized")
-            self._value = _expect_set(cold, f"view {name!r}")
-            self.recompute_only = not self._buildable()
-            if not self.recompute_only:
-                self._root = self._init_node(self.plan_ops)
-                if self._root.out != self._value:
-                    # The maintenance semantics (least fixpoints) disagrees
-                    # with the cold evaluation on this input -- serve the
-                    # cold value and recompute from now on.
-                    self.recompute_only = True
+            # Delta mode needs a fully non-recompute plan over a set result.
+            self.recompute_only = not self.plan_ops.maintainable()
+            self._root = _NodeState(self._it, self.stats)
+            self._root.out = self._it.empty_set
+            self._rebuild()
 
     # -- public surface --------------------------------------------------------
 
     @property
     def value(self) -> SetVal:
-        """The current (maintained) result, a canonical interned set."""
+        """The current (maintained) result, a canonical interned set.
+
+        Rendered here, not at commit: the first read after a run of commits
+        splices their net root delta into the last value read.
+        """
         self._check_usable()
-        return self._value
+        with self.engine.lock:
+            return self._root.out
+
+    def __len__(self) -> int:
+        """Rows in the current result, kept from the root delta (no render)."""
+        return self._size
 
     def rows(self) -> frozenset:
         """The result as plain python rows (order-free comparison aid)."""
@@ -322,7 +381,7 @@ class MaterializedView:
                 overdeletes_before = self.stats.dred_overdeletes
                 rederives_before = self.stats.dred_rederives
                 if self.recompute_only:
-                    delta = self._recompute_value()
+                    delta = self._rebuild()
                     self.stats.fallback_recomputes += 1
                 else:
                     root_delta = self._apply_node(self.plan_ops, self._root, changeset)
@@ -351,17 +410,8 @@ class MaterializedView:
         """Full rebuild from the current base collections (always sound)."""
         self._check_usable()
         with self.engine.lock:
-            old = self._value
-            self._value = _expect_set(
-                self.engine.run(self.expr, env=self._env, optimize=False, backend="vectorized"),
-                f"view {self.name!r}",
-            )
-            if not self.recompute_only:
-                self._root = self._init_node(self.plan_ops)
             self.stats.fallback_recomputes += 1
-            ins = self._it.difference(self._value, old)
-            dels = self._it.difference(old, self._value)
-            return ViewDelta(tuple(ins.elements), tuple(dels.elements))
+            return self._rebuild()
 
     def add_listener(
         self, fn: Callable[["MaterializedView", ViewDelta, bool], None]
@@ -424,26 +474,33 @@ class MaterializedView:
     def __repr__(self) -> str:
         mode = "recompute" if self.recompute_only else "delta"
         return (f"<MaterializedView {self.name!r} mode={mode} "
-                f"rows={len(self._value.elements)} applies={self.stats.delta_applies}>")
+                f"rows={len(self)} applies={self.stats.delta_applies}>")
 
-    def _recompute_value(self) -> ViewDelta:
-        old = self._value
-        self._value = _expect_set(
+    def _rebuild(self) -> ViewDelta:
+        """Re-evaluate from the current bases; the diff against what was served."""
+        it = self._it
+        old = self._root.out
+        new = _expect_set(
             self.engine.run(self.expr, env=self._env, optimize=False, backend="vectorized"),
             f"view {self.name!r}",
         )
-        ins = self._it.difference(self._value, old)
-        dels = self._it.difference(old, self._value)
-        return ViewDelta(tuple(ins.elements), tuple(dels.elements))
+        if not self.recompute_only:
+            self._root = self._init_node(self.plan_ops)
+            # Where the maintenance semantics (least fixpoints) disagrees
+            # with the cold evaluation, serve the cold value and recompute
+            # from now on.
+            self.recompute_only = self._root.out != new
+        if self.recompute_only:
+            self._root = _NodeState(it, self.stats)
+            self._root.out = new
+        self._size = len(new.elements)
+        return ViewDelta(it.difference(new, old).elements, it.difference(old, new).elements)
 
     def _commit_root(self, root_delta: SetDelta) -> ViewDelta:
-        # Every maintainable node keeps its output set current, so the root
-        # node's output *is* the new value: serve it instead of replaying
-        # the delta against the old value with set algebra.
-        ins = [v for v, dc in root_delta.items() if dc > 0]
-        dels = [v for v, dc in root_delta.items() if dc < 0]
-        self._value = self._root.out
-        return ViewDelta(tuple(ins), tuple(dels))
+        ins = tuple(v for v, dc in root_delta.items() if dc > 0)
+        dels = tuple(v for v, dc in root_delta.items() if dc < 0)
+        self._size += len(ins) - len(dels)
+        return ViewDelta(ins, dels)
 
     # -- compiled-closure plumbing --------------------------------------------
 
@@ -452,12 +509,8 @@ class MaterializedView:
 
     # -- initial state build ---------------------------------------------------
 
-    def _buildable(self) -> bool:
-        """Delta mode needs a fully non-recompute plan over a set result."""
-        return self.plan_ops.maintainable()
-
     def _init_node(self, op: DeltaOp) -> _NodeState:
-        st = _NodeState()
+        st = _NodeState(self._it, self.stats)
         st.children = tuple(self._init_node(c) for c in op.children)
         kind = op.kind
         if kind in ("static", "base", "recompute"):
@@ -580,16 +633,7 @@ class MaterializedView:
                 out_delta[v] = 1
             elif old > 0 and new == 0:
                 out_delta[v] = -1
-        if out_delta:
-            it = self._it
-            ins = [v for v, dc in out_delta.items() if dc > 0]
-            dels = [v for v, dc in out_delta.items() if dc < 0]
-            out = st.out
-            if dels:
-                out = it.difference(out, it.mkset(dels))
-            if ins:
-                out = it.union(out, it.mkset(ins))
-            st.out = out
+        st.moved(out_delta)
         return out_delta
 
     # -- ext family ------------------------------------------------------------
@@ -719,19 +763,21 @@ class MaterializedView:
         return acc
 
     def _apply_fixpoint(self, op: DeltaOp, st: _NodeState, d: SetDelta) -> SetDelta:
-        it = self._it
-        old = st.out
         if not d:
             return {}
         ins = [v for v, dc in d.items() if dc > 0]
         dels = [v for v, dc in d.items() if dc < 0]
         if op.lkey is not None:
             # The indexed paths know their exact deltas (what fell for good,
-            # what is genuinely new): no full-set diff against ``old``.
+            # what is genuinely new): no full-set diff, and no render.
             if dels:
-                return self._ijoin_dred(op, st, ins, dels)
-            st.out, added = self._ijoin_continue(op, st, ins)
-            return {v: 1 for v in added}
+                delta = self._ijoin_dred(op, st, ins, dels)
+            else:
+                delta = dict.fromkeys(self._ijoin_continue(op, st, ins), 1)
+            st.moved(delta)
+            return delta
+        it = self._it
+        old = st.out
         if dels:
             st.out = self._dred_fixpoint(op, st, ins, dels)
         else:
@@ -998,10 +1044,10 @@ class MaterializedView:
         """Indexed insert-side continuation over codes; returns what joined.
 
         The counted mirror of semi-naive iteration exactly as in
-        ``_ijoin_continue``.  A mid-walk ``KeyError`` (a key path hitting a
+        ``_ijoin_walk``.  A mid-walk ``KeyError`` (a key path hitting a
         non-pair) propagates to demote the node; that is sound because only
-        the discarded mirror has been touched -- ``st.out`` and the stats
-        move after the walk returns.
+        the discarded mirror has been touched -- the node's pending delta
+        and the stats move after the walk returns.
         """
         present = flat.present
         added: list = []
@@ -1020,34 +1066,30 @@ class MaterializedView:
         self.stats.seminaive_rounds += rounds
         return added
 
-    def _flat_ijoin_continue(self, op: DeltaOp, st: _NodeState, ins):
+    def _flat_ijoin_continue(self, op: DeltaOp, st: _NodeState, ins) -> Optional[list]:
         """Flat ``_ijoin_continue``; ``None`` demotes to the object path."""
         flat = st.flat
         codes = self._flat_codes(flat, ins)
         if codes is None:
             return None
         flat.seeds.update(codes)  # ins is the child's (seed) insert delta
-        it = self._it
         try:
             added = self._flat_walk(flat, codes)
         except KeyError:
             return None
         self.stats.flat_index_applies += 1
-        if not added:
-            return st.out, []
-        vals = [it.pair_from_ids(c >> CODE_BITS, c & CODE_MASK) for c in added]
-        return it.union(st.out, it.mkset(vals)), vals
+        pair = self._it.pair_from_ids
+        return [pair(c >> CODE_BITS, c & CODE_MASK) for c in added]
 
-    def _flat_ijoin_dred(self, op: DeltaOp, st: _NodeState, ins, dels):
+    def _flat_ijoin_dred(self, op: DeltaOp, st: _NodeState, ins, dels) -> Optional[SetDelta]:
         """Flat ``_ijoin_dred``; ``None`` demotes to the object path.
 
         Identical passes over codes: the over-deletion walk decrements by
         integer probes, survival is a remaining count or (already-
         maintained) seed membership, and the rederivation walk re-counts
-        restored derivations.  ``st.out`` moves by one difference and one
-        union of the boundary elements -- the only values materialized.
+        restored derivations.  Only the boundary elements -- what fell for
+        good, what is genuinely new -- are materialized as values.
         """
-        it = self._it
         flat = st.flat
         del_codes = self._flat_codes(flat, dels)
         ins_codes = self._flat_codes(flat, ins)
@@ -1080,46 +1122,32 @@ class MaterializedView:
             return None
         self.stats.seminaive_rounds += rounds
         self.stats.flat_index_applies += 1
-        over_vals = [it.pair_from_ids(c >> CODE_BITS, c & CODE_MASK)
-                     for c in over]
-        out = it.difference(st.out, it.mkset(over_vals))
-        added_vals = [it.pair_from_ids(c >> CODE_BITS, c & CODE_MASK)
-                      for c in added]
-        if added_vals:
-            out = it.union(out, it.mkset(added_vals))
-        st.out = out
         self.stats.dred_applies += 1
         self.stats.dred_overdeletes += len(over)
         self.stats.dred_rederives += sum(1 for c in over if c in present)
+        pair = self._it.pair_from_ids
         delta: SetDelta = {}
-        for c, v in zip(over, over_vals):
+        for c in over:
             if c not in present:
-                delta[v] = -1
-        for c, v in zip(added, added_vals):
+                delta[pair(c >> CODE_BITS, c & CODE_MASK)] = -1
+        for c in added:
             if c not in over:
-                delta[v] = 1
+                delta[pair(c >> CODE_BITS, c & CODE_MASK)] = 1
         return delta
 
-    def _ijoin_continue(self, op: DeltaOp, st: _NodeState, ins) -> tuple[SetVal, list]:
-        """Insert-side continuation by index probes from the new frontier.
+    def _ijoin_walk(self, op: DeltaOp, st: _NodeState, present: set, elements) -> list:
+        """Indexed insert-side continuation on the object path; returns what joined.
 
         Each genuinely new element is indexed and probed once; a derivation
         output becomes part of the fixpoint the moment its support count
         leaves zero (or it arrives as seed), and only *then* joins the next
         frontier -- the counted mirror of semi-naive iteration, with work
         proportional to the new derivation cone instead of a per-round
-        re-index of the accumulator.  Returns the new fixpoint and the list
-        of elements that joined it.
+        re-index of the accumulator.  ``present`` (ids of the fixpoint's
+        elements) advances with the walk.
         """
-        if st.flat is not None:
-            res = self._flat_ijoin_continue(op, st, ins)
-            if res is not None:
-                return res
-            self._ijoin_demote(op, st)
-        it = self._it
-        present = set(map(id, st.out.elements))
         added: list = []
-        frontier = [v for v in ins if id(v) not in present]
+        frontier = [v for v in elements if id(v) not in present]
         while frontier:
             self.stats.seminaive_rounds += 1
             touched: list = []
@@ -1130,9 +1158,17 @@ class MaterializedView:
                 added.append(x)
                 self._ijoin_count(op, st, x, +1, touched)
             frontier = [z for z in touched if id(z) not in present]
-        if not added:
-            return st.out, added
-        return it.union(st.out, it.mkset(added)), added
+        return added
+
+    def _ijoin_continue(self, op: DeltaOp, st: _NodeState, ins) -> list:
+        """Insert-side continuation by index probes; returns what joined."""
+        if st.flat is not None:
+            added = self._flat_ijoin_continue(op, st, ins)
+            if added is not None:
+                return added
+            self._ijoin_demote(op, st)
+        # The object path keeps no membership set of its own: it renders.
+        return self._ijoin_walk(op, st, set(map(id, st.out.elements)), ins)
 
     def _ijoin_dred(self, op: DeltaOp, st: _NodeState, ins, dels) -> SetDelta:
         """Delete/rederive over the counted indexes (see ``_dred_fixpoint``).
@@ -1146,19 +1182,17 @@ class MaterializedView:
         seed or with surviving support re-enter the indexed continuation,
         together with the batch's insertions, which re-proves everything
         they transitively support and re-counts each restored derivation
-        exactly once.  Updates ``st.out`` and returns the node's set delta.
+        exactly once.  Returns the node's set delta.
         """
         if st.flat is not None:
-            res = self._flat_ijoin_dred(op, st, ins, dels)
-            if res is not None:
-                return res
+            delta = self._flat_ijoin_dred(op, st, ins, dels)
+            if delta is not None:
+                return delta
             self._ijoin_demote(op, st)
-        it = self._it
-        old = st.out
-        old_ids = set(map(id, old.elements))
+        present = set(map(id, st.out.elements))
         over: dict = {}
         over_ids: set = set()
-        frontier = [v for v in dels if id(v) in old_ids]
+        frontier = [v for v in dels if id(v) in present]
         while frontier:
             self.stats.seminaive_rounds += 1
             touched: list = []
@@ -1169,23 +1203,20 @@ class MaterializedView:
                 over_ids.add(id(x))
                 self._ijoin_count(op, st, x, -1, touched)
             frontier = [z for z in touched if id(z) not in over_ids]
-        surviving = it.difference(old, it.mkset(over))
-        seed = st.children[0].out  # already maintained: this batch applied
-        seed_ids = set(map(id, seed.elements))
+        present -= over_ids
+        seed_ids = set(map(id, st.children[0].out.elements))  # this batch applied
         counts = st.counts
         rederived = [v for v in over
                      if id(v) in seed_ids or counts.get(v, 0) > 0]
-        st.out = surviving
-        st.out, added = self._ijoin_continue(op, st, rederived + list(ins))
-        out_ids = set(map(id, st.out.elements))
+        added = self._ijoin_walk(op, st, present, rederived + list(ins))
         self.stats.dred_applies += 1
         self.stats.dred_overdeletes += len(over)
-        self.stats.dred_rederives += sum(1 for v in over if id(v) in out_ids)
+        self.stats.dred_rederives += sum(1 for v in over if id(v) in present)
         delta: SetDelta = {}
         for v in over:
-            if id(v) not in out_ids:
+            if id(v) not in present:
                 delta[v] = -1
         for v in added:
-            if id(v) not in old_ids:
+            if id(v) not in over_ids:
                 delta[v] = 1
         return delta

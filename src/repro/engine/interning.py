@@ -95,14 +95,16 @@ class InternTable:
 
     # -- plumbing -----------------------------------------------------------------
 
-    def _store(self, key: tuple, v: Value) -> Value:
+    def _store(self, key: tuple, v: Value, elem_keys: Optional[tuple] = None) -> Value:
         self._table[key] = v
         # The parts of a stored pair/set are interned already (every
         # constructor's contract), so their keys are cached: assemble the
         # new key from them instead of recomputing recursively -- set
         # construction is the hot path of delta maintenance.
         keys = self._keys
-        if isinstance(v, SetVal):
+        if elem_keys:  # a spliced set: its element keys were spliced with it
+            keys[id(v)] = (4, len(elem_keys), elem_keys)
+        elif isinstance(v, SetVal):
             try:
                 # All-cached is the norm; C-level map beats a python-level
                 # genexpr by ~4x on the wide sets delta maintenance stores.
@@ -133,13 +135,13 @@ class InternTable:
                     self._pair_codes[(fi << _CODE_BITS) | si] = v
         return v
 
-    def _canon(self, key: tuple, build) -> Value:
+    def _canon(self, key: tuple, build, elem_keys: Optional[tuple] = None) -> Value:
         found = self._table.get(key)
         if found is not None:
             self.hits += 1
             return found
         self.misses += 1
-        return self._store(key, build())
+        return self._store(key, build(), elem_keys)
 
     def is_interned(self, v: Value) -> bool:
         """True iff ``v`` is a canonical representative of this table."""
@@ -276,8 +278,10 @@ class InternTable:
         """Interned singleton set of an interned value."""
         return self._canon(("s", id(v)), lambda: _raw_set((v,)))
 
-    def _set_from_canonical(self, elems: tuple[Value, ...]) -> Value:
-        return self._canon(("s", *map(id, elems)), lambda: _raw_set(elems))
+    def _set_from_canonical(
+        self, elems: tuple[Value, ...], elem_keys: Optional[tuple] = None
+    ) -> Value:
+        return self._canon(("s", *map(id, elems)), lambda: _raw_set(elems), elem_keys)
 
     def canonical_set(self, elements: Iterable[Value]) -> Value:
         """Interned set from *interned* elements already in canonical order.
@@ -333,12 +337,7 @@ class InternTable:
         A subsequence of a canonical sequence is canonical, so the result is
         built without re-sorting.  This is the frontier computation of the
         vectorized engine's semi-naive iteration (``delta = new - old``) and
-        the boundary materialization of view maintenance (``out - removed``).
-
-        (A bisect-and-splice fast path for small ``b`` was measured slower
-        here: locating ~100 removals among ~10k elements saves the scan but
-        pays for ~100 tuple-slice copies plus a python-level key callable
-        per probe -- the single C-speed scan wins at every realistic size.)
+        the old-against-new diff of a recomputed view node.
         """
         xs = a.elements
         if not xs or not b.elements:
@@ -349,41 +348,78 @@ class InternTable:
             return a
         return self._set_from_canonical(kept)
 
-    def advance(
+    def splice(
         self, s: SetVal, inserts: Iterable[Value], deletes: Iterable[Value]
     ) -> tuple[Value, list, list]:
-        """Interned ``(s - deletes) | inserts``, and the row patch that made it.
+        """Interned ``(s - deletes) | inserts`` over *interned* elements, and its row patch.
 
-        How a collection follows a commit: ``s`` is interned, the delta need
-        not be.  Each delta element is placed by bisection over cached sort
-        keys in one C-level copy of the element tuple: O(|delta| log |s|)
-        python steps.  Returns ``(new, dels, ins)`` -- ``(row, dense id)``
-        pairs, ``dels`` in descending row order and ``ins`` in the order
-        applied: deleting, then inserting, those rows turns any column of
-        ``s`` into that column of ``new`` (as done here for ``set_ids``).
+        Each delta element is placed by bisection over the cached sort keys
+        (a set's own key lists its elements' keys in canonical order, so the
+        probes never leave C), and the element tuple and that key tuple are
+        copied once around the rows found: O(|delta|) python steps, no
+        per-row shift of the rest.  Returns ``(new, dels, ins)`` -- ``(row,
+        dense id)`` pairs, ``dels`` in descending row order and ``ins`` in
+        the order applied: deleting, then inserting, those rows turns any
+        column of ``s`` into that column of ``new``.  How a collection
+        follows a commit (:meth:`advance`) and how a maintained view's output
+        is rendered from what joined and left it since the last read.
         """
         keys, dense = self._keys, self._dense
-        key_of = lambda v: keys[id(v)]  # noqa: E731
-        elems = list(s.elements)
+        elems, elem_keys = s.elements, keys[id(s)][2]
         found = set()
-        for v in map(self.intern, deletes):
-            row = bisect_left(elems, keys[id(v)], key=key_of)
+        for v in deletes:
+            row = bisect_left(elem_keys, keys[id(v)])
             if row < len(elems) and elems[row] is v:
                 found.add((row, dense[id(v)]))
         dels = sorted(found, reverse=True)
-        for row, _ in dels:
-            del elems[row]
-        ins: list = []
-        for v in sorted(map(self.intern, inserts), key=key_of):
-            row = bisect_left(elems, keys[id(v)], key=key_of)
-            if row == len(elems) or elems[row] is not v:
-                elems.insert(row, v)
-                ins.append((row, dense[id(v)]))
-        new = self._set_from_canonical(tuple(elems)) if dels or ins else s
+        if dels:
+            rows = [row for row, _ in reversed(dels)]
+            elems, elem_keys = _cut(elems, rows), _cut(elem_keys, rows)
+        ins, rows, new = [], [], []
+        for v in sorted(inserts, key=lambda v: keys[id(v)]):
+            row = bisect_left(elem_keys, keys[id(v)])
+            if (row == len(elems) or elems[row] is not v) and (not new or new[-1] is not v):
+                ins.append((row + len(rows), dense[id(v)]))
+                rows.append(row)
+                new.append(v)
+        if not dels and not ins:
+            return s, dels, ins
+        if ins:
+            elems = _weave(elems, rows, new)
+            elem_keys = _weave(elem_keys, rows, [keys[id(v)] for v in new])
+        return self._set_from_canonical(tuple(elems), tuple(elem_keys)), dels, ins
+
+    def advance(
+        self, s: SetVal, inserts: Iterable[Value], deletes: Iterable[Value]
+    ) -> tuple[Value, list, list]:
+        """:meth:`splice` for a delta that need not be interned; ``set_ids`` follows."""
+        new, dels, ins = self.splice(
+            s, map(self.intern, inserts), map(self.intern, deletes))
         col = self._set_cols.get(id(s))
         if col is not None and id(new) not in self._set_cols:
             self._set_cols[id(new)] = patch_column(col, dels, ins)
         return new, dels, ins
+
+
+def _cut(xs: Sequence, rows: list) -> list:
+    """A copy of ``xs`` without ``rows`` (ascending): one slice per gap."""
+    out, start = [], 0
+    for row in rows:
+        out += xs[start:row]
+        start = row + 1
+    out += xs[start:]
+    return out
+
+
+def _weave(xs: Sequence, rows: list, items: list) -> list:
+    """A copy of ``xs`` with ``items[i]`` before ``xs[rows[i]]`` (``rows`` ascending)."""
+    out, start = [], 0
+    for row, item in zip(rows, items):
+        out += xs[start:row]
+        out.append(item)
+        start = row
+    out += xs[start:]
+    return out
 
 
 def patch_column(col: array, dels: list, ins: list) -> array:

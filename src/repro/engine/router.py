@@ -57,7 +57,7 @@ from ..nra.cost import CostDenotation, CostEstimate, estimate_cost
 from ..nra.externals import ExternalFunction, Signature
 from ..nra.pretty import pretty
 from ..objects.types import BaseType, BoolType, ProdType, SetType, Type, UnitType
-from ..objects.values import BaseVal, BoolVal, PairVal, SetVal, UnitVal, Value
+from ..objects.values import BaseVal, BoolVal, PairVal, SetVal, UnitVal, Value, canonical_set
 from .vectorized.plan import PlanNode, leaf, node
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def collection_stats(value: Value, updates: int = 0) -> CollectionStats:
     if isinstance(value, SetVal):
         return CollectionStats(
             count=len(value),
-            sample=SetVal(value.elements[:SAMPLE_CAP]),
+            sample=canonical_set(value.elements[:SAMPLE_CAP]),  # a prefix stays canonical
             updates=updates,
         )
     return CollectionStats(count=1, sample=value, updates=updates)

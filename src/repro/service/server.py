@@ -662,7 +662,7 @@ class QueryServer:
         return {
             "view": vid,
             "name": view.name,
-            "rows": len(view.value.elements),
+            "rows": len(view),
             "plan": str(view.maintenance_plan()),
         }
 
@@ -680,7 +680,7 @@ class QueryServer:
                 "inserted": [to_jsonable(v) for v in delta.inserted],
                 "deleted": [to_jsonable(v) for v in delta.deleted],
                 "fallback": fallback,
-                "size": len(view.value.elements),
+                "size": len(view),
             }
             with self._lock:
                 self.stats.notifications += 1
@@ -701,7 +701,9 @@ class QueryServer:
     async def _op_view_rows(self, conn, frame) -> dict:
         st = self._state(conn, frame)
         _, (view, _) = self._view_of(st, frame)
-        values = view.value.elements
+        # A read renders what the commits since the last one left pending,
+        # under the engine lock: pool work, not the event loop's.
+        values = (await self._offload(lambda: view.value)).elements
         with self._lock:
             self.stats.rows_streamed += len(values)
         return {
@@ -795,7 +797,7 @@ class QueryServer:
                     "view": vid,
                     "session": st.sid,
                     "name": view.name,
-                    "rows": len(view.value.elements),
+                    "rows": len(view),
                     "subscribed": listener is not None,
                 })
         return {"views": rows}

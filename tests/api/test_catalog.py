@@ -1,10 +1,12 @@
 """Databases and catalogs: registration, typecheck-backed schemas, versioning."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.api import Catalog, Database, Q
+from repro.api import Catalog, Changeset, Database, Q
 from repro.objects.types import BASE, BOOL, ProdType, SetType
-from repro.objects.values import SetVal, from_python
+from repro.objects.values import SetVal, from_python, to_python
 from repro.relational.database import OrderedDatabase
 from repro.relational.relation import Relation
 from repro.workloads.graphs import path_graph
@@ -87,3 +89,39 @@ def test_database_of_kwargs():
     db = Database.of("w", edges=path_graph(3), bits={(0, True), (1, False)})
     assert set(db) == {"edges", "bits"}
     assert isinstance(db["bits"], SetVal)
+
+
+ATOM = st.one_of(st.integers(min_value=0, max_value=5), st.sampled_from(["a", "b"]))
+MIXED_ROWS = st.lists(st.tuples(ATOM, ATOM), max_size=5)
+
+
+@pytest.mark.ivm
+@pytest.mark.dred
+@settings(max_examples=150, deadline=None)
+@given(initial=MIXED_ROWS, commits=st.lists(st.tuples(MIXED_ROWS, MIXED_ROWS), max_size=8))
+def test_commits_place_rows_by_bisection_like_a_set_model(initial, commits):
+    """Net changeset and canonical contents against a plain python set."""
+    db = Database("g").register(
+        "edges", frozenset(initial), type=SetType(ProdType(BASE, BASE)))
+    model = set(initial)
+    for ins, dels in commits:
+        # Deletes apply first; a row deleted and re-inserted nets to nothing.
+        want_dels = {r for r in dels if r in model} - set(ins)
+        want_ins = {r for r in ins if r not in model}
+        got = db.apply(Changeset.of(edges=(ins, dels))).get("edges")
+        assert {to_python(v) for v in (got.inserts if got else ())} == want_ins
+        assert {to_python(v) for v in (got.deletes if got else ())} == want_dels
+        assert got is None or (len(got.inserts) == len(want_ins)
+                               and len(got.deletes) == len(want_dels))
+        model = (model - want_dels) | want_ins
+        assert db["edges"].elements == from_python(frozenset(model)).elements
+
+
+def test_ill_typed_insert_is_refused_wherever_it_sorts():
+    db = Database("g").register("edges", {(1, 2), (3, 4)})
+    for row in (5, (1, (2, 3)), ((0, 0), 9), frozenset({1})):
+        with pytest.raises(TypeError, match="element type"):
+            db.insert("edges", [row])
+    with pytest.raises(KeyError):
+        db.insert("nodes", [(1, 2)])
+    assert db["edges"] == from_python({(1, 2), (3, 4)})

@@ -9,11 +9,14 @@ the flat loop's invariant-source index -- must equal its from-scratch build.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Engine
+from repro.engine.interning import patch_column
 from repro.engine.vectorized.flat import build_inv_index
 from repro.nra.errors import NRAEvalError
-from repro.objects.values import from_python
+from repro.objects.values import from_python, sort_key
 
 pytestmark = pytest.mark.columnar
 
@@ -111,3 +114,29 @@ def test_clearing_caches_drops_carried_state_without_changing_answers():
         build_inv_index(engine.interner, new, INV_TAG))
     newer = engine.advance(new, [], [from_python((0, 1))])
     assert newer is engine.intern(pairs({(i, i + 1) for i in range(1, 9)}))
+
+
+ROWS = st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12)
+
+
+@pytest.mark.ivm
+@settings(max_examples=200, deadline=None)
+@given(rows=ROWS, inserts=ROWS, deletes=ROWS)
+def test_splice_is_delete_then_insert_for_any_delta(rows, inserts, deletes):
+    """Overlapping, repeated, absent and already-present rows included.
+
+    ``splice`` is what renders a maintained view's output and (under
+    ``advance``) moves a collection: the set it returns is the one a cold
+    intern gives, and its row patch replays on the element-id column.
+    """
+    table = Engine(backend="vectorized").interner
+    s = table.intern(pairs(rows))
+    col = table.set_ids(s)
+    new, dels, ins = table.splice(
+        s, [table.intern(from_python(r)) for r in inserts],
+        [table.intern(from_python(r)) for r in deletes])
+    assert new is table.intern(pairs((set(rows) - set(deletes)) | set(inserts)))
+    assert table.sort_key_of(new) == sort_key(new)
+    assert patch_column(col, dels, ins) == table.set_ids(new)
+    if new is not s:
+        assert table.splice(new, [], [])[0] is new

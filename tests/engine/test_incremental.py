@@ -14,6 +14,9 @@ sequences, incl. deletion-heavy streams) lives in
 oracle rides in the fast matrix here.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro.api import Changeset, Database, MaterializedView, Q, connect
@@ -699,6 +702,103 @@ class TestStatsAndExplain:
         with pytest.raises(ValueError, match="unknown backend"):
             Engine().run(Var("x"), env={"x": from_python({1})},
                          backend="incremental")
+
+
+# ---------------------------------------------------------------------------
+# Outputs are rendered on read
+# ---------------------------------------------------------------------------
+
+def _standing_queries():
+    edges = Q.coll("edges")
+    return {
+        "fix": edges.fix(),
+        "compose": edges.compose(edges),
+        "select-over-fix": edges.fix().where(lambda e: e.fst == 1),
+        "union": (edges.where(lambda e: e.fst == 1)
+                  | edges.where(lambda e: e.snd == 2)),
+    }
+
+
+@pytest.mark.dred
+class TestRenderOnRead:
+    """A commit records what joined and left; ``value`` folds it when read."""
+
+    @pytest.mark.parametrize("shape", sorted(_standing_queries()))
+    def test_k_commits_then_one_read_cost_one_render(self, shape):
+        query = _standing_queries()[shape]
+        db = fresh_graph_db(10)
+        session = connect(db)
+        view = session.materialize(query)
+        db.insert("edges", [(1, 5)])
+        db.insert("edges", [(5, 2), (7, 1)])
+        db.delete("edges", [(2, 3)])
+        db.insert("edges", [(1, 8), (0, 2)])
+        assert view.stats.delta_applies == 4
+        assert view.stats.materializations == 0
+        cold = session.execute(query).value
+        assert len(view) == len(cold.elements)  # kept from the deltas: no render
+        assert view.stats.materializations == 0
+        assert view.value is session.engine.intern(cold)
+        assert view.stats.materializations == 1
+        assert view.value is view.value and view.rows() == session.execute(query).rows()
+        assert view.stats.materializations == 1
+        assert view.stats.fallback_recomputes == 0
+
+    @pytest.mark.parametrize("shape", sorted(_standing_queries()))
+    def test_a_net_zero_pair_costs_no_render_and_returns_the_identical_object(self, shape):
+        db = fresh_graph_db(10)
+        session = connect(db)
+        view = session.materialize(_standing_queries()[shape])
+        before, size = view.value, len(view)
+        batch = [(1, 5), (5, 1), (0, 2)]
+        assert db.insert("edges", batch).rows_touched() == 3
+        assert len(view) > size
+        assert db.delete("edges", batch).rows_touched() == 3
+        assert len(view) == size
+        assert view.value is before
+        assert view.stats.materializations == 0
+
+    def test_reader_thread_observes_only_committed_versions(self):
+        query = Q.coll("edges").fix()
+        batches = [[(i % 7, (3 * i + 1) % 9)] for i in range(40)]
+
+        def replay(db):
+            for i, batch in enumerate(batches):
+                (db.delete if i % 3 == 2 else db.insert)("edges", batch)
+                yield
+
+        oracle_db = fresh_graph_db(10)
+        with connect(oracle_db) as cold:
+            versions = {cold.execute(query).rows()}
+            for _ in replay(oracle_db):
+                versions.add(cold.execute(query).rows())
+
+        db = fresh_graph_db(10)
+        session = connect(db)
+        view = session.materialize(query)
+        interner = session.engine.interner
+        done = threading.Event()
+        seen: list = []
+
+        def read():
+            while not done.is_set():
+                seen.append((view.rows(), interner.is_interned(view.value)))
+
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for _ in replay(db):
+                pass
+        finally:
+            done.set()
+            reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        assert seen and all(interned for _, interned in seen)
+        assert {rows for rows, _ in seen} <= versions
+        assert view.value is session.engine.intern(session.execute(query).value)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,12 @@ itself, under the same seed-pinned streams:
   delete/rederive path and never through the whole-view fallback;
 * **a changeset followed by its inverse is a no-op** -- not just on the
   served value but on the entire internal state fingerprint: counts, join
-  indexes, and fixpoint sets all return to identity.
+  indexes, and fixpoint sets all return to identity;
+* **outputs are rendered on read** -- a hypothesis property over random
+  interleavings of commits and reads: whenever a view is read, however many
+  commits (or none) went unread before it, the value is the object a cold
+  run interns and every node's folded output agrees with the counts,
+  indexes and dense-id mirror it is rendered from.
 
 All values are interned (hash-consed) per engine, so state fingerprints can
 compare elements by ``id`` -- the same identity discipline the maintenance
@@ -25,8 +30,12 @@ code itself uses.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from repro.api import Changeset, Q, connect
+from repro.api import Changeset, Database, MaterializedView, Q, connect
+from repro.engine import Engine
+from repro.objects.types import BASE, ProdType, SetType
 from repro.workloads.streams import (
     deletion_update_stream,
     mixed_update_stream,
@@ -44,6 +53,7 @@ def _panel():
         "union-overlap": (Q.coll("edges").where(lambda e: e.fst == 1)
                           | Q.coll("edges").where(lambda e: e.snd == 2)),
         "tc-fixpoint": Q.coll("edges").fix(),
+        "select-over-tc": Q.coll("edges").fix().where(lambda e: e.fst == 1),
     }
 
 
@@ -59,7 +69,25 @@ def _ids(elements):
 
 def _assert_state_consistent(view, label):
     assert not view.recompute_only, f"{label}: panel view degraded unexpectedly"
+    interner = view.engine.interner
     for op, st in _walk_states(view.plan_ops, view._root):
+        assert interner.is_interned(st.out) and not st.pending, (
+            f"{label}: {op.kind} output was not folded to an interned set"
+        )
+        if st.flat is not None:
+            # The dense-id mirror is what the fixpoint's output is rendered
+            # from: its codes are the output's, its seeds the child's.
+            flat, codes = st.flat, MaterializedView._flat_codes
+            assert set(codes(view, flat, st.out.elements)) == flat.present, (
+                f"{label}: rendered fixpoint diverged from the present codes"
+            )
+            assert set(codes(view, flat, st.children[0].out.elements)) == flat.seeds, (
+                f"{label}: seed codes diverged from the child's output"
+            )
+            assert all(c > 0 for c in flat.counts.values())
+            assert flat.present == flat.seeds | set(flat.counts), (
+                f"{label}: present codes diverged from seed + support"
+            )
         if st.counts is not None:
             bad = [c for c in st.counts.values() if c <= 0]
             assert not bad, f"{label}: {op.kind} node holds non-positive counts"
@@ -192,3 +220,81 @@ def test_changeset_then_inverse_is_a_noop_on_state(seed):
             f"seed {seed}: view {name!r} internal state changed after inverse"
         )
         _assert_state_consistent(view, f"seed {seed} view {name}")
+
+
+# ---------------------------------------------------------------------------
+# 4. Outputs rendered on read: commits and reads interleaved at random
+# ---------------------------------------------------------------------------
+
+FLAT_T = SetType(ProdType(BASE, BASE))
+_ATOM = hst.integers(min_value=0, max_value=6)
+_ROWS = hst.lists(hst.tuples(_ATOM, _ATOM), min_size=1, max_size=4)
+
+
+_STEP = hst.one_of(
+    hst.tuples(hst.just("insert"), _ROWS),
+    hst.tuples(hst.just("delete"), _ROWS),
+    hst.tuples(hst.just("mixed"), _ROWS, _ROWS),
+    hst.tuples(hst.just("net-zero"), _ROWS),
+    hst.tuples(hst.just("demote")),
+    hst.tuples(hst.just("read"), hst.sampled_from(sorted(_panel()))),
+)
+
+
+def _assert_read_is_cold(session, cold, views, name, label):
+    view, query = views[name], _panel()[name]
+    want = cold.execute(query).value
+    got = view.value
+    assert got == want, f"{label}: view {name!r} diverged from a cold run"
+    assert got is session.engine.intern(want), f"{label}: view {name!r} is not the interned value"
+    assert len(view) == len(want.elements), f"{label}: len(view) drifted from the value"
+    _assert_state_consistent(view, f"{label} view {name}")
+
+
+@settings(max_examples=120, deadline=None)
+@given(flat=hst.booleans(), initial=hst.lists(hst.tuples(_ATOM, _ATOM), max_size=8),
+       steps=hst.lists(_STEP, max_size=14))
+def test_reads_at_random_points_equal_a_cold_run(flat, initial, steps):
+    db = Database("g").register("edges", frozenset(initial), type=FLAT_T)
+    engine = Engine(flat=flat)
+    try:
+        with connect(db, engine=engine) as session, connect(db) as cold:
+            views = {name: session.materialize(q, name=name)
+                     for name, q in _panel().items()}
+            demoted = False
+            for i, step in enumerate(steps):
+                kind = step[0]
+                if kind in ("insert", "delete"):
+                    getattr(db, kind)("edges", step[1])
+                elif kind == "mixed":
+                    db.apply(Changeset.of(edges=(step[1], step[2])))
+                elif kind == "net-zero":
+                    # An insert undone by the delete of exactly what it added
+                    # cancels in every pending delta: the identical object
+                    # comes back and -- on the dense-id walk, which never
+                    # reads its node's output -- nothing is rendered for it.
+                    before = {name: (view.value, view.stats.materializations)
+                              for name, view in views.items()}
+                    added = db.insert("edges", step[1]).get("edges")
+                    if added is not None:
+                        db.delete("edges", added.inserts)
+                    for name, view in views.items():
+                        value, renders = before[name]
+                        assert view.value is value, f"step {i}: view {name!r} moved"
+                        if flat and not demoted:
+                            assert view.stats.materializations == renders, (
+                                f"step {i}: view {name!r} rendered a net-zero pair"
+                            )
+                elif kind == "demote":
+                    # Typed rows cannot leave the flat pair domain, so decline
+                    # the next dense-id pass by hand: the fixpoint nodes move
+                    # to the object-path indexes for good, mid-sequence.
+                    demoted = True
+                    for view in views.values():
+                        view._flat_codes = lambda flat_state, values: None
+                else:
+                    _assert_read_is_cold(session, cold, views, step[1], f"step {i}")
+            for name in views:
+                _assert_read_is_cold(session, cold, views, name, "end")
+    finally:
+        engine.close()

@@ -178,6 +178,25 @@ class TestEndToEnd:
             change = view.notifications(timeout=10.0)
             assert (0, 1) in change.deleted and not change.inserted
 
+    @pytest.mark.ivm
+    @pytest.mark.dred
+    def test_subscribed_view_is_not_rendered_until_its_rows_are_read(self, mutable_server):
+        """Notify frames, ``materialize`` and ``views`` report the size from ``len(view)``."""
+        srv = mutable_server
+        with connect(srv.host, srv.port) as conn, conn.session() as s:
+            view = s.materialize(Q.coll("edges").fix(), name="tc")
+            served = srv._sessions[s.sid].views[view.vid][0]
+            assert view.size == len(served) == 120
+            for mutate, rows in ((s.insert, [(15, 16)]), (s.insert, [(16, 17), (3, 0)]),
+                                 (s.delete, [(7, 8)])):
+                mutate("edges", rows)
+                change = view.notifications(timeout=10.0)
+                assert change.size == len(served)
+            assert conn.views()[0]["rows"] == len(served)
+            assert served.stats.materializations == 0
+            assert len(view.rows()) == len(served)
+            assert served.stats.materializations == 1
+
     def test_unsubscribed_view_gets_no_queue(self, mutable_server):
         srv = mutable_server
         with connect(srv.host, srv.port) as conn, conn.session() as s:
