@@ -74,7 +74,7 @@ from .memo import MemoEvaluator, MemoStats
 from .parallel import ParallelEvaluator, ParStats
 from .rewrite import DEFAULT_RULES, VIEW_RULES, Rewriter, Rule, RuleFiring
 from .router import RouteDecision, Router
-from .vectorized import PlanNode, VecStats, VectorizedEvaluator
+from .vectorized import Compiled, PlanNode, VecStats, VectorizedEvaluator
 
 #: The evaluation backends an :class:`Engine` can run (``run``/``run_many``
 #: and the constructor default).  ``auto`` is the adaptive cost-based router
@@ -125,6 +125,11 @@ class Plan:
     #: Plan-cache lookups the engine had served when this plan was last
     #: asked for (recency, for :meth:`Engine._evict_plans`).
     used: int = field(default=0, compare=False, repr=False)
+    #: The vectorized backend's compiled entry for ``optimized``, so a repeat
+    #: run neither hashes the tree again nor consults the compile cache.
+    #: Plans are dropped wherever that cache is (``_evict_plans`` retains
+    #: what surviving plans compile to, ``clear_plans`` clears both).
+    compiled: Optional[Compiled] = field(default=None, compare=False, repr=False)
 
     @property
     def fired_rules(self) -> list[str]:
@@ -488,7 +493,8 @@ class Engine:
         with self._lock:
             with TRACER.span("query", backend=chosen) as sp:
                 t_start = perf_counter()
-                expr = self.optimize(e).optimized if optimize else e
+                plan = self.optimize(e) if optimize else None
+                expr = e if plan is None else plan.optimized
                 arg = self._to_value(db)
                 if chosen == "auto":
                     decision = self.router().route(expr, arg=arg, env=env)
@@ -500,13 +506,13 @@ class Engine:
                     t0 = perf_counter()
                     result = self._execute(
                         decision.backend, decision.expr, arg, env,
-                        shards=decision.shards,
+                        shards=decision.shards, plan=plan,
                     )
                     self.router().record_runtime(
                         expr, decision.backend, perf_counter() - t0
                     )
                 else:
-                    result = self._execute(chosen, expr, arg, env)
+                    result = self._execute(chosen, expr, arg, env, plan=plan)
                 if sp is not None:
                     els = getattr(result, "elements", None)
                     if isinstance(els, (frozenset, set, tuple, list)):
@@ -521,8 +527,13 @@ class Engine:
         arg: Optional[Value],
         env: Optional[dict],
         shards: Optional[int] = None,
+        plan: Optional[Plan] = None,
     ) -> Value:
-        """Dispatch one evaluation to a concrete backend (lock already held)."""
+        """Dispatch one evaluation to a concrete backend (lock already held).
+
+        ``plan`` is the cached plan ``expr`` came from, if any: the
+        vectorized backend keeps its compiled entry there.
+        """
         if chosen == "reference":
             self.last_stats = None
             return reference_run(expr, arg, env=env, sigma=self.sigma)
@@ -532,7 +543,13 @@ class Engine:
             # back the engine-scoped caches); report just this call's
             # share.
             before = ev.stats.copy()
-            result = ev.run(expr, arg=arg, env=env)
+            if plan is None or plan.optimized is not expr:
+                entry = ev.compile(expr)
+            else:
+                entry = plan.compiled
+                if entry is None:
+                    entry = plan.compiled = ev.compile(expr)
+            result = ev.run_compiled(entry, arg=arg, env=env)
             self.last_stats = ev.stats.since(before)
             return result
         if chosen == "parallel":

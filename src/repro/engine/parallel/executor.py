@@ -32,7 +32,7 @@ canonical representative ever leaks into engine state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
+from functools import partial
 from typing import Optional
 
 from ...nra.ast import Expr
@@ -534,8 +534,9 @@ class ParallelEvaluator:
         """Run the remaining rounds on dense-id arrays, or ``None`` to decline.
 
         The frontier terms are lowered exactly as the vectorized backend's
-        semi-naive loop lowers them; what changes is who executes a round's
-        probe chunks.  Thread pools fan the chunk *callables* across the pool
+        semi-naive loop lowers them and the same :meth:`FlatLoop.run` drives
+        the rounds; what changes is the *derive step* it is handed.  Thread
+        pools fan the chunk *callables* across the pool
         (the indexes are frozen during a round, so the readers don't race and
         -- because the hot loops are integer probes, not object protocol
         calls -- they block each other far less than the ``SetVal`` path
@@ -587,36 +588,30 @@ class ParallelEvaluator:
             shm = ShmFixpoint(self.pool, loop)
             if not shm.setup():
                 shm = None  # deep accessor paths: stay driver-local
-        use_threads = self.pool.kind == "thread" and self.workers > 1
-        trace_on = TRACER.enabled  # captured once per fixpoint
+        pooled = shm is not None or (self.pool.kind == "thread" and self.workers > 1)
+
+        def derive():
+            """One round's derive step on the pool (the loop does the rest)."""
+            if shm is not None:
+                n, parts = self.workers, shm.derive()
+            else:
+                tasks = loop.chunk_probes()
+                n, parts = len(tasks), self.pool.run_callables(tasks)
+            self.stats.tasks += n
+            self.stats.shards += n
+            return parts
+
         try:
-            while done < rounds and loop.frontier:
-                if trace_on:
-                    frontier = loop.frontier_size
-                    rt0 = perf_counter()
-                if shm is not None:
-                    shm.run_round()
-                    self.stats.tasks += self.workers
-                    self.stats.shards += self.workers
-                elif use_threads:
-                    tasks = loop.round_tasks()
-                    loop.commit(self.pool.run_callables(tasks))
-                    self.stats.tasks += len(tasks)
-                    self.stats.shards += len(tasks)
-                else:
-                    loop.run_round()
-                if trace_on:
-                    TRACER.event(
-                        "fixpoint-round",
-                        seconds=perf_counter() - rt0,
-                        round=done, frontier=frontier,
-                        flat=True, pool=self.pool.kind,
-                    )
-                self.stats.fixpoint_rounds += 1
-                if shm is not None or use_threads:
-                    self.stats.frontier_reshards += 1
-                done += 1
+            ran = loop.run(
+                rounds - done,
+                derive if pooled else None,
+                partial(TRACER.event, "fixpoint-round", flat=True, pool=self.pool.kind)
+                if TRACER.enabled else None,
+            )
         finally:
             if shm is not None:
                 shm.close()
+        self.stats.fixpoint_rounds += ran
+        if pooled:
+            self.stats.frontier_reshards += ran
         return loop.materialize()

@@ -353,10 +353,10 @@ class ShmFixpoint:
     """Drive one flat fixpoint across the shared-memory slots.
 
     The driver-side :class:`FlatLoop` keeps the authoritative accumulator and
-    dedup state (its ``commit`` is reused verbatim); workers hold mirrored
-    code state and do the probing.  Per round exactly one frontier array goes
-    out (one segment, every slot reads it) and one derived array comes back
-    per slot.
+    dedup state and runs the rounds (:meth:`derive` is the derive step its
+    ``run`` is handed); workers hold mirrored code state and do the probing.
+    Per round exactly one frontier array goes out (one segment, every slot
+    reads it) and one derived array comes back per slot.
     """
 
     _tokens = 0
@@ -396,9 +396,10 @@ class ShmFixpoint:
         )
         return True
 
-    def run_round(self) -> None:
-        loop = self.loop
-        data = loop.frontier_codes().tobytes()
+    def derive(self) -> list[array]:
+        """One round's derive step: broadcast the frontier, collect the codes
+        each slot derived (unfiltered: the workers hold no dedup state)."""
+        data = self.loop.frontier_codes().tobytes()
         blob, seg = pack_blob(data)
         try:
             results = self.pool.broadcast_slotted(
@@ -409,20 +410,11 @@ class ShmFixpoint:
                 seg.close()
                 seg.unlink()
         slots = self.pool.workers
-        derived = []
-        returned = 0
-        for chunk in results:
-            got: set[int] = set()
-            codes = array("q")
-            codes.frombytes(chunk)
-            got.update(codes)
-            returned += len(chunk)
-            derived.append(got)
-        loop.commit(derived)
         self.pool.shm_ships += 2 * slots
-        self.pool.array_bytes_shipped += returned + (
+        self.pool.array_bytes_shipped += sum(map(len, results)) + (
             len(data) if seg is not None else len(data) * slots
         )
+        return [array("q", chunk) for chunk in results]
 
     def close(self) -> None:
         try:

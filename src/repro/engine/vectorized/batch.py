@@ -122,7 +122,7 @@ class BatchContext:
     #: steady-state contexts keep ``None`` and pay a single ``is None``
     #: check per compile miss.
     profiler: Optional[object] = None
-    _indexes: dict[tuple, dict] = field(default_factory=dict)
+    _indexes: dict[tuple, object] = field(default_factory=dict)
     _columns: dict[tuple, object] = field(default_factory=dict)
 
     def clear_indexes(self) -> None:
@@ -188,6 +188,22 @@ class BatchContext:
             columns[key] = cached
             return cached
         return self._keep(columns, key, set_column(self.interner, source, path))
+
+    def field_of(self, source: SetVal, build: Callable[[], SetVal]) -> SetVal:
+        """``build()``, the values binary relation ``source`` mentions, once
+        per collection value (kept and aged out with its indexes).
+
+        This one structure derived from one collection, not a cache of
+        subterm results.  It does not follow a commit: the first read of the
+        next version builds its own, from the columns that did.
+        """
+        indexes = self._indexes
+        key = (id(source), "field")
+        cached = indexes.pop(key, None)
+        if cached is not None:
+            indexes[key] = cached
+            return cached
+        return self._keep(indexes, key, build())
 
     def flat_probe_index(
         self, source: SetVal, key_path: tuple[str, ...]
@@ -270,7 +286,7 @@ class BatchContext:
                 self._keep(self._columns, (id(new), key[1]),
                            patch_column(self._columns[key], dels, values))
         for key in [k for k in self._indexes if k[0] == id(old)]:
-            tag = key[1]  # an Expr (object index), ("flat", path) or ("inv", ...)
+            tag = key[1]  # an Expr (object index), "field", ("flat", path) or ("inv", ...)
             if type(tag) is tuple and tag[0] == "inv" and (id(new), tag) not in self._indexes:
                 try:
                     patched = patch_inv_index(self._indexes[key], it, tag, dels, ins)

@@ -45,11 +45,13 @@ the property suite enforce this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Callable, Optional
 
 from ...nra import ast
 from ...nra.ast import Expr, free_variables, fresh_name
+from ...nra.derived import match_field_of
 from ...nra.errors import NRAEvalError
 from ...objects.types import Type
 from ...objects.values import PairVal, SetVal, Value
@@ -385,8 +387,12 @@ class PlanCompiler:
 
     # -- entry point --------------------------------------------------------------
 
-    def compile(self, e: Expr, once: bool = False) -> Compiled:
+    def start_run(self) -> None:
+        """A new run begins: what the once-cells hold is no longer current."""
         self._run[0] += 1
+
+    def compile(self, e: Expr, once: bool = False) -> Compiled:
+        self.start_run()
         c = self._cache.get(e)
         if c is None:
             if TRACER.enabled:
@@ -448,11 +454,30 @@ class PlanCompiler:
         if isinstance(e, ast.Union):
             lc, rc = self.compile(e.left), self.compile(e.right)
             lfn, rfn = lc.fn, rc.fn
-            return Compiled(
-                node("union", "", lc.plan, rc.plan),
-                lambda env: it.union(
+
+            def union_fn(env):
+                return it.union(
                     expect_set(lfn(env), "union"), expect_set(rfn(env), "union")
-                ),
+                )
+
+            rel = match_field_of(e)
+            if rel is None:
+                return Compiled(node("union", "", lc.plan, rc.plan), union_fn)
+            # ``field_of(r)``, a loop's cardinality argument, is a function of
+            # one collection value: computed as written the first time that
+            # value is seen (so errors and counters are the union's own),
+            # then served with the value's columns.
+            ctx, sfn = self.ctx, self._source(rel).fn
+
+            def field_fn(env):
+                r = sfn(env)
+                if not isinstance(r, SetVal):
+                    return union_fn(env)
+                return ctx.field_of(r, lambda: union_fn(env))
+
+            return Compiled(
+                node("union", "", lc.plan, rc.plan, annotations=("per-value",)),
+                field_fn,
             )
         if isinstance(e, ast.Pair):
             fc, sc = self.compile(e.fst), self.compile(e.snd)
@@ -1016,12 +1041,12 @@ class PlanCompiler:
 
             def make(env, runner=runner):
                 seed = _value(seed_fn(env), "recursion seed")
-                run_rounds = runner.make(env)
+                run_loop = runner.make(env)
 
                 def call(s):
                     if not isinstance(s, SetVal):
                         raise NRAEvalError(f"recursion applied to non-set {s!r}")
-                    return run_rounds(seed, len(s.elements))
+                    return run_loop(seed, len(s.elements))
 
                 return VFunction(kind, call)
 
@@ -1165,21 +1190,12 @@ class PlanCompiler:
                         ):
                             loop = _try_flat_loop(captured, acc, delta)
                             if loop is not None:
-                                while done < rounds and loop.frontier:
-                                    ctx.stats.seminaive_rounds += 1
-                                    if trace_on:
-                                        frontier = loop.frontier_size
-                                        rt0 = perf_counter()
-                                        loop.run_round()
-                                        TRACER.event(
-                                            "fixpoint-round",
-                                            seconds=perf_counter() - rt0,
-                                            round=done, frontier=frontier,
-                                            flat=True,
-                                        )
-                                    else:
-                                        loop.run_round()
-                                    done += 1
+                                try:
+                                    loop.run(rounds - done, on_round=partial(
+                                        TRACER.event, "fixpoint-round", flat=True,
+                                    ) if trace_on else None)
+                                finally:
+                                    ctx.stats.seminaive_rounds += loop.rounds
                                 return loop.materialize()
                         while done < rounds and delta.elements:
                             ctx.stats.seminaive_rounds += 1
@@ -1265,7 +1281,7 @@ class PlanCompiler:
             )
 
             def make(env, runner=runner):
-                run_rounds = runner.make(env)
+                run_loop = runner.make(env)
 
                 def call(v):
                     if not isinstance(v, PairVal):
@@ -1276,7 +1292,7 @@ class PlanCompiler:
                             f"iterator cardinality argument must be a set, got {x!r}"
                         )
                     rounds = log_iterations(len(x)) if logarithmic else len(x)
-                    return run_rounds(y, rounds)
+                    return run_loop(y, rounds)
 
                 return VFunction(kind, call)
 

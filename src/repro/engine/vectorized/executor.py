@@ -77,7 +77,21 @@ class VectorizedEvaluator:
         env: Optional[dict] = None,
     ) -> Value:
         """Evaluate ``e`` and, if ``arg`` is given, apply the result to it."""
-        d = self.evaluate(e, env)
+        return self.run_compiled(self.compile(e), arg, env)
+
+    def run_compiled(
+        self,
+        c: Compiled,
+        arg: Optional[Value] = None,
+        env: Optional[dict] = None,
+    ) -> Value:
+        """:meth:`run` for an entry :meth:`compile` returned earlier.
+
+        No compile-cache lookup (which hashes the whole tree); a new run
+        starts for the once-cells all the same.
+        """
+        self.compiler.start_run()
+        d = c.fn(intern_env(self.interner, env))
         if arg is not None:
             if not isinstance(d, VFunction):
                 raise NRAEvalError(f"application: expected a function, got {d!r}")

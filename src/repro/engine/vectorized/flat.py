@@ -24,9 +24,14 @@ Three layers live here:
 * :class:`FlatLoop`: the semi-naive frontier loop over packed pair codes --
   the round structure of :func:`repro.recursion.iterators.seminaive_iterate`
   with frontier difference as integer-set difference and per-term hash joins
-  as int-keyed index probes.  Its rounds can be chunked into independent
-  callables, which is what the parallel backend's thread pool and
-  shared-memory workers consume.
+  as int-keyed index probes.  It is the one round loop of the compiling
+  backends: ``run`` goes to the fixpoint (or the iterator's budget) in one
+  call, because a linear-depth recursion pays whatever a round costs once
+  per unit of depth.  Per-term probe plans are resolved at ``setup``, the
+  frontier stays in the form the probe reads, the accumulator grows in
+  place and the counters are added once per call.  Only a round's *derive
+  step* is pluggable: the loop's own probe, a thread pool's chunked
+  callables, or shared-memory workers returning codes.
 
 Exactness contract: every helper either returns exactly what the object
 kernel would, or raises :class:`FlatUnavailable` *before any observable
@@ -40,7 +45,9 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from time import perf_counter
+from typing import Callable, Iterable, Optional
 
 from ...nra import ast
 from ...nra.ast import Expr, free_variables
@@ -153,11 +160,11 @@ def equal_mask(la: array, rb) -> list:
     return [x == rb for x in la]
 
 
-def unique_codes(codes) -> list:
-    """Sorted distinct codes (numpy sort-unique when it pays)."""
+def sorted_codes(codes: set) -> list:
+    """The codes of a set in ascending order (numpy sort when it pays)."""
     if _np is not None and len(codes) >= _NP_MIN:
-        return _np.unique(_np.fromiter(codes, dtype=_np.int64, count=len(codes))).tolist()
-    return sorted(set(codes))
+        return _np.sort(_np.fromiter(codes, dtype=_np.int64, count=len(codes))).tolist()
+    return sorted(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +336,28 @@ def patch_inv_index(index: dict, it, tag: tuple, dels: list, ins: list) -> dict[
 # Flat fixpoint: runtime
 # ---------------------------------------------------------------------------
 
+def _codes(fs, ss):
+    """Row-aligned fst/snd id columns as packed pair codes."""
+    return ((f << CODE_BITS) | s for f, s in zip(fs, ss))
+
+
+def _head_rest(path: tuple[str, ...]) -> tuple[bool, tuple[str, ...]]:
+    """A row-side path as (its head step picks ``fst``, the part walk left)."""
+    return path[:1] == ("f",), path[1:]
+
+
 class _FlatTerm:
-    """Runtime state of one flat join term inside a :class:`FlatLoop`."""
+    """One flat join term inside a :class:`FlatLoop`: its probe plan and index.
+
+    What a round needs to know about the term is resolved here, once per
+    loop: which side supplies each output component, and every row-side path
+    split into its head step (pick fst or snd of the row: free) and the
+    remaining part walk (rare).  An invariant side may carry an empty path;
+    its rows are element ids, resolved by full-path walks at setup.
+    """
 
     __slots__ = (
-        "spec", "index", "inv_rows", "a_left", "b_left",
-        "lk_head", "lk_rest", "oa_head", "oa_rest", "ob_head", "ob_rest",
+        "spec", "index", "inv_rows", "a_left", "b_left", "lk", "rk", "oa", "ob",
     )
 
     def __init__(self, spec: FlatTermSpec):
@@ -343,27 +366,22 @@ class _FlatTerm:
         self.inv_rows: list = []  # (lkey, la, lb) triples for an invariant left
         self.a_left = spec.out_a[0] == "l"
         self.b_left = spec.out_b[0] == "l"
-        # Split row-side paths into the head step (pick fst or snd of the
-        # row) and the remaining part walk; the head is free, the rest rare.
-        # An invariant side may carry an empty path (its rows are element
-        # ids, resolved by full-path walks instead).
-        self.lk_head = spec.lkey[0] if spec.lkey else ""
-        self.lk_rest = spec.lkey[1:] if spec.lkey else ()
-        self.oa_head = spec.out_a[1][0] if spec.out_a[1] else ""
-        self.oa_rest = spec.out_a[1][1:] if spec.out_a[1] else ()
-        self.ob_head = spec.out_b[1][0] if spec.out_b[1] else ""
-        self.ob_rest = spec.out_b[1][1:] if spec.out_b[1] else ()
+        self.lk, self.rk = _head_rest(spec.lkey), _head_rest(spec.rkey)
+        self.oa, self.ob = _head_rest(spec.out_a[1]), _head_rest(spec.out_b[1])
 
 
 class FlatLoop:
     """Semi-naive frontier iteration over packed pair codes.
 
     Construction + :meth:`setup` encode the round-one accumulator and
-    frontier as id arrays and build the per-term index structures; each
-    :meth:`run_round` derives one frontier.  ``chunks > 1`` splits a round's
-    probe work into that many independent callables (strided over the
-    streamed rows) which ``runner`` may execute concurrently -- the indexes
-    are frozen during a round, so concurrent readers are safe.
+    frontier as id columns and resolve the per-term probe plans and indexes;
+    :meth:`run` then drives every remaining round in one call.  What varies
+    between callers is only a round's *derive step* -- who probes the frozen
+    indexes with the frontier: the loop itself, or a pool handed
+    :meth:`chunk_probes` (``chunks`` independent callables, strided over the
+    streamed rows), or worker processes holding mirrored code state.
+    Deduplication, the accumulator, the acc-side indexes, convergence and
+    the counters stay here whoever derives.
     """
 
     def __init__(self, ctx, specs: list, chunks: int = 1):
@@ -371,6 +389,8 @@ class FlatLoop:
         self.it = it = ctx.interner
         self.stats = ctx.stats
         self.chunks = max(1, chunks)
+        #: Rounds begun so far (a round that raised while deriving counts).
+        self.rounds = 0
         self._parts = it.pair_parts()
         self._by_dense = it._by_dense
         self._specs = specs
@@ -378,23 +398,17 @@ class FlatLoop:
         self._acc_f = array("q")
         self._acc_s = array("q")
         self._acc_codes: set[int] = set()
-        self._delta_f = array("q")
-        self._delta_s = array("q")
-        self._rounds = 0
+        # The frontier as the probe reads it: fst and snd ids, row-aligned.
+        self._delta_f: list[int] = []
+        self._delta_s: list[int] = []
 
     # -- setup --------------------------------------------------------------------
 
-    def _encode_rows(self, s: SetVal) -> tuple[array, array]:
-        parts = self._parts
-        ids = self.it.set_ids(s)
-        fs = array("q", bytes(8 * len(ids)))
-        ss = array("q", bytes(8 * len(ids)))
-        for row, dense in enumerate(ids):
-            pq = parts.get(dense)
-            if pq is None:
-                raise FlatUnavailable("non-pair accumulator element")
-            fs[row], ss[row] = pq
-        return fs, ss
+    def _encode_rows(self, s: SetVal) -> tuple[list, list]:
+        rows = list(map(self._parts.get, self.it.set_ids(s)))
+        if None in rows:
+            raise FlatUnavailable("non-pair accumulator element")
+        return [f for f, _ in rows], [s for _, s in rows]
 
     def setup(self, acc: SetVal, delta: SetVal, inv_vals: list) -> None:
         """Encode state and build indexes.  ``inv_vals`` pairs up with the
@@ -404,10 +418,9 @@ class FlatLoop:
         """
         if self.it.dense_size >= ID_LIMIT:
             raise FlatUnavailable("dense-id space exceeds the 32-bit pack limit")
-        self._acc_f, self._acc_s = self._encode_rows(acc)
-        self._acc_codes = {
-            (f << CODE_BITS) | s for f, s in zip(self._acc_f, self._acc_s)
-        }
+        fs, ss = self._encode_rows(acc)
+        self._acc_f, self._acc_s = array("q", fs), array("q", ss)
+        self._acc_codes = set(_codes(fs, ss))
         self._delta_f, self._delta_s = self._encode_rows(delta)
         stats = self.stats
         for spec, (lval, rval) in zip(self._specs, inv_vals):
@@ -427,7 +440,7 @@ class FlatLoop:
                     None if t.b_left else spec.out_b[1],
                 ))
             elif spec.right == "acc":
-                self._index_rows(t, self._acc_f, self._acc_s)
+                self._index_rows(t, fs, ss)
                 stats.index_builds += 1
             self._terms.append(t)
 
@@ -437,171 +450,155 @@ class FlatLoop:
                spec.out_a[1] if t.a_left else None, spec.out_b[1] if t.b_left else None)
         return [(lk, la, lb) for lk, (la, lb) in _inv_rows(self.it, self.it.set_ids(s), tag)]
 
-    def _index_rows(self, t: _FlatTerm, fs: array, ss: array) -> None:
+    def _index_rows(self, t: _FlatTerm, fs, ss) -> None:
         """Index (or extend the index of) pair rows by the right key path."""
         parts, by_dense = self._parts, self._by_dense
-        spec = t.spec
-        rk_head, rk_rest = spec.rkey[0], spec.rkey[1:]
-        index = t.index
-        setdefault = index.setdefault
+        (rk_f, rk_rest), (oa_f, oa_rest), (ob_f, ob_rest) = t.rk, t.oa, t.ob
+        a_left, b_left = t.a_left, t.b_left
+        setdefault = t.index.setdefault
         for f, s in zip(fs, ss):
-            rk = f if rk_head == "f" else s
+            rk = f if rk_f else s
             if rk_rest:
                 rk = _follow_or_raise(parts, by_dense, rk, rk_rest)
-            if t.a_left:
-                ra = 0
-            else:
-                ra = f if t.oa_head == "f" else s
-                if t.oa_rest:
-                    ra = _follow_or_raise(parts, by_dense, ra, t.oa_rest)
-            if t.b_left:
-                rb = 0
-            else:
-                rb = f if t.ob_head == "f" else s
-                if t.ob_rest:
-                    rb = _follow_or_raise(parts, by_dense, rb, t.ob_rest)
+            ra = rb = 0
+            if not a_left:
+                ra = f if oa_f else s
+                if oa_rest:
+                    ra = _follow_or_raise(parts, by_dense, ra, oa_rest)
+            if not b_left:
+                rb = f if ob_f else s
+                if ob_rest:
+                    rb = _follow_or_raise(parts, by_dense, rb, ob_rest)
             setdefault(rk, []).append((ra, rb))
 
     # -- rounds -------------------------------------------------------------------
 
-    @property
-    def frontier(self) -> bool:
-        """True while the last round derived something new."""
-        return len(self._delta_f) > 0
-
-    @property
-    def frontier_size(self) -> int:
-        """Pairs in the current frontier (trace cardinality; O(1))."""
-        return len(self._delta_f)
-
     def frontier_codes(self) -> array:
         """The current frontier as packed codes (what shm workers receive)."""
-        out = array("q", bytes(8 * len(self._delta_f)))
-        for row, (f, s) in enumerate(zip(self._delta_f, self._delta_s)):
-            out[row] = (f << CODE_BITS) | s
-        return out
+        return array("q", _codes(self._delta_f, self._delta_s))
 
     def acc_codes_array(self) -> array:
         """The accumulator as packed codes (the shm setup payload)."""
-        out = array("q", bytes(8 * len(self._acc_f)))
-        for row, (f, s) in enumerate(zip(self._acc_f, self._acc_s)):
-            out[row] = (f << CODE_BITS) | s
-        return out
+        return array("q", _codes(self._acc_f, self._acc_s))
 
-    def round_tasks(self) -> list[Callable[[], set]]:
-        """Prepare one round: rebuild frontier indexes, return probe tasks."""
-        stats = self.stats
-        njoins = 0
-        for t in self._terms:
-            if t.spec.right == "delta":
-                t.index = {}
-                self._index_rows(t, self._delta_f, self._delta_s)
-                stats.index_builds += 1
-            elif self._rounds >= 1:
-                # A prebuilt (invariant or incrementally-extended) index is
-                # being reused across rounds: the flat analogue of the object
-                # kernels' index-cache hit.
-                stats.index_hits += 1
-            njoins += 1
-        stats.hash_joins += njoins
-        stats.flat_joins += njoins
+    def run(
+        self,
+        budget: int,
+        derive: Optional[Callable[[], Iterable]] = None,
+        on_round: Optional[Callable] = None,
+    ) -> int:
+        """Run rounds until the frontier empties or ``budget`` are done.
+
+        A round refreshes the frontier-side indexes, derives, keeps what the
+        accumulator lacks (one sort: the new frontier, in code order),
+        extends the accumulator columns and acc-side indexes in place.
+        ``derive()`` replaces the loop's own whole-frontier probe and returns
+        collections of codes, filtered or not; indexes and accumulator are
+        frozen while it runs.  ``on_round(seconds=, round=, frontier=)`` is
+        called after each round with the frontier size it started from.
+        Returns the rounds completed by this call; the counters are added
+        once, on the way out, also when a round raises (its joins count, the
+        round itself does not -- a raise while refreshing counts nothing).
+        """
+        terms, seen = self._terms, self._acc_codes
+        acc_f, acc_s = self._acc_f, self._acc_s
+        rebuilt = [t for t in terms if t.spec.right == "delta"]
+        grown = [t for t in terms if t.spec.right == "acc"]
+        kept = len(terms) - len(rebuilt)  # prebuilt indexes reused per round
+        done = joined = hits = 0
+        try:
+            while done < budget and self._delta_f:
+                if on_round is not None:
+                    size, t0 = len(self._delta_f), perf_counter()
+                self.rounds += 1
+                for t in rebuilt:
+                    t.index = {}
+                    self._index_rows(t, self._delta_f, self._delta_s)
+                if self.rounds > 1:
+                    hits += kept
+                joined += 1
+                if derive is None:
+                    fresh = self._probe(0, 1)
+                else:
+                    fresh = set().union(*derive())
+                    fresh -= seen
+                new = sorted_codes(fresh)
+                nf = [c >> CODE_BITS for c in new]
+                ns = [c & CODE_MASK for c in new]
+                seen.update(new)
+                acc_f.extend(nf)
+                acc_s.extend(ns)
+                for t in grown:
+                    self._index_rows(t, nf, ns)
+                self._delta_f, self._delta_s = nf, ns
+                done += 1
+                if on_round is not None:
+                    on_round(seconds=perf_counter() - t0, round=self.rounds, frontier=size)
+        finally:
+            stats = self.stats
+            stats.flat_rounds += done
+            stats.flat_dedups += done
+            stats.hash_joins += joined * len(terms)
+            stats.flat_joins += joined * len(terms)
+            stats.index_builds += joined * len(rebuilt)
+            stats.index_hits += hits
+        return done
+
+    def chunk_probes(self) -> list[Callable[[], set]]:
+        """The current round's probe work as up to ``chunks`` callables."""
         k = min(self.chunks, max(1, len(self._delta_f)))
-        return [
-            (lambda i=i, k=k: self._derive(i, k)) for i in range(k)
-        ]
+        return [partial(self._probe, i, k) for i in range(k)]
 
-    def _derive(self, i: int, k: int) -> set:
-        """Probe chunk ``i`` of ``k``: every term, strided over its rows."""
+    def _probe(self, i: int, k: int) -> set:
+        """Chunk ``i`` of ``k`` of a round: every term, strided over its rows.
+
+        Returns the derived codes the accumulator lacks.  Reads only state
+        that is frozen while a round derives, so chunks may run concurrently.
+        """
         parts, by_dense = self._parts, self._by_dense
+        seen = self._acc_codes
         out: set[int] = set()
         add = out.add
         for t in self._terms:
-            spec = t.spec
             get = t.index.get
             a_left, b_left = t.a_left, t.b_left
-            if spec.left == "inv":
-                rows = t.inv_rows
-                for j in range(i, len(rows), k):
-                    lk, la, lb = rows[j]
+            left = t.spec.left
+            if left == "inv":
+                for lk, la, lb in t.inv_rows[i::k]:
                     ms = get(lk)
                     if ms:
                         for ra, rb in ms:
-                            add(
-                                ((la if a_left else ra) << CODE_BITS)
-                                | (lb if b_left else rb)
-                            )
+                            c = ((la if a_left else ra) << CODE_BITS) | (lb if b_left else rb)
+                            if c not in seen:
+                                add(c)
                 continue
-            if spec.left == "delta":
+            if left == "delta":
                 fs, ss = self._delta_f, self._delta_s
             else:
                 fs, ss = self._acc_f, self._acc_s
-            lk_head, lk_rest = t.lk_head, t.lk_rest
-            oa_head, oa_rest = t.oa_head, t.oa_rest
-            ob_head, ob_rest = t.ob_head, t.ob_rest
-            for j in range(i, len(fs), k):
-                f = fs[j]
-                s = ss[j]
-                lk = f if lk_head == "f" else s
+            (lk_f, lk_rest), (oa_f, oa_rest), (ob_f, ob_rest) = t.lk, t.oa, t.ob
+            for f, s in zip(fs[i::k], ss[i::k]):
+                lk = f if lk_f else s
                 if lk_rest:
                     lk = _follow_or_raise(parts, by_dense, lk, lk_rest)
                 ms = get(lk)
                 if ms:
+                    la = lb = 0
                     if a_left:
-                        la = f if oa_head == "f" else s
+                        la = f if oa_f else s
                         if oa_rest:
                             la = _follow_or_raise(parts, by_dense, la, oa_rest)
-                    else:
-                        la = 0
                     if b_left:
-                        lb = f if ob_head == "f" else s
+                        lb = f if ob_f else s
                         if ob_rest:
                             lb = _follow_or_raise(parts, by_dense, lb, ob_rest)
-                    else:
-                        lb = 0
                     for ra, rb in ms:
-                        add(
-                            ((la if a_left else ra) << CODE_BITS)
-                            | (lb if b_left else rb)
-                        )
+                        c = ((la if a_left else ra) << CODE_BITS) | (lb if b_left else rb)
+                        if c not in seen:
+                            add(c)
         return out
-
-    def commit(self, derived_sets) -> None:
-        """Merge chunk results, compute the new frontier, extend state."""
-        acc_codes = self._acc_codes
-        fresh: set[int] = set()
-        for part in derived_sets:
-            fresh |= part
-        fresh -= acc_codes
-        new = unique_codes(fresh)
-        mask = CODE_MASK
-        nf = array("q", bytes(8 * len(new)))
-        ns = array("q", bytes(8 * len(new)))
-        for row, c in enumerate(new):
-            nf[row] = c >> CODE_BITS
-            ns[row] = c & mask
-        acc_codes.update(new)
-        self._acc_f.extend(nf)
-        self._acc_s.extend(ns)
-        for t in self._terms:
-            if t.spec.right == "acc" and len(nf):
-                self._index_rows(t, nf, ns)
-        self._delta_f, self._delta_s = nf, ns
-        self._rounds += 1
-        self.stats.flat_rounds += 1
-        self.stats.flat_dedups += 1
-
-    def run_round(self, runner: Optional[Callable] = None) -> None:
-        """One semi-naive round; ``runner(tasks)`` may run chunks concurrently."""
-        tasks = self.round_tasks()
-        if runner is None or len(tasks) <= 1:
-            results = [t() for t in tasks]
-        else:
-            results = runner(tasks)
-        self.commit(results)
 
     def materialize(self) -> SetVal:
         """The accumulator as a canonical interned set (the plan boundary)."""
         self.stats.flat_dedups += 1
-        return self.it.set_from_pair_codes(
-            (f << CODE_BITS) | s for f, s in zip(self._acc_f, self._acc_s)
-        )
+        return self.it.set_from_pair_codes(_codes(self._acc_f, self._acc_s))

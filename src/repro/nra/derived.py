@@ -157,6 +157,24 @@ def field_of(r: Expr, t1: Type, t2: Type) -> Expr:
     return Union(rel_proj1(r, t1, t2), rel_proj2(r, t1, t2))
 
 
+def match_field_of(e: Expr) -> Optional[Expr]:
+    """The inverse of :func:`field_of`: ``r`` iff ``e`` is ``field_of(r, t, t)``.
+
+    Up to the names of bound variables, and nothing looser.
+    """
+    if not (
+        isinstance(e, Union)
+        and isinstance(e.left, Apply)
+        and isinstance(e.left.func, Ext)
+        and isinstance(e.left.func.func, Lambda)
+    ):
+        return None
+    r, t = e.left.arg, e.left.func.func.var_type
+    if not (isinstance(t, ProdType) and t.fst == t.snd):
+        return None
+    return r if alpha_equal(e, field_of(r, t.fst, t.snd)) else None
+
+
 def compose(r1: Expr, r2: Expr, t: Type, stream_right: bool = False) -> Expr:
     """Relation composition ``r1 o r2`` of binary relations over ``t``.
 

@@ -329,6 +329,30 @@ def test_warm_engine_reports_zero_compiles():
     assert eng.last_stats.compiled_exprs == 0
 
 
+def test_warm_run_finds_its_compiled_entry_on_the_plan(monkeypatch):
+    """Second execute consults the compile cache zero times (so the template
+    is hashed once, by the plan cache), still starts a new once-cell run,
+    and loses the entry exactly when the plans and the compile cache go."""
+    q = reachable_pairs_query("logloop")
+    eng = Engine(backend="vectorized")
+    want = eng.run(q, path_graph(8))
+    compiler = eng._vec().compiler
+    lookups = []
+    real = compiler.compile
+    monkeypatch.setattr(
+        compiler, "compile", lambda e, once=False: lookups.append(e) or real(e, once)
+    )
+    run_before = compiler._run[0]
+    assert eng.run(q, path_graph(8)) == want
+    assert lookups == []
+    assert compiler._run[0] == run_before + 1
+    assert eng.run(q, path_graph(8), optimize=False) == want  # no plan: looked up
+    assert len(lookups) == 1
+    eng.clear_plans()
+    assert eng.run(q, path_graph(8)) == want
+    assert len(lookups) > 1 and eng.last_stats.compiled_exprs > 0
+
+
 def test_vectorized_compiles_counter_starts_at_zero():
     eng = Engine()
     assert eng.vectorized_compiles() == 0

@@ -153,6 +153,10 @@ class World:
         for (sid, path), col in ctx._columns.items():
             assert col == set_column(it, sets[sid], path), path
         for (sid, tag), index in ctx._indexes.items():
+            if tag == "field":  # a relation's nodes, kept per collection value
+                nodes = {x for row in sets[sid].elements for x in (row.fst, row.snd)}
+                assert set(index.elements) == nodes, tag
+                continue
             if index is None or type(tag) is not tuple:
                 continue  # a select's touch mark / an object-kernel index
             if tag[0] == "inv":
