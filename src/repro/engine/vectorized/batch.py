@@ -29,6 +29,7 @@ shapes are lowered onto these kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Iterable, Optional
 
 from ...nra.errors import NRAEvalError
@@ -500,6 +501,70 @@ def flat_map(ctx: BatchContext, source: SetVal, out_spec: tuple) -> SetVal:
         result = it.set_from_pair_codes(
             (a << CODE_BITS) | b for a, b in zip(ca, cb)
         )
+    ctx.stats.bulk_maps += 1
+    ctx.stats.flat_maps += 1
+    ctx.stats.flat_dedups += 1
+    return result
+
+
+def flat_group_map(
+    ctx: BatchContext,
+    keys,
+    inner: SetVal,
+    lpath: tuple[str, ...],
+    opath: tuple[str, ...],
+) -> SetVal:
+    """``ext(\\x. {(k(x), ext(\\y. if l(y) = k(x) then {o(y)} else {})(inner))})(S)``.
+
+    The hash group-by: ``keys`` is the ``k`` column of ``S`` (taken by the
+    caller, before ``inner`` was evaluated).  One fetch of the ``(inner, l)``
+    index the joins share, then one group -- one dedup over the ``o`` column
+    -- per *distinct* key; a key ``inner`` lacks pairs with the empty set.
+    O(|S| + |inner|), where the select per element probes and dedups per row.
+    """
+    it = ctx.interner
+    ocol = ctx.flat_column(inner, opath)
+    rows_of = ctx.flat_probe_index(inner, lpath).get
+    dense_id, set_from_ids, pair = it.dense_id, it.set_from_ids, it.pair_from_ids
+    out = [
+        pair(k, dense_id(set_from_ids([ocol[r] for r in rows_of(k, ())])))
+        for k in dict.fromkeys(keys)
+    ]
+    ctx.stats.bulk_maps += 1
+    ctx.stats.flat_maps += 1
+    ctx.stats.flat_dedups += len(out)
+    return it.mkset(out)
+
+
+def flat_unnest(
+    ctx: BatchContext,
+    source: SetVal,
+    spath: tuple[str, ...],
+    apath: Optional[tuple[str, ...]],
+    bpath: Optional[tuple[str, ...]],
+) -> SetVal:
+    """``ext(\\x. ext(\\y. {(a, b)})(s(x)))(source)``: one flattening pass.
+
+    ``a``/``b`` are paths of ``x``, or ``None`` for ``y`` itself.  Each inner
+    set contributes its cached id column, the output is packed pair codes
+    deduplicated once -- no closure call per element of either level.
+    """
+    it = ctx.interner
+    _guard_pack(ctx, ("pair",))
+    scol = ctx.flat_column(source, spath)
+    acol = None if apath is None else ctx.flat_column(source, apath)
+    bcol = None if bpath is None else ctx.flat_column(source, bpath)
+    value_of, set_ids = it.value_of, it.set_ids
+    codes: list[int] = []
+    for row, s in enumerate(scol):
+        inner = value_of(s)
+        if not isinstance(inner, SetVal):
+            raise FlatUnavailable("non-set under the unnested path")
+        ys = set_ids(inner)
+        a_ids = ys if acol is None else repeat(acol[row], len(ys))
+        b_ids = ys if bcol is None else repeat(bcol[row], len(ys))
+        codes += [(a << CODE_BITS) | b for a, b in zip(a_ids, b_ids)]
+    result = it.set_from_pair_codes(codes)
     ctx.stats.bulk_maps += 1
     ctx.stats.flat_maps += 1
     ctx.stats.flat_dedups += 1

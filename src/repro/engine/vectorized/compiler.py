@@ -66,9 +66,11 @@ from .batch import (
     bulk_select,
     elementwise_ext,
     expect_set,
+    flat_group_map,
     flat_join,
     flat_map,
     flat_select,
+    flat_unnest,
     hash_join,
     unbind,
     union_all,
@@ -721,6 +723,42 @@ class PlanCompiler:
                 return lp, rp, ("pair", ca, cb)
         return None
 
+    def _flat_group_spec(self, item: Expr, var: str) -> Optional[tuple]:
+        """Lower a grouped map's output ``(k(x), ext(\\y. if l(y) = k(x) then
+        {o(y)} else {})(T))`` -- ``nest``, and any select per key of an outer
+        set -- to ``(kpath, T, lpath, opath)``, or ``None``."""
+        if not isinstance(item, ast.Pair):
+            return None
+        kpath = accessor_path(item.fst, var)
+        join = match_join(var, item.snd) if kpath is not None else None
+        if join is None:
+            return None
+        rvar, lkey, rkey, out, inner_src = join
+        lpath, opath = accessor_path(rkey, rvar), accessor_path(out, rvar)
+        if accessor_path(lkey, var) != kpath or lpath is None or opath is None:
+            return None
+        return kpath, inner_src, lpath, opath
+
+    def _flat_unnest_spec(self, body: Expr, var: str) -> Optional[tuple]:
+        """Lower an unnest's body ``ext(\\y. {(a, b)})(s(x))`` to ``(spath,
+        apath, bpath)`` -- a component is a path of ``x``, or ``None`` for
+        ``y`` itself -- or ``None``."""
+        if not (
+            isinstance(body, ast.Apply)
+            and isinstance(body.func, ast.Ext)
+            and isinstance(body.func.func, ast.Lambda)
+        ):
+            return None
+        g, spath = body.func.func, accessor_path(body.arg, var)
+        item = g.body.item if isinstance(g.body, ast.Singleton) else None
+        if spath is None or g.var == var or not isinstance(item, ast.Pair):
+            return None
+        comps = (item.fst, item.snd)
+        paths = [accessor_path(c, var) for c in comps]  # None: not a path of x
+        if any(p is None and c != ast.Var(g.var) for p, c in zip(paths, comps)):
+            return None
+        return (spath, *paths)
+
     # -- kernel sources -----------------------------------------------------------
 
     def _source(self, e: Expr) -> Compiled:
@@ -769,6 +807,35 @@ class PlanCompiler:
             oc = self.compile(body.item)
             ofn = oc.fn
             out_fn = lambda env: _value(ofn(env), "singleton")
+            group_spec = self._flat_group_spec(body.item, var) if ctx.use_flat else None
+            if group_spec is not None:
+                kpath, inner_src, lpath, opath = group_spec
+                # _source: nest's two occurrences of its argument share a once-cell.
+                tfn = self._source(inner_src).fn
+
+                def group_map_fn(env):
+                    source = expect_set(sfn(env), "ext")
+                    if not source.elements:
+                        # As join_fn: the inner source sits under the binder.
+                        return ctx.interner.empty_set
+                    try:
+                        # The key column before the inner source: a malformed
+                        # outer element must fall back before T can raise.
+                        keys = ctx.flat_column(source, kpath)
+                        return flat_group_map(
+                            ctx, keys, expect_set(tfn(env), "ext"), lpath, opath
+                        )
+                    except FlatUnavailable:
+                        ctx.stats.flat_fallbacks += 1
+                    return bulk_map(ctx, env, source, var, out_fn)
+
+                return Compiled(
+                    node(
+                        "map", var, sc.plan, oc.plan,
+                        annotations=("flat-columns", "grouped"),
+                    ),
+                    group_map_fn,
+                )
             flat_spec = (
                 self._flat_out_spec(body.item, var) if ctx.use_flat else None
             )
@@ -915,6 +982,20 @@ class PlanCompiler:
         # set construction for the output.
         bc = self.compile(body)
         bfn = bc.fn
+        unnest_spec = self._flat_unnest_spec(body, var) if ctx.use_flat else None
+        if unnest_spec is not None:
+            def flat_unnest_fn(env):
+                source = expect_set(sfn(env), "ext")
+                try:
+                    return flat_unnest(ctx, source, *unnest_spec)
+                except FlatUnavailable:
+                    ctx.stats.flat_fallbacks += 1
+                return elementwise_ext(ctx, env, source, var, bfn)
+
+            return Compiled(
+                node("ext", var, sc.plan, bc.plan, annotations=("flat-columns",)),
+                flat_unnest_fn,
+            )
         return Compiled(
             node("ext", var, sc.plan, bc.plan),
             lambda env: elementwise_ext(ctx, env, expect_set(sfn(env), "ext"), var, bfn),

@@ -258,10 +258,11 @@ def nest(r: Expr, t1: Type, t2: Type) -> Expr:
     ``r`` occurs twice, the second time under the binder of the first: the
     calculus has no ``let``.  The reference interpreter therefore evaluates
     ``r`` once more per row and scans it for each group, O(|r| * cost(r) +
-    |r|^2).  The vectorized compiler evaluates a computed ``r`` once per run
-    (both occurrences share a once-cell) and finds each group by probing one
-    ``(r, pi1)`` index, O(cost(r) + |r|), on the term as written: a caller
-    on that backend need not ``let``-bind.
+    |r|^2).  The vectorized compiler recognises the term as written (no
+    rewrite, no ``let``) as a grouped map: a computed ``r`` is evaluated once
+    per run (both occurrences share a once-cell) and one pass over the
+    ``(r, pi1)`` index builds each group once per distinct key,
+    O(cost(r) + |r|).
     """
     rel_t = ProdType(t1, t2)
     p = fresh_name("np")
@@ -278,7 +279,11 @@ def nest(r: Expr, t1: Type, t2: Type) -> Expr:
 
 
 def unnest(r: Expr, t1: Type, t2: Type) -> Expr:
-    """Unnest ``{s x {t}} -> {s x t}``: flatten the grouped second column."""
+    """Unnest ``{s x {t}} -> {s x t}``: flatten the grouped second column.
+
+    Two nested ``ext``, one parallel step; the vectorized compiler runs the
+    term as written as one flattening pass over id columns.
+    """
     nested_t = ProdType(t1, SetType(t2))
     p = fresh_name("up")
     y = fresh_name("uy")

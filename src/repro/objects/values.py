@@ -349,16 +349,15 @@ def to_python(v: Value) -> Any:
     recursively; unhashable results cannot occur because everything converts
     to hashable Python data), unit becomes the empty tuple.
     """
-    if isinstance(v, BaseVal):
+    cls = type(v)  # the value classes are final: one dispatch, no isinstance chain
+    if cls is BaseVal or cls is BoolVal:
         return v.value
-    if isinstance(v, BoolVal):
-        return v.value
-    if isinstance(v, UnitVal):
-        return ()
-    if isinstance(v, PairVal):
+    if cls is PairVal:
         return (to_python(v.fst), to_python(v.snd))
-    if isinstance(v, SetVal):
-        return frozenset(to_python(e) for e in v.elements)
+    if cls is SetVal:
+        return frozenset([to_python(e) for e in v.elements])
+    if cls is UnitVal:
+        return ()
     raise TypeError(f"not a complex object value: {v!r}")
 
 

@@ -3,9 +3,11 @@
 ``ext(\\q. if path(q) = k then {out} else {})(s)`` with ``k`` free of ``q``
 is a key lookup: the flat select scans the first time ``s`` is selected from
 and probes the index :meth:`BatchContext.flat_probe_index` keeps for the
-joins from then on.  Every case below is run twice on one engine (so both
-the scan and the probe answer it) and held to the reference interpreter
-``repro.nra.eval.run``.
+joins from then on.  The same select under the binder of an outer set is a
+*grouped map* (``nest`` is one), and ``unnest`` a flattening pass: one
+kernel each over id columns.  Every case below is run twice on one engine
+(so both the scan and the probe answer it) and on ``Engine(flat=False)``,
+and held to the reference interpreter ``repro.nra.eval.run``.
 """
 
 import pytest
@@ -27,7 +29,7 @@ from repro.nra.ast import (
     Singleton,
     Var,
 )
-from repro.nra.derived import compose, difference, intersection, member, nest
+from repro.nra.derived import compose, difference, intersection, member, nest, unnest
 from repro.nra.errors import NRAEvalError
 from repro.nra.eval import run as reference_run
 from repro.objects.types import BASE, ProdType
@@ -73,10 +75,25 @@ def agree(expr, env):
     """Scan (first run) and probe (second run) both equal the reference."""
     want = reference_run(expr, env=env)
     engine = Engine(backend="vectorized")
-    for _ in range(2):
-        assert engine.run(expr, env=env, optimize=False) == want
-        assert engine.last_stats.flat_fallbacks == 0
+    for e in (engine, Engine(backend="vectorized", flat=False)):
+        for _ in range(2):
+            assert e.run(expr, env=env, optimize=False) == want
+            assert e.last_stats.flat_fallbacks == 0
     return engine
+
+
+def same_error(expr, env, match):
+    """Both settings, twice each, raise the reference's error, one message."""
+    messages = []
+    for flat in (True, False):
+        engine = Engine(backend="vectorized", flat=flat)
+        for _ in range(2):
+            with pytest.raises(NRAEvalError, match=match) as err:
+                engine.run(expr, env=env, optimize=False)
+            messages.append(str(err.value))
+    assert len(set(messages)) == 1
+    with pytest.raises(NRAEvalError, match=match):
+        reference_run(expr, env=env)
 
 
 # ---------------------------------------------------------------------------
@@ -151,26 +168,77 @@ def test_q_builders_agree_with_the_reference(a, b):
             assert session.execute(query).value == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(FLAT, FLAT, st.sampled_from([Proj1, Proj2]), st.sampled_from([Proj1, Proj2]),
+       st.sampled_from([whole, Proj1, Proj2]))
+def test_grouped_map_with_keys_from_a_second_collection(s, t, key, lkey, out):
+    # Keys are a column of ``s``; ``t`` lacks some of them (empty groups).
+    env = {"s": from_python(set(s)), "t": from_python(set(t))}
+    group = select(PAIR_T, lkey, key(Var("p")), out, Var("t"))
+    expr = Apply(Ext(Lambda("p", PAIR_T, Singleton(Pair(key(Var("p")), group)))), Var("s"))
+    engine = agree(expr, env)
+    assert engine.explain_plan(expr, optimize=False).annotations == ("flat-columns", "grouped")
+    assert engine.last_stats.bulk_selects == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(FLAT, NESTED)
+def test_nest_and_unnest_are_one_kernel_each(rel, adj):
+    # Duplicate keys in ``rel``; empty inner sets in ``adj``.
+    env = {"r": from_python(set(rel)), "adj": from_python(set(adj))}
+    nested = agree(nest(Var("r"), BASE, BASE), env).last_stats
+    assert (nested.bulk_maps, nested.bulk_selects) == (min(1, len(rel)), 0)
+    assert nested.flat_dedups == len({a for a, _ in rel})
+    flat = agree(unnest(Var("adj"), BASE, BASE), env).last_stats
+    assert (flat.bulk_maps, flat.elementwise_exts, flat.flat_dedups) == (1, 0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(FLAT, NESTED)
+def test_nest_and_unnest_are_inverse(rel, adj):
+    r = from_python(set(rel))
+    back = unnest(nest(Var("r"), BASE, BASE), BASE, BASE)
+    agree(back, {"r": r})
+    assert reference_run(back, env={"r": r}) == r
+    # nest . unnest is the identity on unique keys and no empty group.
+    groups = from_python({(a, g) for a, g in dict(adj).items() if g})
+    forth = nest(unnest(Var("R"), BASE, BASE), BASE, BASE)
+    agree(forth, {"R": groups})
+    assert reference_run(forth, env={"R": groups}) == groups
+
+
 # ---------------------------------------------------------------------------
 # What must stay a scan, and what the probe may not change
 # ---------------------------------------------------------------------------
 
 REL = {(0, 1), (0, 2), (1, 2), (3, 0)}
+NOT_A_SET = "ext: expected a set|ext applied to non-set"  # the engine's wording | the reference's
 
 
 def test_probe_starts_at_the_second_select_and_shares_the_join_index():
     env = {"r": from_python(REL), "ks": from_python({0, 1, 2, 3, 4})}
-    expr = per_key(PAIR_T, select(PAIR_T, Proj1, Var("k"), Proj2, Var("r")))
+    one = select(PAIR_T, Proj1, Var("k"), Proj2, Var("r"))
+    expr = per_key(PAIR_T, one)
     engine = agree(expr, env)
-    assert "indexed" in next(
-        n for n in engine.explain_plan(expr, optimize=False).walk() if n.op == "select"
-    ).annotations
+    plan = engine.explain_plan(expr, optimize=False)
+    assert "indexed" in next(n for n in plan.walk() if n.op == "select").annotations
+    # Re-pinned: the select per key of an outer set is a grouped map now, one
+    # index build for all five keys and no probe per key (was (1, 3), (0, 5)).
+    assert plan.annotations == ("flat-columns", "grouped")
     fresh = Engine(backend="vectorized")
     fresh.run(expr, env=env, optimize=False)
-    first = fresh.last_stats
-    assert (first.index_builds, first.index_hits) == (1, 3)  # scan, build, 3 probes
+    assert (fresh.last_stats.index_builds, fresh.last_stats.index_hits) == (1, 0)
     fresh.run(expr, env=env, optimize=False)
-    assert (fresh.last_stats.index_builds, fresh.last_stats.index_hits) == (0, 5)
+    assert (fresh.last_stats.index_builds, fresh.last_stats.index_hits) == (0, 1)
+    assert fresh.last_stats.flat_dedups == 5  # one per distinct key, the empty groups of 2 and 4 too
+    # The scan-first, probe-second rule still serves a select whose key is
+    # bound from outside ($param selects): successive bindings on one engine.
+    bound = Engine(backend="vectorized")
+    counts = []
+    for k in range(4):
+        bound.run(one, env={**env, "k": from_python(k)}, optimize=False)
+        counts.append((bound.last_stats.index_builds, bound.last_stats.index_hits))
+    assert counts == [(0, 0), (1, 0), (0, 1), (0, 1)]  # scan, build, probe, probe
     # A join on the same (set, path) leaves an index the very first select finds.
     joined = Engine(backend="vectorized")
     joined.run(compose(Var("r"), Var("r"), BASE), env=env, optimize=False)
@@ -193,16 +261,26 @@ def test_negated_predicate_remains_a_scan():
 def test_non_pair_elements_raise_the_object_kernels_error():
     env = {"r": from_python({1, 2, 3}), "ks": from_python({1, 2})}
     expr = per_key(PAIR_T, select(PAIR_T, Proj1, Var("k"), whole, Var("r")))
-    messages = []
-    for flat in (True, False):
-        engine = Engine(backend="vectorized", flat=flat)
-        for _ in range(2):
-            with pytest.raises(NRAEvalError, match="pi1: expected a pair") as err:
-                engine.run(expr, env=env, optimize=False)
-            messages.append(str(err.value))
-    assert len(set(messages)) == 1
-    with pytest.raises(NRAEvalError, match="pi1"):
-        reference_run(expr, env=env)
+    same_error(expr, env, "pi1: expected a pair")
+
+
+def test_heterogeneous_inputs_raise_the_object_kernels_error():
+    mixed = from_python({(0, 1), (1, 2), 7})  # a non-pair among pairs
+    good = from_python(REL)
+    # A non-pair in S, after a well-formed first element; then one in T.
+    same_error(nest(Var("r"), BASE, BASE), {"r": mixed}, "pi1: expected a pair")
+    group = select(PAIR_T, Proj1, Proj1(Var("p")), Proj2, Var("t"))
+    grouped = Apply(Ext(Lambda("p", PAIR_T, Singleton(Pair(Proj1(Var("p")), group)))), Var("s"))
+    same_error(grouped, {"s": mixed, "t": good}, "pi1: expected a pair")
+    same_error(grouped, {"s": good, "t": mixed}, "pi1: expected a pair")
+    # The malformed outer element is the reference's error even when T raises too.
+    same_error(grouped, {"s": from_python({7}), "t": from_python(3)}, "pi1: expected a pair")
+    same_error(grouped, {"s": good, "t": from_python(3)}, NOT_A_SET)
+    # A non-set under the unnested path, and a non-pair beside it.
+    same_error(unnest(Var("adj"), BASE, BASE), {"adj": from_python({(0, frozenset({1})), (1, 2)})},
+               NOT_A_SET)
+    same_error(unnest(Var("adj"), BASE, BASE), {"adj": from_python({(0, frozenset({1})), 5})},
+               "pi2: expected a pair")
 
 
 def test_unevaluable_key_falls_back_to_the_scan():

@@ -14,6 +14,7 @@ import pytest
 from repro.api import Database, Q, connect
 from repro.obs.profile import NodeProfile, PlanProfiler, QueryProfile
 from repro.workloads.graphs import path_graph
+from repro.workloads.nested_graphs import ADJ_DB_T, nested_random_graph, two_hop_query
 
 pytestmark = pytest.mark.obs
 
@@ -110,6 +111,26 @@ def test_explain_analyze_with_params(session):
     profile = session.explain_analyze(q, params={"src": 0})
     assert profile.rows == 11  # 0 reaches 1..11 on path_graph(12)
     assert "-- actual" in profile.render()
+
+
+def test_nest_and_unnest_each_run_once_and_say_so():
+    """The benchmark's nested statement: a grouped node and a flattening node,
+    each called once (the select read ``calls=94`` and the inner map
+    ``calls=31`` when they ran per element)."""
+    db = Database("nested").register("adj", nested_random_graph(32, 0.05, seed=4), type=ADJ_DB_T)
+    statement = Q.coll("adj").pipe(two_hop_query()).nest()
+    with connect(db) as s:
+        profile = s.explain_analyze(statement)
+        plan = profile.plan
+        assert plan.op == "map" and "grouped" in plan.annotations
+        unnests = [n for n in plan.walk() if n.op == "ext" and "flat-columns" in n.annotations]
+        assert unnests
+        for n in [plan] + unnests:
+            assert profile.profiler.lookup(n).calls == 1
+        beneath = [n for n in plan.walk() if n.op == "select" or (n.op == "map" and n is not plan)]
+        assert beneath and all(profile.profiler.lookup(n).calls == 0 for n in beneath)
+        lines = profile.render().splitlines()
+        assert any("(flat-columns, grouped)" in ln and "calls=1" in ln for ln in lines)
 
 
 # ---------------------------------------------------------------------------
