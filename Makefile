@@ -7,14 +7,14 @@
 # (the machine-readable backend suite; `bench-all-quick` is the CI smoke
 # variant); `bench-ivm` runs just the incremental view-maintenance rows
 # (delta apply vs full recompute); `bench-check` is the regression guard
-# (fresh quick run held to the 3x vectorized-over-memo, 1.5x parallel and
+# (fresh quick run held to the 3x vectorized-over-reference, 1.5x parallel and
 # 5x delta-maintenance acceptance bars against the committed
 # BENCH_engine.json); `test-ivm` selects the ivm-marked suites (unit
 # tests + maintenance oracle); `test-dred` narrows to the dred-marked
 # deletion suites (delete/rederive units, honesty boundary, deletion
 # oracles, state-invariant properties); `test-columnar` selects the
 # columnar-marked suites (flat-column dense-id kernels, intern round
-# trips, flat-vs-object differential cases, shm shipping);
+# trips, flat-vs-object differential cases);
 # `test-service` selects the service-marked suites (wire protocol,
 # live-server integration, client SDK, CLI — all unmarked-slow, so
 # `test-fast` runs them too); `test-router` selects the router-marked

@@ -1,14 +1,14 @@
 """E11 -- the optimizing engine versus the reference interpreter.
 
 The engine (:mod:`repro.engine`) rewrites queries with the paper's algebraic
-identities, hash-conses values and memoizes function applications.  None of
-that changes any result (cross-checked in ``tests/engine``); this module
-measures what it buys:
+identities, hash-conses values and runs the result on the vectorized
+executor.  None of that changes any result (cross-checked in
+``tests/engine``); this module measures what it buys:
 
 * on the **graph suite** (:mod:`repro.workloads.graphs`), transitive closure
   by ``dcr`` has a *constant* item function, so all leaves of the combining
-  tree are equal and memoization performs one combine per level instead of one
-  per node -- the wall-clock speedup grows with the graph;
+  tree are equal and the executor performs one hash join per level instead of
+  one combine per node -- the wall-clock speedup grows with the graph;
 * on the **nested suite** (:mod:`repro.workloads.nested`), ext fusion
   collapses the map-then-flatten pipelines over the departments database, and
   the Proposition 2.1 ``sri-to-dcr`` rewrite turns the translated parity into

@@ -5,7 +5,7 @@ Runs just the three IVM rows of :mod:`benchmarks.run_all` -- the gated
 insert-churn stream), the gated ``ivm-deletion-delta`` acceptance row
 (delete/rederive vs full recompute under a 1% deletion-churn stream), and
 the ungated ``ivm-mixed-recompute`` honesty row (the fallback shapes) --
-without the multi-minute memo baselines of the full suite.  Wired to
+without the rest of the full suite.  Wired to
 ``make bench-ivm``.
 
 Usage::

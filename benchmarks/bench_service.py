@@ -4,8 +4,8 @@ Runs just the two PR-8 service rows of :mod:`benchmarks.run_all` -- the
 gated ``service-queries-per-sec`` acceptance row (8 concurrent wire clients
 executing prepared statements against a live asyncio server, held to an
 absolute 25 q/s floor) and the ungated ``service-latency-percentiles``
-honesty row (client-observed p50/p90/p99) -- without the multi-minute memo
-baselines of the full suite.  Wired to ``make bench-service``.
+honesty row (client-observed p50/p90/p99) -- without the rest of the full
+suite.  Wired to ``make bench-service``.
 
 Usage::
 

@@ -1,15 +1,14 @@
 """Benchmark-regression guard: hold CI to the engine's acceptance ratios.
 
 The committed ``BENCH_engine.json`` records the full-suite speedups the repo
-claims (vectorized >= 3x memo on the acceptance workloads, measured at
-n >= 200).  CI cannot afford the full suite -- the memo baselines at those
-sizes take minutes by design -- so this guard runs the **quick** suite fresh
-and checks the cheap invariant that tracks the expensive one: on every quick
-workload of an acceptance *family* (transitive-closure, nested-graph), the
-vectorized-over-memo speedup must still clear the **3x** bar.  Historically
-the quick ratios sit at 9-20x (see ``BENCH_engine.quick.json``), so 3x only
-trips on a real regression -- a disabled strategy, a cache that stopped
-hitting, a pathological rewrite -- not on runner noise.
+claims (vectorized >= 3x the reference interpreter on the acceptance rows of
+the transitive-closure and nested-graph families).  CI cannot afford the full
+suite, so this guard runs the **quick** suite fresh and checks the same
+ratio on every quick workload of an acceptance *family* that times the
+reference: the vectorized-over-reference speedup must still clear the
+**3x** bar.  The quick ratios sit far above it (tens of x), so 3x only trips
+on a real regression -- a disabled strategy, a cache that stopped hitting, a
+pathological rewrite -- not on runner noise.
 
 The guard also prints the fresh-vs-committed ratio per workload (quick row
 against the committed full-suite row of the same name, where one exists) so
@@ -21,7 +20,7 @@ Usage::
     python benchmarks/check_regression.py --fresh F   # check an existing file
     python benchmarks/check_regression.py --bar 4.0   # raise the bar
 
-Beyond the vectorized/memo families the chain also holds the parallel
+Beyond the vectorized/reference families the chain also holds the parallel
 backend to its overlap (1.5x) and flat-fixpoint (2x) bars, the PR-7 flat
 dense-id kernels to their 3x object-kernel bar, incremental view
 maintenance to its 5x recompute bars, the PR-8 network query service to
@@ -150,17 +149,17 @@ def check(fresh_rows: list[dict], baseline_rows: list[dict], bar: float) -> int:
     }
     failures = []
     checked = 0
-    print(f"== benchmark regression guard (bar: vectorized >= {bar}x memo)")
+    print(f"== benchmark regression guard (bar: vectorized >= {bar}x reference)")
     for row in fresh_rows:
         if row["family"] not in ACCEPTANCE_FAMILIES:
             continue
-        speedup = row["speedups"].get("vectorized_vs_memo")
+        speedup = row["speedups"].get("vectorized_vs_reference")
         if speedup is None:
             continue
         checked += 1
         committed = by_name_full.get((row["name"], row["family"]))
         committed_speedup = (
-            committed["speedups"].get("vectorized_vs_memo") if committed else None
+            committed["speedups"].get("vectorized_vs_reference") if committed else None
         )
         drift = (
             f"  (committed full-suite: {committed_speedup:.1f}x)"
@@ -175,7 +174,7 @@ def check(fresh_rows: list[dict], baseline_rows: list[dict], bar: float) -> int:
         print("no acceptance-family rows found in the fresh run -- refusing to pass")
         return 1
     if failures:
-        names = [f"{r['name']} (n={r['n']}, {r['speedups']['vectorized_vs_memo']:.1f}x)"
+        names = [f"{r['name']} (n={r['n']}, {r['speedups']['vectorized_vs_reference']:.1f}x)"
                  for r in failures]
         print(f"REGRESSION: vectorized speedup below {bar}x on {names}")
         return 1
@@ -410,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--baseline", type=Path, default=BASELINE,
                         help=f"committed full-suite JSON (default {BASELINE.name})")
     parser.add_argument("--bar", type=float, default=DEFAULT_BAR,
-                        help=f"required vectorized/memo speedup (default {DEFAULT_BAR})")
+                        help=f"required vectorized/reference speedup (default {DEFAULT_BAR})")
     args = parser.parse_args(argv)
 
     if args.fresh is not None:

@@ -1,13 +1,13 @@
 """E12 -- the engine benchmark suite, machine-readable.
 
-Runs the four evaluation backends (``reference`` interpreter, PR-1 ``memo``
-engine, PR-2 ``vectorized`` set-at-a-time engine, PR-4 ``parallel`` sharded
-engine) over the transitive-closure and nested-graph workload families, plus
+Runs the evaluation backends (the ``reference`` interpreter, the
+``vectorized`` set-at-a-time executor, the ``parallel`` sharded backend) over
+the transitive-closure and nested-graph workload families, plus
 the PR-3 **query-service** rows (prepared-vs-unprepared parametrized
 execution and cursor streaming throughput), the PR-4 **parallel** rows
 (oracle-call overlap -- an acceptance row -- and the sharded fixpoint, since
-PR 7 an acceptance row running on flat dense-id arrays with a recorded
-shared-memory process-pool leg), the PR-7 **columnar** acceptance row
+PR 7 an acceptance row running on flat dense-id arrays), the PR-7
+**columnar** acceptance row
 (flat dense-id kernels vs the object kernels on the TC family), and
 the PR-5/PR-6 **incremental** rows (delta-maintained views vs full recompute
 under a 1% insert churn stream and under a 1% *deletion* churn stream served
@@ -16,22 +16,21 @@ honesty row for the recompute-fallback shapes), and the PR-9 **router** row
 (``backend="auto"`` held to a 10% regret bar against the best hand-picked
 backend across three routing regimes),
 cross-checks every measured result value-for-value against the reference
-interpreter (on the workloads where the reference is feasible, against the
-memo engine otherwise -- itself reference-checked in ``tests/engine``), and
+interpreter (on the workloads where the reference is feasible; the
+vectorized-only rows rely on the cross-checks in ``tests/engine``), and
 writes ``BENCH_engine.json`` at the repository root so the performance
 trajectory is tracked from PR 2 on.
 
 Usage::
 
-    python benchmarks/run_all.py            # the full suite (minutes: the
-                                            # memo baselines at n >= 200 are
-                                            # the slow part -- that is the point)
+    python benchmarks/run_all.py            # the full suite (minutes)
     python benchmarks/run_all.py --quick    # CI smoke run (seconds)
     python benchmarks/run_all.py -o out.json
 
 The acceptance bars this suite enforces in full mode: the vectorized backend
-is **>= 3x** faster than the memo engine on a transitive-closure workload and
-on a nested-graph workload at n >= 200 nodes (rows tagged ``acceptance``),
+is **>= 3x** faster than the reference interpreter on every
+transitive-closure and nested-graph row that times the reference (rows tagged
+``acceptance``),
 prepared execution of a parametrized selection is **>= 5x** faster than
 unprepared per-call ``Engine.run`` (the ``prepared-vs-unprepared`` row), the
 parallel backend with >= 4 workers is **>= 1.5x** faster than the
@@ -116,7 +115,6 @@ class Workload:
         value,
         backends: tuple[str, ...],
         acceptance: bool = False,
-        repeats: dict | None = None,
     ) -> None:
         self.name = name
         self.family = family
@@ -125,39 +123,34 @@ class Workload:
         self.value = value
         self.backends = backends
         self.acceptance = acceptance
-        self.repeats = repeats or {}
 
     def run(self) -> dict:
         times: dict[str, float] = {}
         results: dict[str, object] = {}
         for backend in self.backends:
-            repeats = self.repeats.get(backend, 3)
             if backend == "reference":
-                t, r = _best_of(lambda: reference_run(self.query, self.value), repeats)
+                t, r = _best_of(lambda: reference_run(self.query, self.value), 3)
             else:
                 # A fresh engine per timing keeps the measurement honest: the
                 # compile/warm-up cost of the vectorized backend is included.
                 t, r = _best_of(
-                    lambda b=backend: Engine(backend=b).run(self.query, self.value),
-                    repeats,
+                    lambda b=backend: Engine(backend=b).run(self.query, self.value), 3
                 )
             times[backend] = t
             results[backend] = r
 
         # Cross-check: every backend's value must be identical to the most
-        # authoritative backend measured (reference when present, memo else;
-        # a vectorized-only row is self-consistent by construction and relies
+        # authoritative backend measured (reference when present; a
+        # vectorized-only row is self-consistent by construction and relies
         # on the cross-checks in tests/engine for its value).
-        oracle = next(b for b in ("reference", "memo", "vectorized") if b in results)
+        oracle = next(b for b in ("reference", "vectorized") if b in results)
         checked = all(results[b] == results[oracle] for b in results)
         if not checked:
             raise AssertionError(f"{self.name}: backends disagree on the result value")
 
         speedups = {}
-        if "vectorized" in times:
-            for base in ("reference", "memo"):
-                if base in times and times["vectorized"] > 0:
-                    speedups[f"vectorized_vs_{base}"] = times[base] / times["vectorized"]
+        if "reference" in times and times.get("vectorized", 0) > 0:
+            speedups["vectorized_vs_reference"] = times["reference"] / times["vectorized"]
         return {
             "name": self.name,
             "family": self.family,
@@ -170,23 +163,19 @@ class Workload:
 
 
 def _batch_workload(quick: bool) -> dict:
-    """run_many over a batch of graphs: shared-cache evaluation, per backend."""
+    """run_many over a batch of graphs: shared-cache evaluation vs the reference."""
     sizes = (6, 8, 10, 12) if quick else (8, 12, 16, 20, 24, 16, 12, 8)
     graphs = [path_graph(n).value() for n in sizes]
     q = reachable_pairs_query("dcr")
-    times: dict[str, float] = {}
-    results: dict[str, list] = {}
-    for backend in ("memo", "vectorized"):
-        t, r = _best_of(lambda b=backend: Engine(backend=b).run_many(q, graphs), 3)
-        times[backend] = t
-        results[backend] = r
-    want = [reference_run(q, g) for g in graphs]
-    checked = all(results[b] == want for b in results)
+    t_ref, want = _best_of(lambda: [reference_run(q, g) for g in graphs], 1)
+    t_vec, got = _best_of(lambda: Engine().run_many(q, graphs), 3)
+    times = {"reference": t_ref, "vectorized": t_vec}
+    checked = got == want
     if not checked:
-        raise AssertionError("run_many batch: backends disagree with the reference")
+        raise AssertionError("run_many batch: vectorized disagrees with the reference")
     speedups = {}
-    if times["vectorized"] > 0:
-        speedups["vectorized_vs_memo"] = times["memo"] / times["vectorized"]
+    if t_vec > 0:
+        speedups["vectorized_vs_reference"] = t_ref / t_vec
     return {
         "name": "run-many-tc-dcr-batch",
         "family": "batched",
@@ -412,10 +401,6 @@ def _parallel_fixpoint_workload(quick: bool) -> dict:
     **>= 2x**.  Honesty is preserved in ``parallel_vs_vectorized_flat``:
     against the equally-flat single-thread engine the GIL still holds this
     at ~1x on single-core runners (DESIGN.md's "when it loses" section).
-    The ``shm`` block records one shared-memory process-pool run -- id
-    arrays and one-time intern syncs instead of per-round ``SetVal``
-    pickling -- with its shipping stats, so the zero-pickle path is
-    exercised and measured on every run.
 
     The quick row keeps ``n = 48``: below that the per-round task dispatch
     is a large fraction of a closure the object kernels finish in a few
@@ -429,9 +414,9 @@ def _parallel_fixpoint_workload(quick: bool) -> dict:
     # the timed region on every side), but pool spawn/teardown stays outside
     # it -- worker startup is per-engine, not per-query, and on the thread
     # pool the join in ``close`` would otherwise dominate a 24-node closure.
-    def best_run(mk_engine, repeats=3):
+    def best_run(mk_engine):
         best, result, stats = float("inf"), None, None
-        for _ in range(repeats):
+        for _ in range(3):
             eng = mk_engine()
             try:
                 t0 = time.perf_counter()
@@ -447,20 +432,16 @@ def _parallel_fixpoint_workload(quick: bool) -> dict:
     t_vec, r_vec, _ = best_run(lambda: Engine(backend="vectorized"))
     t_par, r_par, par_stats = best_run(
         lambda: Engine(backend="parallel", workers=4))
-    t_shm, r_shm, shm_stats = best_run(
-        lambda: Engine(backend="parallel", workers=4, pool="shm"), repeats=1)
 
     checked = (
-        r_vec == r_obj and r_par == r_obj and r_shm == r_obj
+        r_vec == r_obj and r_par == r_obj
         and par_stats.fixpoint_runs == 1
         and par_stats.flat_fixpoint_runs == 1
-        and shm_stats.shm_ships > 0
-        and shm_stats.array_bytes_shipped > 0
     )
     if not checked:
         raise AssertionError(
             "parallel-tc-fixpoint: backends disagree, or the parallel engine "
-            "did not take the flat fixpoint / shared-memory path")
+            "did not take the flat fixpoint path")
     return {
         "name": "parallel-tc-fixpoint",
         "family": "parallel",
@@ -468,11 +449,6 @@ def _parallel_fixpoint_workload(quick: bool) -> dict:
         "acceptance": not quick,
         "workers": 4,
         "flat_fixpoint_runs": par_stats.flat_fixpoint_runs,
-        "shm": {
-            "time_s": t_shm,
-            "shm_ships": shm_stats.shm_ships,
-            "array_bytes_shipped": shm_stats.array_bytes_shipped,
-        },
         "times_s": {"vectorized_object": t_obj, "vectorized": t_vec,
                     "parallel": t_par},
         "speedups": {
@@ -906,12 +882,9 @@ def _router_regret_workload(quick: bool) -> dict:
       router also has to pick a shard count.
 
     The hand-picked comparison set is deliberately small: on the two
-    CPU-bound legs only the vectorized baseline is timed, because the
-    suite's own gated rows already prove memo >= 3x slower there (the
-    transitive-closure and nested-graph acceptance families) and timing
-    multi-second memo closures would blow the quick-run budget for a leg
-    whose winner is not in doubt.  On the enrichment leg both vectorized
-    and parallel are timed and the best is taken per measurement -- that
+    CPU-bound legs only the vectorized baseline is timed -- the router's
+    only other candidate, ``parallel``, is never routed CPU-bound work.  On
+    the enrichment leg both vectorized and parallel are timed and the best is taken per measurement -- that
     is the leg where the right answer actually flips with the workload.
 
     Regret = sum(auto leg times) / sum(best hand-picked leg times), gated
@@ -1112,60 +1085,49 @@ def build_workloads(quick: bool) -> list[Workload]:
     tc_logloop = reachable_pairs_query("logloop")
     tc_sri = reachable_pairs_query("sri")
     parity = parity_esr_translated()
+    both = ("reference", "vectorized")
 
     if quick:
         return [
             Workload("tc-dcr-path", "transitive-closure", 12,
-                     tc_dcr, path_graph(12).value(),
-                     ("reference", "memo", "vectorized")),
+                     tc_dcr, path_graph(12).value(), both),
             Workload("tc-logloop-path", "transitive-closure", 12,
-                     tc_logloop, path_graph(12).value(),
-                     ("reference", "memo", "vectorized")),
+                     tc_logloop, path_graph(12).value(), both),
             Workload("tc-sri-path", "transitive-closure", 12,
-                     tc_sri, path_graph(12).value(),
-                     ("reference", "memo", "vectorized")),
+                     tc_sri, path_graph(12).value(), both),
             Workload("nested-two-hop", "nested-graph", 24,
-                     two_hop_query(), nested_random_graph(24, 0.1, seed=7),
-                     ("reference", "memo", "vectorized")),
+                     two_hop_query(), nested_random_graph(24, 0.1, seed=7), both),
             Workload("parity-esr-translated", "parity", 128,
-                     parity, tagged_boolean_set(random_bits(128, seed=9)),
-                     ("memo", "vectorized")),
+                     parity, tagged_boolean_set(random_bits(128, seed=9)), both),
         ]
 
     return [
-        # Trajectory rows: all three backends where the reference is feasible.
+        # Acceptance: every family row that times the reference interpreter.
         Workload("tc-dcr-path", "transitive-closure", 24,
-                 tc_dcr, path_graph(24).value(),
-                 ("reference", "memo", "vectorized")),
+                 tc_dcr, path_graph(24).value(), both, acceptance=True),
         Workload("tc-logloop-path", "transitive-closure", 24,
-                 tc_logloop, path_graph(24).value(),
-                 ("reference", "memo", "vectorized")),
+                 tc_logloop, path_graph(24).value(), both, acceptance=True),
         Workload("tc-sri-path", "transitive-closure", 24,
-                 tc_sri, path_graph(24).value(),
-                 ("reference", "memo", "vectorized")),
+                 tc_sri, path_graph(24).value(), both, acceptance=True),
+        # Trajectory rows where the reference is infeasible: vectorized only.
         Workload("tc-dcr-path", "transitive-closure", 96,
-                 tc_dcr, path_graph(96).value(),
-                 ("memo", "vectorized"), repeats={"memo": 1}),
-        # Acceptance: transitive closure at n >= 200 nodes (255-node tree).
+                 tc_dcr, path_graph(96).value(), ("vectorized",)),
         Workload("tc-dcr-tree", "transitive-closure", 255,
-                 tc_dcr, binary_tree(7).value(),
-                 ("memo", "vectorized"), acceptance=True, repeats={"memo": 1}),
+                 tc_dcr, binary_tree(7).value(), ("vectorized",)),
         # Nested-graph family.
         Workload("nested-two-hop", "nested-graph", 40,
-                 two_hop_query(), nested_random_graph(40, 0.06, seed=7),
-                 ("reference", "memo", "vectorized")),
-        # Acceptance: nested-graph workload at n >= 200 nodes.
+                 two_hop_query(), nested_random_graph(40, 0.06, seed=7), both,
+                 acceptance=True),
         Workload("nested-two-hop", "nested-graph", 200,
                  two_hop_query(), nested_random_graph(200, 0.015, seed=7),
-                 ("memo", "vectorized"), acceptance=True, repeats={"memo": 1}),
+                 ("vectorized",)),
         Workload("nested-reachability", "nested-graph", 200,
                  nested_reachability_query("logloop"),
                  nested_random_graph(200, 0.01, seed=11),
                  ("vectorized",)),
         # Parity via the Prop 2.1 translated shape (rewriter + backends).
         Workload("parity-esr-translated", "parity", 1024,
-                 parity, tagged_boolean_set(random_bits(1024, seed=9)),
-                 ("memo", "vectorized")),
+                 parity, tagged_boolean_set(random_bits(1024, seed=9)), both),
     ]
 
 
@@ -1195,11 +1157,6 @@ def _print_parallel(rows: list[dict]) -> None:
               f"parallel {t['parallel']*1e3:8.1f}ms  "
               f"workers={r['workers']}  speedup {s:5.2f}x"
               f"{'  *' if r['acceptance'] else ''}")
-        if "shm" in r:
-            shm = r["shm"]
-            print(f"    shm pool: {shm['time_s']*1e3:8.1f}ms  "
-                  f"ships={shm['shm_ships']}  "
-                  f"array_bytes={shm['array_bytes_shipped']}")
 
 
 def _print_columnar(rows: list[dict]) -> None:
@@ -1239,8 +1196,7 @@ def _print_router(rows: list[dict]) -> None:
 
 
 def _print_table(rows: list[dict]) -> None:
-    header = ["workload", "n", "reference", "memo", "vectorized",
-              "vec/ref", "vec/memo", "accept"]
+    header = ["workload", "n", "reference", "vectorized", "vec/ref", "accept"]
     table = []
     for r in rows:
         t = r["times_s"]
@@ -1248,10 +1204,8 @@ def _print_table(rows: list[dict]) -> None:
         table.append([
             r["name"], str(r["n"]),
             f"{t['reference']*1e3:.1f}ms" if "reference" in t else "-",
-            f"{t['memo']*1e3:.1f}ms" if "memo" in t else "-",
             f"{t['vectorized']*1e3:.1f}ms" if "vectorized" in t else "-",
             f"{s['vectorized_vs_reference']:.1f}x" if "vectorized_vs_reference" in s else "-",
-            f"{s['vectorized_vs_memo']:.1f}x" if "vectorized_vs_memo" in s else "-",
             "*" if r["acceptance"] else "",
         ])
     widths = [max(len(h), max((len(row[i]) for row in table), default=0))
@@ -1340,7 +1294,7 @@ def main(argv: list[str] | None = None) -> int:
             and r["family"] not in ("query-service", "parallel",
                                     "incremental", "columnar", "service",
                                     "router", "obs")
-            and r["speedups"].get("vectorized_vs_memo", 0.0) < 3.0
+            and r["speedups"].get("vectorized_vs_reference", 0.0) < 3.0
         ]
         failures += [
             r for r in rows
@@ -1389,7 +1343,7 @@ def main(argv: list[str] | None = None) -> int:
             names = [f"{r['name']} (n={r['n']})" for r in failures]
             print(f"ACCEPTANCE FAILED on {names}")
             return 1
-        print("acceptance: vectorized >= 3x memo, prepared >= 5x unprepared, "
+        print("acceptance: vectorized >= 3x reference, prepared >= 5x unprepared, "
               "flat kernels >= 3x object kernels, parallel >= 1.5x vectorized "
               "on overlap and >= 2x the object baseline on the flat fixpoint, "
               "and delta maintenance >= 5x recompute on every tagged workload "

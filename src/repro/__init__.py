@@ -25,9 +25,9 @@ The package implements, end to end, the systems the paper describes:
   examples, tests and benchmarks;
 * :mod:`repro.engine` -- the optimizing evaluation engine: algebraic rewrite
   rules (ext fusion, short-circuits, the Proposition 2.1 ``sri`` -> ``dcr``
-  preference), hash-consed values, a memoizing evaluator and the vectorized
-  set-at-a-time backend, cross-checked against the reference interpreter and
-  the cost model;
+  preference), hash-consed values and the vectorized set-at-a-time executor
+  (plus a sharded parallel backend on a thread pool), cross-checked against
+  the reference interpreter and the cost model;
 * :mod:`repro.api` -- the query-service layer over the engine: named
   :class:`~repro.api.catalog.Database` collections with type-checked
   schemas, the fluent :class:`~repro.api.query.Q` builder, sessions with

@@ -70,14 +70,11 @@ class SessionStats:
     dred_overdeletes: int = 0     # elements over-deleted by delete/rederive
     dred_rederives: int = 0       # over-deleted elements rederivation re-proved
     # Flat-column attribution (see repro.engine.vectorized.flat): which of
-    # this session's work ran on dense-id arrays rather than objects, and --
-    # for parallel engines with an "shm" pool -- how much crossed process
-    # boundaries as raw id arrays.  Read from the engine's per-call stats,
-    # so a shared engine attributes each run to exactly one session.
+    # this session's work ran on dense-id arrays rather than objects.  Read
+    # from the engine's per-call stats, so a shared engine attributes each
+    # run to exactly one session.
     flat_joins: int = 0           # hash joins executed on id columns
     flat_dedups: int = 0          # array-level dedup/materialization passes
-    shm_ships: int = 0            # id-array payloads shipped to shm workers
-    array_bytes_shipped: int = 0  # bytes of dense-id arrays shipped
     # Adaptive-router attribution (engines with backend="auto"): fresh
     # routing decisions made for this session's templates, and adaptation
     # flips after observed runtimes contradicted an estimate by >= 10x.
@@ -574,7 +571,7 @@ class Session:
         made (taken under the engine lock), so addition is exact whatever
         backend produced it; counters a backend does not track read as 0.
         """
-        for f in ("flat_joins", "flat_dedups", "shm_ships", "array_bytes_shipped"):
+        for f in ("flat_joins", "flat_dedups"):
             setattr(self.stats, f, getattr(self.stats, f) + getattr(last, f, 0))
 
     def _cursor(self, value: Value) -> Cursor:

@@ -2,9 +2,9 @@
 
 Where :mod:`repro.nra.eval` is the deliberately naive *reference* interpreter
 (its job is to define what the right answer is), this package is the *fast
-path*: it rewrites expressions with the paper's own algebraic identities
-before evaluating them, hash-conses all values so equality is O(1), and
-memoizes function applications so repeated work collapses to cache hits.
+path*: it rewrites expressions with the paper's own algebraic identities,
+hash-conses all values so equality is O(1), and compiles what remains into
+set-at-a-time plans (the vectorized executor, the default backend).
 
 Layers (each usable on its own):
 
@@ -14,14 +14,13 @@ Layers (each usable on its own):
   rewrites;
 * :mod:`repro.engine.interning` -- hash-consing :class:`InternTable` for
   complex object values;
-* :mod:`repro.engine.memo` -- the memoizing evaluator built on interned
-  values;
-* :mod:`repro.engine.vectorized` -- the set-at-a-time backend: a compiler
+* :mod:`repro.engine.vectorized` -- the set-at-a-time executor: a compiler
   from NRA expressions to columnar plans (hash joins, bulk select/project,
   semi-naive frontier iteration for provably inflationary steps);
 * :mod:`repro.engine.parallel` -- the data-parallel sharded backend:
   hash-partitioned inputs, shard-local vectorized sub-plans on a worker
-  pool, union combiners, and frontier-resharded semi-naive fixpoints;
+  thread pool, union combiners, and frontier-resharded semi-naive
+  fixpoints;
 * :mod:`repro.engine.incremental` -- the view-maintenance subsystem:
   delta-compiled standing queries (support counts, incremental join
   indexes, semi-naive fixpoint continuation) kept consistent under
@@ -34,7 +33,7 @@ Layers (each usable on its own):
   client-facing layer over this facade -- catalogs, sessions, fluent
   queries, prepared statements -- is :mod:`repro.api`.
 
-The contract, precisely: interning and memoization never change results (the
+The contract, precisely: interning and compilation never change results (the
 language is pure and total, and the recursion constructs delegate to the same
 combinators as the reference interpreter); the structural rules are
 unconditional identities; the cost-directed ``sri -> dcr`` rewrite preserves
@@ -53,7 +52,6 @@ for where this sits in the package architecture.
 from .engine import BACKENDS, Engine, Plan, default_workers
 from .incremental import Changeset, MaterializedView, ViewDelta, ViewStats
 from .interning import InternTable
-from .memo import MemoEvaluator, MemoFunction, MemoStats
 from .parallel import ParallelEvaluator, ParStats
 from .router import (
     CollectionStats,
@@ -86,9 +84,6 @@ __all__ = [
     "ViewDelta",
     "ViewStats",
     "InternTable",
-    "MemoEvaluator",
-    "MemoFunction",
-    "MemoStats",
     "ParallelEvaluator",
     "ParStats",
     "CollectionStats",

@@ -11,18 +11,18 @@ optimization layers of this package --
    backend       evaluation strategy
    ============  ==================================================================
    `reference`   the naive interpreter of :mod:`repro.nra.eval` (the oracle)
-   `memo`        element-at-a-time with interning + memoized closures
-                 (:mod:`repro.engine.memo`)
-   `vectorized`  compiled set-at-a-time plans: hash joins, bulk select/project,
-                 semi-naive frontier iteration (:mod:`repro.engine.vectorized`)
+   `vectorized`  the default: compiled set-at-a-time plans -- hash joins, bulk
+                 select/project, semi-naive frontier iteration
+                 (:mod:`repro.engine.vectorized`)
    `parallel`    data-parallel sharded execution: hash-partitioned inputs,
-                 shard-local vectorized sub-plans on a worker pool, union
+                 shard-local vectorized sub-plans on a thread pool, union
                  combiners, frontier-resharded semi-naive fixpoint rounds
                  (:mod:`repro.engine.parallel`)
    `auto`        the adaptive cost-based router: estimates cost at catalog
-                 scale, picks one of the backends above (plus shard count and
-                 join order) per query, records actual runtimes and re-routes
-                 on order-of-magnitude misses (:mod:`repro.engine.router`)
+                 scale, picks ``vectorized`` or ``parallel`` (plus shard count
+                 and join order) per query, records actual runtimes and
+                 re-routes on order-of-magnitude misses
+                 (:mod:`repro.engine.router`)
    ============  ==================================================================
 
 -- behind an API that mirrors :func:`repro.nra.eval.run`::
@@ -31,7 +31,7 @@ optimization layers of this package --
     from repro.relational import transitive_closure_dcr
     from repro.workloads.graphs import path_graph
 
-    eng = Engine(backend="vectorized")
+    eng = Engine()
     closure = eng.run(transitive_closure_dcr(), path_graph(24))
     batch = eng.run_many(transitive_closure_dcr(), [path_graph(8), path_graph(16)])
 
@@ -47,9 +47,9 @@ verifies on a sampled carrier -- pass ``rules=STRUCTURAL_RULES`` to disable
 them when evaluating recursions with deliberately ill-behaved combiners (see
 :mod:`repro.engine.rewrite`).
 
-``run_many`` is the batched entry point: one compiled plan / one closure
-cache, one intern table and all join indexes are shared across the whole
-batch of inputs, so overlapping inputs pay only for what is genuinely new.
+``run_many`` is the batched entry point: one compiled plan, one intern table
+and all join indexes are shared across the whole batch of inputs, so
+overlapping inputs pay only for what is genuinely new.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from ..obs.profile import PlanProfiler, QueryProfile
 from ..obs.trace import TRACER
 from ..relational.relation import Relation
 from .interning import InternTable
-from .memo import MemoEvaluator, MemoStats
 from .parallel import ParallelEvaluator, ParStats
 from .rewrite import DEFAULT_RULES, VIEW_RULES, Rewriter, Rule, RuleFiring
 from .router import RouteDecision, Router
@@ -78,8 +77,9 @@ from .vectorized import Compiled, PlanNode, VecStats, VectorizedEvaluator
 
 #: The evaluation backends an :class:`Engine` can run (``run``/``run_many``
 #: and the constructor default).  ``auto`` is the adaptive cost-based router
-#: of :mod:`repro.engine.router`: it picks one of the others per query.
-BACKENDS = ("reference", "memo", "vectorized", "parallel", "auto")
+#: of :mod:`repro.engine.router`: it picks ``vectorized`` or ``parallel`` per
+#: query.
+BACKENDS = ("reference", "vectorized", "parallel", "auto")
 
 #: Explain-only views: valid for ``explain_plan(backend=...)`` but not for
 #: running (``incremental`` shows the maintenance plan the view-maintenance
@@ -173,26 +173,21 @@ class Engine:
         Seed for the sampled algebraic gate of the cost-directed rules.
     backend:
         Default evaluation backend, one of :data:`BACKENDS`; ``run`` and
-        ``run_many`` accept a per-call override.  ``memo`` is the default
-        (the PR-1 behaviour); ``vectorized`` is the set-at-a-time compiler;
-        ``parallel`` is the sharded backend over a worker pool; ``auto``
-        routes each query to one of the others by estimated cost and adapts
-        from observed runtimes.
-    workers / shards / pool:
+        ``run_many`` accept a per-call override.  ``vectorized``, the
+        set-at-a-time compiler every session runs, is the default;
+        ``parallel`` is the sharded backend over a thread pool; ``auto``
+        routes each query to one of those two and adapts from observed
+        runtimes; ``reference`` is the oracle interpreter.
+    workers / shards:
         Parallel-backend knobs (ignored by the other backends): pool size
-        (default :func:`default_workers`), target shards per wave (default
-        ``2 * workers``), and pool flavour -- ``"thread"`` (default),
-        ``"process"`` for CPU-bound shards on multi-core machines, or
-        ``"shm"`` for the shared-memory process pool: fixpoint shards ship
-        as packed dense-id code arrays (inline when small, one
-        ``SharedMemory`` segment when large) after a one-time
-        intern-dictionary sync, the GIL-free route whose transport the
-        ``shm_ships`` / ``array_bytes_shipped`` counters account.
+        (default :func:`default_workers`) and target shards per wave
+        (default ``2 * workers``).
+    flat:
+        Whether the compiled backends may use the dense-id column kernels.
 
     The intern table is engine-scoped (values are shared across runs and
-    backends of the same engine).  The memo backend's closure caches are
-    per-run for ``run`` and batch-wide for ``run_many``; the vectorized
-    backend's compiled plans and join indexes are engine-scoped.
+    backends of the same engine), and so are the vectorized backend's
+    compiled plans and join indexes.
     ``last_stats`` always describes just the most recent ``run`` /
     ``run_many`` call (a whole batch for ``run_many``), whatever the
     backend; a second call on a warm engine therefore reports zero compiles.
@@ -227,10 +222,9 @@ class Engine:
         sigma: Signature = EMPTY_SIGMA,
         rules: Optional[list[Rule]] = None,
         seed: int = 0,
-        backend: str = "memo",
+        backend: str = "vectorized",
         workers: Optional[int] = None,
         shards: Optional[int] = None,
-        pool: str = "thread",
         flat: bool = True,
     ) -> None:
         self.sigma = sigma
@@ -239,12 +233,11 @@ class Engine:
         self.interner = InternTable()
         self.workers = workers if workers is not None else default_workers()
         self.shards = shards
-        self.pool = pool
         #: Whether the vectorized/parallel backends may use the flat
         #: (dense-id array) kernels.  ``False`` pins the object kernels --
         #: the representation benchmarks' baseline and an escape hatch.
         self.flat = flat
-        self.last_stats: Optional[Union[MemoStats, VecStats, ParStats]] = None
+        self.last_stats: Optional[Union[VecStats, ParStats]] = None
         # Keyed on the expression itself (AST nodes are frozen, hashable
         # dataclasses), so structurally equal queries share one plan.
         self._plans: dict[Expr, Plan] = {}
@@ -260,6 +253,9 @@ class Engine:
         # backends share one compile cache and one intern table.
         self._vectorized: Optional[VectorizedEvaluator] = None
         self._parallel: Optional[ParallelEvaluator] = None
+        # Worker compiles of parallel evaluators already closed, so that
+        # ``vectorized_compiles`` stays monotone across ``close``.
+        self._closed_worker_compiles = 0
         # The adaptive router (lazy, engine-scoped, mutated under the lock);
         # created on first use of backend="auto".
         self._router: Optional[Router] = None
@@ -372,8 +368,8 @@ class Engine:
         Clears the rewrite-plan cache and, when the vectorized backend has
         run, its compile cache and join indexes -- the engine-scoped memory
         that grows with the number of *distinct queries* seen.  The intern
-        table is kept: it grows with the *data*, stays shared with the memo
-        backend, and dropping it would invalidate ``id``-keyed state.
+        table is kept: it grows with the *data*, and dropping it would
+        invalidate ``id``-keyed state.
         """
         with self._lock:
             self._plans.clear()
@@ -459,12 +455,12 @@ class Engine:
         threads (mirrored into ``ParStats.worker_compiles`` at the end of
         every parallel run), so a routed template that re-routes to the
         parallel backend mid-stream still attributes its recompiles to the
-        session that triggered them.
+        session that triggered them -- also those of pools already closed.
         """
         with self._lock:
-            total = 0
+            total = self._closed_worker_compiles
             if self._vectorized is not None:
-                total = self._vectorized.stats.compiled_exprs
+                total += self._vectorized.stats.compiled_exprs
             if self._parallel is not None:
                 total += self._parallel.stats.worker_compiles
             return total
@@ -537,30 +533,24 @@ class Engine:
         if chosen == "reference":
             self.last_stats = None
             return reference_run(expr, arg, env=env, sigma=self.sigma)
-        if chosen == "vectorized":
-            ev = self._vec()
-            # The evaluator's counters run for its whole lifetime (they
-            # back the engine-scoped caches); report just this call's
-            # share.
-            before = ev.stats.copy()
-            if plan is None or plan.optimized is not expr:
-                entry = ev.compile(expr)
-            else:
-                entry = plan.compiled
-                if entry is None:
-                    entry = plan.compiled = ev.compile(expr)
-            result = ev.run_compiled(entry, arg=arg, env=env)
-            self.last_stats = ev.stats.since(before)
-            return result
         if chosen == "parallel":
             pv = self._par()
             before_par = pv.stats.copy()
             result = pv.run(expr, arg=arg, env=env, shards=shards)
             self.last_stats = pv.stats.since(before_par)
             return result
-        evaluator = MemoEvaluator(self.sigma, self.interner)
-        result = evaluator.run(expr, arg=arg, env=env)
-        self.last_stats = evaluator.stats
+        ev = self._vec()
+        # The evaluator's counters run for its whole lifetime (they back the
+        # engine-scoped caches); report just this call's share.
+        before = ev.stats.copy()
+        if plan is None or plan.optimized is not expr:
+            entry = ev.compile(expr)
+        else:
+            entry = plan.compiled
+            if entry is None:
+                entry = plan.compiled = ev.compile(expr)
+        result = ev.run_compiled(entry, arg=arg, env=env)
+        self.last_stats = ev.stats.since(before)
         return result
 
     def run_many(
@@ -573,14 +563,12 @@ class Engine:
     ) -> list[Value]:
         """Apply one query to a batch of inputs with all caches shared.
 
-        The expression is optimized and compiled once.  Under the ``memo``
-        backend a *single* memoizing evaluator serves the whole batch, so its
-        closure caches (and the engine's intern table) are shared across
-        inputs -- re-running an input, or running inputs with overlapping
-        substructure, turns evaluation into cache hits; ``last_stats`` then
-        reports batch-wide counters.  Under ``vectorized`` the compiled plan,
-        intern table, join indexes and per-denotation caches are shared the
-        same way.  Returns one result per input, in order.
+        The expression is optimized and compiled once; the compiled plan,
+        intern table, join indexes and per-denotation caches are shared
+        across inputs, so re-running an input, or running inputs with
+        overlapping substructure, turns evaluation into cache hits.
+        ``last_stats`` reports batch-wide counters.  Returns one result per
+        input, in order.
         """
         chosen = self._backend(backend)
         with self._lock:
@@ -622,21 +610,16 @@ class Engine:
         if chosen == "reference":
             self.last_stats = None
             return [reference_run(expr, a, env=env, sigma=self.sigma) for a in args]
-        if chosen == "vectorized":
-            ev = self._vec()
-            before = ev.stats.copy()
-            out = ev.run_many(expr, args, env=env)
-            self.last_stats = ev.stats.since(before)
-            return out
         if chosen == "parallel":
             pv = self._par()
             before_par = pv.stats.copy()
             out = pv.run_many(expr, args, env=env)
             self.last_stats = pv.stats.since(before_par)
             return out
-        evaluator = MemoEvaluator(self.sigma, self.interner)
-        out = [evaluator.run(expr, arg=a, env=env) for a in args]
-        self.last_stats = evaluator.stats
+        ev = self._vec()
+        before = ev.stats.copy()
+        out = ev.run_many(expr, args, env=env)
+        self.last_stats = ev.stats.since(before)
         return out
 
     # -- profiling and metrics ----------------------------------------------------
@@ -745,7 +728,6 @@ class Engine:
                     driver=self._vec(),
                     workers=self.workers,
                     shards=self.shards,
-                    pool=self.pool,
                 )
             return self._parallel
 
@@ -816,11 +798,12 @@ class Engine:
         """Release the parallel worker pool (idempotent; other state is GC'd).
 
         Engines are usually process-lived; tests and benchmarks that churn
-        through many parallel engines call this to drop pool threads or
-        processes eagerly instead of waiting for garbage collection.
+        through many parallel engines call this to drop pool threads eagerly
+        instead of waiting for garbage collection.
         """
         with self._lock:
             if self._parallel is not None:
+                self._closed_worker_compiles += self._parallel.stats.worker_compiles
                 self._parallel.close()
                 self._parallel = None
 

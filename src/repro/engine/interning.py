@@ -10,7 +10,7 @@ equal values are represented by the **same Python object**, so that
 * equality checks are ``O(1)`` identity comparisons (``a is b``),
 * the total-order key of :mod:`repro.objects.order` is computed once per
   distinct value and cached, and
-* the memo tables of :mod:`repro.engine.memo` can key on ``id(value)``.
+* the compiled backends' caches and join indexes can key on ``id(value)``.
 
 Interning preserves canonical form exactly: an interned value is ``==`` to the
 value it was built from, so results of the optimized engine are

@@ -12,8 +12,7 @@ PRAM); this package makes the claim operational.  Four layers:
   re-shard it every round);
 * :mod:`~repro.engine.parallel.scheduler` -- the worker pool: isolated
   vectorized evaluators (private intern tables, translation caches) driven
-  by a thread pool, with a process-pool option for CPU-bound shards on
-  multi-core machines;
+  by a thread pool;
 * :mod:`~repro.engine.parallel.executor` -- :class:`ParallelEvaluator`, the
   backend proper: analysis, dispatch, union combiners, driver fallback.
 
@@ -24,7 +23,7 @@ backend loses to the single-threaded vectorized one.
 
 from .executor import ParallelEvaluator, ParStats
 from .partition import hash_partition, structural_hash
-from .scheduler import POOL_KINDS, ShardTask, ShardWorker, WorkerPool
+from .scheduler import ShardTask, ShardWorker, WorkerPool
 from .sharder import FixpointSpec, JoinSpec, ShardSpec, analyze, distributes_over_union
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "ParStats",
     "hash_partition",
     "structural_hash",
-    "POOL_KINDS",
     "ShardTask",
     "ShardWorker",
     "WorkerPool",

@@ -1,6 +1,6 @@
 """The parallel evaluator: sharded plans, a worker pool, union combiners.
 
-:class:`ParallelEvaluator` is the fourth evaluation backend of the engine.
+:class:`ParallelEvaluator` is the engine's ``parallel`` backend.
 It realises the paper's data-parallel reading of NRA as a measurable system
 property: a query that distributes over union is evaluated on a hash
 partition of its input -- one shard-local *vectorized* sub-plan per shard,
@@ -21,7 +21,7 @@ delta terms are union-distributive in the frontier variable by
 construction), and every unshardable or ill-shaped input takes the driver
 path, so error behaviour matches the reference interpreter.  The
 differential suite (``tests/property/test_backend_differential.py``) holds
-all four backends to value-for-value agreement.
+every run backend to value-for-value agreement.
 
 The evaluator is not itself thread-safe; the engine serializes calls behind
 its lock (workers are internal to a call).  Results returned by workers are
@@ -49,7 +49,6 @@ from ..vectorized.plan import PlanNode, leaf, node
 from .partition import hash_partition, hash_partition_aligned
 from .scheduler import ShardTask, WorkerPool
 from .sharder import FixpointSpec, ShardSpec, analyze
-from .shm import ShmFixpoint
 
 
 @dataclass
@@ -67,8 +66,6 @@ class ParStats:
     fixpoint_rounds: int = 0   # parallel semi-naive rounds executed
     frontier_reshards: int = 0 # frontier partitions (one per parallel round)
     flat_fixpoint_runs: int = 0  # fixpoints run on the flat-column path
-    shm_ships: int = 0         # id-array payloads delivered to shm workers
-    array_bytes_shipped: int = 0  # bytes of dense-id arrays across processes
     worker_compiles: int = 0   # subexpression compiles inside pool workers
 
     def copy(self) -> "ParStats":
@@ -96,15 +93,10 @@ class ParallelEvaluator:
     workers:
         Pool size.  Worth raising beyond the core count when shard work
         blocks on external calls (the pool overlaps their latency even under
-        the GIL); for CPU-bound shards the process pool with one worker per
-        core is the scaling route.
+        the GIL).
     shards:
         Target shard count per wave (defaults to ``2 * workers`` so slightly
         skewed shards still keep every worker busy).
-    pool:
-        ``"thread"`` (default), ``"process"``, or ``"shm"`` (isolated
-        processes fed dense-id arrays instead of pickled sets) -- see the
-        scheduler module.
     """
 
     def __init__(
@@ -113,7 +105,6 @@ class ParallelEvaluator:
         driver: Optional[VectorizedEvaluator] = None,
         workers: int = 4,
         shards: Optional[int] = None,
-        pool: str = "thread",
     ) -> None:
         self.driver = driver if driver is not None else VectorizedEvaluator(sigma)
         self.interner = self.driver.interner
@@ -121,10 +112,7 @@ class ParallelEvaluator:
         self.shard_count = shards if shards is not None else 2 * workers
         if self.shard_count < 1:
             raise ValueError("shard count must be >= 1")
-        self.pool = WorkerPool(
-            sigma=sigma, workers=workers, kind=pool,
-            interner=self.driver.interner,
-        )
+        self.pool = WorkerPool(sigma=sigma, workers=workers)
         self.stats = ParStats()
         self._specs: dict[Expr, Optional[ShardSpec]] = {}
 
@@ -174,7 +162,7 @@ class ParallelEvaluator:
             js = spec.join
             return node(
                 "parallel",
-                f"workers={w} pool={self.pool.kind}",
+                f"workers={w}",
                 node(
                     "shard",
                     f"aligned join {js.left_var!r} x {js.right_var!r}: both "
@@ -186,7 +174,7 @@ class ParallelEvaluator:
             )
         return node(
             "parallel",
-            f"workers={w} pool={self.pool.kind}",
+            f"workers={w}",
             node(
                 "shard",
                 f"{spec.kind} {spec.var!r} into <={k} shards by structural hash",
@@ -208,9 +196,7 @@ class ParallelEvaluator:
         of ``Engine.vectorized_compiles()`` misses recompiles a mid-stream
         reroute triggers inside the pool.  Worker stats survive
         ``pool.reset()`` (the worker objects live as long as the pool), so
-        assigning the sum is monotone; process/shm workers are invisible
-        across the process boundary and contribute zero -- their compiles
-        are deliberately dropped, never misattributed.
+        assigning the sum is monotone.
         """
         ws = self.pool.worker_stats()
         if ws:
@@ -220,9 +206,9 @@ class ParallelEvaluator:
         """One pool wave, with a driver-side span when tracing is on.
 
         The driver blocks on the wave, so timing it here attributes all
-        worker activity to the driver's current span -- worker threads and
-        processes never open spans of their own (see the span-correctness
-        tests: merged or dropped, never misparented).
+        worker activity to the driver's current span -- worker threads never
+        open spans of their own (see the span-correctness tests: merged or
+        dropped, never misparented).
         """
         if TRACER.enabled:
             with TRACER.span("shard-wave", kind=kind, tasks=len(tasks)):
@@ -278,10 +264,6 @@ class ParallelEvaluator:
         try:
             return self._run(e, arg, env, shards)
         finally:
-            # Shipping counters accrue on the pool (shm encoders live
-            # there); mirror them so ``stats.since`` sees them per call.
-            self.stats.shm_ships = self.pool.shm_ships
-            self.stats.array_bytes_shipped = self.pool.array_bytes_shipped
             self._mirror_worker_compiles()
 
     def _run(
@@ -346,8 +328,6 @@ class ParallelEvaluator:
         try:
             return self._run_many(e, args, env)
         finally:
-            self.stats.shm_ships = self.pool.shm_ships
-            self.stats.array_bytes_shipped = self.pool.array_bytes_shipped
             self._mirror_worker_compiles()
 
     def _run_many(
@@ -535,17 +515,14 @@ class ParallelEvaluator:
 
         The frontier terms are lowered exactly as the vectorized backend's
         semi-naive loop lowers them and the same :meth:`FlatLoop.run` drives
-        the rounds; what changes is the *derive step* it is handed.  Thread
-        pools fan the chunk *callables* across the pool
-        (the indexes are frozen during a round, so the readers don't race and
-        -- because the hot loops are integer probes, not object protocol
-        calls -- they block each other far less than the ``SetVal`` path
-        did).  Shared-memory pools mirror the loop's code state into the
-        worker processes once, then exchange only raw frontier/derived
-        arrays per round.  Process pools (and one-worker pools) keep the loop
-        driver-local: that already beats shipping per-round pickles.  Any
-        ineligible shape declines *before* state is touched, so the caller's
-        object rounds proceed unchanged.
+        the rounds; what changes is the *derive step* it is handed: the
+        round's chunk *callables* fan across the pool threads (the indexes
+        are frozen during a round, so the readers don't race and -- because
+        the hot loops are integer probes, not object protocol calls -- they
+        block each other far less than the ``SetVal`` path did).  A
+        one-worker pool keeps the loop driver-local.  Any ineligible shape
+        declines *before* state is touched, so the caller's object rounds
+        proceed unchanged.
         """
         driver = self.driver
         if not (driver.ctx.use_flat and fix.delta_terms):
@@ -583,34 +560,22 @@ class ParallelEvaluator:
             return None
         self.stats.flat_fixpoint_runs += 1
         driver.stats.flat_fixpoints += 1
-        shm: Optional[ShmFixpoint] = None
-        if self.pool.kind == "shm":
-            shm = ShmFixpoint(self.pool, loop)
-            if not shm.setup():
-                shm = None  # deep accessor paths: stay driver-local
-        pooled = shm is not None or (self.pool.kind == "thread" and self.workers > 1)
+        pooled = self.workers > 1
 
         def derive():
             """One round's derive step on the pool (the loop does the rest)."""
-            if shm is not None:
-                n, parts = self.workers, shm.derive()
-            else:
-                tasks = loop.chunk_probes()
-                n, parts = len(tasks), self.pool.run_callables(tasks)
-            self.stats.tasks += n
-            self.stats.shards += n
+            tasks = loop.chunk_probes()
+            parts = self.pool.run_callables(tasks)
+            self.stats.tasks += len(tasks)
+            self.stats.shards += len(tasks)
             return parts
 
-        try:
-            ran = loop.run(
-                rounds - done,
-                derive if pooled else None,
-                partial(TRACER.event, "fixpoint-round", flat=True, pool=self.pool.kind)
-                if TRACER.enabled else None,
-            )
-        finally:
-            if shm is not None:
-                shm.close()
+        ran = loop.run(
+            rounds - done,
+            derive if pooled else None,
+            partial(TRACER.event, "fixpoint-round", flat=True, pool="thread")
+            if TRACER.enabled else None,
+        )
         self.stats.fixpoint_rounds += ran
         if pooled:
             self.stats.frontier_reshards += ran

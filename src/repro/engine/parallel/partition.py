@@ -6,11 +6,10 @@ on each.  Partitioning must be
 
 * **deterministic**: the same value always lands in the same shard, whatever
   the interpreter's randomized string hashing does (``PYTHONHASHSEED``) and
-  whether the shard is processed by a thread or shipped to another process --
-  shard assignment is part of the observable execution plan, and the tests
-  pin it;
+  which worker thread processes the shard -- shard assignment is part of
+  the observable execution plan, and the tests pin it;
 * **structural**: shards are computed from the value itself, so two engines
-  (or a thread worker and a process worker) agree without sharing state;
+  agree without sharing state;
 * **cheap to re-apply**: the semi-naive fixpoint re-shards every round's
   frontier, so a shard is a subsequence of a canonical element tuple and is
   built without re-sorting (a subsequence of a canonical sequence is
@@ -24,7 +23,6 @@ process.
 
 from __future__ import annotations
 
-from array import array
 from typing import Callable, Optional
 
 from ...objects.values import BaseVal, BoolVal, PairVal, SetVal, UnitVal, Value
@@ -67,40 +65,6 @@ def structural_hash(v: Value) -> int:
             h = _mix(h, structural_hash(e))
         return h
     raise TypeError(f"not a complex object value: {v!r}")
-
-
-def mix64(x: int) -> int:
-    """A splitmix64-style finalizer over a packed dense-id code.
-
-    The flat-column fixpoint shards *codes* -- the 64-bit packed
-    ``(fst_id << 32) | snd_id`` rows of :mod:`repro.engine.vectorized.flat`
-    -- not values, so shard assignment must scramble raw integers whose low
-    bits are one dense id.  Deterministic across processes by construction
-    (pure integer arithmetic); shared-memory workers compute their own
-    assignment from a broadcast frontier with nothing extra on the wire.
-    """
-    x &= _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
-    return x ^ (x >> 31)
-
-
-def partition_codes(codes, k: int) -> list[array]:
-    """Partition packed codes into exactly ``k`` buckets by :func:`mix64`.
-
-    The flat analogue of :func:`hash_partition_aligned`: positions matter
-    (bucket ``i`` is worker ``i``'s slice of the frontier), so empties are
-    kept.  Buckets are disjoint, cover the input, and are identical in every
-    process that evaluates this function on the same codes.
-    """
-    buckets = [array("q") for _ in range(max(1, k))]
-    n = len(buckets)
-    if n == 1:
-        buckets[0].extend(codes)
-        return buckets
-    for c in codes:
-        buckets[mix64(c) % n].append(c)
-    return buckets
 
 
 def _subsequence_set(elements: tuple[Value, ...]) -> SetVal:

@@ -20,27 +20,14 @@ wave before dispatching the next).  Failures are collected per task and the
 one with the smallest task index is re-raised, keeping error reporting
 deterministic regardless of thread scheduling.
 
-The **process pool** option trades the translation caches for genuine
-address-space isolation: tasks (expression, environment, arguments -- all
-picklable) are shipped to worker processes holding one module-global
-evaluator each.  On multi-core machines this sidesteps the GIL for CPU-bound
-shards; the thread pool remains the default because on overlap-bound
-workloads (external calls) it wins without any serialization cost.
-
-The **shared-memory pool** (``kind="shm"``) keeps the process isolation but
-drops the pickle traffic: each worker is an *addressable* single-process
-executor (tasks pin to a slot, so a slot's intern dictionary only ever
-grows), set bindings ship as dense-id columns with a one-time per-slot
-``(id, value)`` sync for unseen ids (:mod:`repro.engine.parallel.shm`), and
-the flat fixpoint exchanges raw code arrays -- through SharedMemory segments
-once they outgrow the inline threshold.  The thread pool additionally
-exposes :meth:`WorkerPool.run_callables`, which the driver-side flat
-fixpoint uses to fan a round's probe chunks across the pool threads.
+The thread pool additionally exposes :meth:`WorkerPool.run_callables`,
+which the driver-side flat fixpoint uses to fan a round's probe chunks
+across the pool threads.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -48,14 +35,9 @@ from ...nra.ast import Expr
 from ...nra.errors import NRAEvalError
 from ...nra.externals import EMPTY_SIGMA, Signature
 from ...objects.values import SetVal, Value
-from ..interning import InternTable, intern_env
 from ..vectorized import VectorizedEvaluator
 from ..vectorized.batch import VecStats
 from ..vectorized.compiler import VFunction
-from .shm import encode_env, shm_init, shm_run_task
-
-#: The pool flavours :class:`WorkerPool` accepts.
-POOL_KINDS = ("thread", "process", "shm")
 
 
 @dataclass(frozen=True)
@@ -149,88 +131,26 @@ def _run_slice(worker: ShardWorker, items: list):
     return done, None
 
 
-# -- process-pool glue (module level so it pickles by reference) --------------
-
-_PROCESS_EVALUATOR: Optional[VectorizedEvaluator] = None
-
-
-def _process_init(sigma: Signature) -> None:
-    global _PROCESS_EVALUATOR
-    _PROCESS_EVALUATOR = VectorizedEvaluator(sigma)
-
-
-def _process_run_task(task: ShardTask):
-    ev = _PROCESS_EVALUATOR
-    if ev is None:  # pragma: no cover - initializer always runs first
-        raise RuntimeError("worker process used before initialization")
-    d = ev.compile(task.expr).fn(intern_env(ev.interner, task.env))
-    if task.args is None:
-        if isinstance(d, VFunction):
-            raise NRAEvalError(
-                "shard task produced a function denotation; expected a value"
-            )
-        return d
-    if not isinstance(d, VFunction):
-        raise NRAEvalError(f"run_many: expected a function expression, got {d!r}")
-    return [d(ev.interner.intern(a)) for a in task.args]
-
-
 @dataclass
 class WorkerPool:
-    """A fixed set of isolated workers plus the executor that drives them."""
+    """A fixed set of isolated workers plus the thread pool that drives them."""
 
     sigma: Signature = EMPTY_SIGMA
     workers: int = 4
-    kind: str = "thread"
-    #: The driver's intern table ("shm" pools only): supplies the dense ids
-    #: tasks are encoded against.  ``None`` degrades shm shipping to plain
-    #: pickles (process-pool behaviour) without changing results.
-    interner: Optional[InternTable] = None
-    #: Cumulative id-array payload deliveries to shm workers and their byte
-    #: volume (a SharedMemory segment read by every slot counts once).
-    shm_ships: int = 0
-    array_bytes_shipped: int = 0
     _workers: list[ShardWorker] = field(default_factory=list, repr=False)
-    _executor: Optional[Executor] = field(default=None, repr=False)
-    _slots: list = field(default_factory=list, repr=False)
-    _slot_known: list = field(default_factory=list, repr=False)
+    _executor: Optional[ThreadPoolExecutor] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in POOL_KINDS:
-            raise ValueError(
-                f"unknown pool kind {self.kind!r}; expected one of {POOL_KINDS}"
-            )
         if self.workers < 1:
             raise ValueError("a worker pool needs at least one worker")
 
-    # -- lazy plumbing ------------------------------------------------------------
-
-    def _ensure(self) -> Executor:
+    def _ensure(self) -> ThreadPoolExecutor:
         if self._executor is None:
-            if self.kind == "thread":
-                self._workers = [ShardWorker(self.sigma) for _ in range(self.workers)]
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-shard"
-                )
-            else:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_process_init,
-                    initargs=(self.sigma,),
-                )
+            self._workers = [ShardWorker(self.sigma) for _ in range(self.workers)]
+            self._executor = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-shard"
+            )
         return self._executor
-
-    def _ensure_slots(self) -> list:
-        """The addressable single-process executors of an ``"shm"`` pool."""
-        if not self._slots:
-            self._slots = [
-                ProcessPoolExecutor(
-                    max_workers=1, initializer=shm_init, initargs=(self.sigma,)
-                )
-                for _ in range(self.workers)
-            ]
-            self._slot_known = [set() for _ in range(self.workers)]
-        return self._slots
 
     # -- the wave protocol --------------------------------------------------------
 
@@ -242,80 +162,39 @@ class WorkerPool:
         """
         if not tasks:
             return []
-        if self.kind == "shm":
-            return self._run_tasks_shm(tasks)
         executor = self._ensure()
-        if self.kind == "thread":
-            if len(tasks) == 1:
-                # One shard: no reason to hop threads.
-                return [self._workers[0].run_task(tasks[0])]
-            slices: list[list] = [[] for _ in range(min(self.workers, len(tasks)))]
-            for idx, task in enumerate(tasks):
-                slices[idx % len(slices)].append((idx, task))
-            futures = [
-                executor.submit(_run_slice, self._workers[w], items)
-                for w, items in enumerate(slices)
-            ]
-            results: dict[int, object] = {}
-            failures: list[tuple[int, BaseException]] = []
-            for f in futures:
-                done, failed = f.result()
-                results.update(done)
-                if failed is not None:
-                    failures.append(failed)
-        else:
-            futures = [executor.submit(_process_run_task, t) for t in tasks]
-            results = {}
-            failures = []
-            for idx, f in enumerate(futures):
-                try:
-                    results[idx] = f.result()
-                except BaseException as exc:  # noqa: BLE001
-                    failures.append((idx, exc))
-        if failures:
-            raise min(failures, key=lambda f: f[0])[1]
-        return [results[i] for i in range(len(tasks))]
-
-    def _run_tasks_shm(self, tasks: list[ShardTask]) -> list:
-        """The shm wave: tasks pin to slots round-robin, envs ship as ids."""
-        slots = self._ensure_slots()
-        futures = []
+        if len(tasks) == 1:
+            # One shard: no reason to hop threads.
+            return [self._workers[0].run_task(tasks[0])]
+        slices: list[list] = [[] for _ in range(min(self.workers, len(tasks)))]
         for idx, task in enumerate(tasks):
-            slot = idx % len(slots)
-            sync, enc_env, enc_args, shipped = encode_env(
-                self.interner, self._slot_known[slot], task.env, task.args
-            )
-            if shipped:
-                self.shm_ships += 1
-                self.array_bytes_shipped += shipped
-            payload = (sync, task.expr, enc_env, enc_args)
-            futures.append(slots[slot].submit(shm_run_task, payload))
+            slices[idx % len(slices)].append((idx, task))
+        futures = [
+            executor.submit(_run_slice, self._workers[w], items)
+            for w, items in enumerate(slices)
+        ]
         results: dict[int, object] = {}
         failures: list[tuple[int, BaseException]] = []
-        for idx, f in enumerate(futures):
-            try:
-                results[idx] = f.result()
-            except BaseException as exc:  # noqa: BLE001
-                failures.append((idx, exc))
+        for f in futures:
+            done, failed = f.result()
+            results.update(done)
+            if failed is not None:
+                failures.append(failed)
         if failures:
             raise min(failures, key=lambda f: f[0])[1]
         return [results[i] for i in range(len(tasks))]
 
-    # -- chunk callables and slot broadcasts --------------------------------------
-
     def run_callables(self, fns: list) -> list:
-        """Run plain callables, one result each, in order.
+        """Run plain callables across the pool threads, one result each, in order.
 
-        Thread pools fan them across the pool threads -- this is how a
-        driver-side flat fixpoint parallelizes a round's probe chunks (the
-        chunks only *read* frozen indexes, so concurrent threads are safe).
-        Other kinds run them inline: closures over driver state cannot cross
-        a process boundary.
+        This is how a driver-side flat fixpoint parallelizes a round's probe
+        chunks (the chunks only *read* frozen indexes, so concurrent threads
+        are safe).
         """
         if not fns:
             return []
-        if self.kind != "thread" or len(fns) == 1:
-            return [fn() for fn in fns]
+        if len(fns) == 1:
+            return [fns[0]()]
         executor = self._ensure()
         futures = [executor.submit(fn) for fn in fns]
         results = []
@@ -331,44 +210,19 @@ class WorkerPool:
             raise failure
         return results
 
-    def broadcast(self, fn, *args) -> list:
-        """Run ``fn(*args)`` on every shm slot; results in slot order."""
-        slots = self._ensure_slots()
-        futures = [slot.submit(fn, *args) for slot in slots]
-        return [f.result() for f in futures]
-
-    def broadcast_slotted(self, fn, *args) -> list:
-        """Run ``fn(*args, slot_index, slot_count)`` on every shm slot."""
-        slots = self._ensure_slots()
-        k = len(slots)
-        futures = [slot.submit(fn, *args, i, k) for i, slot in enumerate(slots)]
-        return [f.result() for f in futures]
-
     # -- maintenance --------------------------------------------------------------
 
     def worker_stats(self) -> list[VecStats]:
-        """Per-worker vectorized counters (thread pools; empty for processes)."""
+        """Per-worker vectorized counters."""
         return [w.stats.copy() for w in self._workers]
 
     def reset(self) -> None:
-        """Drop every worker-side cache (and, for processes, the processes)."""
+        """Drop every worker-side cache."""
         for w in self._workers:
             w.reset()
-        if self.kind == "process" and self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._slots:
-            for slot in self._slots:
-                slot.shutdown(wait=True)
-            self._slots = []
-            self._slot_known = []
 
     def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        for slot in self._slots:
-            slot.shutdown(wait=True)
-        self._slots = []
-        self._slot_known = []
         self._workers = []

@@ -1,12 +1,11 @@
 """The adaptive cost-based backend router behind ``Engine(backend="auto")``.
 
-Five run backends exist (reference/memo/vectorized/parallel plus the
-explain-only incremental view) and until now callers picked one by hand.
-This module promotes the PR-1 cost model into the *chooser* the paper's
-cost-directed rewriting implies: estimate how expensive a query is at
-catalog scale, pick the backend (and shard count, and join order) that the
-estimate favours, then **adapt** -- record what actually happened and
-re-route when reality contradicts the estimate by an order of magnitude.
+Two of the run backends are candidates, ``vectorized`` and ``parallel``
+(``reference`` is the oracle, ``incremental`` an explain-only view).  This
+module estimates how expensive a query is at catalog scale with the
+work/depth cost semantics, picks the backend (and shard count, and join
+order), then **adapts** -- it records what actually happened and re-routes
+when reality contradicts the estimate by an order of magnitude.
 
 How a decision is made
 ----------------------
@@ -24,13 +23,12 @@ How a decision is made
    the reusable cached hash index -- the right orientation for the prepared
    steady-state regime, where the index is built once and every execute pays
    only the probe side.
-4. **Decision.**  ``ext`` over external calls with enough fan-out routes to
-   ``parallel`` (latency overlap is the one thing Python threads genuinely
-   win; the shard count scales with the estimated fan-out).  Tiny estimated
-   work routes to ``memo`` -- interpreting is cheaper than compiling.
-   Everything else routes to ``vectorized``.  CPU-bound work is *never*
-   routed to ``parallel``: under the GIL the thread pool loses, and the
-   benchmarks record that honestly.
+4. **Decision.**  ``ext`` over external calls with at least
+   ``MIN_PARALLEL_N`` estimated elements routes to ``parallel`` (latency
+   overlap is the one thing Python threads genuinely win; the shard count
+   scales with the estimated fan-out).  Everything else routes to
+   ``vectorized``.  CPU-bound work is *never* routed to ``parallel``: under
+   the GIL the thread pool loses, and the benchmarks record that honestly.
 5. **Adaptation.**  Every routed run's wall-clock time is recorded.  A
    calibration EWMA maps cost-model work units to seconds.  When an observed
    runtime exceeds the current prediction by ``MISS_FACTOR`` (10x), the
@@ -239,8 +237,6 @@ def _has_parallel_externals(e: Expr) -> bool:
 class Router:
     """Per-engine routing state: decide once per template, adapt per run."""
 
-    #: Estimated work at or below which interpreting beats compiling.
-    SMALL_WORK = 512.0
     #: Order-of-magnitude miss that triggers adaptation.
     MISS_FACTOR = 10.0
     #: Minimum full cardinality before the parallel backend is considered.
@@ -351,12 +347,6 @@ class Router:
             backend, reason = "parallel", (
                 f"ext over external calls, n~{n}: overlap call latency "
                 f"across {shards} shards on {self.workers} workers"
-            )
-        elif est.work <= self.SMALL_WORK:
-            shards = None
-            backend, reason = "memo", (
-                f"estimated work ~{est.work:.0f} <= {self.SMALL_WORK:.0f}: "
-                "interpreting beats compiling"
             )
         else:
             shards = None

@@ -2,9 +2,9 @@
 
 The paper's central claim is that NRA-with-recursion admits efficient
 *parallel, set-at-a-time* evaluation; this package is that claim applied as
-an engine backend.  Where :mod:`repro.engine.memo` still walks expressions
-one element and one closure call at a time, this backend **compiles**
-(rewritten) NRA expressions into plans of whole-set operators over a columnar
+an engine backend, and the engine's default one.  Where the reference
+interpreter walks expressions one element and one closure call at a time,
+this backend **compiles** (rewritten) NRA expressions into plans of whole-set operators over a columnar
 view of interned values:
 
 * :mod:`~repro.engine.vectorized.batch` -- the columnar batch kernels: hash

@@ -1,8 +1,7 @@
 """Columnar batches: whole-set operator kernels over interned values.
 
-The memoizing evaluator (:mod:`repro.engine.memo`) still walks ``ext`` bodies
-one element and one closure call at a time.  This module is the other half of
-the set-at-a-time story: every kernel consumes *whole canonical sets* of
+The reference interpreter walks ``ext`` bodies one element and one closure
+call at a time.  This module is the set-at-a-time alternative: every kernel consumes *whole canonical sets* of
 interned values and produces interned sets, so the per-element work inside a
 bulk operator is a couple of dict probes and attribute loads instead of a
 re-entry into the expression evaluator.

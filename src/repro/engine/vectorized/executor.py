@@ -53,8 +53,7 @@ class VectorizedEvaluator:
         """Drop the compile cache and every join index (results unaffected).
 
         The intern table is deliberately kept: interned values back ``id``-
-        keyed equality across the engine and are shared with the memo
-        backend.  This is what ``Engine.clear_plans`` calls for long-lived
+        keyed equality across the engine.  This is what ``Engine.clear_plans`` calls for long-lived
         engines serving many ad-hoc queries.
         """
         self.compiler.clear_cache()

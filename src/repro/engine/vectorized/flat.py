@@ -377,9 +377,9 @@ class FlatLoop:
     frontier as id columns and resolve the per-term probe plans and indexes;
     :meth:`run` then drives every remaining round in one call.  What varies
     between callers is only a round's *derive step* -- who probes the frozen
-    indexes with the frontier: the loop itself, or a pool handed
+    indexes with the frontier: the loop itself, or a thread pool handed
     :meth:`chunk_probes` (``chunks`` independent callables, strided over the
-    streamed rows), or worker processes holding mirrored code state.
+    streamed rows).
     Deduplication, the accumulator, the acc-side indexes, convergence and
     the counters stay here whoever derives.
     """
@@ -472,14 +472,6 @@ class FlatLoop:
             setdefault(rk, []).append((ra, rb))
 
     # -- rounds -------------------------------------------------------------------
-
-    def frontier_codes(self) -> array:
-        """The current frontier as packed codes (what shm workers receive)."""
-        return array("q", _codes(self._delta_f, self._delta_s))
-
-    def acc_codes_array(self) -> array:
-        """The accumulator as packed codes (the shm setup payload)."""
-        return array("q", _codes(self._acc_f, self._acc_s))
 
     def run(
         self,

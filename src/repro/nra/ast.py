@@ -34,7 +34,7 @@ plus the recursion and iteration constructs of Sections 2 and 7.1:
 Each node is an immutable dataclass.  Variables are identified by name;
 ``Lambda`` stores the declared type of its variable, as in the paper's
 ``\\x^s. e``.  All node classes carry ``slots=True``: expressions are interned
-into engine-side caches (plan cache, memo keys, the rewriter's ACU cache) and
+into engine-side caches (plan cache, compile cache, the rewriter's ACU cache) and
 slotted frozen dataclasses both shrink the nodes and keep attribute access on
 the hot evaluator dispatch paths cheap.  The helpers at the bottom
 (:func:`free_variables`, :func:`subexpressions`, :func:`substitute`,

@@ -91,7 +91,7 @@ class PairVal(Value):
     """A pair ``(fst, snd)`` of complex object values.
 
     A plain frozen class rather than a dataclass so the structural hash can
-    be cached: pairs key memo tables, intern lookups, and the catalog's
+    be cached: pairs key compile-time caches, intern lookups, and the catalog's
     per-commit membership filters, and the recursive re-hash was a measurable
     slice of delta maintenance.
     """
@@ -179,7 +179,7 @@ class SetVal(Value):
     def __hash__(self) -> int:
         # Hashing a deep set re-hashes every element; nested sets make that
         # quadratic in the value's size.  Sets are immutable, so the hash is
-        # computed once and cached (memo keys and intern lookups hit this).
+        # computed once and cached (cache keys and intern lookups hit this).
         h = self._hash
         if h is None:
             h = hash(("SetVal", self.elements))

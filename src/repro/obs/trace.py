@@ -16,7 +16,6 @@ steady-state engine pays (almost) nothing.  Worker threads inside the
 parallel pool do not open spans at all; shard waves are timed on the
 driver thread, which blocks on the wave, so worker activity is folded
 into the driver-side ``shard-wave`` span rather than misparented.
-Process/shm workers are invisible by construction (explicitly dropped).
 """
 
 from __future__ import annotations

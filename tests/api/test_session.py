@@ -155,7 +155,7 @@ def test_prepared_cache_distinguishes_lifted_defaults(session):
     assert ps5.execute().fetchall() == [(5, 6)]
     # Same template, same defaults -> cached; different backend -> distinct.
     assert session.prepare(selection(3)) is ps3
-    assert session.prepare(selection(3), backend="memo") is not ps3
+    assert session.prepare(selection(3), backend="reference") is not ps3
 
 
 def test_unbound_and_unknown_params_raise(session):
@@ -188,14 +188,14 @@ def test_executemany_single_param_delegates_to_run_many(session):
 
 
 def test_executemany_respects_prepared_backend(session):
-    """A statement prepared for the memo backend batches on memo, not the
-    session default (regression: the single-param fast path dropped it)."""
-    from repro.engine.memo import MemoStats
+    """A statement prepared for the parallel backend batches on parallel, not
+    the session default (regression: the single-param fast path dropped it)."""
+    from repro.engine import ParStats
 
     q = Q.coll("edges").where(lambda e: e.fst == Q.param("src"))
-    ps = session.prepare(q, backend="memo")
+    ps = session.prepare(q, backend="parallel")
     curs = session.executemany(ps, [0, 1])
-    assert isinstance(session.engine.last_stats, MemoStats)
+    assert isinstance(session.engine.last_stats, ParStats)
     assert [c.fetchall() for c in curs] == [[(0, 1)], [(1, 2)]]
 
 
@@ -253,9 +253,9 @@ def test_backends_agree_through_sessions():
     q = Q.coll("edges").fix()
     values = {
         backend: connect(db, backend=backend).execute(q).value
-        for backend in ("reference", "memo", "vectorized")
+        for backend in ("reference", "vectorized")
     }
-    assert values["reference"] == values["memo"] == values["vectorized"]
+    assert values["reference"] == values["vectorized"]
 
 
 def test_sessions_can_share_one_engine():

@@ -8,7 +8,7 @@ whole query library plus bounded-recursion and external-function cases.
 
 import pytest
 
-from repro.engine import Engine, InternTable, MemoEvaluator
+from repro.engine import Engine, InternTable
 from repro.nra.ast import (
     Apply,
     Bdcr,
@@ -128,14 +128,19 @@ def test_optimized_never_costs_more_than_original():
         assert c_opt.depth <= c_orig.depth
 
 
-def test_memoization_collapses_equal_combines():
-    """TC-by-dcr has a constant item function: one compose per tree level."""
-    eng = Engine()
-    q = reachable_pairs_query("dcr")
-    ref = run(q, GRAPHS["path"].value())
-    assert eng.run(q, GRAPHS["path"]) == ref
-    assert eng.last_stats is not None
-    assert eng.last_stats.call_hits > 0
+def test_engine_surface_is_one_executor_and_one_pool():
+    """A bare engine runs the vectorized executor; the old names are gone."""
+    import inspect
+
+    from repro.engine import BACKENDS
+
+    assert Engine().backend == "vectorized"
+    assert BACKENDS == ("reference", "vectorized", "parallel", "auto")
+    with pytest.raises(ValueError, match="unknown backend 'memo'"):
+        Engine(backend="memo")
+    with pytest.raises(TypeError):
+        Engine(pool="shm")
+    assert len(inspect.signature(Engine.__init__).parameters) - 1 == 7
 
 
 def test_intern_table_shares_structure():
@@ -153,14 +158,6 @@ def test_intern_union_matches_setval_union():
     b = table.intern(from_python({2, 3, 6}))
     assert table.union(a, b) == a.union(b)
     assert table.union(a, b) is table.intern(a.union(b))
-
-
-def test_memo_evaluator_stats_count_hits():
-    ev = MemoEvaluator()
-    q = reachable_pairs_query("dcr")
-    ev.run(q, arg=GRAPHS["path"].value())
-    assert ev.stats.call_hits > 0
-    assert ev.stats.calls == ev.stats.call_hits + ev.stats.call_misses
 
 
 def test_structural_rules_only_never_touch_recursions():
@@ -194,26 +191,6 @@ def test_ext_fusion_requires_a_map_shaped_inner_function():
     rewritten, firings = Rewriter().rewrite(expr)
     assert "ext-fusion" not in [fr.rule for fr in firings]
     assert run(expr) == run(rewritten)
-
-
-def test_shared_closures_make_duplicate_intermediates_cache_hits():
-    """One closure per (expression, environment): duplicates cost a hit.
-
-    ``f`` is a closed function re-evaluated inside the outer lambda body once
-    per element; the evaluator hands back the *same* memoized closure every
-    time, so applying it to the same (interned) argument from six different
-    iterations is one miss and five hits.
-    """
-    from repro.nra.ast import Ext, Singleton
-
-    f = Lambda("y", BASE, Singleton(Var("y")))
-    body = Apply(f, Const(from_python(0), BASE))
-    outer = Lambda("x", BASE, body)
-    s = Const(from_python({1, 2, 3, 4, 5, 6}), SetType(BASE))
-    expr = Apply(Ext(outer), s)
-    ev = MemoEvaluator()
-    assert ev.run(expr) == run(expr)
-    assert ev.stats.call_hits >= 5
 
 
 def test_plan_cache_is_structural():

@@ -1,6 +1,6 @@
-"""Flat-column kernels: dense-id plumbing, kernel parity, and shm shipping.
+"""Flat-column kernels: dense-id plumbing and kernel parity.
 
-The PR-7 representation change is only sound if three layers hold together:
+The PR-7 representation change is only sound if two layers hold together:
 
 * the **intern table's dense-id side** (stable ids, pair part registry,
   cached id columns, bytes-keyed set reconstruction) must round-trip every
@@ -10,9 +10,7 @@ The PR-7 representation change is only sound if three layers hold together:
   (``flat=True``, the default) and object (``flat=False``) vectorized
   engines and the reference interpreter agree value-for-value, and the
   ``VecStats``/``ViewStats`` counters prove which representation actually
-  served the run (a silent fallback would trivially pass the value check);
-* the **shared-memory parallel path** must agree with everything else while
-  actually shipping id arrays (``shm_ships``/``array_bytes_shipped``).
+  served the run (a silent fallback would trivially pass the value check).
 
 Everything here is deterministic; the numpy-absent leg is exercised by
 monkeypatching ``flat._np`` (CI additionally runs the whole marker with
@@ -23,7 +21,6 @@ import pytest
 
 from repro.engine import Engine
 from repro.engine.interning import InternTable
-from repro.engine.parallel.partition import mix64, partition_codes
 from repro.engine.vectorized import flat
 from repro.nra.eval import run as reference_run
 from repro.objects.values import BaseVal, PairVal, SetVal, from_python
@@ -152,49 +149,7 @@ class TestFlatKernelParity:
 
 
 # ---------------------------------------------------------------------------
-# 3. Shared-memory parallel path: parity plus real array shipping
-# ---------------------------------------------------------------------------
-
-class TestShmPool:
-    @pytest.mark.slow
-    def test_shm_pool_agrees_and_ships_arrays(self):
-        g = path_graph(24).value()
-        q = reachable_pairs_query("logloop")
-        want = reference_run(q, g)
-        eng = Engine(backend="parallel", workers=2, pool="shm")
-        try:
-            assert eng.run(q, g) == want
-            stats = eng.last_stats
-            assert stats.flat_fixpoint_runs >= 1
-            assert stats.shm_ships > 0
-            assert stats.array_bytes_shipped > 0
-        finally:
-            eng.close()
-
-
-# ---------------------------------------------------------------------------
-# 4. Code partitioning: deterministic disjoint cover
-# ---------------------------------------------------------------------------
-
-class TestPartitionCodes:
-    def test_partition_is_a_disjoint_cover_and_deterministic(self):
-        codes = [((i * 2654435761) % (1 << 40)) for i in range(500)]
-        shards = partition_codes(codes, 4)
-        assert len(shards) == 4
-        seen = [c for shard in shards for c in shard]
-        assert sorted(seen) == sorted(codes)
-        again = partition_codes(codes, 4)
-        assert [list(s) for s in shards] == [list(s) for s in again]
-
-    def test_mix64_spreads_sequential_ids(self):
-        # Sequential dense ids are the common case; the mixer must not send
-        # them all to one shard.
-        buckets = {mix64(i) % 4 for i in range(64)}
-        assert buckets == {0, 1, 2, 3}
-
-
-# ---------------------------------------------------------------------------
-# 5. Maintained fixpoint views ride the dense-id indexed walk
+# 3. Maintained fixpoint views ride the dense-id indexed walk
 # ---------------------------------------------------------------------------
 
 from repro.api import Q, connect  # noqa: E402

@@ -8,9 +8,9 @@ a pool, a derive step.  What is pinned here:
   exactly ``n - 2 - src`` frontier rounds, in the engine's own counters, and
   the whole-relation closure is logarithmic by ``dcr`` and linear by ``sri``
   -- the paper's NC-vs-PTIME shape, without the cost interpreter;
-* **one loop, three derive steps**: local, thread-pool chunks and
-  shared-memory workers give the same value from the same number of rounds
-  and joins, equal to the object kernels and the reference interpreter;
+* **one loop, two derive steps**: local and thread-pool chunks give the
+  same value from the same number of rounds and joins, equal to the object
+  kernels and the reference interpreter;
 * the **budget** stops the loop exactly where the iterator's cardinality
   argument says;
 * **tracing** reports one ``fixpoint-round`` event per round, and a round
@@ -99,7 +99,7 @@ def test_dcr_rounds_are_polylog_and_sri_rounds_linear():
 
 
 # ---------------------------------------------------------------------------
-# 2. One loop, three derive steps
+# 2. One loop, two derive steps
 # ---------------------------------------------------------------------------
 
 GRAPHS = {
@@ -129,16 +129,7 @@ def test_local_and_thread_drivers_agree_with_object_kernels_and_reference(gname,
     assert local[0] == want and local[1] > 0
     assert _run_with(query, graph, backend="vectorized", flat=False) == (want, 0, local[2])
     assert _run_with(query, graph, backend="parallel", workers=1) == local
-    assert _run_with(query, graph, backend="parallel", workers=2, pool="thread") == local
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("gname", list(GRAPHS))
-def test_shm_pool_driver_agrees_with_the_local_one(gname):
-    graph, query = GRAPHS[gname].value(), reachable_pairs_query("sri")
-    local = _run_with(query, graph, backend="vectorized")
-    assert local[0] == reference_run(query, graph)
-    assert _run_with(query, graph, backend="parallel", workers=2, pool="shm") == local
+    assert _run_with(query, graph, backend="parallel", workers=2) == local
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +170,7 @@ def tracer():
 
 @pytest.mark.parametrize("engine_args", [
     dict(backend="vectorized"),
-    dict(backend="parallel", workers=2, pool="thread"),
+    dict(backend="parallel", workers=2),
 ])
 def test_one_fixpoint_round_event_per_round(tracer, engine_args):
     engine = Engine(**engine_args)

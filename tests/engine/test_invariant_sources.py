@@ -248,11 +248,9 @@ DIRECT_ENTRY_QUERIES = {
 }
 
 
-@pytest.mark.parametrize("pool", ["thread", pytest.param("process", marks=pytest.mark.slow),
-                                  pytest.param("shm", marks=pytest.mark.slow)])
-def test_worker_pools_agree_with_the_reference(pool):
+def test_worker_pools_agree_with_the_reference():
     env = {"r": from_python(set(EDGES))}
-    engine = Engine(backend="parallel", workers=2, shards=3, pool=pool)
+    engine = Engine(backend="parallel", workers=2, shards=3)
     try:
         for name, expr in DIRECT_ENTRY_QUERIES.items():
             want = reference_run(expr, env=env)

@@ -3,8 +3,8 @@
 Layer by layer: partitioning (determinism, disjoint cover, canonical
 shards), the distributivity / join / fixpoint analysis, the executor's four
 strategies against the reference interpreter, error propagation out of
-workers, the explain tree, the engine cache contract (clear_plans, warm
-reruns), and the process-pool option.
+workers, the explain tree, and the engine cache contract (clear_plans, warm
+reruns, compile counts across close).
 """
 
 import pytest
@@ -12,7 +12,6 @@ import pytest
 from repro.engine import Engine
 from repro.engine.parallel import (
     ParallelEvaluator,
-    WorkerPool,
     analyze,
     distributes_over_union,
     hash_partition,
@@ -420,9 +419,21 @@ class TestEngineWiring:
         finally:
             eng.close()
 
-    def test_unknown_pool_kind_is_rejected(self):
-        with pytest.raises(ValueError):
-            WorkerPool(kind="fiber")
+    def test_compile_count_never_decreases_across_close(self):
+        # close() drops the pool; the compiles its workers did stay counted.
+        sigma, q, v = enrichment_workload(24, latency=0.0)
+        eng = Engine(sigma=sigma, backend="parallel", workers=2)
+        try:
+            counts = []
+            for _ in range(2):
+                eng.run(q, v)
+                counts.append(eng.vectorized_compiles())
+                eng.close()
+                counts.append(eng.vectorized_compiles())
+            assert counts[0] > 0
+            assert counts == sorted(counts), counts
+        finally:
+            eng.close()
 
     def test_translation_cache_is_bounded(self):
         from repro.engine.parallel import ShardWorker
@@ -444,28 +455,3 @@ class TestEngineWiring:
         assert "parallel" in BACKENDS
         with pytest.raises(ValueError):
             Engine(backend="sharded")
-
-
-# ---------------------------------------------------------------------------
-# The process pool
-# ---------------------------------------------------------------------------
-
-@pytest.mark.slow
-class TestProcessPool:
-    def test_process_pool_matches_reference(self):
-        q = reachable_pairs_query("logloop")
-        g = path_graph(8).value()
-        eng = Engine(backend="parallel", workers=2, shards=3, pool="process")
-        try:
-            assert eng.run(q, g) == reference_run(q, g)
-        finally:
-            eng.close()
-
-    def test_process_pool_shard_map_with_oracle(self):
-        sigma, q, v = enrichment_workload(12, latency=0.0)
-        eng = Engine(sigma=sigma, backend="parallel", workers=2, shards=3,
-                     pool="process")
-        try:
-            assert eng.run(q, v) == reference_run(q, v, sigma=sigma)
-        finally:
-            eng.close()

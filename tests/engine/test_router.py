@@ -2,8 +2,7 @@
 
 Covers the whole routing story: catalog statistics maintained O(1) per
 commit, sample-based cost estimation with stubbed externals, the decision
-policy (memo for tiny work, parallel only for external fan-out, vectorized
-otherwise), the join-order rewrite, the "why this backend" explain trace,
+policy (parallel only for external fan-out, vectorized otherwise), the join-order rewrite, the "why this backend" explain trace,
 the unified backend-name validation, session/prepare integration -- and the
 adaptation loop: a fabricated mis-estimate must be corrected by re-routing
 once observed runtimes contradict it by an order of magnitude.
@@ -42,7 +41,12 @@ from repro.objects.values import BaseVal, PairVal, SetVal
 from repro.relational.queries import reachable_pairs_query
 from repro.workloads.databases import graph_database
 from repro.workloads.graphs import path_graph
-from repro.workloads.services import enrichment_query, enrichment_sigma, request_ids
+from repro.workloads.services import (
+    enrichment_query,
+    enrichment_sigma,
+    enrichment_workload,
+    request_ids,
+)
 
 pytestmark = pytest.mark.router
 
@@ -173,11 +177,11 @@ class TestCatalogStats:
 
 
 class TestDecisionPolicy:
-    def test_tiny_work_routes_to_memo(self):
+    def test_tiny_work_routes_to_vectorized(self):
         router = Router(EMPTY_SIGMA, workers=4)
         d = router.route(Var("edges"), env={"edges": edge_set([(0, 1)])})
-        assert d.backend == "memo"
-        assert "interpreting beats compiling" in d.reason
+        assert d.backend == "vectorized"
+        assert "set-at-a-time kernels" in d.reason
 
     def test_heavy_cpu_work_routes_to_vectorized_never_parallel(self):
         router = Router(EMPTY_SIGMA, workers=4)
@@ -305,7 +309,7 @@ class TestExplainTrace:
     def test_any_engine_can_explain_auto(self):
         # explain_plan(backend="auto") works on a non-auto engine too,
         # mirroring how "incremental" is explainable everywhere.
-        eng = Engine(backend="memo")
+        eng = Engine(backend="reference")
         text = str(eng.explain_plan(Var("edges"), backend="auto"))
         assert "route-decision" in text
 
@@ -320,47 +324,57 @@ class TestAdaptation:
         return next(iter(router.records.values()))
 
     def test_undershoot_reroutes_after_order_of_magnitude_miss(self):
-        """The ISSUE's acceptance case: a 10x mis-estimate flips the route.
+        """A 10x mis-estimate is re-decided from the corrected cost.
 
-        A fabricated estimate prices a recursive closure at barely-small
-        work, so the router picks memo; the first real run lands orders of
-        magnitude over the prediction, the router re-decides from the
-        corrected cost, and the template ends up on vectorized with the flip
-        recorded in its history (and rendered by the explain trace).
+        A fabricated estimate prices an external fan-out at one unit of
+        work; the routed parallel run lands orders of magnitude over the
+        prediction, the router re-decides from the corrected cost -- still
+        parallel, the rule is syntactic -- and records the re-route in the
+        template's history (rendered by the explain trace).
         """
-        eng = Engine(backend="auto")
-        router = eng.router()
-        router.estimator = lambda *a, **k: CostEstimate(
-            work=500.0, depth=10.0, exponent=1.0, sample_n=8, full_n=23
-        )
-        q = reachable_pairs_query("dcr")
-        g = path_graph(24)
-        first = eng.run(q, g)  # routed run: memo, then the miss
-        rec = self._record(eng)
-        assert rec.decision.backend == "vectorized"
-        assert router.stats.reroutes >= 1
-        assert rec.history
-        flip = rec.history[0]
-        assert (flip.from_backend, flip.to_backend) == ("memo", "vectorized")
-        assert flip.observed_s >= flip.predicted_s * Router.MISS_FACTOR
-        # The next run executes the corrected route, measures it, and (a
-        # differential check for free) agrees with the memo run's result.
-        assert eng.run(q, g) == first
-        assert set(rec.measured) == {"memo", "vectorized"}
-        text = str(eng.explain_plan(q, backend="auto"))
-        assert "route-history" in text
-        assert "memo -> vectorized" in text
+        sigma, q, v = enrichment_workload(24, latency=0.0)
+        eng = Engine(sigma=sigma, backend="auto", workers=2)
+        try:
+            router = eng.router()
+            router.estimator = lambda *a, **k: CostEstimate(
+                work=1.0, depth=1.0, exponent=1.0, sample_n=8, full_n=24
+            )
+            first = eng.run(q, v)  # routed run: parallel, then the miss
+            rec = self._record(eng)
+            assert rec.decision.backend == "parallel"
+            assert router.stats.reroutes >= 1
+            flip = rec.history[0]
+            assert (flip.from_backend, flip.to_backend) == ("parallel", "parallel")
+            assert flip.observed_s >= flip.predicted_s * Router.MISS_FACTOR
+            assert "corrected work" in flip.reason
+            # The next run is judged against the corrected prediction and (a
+            # differential check for free) agrees with the reference.
+            assert eng.run(q, v) == first == reference_run(q, v, sigma=sigma)
+            text = str(eng.explain_plan(q, backend="auto"))
+            assert "route-history" in text
+            assert "parallel -> parallel" in text
+        finally:
+            eng.close()
 
     def test_measured_argmin_pins_once_two_backends_are_known(self):
-        eng = Engine(backend="auto")
-        router = eng.router()
-        e = Var("edges")
-        router.route(e, env={"edges": edge_set([(0, 1)])})
-        rec = self._record(eng)
-        rec.measured.update({"memo": 0.5, "vectorized": 0.001})
-        router._reroute(rec, "memo", 0.5)
-        assert rec.decision.backend == "vectorized"
-        assert "measured argmin" in rec.decision.reason
+        sigma, q, v = enrichment_workload(24, latency=0.0)
+        eng = Engine(sigma=sigma, backend="auto", workers=2)
+        try:
+            router = eng.router()
+            assert eng.route(q, arg=v).backend == "parallel"
+            rec = self._record(eng)
+            rec.measured.update({"parallel": 0.5, "vectorized": 0.001})
+            router._reroute(rec, "parallel", 0.5)
+            assert rec.decision.backend == "vectorized"
+            assert rec.decision.shards is None
+            assert "measured argmin" in rec.decision.reason
+            rec.measured.update({"parallel": 0.001, "vectorized": 0.5})
+            router._reroute(rec, "vectorized", 0.5)
+            assert rec.decision.backend == "parallel"
+            assert eng.run(q, v) == reference_run(q, v, sigma=sigma)
+            assert router.stats.reroutes >= 2
+        finally:
+            eng.close()
 
     def test_overshoot_recalibrates_without_flipping(self):
         eng = Engine(backend="auto")

@@ -4,9 +4,7 @@ Live in-thread servers on ephemeral ports, like the rest of the service
 suite.  The slow-query test is the PR-10 satellite: a blocking external
 pushes one query past the threshold against a *live* server, and the
 logged entry must carry the route decision and the (<= 3) hottest plan
-nodes.  The shm-pool test pins the worker-span contract: process workers
-produce no spans at all -- merged into driver-side timing or dropped,
-never misparented.
+nodes.
 """
 
 import time
@@ -167,6 +165,7 @@ class TestSlowQueryLog:
         finally:
             srv.stop()
             TRACER.disable()  # the armed server enabled the process tracer
+            TRACER.clear()
 
     def test_concurrent_requests_log_independent_entries(self):
         """Asyncio offloads carry their own span context: no cross-talk."""
@@ -202,37 +201,4 @@ class TestSlowQueryLog:
         finally:
             srv.stop()
             TRACER.disable()
-
-
-# ---------------------------------------------------------------------------
-# shm/process pools: worker spans merged-or-dropped, never misparented
-# ---------------------------------------------------------------------------
-
-@pytest.mark.slow
-def test_shm_pool_produces_no_foreign_spans():
-    from repro.api import Database, connect as local_connect
-    from repro.engine import Engine
-    from repro.workloads.graphs import path_graph
-
-    TRACER.clear()
-    TRACER.enable()
-    try:
-        db = Database.of("g", edges=path_graph(32))
-        eng = Engine(backend="parallel", workers=2, pool="shm")
-        s = local_connect(db, engine=eng)
-        with TRACER.span("outer") as outer:
-            value = s.execute(Q.coll("edges").fix()).value
-        assert len(value.elements) == 32 * 31 // 2
-        # Everything recorded is under this flow of control: process
-        # workers contributed timing (folded into driver-side spans) but
-        # no spans of their own, and nothing landed as a stray root.
-        assert [r for r in TRACER.recent() if r is not outer] == []
-        q = outer.find("query")
-        assert q is not None
-        for sp in q.walk():
-            assert sp.name in {
-                "query", "rewrite", "compile", "shard-wave", "fixpoint-round",
-            }
-    finally:
-        TRACER.disable()
-        TRACER.clear()
+            TRACER.clear()

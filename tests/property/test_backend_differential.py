@@ -1,11 +1,11 @@
 """The cross-backend differential harness (PR-4 satellite).
 
-With four backends (``reference``, ``memo``, ``vectorized``, ``parallel``)
-the repo needs one suite whose only job is to keep them semantically
+With three backends (``reference``, ``vectorized``, ``parallel``) the repo
+needs one suite whose only job is to keep them semantically
 interchangeable.  This harness is generator-driven and **seed-pinned** (plain
 ``random.Random`` seeds, no hypothesis shrinking): every case is a
 well-typed NRA term plus a small database, and the assertion is always the
-same -- all four backends produce the *same outcome*, where an outcome is
+same -- all three backends produce the *same outcome*, where an outcome is
 either the result value or the raised error class (raising externals and
 ill-typed evaluations must fail everywhere, not succeed on the backend that
 happened to reorder the work).
@@ -78,7 +78,7 @@ pytestmark = pytest.mark.differential
 EDGE_T = ProdType(BASE, BASE)
 
 #: The engine-backed contenders; the reference interpreter is the oracle.
-ENGINE_BACKENDS = ("memo", "vectorized", "parallel")
+ENGINE_BACKENDS = ("vectorized", "parallel")
 
 
 def _outcome(fn):

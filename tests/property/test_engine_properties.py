@@ -1,10 +1,10 @@
-"""Property tests for the optimizing engine: rewrite + memo soundness.
+"""Property tests for the optimizing engine: rewrite + execution soundness.
 
 A seeded-random generator produces closed, well-typed NRA expressions (sets of
 atoms, pairs, booleans, ``ext`` maps/filters, conditionals, and
 divide-and-conquer/insert recursions with well-behaved combiners).  For every
 generated expression the optimized engine -- full rewriting, interning and
-memoization -- must produce exactly the value the reference interpreter does,
+the vectorized executor -- must produce exactly the value the reference interpreter does,
 and the rewritten expression must type-check to the same type.
 """
 
@@ -154,6 +154,6 @@ class TestRewriteSoundness:
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10**6))
-    def test_memoized_run_is_deterministic_across_engines(self, seed):
+    def test_engine_run_is_deterministic_across_engines(self, seed):
         expr = _random_expr(seed)
         assert Engine().run(expr) == Engine().run(expr)
