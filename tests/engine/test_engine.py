@@ -193,6 +193,28 @@ def test_ext_fusion_requires_a_map_shaped_inner_function():
     assert run(expr) == run(rewritten)
 
 
+@pytest.mark.parametrize("backend", ["reference", "vectorized", "parallel", "auto"])
+def test_a_closure_reapplied_per_element_agrees_on_every_backend(backend):
+    """A closed function re-evaluated inside an ext body, once per element.
+
+    ``f`` is closed, so every iteration applies the same function to the
+    same argument: six equal intermediates that each backend must collapse
+    (or recompute) to the reference's value.
+    """
+    from repro.nra.ast import Ext
+
+    f = Lambda("y", BASE, Singleton(Var("y")))
+    body = Apply(f, Const(from_python(0), BASE))
+    outer = Lambda("x", BASE, body)
+    s = Const(from_python({1, 2, 3, 4, 5, 6}), SetType(BASE))
+    expr = Apply(Ext(outer), s)
+    eng = Engine(backend=backend)
+    try:
+        assert eng.run(expr) == run(expr) == from_python({0})
+    finally:
+        eng.close()
+
+
 def test_plan_cache_is_structural():
     def build():
         return Lambda("s", SetType(BASE), Union(Var("s"), Var("s")))

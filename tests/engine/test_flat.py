@@ -147,6 +147,21 @@ class TestFlatKernelParity:
         finally:
             eng.close()
 
+    def test_thread_pool_runs_the_flat_fixpoint_on_the_driver(self):
+        g = path_graph(24).value()
+        q = reachable_pairs_query("logloop")
+        want = reference_run(q, g)
+        eng = Engine(backend="parallel", workers=2)
+        try:
+            assert eng.run(q, g) == want
+            stats = eng.last_stats
+            assert stats.flat_fixpoint_runs == 1
+            # One probe fan-out per round, at most one chunk per thread.
+            assert stats.frontier_reshards == stats.fixpoint_rounds > 0
+            assert stats.fixpoint_rounds <= stats.tasks <= 2 * stats.fixpoint_rounds
+        finally:
+            eng.close()
+
 
 # ---------------------------------------------------------------------------
 # 3. Maintained fixpoint views ride the dense-id indexed walk

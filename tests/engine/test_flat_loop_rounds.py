@@ -132,6 +132,23 @@ def test_local_and_thread_drivers_agree_with_object_kernels_and_reference(gname,
     assert _run_with(query, graph, backend="parallel", workers=2) == local
 
 
+@pytest.mark.parametrize("gname", list(GRAPHS))
+def test_a_pool_wider_than_the_frontier_agrees_with_the_local_one(gname):
+    # Sixteen threads, frontiers of a handful of rows: a round is cut into
+    # at most one chunk per frontier row, never into empty chunks.
+    graph, query = GRAPHS[gname].value(), reachable_pairs_query("sri")
+    local = _run_with(query, graph, backend="vectorized")
+    assert local[0] == reference_run(query, graph)
+    engine = Engine(backend="parallel", workers=16)
+    try:
+        value = engine.run(query, graph)
+        driver, par = engine._vec().stats, engine.last_stats
+        assert (value, driver.flat_rounds, driver.hash_joins) == local
+        assert par.fixpoint_rounds <= par.tasks < 16 * par.fixpoint_rounds
+    finally:
+        engine.close()
+
+
 # ---------------------------------------------------------------------------
 # 3. The budget
 # ---------------------------------------------------------------------------

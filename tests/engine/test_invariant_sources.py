@@ -248,9 +248,10 @@ DIRECT_ENTRY_QUERIES = {
 }
 
 
-def test_worker_pools_agree_with_the_reference():
+@pytest.mark.parametrize("workers,shards", [(1, 1), (2, 3), (4, 8)])
+def test_worker_pools_agree_with_the_reference(workers, shards):
     env = {"r": from_python(set(EDGES))}
-    engine = Engine(backend="parallel", workers=2, shards=3)
+    engine = Engine(backend="parallel", workers=workers, shards=shards)
     try:
         for name, expr in DIRECT_ENTRY_QUERIES.items():
             want = reference_run(expr, env=env)

@@ -3,8 +3,9 @@
 Layer by layer: partitioning (determinism, disjoint cover, canonical
 shards), the distributivity / join / fixpoint analysis, the executor's four
 strategies against the reference interpreter, error propagation out of
-workers, the explain tree, and the engine cache contract (clear_plans, warm
-reruns, compile counts across close).
+workers, the thread pool on its own (ordering, failures, close and reuse),
+the explain tree, and the engine cache contract (clear_plans, warm reruns,
+compile counts across close).
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.engine.parallel import (
     structural_hash,
 )
 from repro.engine.parallel.partition import hash_partition_aligned
+from repro.engine.parallel.scheduler import ShardTask, WorkerPool
 from repro.nra import ast
 from repro.nra.ast import (
     Apply,
@@ -342,6 +344,57 @@ class TestErrorPropagation:
                 eng.run(q, from_python((1, 2)))
         finally:
             eng.close()
+
+
+# ---------------------------------------------------------------------------
+# The thread pool
+# ---------------------------------------------------------------------------
+
+class TestWorkerPool:
+    def test_a_pool_needs_at_least_one_worker(self):
+        with pytest.raises(ValueError, match="at least one worker"):
+            WorkerPool(workers=0)
+
+    def test_empty_waves_start_no_threads(self):
+        pool = WorkerPool(workers=2)
+        assert pool.run_tasks([]) == [] and pool.run_callables([]) == []
+        assert pool._executor is None and pool.worker_stats() == []
+
+    def test_callables_come_back_in_order_from_a_narrower_pool(self):
+        pool = WorkerPool(workers=3)
+        try:
+            assert pool.run_callables([lambda i=i: i * i for i in range(10)]) == [
+                i * i for i in range(10)
+            ]
+        finally:
+            pool.close()
+
+    def test_a_wave_raises_its_smallest_failing_task_and_stays_usable(self):
+        v = from_python({1, 2, 3})
+        tasks = [
+            ShardTask(Var("a"), {"a": v}),
+            ShardTask(Var("missing_1"), {}),
+            ShardTask(Var("a"), {"a": v}),
+            ShardTask(Var("missing_3"), {}),
+        ]
+        pool = WorkerPool(workers=2)
+        try:
+            with pytest.raises(NRAEvalError, match="missing_1"):
+                pool.run_tasks(tasks)
+            assert pool.run_tasks([tasks[0], tasks[2]]) == [v, v]
+        finally:
+            pool.close()
+
+    def test_close_then_reuse_restarts_the_threads(self):
+        pool = WorkerPool(workers=2)
+        assert pool.run_callables([lambda: 1, lambda: 2]) == [1, 2]
+        pool.close()
+        assert pool._executor is None and pool.worker_stats() == []
+        try:
+            assert pool.run_callables([lambda: 3, lambda: 4]) == [3, 4]
+            assert len(pool.worker_stats()) == 2
+        finally:
+            pool.close()
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ def test_plan_is_a_loop_fed_by_a_flat_select():
         assert statement.execute(src=99).rows() == frozenset()
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "parallel", "auto"])
+@pytest.mark.parametrize("backend", ["reference", "vectorized", "parallel", "auto"])
 def test_every_backend_runs_the_rewritten_term(backend):
     edges = {(0, 1), (1, 2), (2, 0), (2, 3), (4, 4), (5, 3)}
     reach = Q.coll("edges").fix().where(lambda e: e.snd == Q.param("dst")).map(lambda e: e.fst)

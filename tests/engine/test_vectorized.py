@@ -336,6 +336,19 @@ def test_last_stats_is_per_call_on_a_reused_engine():
     assert eng.last_stats.seminaive_loops == 1
 
 
+def test_run_many_over_duplicate_inputs_costs_one_run():
+    eng = vec_engine()
+    q = reachable_pairs_query("dcr")
+    g = GRAPHS["path"]
+    eng.run_many(q, [g, g, g])
+    # The second and third inputs reuse the first one's plan and interned
+    # values: no compile and no new value beyond what one run produces.
+    solo = vec_engine()
+    solo.run(q, g)
+    assert eng.last_stats.compiled_exprs == solo.last_stats.compiled_exprs > 0
+    assert eng.interner.size == solo.interner.size
+
+
 def test_run_many_shares_the_intern_table():
     eng = vec_engine()
     q = reachable_pairs_query("dcr")

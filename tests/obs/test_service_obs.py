@@ -4,7 +4,8 @@ Live in-thread servers on ephemeral ports, like the rest of the service
 suite.  The slow-query test is the PR-10 satellite: a blocking external
 pushes one query past the threshold against a *live* server, and the
 logged entry must carry the route decision and the (<= 3) hottest plan
-nodes.
+nodes.  The thread-pool test pins the worker-span contract: pool threads
+open no spans of their own, so nothing is ever misparented.
 """
 
 import time
@@ -202,3 +203,36 @@ class TestSlowQueryLog:
             srv.stop()
             TRACER.disable()
             TRACER.clear()
+
+
+# ---------------------------------------------------------------------------
+# The thread pool: every span lands under the query that caused it
+# ---------------------------------------------------------------------------
+
+def test_thread_pool_produces_no_foreign_spans():
+    from repro.api import Database, connect as local_connect
+    from repro.engine import Engine
+    from repro.workloads.graphs import path_graph
+
+    TRACER.clear()
+    TRACER.enable()
+    eng = Engine(backend="parallel", workers=2)
+    try:
+        db = Database.of("g", edges=path_graph(32))
+        s = local_connect(db, engine=eng)
+        with TRACER.span("outer") as outer:
+            value = s.execute(Q.coll("edges").fix()).value
+        assert len(value.elements) == 32 * 31 // 2
+        # Pool threads derive a round's probes but open no spans of their
+        # own, so nothing lands as a stray root.
+        assert [r for r in TRACER.recent() if r is not outer] == []
+        q = outer.find("query")
+        assert q is not None
+        for sp in q.walk():
+            assert sp.name in {
+                "query", "rewrite", "compile", "shard-wave", "fixpoint-round",
+            }
+    finally:
+        eng.close()
+        TRACER.disable()
+        TRACER.clear()
