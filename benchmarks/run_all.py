@@ -625,7 +625,7 @@ def _ivm_deletion_delta_workload(quick: bool) -> dict:
         raise AssertionError(
             "ivm-deletion-delta: views diverged from recompute, the "
             "deletions were not served by delete/rederive, or a batch "
-            "demoted off the dense-id index walk"
+            "left the dense-id index walk"
         )
     return {
         "name": "ivm-deletion-delta",

@@ -44,14 +44,18 @@ approximate rule.  The accepted shapes, and the rules they get:
     **delete/rederive** (DRed) -- over-delete every derivation through a
     deleted element, re-prove the still-supported survivors, continue
     semi-naively (the ``ivm-dred-*`` nodes under the fixpoint in the
-    rendered plan).  When the step is additionally the **bilinear
-    self-join** shape ``\\v. v U (v >< v)`` (the library's ``fix()``), the
-    view keeps counted two-sided hash indexes over the fixpoint itself, so
-    both DRed passes cost the derivation cone, never a full re-join; other
-    accepted steps run DRed over the generic frontier terms.  Both passes
-    are sound for exactly the accepted grammar, which is why no *extra*
-    analysis gates them: a shape that compiles to ``fixpoint`` is
-    deletion-maintainable, and a shape that does not never reaches DRed.
+    rendered plan).  Whether a fixpoint is **indexed** is decided here, once:
+    when the step is the bilinear self-join ``\\v. v U (v >< v)`` (the
+    library's ``fix()``) with projection-chain keys and a pair of
+    projection chains as output, the node carries those paths
+    (``DeltaOp.self_join``, the ``bilinear-indexed`` annotation) and the
+    view keeps counted two-sided indexes over the fixpoint on dense ids, so
+    both DRed passes cost the derivation cone, never a full re-join.  Every
+    other accepted step -- and an indexed node that meets a value outside
+    the pair domain at run time -- runs DRed over the generic frontier
+    terms.  Both are sound for exactly the accepted grammar, which is why
+    no *extra* analysis gates them: a shape that compiles to ``fixpoint``
+    is deletion-maintainable, and a shape that does not never reaches DRed.
 
 ``static``
     any subexpression mentioning no mutable collection: evaluated once,
@@ -80,6 +84,7 @@ from ...nra import ast
 from ...nra.ast import Expr, free_variables, fresh_name, substitute
 from ..rewrite import is_inflationary_step
 from ..vectorized.compiler import delta_terms, match_join
+from ..vectorized.flat import join_paths
 from ..vectorized.plan import PlanNode, node
 
 #: The maintenance-rule vocabulary (``DeltaOp.kind`` ranges over these).
@@ -101,10 +106,7 @@ class DeltaOp:
     #: ``map``/``select``/``ext``: the bound element variable and set-valued body.
     var: str = ""
     body: Optional[Expr] = None
-    #: ``join``: bound variables, key expressions, output expression.  A
-    #: ``fixpoint`` whose step is the bilinear self-join shape (``fix()``'s
-    #: repeated squaring) carries the same fields for its indexed strategy;
-    #: they stay at their defaults for other accepted step shapes.
+    #: ``join``: bound variables, key expressions, output expression.
     rvar: str = ""
     lkey: Optional[Expr] = None
     rkey: Optional[Expr] = None
@@ -113,6 +115,10 @@ class DeltaOp:
     step: Optional[ast.Lambda] = None
     delta_var: str = ""
     terms: tuple[Expr, ...] = field(default=())
+    #: ``fixpoint``: an indexed fixpoint's self-join as projection paths --
+    #: ``(lpath, rpath, fst, snd)``, as ``flat.join_paths`` returns them --
+    #: or ``None`` for every other step.
+    self_join: Optional[tuple] = None
 
     def walk(self):
         yield self
@@ -223,22 +229,6 @@ def _derive_fixpoint(e: ast.Apply, bases: frozenset[str]) -> Optional[DeltaOp]:
     terms = delta_terms(step.body, step.var, dv)
     if terms is None:
         return None
-    join = _match_self_join(step)
-    if join is not None:
-        lvar, rvar, lkey, rkey, out = join
-        return DeltaOp(
-            "fixpoint",
-            e,
-            (derive(base_expr, bases),),
-            step=step,
-            delta_var=dv,
-            terms=tuple(terms),
-            var=lvar,
-            rvar=rvar,
-            lkey=lkey,
-            rkey=rkey,
-            out=out,
-        )
     return DeltaOp(
         "fixpoint",
         e,
@@ -246,21 +236,24 @@ def _derive_fixpoint(e: ast.Apply, bases: frozenset[str]) -> Optional[DeltaOp]:
         step=step,
         delta_var=dv,
         terms=tuple(terms),
+        self_join=_match_self_join(step),
     )
 
 
-def _match_self_join(step: ast.Lambda) -> Optional[tuple[str, str, Expr, Expr, Expr]]:
-    """Recognise the bilinear self-join step ``\\v. v U (v >< v)``.
+def _match_self_join(step: ast.Lambda) -> Optional[tuple]:
+    """Recognise the indexed self-join step ``\\v. v U (v >< v)``.
 
     The shape the library's ``fix()`` emits (repeated-squaring transitive
     closure): a union of the accumulator with an equi-join of the
-    accumulator against itself.  For this shape the view keeps **two-sided
-    hash indexes and per-output support counts over the fixpoint itself**,
-    so deletion maintenance walks the derivation cone by index probes and
-    rederives by remaining-support counts instead of re-running the step
-    body (see ``MaterializedView._ijoin_dred``).  Returns
-    ``(lvar, rvar, lkey, rkey, out)`` or ``None``; a miss is not an error --
-    the generic frontier-term DRed still applies.
+    accumulator against itself, whose keys are projection chains and whose
+    output is a pair of projection chains -- exactly what the view's
+    dense-id mirror runs on packed pair codes.  For this shape the view
+    keeps **two-sided hash indexes and per-output support counts over the
+    fixpoint itself**, so deletion maintenance walks the derivation cone by
+    index probes and rederives by remaining-support counts instead of
+    re-running the step body (see ``MaterializedView._ijoin_dred``).
+    Returns the paths or ``None``; a miss is not an error -- the generic
+    frontier-term DRed still applies.
     """
     body = step.body
     if not isinstance(body, ast.Union):
@@ -283,11 +276,13 @@ def _match_self_join(step: ast.Lambda) -> Optional[tuple[str, str, Expr, Expr, E
         rvar, lkey, rkey, out, inner_src = m
         if not (isinstance(inner_src, ast.Var) and inner_src.name == step.var):
             continue
-        if step.var in (
-            free_variables(lkey) | free_variables(rkey) | free_variables(out)
-        ):
-            continue  # a key reading the accumulator defeats the indexes
-        return f.var, rvar, lkey, rkey, out
+        if step.var in (f.var, rvar):
+            continue  # a binder shadowing the accumulator
+        paths = join_paths(f.var, rvar, lkey, rkey, out)
+        # Empty paths would key on (or output) the element itself, whose
+        # dense id a packed pair code does not carry.
+        if paths is not None and all((paths[0], paths[1], paths[2][1], paths[3][1])):
+            return paths
     return None
 
 
@@ -312,14 +307,14 @@ def _plan_of(op: DeltaOp) -> PlanNode:
     elif op.kind == "fixpoint":
         detail = f"{len(op.terms)} frontier terms"
         annotations = ("semi-naive continuation", "delete-rederive")
-        # The deletion strategy, rendered as explicit sub-steps.  The
-        # bilinear self-join step (fix()'s repeated squaring) keeps counted
+        # The deletion strategy, rendered as explicit sub-steps.  An indexed
+        # fixpoint (fix()'s self-join over projection chains) keeps counted
         # two-sided indexes over the fixpoint itself: the over-deletion
         # sweep walks the derivation cone by index probes and rederivation
         # reads the remaining support counts.  Other accepted steps reuse
         # the continuation's frontier terms for the sweep and re-prove
         # survivors' one-step consequences with the step body.
-        if op.lkey is not None:
+        if op.self_join is not None:
             annotations += ("bilinear-indexed",)
             children.append(node("ivm-dred-overdelete",
                                  "indexed derivation cone, counts decremented",

@@ -22,7 +22,11 @@ Runtime state, per :class:`~repro.engine.incremental.delta.DeltaOp` node:
   with a derivation through a deleted element, and a rederivation pass
   re-proves the over-deleted elements still supported by the survivors, then
   continues semi-naively -- work scales with the affected derivation cone,
-  not the result (see :meth:`MaterializedView._dred_fixpoint`);
+  not the result (see :meth:`MaterializedView._dred_fixpoint`); an
+  *indexed* fixpoint (the plan's ``self_join``, ``fix()``'s repeated
+  squaring) instead keeps counted two-sided indexes over its own output on
+  dense ids (:class:`_FlatIJoinState`), so both passes cost index probes
+  over the derivation cone;
 * ``recompute`` nodes hold only their output set and re-evaluate their
   subtree through the engine's vectorized compiler, diffing old against new.
 
@@ -38,8 +42,7 @@ rendered set, by bisection over cached sort keys
 (:meth:`~repro.engine.interning.InternTable.splice`), when and only when
 something reads it: :attr:`MaterializedView.value` / ``rows()`` /
 ``refresh``, a ``recompute`` node's diff, the generic (non-indexed)
-fixpoint and DRed passes, the object-path indexed walk (which keeps no
-membership set of its own).  A commit therefore costs the derivation cone;
+fixpoint and DRed passes.  A commit therefore costs the derivation cone;
 a read costs O(|pending| log n) python steps plus one C-level copy and is
 free when nothing changed.  The property this rests on is that *a view is
 read less often than its bases are written*; a reader after every commit
@@ -67,13 +70,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ...nra import ast
 from ...nra.ast import Expr
 from ...nra.errors import NRAEvalError
 from ...objects.values import SetVal, Value
 from ...obs.trace import TRACER
 from ..vectorized.batch import bind, unbind
-from ..vectorized.flat import CODE_BITS, CODE_MASK, accessor_path
+from ..vectorized.flat import CODE_BITS, CODE_MASK
 from .changeset import Changeset
 from .delta import DeltaOp, derive, maintenance_plan
 
@@ -140,8 +142,9 @@ class _NodeState:
         self.lindex: Optional[dict] = None
         self.rindex: Optional[dict] = None
         self.children: tuple["_NodeState", ...] = ()
-        #: Dense-id mirror of the counted indexes (indexed fixpoints only);
-        #: ``None`` runs the object-path probes.
+        #: The counted indexes of an indexed fixpoint, on dense ids; ``None``
+        #: (any other fixpoint, or one that left the pair domain) runs the
+        #: generic frontier-term passes.
         self.flat: Optional["_FlatIJoinState"] = None
 
     @property
@@ -183,22 +186,25 @@ class _FlatIJoinState:
     per-derivation pair interning.  Values are materialized only at the
     boundaries (the elements that actually enter or leave the result).
 
-    Built opportunistically by ``MaterializedView._flat_ijoin_build``; any
-    element or key outside the flat pair domain demotes the node to the
-    object-path indexes (``_ijoin_demote``), which are always sound.
+    Built by ``MaterializedView._ijoin_build`` for a fixpoint the plan
+    marks indexed; the standing invariant is ``present = seeds U
+    support(counts)``.  Any element or key outside the flat pair domain
+    makes a pass decline (``None``) before the node's output moves, and the
+    node continues on the generic frontier-term passes, which are always
+    sound.
     """
 
     __slots__ = ("parts", "lpath", "rpath", "a_left", "apath", "b_left",
                  "bpath", "counts", "lindex", "rindex", "present", "seeds")
 
-    def __init__(self, parts: dict, lpath, rpath, a_left, apath, b_left, bpath):
+    def __init__(self, parts: dict, lpath, rpath, fst, snd):
         self.parts = parts          # live pair-part view of the intern table
         self.lpath = lpath          # left key as a projection path
         self.rpath = rpath          # right key as a projection path
-        self.a_left = a_left        # output fst: path over left (else right)
-        self.apath = apath
-        self.b_left = b_left        # output snd: path over left (else right)
-        self.bpath = bpath
+        self.a_left = fst[0] == "l"  # output fst: path over left (else right)
+        self.apath = fst[1]
+        self.b_left = snd[0] == "l"  # output snd: path over left (else right)
+        self.bpath = snd[1]
         self.counts: dict[int, int] = {}       # out code -> derivation count
         self.lindex: dict[int, dict] = {}      # key id -> {element code}
         self.rindex: dict[int, dict] = {}
@@ -221,12 +227,15 @@ class _FlatIJoinState:
         return (a << CODE_BITS) | b
 
     def count(self, code: int, sign: int, touched: list) -> None:
-        """The dense-id mirror of ``MaterializedView._ijoin_count``.
+        """Count the join derivations pairing ``code`` with the indexed fixpoint.
 
-        Same probe discipline (index before probing on ``+1`` so the
-        self-derivation is found exactly once by the left-role probe, probe
-        before unindexing on ``-1``), same support-count invariants, with
-        element identity as code equality instead of object identity.
+        ``sign=+1`` indexes ``code`` *before* probing, so the self-derivation
+        is found exactly once (by the left-role probe); ``sign=-1`` probes
+        first and unindexes ``code`` last -- the exact mirror -- so walking a
+        set of removals decrements every derivation exactly once.  Each
+        derivation's output is appended to ``touched`` (with multiplicity);
+        callers use it as the next frontier.  A ``KeyError`` means a key
+        path hit a non-pair.
         """
         lk = self.follow(code, self.lpath)
         rk = self.follow(code, self.rpath)
@@ -313,10 +322,6 @@ class MaterializedView:
         self._listeners: list = []
         self._registry = None
         self._snapshot = None
-        # Compiled (lkey, rkey, out) closures per indexed-fixpoint op, keyed
-        # by op identity: probed once per cone element, so the per-call
-        # compile-cache lookups are worth hoisting.
-        self._ijoin_fns: dict = {}
         with engine.lock:
             # The view maintains the *optimized* template, rewritten with
             # the view rules: a query's rules minus the ones that would
@@ -549,8 +554,8 @@ class MaterializedView:
         if kind == "fixpoint":
             base = st.children[0].out
             st.out = self._fixpoint_from(op, base, base)
-            if op.lkey is not None:
-                self._ijoin_build(op, st)
+            if op.self_join is not None:
+                st.flat = self._ijoin_build(op, st)
             return st
         raise AssertionError(f"unknown delta op kind {kind!r}")
 
@@ -767,15 +772,17 @@ class MaterializedView:
             return {}
         ins = [v for v, dc in d.items() if dc > 0]
         dels = [v for v, dc in d.items() if dc < 0]
-        if op.lkey is not None:
-            # The indexed paths know their exact deltas (what fell for good,
+        if st.flat is not None:
+            # The indexed passes know their exact deltas (what fell for good,
             # what is genuinely new): no full-set diff, and no render.
-            if dels:
-                delta = self._ijoin_dred(op, st, ins, dels)
-            else:
-                delta = dict.fromkeys(self._ijoin_continue(op, st, ins), 1)
-            st.moved(delta)
-            return delta
+            delta = self._ijoin_dred(st, ins, dels) if dels else self._ijoin_continue(st, ins)
+            if delta is not None:
+                st.moved(delta)
+                return delta
+            # A value outside the pair domain: drop the mirror for good.  The
+            # declined pass touched only the mirror, so ``st.out`` is still
+            # the pre-pass fixpoint and the generic passes below run on it.
+            st.flat = None
         it = self._it
         old = st.out
         if dels:
@@ -862,139 +869,16 @@ class MaterializedView:
         self.stats.dred_rederives += sum(1 for v in over if id(v) in out_ids)
         return out
 
-    # -- bilinear-indexed fixpoint (the self-join step of ``fix()``) -----------
+    # -- indexed fixpoint (the self-join step of ``fix()``) --------------------
     #
-    # When the step is ``\v. v U (v >< v)`` the fixpoint node keeps, over its
-    # *own* output: hash indexes on both join sides and, per output element,
-    # the count of join derivations currently producing it (seed membership
-    # is tracked by the child node, so the standing invariant is
-    # ``out = seed U support(counts)``).  Every maintenance pass then costs
-    # the derivation cone of the change -- index probes per touched element
-    # -- never a re-join or per-round index rebuild over the whole fixpoint.
-
-    def _ijoin_count(self, op: DeltaOp, st: _NodeState, x, sign: int, touched: list) -> None:
-        """Count the join derivations pairing ``x`` with the indexed fixpoint.
-
-        ``sign=+1`` indexes ``x`` *before* probing, so the self-derivation
-        ``(x, x)`` is found exactly once (by the left-role probe);
-        ``sign=-1`` probes first and unindexes ``x`` last -- the exact
-        mirror -- so walking a set of removals decrements every derivation
-        exactly once.  Each derivation's output is appended to ``touched``
-        (with multiplicity); callers use it as the next frontier.
-        """
-        env = self._env
-        fns = self._ijoin_fns.get(id(op))
-        if fns is None:
-            fns = (self._fn(op.lkey), self._fn(op.rkey), self._fn(op.out))
-            self._ijoin_fns[id(op)] = fns
-        lkey_fn, rkey_fn, out_fn = fns
-        counts, lindex, rindex = st.counts, st.lindex, st.rindex
-        ltok, rtok = bind(env, op.var), bind(env, op.rvar)
-        try:
-            env[op.var] = x
-            lk = lkey_fn(env)
-            env[op.rvar] = x
-            rk = rkey_fn(env)
-            if sign > 0:
-                lindex.setdefault(lk, {})[x] = None
-                rindex.setdefault(rk, {})[x] = None
-            env[op.var] = x
-            matches = rindex.get(lk)
-            if matches:
-                for y in list(matches):
-                    env[op.rvar] = y
-                    z = out_fn(env)
-                    c = counts.get(z, 0) + sign
-                    if c > 0:
-                        counts[z] = c
-                    elif c == 0:
-                        counts.pop(z, None)
-                    else:
-                        raise AssertionError(
-                            "negative fixpoint support count: a derivation "
-                            "was dropped twice"
-                        )
-                    touched.append(z)
-            env[op.rvar] = x
-            matches = lindex.get(rk)
-            if matches:
-                for y in list(matches):
-                    if y is x:
-                        continue  # the (x, x) self-pair was counted above
-                    env[op.var] = y
-                    z = out_fn(env)
-                    c = counts.get(z, 0) + sign
-                    if c > 0:
-                        counts[z] = c
-                    elif c == 0:
-                        counts.pop(z, None)
-                    else:
-                        raise AssertionError(
-                            "negative fixpoint support count: a derivation "
-                            "was dropped twice"
-                        )
-                    touched.append(z)
-            if sign < 0:
-                bucket = lindex.get(lk)
-                if bucket is not None:
-                    bucket.pop(x, None)
-                    if not bucket:
-                        del lindex[lk]
-                bucket = rindex.get(rk)
-                if bucket is not None:
-                    bucket.pop(x, None)
-                    if not bucket:
-                        del rindex[rk]
-        finally:
-            unbind(env, op.rvar, rtok)
-            unbind(env, op.var, ltok)
-
-    def _ijoin_build(self, op: DeltaOp, st: _NodeState) -> None:
-        """Index the built fixpoint and count every join derivation once.
-
-        Prefers the dense-id mirror (:class:`_FlatIJoinState`) when the
-        node's keys and output are projection chains and every element is a
-        flat pair; otherwise (or on demotion) the object-path indexes.
-        """
-        if self.engine.flat:
-            st.flat = self._flat_ijoin_build(op, st)
-            if st.flat is not None:
-                return
-        self._ijoin_build_object(op, st)
-
-    def _ijoin_build_object(self, op: DeltaOp, st: _NodeState) -> None:
-        st.flat = None
-        st.counts = {}
-        st.lindex = {}
-        st.rindex = {}
-        sink: list = []
-        for x in st.out.elements:
-            self._ijoin_count(op, st, x, +1, sink)
-
-    # -- dense-id (flat) indexed fixpoint --------------------------------------
-
-    def _flat_ijoin_spec(self, op: DeltaOp):
-        """Key/output projection paths for the flat mirror, or ``None``."""
-        lpath = accessor_path(op.lkey, op.var)
-        rpath = accessor_path(op.rkey, op.rvar)
-        if not lpath or not rpath or not isinstance(op.out, ast.Pair):
-            # Empty paths would key on the element itself, whose dense id a
-            # packed code does not carry; keep those on the object path.
-            return None
-
-        def comp(e: Expr):
-            pa = accessor_path(e, op.var)
-            if pa:
-                return True, pa
-            pb = accessor_path(e, op.rvar)
-            if pb:
-                return False, pb
-            return None
-
-        a, b = comp(op.out.fst), comp(op.out.snd)
-        if a is None or b is None:
-            return None
-        return lpath, rpath, a[0], a[1], b[0], b[1]
+    # When the plan marks the step ``\v. v U (v >< v)`` indexed, the fixpoint
+    # node keeps, over its *own* output: hash indexes on both join sides and,
+    # per output element, the count of join derivations currently producing
+    # it -- all on packed dense-id pair codes (``_FlatIJoinState``).  Every
+    # maintenance pass then costs the derivation cone of the change -- index
+    # probes per touched element -- never a re-join or per-round index
+    # rebuild over the whole fixpoint.  A pass returns ``None`` instead when
+    # a value lies outside the pair domain, having touched only the mirror.
 
     def _flat_codes(self, flat: _FlatIJoinState, values) -> Optional[list]:
         """Packed pair codes of interned values; ``None`` outside the domain."""
@@ -1011,11 +895,9 @@ class MaterializedView:
             codes.append((pr[0] << CODE_BITS) | pr[1])
         return codes
 
-    def _flat_ijoin_build(self, op: DeltaOp, st: _NodeState) -> Optional[_FlatIJoinState]:
-        spec = self._flat_ijoin_spec(op)
-        if spec is None:
-            return None
-        flat = _FlatIJoinState(self._it.pair_parts(), *spec)
+    def _ijoin_build(self, op: DeltaOp, st: _NodeState) -> Optional[_FlatIJoinState]:
+        """Index the built fixpoint and count every join derivation once."""
+        flat = _FlatIJoinState(self._it.pair_parts(), *op.self_join)
         codes = self._flat_codes(flat, st.out.elements)
         seed_codes = self._flat_codes(flat, st.children[0].out.elements)
         if codes is None or seed_codes is None:
@@ -1025,29 +907,21 @@ class MaterializedView:
             for c in codes:
                 flat.count(c, +1, sink)
         except KeyError:
-            return None  # a key path hit a non-pair: object domain
+            return None  # a key path hit a non-pair
         flat.present.update(codes)
         flat.seeds.update(seed_codes)
         return flat
 
-    def _ijoin_demote(self, op: DeltaOp, st: _NodeState) -> None:
-        """Leave the flat domain for good: rebuild the object-path indexes.
-
-        Sound because every flat pass mutates only the mirror until it
-        succeeds -- ``st.out`` (and the object state rebuilt from it here)
-        is still the pre-pass fixpoint, so the caller just re-runs the same
-        maintenance step on the object path.
-        """
-        self._ijoin_build_object(op, st)
-
     def _flat_walk(self, flat: _FlatIJoinState, codes: list) -> list:
         """Indexed insert-side continuation over codes; returns what joined.
 
-        The counted mirror of semi-naive iteration exactly as in
-        ``_ijoin_walk``.  A mid-walk ``KeyError`` (a key path hitting a
-        non-pair) propagates to demote the node; that is sound because only
-        the discarded mirror has been touched -- the node's pending delta
-        and the stats move after the walk returns.
+        Each genuinely new element is indexed and probed once; a derivation
+        output becomes part of the fixpoint the moment its support count
+        leaves zero (or it arrives as seed), and only *then* joins the next
+        frontier -- the counted mirror of semi-naive iteration, with work
+        proportional to the new derivation cone instead of a per-round
+        re-index of the accumulator.  A mid-walk ``KeyError`` propagates to
+        the caller, which declines the pass.
         """
         present = flat.present
         added: list = []
@@ -1066,8 +940,8 @@ class MaterializedView:
         self.stats.seminaive_rounds += rounds
         return added
 
-    def _flat_ijoin_continue(self, op: DeltaOp, st: _NodeState, ins) -> Optional[list]:
-        """Flat ``_ijoin_continue``; ``None`` demotes to the object path."""
+    def _ijoin_continue(self, st: _NodeState, ins) -> Optional[SetDelta]:
+        """Insert-side continuation by index probes; the node's set delta."""
         flat = st.flat
         codes = self._flat_codes(flat, ins)
         if codes is None:
@@ -1079,16 +953,22 @@ class MaterializedView:
             return None
         self.stats.flat_index_applies += 1
         pair = self._it.pair_from_ids
-        return [pair(c >> CODE_BITS, c & CODE_MASK) for c in added]
+        return {pair(c >> CODE_BITS, c & CODE_MASK): 1 for c in added}
 
-    def _flat_ijoin_dred(self, op: DeltaOp, st: _NodeState, ins, dels) -> Optional[SetDelta]:
-        """Flat ``_ijoin_dred``; ``None`` demotes to the object path.
+    def _ijoin_dred(self, st: _NodeState, ins, dels) -> Optional[SetDelta]:
+        """Delete/rederive over the counted indexes (see ``_dred_fixpoint``).
 
-        Identical passes over codes: the over-deletion walk decrements by
-        integer probes, survival is a remaining count or (already-
-        maintained) seed membership, and the rederivation walk re-counts
-        restored derivations.  Only the boundary elements -- what fell for
-        good, what is genuinely new -- are materialized as values.
+        Same two passes as the generic DRed, at cone cost.  **Over-delete**:
+        walk every derivation through a deleted element by index probes,
+        unindexing each fallen element and decrementing the counts of the
+        derivations it carried -- when the walk ends, a fallen element's
+        remaining count is exactly its support among the survivors.
+        **Rederive**: the fallen elements still in the (already-maintained)
+        seed or with surviving support re-enter the indexed continuation,
+        together with the batch's insertions, which re-proves everything
+        they transitively support and re-counts each restored derivation
+        exactly once.  Only the boundary elements -- what fell for good,
+        what is genuinely new -- are materialized as values.
         """
         flat = st.flat
         del_codes = self._flat_codes(flat, dels)
@@ -1133,90 +1013,4 @@ class MaterializedView:
         for c in added:
             if c not in over:
                 delta[pair(c >> CODE_BITS, c & CODE_MASK)] = 1
-        return delta
-
-    def _ijoin_walk(self, op: DeltaOp, st: _NodeState, present: set, elements) -> list:
-        """Indexed insert-side continuation on the object path; returns what joined.
-
-        Each genuinely new element is indexed and probed once; a derivation
-        output becomes part of the fixpoint the moment its support count
-        leaves zero (or it arrives as seed), and only *then* joins the next
-        frontier -- the counted mirror of semi-naive iteration, with work
-        proportional to the new derivation cone instead of a per-round
-        re-index of the accumulator.  ``present`` (ids of the fixpoint's
-        elements) advances with the walk.
-        """
-        added: list = []
-        frontier = [v for v in elements if id(v) not in present]
-        while frontier:
-            self.stats.seminaive_rounds += 1
-            touched: list = []
-            for x in frontier:
-                if id(x) in present:
-                    continue
-                present.add(id(x))
-                added.append(x)
-                self._ijoin_count(op, st, x, +1, touched)
-            frontier = [z for z in touched if id(z) not in present]
-        return added
-
-    def _ijoin_continue(self, op: DeltaOp, st: _NodeState, ins) -> list:
-        """Insert-side continuation by index probes; returns what joined."""
-        if st.flat is not None:
-            added = self._flat_ijoin_continue(op, st, ins)
-            if added is not None:
-                return added
-            self._ijoin_demote(op, st)
-        # The object path keeps no membership set of its own: it renders.
-        return self._ijoin_walk(op, st, set(map(id, st.out.elements)), ins)
-
-    def _ijoin_dred(self, op: DeltaOp, st: _NodeState, ins, dels) -> SetDelta:
-        """Delete/rederive over the counted indexes (see ``_dred_fixpoint``).
-
-        Same two passes as the generic DRed, at cone cost.  **Over-delete**:
-        walk every derivation through a deleted element by index probes,
-        unindexing each fallen element and decrementing the counts of the
-        derivations it carried -- when the walk ends, a fallen element's
-        remaining count is exactly its support among the survivors.
-        **Rederive**: the fallen elements still in the (already-maintained)
-        seed or with surviving support re-enter the indexed continuation,
-        together with the batch's insertions, which re-proves everything
-        they transitively support and re-counts each restored derivation
-        exactly once.  Returns the node's set delta.
-        """
-        if st.flat is not None:
-            delta = self._flat_ijoin_dred(op, st, ins, dels)
-            if delta is not None:
-                return delta
-            self._ijoin_demote(op, st)
-        present = set(map(id, st.out.elements))
-        over: dict = {}
-        over_ids: set = set()
-        frontier = [v for v in dels if id(v) in present]
-        while frontier:
-            self.stats.seminaive_rounds += 1
-            touched: list = []
-            for x in frontier:
-                if id(x) in over_ids:
-                    continue
-                over[x] = None
-                over_ids.add(id(x))
-                self._ijoin_count(op, st, x, -1, touched)
-            frontier = [z for z in touched if id(z) not in over_ids]
-        present -= over_ids
-        seed_ids = set(map(id, st.children[0].out.elements))  # this batch applied
-        counts = st.counts
-        rederived = [v for v in over
-                     if id(v) in seed_ids or counts.get(v, 0) > 0]
-        added = self._ijoin_walk(op, st, present, rederived + list(ins))
-        self.stats.dred_applies += 1
-        self.stats.dred_overdeletes += len(over)
-        self.stats.dred_rederives += sum(1 for v in over if id(v) in present)
-        delta: SetDelta = {}
-        for v in over:
-            if id(v) not in present:
-                delta[v] = -1
-        for v in added:
-            if id(v) not in over_ids:
-                delta[v] = 1
         return delta

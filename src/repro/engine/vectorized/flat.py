@@ -14,10 +14,9 @@ compares, integer hashing and integer set algebra, materializing canonical
 
 Three layers live here:
 
-* the numpy gate (``_np``): numpy accelerates the column compares and
-  sort-unique passes when importable; everything degrades to pure-Python
-  ``array``/``set`` code when it is not (or when ``REPRO_NO_NUMPY`` is set,
-  which CI uses to force the fallback on a numpy-equipped leg);
+* the size gate (``_NP_MIN``): numpy runs the column compares and sorts
+  of long columns; short ones stay in pure-Python ``array``/``set`` code,
+  where the numpy round-trip would cost more than it saves;
 * **accessor paths**: the syntactic analysis mapping projection chains
   (``pi2(pi1(x))``) to column walks, shared by the select/map/join kernels in
   ``batch.py`` and by the flat fixpoint;
@@ -42,25 +41,18 @@ canonical ``NRAEvalError`` if the input was genuinely ill-shaped).  A
 
 from __future__ import annotations
 
-import os
 from array import array
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
 from typing import Callable, Iterable, Optional
 
+import numpy as np
+
 from ...nra import ast
 from ...nra.ast import Expr, free_variables
 from ...nra.errors import NRAEvalError
 from ...objects.values import SetVal
-
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
-else:  # pragma: no cover - exercised by the numpy-free CI leg
-    try:
-        import numpy as _np  # type: ignore[no-redef]
-    except Exception:
-        _np = None
 
 #: Pair codes pack ``(fst_dense_id << CODE_BITS) | snd_dense_id``.
 CODE_BITS = 32
@@ -69,11 +61,6 @@ ID_LIMIT = 1 << CODE_BITS
 
 #: Below this column length the numpy round-trip costs more than it saves.
 _NP_MIN = 64
-
-
-def have_numpy() -> bool:
-    """True when the numpy fast paths are active."""
-    return _np is not None
 
 
 class FlatUnavailable(Exception):
@@ -102,6 +89,31 @@ def accessor_path(e: Expr, var: str) -> Optional[tuple[str, ...]]:
     if isinstance(e, ast.Var) and e.name == var:
         return tuple(reversed(steps))
     return None
+
+
+def join_paths(lvar: str, rvar: str, lkey: Expr, rkey: Expr, out: Expr) -> Optional[tuple]:
+    """A join's keys and pair output as accessor paths, or ``None``.
+
+    Returns ``(lpath, rpath, fst, snd)``: the key paths over each side's
+    element, and per output component ``('l' | 'r', path)`` -- the side it
+    projects from and how.  ``None`` unless both keys are paths over their
+    own side and ``out`` is a syntactic ``Pair`` of such paths.
+    """
+    lp, rp = accessor_path(lkey, lvar), accessor_path(rkey, rvar)
+    if lp is None or rp is None or not isinstance(out, ast.Pair):
+        return None
+
+    def comp(e: Expr) -> Optional[tuple[str, tuple[str, ...]]]:
+        p = accessor_path(e, lvar)
+        if p is not None:
+            return ("l", p)
+        p = accessor_path(e, rvar)
+        return None if p is None else ("r", p)
+
+    fst, snd = comp(out.fst), comp(out.snd)
+    if fst is None or snd is None:
+        return None
+    return lp, rp, fst, snd
 
 
 def follow_id(parts: dict, dense: int, path: tuple[str, ...]) -> Optional[int]:
@@ -151,9 +163,9 @@ def set_column(it, s: SetVal, path: tuple[str, ...]) -> array:
 
 def equal_mask(la: array, rb) -> list:
     """Boolean mask ``la[i] == rb[i]`` (or ``== rb`` for a scalar)."""
-    if _np is not None and len(la) >= _NP_MIN:
-        a = _np.frombuffer(la, dtype=_np.int64)
-        b = _np.frombuffer(rb, dtype=_np.int64) if isinstance(rb, array) else rb
+    if len(la) >= _NP_MIN:
+        a = np.frombuffer(la, dtype=np.int64)
+        b = np.frombuffer(rb, dtype=np.int64) if isinstance(rb, array) else rb
         return (a == b).tolist()
     if isinstance(rb, array):
         return [x == y for x, y in zip(la, rb)]
@@ -162,8 +174,8 @@ def equal_mask(la: array, rb) -> list:
 
 def sorted_codes(codes: set) -> list:
     """The codes of a set in ascending order (numpy sort when it pays)."""
-    if _np is not None and len(codes) >= _NP_MIN:
-        return _np.sort(_np.fromiter(codes, dtype=_np.int64, count=len(codes))).tolist()
+    if len(codes) >= _NP_MIN:
+        return np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes))).tolist()
     return sorted(codes)
 
 
@@ -241,25 +253,10 @@ def analyze_flat_terms(
         rkind, rsrc_expr = _classify_source(rsrc, var, dv)
         if lkind is None or rkind is None:
             return None
-        lp = accessor_path(lkey, f.var)
-        rp = accessor_path(rkey, rvar)
-        if lp is None or rp is None:
+        paths = join_paths(f.var, rvar, lkey, rkey, out)
+        if paths is None:
             return None
-        if not isinstance(out, ast.Pair):
-            return None
-
-        def comp(e: Expr) -> Optional[tuple[str, tuple[str, ...]]]:
-            p = accessor_path(e, f.var)
-            if p is not None:
-                return ("l", p)
-            p = accessor_path(e, rvar)
-            if p is not None:
-                return ("r", p)
-            return None
-
-        oa, ob = comp(out.fst), comp(out.snd)
-        if oa is None or ob is None:
-            return None
+        lp, rp, oa, ob = paths
         # Rows of the delta/acc sides are (fst, snd) id pairs without an id
         # of their own: every path rooted there must project at least once.
         for kind, path in (

@@ -15,8 +15,8 @@ TCP, speaking a length-prefixed JSON-frame protocol:
   :class:`RemotePreparedStatement` / :class:`RemoteView`, mirroring the
   in-process surface, with change notifications pushed as commits land;
 * :mod:`repro.service.cli` -- the ``repro-cli`` terminal front end
-  (``serve``, ``query``, ``prepare``, ``status``, ``sessions``, ``views``),
-  typer+rich when installed, argparse otherwise.
+  (``serve``, ``query``, ``prepare``, ``status``, ``sessions``, ``views``,
+  ``metrics``, ``trace``) on argparse.
 
 Quick start (one process, two roles)::
 

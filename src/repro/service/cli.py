@@ -11,14 +11,10 @@ Subcommands::
     metrics    metrics registry snapshot plus the slow-query log
     trace      execute one query with tracing on, print the span tree
 
-Every read-side command takes ``--json`` for machine consumption; tables
-otherwise.  The implementation is frontend-split on purpose: when `typer`
-and `rich` are importable the CLI gets completion, styled help and boxed
-tables; when they are not (this repo pins no CLI dependencies), the same
-command functions run behind plain :mod:`argparse` with plain aligned
-tables.  The *command* layer is identical either way -- the pretty frontend
-adds nothing but rendering, so tests of the argparse path cover the logic
-for both.
+Every read-side command takes ``--json`` for machine consumption; plain
+aligned tables otherwise.  The frontend is :mod:`argparse` (:func:`main`);
+each subcommand is a ``cmd_*`` function it dispatches to, so tests can drive
+the command layer directly.
 
 ``serve`` is the CI smoke entry point: it prints a parseable
 ``listening on HOST:PORT`` line once bound, then runs until ``SIGTERM`` /
@@ -44,18 +40,6 @@ from .client import connect
 from .protocol import ServiceError
 from .server import QueryServer, ServerConfig
 
-try:  # pragma: no cover - exercised only where the pretty deps exist
-    import rich  # type: ignore
-    from rich.console import Console  # type: ignore
-    from rich.table import Table  # type: ignore
-except ImportError:  # the tested path in this repo
-    rich = None
-
-try:  # pragma: no cover - exercised only where the pretty deps exist
-    import typer  # type: ignore
-except ImportError:
-    typer = None
-
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7432
 DEFAULT_WORKLOAD = "path:64"
@@ -69,14 +53,6 @@ def _emit_json(payload: Any) -> None:
 
 def _emit_table(title: str, columns: list[str], rows: list[list], out=None) -> None:
     out = out if out is not None else sys.stdout
-    if rich is not None and out is sys.stdout:  # pragma: no cover
-        table = Table(title=title)
-        for col in columns:
-            table.add_column(col)
-        for row in rows:
-            table.add_row(*[str(cell) for cell in row])
-        Console().print(table)
-        return
     cells = [[str(c) for c in row] for row in rows]
     widths = [
         max([len(col)] + [len(r[i]) for r in cells]) for i, col in enumerate(columns)
@@ -377,7 +353,7 @@ def cmd_trace(
     return 0
 
 
-# -- argparse frontend (always available) -----------------------------------------
+# -- argparse frontend ------------------------------------------------------------
 
 def _build_argparse():
     import argparse
@@ -488,74 +464,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     parser.error(f"unknown command {args.command!r}")
     return 2
-
-
-# -- typer frontend (optional; rendering-only sugar) ------------------------------
-
-if typer is not None:  # pragma: no cover - needs the optional dependency
-    app = typer.Typer(help="Network query service CLI.")
-
-    @app.command()
-    def serve(
-        host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
-        workload: str = DEFAULT_WORKLOAD, backend: str = "vectorized",
-        max_sessions: int = 32, max_inflight: int = 4,
-        max_queue_depth: int = 64,
-    ):
-        raise typer.Exit(cmd_serve(host, port, workload, backend,
-                                   max_sessions, max_inflight, max_queue_depth))
-
-    @app.command()
-    def query(
-        query: str, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
-        param: list[str] = typer.Option([], "--param"),
-        param_type: list[str] = typer.Option([], "--param-type"),
-        limit: int = 20, chunk: int = 512,
-        json_out: bool = typer.Option(False, "--json"),
-    ):
-        raise typer.Exit(cmd_query(query, host, port, param, param_type,
-                                   limit, chunk, json_out))
-
-    @app.command()
-    def prepare(
-        query: str, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
-        param: list[str] = typer.Option([], "--param"),
-        param_type: list[str] = typer.Option([], "--param-type"),
-        bind: list[str] = typer.Option([], "--bind"),
-        limit: int = 20, json_out: bool = typer.Option(False, "--json"),
-    ):
-        raise typer.Exit(cmd_prepare(query, host, port, param, param_type,
-                                     bind, limit, json_out))
-
-    @app.command()
-    def status(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
-               json_out: bool = typer.Option(False, "--json")):
-        raise typer.Exit(cmd_status(host, port, json_out))
-
-    @app.command()
-    def sessions(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
-                 json_out: bool = typer.Option(False, "--json")):
-        raise typer.Exit(cmd_sessions(host, port, json_out))
-
-    @app.command()
-    def views(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
-              json_out: bool = typer.Option(False, "--json")):
-        raise typer.Exit(cmd_views(host, port, json_out))
-
-    @app.command()
-    def metrics(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
-                json_out: bool = typer.Option(False, "--json"),
-                prometheus: bool = typer.Option(False, "--prometheus")):
-        raise typer.Exit(cmd_metrics(host, port, json_out, prometheus))
-
-    @app.command()
-    def trace(
-        query: str, host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
-        param: list[str] = typer.Option([], "--param"),
-        backend: Optional[str] = None,
-        json_out: bool = typer.Option(False, "--json"),
-    ):
-        raise typer.Exit(cmd_trace(query, host, port, param, backend, json_out))
 
 
 if __name__ == "__main__":

@@ -5,8 +5,7 @@ One case per way a non-prepared runnable reaches the engine -- ``execute``,
 ``execute`` is in ``tests/service/test_service.py``) -- each rebuilt per
 literal so binders are fresh, each held to the reference interpreter on the
 term ``Query.elaborate`` returns (literals inline), with the flat kernels on
-and off.  The ``columnar`` marker puts the file on the CI leg that sets
-``REPRO_NO_NUMPY=1``.
+and off.
 """
 
 import pytest

@@ -367,6 +367,36 @@ class TestDRed:
         assert view.stats.dred_overdeletes == 2  # (1, 2) and its mirror
         assert view.stats.fallback_recomputes == 0
 
+    def test_self_join_off_projection_chains_takes_the_generic_path(self):
+        # fix()'s self-join, but keyed on a constructed pair: the keys are no
+        # projection chains, so the plan does not mark the fixpoint indexed
+        # and every pass -- inserts and deletes -- runs the generic
+        # frontier terms, never the dense-id mirror.
+        p, q = Var("p"), Var("q")
+        join = ext_apply(Lambda("p", EDGE_T, ext_apply(Lambda("q", EDGE_T, ast.If(
+            ast.Eq(ast.Pair(ast.Proj2(p), ast.Proj2(p)), ast.Pair(ast.Proj1(q), ast.Proj1(q))),
+            Singleton(ast.Pair(ast.Proj1(p), ast.Proj2(q))),
+            ast.EmptySet(EDGE_T),
+        )), Var("rr"))), Var("rr"))
+        step = Lambda("rr", REL_T, ast.Union(Var("rr"), join))
+        expr = ast.Apply(ast.Loop(step, BASE), ast.Pair(Var("edges"), Var("edges")))
+        db = fresh_graph_db(8, "cycle")
+        session = connect(db)
+        view = session.materialize(expr)
+        fix = next(n for n in view.maintenance_plan().walk()
+                   if n.op == "ivm-fixpoint")
+        assert "bilinear-indexed" not in fix.annotations
+        assert len(view.value.elements) == 64
+        db.delete("edges", [(3, 4)])
+        assert_matches_cold(session, view, expr)
+        db.insert("edges", [(3, 4), (0, 5)])
+        assert_matches_cold(session, view, expr)
+        db.apply(Changeset.of(edges=([(1, 6)], [(5, 6), (0, 5)])))
+        assert_matches_cold(session, view, expr)
+        assert view.stats.dred_applies == 2
+        assert view.stats.flat_index_applies == 0
+        assert view.stats.fallback_recomputes == 0
+
     def test_repeated_deletions_converge_to_the_empty_closure(self):
         db = fresh_graph_db(6)
         session = connect(db)

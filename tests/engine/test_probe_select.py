@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.api import Database, Q, connect
 from repro.engine import Engine
+from repro.engine.vectorized.flat import _NP_MIN
 from repro.nra.ast import (
     Apply,
     EmptySet,
@@ -247,8 +248,13 @@ def test_probe_starts_at_the_second_select_and_shares_the_join_index():
     assert (joined.last_stats.index_builds, joined.last_stats.index_hits) == (0, 1)
 
 
-def test_negated_predicate_remains_a_scan():
-    env = {"r": from_python(REL), "ks": from_python({0, 1, 2, 3, 4})}
+# A column long enough for the numpy compare: both sides of ``_NP_MIN``.
+WIDE_REL = {(i % 5, i) for i in range(2 * _NP_MIN)}
+
+
+@pytest.mark.parametrize("rel", [REL, WIDE_REL], ids=["narrow", "wide"])
+def test_negated_predicate_remains_a_scan(rel):
+    env = {"r": from_python(rel), "ks": from_python({0, 1, 2, 3, 4})}
     expr = per_key(PAIR_T, select(PAIR_T, Proj1, Var("k"), Proj2, Var("r"), negate=True))
     engine = agree(expr, env)
     plan_select = next(

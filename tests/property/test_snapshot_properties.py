@@ -13,8 +13,7 @@ sharing one engine, with and without views.  After *every* step
    ``repro.nra.eval.run`` on the live database.
 
 Runs with the flat kernels on and off (``flat=False`` must simply ignore
-carried flat state), and, carrying the ``columnar`` marker, on the CI leg
-that sets ``REPRO_NO_NUMPY=1``.
+carried flat state).
 """
 
 from array import array

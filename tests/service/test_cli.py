@@ -1,8 +1,5 @@
-"""CLI tests: the argparse frontend against a live server.
+"""CLI tests: the argparse frontend and its command layer against a live server.
 
-`typer`/`rich` are optional and absent in this environment, so these tests
-exercise the fallback frontend -- which is the same command layer the pretty
-frontend wraps (rendering aside), so the logic coverage carries over.
 ``serve`` itself is tested as a subprocess in the CI smoke job; here its
 building blocks (workload specs, binding parsers) are tested directly.
 """
