@@ -147,6 +147,8 @@ class ParallelEvaluator:
                 list(fx.delta_terms), fx.step_var, fx.delta_var, match_join
             ) is not None:
                 annotations += ("flat-columns",)
+                if fx.round_one_frontier:
+                    annotations += ("round-one-frontier",)
             return node(
                 "parallel-fixpoint",
                 f"{shape}: frontier into <={k} shards, workers={w}",
@@ -431,10 +433,12 @@ class ParallelEvaluator:
         """Semi-naive rounds with the frontier hash-partitioned every round.
 
         Mirrors :func:`repro.recursion.iterators.seminaive_iterate` exactly:
-        round one applies the full step on the driver; every later round
-        evaluates the delta terms -- with the accumulator bound whole and the
-        frontier split into shards -- across the pool, unions the derived
-        elements, and differences out the new frontier.  Ill-shaped inputs
+        round one applies the full step on the driver -- unless the step is
+        strict (``fix.round_one_frontier``) and the flat loop takes the start
+        as its first frontier, as the vectorized compiler does; every later
+        round evaluates the delta terms -- with the accumulator bound whole
+        and the frontier split into shards -- across the pool, unions the
+        derived elements, and differences out the new frontier.  Ill-shaped inputs
         (non-pair iterator arguments, non-set carriers or start values) are
         delegated whole to the driver so error behaviour stays canonical.
         """
@@ -465,13 +469,19 @@ class ParallelEvaluator:
         if rounds <= 0:
             return start
         self.stats.fixpoint_runs += 1
+        flat_ok = True
+        if fix.round_one_frontier and start.elements:
+            flat = self._try_flat_fixpoint(fix, env, start, start, rounds)
+            if flat is not None:
+                return flat
+            flat_ok = False  # declined: it would again
         acc = self._driver_eval(fix.step_body, {**env, fix.step_var: start})
         if not isinstance(acc, SetVal):
             raise NRAEvalError(f"iterator step: expected a set, got {acc!r}")
         delta = it.difference(acc, start)
         done = 1
-        if done < rounds and delta.elements:
-            flat = self._try_flat_fixpoint(fix, env, acc, delta, rounds, done)
+        if flat_ok and done < rounds and delta.elements:
+            flat = self._try_flat_fixpoint(fix, env, acc, delta, rounds - done)
             if flat is not None:
                 return flat
         while done < rounds and len(delta.elements):
@@ -508,10 +518,9 @@ class ParallelEvaluator:
         env: dict,
         acc: SetVal,
         delta: SetVal,
-        rounds: int,
-        done: int,
+        budget: int,
     ) -> Optional[Value]:
-        """Run the remaining rounds on dense-id arrays, or ``None`` to decline.
+        """Run up to ``budget`` rounds on dense-id arrays, or ``None`` to decline.
 
         The frontier terms are lowered exactly as the vectorized backend's
         semi-naive loop lowers them and the same :meth:`FlatLoop.run` drives
@@ -570,13 +579,16 @@ class ParallelEvaluator:
             self.stats.shards += len(tasks)
             return parts
 
-        ran = loop.run(
-            rounds - done,
-            derive if pooled else None,
-            partial(TRACER.event, "fixpoint-round", flat=True, pool="thread")
-            if TRACER.enabled else None,
-        )
-        self.stats.fixpoint_rounds += ran
-        if pooled:
-            self.stats.frontier_reshards += ran
+        try:
+            loop.run(
+                budget,
+                derive if pooled else None,
+                partial(TRACER.event, "fixpoint-round", flat=True, pool="thread")
+                if TRACER.enabled else None,
+            )
+        finally:
+            # Rounds begun, also when one raised: the compiler counts the same.
+            self.stats.fixpoint_rounds += loop.rounds
+            if pooled:
+                self.stats.frontier_reshards += loop.rounds
         return loop.materialize()

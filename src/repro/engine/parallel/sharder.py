@@ -112,6 +112,9 @@ class FixpointSpec:
     #: flat-column fixpoint lowers these term-by-term
     #: (:func:`repro.engine.vectorized.flat.analyze_flat_terms`).
     delta_terms: tuple[Expr, ...] = ()
+    #: No branch of the step is loop-invariant (``f({}) = {}``): a set start
+    #: enters the flat loop at round one, as the compiler's step runner does.
+    round_one_frontier: bool = False
 
 
 @dataclass(frozen=True)
@@ -177,9 +180,10 @@ def _match_fixpoint(e: Expr, arg_var: Optional[str]) -> Optional[ShardSpec]:
     if not (isinstance(step, ast.Lambda) and is_inflationary_step(step)):
         return None
     dv = fresh_name("shard_delta")
-    terms = _delta_terms(step.body, step.var, dv)
-    if not terms:
+    decomposed = _delta_terms(step.body, step.var, dv)
+    if decomposed is None or not decomposed[0]:
         return None
+    terms, strict = decomposed
     delta_union: Expr = terms[0]
     for t in terms[1:]:
         delta_union = ast.Union(delta_union, t)
@@ -197,6 +201,7 @@ def _match_fixpoint(e: Expr, arg_var: Optional[str]) -> Optional[ShardSpec]:
             delta_var=dv,
             delta_union=delta_union,
             delta_terms=tuple(terms),
+            round_one_frontier=strict,
         ),
     )
 

@@ -190,12 +190,16 @@ class BatchContext:
         return self._keep(columns, key, set_column(self.interner, source, path))
 
     def field_of(self, source: SetVal, build: Callable[[], SetVal]) -> SetVal:
-        """``build()``, the values binary relation ``source`` mentions, once
-        per collection value (kept and aged out with its indexes).
+        """The values binary relation ``source`` mentions, once per collection
+        value (kept and aged out with its indexes).
 
-        This one structure derived from one collection, not a cache of
-        subterm results.  It does not follow a commit: the first read of the
-        next version builds its own, from the columns that did.
+        This is one structure derived from one collection, not a cache of
+        subterm results.  It does not follow a commit itself: the first read
+        of the next version builds its own, from the ``fst``/``snd`` columns
+        that did (:meth:`carry`), and an unchanged node set comes back as the
+        interned set it already was.  ``build()``, the union as written, runs
+        instead when the flat kernels are off or an element is not a pair, so
+        its errors and counters stay the union's own.
         """
         indexes = self._indexes
         key = (id(source), "field")
@@ -203,7 +207,16 @@ class BatchContext:
         if cached is not None:
             indexes[key] = cached
             return cached
-        return self._keep(indexes, key, build())
+        field = None
+        if self.use_flat:
+            try:
+                field = self.interner.set_from_ids(
+                    set(self.flat_column(source, ("f",)))
+                    | set(self.flat_column(source, ("s",)))
+                )
+            except FlatUnavailable:
+                pass
+        return self._keep(indexes, key, build() if field is None else field)
 
     def flat_probe_index(
         self, source: SetVal, key_path: tuple[str, ...]
@@ -272,9 +285,10 @@ class BatchContext:
 
         ``dels``/``ins`` came with ``new`` from :meth:`InternTable.advance`.
         Each path column and invariant index of ``old`` is copied once at C
-        level and edited at the delta's rows only.  An entry the delta cannot
-        extend (a new element lacks the pair shape a path needs) is left out:
-        the read takes the cold build, and its errors.
+        level and edited at the delta's rows only; the next version's
+        :meth:`field_of` is then read off its ``fst``/``snd`` columns.  An
+        entry the delta cannot extend (a new element lacks the pair shape a
+        path needs) is left out: the read takes the cold build, and its errors.
         """
         it = self.interner
         parts = it.pair_parts()

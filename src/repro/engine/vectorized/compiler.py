@@ -187,21 +187,25 @@ def _function(d: object, what: str) -> VFunction:
 # Frontier (delta) decomposition of inflationary step bodies
 # ---------------------------------------------------------------------------
 
-def _delta_terms(e: Expr, v: str, dv: str) -> Optional[list[Expr]]:
+def _delta_terms(e: Expr, v: str, dv: str) -> Optional[tuple[list[Expr], bool]]:
     """Decompose ``e`` as a union-distributive function of ``Var(v)``.
 
-    Returns expressions whose union, evaluated with ``v`` bound to the current
-    accumulator and ``dv`` to the frontier, covers every element ``e`` newly
-    derives -- the semi-naive round.  The grammar accepted is exactly the
-    fragment where distributivity ``e(a U b) = e(a) U e(b)`` is a syntactic
-    theorem: the variable itself, unions, and ``ext`` applications whose
-    source and/or parameter body are themselves distributive.  Returns
+    Returns ``(terms, strict)``: expressions whose union, evaluated with ``v``
+    bound to the current accumulator and ``dv`` to the frontier, covers every
+    element ``e`` newly derives -- the semi-naive round.  The grammar accepted
+    is exactly the fragment where distributivity ``e(a U b) = e(a) U e(b)`` is
+    a syntactic theorem: the variable itself, unions, and ``ext`` applications
+    whose source and/or parameter body are themselves distributive.  Returns
     ``None`` anywhere else (the loop then falls back to full iteration).
+
+    ``strict`` says no branch was loop-invariant: every branch reads ``v``, so
+    ``e({}) = {}``, and the terms evaluated with ``dv`` and ``v`` both bound to
+    one set ``s`` compute all of ``e(s)`` -- round one is a frontier round.
     """
     if v not in free_variables(e):
-        return []  # loop-invariant: derives nothing new after round one
+        return [], False  # loop-invariant: derives nothing new after round one
     if isinstance(e, ast.Var) and e.name == v:
-        return [ast.Var(dv)]
+        return [ast.Var(dv)], True
     if isinstance(e, ast.Union):
         lhs = _delta_terms(e.left, v, dv)
         if lhs is None:
@@ -209,15 +213,17 @@ def _delta_terms(e: Expr, v: str, dv: str) -> Optional[list[Expr]]:
         rhs = _delta_terms(e.right, v, dv)
         if rhs is None:
             return None
-        return lhs + rhs
+        return lhs[0] + rhs[0], lhs[1] and rhs[1]
     if isinstance(e, ast.Apply) and isinstance(e.func, ast.Ext):
         f, src = e.func.func, e.arg
         terms: list[Expr] = []
+        strict = True
         if v in free_variables(src):
             inner = _delta_terms(src, v, dv)
             if inner is None:
                 return None
-            terms.extend(ast.Apply(e.func, t) for t in inner)
+            terms.extend(ast.Apply(e.func, t) for t in inner[0])
+            strict = inner[1]
         if v in free_variables(e.func):
             # The parameter mentions the accumulator (e.g. squaring
             # ``v o v``): decompose its body too, keeping the source at the
@@ -230,9 +236,10 @@ def _delta_terms(e: Expr, v: str, dv: str) -> Optional[list[Expr]]:
                 return None
             terms.extend(
                 ast.Apply(ast.Ext(ast.Lambda(f.var, f.var_type, t)), src)
-                for t in body_terms
+                for t in body_terms[0]
             )
-        return terms
+            strict = strict and body_terms[1]
+        return terms, strict
     return None
 
 
@@ -244,7 +251,8 @@ def delta_terms(e: Expr, v: str, dv: str) -> Optional[list[Expr]]:
     semi-naive loop strategy uses; both go through this one analysis so a
     shape is delta-maintainable iff it runs semi-naively.
     """
-    return _delta_terms(e, v, dv)
+    decomposed = _delta_terms(e, v, dv)
+    return None if decomposed is None else decomposed[0]
 
 
 def match_join(lvar: str, body: Expr) -> Optional[tuple[str, Expr, Expr, Expr, Expr]]:
@@ -466,9 +474,10 @@ class PlanCompiler:
             if rel is None:
                 return Compiled(node("union", "", lc.plan, rc.plan), union_fn)
             # ``field_of(r)``, a loop's cardinality argument, is a function of
-            # one collection value: computed as written the first time that
-            # value is seen (so errors and counters are the union's own),
-            # then served with the value's columns.
+            # one collection value: built from the value's ``fst``/``snd`` id
+            # columns (which follow a commit) the first time it is seen, as
+            # written when those are unavailable (so errors are the union's
+            # own), then served with the value's indexes.
             ctx, sfn = self.ctx, self._source(rel).fn
 
             def field_fn(env):
@@ -1176,8 +1185,9 @@ class PlanCompiler:
         spec = None
         if is_inflationary_step(step):
             dv = fresh_name("delta")
-            terms = _delta_terms(step.body, var, dv)
-            if terms is not None:
+            decomposed = _delta_terms(step.body, var, dv)
+            if decomposed is not None:
+                terms, strict = decomposed
                 spec = (dv, [self.compile(t) for t in terms])
 
         if spec is not None:
@@ -1199,9 +1209,14 @@ class PlanCompiler:
                         )
                         for s in flat_specs
                     ]
+            # A strict step (no loop-invariant branch) has f({}) = {}: its
+            # frontier terms with delta = acc = start are round one whole.
+            round_one_frontier = flat_specs is not None and strict
             annotations = ("semi-naive",)
             if flat_specs is not None:
                 annotations += ("flat-columns",)
+            if round_one_frontier:
+                annotations += ("round-one-frontier",)
             plan = node(
                 "loop-seminaive",
                 f"{len(term_fns)} frontier terms",
@@ -1240,6 +1255,15 @@ class PlanCompiler:
                     ctx.stats.flat_fallbacks += 1
                     return None
 
+            def _run_flat_loop(loop, budget, trace_on):
+                try:
+                    loop.run(budget, on_round=partial(
+                        TRACER.event, "fixpoint-round", flat=True,
+                    ) if trace_on else None)
+                finally:
+                    ctx.stats.seminaive_rounds += loop.rounds
+                return loop.materialize()
+
             def make_seminaive(env):
                 captured = dict(env)
 
@@ -1257,27 +1281,26 @@ class PlanCompiler:
                     dtok = bind(captured, dv)
                     try:
                         # The round structure below is seminaive_iterate's,
-                        # inlined so the flat loop can take over after round
-                        # one: full round, frontier = acc - start, then
+                        # inlined so the flat loop can take over: at round
+                        # one for a strict step (the loop starts from
+                        # delta = acc = start and probes the invariant
+                        # indexes that followed a commit), else after the
+                        # full round one, frontier = acc - start; then
                         # frontier rounds until exhaustion or the budget.
+                        flat_ok = flat_specs is not None
+                        if round_one_frontier and start.elements:
+                            loop = _try_flat_loop(captured, start, start)
+                            if loop is not None:
+                                return _run_flat_loop(loop, rounds, trace_on)
+                            flat_ok = False  # declined: it would again
                         captured[var] = start
                         acc = expect_set(body_fn(captured), "iterator step")
                         delta = it.difference(acc, start)
                         done = 1
-                        if (
-                            flat_specs is not None
-                            and done < rounds
-                            and delta.elements
-                        ):
+                        if flat_ok and done < rounds and delta.elements:
                             loop = _try_flat_loop(captured, acc, delta)
                             if loop is not None:
-                                try:
-                                    loop.run(rounds - done, on_round=partial(
-                                        TRACER.event, "fixpoint-round", flat=True,
-                                    ) if trace_on else None)
-                                finally:
-                                    ctx.stats.seminaive_rounds += loop.rounds
-                                return loop.materialize()
+                                return _run_flat_loop(loop, rounds - done, trace_on)
                         while done < rounds and delta.elements:
                             ctx.stats.seminaive_rounds += 1
                             if trace_on:

@@ -42,7 +42,7 @@ canonical ``NRAEvalError`` if the input was genuinely ill-shaped).  A
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from time import perf_counter
 from typing import Callable, Iterable, Optional
@@ -370,9 +370,10 @@ class _FlatTerm:
 class FlatLoop:
     """Semi-naive frontier iteration over packed pair codes.
 
-    Construction + :meth:`setup` encode the round-one accumulator and
-    frontier as id columns and resolve the per-term probe plans and indexes;
-    :meth:`run` then drives every remaining round in one call.  What varies
+    Construction + :meth:`setup` encode the starting accumulator and
+    frontier as id columns (both the start itself for a strict step's round
+    one, else what an object round one left) and resolve the per-term probe
+    plans and indexes; :meth:`run` then drives every round in one call.  What varies
     between callers is only a round's *derive step* -- who probes the frozen
     indexes with the frontier: the loop itself, or a thread pool handed
     :meth:`chunk_probes` (``chunks`` independent callables, strided over the
@@ -392,6 +393,8 @@ class FlatLoop:
         self._by_dense = it._by_dense
         self._specs = specs
         self._terms: list[_FlatTerm] = []
+        #: Terms that join from round two on (see :meth:`setup`).
+        self._mirrors: list[_FlatTerm] = []
         self._acc_f = array("q")
         self._acc_s = array("q")
         self._acc_codes: set[int] = set()
@@ -418,7 +421,9 @@ class FlatLoop:
         fs, ss = self._encode_rows(acc)
         self._acc_f, self._acc_s = array("q", fs), array("q", ss)
         self._acc_codes = set(_codes(fs, ss))
-        self._delta_f, self._delta_s = self._encode_rows(delta)
+        # Round one of a strict step starts from delta = acc (never mutated:
+        # a round replaces the frontier lists, the accumulator is the arrays).
+        self._delta_f, self._delta_s = (fs, ss) if delta is acc else self._encode_rows(delta)
         stats = self.stats
         for spec, (lval, rval) in zip(self._specs, inv_vals):
             if spec == "copy":
@@ -440,6 +445,16 @@ class FlatLoop:
                 self._index_rows(t, fs, ss)
                 stats.index_builds += 1
             self._terms.append(t)
+        if delta is acc:
+            # While the frontier is the accumulator, a bilinear step's
+            # J(acc, delta) repeats its J(delta, acc): it joins from round two.
+            specs = [t.spec for t in self._terms]
+            self._mirrors = [
+                t for t in self._terms
+                if (t.spec.left, t.spec.right) == ("acc", "delta")
+                and replace(t.spec, left="delta", right="acc") in specs
+            ]
+            self._terms = [t for t in self._terms if t not in self._mirrors]
 
     def _inv_left_rows(self, t: _FlatTerm, s: SetVal) -> list:
         spec = t.spec
@@ -494,18 +509,23 @@ class FlatLoop:
         rebuilt = [t for t in terms if t.spec.right == "delta"]
         grown = [t for t in terms if t.spec.right == "acc"]
         kept = len(terms) - len(rebuilt)  # prebuilt indexes reused per round
-        done = joined = hits = 0
+        done = joins = builds = hits = 0
         try:
             while done < budget and self._delta_f:
                 if on_round is not None:
                     size, t0 = len(self._delta_f), perf_counter()
                 self.rounds += 1
+                if self._mirrors and self.rounds > 1:
+                    terms += self._mirrors  # the frontier left the accumulator
+                    rebuilt += self._mirrors
+                    self._mirrors = []
                 for t in rebuilt:
                     t.index = {}
                     self._index_rows(t, self._delta_f, self._delta_s)
                 if self.rounds > 1:
                     hits += kept
-                joined += 1
+                joins += len(terms)
+                builds += len(rebuilt)
                 if derive is None:
                     fresh = self._probe(0, 1)
                 else:
@@ -527,9 +547,9 @@ class FlatLoop:
             stats = self.stats
             stats.flat_rounds += done
             stats.flat_dedups += done
-            stats.hash_joins += joined * len(terms)
-            stats.flat_joins += joined * len(terms)
-            stats.index_builds += joined * len(rebuilt)
+            stats.hash_joins += joins
+            stats.flat_joins += joins
+            stats.index_builds += builds
             stats.index_hits += hits
         return done
 

@@ -5,7 +5,7 @@ vectorized compiler and the parallel executor both hand it a budget and, for
 a pool, a derive step.  What is pinned here:
 
 * **rounds are depth**: on path(n) the seeded closure ``reach(src)`` takes
-  exactly ``n - 2 - src`` frontier rounds, in the engine's own counters, and
+  exactly ``n - 1 - src`` frontier rounds, in the engine's own counters, and
   the whole-relation closure is logarithmic by ``dcr`` and linear by ``sri``
   -- the paper's NC-vs-PTIME shape, without the cost interpreter;
 * **one loop, two derive steps**: local and thread-pool chunks give the
@@ -14,11 +14,15 @@ a pool, a derive step.  What is pinned here:
 * the **budget** stops the loop exactly where the iterator's cardinality
   argument says;
 * **tracing** reports one ``fixpoint-round`` event per round, and a round
-  that raises leaves the error, the counters and a usable engine behind.
+  that raises leaves the error, the counters and a usable engine behind;
+* **round one** runs in the frontier loop exactly when no branch of the
+  step is loop-invariant (the plan says ``round-one-frontier``), so the
+  first read after a commit builds no index and runs no map.
 
-Counter literals were recorded at the commit before the loop was fused
-(``flat_dedups`` of a warm read is 2 lower since: the two maps of
-``field_of(edges)`` are served per collection value).
+Counter literals were recorded when a strict step's round one moved into
+the frontier loop (one round more than the object round one counted; no
+object round-one join, dedup or row-numbered index) and ``field_of(edges)``
+came to be read off the collection's id columns (no ``bulk_maps``).
 """
 
 import pytest
@@ -27,14 +31,15 @@ from repro.api import Database, Q
 from repro.complexity.fit import is_polylog
 from repro.engine import Engine
 from repro.nra.ast import (
-    Apply, EmptySet, Eq, Ext, If, Lambda, Loop, Pair, Proj1, Proj2, Singleton,
-    Union, Var,
+    Apply, Const, EmptySet, Eq, Ext, If, Lambda, Loop, Pair, Proj1, Proj2,
+    Singleton, Union, Var,
 )
-from repro.nra.derived import compose
+from repro.nra.derived import compose, field_of
 from repro.nra.errors import NRAEvalError
 from repro.nra.eval import run as reference_run
 from repro.objects.types import BASE, ProdType, SetType
 from repro.objects.values import from_python
+from repro.obs import METRICS
 from repro.obs.trace import TRACER
 from repro.relational.queries import reachable_pairs_query
 from repro.workloads.graphs import binary_tree, cycle_graph, path_graph, random_graph
@@ -67,15 +72,16 @@ def test_reach_on_a_path_takes_one_round_per_edge_walked(n):
         rows = reach.execute(src=src).fetchall()
         assert sorted(rows) == [(src, dst) for dst in range(src + 1, n)]
         stats = session.engine.last_stats
-        depth = max(0, n - 2 - src)
+        depth = max(0, n - 1 - src)
         assert stats.seminaive_rounds == stats.flat_rounds == depth
-        assert stats.flat_fixpoints == (1 if len(rows) > 1 else 0)
+        assert stats.flat_fixpoints == (1 if rows else 0)
         assert stats.flat_fallbacks == 0
 
 
 def test_reach_counters_on_path_16_are_the_recorded_ones():
     session, reach = _reach(16)
-    recorded = {0: (14, 14, 15, 15, 18, 2, 13), 3: (11, 11, 12, 12, 13, 0, 13)}
+    # src 3 builds the select's index on fst: the second select of edges.
+    recorded = {0: (15, 15, 15, 15, 16, 1, 14), 3: (12, 12, 12, 12, 13, 1, 12)}
     for src, want in recorded.items():
         reach.execute(src=src).fetchall()
         stats = session.engine.last_stats
@@ -93,7 +99,7 @@ def test_dcr_rounds_are_polylog_and_sri_rounds_linear():
             assert engine.run(reachable_pairs_query(style), path_graph(n).value()) == from_python(want)
             counts[style].append(getattr(engine.last_stats, counter))
     assert counts["dcr"] == [3, 4, 5, 6]
-    assert counts["sri"] == [6, 14, 30, 62]
+    assert counts["sri"] == [7, 15, 31, 63]
     assert is_polylog(ns, counts["dcr"])
     assert not is_polylog(ns, counts["sri"])
 
@@ -108,6 +114,25 @@ GRAPHS = {
     "gnp-12": random_graph(12, 0.3, seed=7),
 }
 
+REL_T = SetType(ProdType(BASE, BASE))
+#: A loop-invariant branch: an edge off every graph, so f({}) = OFF_GRAPH.
+OFF_GRAPH = Const(from_python({(100, 101)}), REL_T)
+
+
+def _query(style):
+    """The closure in ``style``, or ``loop(\\v. v U C U v o r)`` from ``r`` or from {}.
+
+    The invariant branch ``C`` keeps the step's object round one: started
+    in the frontier loop, the empty start would wrongly stay empty.
+    """
+    if style in ("logloop", "sri"):
+        return reachable_pairs_query(style)
+    step = Lambda("v", REL_T, Union(
+        Union(Var("v"), OFF_GRAPH), compose(Var("v"), Var("r"), BASE)))
+    start = Var("r") if style == "invariant-branch" else EmptySet(ProdType(BASE, BASE))
+    return Lambda("r", REL_T, Apply(
+        Loop(step, BASE), Pair(field_of(Var("r"), BASE, BASE), start)))
+
 
 def _run_with(query, graph, **engine_args):
     """``(value, flat_rounds, hash_joins)`` of one run on a fresh engine."""
@@ -120,10 +145,10 @@ def _run_with(query, graph, **engine_args):
         engine.close()
 
 
-@pytest.mark.parametrize("style", ["logloop", "sri"])
+@pytest.mark.parametrize("style", ["logloop", "sri", "invariant-branch", "invariant-branch-empty"])
 @pytest.mark.parametrize("gname", list(GRAPHS))
 def test_local_and_thread_drivers_agree_with_object_kernels_and_reference(gname, style):
-    graph, query = GRAPHS[gname].value(), reachable_pairs_query(style)
+    graph, query = GRAPHS[gname].value(), _query(style)
     want = reference_run(query, graph)
     local = _run_with(query, graph, backend="vectorized")
     assert local[0] == want and local[1] > 0
@@ -153,20 +178,19 @@ def test_a_pool_wider_than_the_frontier_agrees_with_the_local_one(gname):
 # 3. The budget
 # ---------------------------------------------------------------------------
 
-REL_T = SetType(ProdType(BASE, BASE))
 WALK = Lambda("v", REL_T, Union(Var("v"), compose(Var("v"), Var("r"), BASE)))
 
 
 @pytest.mark.parametrize("budget", [1, 2, 5, 14, 15, 40])
 def test_a_budget_below_the_depth_stops_exactly_there(budget):
-    # loop(f)(n, s) applies f |n| times: one full round, then |n| - 1 frontier
-    # rounds or as many as the 14 the path is deep, whichever is fewer.
+    # loop(f)(n, s) applies f |n| times: |n| frontier rounds, the first from
+    # the start itself, or the 15 the path is deep, whichever is fewer.
     expr = Apply(Loop(WALK, BASE), Pair(Var("n"), Var("r")))
     env = {"r": path_graph(16).value(), "n": from_python(set(range(budget)))}
     engine = Engine(backend="vectorized")
     assert engine.run(expr, env=env, optimize=False) == reference_run(expr, env=env)
     stats = engine.last_stats
-    assert stats.flat_rounds == stats.seminaive_rounds == min(budget - 1, 14)
+    assert stats.flat_rounds == stats.seminaive_rounds == min(budget, 15)
     assert len(engine.run(expr, env=env, optimize=False).elements) == sum(
         16 - d for d in range(1, min(budget + 1, 15) + 1)
     )
@@ -195,11 +219,11 @@ def test_one_fixpoint_round_event_per_round(tracer, engine_args):
         with tracer.span("outer") as outer:
             engine.run(reachable_pairs_query("sri"), path_graph(8).value())
         events = [sp for sp in outer.walk() if sp.name == "fixpoint-round"]
-        assert len(events) == engine._vec().stats.flat_rounds == 6
-        assert [sp.attrs["round"] for sp in events] == [1, 2, 3, 4, 5, 6]
-        # Round k of the closure of a path extends the 8 - k - 1 paths of
-        # length k + 1 found by the round before.
-        assert [sp.attrs["frontier"] for sp in events] == [6, 5, 4, 3, 2, 1]
+        assert len(events) == engine._vec().stats.flat_rounds == 7
+        assert [sp.attrs["round"] for sp in events] == [1, 2, 3, 4, 5, 6, 7]
+        # Round k of the closure of a path extends the 8 - k paths of
+        # length k: the start's edges, then what the round before found.
+        assert [sp.attrs["frontier"] for sp in events] == [7, 6, 5, 4, 3, 2, 1]
         assert all(sp.attrs["flat"] is True and sp.seconds >= 0 for sp in events)
         pools = {sp.attrs.get("pool") for sp in events}
         assert pools == ({"thread"} if engine_args["backend"] == "parallel" else {None})
@@ -241,14 +265,67 @@ def test_a_round_that_raises_leaves_the_error_the_counters_and_a_usable_engine(b
                 engine.run(DEEP_KEY_LOOP, env=env, optimize=False)
             assert str(error.value) == str(reference_error.value)
             stats = engine._vec().stats
-            # Two rounds completed; the third began (its join counts) and raised.
+            # Three rounds completed; the fourth began (its join counts) and raised.
             assert (stats.flat_fixpoints, stats.flat_rounds, stats.flat_joins,
                     stats.hash_joins, stats.flat_dedups) == tuple(
-                attempt * c for c in (1, 2, 4, 4, 3))
+                attempt * c for c in (1, 3, 4, 4, 3))
             if backend == "vectorized":
-                assert stats.seminaive_rounds == 3 * attempt
+                assert stats.seminaive_rounds == 4 * attempt
+            else:
+                assert engine._par().stats.fixpoint_rounds == 4 * attempt
         env["r"] = from_python(sound)
         assert engine.run(DEEP_KEY_LOOP, env=env, optimize=False) == reference_run(
             DEEP_KEY_LOOP, env=env)
     finally:
         engine.close()
+
+
+# ---------------------------------------------------------------------------
+# 5. Round one in the frontier loop, and the first read after a commit
+# ---------------------------------------------------------------------------
+
+def _loops(plan, op="loop-seminaive"):
+    return [n for n in plan.walk() if n.op == op]
+
+
+def test_the_plan_shows_which_loops_start_in_the_frontier_loop():
+    session = Database.of("g", edges=path_graph(8)).connect()
+    reach = Q.coll("edges").fix().where(lambda e: e.fst == Q.param("src"))
+    for query in (reach, Q.coll("edges").fix()):
+        loops = _loops(session.explain_plan(query))
+        assert loops and all("round-one-frontier" in n.annotations for n in loops)
+    # Flat, but with a loop-invariant branch: round one stays the full step.
+    loops = _loops(Engine().explain_plan(_query("invariant-branch")))
+    assert loops and all(
+        "flat-columns" in n.annotations and "round-one-frontier" not in n.annotations
+        for n in loops)
+    assert not any(
+        "round-one-frontier" in n.annotations
+        for n in _loops(Engine(flat=False).explain_plan(_query("sri"))))
+    engine = Engine(backend="parallel", workers=2)
+    try:
+        for style, shown in (("sri", True), ("invariant-branch", False)):
+            (fix,) = _loops(engine.explain_plan(_query(style)), "parallel-fixpoint")
+            assert ("round-one-frontier" in fix.annotations) is shown
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("write", ["insert", "delete"])
+def test_the_first_read_after_a_commit_costs_what_a_warm_read_does(write):
+    db = Database.of("g", edges=path_graph(16))
+    session = db.connect()
+    reach = session.prepare(Q.coll("edges").fix().where(lambda e: e.fst == Q.param("src")))
+    ctx = session.engine._vec().ctx
+    reach.execute(src=0).fetchall()
+    field = ctx._indexes[id(session.engine.intern(db["edges"])), "field"]
+    built = METRICS.counter('repro_carried_indexes_total{kind="built"}').value
+    # Neither write changes the node set: (3, 9) joins two path nodes, and
+    # both ends of (7, 8) keep another edge.
+    getattr(db, write)("edges", [(3, 9)] if write == "insert" else [(7, 8)])
+    rows = reach.execute(src=0).fetchall()
+    assert len(rows) == (15 if write == "insert" else 7)
+    stats = session.engine.last_stats
+    assert (stats.index_builds, stats.bulk_maps, stats.flat_fallbacks) == (0, 0, 0)
+    assert METRICS.counter('repro_carried_indexes_total{kind="built"}').value == built
+    assert ctx._indexes[id(session.engine.intern(db["edges"])), "field"] is field

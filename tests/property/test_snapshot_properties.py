@@ -27,6 +27,8 @@ from repro.api.query import param_var
 from repro.api.session import Session
 from repro.engine import Engine
 from repro.engine.vectorized.flat import build_inv_index, set_column
+from repro.nra.ast import Var
+from repro.nra.derived import field_of
 from repro.nra.eval import run as reference_run
 from repro.objects.types import BASE, ProdType, SetType
 from repro.objects.values import SetVal, from_python
@@ -153,8 +155,9 @@ class World:
             assert col == set_column(it, sets[sid], path), path
         for (sid, tag), index in ctx._indexes.items():
             if tag == "field":  # a relation's nodes, kept per collection value
-                nodes = {x for row in sets[sid].elements for x in (row.fst, row.snd)}
-                assert set(index.elements) == nodes, tag
+                as_written = reference_run(
+                    field_of(Var("r"), BASE, BASE), env={"r": sets[sid]})
+                assert index == as_written, tag
                 continue
             if index is None or type(tag) is not tuple:
                 continue  # a select's touch mark / an object-kernel index
