@@ -36,7 +36,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
-from ..objects.values import BoolVal, PairVal, SetVal, UnitVal, Value
+from ..objects.values import (
+    EMPTY_SET, BoolVal, PairVal, SetVal, UnitVal, Value, canonical_set,
+)
 from ..recursion.bounded import ps_intersect_values
 from ..recursion.iterators import log_iterations
 from . import ast
@@ -65,22 +67,6 @@ class Cost:
         return Cost(self.work + work, self.depth + depth)
 
 
-ZERO = Cost(0, 0)
-UNIT_COST = Cost(1, 1)
-
-
-def parallel_all(costs: list[Cost]) -> Cost:
-    """Parallel composition of many independent costs."""
-    if not costs:
-        return ZERO
-    return Cost(sum(c.work for c in costs), max(c.depth for c in costs))
-
-
-def sequential_all(costs: list[Cost]) -> Cost:
-    """Sequential composition of many dependent costs."""
-    return Cost(sum(c.work for c in costs), sum(c.depth for c in costs))
-
-
 @dataclass
 class CostFunction:
     """Runtime denotation of a function under the cost semantics."""
@@ -90,6 +76,23 @@ class CostFunction:
 
     def __call__(self, v: Value) -> tuple[Value, Cost]:
         return self.call(v)
+
+    def run(self, v: Value) -> tuple[Value, int, int]:
+        """``call(v)`` as ``(value, work, depth)``."""
+        value, c = self.call(v)
+        return value, c.work, c.depth
+
+
+class _Compiled(CostFunction):
+    """A function the evaluator built: ``run`` is native, ``call`` wraps it."""
+
+    def __init__(self, name: str, run: Callable[[Value], tuple[Value, int, int]]):
+        self.name = name
+        self.run = run  # type: ignore[method-assign]
+
+    def call(self, v: Value) -> tuple[Value, Cost]:  # type: ignore[override]
+        value, w, d = self.run(v)
+        return value, Cost(w, d)
 
 
 CostDenotation = Union[Value, CostFunction]
@@ -102,7 +105,8 @@ def cost_evaluate(
     sigma: Signature = EMPTY_SIGMA,
 ) -> tuple[CostDenotation, Cost]:
     """Evaluate ``e`` and return its denotation together with its parallel cost."""
-    return _ceval(e, dict(env or {}), sigma)
+    d, w, dp = _compile(e, sigma)(dict(env or {}))
+    return d, Cost(w, dp)
 
 
 def cost_run(
@@ -147,219 +151,340 @@ def _pair(v: Value, what: str) -> PairVal:
     return v
 
 
-def _ceval(
-    e: Expr, env: dict[str, CostDenotation], sigma: Signature
-) -> tuple[CostDenotation, Cost]:
+# -- the evaluator ----------------------------------------------------------------
+#
+# An expression is compiled once into nested closures ``run(env) -> (denotation,
+# work, depth)``, so a lambda body applied to every element of a set is walked
+# once, not dispatched node by node per element, and costs travel as two ints
+# (a ``Cost`` is built only at the public boundary).  The closures apply the
+# rules of the module docstring exactly, in the reference interpreter's
+# evaluation order, and raise the same errors at the same point: an unknown
+# node or a missing external still fails only when it is evaluated.
+
+#: What compiled code returns: the denotation, its work and its depth.
+_Run = Callable[[dict], tuple[CostDenotation, int, int]]
+
+
+def _compile(e: Expr, sigma: Signature) -> _Run:
+    rule = _RULES.get(type(e))
+    if rule is None:
+        rule = next((r for t, r in _RULES.items() if isinstance(e, t)), _unknown)
+    return rule(e, sigma)
+
+
+def _unknown(e: Expr, sigma: Signature) -> _Run:
+    def run(env):
+        raise NRAEvalError(f"cannot cost-evaluate node {type(e).__name__}")
+    return run
+
+
+def _const(e: Expr, sigma: Signature) -> _Run:
     if isinstance(e, ast.Const):
-        return e.value, UNIT_COST
-    if isinstance(e, ast.EmptySet):
-        return SetVal(), UNIT_COST
-    if isinstance(e, ast.Singleton):
-        d, c = _ceval(e.item, env, sigma)
-        return SetVal([_value(d, "singleton")]), c.step()
-    if isinstance(e, ast.Union):
-        dl, cl = _ceval(e.left, env, sigma)
-        dr, cr = _ceval(e.right, env, sigma)
+        out = (e.value, 1, 1)
+    elif isinstance(e, ast.BoolConst):
+        out = (BoolVal(e.value), 1, 1)
+    elif isinstance(e, ast.UnitConst):
+        out = (UnitVal(), 1, 1)
+    else:
+        out = (EMPTY_SET, 1, 1)
+    return lambda env: out
+
+
+def _singleton(e: ast.Singleton, sigma: Signature) -> _Run:
+    item = _compile(e.item, sigma)
+
+    def run(env):
+        d, w, dp = item(env)
+        v = _value(d, "singleton")
+        # One element is a canonical tuple; the constructor still rejects
+        # a non-value.
+        s = canonical_set((v,)) if isinstance(v, Value) else SetVal([v])
+        return s, w + 1, dp + 1
+    return run
+
+
+def _union(e: ast.Union, sigma: Signature) -> _Run:
+    left, right = _compile(e.left, sigma), _compile(e.right, sigma)
+
+    def run(env):
+        dl, wl, pl = left(env)
+        dr, wr, pr = right(env)
         result = _set(_value(dl, "union"), "union").union(_set(_value(dr, "union"), "union"))
-        return result, cl.beside(cr).step()
-    if isinstance(e, ast.UnitConst):
-        return UnitVal(), UNIT_COST
-    if isinstance(e, ast.Pair):
-        df, cf = _ceval(e.fst, env, sigma)
-        ds, cs = _ceval(e.snd, env, sigma)
-        return PairVal(_value(df, "pair"), _value(ds, "pair")), cf.beside(cs).step()
-    if isinstance(e, ast.Proj1):
-        d, c = _ceval(e.pair, env, sigma)
-        return _pair(_value(d, "pi1"), "pi1").fst, c.step()
-    if isinstance(e, ast.Proj2):
-        d, c = _ceval(e.pair, env, sigma)
-        return _pair(_value(d, "pi2"), "pi2").snd, c.step()
-    if isinstance(e, ast.BoolConst):
-        return BoolVal(e.value), UNIT_COST
-    if isinstance(e, ast.Eq):
-        dl, cl = _ceval(e.left, env, sigma)
-        dr, cr = _ceval(e.right, env, sigma)
-        return BoolVal(_value(dl, "eq") == _value(dr, "eq")), cl.beside(cr).step()
-    if isinstance(e, ast.IsEmpty):
-        d, c = _ceval(e.set, env, sigma)
-        return BoolVal(len(_set(_value(d, "empty"), "empty")) == 0), c.step()
-    if isinstance(e, ast.If):
-        dc, cc = _ceval(e.cond, env, sigma)
-        cond = _value(dc, "if")
-        if not isinstance(cond, BoolVal):
-            raise NRAEvalError(f"if-condition must be boolean, got {cond!r}")
-        branch = e.then if cond.value else e.orelse
-        db, cb = _ceval(branch, env, sigma)
-        return db, cc.then(cb).step(work=0, depth=0)
-    if isinstance(e, ast.Var):
-        if e.name not in env:
-            raise NRAEvalError(f"unbound variable {e.name!r}")
-        return env[e.name], Cost(1, 1)
-    if isinstance(e, ast.Lambda):
-        captured = dict(env)
+        return result, wl + wr + 1, (pl if pl > pr else pr) + 1
+    return run
 
-        def call(v: Value, e=e, captured=captured) -> tuple[Value, Cost]:
-            inner = dict(captured)
-            inner[e.var] = v
-            d, c = _ceval(e.body, inner, sigma)
-            return _value(d, "lambda body"), c
 
-        return CostFunction(f"\\{e.var}", call), UNIT_COST
-    if isinstance(e, ast.Apply):
-        df, cf = _ceval(e.func, env, sigma)
-        da, ca = _ceval(e.arg, env, sigma)
+def _pair_node(e: ast.Pair, sigma: Signature) -> _Run:
+    fst, snd = _compile(e.fst, sigma), _compile(e.snd, sigma)
+
+    def run(env):
+        df, wf, pf = fst(env)
+        ds, ws, ps = snd(env)
+        return (PairVal(_value(df, "pair"), _value(ds, "pair")),
+                wf + ws + 1, (pf if pf > ps else ps) + 1)
+    return run
+
+
+def _proj(e: Expr, sigma: Signature) -> _Run:
+    inner = _compile(e.pair, sigma)
+    first = isinstance(e, ast.Proj1)
+    what = "pi1" if first else "pi2"
+
+    def run(env):
+        d, w, dp = inner(env)
+        p = _pair(_value(d, what), what)
+        return (p.fst if first else p.snd), w + 1, dp + 1
+    return run
+
+
+def _eq(e: ast.Eq, sigma: Signature) -> _Run:
+    left, right = _compile(e.left, sigma), _compile(e.right, sigma)
+
+    def run(env):
+        dl, wl, pl = left(env)
+        dr, wr, pr = right(env)
+        return (BoolVal(_value(dl, "eq") == _value(dr, "eq")),
+                wl + wr + 1, (pl if pl > pr else pr) + 1)
+    return run
+
+
+def _is_empty(e: ast.IsEmpty, sigma: Signature) -> _Run:
+    inner = _compile(e.set, sigma)
+
+    def run(env):
+        d, w, dp = inner(env)
+        return BoolVal(len(_set(_value(d, "empty"), "empty")) == 0), w + 1, dp + 1
+    return run
+
+
+def _if(e: ast.If, sigma: Signature) -> _Run:
+    cond = _compile(e.cond, sigma)
+    then, orelse = _compile(e.then, sigma), _compile(e.orelse, sigma)
+
+    def run(env):
+        dc, wc, pc = cond(env)
+        c = _value(dc, "if")
+        if not isinstance(c, BoolVal):
+            raise NRAEvalError(f"if-condition must be boolean, got {c!r}")
+        db, wb, pb = (then if c.value else orelse)(env)
+        return db, wc + wb, pc + pb
+    return run
+
+
+def _var(e: ast.Var, sigma: Signature) -> _Run:
+    name = e.name
+
+    def run(env):
+        if name not in env:
+            raise NRAEvalError(f"unbound variable {name!r}")
+        return env[name], 1, 1
+    return run
+
+
+def _lambda(e: ast.Lambda, sigma: Signature) -> _Run:
+    var, body, label = e.var, _compile(e.body, sigma), f"\\{e.var}"
+
+    def run(env):
+        # Environments are never mutated once built, so the closure shares
+        # ``env`` and each call extends a copy.
+        def call(v):
+            inner = env.copy()
+            inner[var] = v
+            d, w, dp = body(inner)
+            return _value(d, "lambda body"), w, dp
+        return _Compiled(label, call), 1, 1
+    return run
+
+
+def _apply(e: ast.Apply, sigma: Signature) -> _Run:
+    func, arg = _compile(e.func, sigma), _compile(e.arg, sigma)
+
+    def run(env):
+        df, wf, pf = func(env)
+        da, wa, pa = arg(env)
         fn = _function(df, "application")
-        v, c_app = fn(_value(da, "argument"))
-        return v, cf.beside(ca).then(c_app)
-    if isinstance(e, ast.Ext):
-        df, cf = _ceval(e.func, env, sigma)
-        fn = _function(df, "ext parameter")
+        v, w, dp = fn.run(_value(da, "argument"))
+        return v, wf + wa + w, (pf if pf > pa else pa) + dp
+    return run
 
-        def ext_call(v: Value, fn=fn) -> tuple[Value, Cost]:
+
+def _ext(e: ast.Ext, sigma: Signature) -> _Run:
+    func = _compile(e.func, sigma)
+
+    def run(env):
+        df, wf, pf = func(env)
+        fn = _function(df, "ext parameter").run
+
+        def ext_call(v):
             s = _set(v, "ext argument")
-            pieces: list[Value] = []
-            costs: list[Cost] = []
-            for x in s:
-                piece, c = fn(x)
-                pieces.append(_set(piece, "ext piece"))
-                costs.append(c)
-            result = SetVal()
-            for piece in pieces:
-                result = result.union(piece)  # type: ignore[arg-type]
-            # One parallel fan-out (max depth) followed by one union step.
-            return result, parallel_all(costs).step()
+            elements: list[Value] = []
+            work = depth = 0
+            for x in s.elements:
+                piece, w, dp = fn(x)
+                elements.extend(_set(piece, "ext piece").elements)
+                work += w
+                if dp > depth:
+                    depth = dp
+            # One parallel fan-out (max depth) followed by one union step;
+            # the value is that union, canonicalized once.
+            return SetVal(elements), work + 1, depth + 1
 
-        return CostFunction("ext", ext_call), cf
-    if isinstance(e, ast.ExternalCall):
-        fn = sigma[e.name]
-        d, c = _ceval(e.arg, env, sigma)
-        return fn(_value(d, f"external {e.name}")), c.step()
-    if isinstance(e, (ast.Dcr, ast.Sru, ast.Bdcr)):
-        return _cost_union_recursion(e, env, sigma)
-    if isinstance(e, (ast.Sri, ast.Esr, ast.Bsri)):
-        return _cost_insert_recursion(e, env, sigma)
-    if isinstance(e, (ast.LogLoop, ast.Loop, ast.BlogLoop, ast.Bloop)):
-        return _cost_iterator(e, env, sigma)
-    raise NRAEvalError(f"cannot cost-evaluate node {type(e).__name__}")
+        return _Compiled("ext", ext_call), wf, pf
+    return run
 
 
-def _cost_union_recursion(
-    e: Expr, env: dict[str, CostDenotation], sigma: Signature
-) -> tuple[CostDenotation, Cost]:
-    bounded = isinstance(e, ast.Bdcr)
-    d_seed, c_seed = _ceval(e.seed, env, sigma)
-    d_item, c_item = _ceval(e.item, env, sigma)
-    d_comb, c_comb = _ceval(e.combine, env, sigma)
-    seed = _value(d_seed, "recursion seed")
-    item = _function(d_item, "recursion item")
-    combine = _function(d_comb, "recursion combine")
-    setup = parallel_all([c_seed, c_item, c_comb])
-    bound: Optional[Value] = None
-    if bounded:
-        d_bound, c_bound = _ceval(e.bound, env, sigma)
-        bound = _value(d_bound, "recursion bound")
-        setup = setup.beside(c_bound)
+def _external(e: ast.ExternalCall, sigma: Signature) -> _Run:
+    name, arg = e.name, _compile(e.arg, sigma)
 
-    def clip(v: Value) -> Value:
-        return ps_intersect_values(v, bound) if bound is not None else v
+    def run(env):
+        fn = sigma[name]
+        d, w, dp = arg(env)
+        return fn(_value(d, f"external {name}")), w + 1, dp + 1
+    return run
 
-    def call(v: Value) -> tuple[Value, Cost]:
-        s = _set(v, "recursion argument")
-        if not len(s):
-            return clip(seed), Cost(1, 1)
-        # Leaf applications of the item function, all in parallel.
-        leaves: list[Value] = []
-        leaf_costs: list[Cost] = []
-        for x in s:
-            value, c = item(x)
-            leaves.append(clip(value))
-            leaf_costs.append(c)
-        total = parallel_all(leaf_costs)
-        # Balanced combining tree: each round combines adjacent pairs in parallel.
-        current = leaves
-        while len(current) > 1:
-            nxt: list[Value] = []
-            round_costs: list[Cost] = []
-            for j in range(0, len(current) - 1, 2):
-                value, c = combine(PairVal(current[j], current[j + 1]))
-                nxt.append(clip(value))
-                round_costs.append(c)
-            if len(current) % 2 == 1:
-                nxt.append(current[-1])
-            total = total.then(parallel_all(round_costs))
-            current = nxt
+
+def _clipper(bound: Optional[Value]) -> Callable[[Value], Value]:
+    if bound is None:
+        return lambda v: v
+    return lambda v: ps_intersect_values(v, bound)
+
+
+def _bound(e: Expr, sigma: Signature) -> Optional[_Run]:
+    has = isinstance(e, (ast.Bdcr, ast.Bsri, ast.BlogLoop, ast.Bloop))
+    return _compile(e.bound, sigma) if has else None
+
+
+def _union_recursion(e: Expr, sigma: Signature) -> _Run:
+    seed_fn, item_fn = _compile(e.seed, sigma), _compile(e.item, sigma)
+    comb_fn, bound_fn = _compile(e.combine, sigma), _bound(e, sigma)
+    name = type(e).__name__.lower()
+
+    def run(env):
+        d_seed, w_seed, p_seed = seed_fn(env)
+        d_item, w_item, p_item = item_fn(env)
+        d_comb, w_comb, p_comb = comb_fn(env)
+        seed = _value(d_seed, "recursion seed")
+        item = _function(d_item, "recursion item").run
+        combine = _function(d_comb, "recursion combine").run
+        work = w_seed + w_item + w_comb
+        depth = max(p_seed, p_item, p_comb)
+        bound: Optional[Value] = None
+        if bound_fn is not None:
+            d_bound, w_bound, p_bound = bound_fn(env)
+            bound = _value(d_bound, "recursion bound")
+            work, depth = work + w_bound, max(depth, p_bound)
+        clip = _clipper(bound)
         extra = 1 if bound is not None else 0
-        return current[0], total.step(work=extra, depth=extra)
 
+        def call(v):
+            s = _set(v, "recursion argument")
+            if not len(s):
+                return clip(seed), 1, 1
+            # Leaf applications of the item function, all in parallel.
+            current: list[Value] = []
+            total_w = total_d = 0
+            for x in s.elements:
+                value, w, dp = item(x)
+                current.append(clip(value))
+                total_w += w
+                total_d = max(total_d, dp)
+            # Balanced combining tree: each round combines adjacent pairs in
+            # parallel; a round's depth is its deepest combine.
+            while len(current) > 1:
+                nxt: list[Value] = []
+                round_d = 0
+                for j in range(0, len(current) - 1, 2):
+                    value, w, dp = combine(PairVal(current[j], current[j + 1]))
+                    nxt.append(clip(value))
+                    total_w += w
+                    round_d = max(round_d, dp)
+                if len(current) % 2 == 1:
+                    nxt.append(current[-1])
+                total_d += round_d
+                current = nxt
+            return current[0], total_w + extra, total_d + extra
+
+        return _Compiled(name, call), work, depth
+    return run
+
+
+def _insert_recursion(e: Expr, sigma: Signature) -> _Run:
+    seed_fn, ins_fn, bound_fn = _compile(e.seed, sigma), _compile(e.insert, sigma), _bound(e, sigma)
     name = type(e).__name__.lower()
-    return CostFunction(name, call), setup
+
+    def run(env):
+        d_seed, w_seed, p_seed = seed_fn(env)
+        d_ins, w_ins, p_ins = ins_fn(env)
+        seed = _value(d_seed, "recursion seed")
+        insert = _function(d_ins, "recursion insert").run
+        work, depth = w_seed + w_ins, max(p_seed, p_ins)
+        bound: Optional[Value] = None
+        if bound_fn is not None:
+            d_bound, w_bound, p_bound = bound_fn(env)
+            bound = _value(d_bound, "recursion bound")
+            work, depth = work + w_bound, max(depth, p_bound)
+        clip = _clipper(bound)
+
+        def call(v):
+            s = _set(v, "recursion argument")
+            acc = clip(seed)
+            total_w = total_d = 1
+            # Element-by-element: every step depends on the previous accumulator.
+            for x in reversed(s.elements):
+                acc_next, w, dp = insert(PairVal(x, acc))
+                acc = clip(acc_next)
+                total_w += w
+                total_d += dp
+            return acc, total_w, total_d
+
+        return _Compiled(name, call), work, depth
+    return run
 
 
-def _cost_insert_recursion(
-    e: Expr, env: dict[str, CostDenotation], sigma: Signature
-) -> tuple[CostDenotation, Cost]:
-    bounded = isinstance(e, ast.Bsri)
-    d_seed, c_seed = _ceval(e.seed, env, sigma)
-    d_ins, c_ins = _ceval(e.insert, env, sigma)
-    seed = _value(d_seed, "recursion seed")
-    insert = _function(d_ins, "recursion insert")
-    setup = parallel_all([c_seed, c_ins])
-    bound: Optional[Value] = None
-    if bounded:
-        d_bound, c_bound = _ceval(e.bound, env, sigma)
-        bound = _value(d_bound, "recursion bound")
-        setup = setup.beside(c_bound)
-
-    def clip(v: Value) -> Value:
-        return ps_intersect_values(v, bound) if bound is not None else v
-
-    def call(v: Value) -> tuple[Value, Cost]:
-        s = _set(v, "recursion argument")
-        acc = clip(seed)
-        total = Cost(1, 1)
-        # Element-by-element: every step depends on the previous accumulator.
-        for x in reversed(s.elements):
-            acc_next, c = insert(PairVal(x, acc))
-            acc = clip(acc_next)
-            total = total.then(c)
-        return acc, total
-
-    name = type(e).__name__.lower()
-    return CostFunction(name, call), setup
-
-
-def _cost_iterator(
-    e: Expr, env: dict[str, CostDenotation], sigma: Signature
-) -> tuple[CostDenotation, Cost]:
-    bounded = isinstance(e, (ast.BlogLoop, ast.Bloop))
+def _iterator(e: Expr, sigma: Signature) -> _Run:
+    step_fn, bound_fn = _compile(e.step, sigma), _bound(e, sigma)
     logarithmic = isinstance(e, (ast.LogLoop, ast.BlogLoop))
-    d_step, c_step = _ceval(e.step, env, sigma)
-    step = _function(d_step, "iterator step")
-    setup = c_step
-    bound: Optional[Value] = None
-    if bounded:
-        d_bound, c_bound = _ceval(e.bound, env, sigma)
-        bound = _value(d_bound, "iterator bound")
-        setup = setup.beside(c_bound)
-
-    def clip(v: Value) -> Value:
-        return ps_intersect_values(v, bound) if bound is not None else v
-
-    def call(v: Value) -> tuple[Value, Cost]:
-        p = _pair(v, "iterator argument")
-        x, y = p.fst, p.snd
-        s = _set(x, "iterator cardinality argument")
-        rounds = log_iterations(len(s)) if logarithmic else len(s)
-        acc = clip(y)
-        total = Cost(1, 1)
-        for _ in range(rounds):
-            acc_next, c = step(acc)
-            acc = clip(acc_next)
-            total = total.then(c)
-        return acc, total
-
     name = type(e).__name__.lower()
-    return CostFunction(name, call), setup
+
+    def run(env):
+        d_step, work, depth = step_fn(env)
+        step = _function(d_step, "iterator step").run
+        bound: Optional[Value] = None
+        if bound_fn is not None:
+            d_bound, w_bound, p_bound = bound_fn(env)
+            bound = _value(d_bound, "iterator bound")
+            work, depth = work + w_bound, max(depth, p_bound)
+        clip = _clipper(bound)
+
+        def call(v):
+            p = _pair(v, "iterator argument")
+            x, y = p.fst, p.snd
+            s = _set(x, "iterator cardinality argument")
+            rounds = log_iterations(len(s)) if logarithmic else len(s)
+            acc = clip(y)
+            total_w = total_d = 1
+            for _ in range(rounds):
+                acc_next, w, dp = step(acc)
+                acc = clip(acc_next)
+                total_w += w
+                total_d += dp
+            return acc, total_w, total_d
+
+        return _Compiled(name, call), work, depth
+    return run
+
+
+_RULES: dict[type, Callable[[Expr, Signature], _Run]] = {
+    ast.Const: _const, ast.EmptySet: _const, ast.UnitConst: _const,
+    ast.BoolConst: _const,
+    ast.Singleton: _singleton, ast.Union: _union, ast.Pair: _pair_node,
+    ast.Proj1: _proj, ast.Proj2: _proj, ast.Eq: _eq, ast.IsEmpty: _is_empty,
+    ast.If: _if, ast.Var: _var, ast.Lambda: _lambda, ast.Apply: _apply,
+    ast.Ext: _ext, ast.ExternalCall: _external,
+    **{t: _union_recursion for t in (ast.Dcr, ast.Sru, ast.Bdcr)},
+    **{t: _insert_recursion for t in (ast.Sri, ast.Esr, ast.Bsri)},
+    **{t: _iterator for t in (ast.LogLoop, ast.Loop, ast.BlogLoop, ast.Bloop)},
+}
 
 
 # -- cardinality-aware estimation -------------------------------------------------

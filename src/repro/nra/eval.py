@@ -195,13 +195,13 @@ def _eval(
         def ext_fn(v: Value, fn=fn) -> Value:
             if not isinstance(v, SetVal):
                 raise NRAEvalError(f"ext applied to non-set {v!r}")
-            result = SetVal()
+            elements: list[Value] = []
             for x in v:
                 piece = fn(x)
                 if not isinstance(piece, SetVal):
                     raise NRAEvalError(f"ext parameter returned non-set {piece!r}")
-                result = result.union(piece)
-            return result
+                elements.extend(piece.elements)
+            return SetVal(elements)  # the union of the pieces, sorted once
 
         return FunctionValue("ext", ext_fn)
     if isinstance(e, ast.ExternalCall):
