@@ -480,7 +480,12 @@ class Session:
         else:
             view = build()
         with self._lock:
-            self._views.append(view)
+            closed = self.closed
+            if not closed:
+                self._views.append(view)
+        if closed:  # close() ran while the view was built: it missed this one
+            view.close()
+            raise RuntimeError("session is closed")
         return view
 
     def _view_applied(self, view, delta, fallback: bool) -> None:

@@ -68,7 +68,6 @@ from .values import (
     Value,
     active_domain,
     from_python,
-    to_python,
 )
 
 #: The blank symbol.  The paper writes "blank"; we use an underscore so that
@@ -503,19 +502,29 @@ def from_jsonable(obj: Any) -> Value:
         return BaseVal(obj)
     if obj is None:
         return UnitVal()
-    if isinstance(obj, list):
-        if len(obj) != 2:
-            raise EncodingError(
-                f"pair encodings are two-element arrays, got {len(obj)} elements"
-            )
+    if isinstance(obj, list) and len(obj) == 2:
         return PairVal(from_jsonable(obj[0]), from_jsonable(obj[1]))
-    if isinstance(obj, dict):
-        if set(obj) != {_JSON_SET_KEY} or not isinstance(obj[_JSON_SET_KEY], list):
-            raise EncodingError(
-                f"set encodings are {{{_JSON_SET_KEY!r}: [...]}} objects, got {obj!r}"
-            )
+    if _is_set_encoding(obj):
         return SetVal(from_jsonable(e) for e in obj[_JSON_SET_KEY])
-    raise EncodingError(f"not a JSON value encoding: {obj!r}")
+    raise _junk(obj)
+
+
+def _is_set_encoding(obj: Any) -> bool:
+    return (isinstance(obj, dict) and len(obj) == 1
+            and isinstance(obj.get(_JSON_SET_KEY), list))
+
+
+def _junk(obj: Any) -> EncodingError:
+    """The error for a JSON shape no value encodes to."""
+    if isinstance(obj, list):
+        return EncodingError(
+            f"pair encodings are two-element arrays, got {len(obj)} elements"
+        )
+    if isinstance(obj, dict):
+        return EncodingError(
+            f"set encodings are {{{_JSON_SET_KEY!r}: [...]}} objects, got {obj!r}"
+        )
+    return EncodingError(f"not a JSON value encoding: {obj!r}")
 
 
 def dumps_value(v: Value) -> str:
@@ -538,5 +547,17 @@ def row_to_jsonable(row: Any) -> Any:
 
 
 def row_from_jsonable(obj: Any) -> Any:
-    """Decode a JSON row back to the plain python shape cursors yield."""
-    return to_python(from_jsonable(obj))
+    """Decode a JSON row back to the plain python shape cursors yield.
+
+    Equal to ``to_python(from_jsonable(obj))``, raising the same
+    :class:`EncodingError` on junk, but builds no value tree per row.
+    """
+    if isinstance(obj, list) and len(obj) == 2:
+        return (row_from_jsonable(obj[0]), row_from_jsonable(obj[1]))
+    if isinstance(obj, (int, str)):  # bool included
+        return obj
+    if obj is None:
+        return ()
+    if _is_set_encoding(obj):
+        return frozenset([row_from_jsonable(e) for e in obj[_JSON_SET_KEY]])
+    raise _junk(obj)

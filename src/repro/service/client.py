@@ -58,9 +58,9 @@ from ..nra.ast import Expr
 from ..nra.externals import EMPTY_SIGMA, Signature
 from ..nra.parser import parse
 from ..nra.pretty import pretty
-from ..objects.encoding import to_jsonable
+from ..objects.encoding import row_from_jsonable, to_jsonable
 from ..objects.types import format_type, parse_type
-from ..objects.values import Value, from_python, to_python
+from ..objects.values import Value, from_python
 from .protocol import (
     PROTOCOL_VERSION,
     ConnectionClosed,
@@ -708,9 +708,7 @@ class RemoteView:
 
 def to_python_row(obj: Any) -> Any:
     """Decode one wire row to plain python data (the cursors' row shape)."""
-    from ..objects.encoding import from_jsonable
-
-    return to_python(from_jsonable(obj))
+    return row_from_jsonable(obj)
 
 
 def connect(

@@ -113,6 +113,12 @@ class ProtocolMismatch(ProtocolError):
     code = PROTOCOL_MISMATCH
 
 
+class UnknownOp(ServiceError):
+    """A request naming an op the server does not serve."""
+
+    code = UNKNOWN_OP
+
+
 class ServerBusy(ServiceError):
     """Typed admission-control refusal: session cap, in-flight cap, or queue depth."""
 
@@ -329,9 +335,3 @@ async def read_frame_async(reader, max_bytes: int = MAX_FRAME_BYTES) -> Optional
             f"({len(exc.partial)}/{length} bytes)"
         ) from exc
     return decode_body(body)
-
-
-async def write_frame_async(writer, payload: dict,
-                            max_bytes: int = MAX_FRAME_BYTES) -> None:
-    writer.write(encode_frame(payload, max_bytes))
-    await writer.drain()

@@ -13,22 +13,27 @@ benchmark measures.
 Architecture (one connection):
 
 * a **frame reader** coroutine pulls length-prefixed JSON frames
-  (:mod:`repro.service.protocol`) and spawns one task per request, so slow
-  queries never block fast ones on the same connection;
-* a **writer queue** serializes every outbound frame (responses *and*
-  notification pushes) through a single drain task -- the only place that
-  touches the asyncio writer;
-* engine work runs in a bounded thread pool via ``run_in_executor``; the
-  event loop itself never evaluates a query, so handshakes, status probes
-  and cancellations stay responsive under load.
+  (:mod:`repro.service.protocol`) and dispatches each one synchronously --
+  no task per request;
+* **loop ops** (handshake, sessions, ``fetch``, the ``close_*`` ops and the
+  introspection ops) run inline on the event loop, and their reply is
+  encoded and written at once;
+* **engine ops** (``execute``, ``execute_statement``, ``prepare``,
+  ``materialize``, ``view_rows``, ``insert``/``delete``, ``trace``) pass the
+  admission gates on the loop and become one job on a bounded thread pool.
+  The job does the whole request -- decode, run, first chunk, handle
+  registration, frame encode -- and hands the loop only bytes, with one
+  ``call_soon_threadsafe``.  The event loop never evaluates a query, so
+  handshakes, status probes and cancellations stay responsive under load,
+  and a slow query never blocks a fast one on the same connection.
 
 Sessions are **multiplexed**: one connection opens any number of logical
 sessions (``open_session``), each with its own stats attribution and its own
 cursor/statement/view registries.  View subscriptions push ``notify`` frames
 when commits change a materialized result; the listener fires on whatever
-thread committed, and hops onto the event loop with
-``call_soon_threadsafe`` -- the one cross-thread entry point asyncio
-guarantees.
+thread committed, encodes the frame there, and hands the bytes to the event
+loop with ``call_soon_threadsafe`` -- the one cross-thread entry point
+asyncio guarantees.
 
 Admission control is three independent gates, all answering with the typed
 ``SERVER_BUSY`` error rather than queueing unboundedly or hanging:
@@ -42,13 +47,13 @@ Admission control is three independent gates, all answering with the typed
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Optional
+from typing import Optional
 
 from ..api.catalog import Database
 from ..api.cursor import Cursor
@@ -65,13 +70,14 @@ from ..obs.trace import TRACER
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    FrameTooLarge,
     ProtocolError,
     ServerBusy,
-    ServiceError,
+    UnknownOp,
+    encode_frame,
     error_payload,
     negotiate,
     read_frame_async,
-    write_frame_async,
 )
 
 SERVER_NAME = "repro-service/1"
@@ -90,7 +96,7 @@ class ServerConfig:
     chunk_rows: int = 512
     workers: int = 4
     #: Slow-query log threshold (seconds).  ``None`` disables the log and
-    #: its per-query span entirely; setting it enables the process tracer
+    #: its per-request span entirely; setting it enables the process tracer
     #: so logged entries carry the route decision and hottest plan nodes.
     slow_query_s: Optional[float] = None
 
@@ -129,24 +135,23 @@ class _SessionState:
     closed: bool = False
 
     def handle(self, prefix: str) -> str:
+        """A fresh handle name (call under the server lock)."""
         self.next_handle += 1
         return f"{prefix}{self.next_handle}"
 
 
 class _Connection:
-    """Per-connection state: the writer queue and the sessions it opened."""
+    """Per-connection state: the stream writer and the sessions it opened."""
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
-        self.out: asyncio.Queue = asyncio.Queue()
         self.sessions: dict[str, _SessionState] = {}
-        self.tasks: set = set()
         self.closing = False
 
-    def push(self, frame: dict) -> None:
-        """Enqueue a frame for the drain task (event-loop thread only)."""
+    def send(self, data: bytes) -> None:
+        """Write one encoded frame (event-loop thread only); dropped once closing."""
         if not self.closing:
-            self.out.put_nowait(frame)
+            self.writer.write(data)
 
 
 class QueryServer:
@@ -261,7 +266,7 @@ class QueryServer:
         with self._lock:
             if st.closed:
                 return  # shutdown and connection teardown can both get here
-            st.closed = True
+            st.closed = True  # from here on no job registers a handle in st
         for view, listener in list(st.views.values()):
             if listener is not None:
                 view.remove_listener(listener)
@@ -280,7 +285,6 @@ class QueryServer:
         conn = _Connection(writer)
         with self._lock:
             self.stats.connections_opened += 1
-        drain = asyncio.create_task(self._drain_writer(conn))
         try:
             if not await self._handshake(conn, reader):
                 return
@@ -292,29 +296,23 @@ class QueryServer:
                 except ProtocolError as exc:
                     # The stream cannot be resynchronized after a framing
                     # error; report and hang up.
-                    conn.push({"id": None, "ok": False, "error": error_payload(exc)})
+                    conn.send(self._error(None, exc))
                     break
                 if frame is None:
                     break
-                task = asyncio.create_task(self._serve_request(conn, frame))
-                conn.tasks.add(task)
-                task.add_done_callback(conn.tasks.discard)
-        except asyncio.CancelledError:
-            pass  # server shutdown; fall through to cleanup, end uncancelled
+                self._dispatch(conn, frame)
+                # Backpressure: stop reading requests while the peer is not
+                # reading replies.
+                await writer.drain()
+        except (asyncio.CancelledError, ConnectionError):
+            pass  # server shutdown or peer reset; clean up, end uncancelled
         finally:
-            for task in list(conn.tasks):
-                task.cancel()
             for sid in list(conn.sessions):
                 st = conn.sessions.pop(sid)
                 with self._lock:
                     self._sessions.pop(sid, None)
                 self._close_session_state(st)
-            conn.closing = True
-            conn.out.put_nowait(None)  # unblock + stop the drain task
-            try:
-                await drain
-            except asyncio.CancelledError:
-                drain.cancel()
+            conn.closing = True  # replies of jobs still running are dropped
             writer.close()
             try:
                 await writer.wait_closed()
@@ -323,24 +321,11 @@ class QueryServer:
             with self._lock:
                 self.stats.connections_closed += 1
 
-    async def _drain_writer(self, conn: _Connection) -> None:
-        while True:
-            frame = await conn.out.get()
-            if frame is None:
-                return
-            try:
-                await write_frame_async(
-                    conn.writer, frame, self.config.max_frame_bytes
-                )
-            except (ConnectionError, OSError):
-                conn.closing = True
-                return
-
     async def _handshake(self, conn: _Connection, reader) -> bool:
         try:
             frame = await read_frame_async(reader, self.config.max_frame_bytes)
         except ProtocolError as exc:
-            conn.push({"id": None, "ok": False, "error": error_payload(exc)})
+            conn.send(self._error(None, exc))
             return False
         if frame is None:
             return False
@@ -351,19 +336,19 @@ class QueryServer:
                     f"first frame must be op 'hello', got {frame.get('op')!r}"
                 )
             version = negotiate(frame.get("protocol"))
-        except ProtocolError as exc:
-            conn.push({"id": rid, "ok": False, "error": error_payload(exc)})
+            conn.send(encode_frame({
+                "id": rid,
+                "ok": True,
+                "protocol": list(version),
+                "server": SERVER_NAME,
+                "db": self.db.name if self.db is not None else None,
+                "schema": self._schema_payload(),
+                "backend": self.engine.backend,
+                "max_frame_bytes": self.config.max_frame_bytes,
+            }, self.config.max_frame_bytes))
+        except ProtocolError as exc:  # FrameTooLarge included
+            conn.send(self._error(rid, exc))
             return False
-        conn.push({
-            "id": rid,
-            "ok": True,
-            "protocol": list(version),
-            "server": SERVER_NAME,
-            "db": self.db.name if self.db is not None else None,
-            "schema": self._schema_payload(),
-            "backend": self.engine.backend,
-            "max_frame_bytes": self.config.max_frame_bytes,
-        })
         return True
 
     def _schema_payload(self) -> dict:
@@ -373,29 +358,128 @@ class QueryServer:
 
     # -- request dispatch ---------------------------------------------------------
 
-    async def _serve_request(self, conn: _Connection, frame: dict) -> None:
+    def _dispatch(self, conn: _Connection, frame: dict) -> None:
+        """Serve one request: a loop op inline, an engine op as one pool job."""
         rid = frame.get("id")
         op = frame.get("op")
-        handler = self._HANDLERS.get(op)
         try:
+            job = self._JOBS.get(op)
+            if job is not None:
+                self._submit(conn, frame, job)
+                return
+            handler = self._LOOP_OPS.get(op)
             if handler is None:
-                raise ServiceError(f"unknown op {op!r}")
-            result = await handler(self, conn, frame)
-            response = {"id": rid, "ok": True}
-            response.update(result)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            with self._lock:
-                if isinstance(exc, ServerBusy):
-                    self.stats.busy_rejections += 1
-                else:
-                    self.stats.errors += 1
-            payload = error_payload(exc)
-            if handler is None:
-                payload["code"] = "UNKNOWN_OP"
-            response = {"id": rid, "ok": False, "error": payload}
-        conn.push(response)
+                raise UnknownOp(f"unknown op {op!r}")
+            data = self._reply(conn, frame, handler(self, conn, frame))
+        except Exception as exc:
+            data = self._error(rid, exc)
+        conn.send(data)
+
+    def _submit(self, conn: _Connection, frame: dict, job) -> None:
+        """Admit an engine op (both work gates, on the loop) and queue its job."""
+        st = self._state(conn, frame)
+        with self._lock:
+            if st.inflight >= self.config.max_inflight:
+                raise ServerBusy(
+                    f"session {st.sid} already has {st.inflight} queries in "
+                    f"flight (cap {self.config.max_inflight}); retry later"
+                )
+            if self._queue_depth >= self.config.max_queue_depth:
+                raise ServerBusy(
+                    f"work queue is full ({self.config.max_queue_depth} deep); "
+                    "retry later"
+                )
+            st.inflight += 1
+            self._queue_depth += 1
+        self._executor.submit(self._run_job, conn, st, frame, job, perf_counter())
+
+    def _release(self, st: _SessionState) -> None:
+        with self._lock:
+            st.inflight -= 1
+            self._queue_depth -= 1
+
+    def _run_job(self, conn: _Connection, st: _SessionState, frame: dict,
+                 job, submitted: float) -> None:
+        """One engine op start to finish, on a pool worker; the loop gets bytes."""
+        rid = frame.get("id")
+        try:
+            if frame.get("op") == "trace" or self.config.slow_query_s is not None:
+                result = self._traced(conn, st, frame, job, submitted)
+            else:
+                result = job(self, conn, st, frame)
+            data = self._reply(conn, frame, result)
+        except Exception as exc:
+            data = self._error(rid, exc)
+        finally:
+            self._release(st)
+        try:
+            self._loop.call_soon_threadsafe(conn.send, data)
+        except RuntimeError:
+            pass  # the loop shut down while the job ran
+
+    def _traced(self, conn: _Connection, st: _SessionState, frame: dict,
+                job, submitted: float) -> dict:
+        """A job under a ``request`` span: ``trace`` forces the tracer on for
+        this request and replies with the tree; an armed slow-query log
+        records requests over its threshold, pool-queue wait included."""
+        forced = frame.get("op") == "trace"
+        prev = TRACER.enabled
+        if forced:
+            TRACER.enable()
+        ps = st.statements.get(frame.get("statement"))
+        label = ps.label if ps is not None else frame.get("query", frame.get("op"))
+        started = perf_counter()
+        try:
+            with TRACER.span("request", query=label, session=st.sid,
+                             queue_wait_s=started - submitted) as span:
+                result = job(self, conn, st, frame)
+        finally:
+            # Restore the steady state: on only if the slow-query log (or
+            # someone else before us) had armed the tracer.
+            if forced and not (prev or self.config.slow_query_s is not None):
+                TRACER.disable()
+        seconds = perf_counter() - submitted
+        if forced:
+            result["trace"] = span.as_dict()
+            result["rendered"] = span.render()
+        threshold = self.config.slow_query_s
+        if threshold is not None and seconds >= threshold:
+            self._record_slow(st, label, seconds, started - submitted, span)
+        return result
+
+    def _reply(self, conn: _Connection, frame: dict, result: dict) -> bytes:
+        """Encode one ok reply; an oversized one becomes ``FRAME_TOO_LARGE``.
+
+        The client never learns the handles an undeliverable reply names,
+        so they are closed here rather than left in the registries.
+        """
+        response = {"id": frame.get("id"), "ok": True}
+        response.update(result)
+        try:
+            return encode_frame(response, self.config.max_frame_bytes)
+        except FrameTooLarge as exc:
+            for key, close in self._HANDLE_CLOSERS:
+                if key in result:
+                    with suppress(KeyError):  # its session closed meanwhile
+                        close(self, conn,
+                              {"session": frame.get("session"), key: result[key]})
+            return self._error(frame.get("id"), exc)
+
+    def _error(self, rid, exc: Exception) -> bytes:
+        """A failed request's error reply, counted in the server stats."""
+        with self._lock:
+            if isinstance(exc, ServerBusy):
+                self.stats.busy_rejections += 1
+            else:
+                self.stats.errors += 1
+        payload = error_payload(exc)
+        try:
+            return encode_frame({"id": rid, "ok": False, "error": payload},
+                                self.config.max_frame_bytes)
+        except FrameTooLarge:  # a message quoting a huge request
+            payload["message"] = payload["message"][:128] + "..."
+            return encode_frame({"id": rid, "ok": False, "error": payload},
+                                self.config.max_frame_bytes)
 
     def _state(self, conn: _Connection, frame: dict) -> _SessionState:
         sid = frame.get("session")
@@ -404,43 +488,22 @@ class QueryServer:
             raise KeyError(f"unknown session {sid!r}")
         return st
 
-    async def _offload(self, fn):
-        """Run engine-bound work on the pool, gated by queue depth."""
+    def _register(self, st: _SessionState, prefix: str, registry: dict, obj) -> str:
+        """File ``obj`` under a fresh handle, unless ``st`` has closed meanwhile."""
         with self._lock:
-            if self._queue_depth >= self.config.max_queue_depth:
-                raise ServerBusy(
-                    f"work queue is full ({self.config.max_queue_depth} deep); "
-                    "retry later"
-                )
-            self._queue_depth += 1
-        try:
-            # Run under a copy of the calling task's context so tracer
-            # spans opened around the await parent spans opened inside
-            # the executor thread (contextvars do not cross threads).
-            ctx = contextvars.copy_context()
-            return await self._loop.run_in_executor(self._executor, ctx.run, fn)
-        finally:
-            with self._lock:
-                self._queue_depth -= 1
+            if st.closed:
+                raise RuntimeError("session is closed")
+            handle = st.handle(prefix)
+            registry[handle] = obj
+        return handle
 
-    async def _offload_query(self, st: _SessionState, label: str, fn):
-        """Offload a query, feeding the slow-query log when armed."""
-        threshold = self.config.slow_query_s
-        if threshold is None:
-            return await self._offload(fn)
-        with TRACER.span("request", query=label, session=st.sid) as span:
-            t0 = perf_counter()
-            result = await self._offload(fn)
-            seconds = perf_counter() - t0
-        if seconds >= threshold:
-            self._record_slow(st, label, seconds, span)
-        return result
-
-    def _record_slow(self, st, label: str, seconds: float, span) -> None:
+    def _record_slow(self, st, label: str, seconds: float, queue_wait_s: float,
+                     span) -> None:
         entry = {
             "query": label,
             "session": st.sid,
             "seconds": seconds,
+            "queue_wait_s": queue_wait_s,
         }
         query_span = span.find("query") if hasattr(span, "find") else None
         if query_span is not None:
@@ -464,25 +527,12 @@ class QueryServer:
             for f in self.stats.__dataclass_fields__
         }
 
-    def _admit(self, st: _SessionState) -> None:
-        with self._lock:
-            if st.inflight >= self.config.max_inflight:
-                raise ServerBusy(
-                    f"session {st.sid} already has {st.inflight} queries in "
-                    f"flight (cap {self.config.max_inflight}); retry later"
-                )
-            st.inflight += 1
-
-    def _release(self, st: _SessionState) -> None:
-        with self._lock:
-            st.inflight -= 1
-
     # -- ops: sessions ------------------------------------------------------------
 
-    async def _op_ping(self, conn, frame) -> dict:
+    def _op_ping(self, conn, frame) -> dict:
         return {}
 
-    async def _op_open_session(self, conn, frame) -> dict:
+    def _op_open_session(self, conn, frame) -> dict:
         backend = frame.get("backend")
         with self._lock:
             if len(self._sessions) >= self.config.max_sessions:
@@ -500,7 +550,7 @@ class QueryServer:
         conn.sessions[sid] = st
         return {"session": sid, "backend": backend or self.engine.backend}
 
-    async def _op_close_session(self, conn, frame) -> dict:
+    def _op_close_session(self, conn, frame) -> dict:
         st = self._state(conn, frame)
         conn.sessions.pop(st.sid, None)
         with self._lock:
@@ -538,8 +588,8 @@ class QueryServer:
             frame.get("backend", st.backend),
         )
 
-    def _cursor_reply(self, st: _SessionState, cursor: Cursor, chunk: int) -> dict:
-        values = cursor.fetch_values(chunk)
+    def _cursor_reply(self, st: _SessionState, cursor: Cursor, frame: dict) -> dict:
+        values = cursor.fetch_values(int(frame.get("chunk", self.config.chunk_rows)))
         done = cursor.rownumber >= len(cursor)
         reply = {
             "total": len(cursor),
@@ -547,74 +597,47 @@ class QueryServer:
             "rows": [to_jsonable(v) for v in values],
             "done": done,
         }
+        if not done:
+            reply["cursor"] = self._register(st, "c", st.cursors, cursor)
         with self._lock:
             self.stats.queries += 1
             self.stats.rows_streamed += len(values)
-        if not done:
-            cid = st.handle("c")
-            st.cursors[cid] = cursor
-            reply["cursor"] = cid
         return reply
 
-    async def _op_execute(self, conn, frame) -> dict:
-        st = self._state(conn, frame)
-        chunk = int(frame.get("chunk", self.config.chunk_rows))
+    def _job_execute(self, conn, st, frame) -> dict:
+        """``execute`` and ``trace``: run a shipped query, reply with its first chunk."""
         params = self._decode_params(frame)
-        self._admit(st)
-        try:
-            def work() -> Cursor:
-                if frame.get("param_types"):
-                    ps = PreparedStatement(st.session, *self._shipped(st, frame))
-                    return ps.execute(params=params)
-                template = parse(frame["query"])
-                return st.session.execute(
-                    template, params=params,
-                    backend=frame.get("backend", st.backend),
-                )
+        if frame.get("param_types"):
+            ps = PreparedStatement(st.session, *self._shipped(st, frame))
+            cursor = ps.execute(params=params)
+        else:
+            cursor = st.session.execute(
+                parse(frame["query"]), params=params,
+                backend=frame.get("backend", st.backend),
+            )
+        return self._cursor_reply(st, cursor, frame)
 
-            cursor = await self._offload_query(
-                st, frame.get("query", "execute"), work)
-        finally:
-            self._release(st)
-        return self._cursor_reply(st, cursor, chunk)
-
-    async def _op_prepare(self, conn, frame) -> dict:
-        st = self._state(conn, frame)
-        self._admit(st)
-        try:
-            ps = await self._offload(
-                lambda: st.session.prepare_template(*self._shipped(st, frame)))
-        finally:
-            self._release(st)
-        pid = st.handle("p")
-        st.statements[pid] = ps
+    def _job_prepare(self, conn, st, frame) -> dict:
+        ps = st.session.prepare_template(*self._shipped(st, frame))
         return {
-            "statement": pid,
+            "statement": self._register(st, "p", st.statements, ps),
             "params": {n: format_type(t) for n, t in ps.param_types.items()},
             "label": ps.label,
         }
 
-    async def _op_execute_statement(self, conn, frame) -> dict:
-        st = self._state(conn, frame)
+    def _job_execute_statement(self, conn, st, frame) -> dict:
         ps = st.statements.get(frame.get("statement"))
         if ps is None:
             raise KeyError(f"unknown statement {frame.get('statement')!r}")
-        chunk = int(frame.get("chunk", self.config.chunk_rows))
-        params = self._decode_params(frame)
-        self._admit(st)
-        try:
-            cursor = await self._offload_query(
-                st, ps.label, lambda: ps.execute(params=params))
-        finally:
-            self._release(st)
-        return self._cursor_reply(st, cursor, chunk)
+        cursor = ps.execute(params=self._decode_params(frame))
+        return self._cursor_reply(st, cursor, frame)
 
-    async def _op_close_statement(self, conn, frame) -> dict:
+    def _op_close_statement(self, conn, frame) -> dict:
         st = self._state(conn, frame)
         st.statements.pop(frame.get("statement"), None)
         return {}
 
-    async def _op_fetch(self, conn, frame) -> dict:
+    def _op_fetch(self, conn, frame) -> dict:
         st = self._state(conn, frame)
         cid = frame.get("cursor")
         cursor = st.cursors.get(cid)
@@ -629,36 +652,32 @@ class QueryServer:
             self.stats.rows_streamed += len(values)
         return {"rows": [to_jsonable(v) for v in values], "done": done}
 
-    async def _op_close_cursor(self, conn, frame) -> dict:
+    def _op_close_cursor(self, conn, frame) -> dict:
         st = self._state(conn, frame)
         st.cursors.pop(frame.get("cursor"), None)
         return {}
 
     # -- ops: materialized views and updates --------------------------------------
 
-    async def _op_materialize(self, conn, frame) -> dict:
-        st = self._state(conn, frame)
-        params = self._decode_params(frame)
-        name = frame.get("name")
-        subscribe = bool(frame.get("subscribe", True))
-        self._admit(st)
-        try:
-            def work():
-                if frame.get("param_types"):
-                    runnable = PreparedStatement(st.session, *self._shipped(st, frame))
-                else:
-                    runnable = parse(frame["query"])
-                return st.session.materialize(runnable, name=name, params=params)
-
-            view = await self._offload(work)
-        finally:
-            self._release(st)
-        vid = st.handle("v")
-        listener = None
-        if subscribe:
-            listener = self._make_listener(conn, st.sid, vid)
+    def _job_materialize(self, conn, st, frame) -> dict:
+        if frame.get("param_types"):
+            runnable = PreparedStatement(st.session, *self._shipped(st, frame))
+        else:
+            runnable = parse(frame["query"])
+        view = st.session.materialize(
+            runnable, name=frame.get("name"), params=self._decode_params(frame))
+        with self._lock:
+            registered = not st.closed
+            if registered:
+                vid = st.handle("v")
+                listener = (self._make_listener(conn, st.sid, vid)
+                            if frame.get("subscribe", True) else None)
+                st.views[vid] = (view, listener)
+        if not registered:  # the session closed while the view was built
+            view.close()
+            raise RuntimeError("session is closed")
+        if listener is not None:
             view.add_listener(listener)
-        st.views[vid] = (view, listener)
         return {
             "view": vid,
             "name": view.name,
@@ -670,22 +689,27 @@ class QueryServer:
         loop = self._loop
 
         def listener(view, delta, fallback: bool) -> None:
-            # Fires on the committing thread; encode there, enqueue on the
-            # loop.  Transport errors must not fail the commit.
-            frame = {
-                "push": "notify",
-                "session": sid,
-                "view": vid,
-                "name": view.name,
-                "inserted": [to_jsonable(v) for v in delta.inserted],
-                "deleted": [to_jsonable(v) for v in delta.deleted],
-                "fallback": fallback,
-                "size": len(view),
-            }
+            # Fires on the committing thread; encode there, hand the loop
+            # bytes.  Transport errors must not fail the commit.
+            try:
+                data = encode_frame({
+                    "push": "notify",
+                    "session": sid,
+                    "view": vid,
+                    "name": view.name,
+                    "inserted": [to_jsonable(v) for v in delta.inserted],
+                    "deleted": [to_jsonable(v) for v in delta.deleted],
+                    "fallback": fallback,
+                    "size": len(view),
+                }, self.config.max_frame_bytes)
+            except FrameTooLarge:
+                with self._lock:
+                    self.stats.errors += 1  # a delta too big for one push
+                return
             with self._lock:
                 self.stats.notifications += 1
             try:
-                loop.call_soon_threadsafe(conn.push, frame)
+                loop.call_soon_threadsafe(conn.send, data)
             except RuntimeError:
                 pass  # loop shut down while a commit was in flight
 
@@ -698,12 +722,11 @@ class QueryServer:
             raise KeyError(f"unknown view {vid!r}")
         return vid, entry
 
-    async def _op_view_rows(self, conn, frame) -> dict:
-        st = self._state(conn, frame)
+    def _job_view_rows(self, conn, st, frame) -> dict:
         _, (view, _) = self._view_of(st, frame)
         # A read renders what the commits since the last one left pending,
         # under the engine lock: pool work, not the event loop's.
-        values = (await self._offload(lambda: view.value)).elements
+        values = view.value.elements
         with self._lock:
             self.stats.rows_streamed += len(values)
         return {
@@ -711,7 +734,7 @@ class QueryServer:
             "rows": [to_jsonable(v) for v in values],
         }
 
-    async def _op_close_view(self, conn, frame) -> dict:
+    def _op_close_view(self, conn, frame) -> dict:
         st = self._state(conn, frame)
         vid, (view, listener) = self._view_of(st, frame)
         if listener is not None:
@@ -720,34 +743,20 @@ class QueryServer:
         view.close()
         return {"closed": vid}
 
-    async def _op_insert(self, conn, frame) -> dict:
-        return await self._mutate(conn, frame, "insert")
-
-    async def _op_delete(self, conn, frame) -> dict:
-        return await self._mutate(conn, frame, "delete")
-
-    async def _mutate(self, conn, frame, how: str) -> dict:
-        st = self._state(conn, frame)
+    def _job_mutate(self, conn, st, frame) -> dict:
+        """``insert`` and ``delete``: one commit; every view is maintained before it returns."""
         if self.db is None:
             raise RuntimeError("server has no database to mutate")
         collection = frame.get("collection")
         rows = [from_jsonable(obj) for obj in frame.get("rows", [])]
-        self._admit(st)
-        try:
-            def work():
-                mutate = self.db.insert if how == "insert" else self.db.delete
-                changeset = mutate(collection, rows)
-                return len(changeset[collection].inserts) if collection in changeset \
-                    else 0, self.db.version
-
-            applied, version = await self._offload(work)
-        finally:
-            self._release(st)
-        return {"applied": applied, "version": version}
+        mutate = self.db.insert if frame.get("op") == "insert" else self.db.delete
+        changeset = mutate(collection, rows)
+        applied = len(changeset[collection].inserts) if collection in changeset else 0
+        return {"applied": applied, "version": self.db.version}
 
     # -- ops: introspection -------------------------------------------------------
 
-    async def _op_status(self, conn, frame) -> dict:
+    def _op_status(self, conn, frame) -> dict:
         with self._lock:
             stats = self.stats.as_dict()
             sessions = len(self._sessions)
@@ -771,23 +780,20 @@ class QueryServer:
             "router": self.engine.router_stats(),
         }
 
-    async def _op_sessions(self, conn, frame) -> dict:
+    def _op_sessions(self, conn, frame) -> dict:
         with self._lock:
             states = list(self._sessions.values())
-        rows = []
-        for st in states:
-            rows.append({
-                "session": st.sid,
-                "backend": st.backend or self.engine.backend,
-                "inflight": st.inflight,
-                "cursors": len(st.cursors),
-                "statements": len(st.statements),
-                "views": len(st.views),
-                "stats": st.session.stats.as_dict(),
-            })
-        return {"sessions": rows}
+        return {"sessions": [{
+            "session": st.sid,
+            "backend": st.backend or self.engine.backend,
+            "inflight": st.inflight,
+            "cursors": len(st.cursors),
+            "statements": len(st.statements),
+            "views": len(st.views),
+            "stats": st.session.stats.as_dict(),
+        } for st in states]}
 
-    async def _op_views(self, conn, frame) -> dict:
+    def _op_views(self, conn, frame) -> dict:
         with self._lock:
             states = list(self._sessions.values())
         rows = []
@@ -802,10 +808,10 @@ class QueryServer:
                 })
         return {"views": rows}
 
-    async def _op_schema(self, conn, frame) -> dict:
+    def _op_schema(self, conn, frame) -> dict:
         return {"schema": self._schema_payload()}
 
-    async def _op_metrics(self, conn, frame) -> dict:
+    def _op_metrics(self, conn, frame) -> dict:
         reply: dict = {"metrics": METRICS.as_dict()}
         if frame.get("format") == "prometheus":
             reply["prometheus"] = METRICS.render_prometheus()
@@ -814,56 +820,37 @@ class QueryServer:
         reply["slow_query_s"] = self.config.slow_query_s
         return reply
 
-    async def _op_trace(self, conn, frame) -> dict:
-        """Execute one query with tracing forced on; reply carries the tree."""
-        st = self._state(conn, frame)
-        chunk = int(frame.get("chunk", self.config.chunk_rows))
-        params = self._decode_params(frame)
-        self._admit(st)
-        prev = TRACER.enabled
-        TRACER.enable()
-        try:
-            def work() -> Cursor:
-                template = parse(frame["query"])
-                return st.session.execute(
-                    template, params=params,
-                    backend=frame.get("backend", st.backend),
-                )
-
-            with TRACER.span(
-                "request", query=frame.get("query"), session=st.sid,
-            ) as span:
-                cursor = await self._offload(work)
-        finally:
-            # Restore the steady state: on only if the slow-query log (or
-            # someone else before us) had armed the tracer.
-            if not (prev or self.config.slow_query_s is not None):
-                TRACER.disable()
-            self._release(st)
-        reply = self._cursor_reply(st, cursor, chunk)
-        reply["trace"] = span.as_dict()
-        reply["rendered"] = span.render()
-        return reply
-
-    _HANDLERS = {
+    _LOOP_OPS = {
         "ping": _op_ping,
         "open_session": _op_open_session,
         "close_session": _op_close_session,
-        "execute": _op_execute,
-        "prepare": _op_prepare,
-        "execute_statement": _op_execute_statement,
         "close_statement": _op_close_statement,
         "fetch": _op_fetch,
         "close_cursor": _op_close_cursor,
-        "materialize": _op_materialize,
-        "view_rows": _op_view_rows,
         "close_view": _op_close_view,
-        "insert": _op_insert,
-        "delete": _op_delete,
         "status": _op_status,
         "sessions": _op_sessions,
         "views": _op_views,
         "schema": _op_schema,
         "metrics": _op_metrics,
-        "trace": _op_trace,
     }
+
+    _JOBS = {
+        "execute": _job_execute,
+        "trace": _job_execute,
+        "prepare": _job_prepare,
+        "execute_statement": _job_execute_statement,
+        "materialize": _job_materialize,
+        "view_rows": _job_view_rows,
+        "insert": _job_mutate,
+        "delete": _job_mutate,
+    }
+
+    #: Reply fields that name a handle the request created, and the loop op
+    #: that frees it (see :meth:`_reply`).
+    _HANDLE_CLOSERS = (
+        ("session", _op_close_session),
+        ("cursor", _op_close_cursor),
+        ("statement", _op_close_statement),
+        ("view", _op_close_view),
+    )

@@ -1,6 +1,8 @@
 """Tests for the Section 5 string encodings of complex objects."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.objects.encoding import (
     ALPHABET,
@@ -30,7 +32,34 @@ from repro.objects.encoding import (
     to_jsonable,
 )
 from repro.objects.types import parse_type
-from repro.objects.values import FALSE, TRUE, UnitVal, base, from_python, mkset, pair
+from repro.objects.values import (
+    FALSE,
+    TRUE,
+    BoolVal,
+    UnitVal,
+    base,
+    from_python,
+    mkset,
+    pair,
+    to_python,
+)
+
+#: Nested complex object values: every kind, sets of any element kind.
+VALUES = st.recursive(
+    st.integers(-3, 40).map(base) | st.text(max_size=2).map(base)
+    | st.booleans().map(BoolVal) | st.just(UnitVal()),
+    lambda kids: st.tuples(kids, kids).map(lambda p: pair(*p))
+    | st.lists(kids, max_size=4).map(mkset),
+    max_leaves=16,
+)
+
+#: JSON data of the wire's shapes plus junk: floats, wrong arities, bad set objects.
+JSONISH = st.recursive(
+    st.integers(-3, 9) | st.booleans() | st.none() | st.just("a") | st.floats(0, 1),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["s", "x"]), kids | st.lists(kids), max_size=2),
+    max_leaves=12,
+)
 
 
 class TestEncode:
@@ -257,9 +286,28 @@ class TestJsonWireEncoding:
             {"s": [], "x": 1},  # extra key
             {"s": 7},           # set body must be a list
             1.5,                # no float atoms in the model
+            [1, {"s": [2.5]}],  # junk nested in a pair
         ):
             with pytest.raises(EncodingError):
                 from_jsonable(junk)
+            with pytest.raises(EncodingError):
+                row_from_jsonable(junk)
+
+    @pytest.mark.service
+    @given(VALUES)
+    def test_row_decode_matches_the_value_path(self, v):
+        assert row_from_jsonable(to_jsonable(v)) == to_python(v)
+
+    @pytest.mark.service
+    @given(JSONISH)
+    def test_row_decode_rejects_exactly_what_from_jsonable_rejects(self, obj):
+        try:
+            want = to_python(from_jsonable(obj))
+        except EncodingError:
+            with pytest.raises(EncodingError):
+                row_from_jsonable(obj)
+        else:
+            assert row_from_jsonable(obj) == want
 
     def test_bad_json_text_rejected(self):
         with pytest.raises(EncodingError):

@@ -153,6 +153,8 @@ class TestSlowQueryLog:
             entry = slow[0]
             assert "sleepy" in entry["query"]
             assert entry["seconds"] >= 0.15
+            # The pool-queue wait is named, and is part of the total.
+            assert 0 <= entry["queue_wait_s"] < entry["seconds"]
             # The route decision travelled from the engine's query span.
             assert entry["route"]["backend"]
             assert entry["route"]["route"]
@@ -169,7 +171,7 @@ class TestSlowQueryLog:
             TRACER.clear()
 
     def test_concurrent_requests_log_independent_entries(self):
-        """Asyncio offloads carry their own span context: no cross-talk."""
+        """Pool jobs carry their own span context: no cross-talk."""
         import threading
 
         srv = QueryServer(

@@ -12,6 +12,7 @@ database or saturate a gate build their own server; read-only tests share
 one.
 """
 
+import logging
 import socket
 import threading
 import time
@@ -19,14 +20,18 @@ import time
 import pytest
 
 from repro.api import Q, Row
+from repro.api.session import Session
+from repro.engine import Engine
 from repro.nra.errors import NRAEvalError, NRAParseError
 from repro.nra.eval import run as reference_run
 from repro.nra.externals import ExternalFunction, Signature
+from repro.nra.parser import parse
 from repro.objects.types import BASE
 from repro.objects.values import to_python
 from repro.service import (
     ConnectionClosed,
     QueryServer,
+    RemoteError,
     ServerBusy,
     ServerConfig,
     ServiceTimeout,
@@ -308,9 +313,11 @@ class TestConcurrentClients:
 
 # Module-level so the gate's impl stays picklable-shaped like other externals.
 _GATE = threading.Event()
+_GATE_ENTERED = threading.Event()  # set by the first call that reaches the gate
 
 
 def _gate_impl(v):
+    _GATE_ENTERED.set()
     _GATE.wait(timeout=30)
     return v
 
@@ -336,6 +343,14 @@ def gated_server():
     _GATE.set()  # release any stragglers before teardown
     srv.stop()
     _GATE.clear()
+
+
+def _catching(fn, box: dict) -> None:
+    """Thread target: run ``fn``, keep its result or the exception it raised."""
+    try:
+        box["result"] = fn()
+    except Exception as exc:  # noqa: BLE001 - asserted on by the caller
+        box["error"] = exc
 
 
 def _poll(predicate, timeout=10.0, interval=0.02):
@@ -564,6 +579,128 @@ class TestAutoBackendService:
                     assert s.stats()["stats"]["routes"] >= 1
         finally:
             srv.stop()
+
+
+# -- dispatch: loop ops inline, engine ops one pool job each ----------------------
+
+class TestDispatch:
+    def test_blocked_execute_does_not_delay_another_session(self, mutable_server):
+        """Two sessions, one connection: the fast reply overtakes the blocked one.
+
+        The engine lock serializes engine runs, so session 1 is held before
+        the engine: its first read makes its database snapshot, which waits
+        for the commit lock this test holds.
+        """
+        srv = mutable_server
+        with connect(srv.host, srv.port) as conn:
+            blocked, fast = conn.session(), conn.session()
+            fast.execute("edges").close()  # fast's snapshot is made now
+            box = {}
+            t = threading.Thread(target=_catching, args=(
+                lambda: blocked.execute("edges", timeout=30).fetchall(), box))
+            with srv.db._commit_lock:
+                t.start()
+                assert _poll(lambda: conn.status()["inflight"] == 1)
+                rows = fast.execute(reach_query(), {"src": 3}, timeout=10).fetchall()
+                assert set(rows) == expected_reach(3, 16)
+                assert t.is_alive()
+            t.join(timeout=30)
+            assert not t.is_alive()
+            assert set(box["result"]) == {(i, i + 1) for i in range(15)}
+
+    def test_close_with_a_job_in_flight_writes_nothing_after(self, gated_server, caplog):
+        srv = gated_server
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        conn = connect(srv.host, srv.port)
+        s = conn.session()
+        served = srv._sessions[s.sid].conn
+        writes, sends = [], []
+        write, send = served.writer.write, served.send
+        served.writer.write = lambda data: (writes.append(served.closing), write(data))
+        served.send = lambda data: (sends.append(served.closing), send(data))
+        assert conn.ping() and writes == [False]
+        box = {}
+        t = threading.Thread(target=_catching, args=(
+            lambda: s.execute(GATE_QUERY, timeout=30), box))
+        t.start()
+        assert _poll(lambda: srv._queue_depth == 1)
+        conn.close()
+        assert _poll(lambda: srv.stats.connections_closed == 1)
+        _GATE.set()
+        assert _poll(lambda: sends == [False, True])  # the reply reached the loop ...
+        t.join(timeout=10)
+        assert not t.is_alive() and isinstance(box["error"], ConnectionClosed)
+        assert writes == [False]  # ... and was dropped, not written
+        assert srv._queue_depth == 0 and srv.stats.queries == 1
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_oversized_reply_is_a_typed_error_and_the_connection_lives(self):
+        srv = QueryServer(
+            db=graph_database(PATH_N, "path", mutable=True),
+            config=ServerConfig(max_frame_bytes=300),
+        )
+        srv.start_in_thread()
+        try:
+            with connect(srv.host, srv.port) as conn, conn.session() as s:
+                with pytest.raises(RemoteError) as info:
+                    s.execute("edges")  # engine op: a pool job's reply
+                assert info.value.code == FRAME_TOO_LARGE
+                assert srv._sessions[s.sid].cursors == {}  # nothing left behind
+                cur = s.execute("edges", chunk=4)
+                assert len(cur.fetchall()) == PATH_N - 1
+                with pytest.raises(RemoteError) as info:
+                    conn.sessions()  # loop op: an inline reply
+                assert info.value.code == FRAME_TOO_LARGE
+                with pytest.raises(RemoteError) as info:
+                    conn.request("x" * 240)  # an error quoting the request
+                assert info.value.code == "UNKNOWN_OP"
+                assert conn.ping()
+                assert srv.stats.errors == 3
+        finally:
+            srv.stop()
+
+
+class TestMaterializeRacesClose:
+    def test_wire_materialize_in_flight_when_the_connection_closes(self, gated_server):
+        srv = gated_server
+        conn = connect(srv.host, srv.port)
+        s = conn.session()
+        box = {}
+        t = threading.Thread(target=_catching, args=(
+            lambda: s.materialize(GATE_QUERY, name="late"), box))
+        t.start()
+        assert _poll(lambda: srv._queue_depth == 1)
+        conn.close()
+        assert _poll(lambda: srv.stats.sessions_closed == 1)
+        _GATE.set()
+        assert _poll(lambda: srv._queue_depth == 0)
+        t.join(timeout=10)
+        assert not t.is_alive() and isinstance(box["error"], ConnectionClosed)
+        assert srv._sessions == {}
+        assert srv.db.views() == []
+        srv.db.insert("edges", [(7, 0)])
+        assert srv.db.views() == []
+
+    def test_in_process_close_racing_materialize(self):
+        _GATE.clear()
+        _GATE_ENTERED.clear()
+        db = graph_database(8, "path", mutable=True)
+        session = Session(db=db, engine=Engine(sigma=GATE_SIGMA))
+        box = {}
+        t = threading.Thread(target=_catching, args=(
+            lambda: session.materialize(parse(GATE_QUERY), name="late"), box))
+        t.start()
+        try:
+            assert _poll(_GATE_ENTERED.is_set)  # the view is being built
+            session.close()
+        finally:
+            _GATE.set()
+            t.join(timeout=30)
+            _GATE.clear()
+        assert not t.is_alive()
+        assert isinstance(box["error"], RuntimeError)
+        assert str(box["error"]) == "session is closed"
+        assert db.views() == []
 
 
 # -- wire-level misbehaviour against the live listener ----------------------------
