@@ -16,9 +16,20 @@ representative of its shape:
   evaluation environment (exactly how collections already flow in), with the
   lifted literal kept as each slot's *default* binding.
 
+A shape is recognized in one flat pass.  :func:`shape_key` walks the term
+once and writes it as a token tuple in de Bruijn's nameless form: bound
+variables become indices, constants become slot numbers, so alpha-equal
+terms that differ only in their literals have ``==`` keys; the same pass
+collects the literals.  The template is *built from the key*, so there is
+one definition of a shape.  :func:`recognize` memoizes the build on the key
+(at most :data:`MAX_SHAPES` shapes, safe across threads): a shape seen
+before costs the walk and one dict lookup, and yields the *identical*
+template object, whose hash ``Expr`` computed once -- the plan-cache lookup
+downstream is then a hit by identity.
+
 Everything a :class:`~repro.api.session.Session` or a
 :class:`~repro.service.client.RemoteSession` runs that is not already a
-:class:`PreparedStatement` goes through this one function, so N executions of
+:class:`PreparedStatement` goes through :func:`recognize`, so N executions of
 one shape -- prepared or not, in process or over the wire, whatever their
 literals -- cost one rewrite and one compile, then N environment lookups.
 ``Query.elaborate`` and ``Engine.run`` deliberately do not canonicalize: they
@@ -28,16 +39,139 @@ naming scheme and why the obvious ones are wrong.
 
 from __future__ import annotations
 
+import threading
 from itertools import count
 from sys import intern
 from typing import Optional
 
-from ..nra import ast
-from ..nra.ast import Expr, Lambda, Var, map_children
+from ..engine.engine import Engine
+from ..nra.ast import NODE_FIELDS, Const, Expr, Lambda, Var
 from ..objects.types import Type
 from ..objects.values import Value
 from .cursor import Cursor
 from .query import param_var
+
+#: The most shapes :func:`recognize` remembers: as many as an engine keeps
+#: plans for.  Past it the oldest shape is forgotten (and rebuilt if seen again).
+MAX_SHAPES = Engine.MAX_CACHED_PLANS
+
+#: What a shape key denotes: (template, slot names, slot types).
+Shape = tuple[Expr, tuple[str, ...], tuple[Type, ...]]
+
+#: shape key -> shape, oldest first.
+_shapes: dict[tuple, Shape] = {}
+_shapes_lock = threading.Lock()
+
+
+def shape_key(e: Expr) -> tuple[tuple, list[Value], set[str]]:
+    """``e``'s shape as a flat token tuple, its literals, and its free names.
+
+    One preorder walk.  A node contributes its class and its non-``Expr``
+    fields, with its children inlined in field order, except that a bound
+    ``Var`` is its de Bruijn index (an ``int``, 1 for the innermost binder;
+    a free one keeps its name), a ``Lambda`` is its class, binder height and
+    declared type (the binder's name is dropped), and a ``Const`` is its
+    class, slot number -- the first occurrence of an equal ``(value, type)``
+    -- and type.  The literals come back in slot order.  Two terms have
+    ``==`` keys exactly when they are alpha-equal up to which values their
+    constants hold (constants equal in one are equal in the other).
+    """
+    tokens: list = []
+    emit = tokens.append
+    consts: list[Value] = []
+    slots: dict[tuple, int] = {}
+    free: set[str] = set()
+    bound: dict[str, int] = {}  # binder name -> the depth it was bound at
+
+    def walk(x: Expr, depth: int) -> int:
+        """Emit ``x``; return its binder height (its deepest lambda nesting)."""
+        cls = x.__class__
+        if cls is Var:
+            level = bound.get(x.name)
+            if level is None:
+                free.add(x.name)
+                emit(x.name)
+            else:
+                emit(depth - level)
+            return 0
+        if cls is Const:
+            slot = slots.setdefault((x.value, x.type), len(slots))
+            if slot == len(consts):
+                consts.append(x.value)
+            emit(Const)
+            emit(slot)
+            emit(x.type)
+            return 0
+        if cls is Lambda:
+            emit(Lambda)
+            at = len(tokens)
+            emit(0)  # the height, known once the body is walked
+            emit(x.var_type)
+            outer = bound.get(x.var)
+            bound[x.var] = depth
+            h = tokens[at] = walk(x.body, depth + 1) + 1
+            if outer is None:
+                del bound[x.var]
+            else:
+                bound[x.var] = outer
+            return h
+        emit(cls)
+        h = 0
+        for name, child in NODE_FIELDS[cls]:
+            if child:
+                hc = walk(getattr(x, name), depth)
+                if hc > h:
+                    h = hc
+            else:
+                emit(getattr(x, name))
+        return h
+
+    walk(e, 0)
+    return tuple(tokens), consts, free
+
+
+def _build(key: tuple, free: set[str]) -> Shape:
+    """The shape a :func:`shape_key` denotes.
+
+    Binders are named ``%h`` after the height the key records; slots are
+    named ``cN`` in order of first occurrence, skipping names ``free`` has.
+    """
+    tokens = iter(key)
+    binders: list[str] = []  # innermost last: de Bruijn index i is binders[-i]
+    names: list[str] = []
+    types: list[Type] = []
+    unused = (n for n in map("c{}".format, count()) if param_var(n) not in free)
+
+    def build() -> Expr:
+        tok = next(tokens)
+        kind = tok.__class__
+        if kind is int:
+            return Var(binders[-tok])
+        if kind is str:
+            return Var(tok)
+        if tok is Const:
+            slot, typ = next(tokens), next(tokens)
+            if slot == len(names):
+                names.append(next(unused))
+                types.append(typ)
+            return Var(param_var(names[slot]))
+        if tok is Lambda:
+            # Interned: binders of one height share compiled ``Var`` closures,
+            # whose environment lookups then hit by identity.
+            name = intern(f"%{next(tokens)}")
+            var_type = next(tokens)
+            binders.append(name)
+            body = build()
+            binders.pop()
+            return Lambda(name, var_type, body)
+        return tok(*[build() if child else next(tokens) for _, child in NODE_FIELDS[tok]])
+
+    return build(), tuple(names), tuple(types)
+
+
+def _split(shape: Shape, consts: list[Value]) -> tuple[Expr, dict[str, Type], dict[str, Value]]:
+    template, names, types = shape
+    return template, dict(zip(names, types)), dict(zip(names, consts))
 
 
 def canonical_template(e: Expr) -> tuple[Expr, dict[str, Type], dict[str, Value]]:
@@ -46,7 +180,7 @@ def canonical_template(e: Expr) -> tuple[Expr, dict[str, Type], dict[str, Value]
     Returns ``(template, slot_types, defaults)``.  The template reads each
     ``Const`` of ``e`` from the free variable ``$cN`` (``defaults`` maps the
     slot names back to the original values; structurally equal constants
-    share one slot, and names already free in ``e`` are skipped).
+    share one slot, and names free in ``e`` are skipped).
     ``BoolConst`` / ``EmptySet`` / ``UnitConst`` leaves are *not* lifted:
     they are language syntax, not data.
 
@@ -57,45 +191,31 @@ def canonical_template(e: Expr) -> tuple[Expr, dict[str, Type], dict[str, Value]
     the two ``r`` of ``nest(r)``, the second of which sits under the first's
     binder); and ``%h`` cannot collide with ``fresh_name``'s ``base%N``.  The
     function is idempotent, and alpha-equal terms that differ only in which
-    values their constants hold have ``==`` templates.
+    values their constants hold have ``==`` templates.  It is
+    :func:`shape_key`, then the build from the key; :func:`recognize` is the
+    same with the build memoized.
     """
-    heights: dict[int, int] = {}  # id(Lambda) -> binder height
-    mentioned: set[str] = set()  # every variable name, free or bound
+    key, consts, free = shape_key(e)
+    return _split(_build(key, free), consts)
 
-    def measure(x: Expr) -> int:
-        if isinstance(x, Var):
-            mentioned.add(x.name)
-            return 0
-        h = max(map(measure, x.children()), default=0)
-        if isinstance(x, Lambda):
-            h = heights[id(x)] = h + 1
-        return h
 
-    measure(e)
-    unused = (n for n in map("c{}".format, count()) if param_var(n) not in mentioned)
-    slots: dict[tuple, str] = {}
-    types: dict[str, Type] = {}
-    defaults: dict[str, Value] = {}
+def recognize(e: Expr) -> tuple[Expr, dict[str, Type], dict[str, Value]]:
+    """:func:`canonical_template`, built once per shape.
 
-    def walk(x: Expr, bound: dict[str, str]) -> Expr:
-        if isinstance(x, Var):
-            return Var(bound[x.name]) if x.name in bound else x
-        if isinstance(x, ast.Const):
-            key = (x.value, x.type)
-            name = slots.get(key)
-            if name is None:
-                name = slots[key] = next(unused)
-                types[name] = x.type
-                defaults[name] = x.value
-            return Var(param_var(name))
-        if isinstance(x, Lambda):
-            # Interned: binders of one height share compiled ``Var`` closures,
-            # whose environment lookups then hit by identity.
-            name = intern(f"%{heights[id(x)]}")
-            return Lambda(name, x.var_type, walk(x.body, {**bound, x.var: name}))
-        return map_children(x, lambda c: walk(c, bound))
-
-    return walk(e, {}), types, defaults
+    A shape seen before returns the identical template object; the slot
+    types and the defaults (this term's literals) are fresh dicts.
+    """
+    key, consts, free = shape_key(e)
+    shape = _shapes.get(key)
+    if shape is None:
+        shape = _build(key, free)
+        with _shapes_lock:
+            if key not in _shapes:
+                while len(_shapes) >= MAX_SHAPES:
+                    del _shapes[next(iter(_shapes))]
+                _shapes[key] = shape
+            shape = _shapes[key]
+    return _split(shape, consts)
 
 
 class PreparedStatement:

@@ -47,7 +47,7 @@ from ..objects.values import Value, from_python
 from ..obs.profile import QueryProfile
 from .catalog import Database
 from .cursor import Cursor
-from .prepare import PreparedStatement, canonical_template
+from .prepare import PreparedStatement, recognize
 from .query import Query, param_var
 
 
@@ -169,18 +169,21 @@ class Session:
 
         The one place a session turns a query into what the engine's caches
         key on: everything but a prepared statement (whose template already
-        is) goes through :func:`~repro.api.prepare.canonical_template`, so
-        literals travel as defaulted slots and binder names say nothing.
+        is) goes through :func:`~repro.api.prepare.recognize` -- the
+        memoized :func:`~repro.api.prepare.canonical_template` -- so literals
+        travel as defaulted slots, binder names say nothing, and a shape seen
+        before hands back the template object the engine's caches already
+        hold.
         """
         if isinstance(query, PreparedStatement):
             return query.template, query.param_types, query.defaults, query.label
         if isinstance(query, Query):
             el = query.elaborate(self.schema(), self.engine.sigma)
-            template, ptypes, defaults = canonical_template(el.expr)
+            template, ptypes, defaults = recognize(el.expr)
             ptypes.update(el.params)
             return template, ptypes, defaults, query.label
         if isinstance(query, Expr):
-            return (*canonical_template(query), "expr")
+            return (*recognize(query), "expr")
         raise TypeError(f"cannot execute {query!r}; expected Query, prepared or Expr")
 
     def _bind(self, param_types: dict, defaults: dict, params: Optional[dict]) -> dict:

@@ -36,7 +36,9 @@ Each node is an immutable dataclass.  Variables are identified by name;
 ``\\x^s. e``.  All node classes carry ``slots=True``: expressions are interned
 into engine-side caches (plan cache, compile cache, the rewriter's ACU cache) and
 slotted frozen dataclasses both shrink the nodes and keep attribute access on
-the hot evaluator dispatch paths cheap.  The helpers at the bottom
+the hot evaluator dispatch paths cheap; each node computes its structural
+hash once, on first use, so a cache lookup by a tree already seen never
+re-walks it.  The helpers at the bottom
 (:func:`free_variables`, :func:`subexpressions`, :func:`substitute`,
 :func:`expr_size`) are what the type checker, the depth analysis, the
 evaluators and the compiler build on.
@@ -55,7 +57,21 @@ from ..objects.values import Value
 class Expr:
     """Base class of NRA expressions."""
 
-    __slots__ = ()
+    # The structural hash, filled in by the first ``__hash__``.  A slot, not
+    # a field: ``==``, ``fields()``, ``repr`` and pickled state never see it.
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        # The hash a frozen dataclass would compute, once per node: nodes are
+        # immutable, and the generated hash re-walks the whole tree on every
+        # plan-cache or compile-cache lookup.
+        try:
+            return self._hash
+        except AttributeError:
+            names = self.__dataclass_fields__  # type: ignore[attr-defined]
+            h = hash(tuple([getattr(self, name) for name in names]))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def children(self) -> Iterator["Expr"]:
         """Yield the immediate subexpressions, in syntactic order."""
@@ -72,11 +88,24 @@ class Expr:
         return pretty(self)
 
 
+#: Each node class's fields in declaration order, as ``(name, is_child)``:
+#: the table flat walks dispatch on instead of ``isinstance`` chains.
+NODE_FIELDS: dict[type, tuple[tuple[str, bool], ...]] = {}
+
+
+def _node(cls: type) -> type:
+    """Declare an expression node: a frozen, slotted dataclass hashed once."""
+    cls = dataclass(frozen=True, repr=False, slots=True)(cls)
+    cls.__hash__ = Expr.__hash__  # not the generated, recursive one
+    NODE_FIELDS[cls] = tuple((f.name, f.type == "Expr") for f in fields(cls))
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # Core constructs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Const(Expr):
     """A literal complex object value, with its type."""
 
@@ -84,21 +113,21 @@ class Const(Expr):
     type: Type
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class EmptySet(Expr):
     """The empty set at element type ``elem_type``: ``{} : {elem_type}``."""
 
     elem_type: Type
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Singleton(Expr):
     """The singleton set ``{e}``."""
 
     item: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Union(Expr):
     """Set union ``e1 U e2``."""
 
@@ -106,12 +135,12 @@ class Union(Expr):
     right: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class UnitConst(Expr):
     """The empty tuple ``()`` of type ``unit``."""
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Pair(Expr):
     """Pair formation ``(e1, e2)``."""
 
@@ -119,28 +148,28 @@ class Pair(Expr):
     snd: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Proj1(Expr):
     """First projection ``pi1 e``."""
 
     pair: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Proj2(Expr):
     """Second projection ``pi2 e``."""
 
     pair: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class BoolConst(Expr):
     """A boolean constant ``true`` or ``false``."""
 
     value: bool
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Eq(Expr):
     """Equality test ``e1 = e2``.
 
@@ -155,14 +184,14 @@ class Eq(Expr):
     right: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class IsEmpty(Expr):
     """The emptiness test ``empty(e) : B``."""
 
     set: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class If(Expr):
     """Conditional ``if c then e1 else e2``."""
 
@@ -171,14 +200,14 @@ class If(Expr):
     orelse: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Var(Expr):
     """A variable occurrence.  The type is attached by ``Lambda`` binders."""
 
     name: str
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Lambda(Expr):
     """Function abstraction ``\\x^s. body`` with declared argument type ``s``."""
 
@@ -187,7 +216,7 @@ class Lambda(Expr):
     body: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Apply(Expr):
     """Function application ``f(e)``."""
 
@@ -195,7 +224,7 @@ class Apply(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Ext(Expr):
     """The ``ext(f)`` construct: map ``f`` over a set and union the results.
 
@@ -207,7 +236,7 @@ class Ext(Expr):
     func: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class ExternalCall(Expr):
     """Application of a named external function to an argument expression.
 
@@ -224,7 +253,7 @@ class ExternalCall(Expr):
 # Recursion on sets and iterators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Dcr(Expr):
     """Divide and conquer recursion ``dcr(e, f, u)`` as a function ``{s} -> t``.
 
@@ -238,7 +267,7 @@ class Dcr(Expr):
     combine: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Sru(Expr):
     """Structural recursion on the union presentation, ``sru(e, f, u)``."""
 
@@ -247,7 +276,7 @@ class Sru(Expr):
     combine: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Sri(Expr):
     """Structural recursion on the insert presentation, ``sri(e, i)``."""
 
@@ -255,7 +284,7 @@ class Sri(Expr):
     insert: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Esr(Expr):
     """Element-step recursion ``esr(e, i)``."""
 
@@ -263,7 +292,7 @@ class Esr(Expr):
     insert: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Bdcr(Expr):
     """Bounded divide and conquer recursion ``bdcr(e, f, u, b)``."""
 
@@ -273,7 +302,7 @@ class Bdcr(Expr):
     bound: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Bsri(Expr):
     """Bounded insert recursion ``bsri(e, i, b)``."""
 
@@ -282,7 +311,7 @@ class Bsri(Expr):
     bound: Expr
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class LogLoop(Expr):
     """The logarithmic iterator ``log_loop(f) : {s} x t -> t`` (Section 7.1).
 
@@ -295,7 +324,7 @@ class LogLoop(Expr):
     set_elem_type: Type
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Loop(Expr):
     """The linear iterator ``loop(f) : {s} x t -> t``."""
 
@@ -303,7 +332,7 @@ class Loop(Expr):
     set_elem_type: Type
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class BlogLoop(Expr):
     """The bounded logarithmic iterator ``blog_loop(f, b)``."""
 
@@ -312,7 +341,7 @@ class BlogLoop(Expr):
     set_elem_type: Type
 
 
-@dataclass(frozen=True, repr=False, slots=True)
+@_node
 class Bloop(Expr):
     """The bounded linear iterator ``bloop(f, b)``."""
 

@@ -17,7 +17,8 @@ commits land server-side::
 
 Queries ship as **text**: fluent :class:`~repro.api.query.Q` queries are
 elaborated *client-side* against the schema the handshake carried and split
-by :func:`~repro.api.prepare.canonical_template` -- the function the
+by :func:`~repro.api.prepare.recognize` (the memoized
+:func:`~repro.api.prepare.canonical_template`) -- the function the
 in-process session uses -- into the canonical template, which travels as NRA
 concrete syntax (``parse(pretty(template))`` round-trips, including the
 ``$``-namespace slots and ``%h`` binders), and the literals, which travel as
@@ -52,7 +53,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Union
 
-from ..api.prepare import canonical_template
+from ..api.prepare import recognize
 from ..api.query import Query
 from ..nra.ast import Expr
 from ..nra.externals import EMPTY_SIGMA, Signature
@@ -351,7 +352,7 @@ class RemoteSession:
             raise TypeError(
                 f"cannot ship {query!r}; expected Query, Expr or template text"
             )
-        template, types, defaults = canonical_template(query)
+        template, types, defaults = recognize(query)
         types.update(params)
         return (
             pretty(template),

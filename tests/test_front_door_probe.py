@@ -1,0 +1,33 @@
+"""``tools/front_door_probe.py`` still times every step it patches in this tree."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from repro.api.cursor import Cursor
+from repro.api.query import Query
+from repro.api.session import Session
+from repro.engine.engine import Engine
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location(
+    "front_door_probe", ROOT / "tools" / "front_door_probe.py")
+front_door_probe = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(front_door_probe)
+
+
+def _patched():
+    return (Query.elaborate, Session._template_of, Session._bind,
+            Engine.optimize, Engine._execute, Cursor.fetchall)
+
+
+@pytest.mark.parametrize("workload", ["adhoc_cold", "tc_inproc"])
+def test_every_step_is_timed_and_the_tree_is_restored(workload):
+    before = _patched()
+    steps = front_door_probe.probe(ROOT, workload, reads=30, warm=5)
+    assert list(steps) == [*front_door_probe.STEPS, "sum", "op"]
+    assert all(steps[s] > 0 for s in ("recognize", "bind", "plan lookup", "run", "fetch"))
+    # Prepared reads elaborate nothing; ad-hoc ones elaborate every op.
+    assert (steps["elaborate"] > 0) == (workload == "adhoc_cold")
+    assert _patched() == before

@@ -1,0 +1,130 @@
+"""Where one in-process op's time goes: the front door, step by step.
+
+    python tools/front_door_probe.py [TREE] [--workload adhoc_cold] [--reads 3000]
+                                     [--warm 200] [--seed 1]
+
+The in-process twin of ``tools/hop_probe.py``.  Imports ``repro`` from
+``TREE/src`` and the workload from ``TREE/perf/workloads.py`` (default: this
+checkout), sets the workload up as ``perf/run.py`` does, runs ``--reads`` of
+its ops (after ``--warm`` untimed ones) -- a prepared statement's bindings,
+or for ``adhoc_cold`` a never-seen query per op over its five shapes -- and
+prints the median microseconds each step took per op:
+
+* ``elaborate``: ``Query.elaborate`` (ad-hoc ops only);
+* ``recognize``: ``Session._template_of`` less the elaboration inside it --
+  the query's shape recognized as a template, slot types and defaults;
+* ``bind``: ``Session._bind``, parameters and defaults into the environment;
+* ``plan lookup``: ``Engine.optimize``, the plan cache;
+* ``run``: ``Engine._execute``, the backend's kernels;
+* ``fetch``: ``Cursor.fetchall``, rows materialized as python values;
+* ``other``: the rest of the op (environment copy, locks, counters, cursor).
+
+and the sum of the step medians against the op's median.  The steps patch
+only names the parent and the change both have, so the same command on two
+trees -- alternately, nothing else running -- compares them.  Every op's rows
+are checked against the workload's closed form, outside the timing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Steps in op order; ``other`` is what the op spent outside them.
+STEPS = ("elaborate", "recognize", "bind", "plan lookup", "run", "fetch", "other")
+WORKLOADS = ("adhoc_cold", "tc_inproc", "nested_objects")
+
+
+def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> dict:
+    """Median microseconds per step and per op, over ``reads`` timed ops."""
+    for path in (tree / "perf", tree / "src"):
+        sys.path.insert(0, str(path))
+    import repro
+    import repro.api.cursor as cursor
+    import repro.api.query as query
+    import repro.api.session as session
+    import repro.engine.engine as engine
+    from workloads import WORKLOADS as ALL
+
+    if Path(repro.__file__).resolve().parent != (tree / "src" / "repro").resolve():
+        raise RuntimeError(f"imported repro from {repro.__file__}, not from {tree}/src")
+    spent: dict = {}
+
+    def timed(owner, attr: str, step: str):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            t0 = perf_counter()
+            try:
+                return original(*args, **kwargs)
+            finally:
+                spent[step] = spent.get(step, 0.0) + perf_counter() - t0
+
+        setattr(owner, attr, wrapper)
+        return owner, attr, original
+
+    patches = [
+        timed(query.Query, "elaborate", "elaborate"),
+        timed(session.Session, "_template_of", "recognize"),
+        timed(session.Session, "_bind", "bind"),
+        timed(engine.Engine, "optimize", "plan lookup"),
+        timed(engine.Engine, "_execute", "run"),
+        timed(cursor.Cursor, "fetchall", "fetch"),
+    ]
+    w = ALL[workload](seed, 1.0, False)
+    samples: dict = {step: [] for step in (*STEPS, "op")}
+    wrong = 0
+    try:
+        w.setup()
+        try:
+            for i in range(warm + reads):
+                spent.clear()
+                t0 = perf_counter()
+                rows = w.read(i)
+                op = perf_counter() - t0
+                wrong += not w.check(i, rows, w.expected(i))
+                if i < warm:
+                    continue
+                steps = {step: spent.get(step, 0.0) for step in STEPS[:-1]}
+                steps["recognize"] -= steps["elaborate"]  # it ran inside
+                steps["other"] = op - sum(steps.values())
+                for step, s in steps.items():
+                    samples[step].append(s)
+                samples["op"].append(op)
+        finally:
+            w.teardown()
+    finally:
+        for owner, attr, original in patches:
+            setattr(owner, attr, original)
+    if wrong:
+        raise RuntimeError(f"{workload}: {wrong} ops returned wrong rows")
+    medians = {step: statistics.median(samples[step]) * 1e6 for step in STEPS}
+    return medians | {
+        "sum": sum(medians.values()),
+        "op": statistics.median(samples["op"]) * 1e6,
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("tree", nargs="?", default=str(ROOT))
+    ap.add_argument("--workload", choices=WORKLOADS, default="adhoc_cold")
+    ap.add_argument("--reads", type=int, default=3000)
+    ap.add_argument("--warm", type=int, default=200)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+    steps = probe(Path(args.tree).resolve(), args.workload, args.reads, args.warm, args.seed)
+    for step, us in steps.items():
+        print(f"{step:<14}{us:9.1f} us")
+    print(json.dumps(steps))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
