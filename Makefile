@@ -7,11 +7,11 @@
 # (the machine-readable backend suite; `bench-all-quick` is the CI smoke
 # variant); `bench-ivm` runs just the incremental view-maintenance rows
 # (delta apply vs full recompute); `bench-check` is the regression guard
-# (a fresh quick run held to the eight bars benchmarks/check_regression.py
+# (a fresh quick run held to the seven bars benchmarks/check_regression.py
 # prints: vectorized >= 3x reference, parallel >= 1.5x on
-# parallel-ext-overlap and >= 2x on parallel-tc-fixpoint, flat kernels
-# >= 3x object kernels, delta apply >= 5x recompute, service >= 25 q/s,
-# auto-routing regret <= 1.25x, observability overhead <= 1.15x -- with
+# parallel-ext-overlap, flat kernels >= 3x object kernels, delta apply
+# >= 5x recompute, service >= 25 q/s, auto-routing regret <= 1.25x,
+# observability overhead <= 1.15x -- with
 # the fresh-vs-committed BENCH_engine.json drift printed per row);
 # `test-ivm` selects the ivm-marked suites (unit
 # tests + maintenance oracle); `test-dred` narrows to the dred-marked

@@ -21,7 +21,7 @@ Usage::
     python benchmarks/check_regression.py --bar 4.0   # raise the bar
 
 Beyond the vectorized/reference families the chain also holds the parallel
-backend to its overlap (1.5x) and flat-fixpoint (2x) bars, the PR-7 flat
+backend to its overlap (1.5x) bar, the PR-7 flat
 dense-id kernels to their 3x object-kernel bar, incremental view
 maintenance to its 5x recompute bars, the PR-8 network query service to
 its 25 q/s wire-throughput floor, the PR-9 adaptive router to its
@@ -50,22 +50,13 @@ BASELINE = REPO_ROOT / "BENCH_engine.json"
 ACCEPTANCE_FAMILIES = ("transitive-closure", "nested-graph")
 DEFAULT_BAR = 3.0
 
-#: The parallel-backend acceptance rows.  PR 4: the sharded backend with
+#: The parallel-backend acceptance row.  PR 4: the sharded backend with
 #: >= 4 workers must beat single-threaded vectorized on the oracle-call
 #: overlap workload (the bar holds on single-core runners too -- the win is
-#: latency overlap, not CPU parallelism).  PR 7: the flat sharded fixpoint
-#: must beat the *object-kernel* vectorized engine (``flat=False``) on the
-#: CPU-bound TC closure -- a regression here means the flat lowering stopped
-#: firing (the driver silently fell back to object rounds) or the dense-id
-#: kernels lost their edge.
+#: latency overlap, not CPU parallelism).
 PARALLEL_ACCEPTANCE_NAME = "parallel-ext-overlap"
 PARALLEL_BAR = 1.5
-PARALLEL_FIXPOINT_NAME = "parallel-tc-fixpoint"
-PARALLEL_FIXPOINT_BAR = 2.0
-PARALLEL_BARS = {
-    PARALLEL_ACCEPTANCE_NAME: PARALLEL_BAR,
-    PARALLEL_FIXPOINT_NAME: PARALLEL_FIXPOINT_BAR,
-}
+PARALLEL_BARS = {PARALLEL_ACCEPTANCE_NAME: PARALLEL_BAR}
 
 #: The PR-7 flat-column acceptance row: the dense-id array kernels must stay
 #: >= 3x faster than the object kernels on the TC family (quick ratio ~4-5x).
@@ -185,9 +176,8 @@ def check(fresh_rows: list[dict], baseline_rows: list[dict], bar: float) -> int:
 def check_parallel(fresh_rows: list[dict], baseline_rows: list[dict]) -> int:
     """Hold the parallel backend to its per-row acceptance bars."""
     rows = [r for r in fresh_rows if r["name"] in PARALLEL_BARS]
-    print(f"== parallel-backend guard (bars: >= {PARALLEL_BAR}x on "
-          f"{PARALLEL_ACCEPTANCE_NAME}, >= {PARALLEL_FIXPOINT_BAR}x on "
-          f"{PARALLEL_FIXPOINT_NAME})")
+    print(f"== parallel-backend guard (bar: >= {PARALLEL_BAR}x on "
+          f"{PARALLEL_ACCEPTANCE_NAME})")
     if len(rows) < len(PARALLEL_BARS):
         missing = sorted(set(PARALLEL_BARS) - {r["name"] for r in rows})
         print(f"parallel acceptance rows missing from the fresh run ({missing}) "
@@ -218,7 +208,7 @@ def check_parallel(fresh_rows: list[dict], baseline_rows: list[dict]) -> int:
                  f"< {PARALLEL_BARS[r['name']]}x)" for r in failures]
         print(f"REGRESSION: parallel speedup below the bar on {names}")
         return 1
-    print("the parallel backend clears the overlap and flat-fixpoint bars")
+    print("the parallel backend clears the overlap bar")
     return check_columnar(fresh_rows, baseline_rows)
 
 

@@ -4,9 +4,8 @@ Runs the evaluation backends (the ``reference`` interpreter, the
 ``vectorized`` set-at-a-time executor, the ``parallel`` sharded backend) over
 the transitive-closure and nested-graph workload families, plus
 the PR-3 **query-service** rows (prepared-vs-unprepared parametrized
-execution and cursor streaming throughput), the PR-4 **parallel** rows
-(oracle-call overlap -- an acceptance row -- and the sharded fixpoint, since
-PR 7 an acceptance row running on flat dense-id arrays), the PR-7
+execution and cursor streaming throughput), the PR-4 **parallel** row
+(oracle-call overlap, an acceptance row), the PR-7
 **columnar** acceptance row
 (flat dense-id kernels vs the object kernels on the TC family), and
 the PR-5/PR-6 **incremental** rows (delta-maintained views vs full recompute
@@ -38,9 +37,7 @@ single-threaded vectorized backend on the oracle-call enrichment workload
 (the ``parallel-ext-overlap`` row -- see DESIGN.md for why the overlap
 workload is the honest parallel measurement on single-core runners), the
 flat dense-id kernels are **>= 3x** faster than the object kernels on the
-TC family (``columnar-tc-kernels``), the flat parallel fixpoint is
-**>= 2x** faster than the object-kernel vectorized baseline
-(``parallel-tc-fixpoint``), and
+TC family (``columnar-tc-kernels``), and
 delta-maintained views absorb a 1% insert churn stream (``ivm-small-delta``)
 *and* a 1% deletion churn stream (``ivm-deletion-delta``, the delete/
 rederive path over a 255-node tree closure) each **>= 5x** faster than
@@ -51,7 +48,7 @@ absolute floor rather than a ratio, with the ungated
 ``service-latency-percentiles`` honesty row alongside), and the PR-9
 adaptive router keeps ``backend="auto"`` within **10%** aggregate regret of
 the best hand-picked backend per leg (``router-auto-regret``).
-``benchmarks/check_regression.py`` holds CI to the 3x, 1.5x, 2x and 5x bars,
+``benchmarks/check_regression.py`` holds CI to the 3x, 1.5x and 5x bars,
 the 25 q/s floor, and the router's regret bar on every push.
 """
 
@@ -383,78 +380,6 @@ def _columnar_tc_workload(quick: bool) -> dict:
             "flat_vs_object": (t_obj_total / t_flat_total
                                if t_flat_total > 0 else float("inf")),
             **{f"flat_vs_object_{s}": v for s, v in per_style.items()},
-        },
-        "checked": checked,
-    }
-
-
-def _parallel_fixpoint_workload(quick: bool) -> dict:
-    """The PR-7 parallel acceptance row: the flat sharded fixpoint on TC.
-
-    Since PR 7 the sharded semi-naive fixpoint runs on flat dense-id arrays:
-    the driver lowers the delta terms once, round tasks probe id-array
-    indexes, and the frontier re-shards as raw code arrays.  The gated
-    ratio is parallel (4 workers, flat) over the **object-kernel**
-    vectorized engine (``flat=False``) -- exactly what this row's baseline
-    measured before the flat kernels existed -- so it records the
-    end-to-end win of the representation on the parallel path.  Bar:
-    **>= 2x**.  Honesty is preserved in ``parallel_vs_vectorized_flat``:
-    against the equally-flat single-thread engine the GIL still holds this
-    at ~1x on single-core runners (DESIGN.md's "when it loses" section).
-
-    The quick row keeps ``n = 48``: below that the per-round task dispatch
-    is a large fraction of a closure the object kernels finish in a few
-    milliseconds, and the ratio sits within noise of the bar.
-    """
-    n = 48 if quick else 64
-    query = reachable_pairs_query("logloop")
-    value = path_graph(n).value()
-
-    # A fresh engine per timing (cold plan cache: the compile is paid inside
-    # the timed region on every side), but pool spawn/teardown stays outside
-    # it -- worker startup is per-engine, not per-query, and on the thread
-    # pool the join in ``close`` would otherwise dominate a 24-node closure.
-    def best_run(mk_engine):
-        best, result, stats = float("inf"), None, None
-        for _ in range(3):
-            eng = mk_engine()
-            try:
-                t0 = time.perf_counter()
-                r = eng.run(query, value)
-                dt = time.perf_counter() - t0
-            finally:
-                eng.close()
-            if dt < best:
-                best, result, stats = dt, r, eng.last_stats
-        return best, result, stats
-
-    t_obj, r_obj, _ = best_run(lambda: Engine(backend="vectorized", flat=False))
-    t_vec, r_vec, _ = best_run(lambda: Engine(backend="vectorized"))
-    t_par, r_par, par_stats = best_run(
-        lambda: Engine(backend="parallel", workers=4))
-
-    checked = (
-        r_vec == r_obj and r_par == r_obj
-        and par_stats.fixpoint_runs == 1
-        and par_stats.flat_fixpoint_runs == 1
-    )
-    if not checked:
-        raise AssertionError(
-            "parallel-tc-fixpoint: backends disagree, or the parallel engine "
-            "did not take the flat fixpoint path")
-    return {
-        "name": "parallel-tc-fixpoint",
-        "family": "parallel",
-        "n": n,
-        "acceptance": not quick,
-        "workers": 4,
-        "flat_fixpoint_runs": par_stats.flat_fixpoint_runs,
-        "times_s": {"vectorized_object": t_obj, "vectorized": t_vec,
-                    "parallel": t_par},
-        "speedups": {
-            "parallel_vs_vectorized": t_obj / t_par if t_par > 0 else float("inf"),
-            "parallel_vs_vectorized_flat": (t_vec / t_par
-                                            if t_par > 0 else float("inf")),
         },
         "checked": checked,
     }
@@ -1151,9 +1076,8 @@ def _print_parallel(rows: list[dict]) -> None:
     for r in rows:
         t = r["times_s"]
         s = r["speedups"]["parallel_vs_vectorized"]
-        base = t.get("vectorized_object", t["vectorized"])
         print(f"  {r['name']:<22}  n={r['n']:>4}  "
-              f"baseline {base*1e3:8.1f}ms  "
+              f"baseline {t['vectorized']*1e3:8.1f}ms  "
               f"parallel {t['parallel']*1e3:8.1f}ms  "
               f"workers={r['workers']}  speedup {s:5.2f}x"
               f"{'  *' if r['acceptance'] else ''}")
@@ -1232,10 +1156,7 @@ def main(argv: list[str] | None = None) -> int:
     rows.extend(service_rows)
     columnar_rows = [_columnar_tc_workload(args.quick)]
     rows.extend(columnar_rows)
-    parallel_rows = [
-        _parallel_overlap_workload(args.quick),
-        _parallel_fixpoint_workload(args.quick),
-    ]
+    parallel_rows = [_parallel_overlap_workload(args.quick)]
     rows.extend(parallel_rows)
     ivm_rows = [
         _ivm_delta_workload(args.quick),
@@ -1272,7 +1193,7 @@ def main(argv: list[str] | None = None) -> int:
     _print_query_service(service_rows)
     print("-- flat-column kernels (PR-7 dense-id arrays)")
     _print_columnar(columnar_rows)
-    print("-- parallel backend (PR-4 sharded execution, PR-7 flat fixpoint)")
+    print("-- parallel backend (PR-4 sharded execution)")
     _print_parallel(parallel_rows)
     print("-- incremental view maintenance (PR-5 delta subsystem, PR-6 DRed)")
     _print_ivm(ivm_rows)
@@ -1284,10 +1205,6 @@ def main(argv: list[str] | None = None) -> int:
     _print_obs(obs_rows)
 
     if not args.quick:
-        # Per-row bars inside the parallel family: the overlap row gates at
-        # 1.5x (latency overlap), the flat fixpoint row at 2x (PR-7 dense-id
-        # representation win over the object-kernel baseline).
-        parallel_bars = {"parallel-ext-overlap": 1.5, "parallel-tc-fixpoint": 2.0}
         failures = [
             r for r in rows
             if r["acceptance"]
@@ -1318,8 +1235,7 @@ def main(argv: list[str] | None = None) -> int:
             r for r in rows
             if r["acceptance"]
             and r["family"] == "parallel"
-            and r["speedups"].get("parallel_vs_vectorized", 0.0)
-            < parallel_bars.get(r["name"], 1.5)
+            and r["speedups"].get("parallel_vs_vectorized", 0.0) < 1.5
         ]
         failures += [
             r for r in rows

@@ -14,9 +14,10 @@ optimization layers of this package --
    `vectorized`  the default: compiled set-at-a-time plans -- hash joins, bulk
                  select/project, semi-naive frontier iteration
                  (:mod:`repro.engine.vectorized`)
-   `parallel`    data-parallel sharded execution: hash-partitioned inputs,
-                 shard-local vectorized sub-plans on a thread pool, union
-                 combiners, frontier-resharded semi-naive fixpoint rounds
+   `parallel`    shard-and-union on a thread pool: a union-distributive query
+                 runs shard-local vectorized sub-plans on hash-partitioned
+                 input, overlapping external-call latency; fixpoints and
+                 every other query run whole on the vectorized driver
                  (:mod:`repro.engine.parallel`)
    `auto`        the adaptive cost-based router: estimates cost at catalog
                  scale, picks ``vectorized`` or ``parallel`` (plus shard count
@@ -181,7 +182,8 @@ class Engine:
     workers / shards:
         Parallel-backend knobs (ignored by the other backends): pool size
         (default :func:`default_workers`) and target shards per wave
-        (default ``2 * workers``).
+        (default ``2 * workers``).  Both must be at least 1 whatever the
+        backend, since a per-call override can select ``parallel`` later.
     flat:
         Whether the compiled backends may use the dense-id column kernels.
 
@@ -232,6 +234,10 @@ class Engine:
         self.rewriter = Rewriter(rules=rules, sigma=sigma, seed=seed)
         self.interner = InternTable()
         self.workers = workers if workers is not None else default_workers()
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        if shards is not None and shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
         self.shards = shards
         #: Whether the vectorized/parallel backends may use the flat
         #: (dense-id array) kernels.  ``False`` pins the object kernels --

@@ -8,23 +8,25 @@ PRAM); this package makes the claim operational.  Four layers:
   subsequences, built without re-sorting);
 * :mod:`~repro.engine.parallel.sharder` -- the syntactic analysis deciding
   *what* may be sharded: union-distributive queries (shard the input, union
-  the shard results) and semi-naive evaluable fixpoints (shard the frontier,
-  re-shard it every round);
+  the shard results);
 * :mod:`~repro.engine.parallel.scheduler` -- the worker pool: isolated
   vectorized evaluators (private intern tables, translation caches) driven
   by a thread pool;
 * :mod:`~repro.engine.parallel.executor` -- :class:`ParallelEvaluator`, the
   backend proper: analysis, dispatch, union combiners, driver fallback.
 
-See the "parallel backend" section of DESIGN.md for the semantics of the
-combiners, the frontier re-sharding, and an honest account of when this
-backend loses to the single-threaded vectorized one.
+Fixpoints and every other unshardable query run whole on the driver, the
+engine's vectorized evaluator.  What the pool buys is overlap of
+external-call latency, not CPU parallelism under the GIL.  See the
+"parallel backend" section of DESIGN.md for the semantics of the combiners
+and the measured account of when this backend loses to the single-threaded
+vectorized one.
 """
 
 from .executor import ParallelEvaluator, ParStats
 from .partition import hash_partition, structural_hash
 from .scheduler import ShardTask, ShardWorker, WorkerPool
-from .sharder import FixpointSpec, JoinSpec, ShardSpec, analyze, distributes_over_union
+from .sharder import ShardSpec, analyze, distributes_over_union
 
 __all__ = [
     "ParallelEvaluator",
@@ -35,8 +37,6 @@ __all__ = [
     "ShardWorker",
     "WorkerPool",
     "ShardSpec",
-    "FixpointSpec",
-    "JoinSpec",
     "analyze",
     "distributes_over_union",
 ]

@@ -10,8 +10,7 @@ on each.  Partitioning must be
   the observable execution plan, and the tests pin it;
 * **structural**: shards are computed from the value itself, so two engines
   agree without sharing state;
-* **cheap to re-apply**: the semi-naive fixpoint re-shards every round's
-  frontier, so a shard is a subsequence of a canonical element tuple and is
+* **cheap**: a shard is a subsequence of a canonical element tuple and is
   built without re-sorting (a subsequence of a canonical sequence is
   canonical).
 
@@ -22,8 +21,6 @@ process.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 from ...objects.values import BaseVal, BoolVal, PairVal, SetVal, UnitVal, Value
 
@@ -79,52 +76,19 @@ def _subsequence_set(elements: tuple[Value, ...]) -> SetVal:
     return s
 
 
-def hash_partition(
-    s: SetVal,
-    k: int,
-    key_of: Optional[Callable[[Value], Value]] = None,
-) -> list[SetVal]:
+def hash_partition(s: SetVal, k: int) -> list[SetVal]:
     """Split a canonical set into at most ``k`` disjoint canonical shards.
 
-    Elements are assigned by ``structural_hash(element) % k`` -- or, when
-    ``key_of`` is given, by the hash of ``key_of(element)``, which is how a
-    join side is *aligned*: partitioning both sides of an equi-join by their
-    join keys sends every matching pair to the same shard index, so each
-    worker builds and probes only its aligned fraction of the index.
-
-    Empty shards are dropped (their union contributes nothing and their
-    evaluation would waste a task); the empty input is returned as the single
-    shard ``[{}]`` so a shard-local plan still runs exactly once -- needed
-    because a union-distributive query may contain loop-invariant operands
-    that contribute to the result even on empty input.
+    Elements are assigned by ``structural_hash(element) % k``.  Empty shards
+    are dropped (their union contributes nothing and their evaluation would
+    waste a task); the empty input is returned as the single shard ``[{}]``
+    so a shard-local plan still runs exactly once -- needed because a
+    union-distributive query may contain loop-invariant operands that
+    contribute to the result even on empty input.
     """
     if k <= 1 or len(s.elements) <= 1:
         return [s]
     buckets: list[list[Value]] = [[] for _ in range(k)]
-    if key_of is None:
-        for e in s.elements:
-            buckets[structural_hash(e) % k].append(e)
-    else:
-        for e in s.elements:
-            buckets[structural_hash(key_of(e)) % k].append(e)
-    return [_subsequence_set(tuple(b)) for b in buckets if b]
-
-
-def hash_partition_aligned(
-    s: SetVal,
-    k: int,
-    key_of: Callable[[Value], Value],
-) -> list[SetVal]:
-    """Partition by key hash into *exactly* ``k`` shards, empties kept.
-
-    The co-partitioned join protocol: both sides of an equi-join are
-    partitioned with the same ``k`` and their respective key functions, so
-    shard index ``i`` of the left side joins against shard index ``i`` of
-    the right side and no cross-shard pair can match.  Positions matter, so
-    empty shards are preserved (the caller skips aligned pairs whose left
-    side is empty).
-    """
-    buckets: list[list[Value]] = [[] for _ in range(max(1, k))]
     for e in s.elements:
-        buckets[structural_hash(key_of(e)) % len(buckets)].append(e)
-    return [_subsequence_set(tuple(b)) for b in buckets]
+        buckets[structural_hash(e) % k].append(e)
+    return [_subsequence_set(tuple(b)) for b in buckets if b]

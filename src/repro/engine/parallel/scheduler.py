@@ -8,10 +8,10 @@ each :class:`ShardWorker` owns a private
 table, compile cache and join indexes -- and communicates with the driver
 exclusively through immutable values.  Driver-side values entering a worker
 are *translated* (re-interned) into the worker's table through a per-worker
-translation cache, so the loop-invariant environment of a fixpoint (the
-accumulator's stable elements, the collection bindings) is translated once,
-not once per round; worker results flow back as plain canonical values the
-driver re-interns under the engine lock.
+translation cache, so the stable environment (collection bindings, the
+unsharded side of a join) is translated once, not once per wave; worker
+results flow back as plain canonical values the driver re-interns under the
+engine lock.
 
 A wave of tasks is distributed round-robin over the workers; each worker
 processes its slice in order on one pool thread, so a worker's caches are
@@ -19,10 +19,6 @@ only ever touched by one thread at a time (the driver blocks on the whole
 wave before dispatching the next).  Failures are collected per task and the
 one with the smallest task index is re-raised, keeping error reporting
 deterministic regardless of thread scheduling.
-
-The thread pool additionally exposes :meth:`WorkerPool.run_callables`,
-which the driver-side flat fixpoint uses to fan a round's probe chunks
-across the pool threads.
 """
 
 from __future__ import annotations
@@ -35,6 +31,7 @@ from ...nra.ast import Expr
 from ...nra.errors import NRAEvalError
 from ...nra.externals import EMPTY_SIGMA, Signature
 from ...objects.values import SetVal, Value
+from ...obs.trace import TRACER
 from ..vectorized import VectorizedEvaluator
 from ..vectorized.batch import VecStats
 from ..vectorized.compiler import VFunction
@@ -59,10 +56,9 @@ class ShardWorker:
     """One isolated evaluation context: private interner, compile cache."""
 
     #: Bound on cached translations.  Stable driver values (collection
-    #: bindings, accumulator elements) are re-probed constantly and stay
-    #: hot under LRU; the per-round wrappers (frontier shards, the round's
-    #: accumulator set) are used once and age out instead of pinning dead
-    #: driver objects for the engine's lifetime.
+    #: bindings and their elements) are re-probed constantly and stay hot
+    #: under LRU; per-wave shard sets are used once and age out instead of
+    #: pinning dead driver objects for the engine's lifetime.
     MAX_TRANSLATIONS = 4096
 
     def __init__(self, sigma: Signature) -> None:
@@ -121,13 +117,18 @@ class ShardWorker:
 
 
 def _run_slice(worker: ShardWorker, items: list):
-    """Run one worker's slice of a wave; never raises (failures are data)."""
+    """Run one worker's slice of a wave; never raises (failures are data).
+
+    Spans the slice would open are dropped: the driver's ``shard-wave``
+    span times the whole wave, and a pool thread has no parent to give them.
+    """
     done: list = []
-    for idx, task in items:
-        try:
-            done.append((idx, worker.run_task(task)))
-        except BaseException as exc:  # noqa: BLE001 - re-raised by the driver
-            return done, (idx, exc)
+    with TRACER.detached():
+        for idx, task in items:
+            try:
+                done.append((idx, worker.run_task(task)))
+            except BaseException as exc:  # noqa: BLE001 - re-raised by the driver
+                return done, (idx, exc)
     return done, None
 
 
@@ -183,32 +184,6 @@ class WorkerPool:
         if failures:
             raise min(failures, key=lambda f: f[0])[1]
         return [results[i] for i in range(len(tasks))]
-
-    def run_callables(self, fns: list) -> list:
-        """Run plain callables across the pool threads, one result each, in order.
-
-        This is how a driver-side flat fixpoint parallelizes a round's probe
-        chunks (the chunks only *read* frozen indexes, so concurrent threads
-        are safe).
-        """
-        if not fns:
-            return []
-        if len(fns) == 1:
-            return [fns[0]()]
-        executor = self._ensure()
-        futures = [executor.submit(fn) for fn in fns]
-        results = []
-        failure: Optional[BaseException] = None
-        for f in futures:
-            try:
-                results.append(f.result())
-            except BaseException as exc:  # noqa: BLE001
-                if failure is None:
-                    failure = exc
-                results.append(None)
-        if failure is not None:
-            raise failure
-        return results
 
     # -- maintenance --------------------------------------------------------------
 

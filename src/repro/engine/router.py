@@ -28,7 +28,8 @@ How a decision is made
    overlap is the one thing Python threads genuinely win; the shard count
    scales with the estimated fan-out).  Everything else routes to
    ``vectorized``.  CPU-bound work is *never* routed to ``parallel``: under
-   the GIL the thread pool loses, and the benchmarks record that honestly.
+   the GIL the thread pool loses (DESIGN.md's parallel section has the
+   measurement).
 5. **Adaptation.**  Every routed run's wall-clock time is recorded.  A
    calibration EWMA maps cost-model work units to seconds.  When an observed
    runtime exceeds the current prediction by ``MISS_FACTOR`` (10x), the

@@ -28,9 +28,7 @@ Three layers live here:
   call, because a linear-depth recursion pays whatever a round costs once
   per unit of depth.  Per-term probe plans are resolved at ``setup``, the
   frontier stays in the form the probe reads, the accumulator grows in
-  place and the counters are added once per call.  Only a round's *derive
-  step* is pluggable: the loop's own probe, a thread pool's chunked
-  callables, or shared-memory workers returning codes.
+  place and the counters are added once per call.
 
 Exactness contract: every helper either returns exactly what the object
 kernel would, or raises :class:`FlatUnavailable` *before any observable
@@ -43,9 +41,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, replace
-from functools import partial
 from time import perf_counter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -373,20 +370,15 @@ class FlatLoop:
     Construction + :meth:`setup` encode the starting accumulator and
     frontier as id columns (both the start itself for a strict step's round
     one, else what an object round one left) and resolve the per-term probe
-    plans and indexes; :meth:`run` then drives every round in one call.  What varies
-    between callers is only a round's *derive step* -- who probes the frozen
-    indexes with the frontier: the loop itself, or a thread pool handed
-    :meth:`chunk_probes` (``chunks`` independent callables, strided over the
-    streamed rows).
-    Deduplication, the accumulator, the acc-side indexes, convergence and
-    the counters stay here whoever derives.
+    plans and indexes; :meth:`run` then drives every round in one call:
+    derive by probing the indexes with the frontier, deduplicate, grow the
+    accumulator and the acc-side indexes, stop at convergence or the budget.
     """
 
-    def __init__(self, ctx, specs: list, chunks: int = 1):
+    def __init__(self, ctx, specs: list):
         self.ctx = ctx  # the BatchContext: interner, stats, index cache
         self.it = it = ctx.interner
         self.stats = ctx.stats
-        self.chunks = max(1, chunks)
         #: Rounds begun so far (a round that raised while deriving counts).
         self.rounds = 0
         self._parts = it.pair_parts()
@@ -485,21 +477,14 @@ class FlatLoop:
 
     # -- rounds -------------------------------------------------------------------
 
-    def run(
-        self,
-        budget: int,
-        derive: Optional[Callable[[], Iterable]] = None,
-        on_round: Optional[Callable] = None,
-    ) -> int:
+    def run(self, budget: int, on_round: Optional[Callable] = None) -> int:
         """Run rounds until the frontier empties or ``budget`` are done.
 
         A round refreshes the frontier-side indexes, derives, keeps what the
         accumulator lacks (one sort: the new frontier, in code order),
         extends the accumulator columns and acc-side indexes in place.
-        ``derive()`` replaces the loop's own whole-frontier probe and returns
-        collections of codes, filtered or not; indexes and accumulator are
-        frozen while it runs.  ``on_round(seconds=, round=, frontier=)`` is
-        called after each round with the frontier size it started from.
+        ``on_round(seconds=, round=, frontier=)`` is called after each round
+        with the frontier size it started from.
         Returns the rounds completed by this call; the counters are added
         once, on the way out, also when a round raises (its joins count, the
         round itself does not -- a raise while refreshing counts nothing).
@@ -526,12 +511,7 @@ class FlatLoop:
                     hits += kept
                 joins += len(terms)
                 builds += len(rebuilt)
-                if derive is None:
-                    fresh = self._probe(0, 1)
-                else:
-                    fresh = set().union(*derive())
-                    fresh -= seen
-                new = sorted_codes(fresh)
+                new = sorted_codes(self._probe())
                 nf = [c >> CODE_BITS for c in new]
                 ns = [c & CODE_MASK for c in new]
                 seen.update(new)
@@ -553,16 +533,10 @@ class FlatLoop:
             stats.index_hits += hits
         return done
 
-    def chunk_probes(self) -> list[Callable[[], set]]:
-        """The current round's probe work as up to ``chunks`` callables."""
-        k = min(self.chunks, max(1, len(self._delta_f)))
-        return [partial(self._probe, i, k) for i in range(k)]
+    def _probe(self) -> set:
+        """A round's derive step: every term, over all its rows.
 
-    def _probe(self, i: int, k: int) -> set:
-        """Chunk ``i`` of ``k`` of a round: every term, strided over its rows.
-
-        Returns the derived codes the accumulator lacks.  Reads only state
-        that is frozen while a round derives, so chunks may run concurrently.
+        Returns the derived codes the accumulator lacks.
         """
         parts, by_dense = self._parts, self._by_dense
         seen = self._acc_codes
@@ -573,7 +547,7 @@ class FlatLoop:
             a_left, b_left = t.a_left, t.b_left
             left = t.spec.left
             if left == "inv":
-                for lk, la, lb in t.inv_rows[i::k]:
+                for lk, la, lb in t.inv_rows:
                     ms = get(lk)
                     if ms:
                         for ra, rb in ms:
@@ -586,7 +560,7 @@ class FlatLoop:
             else:
                 fs, ss = self._acc_f, self._acc_s
             (lk_f, lk_rest), (oa_f, oa_rest), (ob_f, ob_rest) = t.lk, t.oa, t.ob
-            for f, s in zip(fs[i::k], ss[i::k]):
+            for f, s in zip(fs, ss):
                 lk = f if lk_f else s
                 if lk_rest:
                     lk = _follow_or_raise(parts, by_dense, lk, lk_rest)

@@ -37,7 +37,7 @@ OPS = frozenset(
         "sri-as-loop", "sri-elementwise",
         # The sharded backend (repro.engine.parallel) wraps vectorized
         # sub-plans in these combinator nodes.
-        "parallel", "shard", "combine-union", "parallel-fixpoint",
+        "parallel", "shard", "combine-union",
         # Maintenance-plan trees of the incremental view-maintenance
         # subsystem (repro.engine.incremental), shown by
         # Engine.explain_plan(backend="incremental").

@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextvars
 import threading
 from collections import deque
+from contextlib import contextmanager
 from time import perf_counter
 from typing import Any, Iterator, Optional
 
@@ -140,6 +141,10 @@ class Tracer:
         self._current: contextvars.ContextVar[Optional[Span]] = (
             contextvars.ContextVar("repro_obs_span", default=None)
         )
+        #: Set inside :meth:`detached`: spans opened there are dropped.
+        self._detached: contextvars.ContextVar[bool] = contextvars.ContextVar(
+            "repro_obs_detached", default=False
+        )
         self._lock = threading.Lock()
         self._roots: deque[Span] = deque(maxlen=keep)
 
@@ -147,7 +152,7 @@ class Tracer:
 
     def span(self, name: str, **attrs: Any):
         """A context manager for a child of the current span (no-op if disabled)."""
-        if not self.enabled:
+        if not self.enabled or self._detached.get():
             return _NULL
         return _SpanCtx(self, name, attrs)
 
@@ -164,6 +169,16 @@ class Tracer:
 
     def current(self) -> Optional[Span]:
         return self._current.get()
+
+    @contextmanager
+    def detached(self) -> Iterator[None]:
+        """Drop every span opened inside: for pool threads, whose work the
+        driver times in its own span while it blocks on them."""
+        token = self._detached.set(True)
+        try:
+            yield
+        finally:
+            self._detached.reset(token)
 
     # -- control and inspection ---------------------------------------------------
 

@@ -1,16 +1,16 @@
-"""The flat frontier loop: rounds are the paper's depth, whoever derives.
+"""The flat frontier loop: rounds are the paper's depth.
 
-``FlatLoop.run`` is the one round loop of the default backend; the
-vectorized compiler and the parallel executor both hand it a budget and, for
-a pool, a derive step.  What is pinned here:
+``FlatLoop.run`` is the one round loop of the compiling backends, with one
+derive step: the vectorized compiler hands it a budget, and the parallel
+backend hands every fixpoint whole to that compiler.  What is pinned here:
 
 * **rounds are depth**: on path(n) the seeded closure ``reach(src)`` takes
   exactly ``n - 1 - src`` frontier rounds, in the engine's own counters, and
   the whole-relation closure is logarithmic by ``dcr`` and linear by ``sri``
   -- the paper's NC-vs-PTIME shape, without the cost interpreter;
-* **one loop, two derive steps**: local and thread-pool chunks give the
-  same value from the same number of rounds and joins, equal to the object
-  kernels and the reference interpreter;
+* **one loop**: the vectorized and the parallel backend (whose driver runs
+  the fixpoint) give the same value from the same number of rounds and
+  joins, equal to the object kernels and the reference interpreter;
 * the **budget** stops the loop exactly where the iterator's cardinality
   argument says;
 * **tracing** reports one ``fixpoint-round`` event per round, and a round
@@ -105,7 +105,7 @@ def test_dcr_rounds_are_polylog_and_sri_rounds_linear():
 
 
 # ---------------------------------------------------------------------------
-# 2. One loop, two derive steps
+# 2. One loop, whichever backend asked
 # ---------------------------------------------------------------------------
 
 GRAPHS = {
@@ -159,8 +159,9 @@ def test_local_and_thread_drivers_agree_with_object_kernels_and_reference(gname,
 
 @pytest.mark.parametrize("gname", list(GRAPHS))
 def test_a_pool_wider_than_the_frontier_agrees_with_the_local_one(gname):
-    # Sixteen threads, frontiers of a handful of rows: a round is cut into
-    # at most one chunk per frontier row, never into empty chunks.
+    # Sixteen threads, frontiers of a handful of rows: the fixpoint is not
+    # cut up at all -- it falls back whole to the driver, which takes the
+    # same rounds and joins as the vectorized backend and runs no pool task.
     graph, query = GRAPHS[gname].value(), reachable_pairs_query("sri")
     local = _run_with(query, graph, backend="vectorized")
     assert local[0] == reference_run(query, graph)
@@ -169,7 +170,7 @@ def test_a_pool_wider_than_the_frontier_agrees_with_the_local_one(gname):
         value = engine.run(query, graph)
         driver, par = engine._vec().stats, engine.last_stats
         assert (value, driver.flat_rounds, driver.hash_joins) == local
-        assert par.fixpoint_rounds <= par.tasks < 16 * par.fixpoint_rounds
+        assert par.fallback_runs == 1 and par.tasks == 0
     finally:
         engine.close()
 
@@ -225,8 +226,8 @@ def test_one_fixpoint_round_event_per_round(tracer, engine_args):
         # length k: the start's edges, then what the round before found.
         assert [sp.attrs["frontier"] for sp in events] == [7, 6, 5, 4, 3, 2, 1]
         assert all(sp.attrs["flat"] is True and sp.seconds >= 0 for sp in events)
-        pools = {sp.attrs.get("pool") for sp in events}
-        assert pools == ({"thread"} if engine_args["backend"] == "parallel" else {None})
+        # The parallel backend falls back whole: its driver runs the loop.
+        assert all("pool" not in sp.attrs for sp in events)
     finally:
         engine.close()
 
@@ -269,10 +270,8 @@ def test_a_round_that_raises_leaves_the_error_the_counters_and_a_usable_engine(b
             assert (stats.flat_fixpoints, stats.flat_rounds, stats.flat_joins,
                     stats.hash_joins, stats.flat_dedups) == tuple(
                 attempt * c for c in (1, 3, 4, 4, 3))
-            if backend == "vectorized":
-                assert stats.seminaive_rounds == 4 * attempt
-            else:
-                assert engine._par().stats.fixpoint_rounds == 4 * attempt
+            # The parallel backend falls back whole, so the driver counts.
+            assert stats.seminaive_rounds == 4 * attempt
         env["r"] = from_python(sound)
         assert engine.run(DEEP_KEY_LOOP, env=env, optimize=False) == reference_run(
             DEEP_KEY_LOOP, env=env)
@@ -284,8 +283,8 @@ def test_a_round_that_raises_leaves_the_error_the_counters_and_a_usable_engine(b
 # 5. Round one in the frontier loop, and the first read after a commit
 # ---------------------------------------------------------------------------
 
-def _loops(plan, op="loop-seminaive"):
-    return [n for n in plan.walk() if n.op == op]
+def _loops(plan):
+    return [n for n in plan.walk() if n.op == "loop-seminaive"]
 
 
 def test_the_plan_shows_which_loops_start_in_the_frontier_loop():
@@ -305,8 +304,11 @@ def test_the_plan_shows_which_loops_start_in_the_frontier_loop():
     engine = Engine(backend="parallel", workers=2)
     try:
         for style, shown in (("sri", True), ("invariant-branch", False)):
-            (fix,) = _loops(engine.explain_plan(_query(style)), "parallel-fixpoint")
-            assert ("round-one-frontier" in fix.annotations) is shown
+            plan = engine.explain_plan(_query(style))
+            assert next(iter(plan.walk())).op == "parallel"
+            loops = _loops(plan)
+            assert loops and all(
+                ("round-one-frontier" in n.annotations) is shown for n in loops)
     finally:
         engine.close()
 

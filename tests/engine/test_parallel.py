@@ -1,11 +1,11 @@
 """Unit tests for the data-parallel sharded backend (repro.engine.parallel).
 
 Layer by layer: partitioning (determinism, disjoint cover, canonical
-shards), the distributivity / join / fixpoint analysis, the executor's four
-strategies against the reference interpreter, error propagation out of
-workers, the thread pool on its own (ordering, failures, close and reuse),
-the explain tree, and the engine cache contract (clear_plans, warm reruns,
-compile counts across close).
+shards), the distributivity analysis, the executor's shard-and-union and
+driver-fallback paths against the reference interpreter, error propagation
+out of workers, the thread pool on its own (ordering, failures, close and
+reuse), the explain tree, and the engine cache contract (clear_plans, warm
+reruns, compile counts across close).
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.engine.parallel import (
     hash_partition,
     structural_hash,
 )
-from repro.engine.parallel.partition import hash_partition_aligned
 from repro.engine.parallel.scheduler import ShardTask, WorkerPool
 from repro.nra import ast
 from repro.nra.ast import (
@@ -96,14 +95,20 @@ class TestPartition:
         shards = hash_partition(from_python(set()), 5)
         assert shards == [SetVal()]
 
-    def test_aligned_partition_keeps_positions(self):
+    def test_each_shard_is_one_hash_bucket_in_bucket_order(self):
         s = from_python({(i, i % 3) for i in range(20)})
-        key = lambda p: p.snd
-        shards = hash_partition_aligned(s, 6, key)
-        assert len(shards) == 6  # empties preserved for alignment
-        for shard in shards:
-            buckets = {structural_hash(key(e)) % 6 for e in shard.elements}
-            assert len(buckets) <= 1
+        buckets = []
+        for shard in hash_partition(s, 6):
+            assert shard.elements  # empty buckets are dropped
+            (bucket,) = {structural_hash(e) % 6 for e in shard.elements}
+            buckets.append(bucket)
+        assert buckets == sorted(set(buckets))
+
+    def test_one_shard_or_one_element_is_not_split(self):
+        s = from_python({1, 2, 3})
+        assert hash_partition(s, 1) == [s]
+        single = from_python({7})
+        assert hash_partition(single, 4)[0] is single
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +144,10 @@ class TestAnalysis:
         assert spec is not None and spec.kind == "env" and spec.var == "edges"
 
     def test_cross_relation_join_is_co_partitioned(self):
+        # The join distributes over its outer relation: ``a`` is sharded and
+        # every worker joins its shard against the whole of ``b``.
         spec = analyze(compose(Var("a"), Var("b"), BASE))
-        assert spec is not None and spec.kind == "join"
-        assert spec.join.left_var == "a" and spec.join.right_var == "b"
+        assert spec is not None and spec.kind == "env" and spec.var == "a"
 
     def test_join_whose_output_reads_a_relation_is_rejected(self):
         # The join output may mention the element variables, never the
@@ -161,14 +167,11 @@ class TestAnalysis:
             eng.close()
 
     def test_logloop_tc_is_a_fixpoint(self):
-        spec = analyze(reachable_pairs_query("logloop"))
-        assert spec is not None and spec.kind == "fixpoint"
-        assert spec.fixpoint.logarithmic
+        # A fixpoint never distributes over its input: the driver runs it.
+        assert analyze(reachable_pairs_query("logloop")) is None
 
     def test_sri_tc_is_a_fixpoint(self):
-        spec = analyze(reachable_pairs_query("sri"))
-        assert spec is not None and spec.kind == "fixpoint"
-        assert not spec.fixpoint.logarithmic and not spec.fixpoint.loop_style
+        assert analyze(reachable_pairs_query("sri")) is None
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +209,7 @@ class TestParallelExecution:
         eng = parallel_engine()
         try:
             assert eng.run(q, env=env) == reference_run(q, None, env=env)
-            assert eng.last_stats.join_runs == 1
+            assert eng.last_stats.shard_runs == 1
         finally:
             eng.close()
 
@@ -227,8 +230,8 @@ class TestParallelExecution:
         eng = parallel_engine()
         try:
             assert eng.run(q, g) == reference_run(q, g)
-            assert eng.last_stats.fixpoint_runs == 1
-            assert eng.last_stats.frontier_reshards == eng.last_stats.fixpoint_rounds > 0
+            assert eng.last_stats.fallback_runs == 1
+            assert eng.last_stats.tasks == 0
         finally:
             eng.close()
 
@@ -357,15 +360,14 @@ class TestWorkerPool:
 
     def test_empty_waves_start_no_threads(self):
         pool = WorkerPool(workers=2)
-        assert pool.run_tasks([]) == [] and pool.run_callables([]) == []
+        assert pool.run_tasks([]) == []
         assert pool._executor is None and pool.worker_stats() == []
 
-    def test_callables_come_back_in_order_from_a_narrower_pool(self):
+    def test_tasks_come_back_in_order_from_a_narrower_pool(self):
+        values = [from_python({i, i + 1}) for i in range(10)]
         pool = WorkerPool(workers=3)
         try:
-            assert pool.run_callables([lambda i=i: i * i for i in range(10)]) == [
-                i * i for i in range(10)
-            ]
+            assert pool.run_tasks([ShardTask(Var("a"), {"a": v}) for v in values]) == values
         finally:
             pool.close()
 
@@ -386,12 +388,15 @@ class TestWorkerPool:
             pool.close()
 
     def test_close_then_reuse_restarts_the_threads(self):
+        def wave(*xs):
+            return [ShardTask(Var("a"), {"a": from_python(x)}) for x in xs]
+
         pool = WorkerPool(workers=2)
-        assert pool.run_callables([lambda: 1, lambda: 2]) == [1, 2]
+        assert pool.run_tasks(wave(1, 2)) == [from_python(1), from_python(2)]
         pool.close()
         assert pool._executor is None and pool.worker_stats() == []
         try:
-            assert pool.run_callables([lambda: 3, lambda: 4]) == [3, 4]
+            assert pool.run_tasks(wave(3, 4)) == [from_python(3), from_python(4)]
             assert len(pool.worker_stats()) == 2
         finally:
             pool.close()
@@ -414,10 +419,10 @@ class TestEngineWiring:
         eng = parallel_engine()
         try:
             plan = eng.explain_plan(reachable_pairs_query("logloop"))
-            assert "parallel-fixpoint" in plan.ops()
-            assert "reshard-per-round" in next(
-                n for n in plan.walk() if n.op == "parallel-fixpoint"
-            ).annotations
+            root = next(iter(plan.walk()))
+            assert root.op == "parallel" and "fallback" in root.detail
+            assert "loop-seminaive" in plan.ops()
+            assert "shard" not in plan.ops()
         finally:
             eng.close()
 
@@ -508,3 +513,12 @@ class TestEngineWiring:
         assert "parallel" in BACKENDS
         with pytest.raises(ValueError):
             Engine(backend="sharded")
+        # Bad pool knobs fail at construction, naming the parameter, for
+        # every backend: a per-call override can select ``parallel`` later.
+        for backend in ("parallel", "vectorized"):
+            with pytest.raises(ValueError, match="workers"):
+                Engine(backend=backend, workers=0)
+            with pytest.raises(ValueError, match="workers"):
+                Engine(backend=backend, workers=-3)
+            with pytest.raises(ValueError, match="shards"):
+                Engine(backend=backend, shards=0)

@@ -15,13 +15,13 @@ Case families:
 * closed expressions from the PR-1 property generator (sets, pairs,
   conditionals, ``ext`` shapes, well-behaved ``dcr``/``esr`` recursions);
 * random *monotone* loop expressions from the PR-2 generator -- the shapes
-  the vectorized backend runs semi-naively and the parallel backend runs as
-  frontier-resharded fixpoint rounds (including bilinear squaring steps);
+  the vectorized backend runs semi-naively and the parallel backend hands
+  whole to its vectorized driver (including bilinear squaring steps);
 * the paper's graph queries (three transitive-closure styles, unnest,
   two-hop) over seeded random inputs -- applied-argument evaluation;
 * query-service style templates: selections and cross-relation equi-joins
   over free collection variables bound through the environment -- the
-  env-shard and co-partitioned-join strategies;
+  env-shard strategy (a join shards its outer relation);
 * the oracle-enrichment workload (latency 0);
 * error cases: raising externals (empty and non-empty inputs), projections
   of non-pairs, non-boolean conditions, unbound variables, applying a
