@@ -15,9 +15,15 @@ on each.  Partitioning must be
   canonical).
 
 :func:`structural_hash` is an FNV-1a walk over the value structure mirroring
-:func:`repro.objects.values.sort_key` (same traversal, numeric digest).  It
-is *not* Python's ``hash`` -- equal values get equal digests in every
-process.
+:func:`repro.objects.values.sort_key` (same traversal, numeric digest).  An
+FNV step's multiply carries a bit only upward, so the low bits the shard
+modulus reads would see only the low bits of a compound value's parts (every
+path edge ``(i, i + 1)`` lands in one bucket modulo 2 and modulo 4); pair and
+set digests are therefore finished by MurmurHash3's ``fmix64``, which makes
+every output bit depend on every input bit.  A base value's digest stays
+plain FNV-1a, which already spreads consecutive integers evenly over a
+power-of-two modulus.  It is *not* Python's ``hash`` -- equal values get
+equal digests in every process.
 """
 
 from __future__ import annotations
@@ -31,6 +37,15 @@ _MASK = (1 << 64) - 1
 
 def _mix(h: int, n: int) -> int:
     return ((h ^ (n & _MASK)) * _FNV_PRIME) & _MASK
+
+
+def _fmix64(h: int) -> int:
+    """MurmurHash3's 64-bit finalizer: every output bit depends on every input bit."""
+    h ^= h >> 33
+    h = (h * 0xFF51AFD7ED558CCD) & _MASK
+    h ^= h >> 33
+    h = (h * 0xC4CEB9FE1A85EC53) & _MASK
+    return h ^ (h >> 33)
 
 
 def structural_hash(v: Value) -> int:
@@ -55,12 +70,12 @@ def structural_hash(v: Value) -> int:
     if isinstance(v, PairVal):
         h = _mix(_FNV_OFFSET, 5)
         h = _mix(h, structural_hash(v.fst))
-        return _mix(h, structural_hash(v.snd))
+        return _fmix64(_mix(h, structural_hash(v.snd)))
     if isinstance(v, SetVal):
         h = _mix(_FNV_OFFSET, 6)
         for e in v.elements:
             h = _mix(h, structural_hash(e))
-        return h
+        return _fmix64(h)
     raise TypeError(f"not a complex object value: {v!r}")
 
 

@@ -45,7 +45,6 @@ the property suite enforce this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -181,6 +180,11 @@ def _function(d: object, what: str) -> VFunction:
     if isinstance(d, VFunction):
         return d
     raise NRAEvalError(f"{what}: expected a function, got {d!r}")
+
+
+def _flat_round_event(seconds: float, rnd: int, frontier: int) -> None:
+    """A flat loop's round as a ``fixpoint-round`` trace event."""
+    TRACER.event("fixpoint-round", seconds, round=rnd, frontier=frontier, flat=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1257,9 +1261,10 @@ class PlanCompiler:
 
             def _run_flat_loop(loop, budget, trace_on):
                 try:
-                    loop.run(budget, on_round=partial(
-                        TRACER.event, "fixpoint-round", flat=True,
-                    ) if trace_on else None)
+                    if trace_on:
+                        loop.run(budget, _flat_round_event)
+                    else:
+                        loop.run(budget)
                 finally:
                     ctx.stats.seminaive_rounds += loop.rounds
                 return loop.materialize()

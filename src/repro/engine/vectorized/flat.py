@@ -14,21 +14,23 @@ compares, integer hashing and integer set algebra, materializing canonical
 
 Three layers live here:
 
-* the size gate (``_NP_MIN``): numpy runs the column compares and sorts
-  of long columns; short ones stay in pure-Python ``array``/``set`` code,
-  where the numpy round-trip would cost more than it saves;
+* the size gate (``_NP_MIN``): numpy runs the column compares of long
+  columns; short ones stay in pure-Python ``array`` code, where the numpy
+  round-trip would cost more than it saves;
 * **accessor paths**: the syntactic analysis mapping projection chains
   (``pi2(pi1(x))``) to column walks, shared by the select/map/join kernels in
   ``batch.py`` and by the flat fixpoint;
 * :class:`FlatLoop`: the semi-naive frontier loop over packed pair codes --
   the round structure of :func:`repro.recursion.iterators.seminaive_iterate`
-  with frontier difference as integer-set difference and per-term hash joins
-  as int-keyed index probes.  It is the one round loop of the compiling
-  backends: ``run`` goes to the fixpoint (or the iterator's budget) in one
-  call, because a linear-depth recursion pays whatever a round costs once
-  per unit of depth.  Per-term probe plans are resolved at ``setup``, the
-  frontier stays in the form the probe reads, the accumulator grows in
-  place and the counters are added once per call.
+  with the accumulator as a level-ordered queue: a derived code not yet
+  seen is appended the moment it is derived, and a round is the level
+  between two boundaries of the queue, so a round costs its rows plus a
+  boundary, with no per-round set, sort or column split.  It is the one
+  round loop of the compiling backends: ``run`` goes to the fixpoint (or
+  the iterator's budget) in one call, because a linear-depth recursion pays
+  whatever a round costs once per unit of depth.  Per-term probe plans are
+  resolved at ``setup``, the indexes are rebuilt or grown in place at level
+  boundaries and the counters are added once per call.
 
 Exactness contract: every helper either returns exactly what the object
 kernel would, or raises :class:`FlatUnavailable` *before any observable
@@ -167,13 +169,6 @@ def equal_mask(la: array, rb) -> list:
     if isinstance(rb, array):
         return [x == y for x, y in zip(la, rb)]
     return [x == rb for x in la]
-
-
-def sorted_codes(codes: set) -> list:
-    """The codes of a set in ascending order (numpy sort when it pays)."""
-    if len(codes) >= _NP_MIN:
-        return np.sort(np.fromiter(codes, dtype=np.int64, count=len(codes))).tolist()
-    return sorted(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +358,33 @@ class _FlatTerm:
         self.lk, self.rk = _head_rest(spec.lkey), _head_rest(spec.rkey)
         self.oa, self.ob = _head_rest(spec.out_a[1]), _head_rest(spec.out_b[1])
 
+    def plan(self) -> tuple:
+        """What a round's join reads, unpacked once per level: whether the
+        left rows are the frontier's (else the accumulator's, or the
+        invariant rows when those are given), the index's ``get`` (the
+        index is rebuilt or grown in place, so it stays bound) and the path
+        steps."""
+        return (self.spec.left == "delta", self.index.get, self.a_left, self.b_left,
+                *self.lk, *self.oa, *self.ob,
+                self.inv_rows if self.spec.left == "inv" else None)
+
+
+def _unobserved(seconds: float, round: int, frontier: int) -> None:
+    """The ``on_round`` of an untraced loop: the round's report is dropped."""
+
 
 class FlatLoop:
-    """Semi-naive frontier iteration over packed pair codes.
+    """Semi-naive frontier iteration over packed pair codes, as one queue.
 
-    Construction + :meth:`setup` encode the starting accumulator and
-    frontier as id columns (both the start itself for a strict step's round
-    one, else what an object round one left) and resolve the per-term probe
-    plans and indexes; :meth:`run` then drives every round in one call:
-    derive by probing the indexes with the frontier, deduplicate, grow the
-    accumulator and the acc-side indexes, stop at convergence or the budget.
+    The accumulator columns are a level-ordered queue: the starting
+    accumulator's rows, frontier last, then every derived row in the order
+    it was derived.  A round is a *level* -- the rows between two
+    boundaries -- and a cursor walks them.
+    Construction + :meth:`setup` encode the starting accumulator with the
+    frontier at its tail (the whole start for a strict step's round one,
+    else what an object round one left) and resolve the per-term probe plans
+    and indexes; :meth:`run` then walks the queue to the fixpoint or the
+    budget in one call.
     """
 
     def __init__(self, ctx, specs: list):
@@ -387,12 +399,12 @@ class FlatLoop:
         self._terms: list[_FlatTerm] = []
         #: Terms that join from round two on (see :meth:`setup`).
         self._mirrors: list[_FlatTerm] = []
-        self._acc_f = array("q")
-        self._acc_s = array("q")
+        # The queue: fst and snd id columns, row-aligned, and their codes.
+        self._acc_f: list[int] = []
+        self._acc_s: list[int] = []
         self._acc_codes: set[int] = set()
-        # The frontier as the probe reads it: fst and snd ids, row-aligned.
-        self._delta_f: list[int] = []
-        self._delta_s: list[int] = []
+        #: Where the frontier -- the level the next round walks -- begins.
+        self._lo = 0
 
     # -- setup --------------------------------------------------------------------
 
@@ -403,19 +415,26 @@ class FlatLoop:
         return [f for f, _ in rows], [s for _, s in rows]
 
     def setup(self, acc: SetVal, delta: SetVal, inv_vals: list) -> None:
-        """Encode state and build indexes.  ``inv_vals`` pairs up with the
-        specs: ``(left_set_or_None, right_set_or_None)`` per term, evaluated
-        by the caller in term order (matching the object path's evaluation
-        order).  Raises :class:`FlatUnavailable` before any state is shared.
+        """Encode state and build indexes.  ``delta`` is ``acc`` itself (a
+        strict step's round one) or a subset of it (after an object round
+        one).  ``inv_vals`` pairs up with the specs: ``(left_set_or_None,
+        right_set_or_None)`` per term, evaluated by the caller in term order
+        (matching the object path's evaluation order).  Raises
+        :class:`FlatUnavailable` before any state is shared.
         """
         if self.it.dense_size >= ID_LIMIT:
             raise FlatUnavailable("dense-id space exceeds the 32-bit pack limit")
         fs, ss = self._encode_rows(acc)
-        self._acc_f, self._acc_s = array("q", fs), array("q", ss)
+        if delta is not acc:
+            # The frontier goes to the tail of the queue, behind the rest.
+            df, ds = self._encode_rows(delta)
+            front = set(_codes(df, ds))
+            rest = [(f, s) for f, s in zip(fs, ss) if ((f << CODE_BITS) | s) not in front]
+            fs = [f for f, _ in rest] + df
+            ss = [s for _, s in rest] + ds
+            self._lo = len(rest)
+        self._acc_f, self._acc_s = fs, ss
         self._acc_codes = set(_codes(fs, ss))
-        # Round one of a strict step starts from delta = acc (never mutated:
-        # a round replaces the frontier lists, the accumulator is the arrays).
-        self._delta_f, self._delta_s = (fs, ss) if delta is acc else self._encode_rows(delta)
         stats = self.stats
         for spec, (lval, rval) in zip(self._specs, inv_vals):
             if spec == "copy":
@@ -477,53 +496,99 @@ class FlatLoop:
 
     # -- rounds -------------------------------------------------------------------
 
-    def run(self, budget: int, on_round: Optional[Callable] = None) -> int:
-        """Run rounds until the frontier empties or ``budget`` are done.
+    def run(self, budget: int, on_round: Callable = _unobserved) -> int:
+        """Walk the queue level by level until it is drained or ``budget``
+        levels are done.
 
-        A round refreshes the frontier-side indexes, derives, keeps what the
-        accumulator lacks (one sort: the new frontier, in code order),
-        extends the accumulator columns and acc-side indexes in place.
-        ``on_round(seconds=, round=, frontier=)`` is called after each round
-        with the frontier size it started from.
+        A derived code joins the accumulator the moment it is derived, at
+        the queue's tail.  While level L is walked every code of level <= L
+        is already there, so what is derived and new belongs to level L + 1:
+        the levels are exactly the semi-naive rounds, with the same values,
+        budget cut and counters.  Per level every term joins, in term order:
+        a frontier-left term walks the level's rows against its index, an
+        accumulator-left one the queue up to the level's end, an
+        invariant-left one its rows.  The rest is boundary work: before a
+        level the held-back mirror term joins and the frontier-side indexes
+        are rebuilt; after it the acc-side indexes grow by the next level,
+        ``on_round(seconds, round, frontier)`` reports it (traced or not)
+        and the budget is checked.
         Returns the rounds completed by this call; the counters are added
         once, on the way out, also when a round raises (its joins count, the
         round itself does not -- a raise while refreshing counts nothing).
         """
-        terms, seen = self._terms, self._acc_codes
+        terms, seen, mirrors = self._terms, self._acc_codes, self._mirrors
         acc_f, acc_s = self._acc_f, self._acc_s
+        add, push_f, push_s = seen.add, acc_f.append, acc_s.append
+        parts, by_dense = self._parts, self._by_dense
         rebuilt = [t for t in terms if t.spec.right == "delta"]
         grown = [t for t in terms if t.spec.right == "acc"]
         kept = len(terms) - len(rebuilt)  # prebuilt indexes reused per round
+        plans = [t.plan() for t in terms]
+        rounds, lo, hi = self.rounds, self._lo, len(acc_f)
         done = joins = builds = hits = 0
+        t0 = perf_counter()
         try:
-            while done < budget and self._delta_f:
-                if on_round is not None:
-                    size, t0 = len(self._delta_f), perf_counter()
-                self.rounds += 1
-                if self._mirrors and self.rounds > 1:
-                    terms += self._mirrors  # the frontier left the accumulator
-                    rebuilt += self._mirrors
-                    self._mirrors = []
+            while done < budget and lo < hi:
+                rounds += 1
+                if mirrors and rounds > 1:
+                    rebuilt += mirrors  # the frontier left the accumulator
+                    plans += [t.plan() for t in mirrors]
+                    mirrors = self._mirrors = []
                 for t in rebuilt:
-                    t.index = {}
-                    self._index_rows(t, self._delta_f, self._delta_s)
-                if self.rounds > 1:
+                    t.index.clear()
+                    self._index_rows(t, acc_f[lo:hi], acc_s[lo:hi])
+                if rounds > 1:
                     hits += kept
-                joins += len(terms)
+                joins += len(plans)
                 builds += len(rebuilt)
-                new = sorted_codes(self._probe())
-                nf = [c >> CODE_BITS for c in new]
-                ns = [c & CODE_MASK for c in new]
-                seen.update(new)
-                acc_f.extend(nf)
-                acc_s.extend(ns)
+                for (left, get, a_left, b_left, lk_f, lk_rest,
+                     oa_f, oa_rest, ob_f, ob_rest, inv_rows) in plans:
+                    if inv_rows is not None:
+                        for k, la, lb in inv_rows:
+                            ms = get(k)
+                            if ms:
+                                for ra, rb in ms:
+                                    a = la if a_left else ra
+                                    b = lb if b_left else rb
+                                    c = (a << CODE_BITS) | b
+                                    if c not in seen:
+                                        add(c)
+                                        push_f(a)
+                                        push_s(b)
+                        continue
+                    for i in range(lo if left else 0, hi):
+                        f, s = acc_f[i], acc_s[i]
+                        k = f if lk_f else s
+                        if lk_rest:
+                            k = _follow_or_raise(parts, by_dense, k, lk_rest)
+                        ms = get(k)
+                        if ms:
+                            la = lb = 0
+                            if a_left:
+                                la = f if oa_f else s
+                                if oa_rest:
+                                    la = _follow_or_raise(parts, by_dense, la, oa_rest)
+                            if b_left:
+                                lb = f if ob_f else s
+                                if ob_rest:
+                                    lb = _follow_or_raise(parts, by_dense, lb, ob_rest)
+                            for ra, rb in ms:
+                                a = la if a_left else ra
+                                b = lb if b_left else rb
+                                c = (a << CODE_BITS) | b
+                                if c not in seen:
+                                    add(c)
+                                    push_f(a)
+                                    push_s(b)
+                size, lo, hi = hi - lo, hi, len(acc_f)
                 for t in grown:
-                    self._index_rows(t, nf, ns)
-                self._delta_f, self._delta_s = nf, ns
+                    self._index_rows(t, acc_f[lo:hi], acc_s[lo:hi])
                 done += 1
-                if on_round is not None:
-                    on_round(seconds=perf_counter() - t0, round=self.rounds, frontier=size)
+                t1 = perf_counter()
+                on_round(t1 - t0, rounds, size)
+                t0 = t1
         finally:
+            self.rounds, self._lo = rounds, lo
             stats = self.stats
             stats.flat_rounds += done
             stats.flat_dedups += done
@@ -532,54 +597,6 @@ class FlatLoop:
             stats.index_builds += builds
             stats.index_hits += hits
         return done
-
-    def _probe(self) -> set:
-        """A round's derive step: every term, over all its rows.
-
-        Returns the derived codes the accumulator lacks.
-        """
-        parts, by_dense = self._parts, self._by_dense
-        seen = self._acc_codes
-        out: set[int] = set()
-        add = out.add
-        for t in self._terms:
-            get = t.index.get
-            a_left, b_left = t.a_left, t.b_left
-            left = t.spec.left
-            if left == "inv":
-                for lk, la, lb in t.inv_rows:
-                    ms = get(lk)
-                    if ms:
-                        for ra, rb in ms:
-                            c = ((la if a_left else ra) << CODE_BITS) | (lb if b_left else rb)
-                            if c not in seen:
-                                add(c)
-                continue
-            if left == "delta":
-                fs, ss = self._delta_f, self._delta_s
-            else:
-                fs, ss = self._acc_f, self._acc_s
-            (lk_f, lk_rest), (oa_f, oa_rest), (ob_f, ob_rest) = t.lk, t.oa, t.ob
-            for f, s in zip(fs, ss):
-                lk = f if lk_f else s
-                if lk_rest:
-                    lk = _follow_or_raise(parts, by_dense, lk, lk_rest)
-                ms = get(lk)
-                if ms:
-                    la = lb = 0
-                    if a_left:
-                        la = f if oa_f else s
-                        if oa_rest:
-                            la = _follow_or_raise(parts, by_dense, la, oa_rest)
-                    if b_left:
-                        lb = f if ob_f else s
-                        if ob_rest:
-                            lb = _follow_or_raise(parts, by_dense, lb, ob_rest)
-                    for ra, rb in ms:
-                        c = ((la if a_left else ra) << CODE_BITS) | (lb if b_left else rb)
-                        if c not in seen:
-                            add(c)
-        return out
 
     def materialize(self) -> SetVal:
         """The accumulator as a canonical interned set (the plan boundary)."""

@@ -2,7 +2,10 @@
 
 ``FlatLoop.run`` is the one round loop of the compiling backends, with one
 derive step: the vectorized compiler hands it a budget, and the parallel
-backend hands every fixpoint whole to that compiler.  What is pinned here:
+backend hands every fixpoint whole to that compiler.  It walks the
+accumulator as a level-ordered queue -- a round is the rows between two
+level boundaries -- so everything below pins that the levels are exactly
+the semi-naive rounds.  What is pinned here:
 
 * **rounds are depth**: on path(n) the seeded closure ``reach(src)`` takes
   exactly ``n - 1 - src`` frontier rounds, in the engine's own counters, and
@@ -12,9 +15,11 @@ backend hands every fixpoint whole to that compiler.  What is pinned here:
   the fixpoint) give the same value from the same number of rounds and
   joins, equal to the object kernels and the reference interpreter;
 * the **budget** stops the loop exactly where the iterator's cardinality
-  argument says;
-* **tracing** reports one ``fixpoint-round`` event per round, and a round
-  that raises leaves the error, the counters and a usable engine behind;
+  argument says, for a linear step and for a bilinear (squaring) one;
+* **tracing** reports one ``fixpoint-round`` event per round and does not
+  fork the loop (values and counters equal with the tracer on and off),
+  and a round that raises leaves the error, the counters and a usable
+  engine behind;
 * **round one** runs in the frontier loop exactly when no branch of the
   step is loop-invariant (the plan says ``round-one-frontier``), so the
   first read after a commit builds no index and runs no map.
@@ -197,6 +202,25 @@ def test_a_budget_below_the_depth_stops_exactly_there(budget):
     )
 
 
+#: ``loop(\v. v U v o v)``: squaring, a bilinear step -- J(delta, acc) from
+#: round one, its mirror J(acc, delta) from round two.
+SQUARE = Lambda("v", REL_T, Union(Var("v"), compose(Var("v"), Var("v"), BASE)))
+
+
+@pytest.mark.parametrize("budget, rows, joins", [(1, 29, 1), (2, 54, 3), (3, 92, 5)])
+def test_a_budget_cuts_a_bilinear_step_where_the_reference_does(budget, rows, joins):
+    # Round k of squaring path(16) finds the paths of length up to 2 ** k;
+    # the frontier-side index is rebuilt per round, the acc-side one grows.
+    expr = Apply(Loop(SQUARE, BASE), Pair(Var("n"), Var("r")))
+    env = {"r": path_graph(16).value(), "n": from_python(set(range(budget)))}
+    engine = Engine(backend="vectorized")
+    value = engine.run(expr, env=env, optimize=False)
+    assert value == reference_run(expr, env=env) and len(value.elements) == rows
+    stats = engine.last_stats
+    assert stats.flat_rounds == stats.seminaive_rounds == budget
+    assert (stats.flat_fixpoints, stats.flat_joins, stats.flat_fallbacks) == (1, joins, 0)
+
+
 # ---------------------------------------------------------------------------
 # 4. Tracing and failure
 # ---------------------------------------------------------------------------
@@ -230,6 +254,34 @@ def test_one_fixpoint_round_event_per_round(tracer, engine_args):
         assert all("pool" not in sp.attrs for sp in events)
     finally:
         engine.close()
+
+
+def _observed(case):
+    """Values and ``COUNTERS`` of one case, on a fresh engine."""
+    if case == "reach-path-16":
+        session, reach = _reach(16)
+        out = []
+        for src in range(16):
+            rows = reach.execute(src=src).fetchall()
+            out.append((rows, tuple(getattr(session.engine.last_stats, c) for c in COUNTERS)))
+        return out
+    style, gname = case.split("-", 1)
+    engine = Engine(backend="vectorized")
+    value = engine.run(reachable_pairs_query(style), GRAPHS[gname].value())
+    return value, tuple(getattr(engine.last_stats, c) for c in COUNTERS)
+
+
+@pytest.mark.parametrize("case", [
+    "reach-path-16", "logloop-cycle-9", "logloop-gnp-12", "sri-cycle-9", "sri-gnp-12",
+])
+def test_tracing_does_not_fork_the_loop(tracer, case):
+    # The round events are the loop's only trace-dependent work: values and
+    # every counter come out the same with the tracer on and off.
+    with tracer.span("outer") as outer:
+        traced = _observed(case)
+    assert any(sp.name == "fixpoint-round" for sp in outer.walk())
+    tracer.disable()
+    assert _observed(case) == traced
 
 
 # A step that projects twice into the row's second component: sound while

@@ -104,6 +104,19 @@ class TestPartition:
             buckets.append(bucket)
         assert buckets == sorted(set(buckets))
 
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_a_path_fills_every_shard(self, k):
+        # The edges (i, i + 1) differ in few low bits; the finalizer on pair
+        # digests spreads them, so no shard of 2 * workers is left empty.
+        shards = hash_partition(path_graph(64).value(), k)
+        assert len(shards) == k and all(s.elements for s in shards)
+
+    def test_consecutive_integers_split_evenly(self):
+        # Base digests stay plain FNV-1a: a run of integers deals out evenly
+        # over a power-of-two shard count (the ext-overlap request set).
+        shards = hash_partition(from_python(set(range(64))), 16)
+        assert [len(s.elements) for s in shards] == [4] * 16
+
     def test_one_shard_or_one_element_is_not_split(self):
         s = from_python({1, 2, 3})
         assert hash_partition(s, 1) == [s]

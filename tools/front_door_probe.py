@@ -15,14 +15,17 @@ prints the median microseconds each step took per op:
   the query's shape recognized as a template, slot types and defaults;
 * ``bind``: ``Session._bind``, parameters and defaults into the environment;
 * ``plan lookup``: ``Engine.optimize``, the plan cache;
-* ``run``: ``Engine._execute``, the backend's kernels;
+* ``loop``: ``FlatLoop.run``, the flat fixpoint's rounds;
+* ``run``: ``Engine._execute`` less the loop inside it, the other kernels;
 * ``fetch``: ``Cursor.fetchall``, rows materialized as python values;
 * ``other``: the rest of the op (environment copy, locks, counters, cursor).
 
-and the sum of the step medians against the op's median.  The steps patch
-only names the parent and the change both have, so the same command on two
-trees -- alternately, nothing else running -- compares them.  Every op's rows
-are checked against the workload's closed form, outside the timing.
+and the sum of the step medians against the op's median, then the median
+rounds per op and microseconds per round of the loop (over the ops that ran
+one).  The steps patch only names the parent and the change both have, so
+the same command on two trees -- alternately, nothing else running --
+compares them.  Every op's rows are checked against the workload's closed
+form, outside the timing.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Steps in op order; ``other`` is what the op spent outside them.
-STEPS = ("elaborate", "recognize", "bind", "plan lookup", "run", "fetch", "other")
+STEPS = ("elaborate", "recognize", "bind", "plan lookup", "loop", "run", "fetch", "other")
 WORKLOADS = ("adhoc_cold", "tc_inproc", "nested_objects")
 
 
@@ -50,11 +53,13 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
     import repro.api.query as query
     import repro.api.session as session
     import repro.engine.engine as engine
+    import repro.engine.vectorized.flat as flat
     from workloads import WORKLOADS as ALL
 
     if Path(repro.__file__).resolve().parent != (tree / "src" / "repro").resolve():
         raise RuntimeError(f"imported repro from {repro.__file__}, not from {tree}/src")
     spent: dict = {}
+    rounds = [0]
 
     def timed(owner, attr: str, step: str):
         original = getattr(owner, attr)
@@ -62,7 +67,10 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
         def wrapper(*args, **kwargs):
             t0 = perf_counter()
             try:
-                return original(*args, **kwargs)
+                out = original(*args, **kwargs)
+                if step == "loop":
+                    rounds[0] += out  # the rounds this call completed
+                return out
             finally:
                 spent[step] = spent.get(step, 0.0) + perf_counter() - t0
 
@@ -75,16 +83,18 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
         timed(session.Session, "_bind", "bind"),
         timed(engine.Engine, "optimize", "plan lookup"),
         timed(engine.Engine, "_execute", "run"),
+        timed(flat.FlatLoop, "run", "loop"),
         timed(cursor.Cursor, "fetchall", "fetch"),
     ]
     w = ALL[workload](seed, 1.0, False)
-    samples: dict = {step: [] for step in (*STEPS, "op")}
+    samples: dict = {step: [] for step in (*STEPS, "op", "rounds", "us_per_round")}
     wrong = 0
     try:
         w.setup()
         try:
             for i in range(warm + reads):
                 spent.clear()
+                rounds[0] = 0
                 t0 = perf_counter()
                 rows = w.read(i)
                 op = perf_counter() - t0
@@ -93,10 +103,14 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
                     continue
                 steps = {step: spent.get(step, 0.0) for step in STEPS[:-1]}
                 steps["recognize"] -= steps["elaborate"]  # it ran inside
+                steps["run"] -= steps["loop"]
                 steps["other"] = op - sum(steps.values())
                 for step, s in steps.items():
                     samples[step].append(s)
                 samples["op"].append(op)
+                if rounds[0]:
+                    samples["rounds"].append(rounds[0])
+                    samples["us_per_round"].append(steps["loop"] * 1e6 / rounds[0])
         finally:
             w.teardown()
     finally:
@@ -108,6 +122,8 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
     return medians | {
         "sum": sum(medians.values()),
         "op": statistics.median(samples["op"]) * 1e6,
+        "rounds": statistics.median(samples["rounds"] or [0]),
+        "us_per_round": statistics.median(samples["us_per_round"] or [0.0]),
     }
 
 
@@ -120,8 +136,10 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
     steps = probe(Path(args.tree).resolve(), args.workload, args.reads, args.warm, args.seed)
-    for step, us in steps.items():
-        print(f"{step:<14}{us:9.1f} us")
+    for step in (*STEPS, "sum", "op"):
+        print(f"{step:<14}{steps[step]:9.1f} us")
+    print(f"{'rounds/op':<14}{steps['rounds']:9.1f}")
+    print(f"{'per round':<14}{steps['us_per_round']:9.2f} us")
     print(json.dumps(steps))
     return 0
 
