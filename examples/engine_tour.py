@@ -71,11 +71,11 @@ def main() -> None:
     # ------------------------------------------------- prepared statements
     # Parametrized selection: the template has a $src slot, bound per call
     # through the environment -- one rewrite + one compile for all bindings.
-    before = session.stats.snapshot()
+    before = session.stats.copy()
     by_src = session.prepare(
         reach.where(lambda e: e.fst == Q.param("src")).map(lambda e: e.snd)
     )
-    after_prepare = session.stats.snapshot()
+    after_prepare = session.stats.copy()
     t0 = time.perf_counter()
     for src in (0, 13, 40, 62):
         rows = by_src.execute(src=src).fetchmany(4)

@@ -44,6 +44,7 @@ from ..engine.router import placeholder_value
 from ..nra.ast import Expr, Lambda, free_variables
 from ..nra.externals import EMPTY_SIGMA, Signature
 from ..objects.values import Value, from_python
+from ..obs.metrics import Counters
 from ..obs.profile import QueryProfile
 from .catalog import Database
 from .cursor import Cursor
@@ -51,8 +52,8 @@ from .prepare import PreparedStatement, recognize
 from .query import Query, param_var
 
 
-@dataclass
-class SessionStats:
+@dataclass(slots=True)
+class SessionStats(Counters):
     """Counters for one session's lifetime (see DESIGN.md, query-service layer)."""
 
     executes: int = 0
@@ -81,12 +82,9 @@ class SessionStats:
     routes: int = 0
     reroutes: int = 0
 
-    def snapshot(self) -> "SessionStats":
-        return SessionStats(**{f: getattr(self, f) for f in self.__dataclass_fields__})
 
-    def as_dict(self) -> dict:
-        """A plain-dict snapshot (JSON-ready; the wire service's stats frames)."""
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
+#: The session counters charged from ``Engine.work_counters`` deltas, in its order.
+_ENGINE_WORK = ("rewrites", "plan_hits", "vec_compiles", "routes", "reroutes")
 
 
 #: What ``execute``/``prepare`` accept: a fluent query, a prepared statement,
@@ -250,17 +248,10 @@ class Session:
         template, ptypes, defaults, _ = self._template_of(query)
         env = dict(self._environment())
         env.update(self._bind(ptypes, defaults, params))
-        with self.engine.lock:
-            before_misses = self.engine.plan_misses
-            before_hits = self.engine.plan_hits
-            profile = self.engine.profile(template, env=env, optimize=optimize)
-            misses = self.engine.plan_misses - before_misses
-            hits = self.engine.plan_hits - before_hits
-        with self._lock:
-            self.stats.executes += 1
-            self.stats.rewrites += misses
-            self.stats.plan_hits += hits
-        return profile
+        return self._charged(
+            lambda: self.engine.profile(template, env=env, optimize=optimize),
+            executes=1,
+        )
 
     def executemany(
         self,
@@ -351,14 +342,10 @@ class Session:
                 self.stats.prepared_hits += 1
                 return found
         # Warm the rewrite and (for the vectorized backend) the compiled plan
-        # now, so the first execute is as cheap as the hundredth.  Counter
-        # deltas are taken under the engine lock for exact attribution.
+        # now, so the first execute is as cheap as the hundredth.
         chosen = backend if backend is not None else self.engine.backend
-        with self.engine.lock:
-            before_misses = self.engine.plan_misses
-            before_hits = self.engine.plan_hits
-            before_compiles = self.engine.vectorized_compiles()
-            before_routes, before_reroutes = self.engine.router_counters()
+
+        def warm() -> None:
             self.engine.optimize(template)
             if chosen == "auto":
                 # Route from catalog statistics (counts + samples) before any
@@ -370,21 +357,12 @@ class Session:
                 # Warming the parallel view also runs the shard analysis and
                 # compiles the shard-local template through the driver.
                 self.engine.explain_plan(template, backend=chosen)
-            misses = self.engine.plan_misses - before_misses
-            hits = self.engine.plan_hits - before_hits
-            compiles = self.engine.vectorized_compiles() - before_compiles
-            after_routes, after_reroutes = self.engine.router_counters()
+
+        # The warm-up's second look at the plan cache is a hit, charged here
+        # like the rest of its work.
+        self._charged(warm, prepares=1)
         ps = PreparedStatement(self, template, ptypes, defaults, label, backend)
         with self._lock:
-            self.stats.prepares += 1
-            self.stats.rewrites += misses
-            # The warm-up's second look at the plan cache is a hit; count it
-            # here so engine totals always equal the per-session sums (the
-            # invariant the concurrency stress suite asserts).
-            self.stats.plan_hits += hits
-            self.stats.vec_compiles += compiles
-            self.stats.routes += after_routes - before_routes
-            self.stats.reroutes += after_reroutes - before_reroutes
             self._prepared[cache_key] = ps
         return ps
 
@@ -450,27 +428,17 @@ class Session:
             env.update(self._bind(ptypes, defaults, params))
             collections = set(self.db) if self.db is not None else set()
             bases = frozenset(free_variables(template) & collections)
-            with self.engine.lock:
-                before_misses = self.engine.plan_misses
-                before_hits = self.engine.plan_hits
-                before_compiles = self.engine.vectorized_compiles()
-                view = MaterializedView(
+            return self._charged(
+                lambda: MaterializedView(
                     self.engine,
                     template,
                     env,
                     bases,
                     name=name if name is not None else label,
                     on_apply=self._view_applied,
-                )
-                misses = self.engine.plan_misses - before_misses
-                hits = self.engine.plan_hits - before_hits
-                compiles = self.engine.vectorized_compiles() - before_compiles
-            with self._lock:
-                self.stats.materializes += 1
-                self.stats.rewrites += misses
-                self.stats.plan_hits += hits
-                self.stats.vec_compiles += compiles
-            return view
+                ),
+                materializes=1,
+            )
 
         if self.db is not None:
             # Snapshot + build + register under the commit lock, so no commit
@@ -522,65 +490,49 @@ class Session:
     # -- engine call-throughs with stats accounting --------------------------------
 
     def _run(self, template, env, backend, optimize) -> Value:
-        # The engine lock (reentrant) is held across the counter snapshot,
-        # the run and the delta reads, so with a shared engine each call's
-        # rewrites/compiles are attributed to exactly one session.
-        with self.engine.lock:
-            before_misses = self.engine.plan_misses
-            before_hits = self.engine.plan_hits
-            before_compiles = self.engine.vectorized_compiles()
-            before_routes, before_reroutes = self.engine.router_counters()
-            result = self.engine.run(
+        return self._charged(
+            lambda: self.engine.run(
                 template, db=None, env=env, optimize=optimize, backend=backend
-            )
-            misses = self.engine.plan_misses - before_misses
-            hits = self.engine.plan_hits - before_hits
-            # Counter delta, not last_stats: uniform over backends (the
-            # parallel backend compiles through the same driver evaluator).
-            compiles = self.engine.vectorized_compiles() - before_compiles
-            after_routes, after_reroutes = self.engine.router_counters()
-            last = self.engine.last_stats
-        with self._lock:
-            self.stats.executes += 1
-            self.stats.rewrites += misses
-            self.stats.plan_hits += hits
-            self.stats.vec_compiles += compiles
-            self.stats.routes += after_routes - before_routes
-            self.stats.reroutes += after_reroutes - before_reroutes
-            self._absorb_flat(last)
-        return result
+            ),
+            runs=True,
+            executes=1,
+        )
 
     def _run_many(self, closed, values, env, backend) -> list[Value]:
-        with self.engine.lock:
-            before_misses = self.engine.plan_misses
-            before_hits = self.engine.plan_hits
-            before_compiles = self.engine.vectorized_compiles()
-            before_routes, before_reroutes = self.engine.router_counters()
-            results = self.engine.run_many(closed, values, env=env, backend=backend)
-            misses = self.engine.plan_misses - before_misses
-            hits = self.engine.plan_hits - before_hits
-            compiles = self.engine.vectorized_compiles() - before_compiles
-            after_routes, after_reroutes = self.engine.router_counters()
-            last = self.engine.last_stats
-        with self._lock:
-            self.stats.executes += len(values)
-            self.stats.rewrites += misses
-            self.stats.plan_hits += hits
-            self.stats.vec_compiles += compiles
-            self.stats.routes += after_routes - before_routes
-            self.stats.reroutes += after_reroutes - before_reroutes
-            self._absorb_flat(last)
-        return results
+        return self._charged(
+            lambda: self.engine.run_many(closed, values, env=env, backend=backend),
+            runs=True,
+            executes=len(values),
+        )
 
-    def _absorb_flat(self, last) -> None:
-        """Fold a per-call backend stats view into the session counters.
+    def _charged(self, call, runs: bool = False, **own_counts):
+        """``call()``, with the engine work it caused charged to this session.
 
-        ``last_stats`` is already the delta of the one run this session just
-        made (taken under the engine lock), so addition is exact whatever
-        backend produced it; counters a backend does not track read as 0.
+        The engine lock (reentrant) is held across both
+        ``Engine.work_counters`` snapshots and the call, so with a shared
+        engine each call's rewrites, plan hits, compiles and routing
+        decisions are charged to exactly one session: engine totals equal
+        the sum over sessions (the invariant the concurrency stress suite
+        asserts).  ``runs``: the call was a ``run``/``run_many``, whose
+        per-call ``last_stats`` also carry its flat-column counters (0 for a
+        backend that does not track them).  ``own_counts`` are this
+        session's own counters to add (``executes=1``, ...).
         """
-        for f in ("flat_joins", "flat_dedups"):
-            setattr(self.stats, f, getattr(self.stats, f) + getattr(last, f, 0))
+        engine = self.engine
+        with engine.lock:
+            before = engine.work_counters()
+            result = call()
+            after = engine.work_counters()
+            last = engine.last_stats if runs else None
+        stats = self.stats
+        with self._lock:
+            for name, n in own_counts.items():
+                setattr(stats, name, getattr(stats, name) + n)
+            for name, b, a in zip(_ENGINE_WORK, before, after):
+                setattr(stats, name, getattr(stats, name) + a - b)
+            stats.flat_joins += getattr(last, "flat_joins", 0)
+            stats.flat_dedups += getattr(last, "flat_dedups", 0)
+        return result
 
     def _cursor(self, value: Value) -> Cursor:
         def count_rows(n: int) -> None:

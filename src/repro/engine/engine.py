@@ -170,8 +170,6 @@ class Engine:
         The rewrite-rule registry; defaults to
         :data:`repro.engine.rewrite.DEFAULT_RULES`.  Pass ``[]`` to measure
         the evaluation backend alone.
-    seed:
-        Seed for the sampled algebraic gate of the cost-directed rules.
     backend:
         Default evaluation backend, one of :data:`BACKENDS`; ``run`` and
         ``run_many`` accept a per-call override.  ``vectorized``, the
@@ -223,7 +221,6 @@ class Engine:
         self,
         sigma: Signature = EMPTY_SIGMA,
         rules: Optional[list[Rule]] = None,
-        seed: int = 0,
         backend: str = "vectorized",
         workers: Optional[int] = None,
         shards: Optional[int] = None,
@@ -231,7 +228,7 @@ class Engine:
     ) -> None:
         self.sigma = sigma
         self.backend = _validate_backend(backend)
-        self.rewriter = Rewriter(rules=rules, sigma=sigma, seed=seed)
+        self.rewriter = Rewriter(rules=rules, sigma=sigma)
         self.interner = InternTable()
         self.workers = workers if workers is not None else default_workers()
         if self.workers < 1:
@@ -286,8 +283,8 @@ class Engine:
         """The engine's cache lock (reentrant).
 
         Callers composing several engine operations that must be atomic
-        against other threads -- e.g. the session layer interning values and
-        then differencing ``plan_misses``/``last_stats`` around a ``run`` --
+        against other threads -- e.g. the session layer differencing
+        ``work_counters()`` around a ``run`` and reading its ``last_stats`` --
         hold this across the compound; the engine's own methods re-acquire
         it reentrantly.
         """
@@ -366,7 +363,7 @@ class Engine:
         """
         with self._lock:
             rules = [r for r in self.rewriter.rules if r in VIEW_RULES]
-            return Rewriter(rules, self.sigma, self.rewriter.seed).rewrite(e)[0]
+            return Rewriter(rules, self.sigma).rewrite(e)[0]
 
     def clear_plans(self) -> None:
         """Drop all per-query caches (long-lived engines over many ad-hoc queries).
@@ -697,20 +694,10 @@ class Engine:
             "repro_plan_cache_misses_total": self.plan_misses,
             "repro_plan_cache_evictions_total": self.plan_evictions,
         }
-        ev = self._vectorized
-        if ev is not None:
-            s = ev.stats
-            for f in s.__dataclass_fields__:
-                out[f"repro_vec_{f}_total"] = getattr(s, f)
-        pv = self._parallel
-        if pv is not None:
-            s = pv.stats
-            for f in s.__dataclass_fields__:
-                out[f"repro_par_{f}_total"] = getattr(s, f)
-        router = self._router
-        if router is not None:
-            for k, v in router.stats.as_dict().items():
-                out[f"repro_router_{k}_total"] = v
+        for owner, family in ((self._vectorized, "vec"), (self._parallel, "par"),
+                              (self._router, "router")):
+            if owner is not None:
+                out.update(owner.stats.sample(family))
         return out
 
     # -- helpers ------------------------------------------------------------------
@@ -799,6 +786,16 @@ class Engine:
                 return (0, 0)
             s = self._router.stats
             return (s.routes, s.reroutes)
+
+    def work_counters(self) -> tuple[int, int, int, int, int]:
+        """Monotone ``(plan misses, plan hits, compiles, routes, reroutes)``.
+
+        One snapshot under the lock: the session layer differences two of
+        these around a call to charge the call's engine work to its session.
+        """
+        with self._lock:
+            return (self.plan_misses, self.plan_hits, self.vectorized_compiles(),
+                    *self.router_counters())
 
     def close(self) -> None:
         """Release the parallel worker pool (idempotent; other state is GC'd).

@@ -64,9 +64,11 @@ approximate rule.  The accepted shapes, and the rules they get:
 ``recompute``
     everything else (difference/intersection bodies, correlated inner
     sources, steps that fail the inflationary analysis, keys that mix
-    sides, ...): the node re-evaluates its subtree through the engine's
-    vectorized compiler on every relevant commit and emits the diff as its
-    delta, so a single awkward operator degrades one node, not the view.
+    sides, ...): the plan marks where the rules run out.  A plan with
+    any ``recompute`` node is not :meth:`~DeltaOp.maintainable`, and the
+    view maintains it in whole-view recompute mode -- re-evaluate the
+    template on every relevant commit and emit the diff -- so one awkward
+    operator costs the whole view its delta rules.
 
 :func:`maintenance_plan` renders the same tree as a
 :class:`~repro.engine.vectorized.plan.PlanNode` (ops ``ivm-*``) for

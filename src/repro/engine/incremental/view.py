@@ -27,8 +27,10 @@ Runtime state, per :class:`~repro.engine.incremental.delta.DeltaOp` node:
   squaring) instead keeps counted two-sided indexes over its own output on
   dense ids (:class:`_FlatIJoinState`), so both passes cost index probes
   over the derivation cone;
-* ``recompute`` nodes hold only their output set and re-evaluate their
-  subtree through the engine's vectorized compiler, diffing old against new.
+* a plan with any ``recompute`` node is not maintained node by node: the
+  whole view runs in *recompute mode*, re-evaluating the template through
+  the engine's vectorized backend on every relevant commit and diffing the
+  result against what it served (``fallback_recomputes`` counts these).
 
 Between nodes only **set-level deltas** flow (``+1`` when an element appears
 in a node's output, ``-1`` when it disappears); multiplicities are private to
@@ -41,7 +43,7 @@ undone by a delete cancels) and the pending delta is spliced into the last
 rendered set, by bisection over cached sort keys
 (:meth:`~repro.engine.interning.InternTable.splice`), when and only when
 something reads it: :attr:`MaterializedView.value` / ``rows()`` /
-``refresh``, a ``recompute`` node's diff, the generic (non-indexed)
+``refresh``, a recompute-mode diff, the generic (non-indexed)
 fixpoint and DRed passes.  A commit therefore costs the derivation cone;
 a read costs O(|pending| log n) python steps plus one C-level copy and is
 free when nothing changed.  The property this rests on is that *a view is
@@ -73,6 +75,7 @@ from typing import Callable, Optional
 from ...nra.ast import Expr
 from ...nra.errors import NRAEvalError
 from ...objects.values import SetVal, Value
+from ...obs.metrics import Counters
 from ...obs.trace import TRACER
 from ..vectorized.batch import bind, unbind
 from ..vectorized.flat import CODE_BITS, CODE_MASK
@@ -83,12 +86,12 @@ from .delta import DeltaOp, derive, maintenance_plan
 SetDelta = dict
 
 
-@dataclass
-class ViewStats:
+@dataclass(slots=True)
+class ViewStats(Counters):
     """Counters for one view's lifetime of maintenance work."""
 
     delta_applies: int = 0        # changesets absorbed by delta propagation
-    fallback_recomputes: int = 0  # node-level recomputes (incl. whole-view mode)
+    fallback_recomputes: int = 0  # whole-view rebuilds (recompute-mode applies, refresh)
     rows_inserted: int = 0        # result rows added across all applies
     rows_deleted: int = 0         # result rows removed across all applies
     seminaive_rounds: int = 0     # fixpoint continuation + over-deletion rounds
@@ -382,18 +385,17 @@ class MaterializedView:
                 for name in changeset:
                     if name in env:
                         env[name] = current[name]
-                fallbacks_before = self.stats.fallback_recomputes
-                overdeletes_before = self.stats.dred_overdeletes
-                rederives_before = self.stats.dred_rederives
+                before = self.stats.copy()
                 if self.recompute_only:
                     delta = self._rebuild()
                     self.stats.fallback_recomputes += 1
                 else:
                     root_delta = self._apply_node(self.plan_ops, self._root, changeset)
                     delta = self._commit_root(root_delta)
-                fallback = self.stats.fallback_recomputes > fallbacks_before
-                delta.dred_overdeleted = self.stats.dred_overdeletes - overdeletes_before
-                delta.dred_rederived = self.stats.dred_rederives - rederives_before
+                moved = self.stats.since(before)
+                fallback = moved.fallback_recomputes > 0
+                delta.dred_overdeleted = moved.dred_overdeletes
+                delta.dred_rederived = moved.dred_rederives
                 self.stats.delta_applies += 1
                 self.stats.rows_inserted += len(delta.inserted)
                 self.stats.rows_deleted += len(delta.deleted)
@@ -518,7 +520,7 @@ class MaterializedView:
         st = _NodeState(self._it, self.stats)
         st.children = tuple(self._init_node(c) for c in op.children)
         kind = op.kind
-        if kind in ("static", "base", "recompute"):
+        if kind in ("static", "base"):
             st.out = self._eval_set(op.expr)
             return st
         if kind in ("map", "select", "ext"):
@@ -579,17 +581,6 @@ class MaterializedView:
             for v in d.deletes:
                 delta[it.intern(v)] = -1
             st.out = self._env[op.source]
-            return delta
-        if kind == "recompute":
-            old = st.out
-            st.out = self._eval_set(op.expr)
-            self.stats.fallback_recomputes += 1
-            it = self._it
-            delta = {}
-            for v in it.difference(st.out, old).elements:
-                delta[v] = 1
-            for v in it.difference(old, st.out).elements:
-                delta[v] = -1
             return delta
 
         child_deltas = [

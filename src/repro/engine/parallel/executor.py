@@ -34,6 +34,7 @@ from ...nra.ast import Expr
 from ...nra.errors import NRAEvalError
 from ...nra.externals import EMPTY_SIGMA, Signature
 from ...objects.values import SetVal, Value
+from ...obs.metrics import Counters
 from ...obs.trace import TRACER
 from ..interning import intern_env
 from ..vectorized import VectorizedEvaluator
@@ -43,8 +44,8 @@ from .scheduler import ShardTask, WorkerPool
 from .sharder import ShardSpec, analyze
 
 
-@dataclass
-class ParStats:
+@dataclass(slots=True)
+class ParStats(Counters):
     """Counters describing what the parallel backend actually did."""
 
     shard_runs: int = 0        # runs executed shard-at-a-time
@@ -54,16 +55,6 @@ class ParStats:
     tasks: int = 0             # worker tasks dispatched
     shards: int = 0            # shards produced
     worker_compiles: int = 0   # subexpression compiles inside pool workers
-
-    def copy(self) -> "ParStats":
-        return ParStats(**{f: getattr(self, f) for f in self.__dataclass_fields__})
-
-    def since(self, baseline: "ParStats") -> "ParStats":
-        """Per-call view, mirroring :meth:`repro.engine.vectorized.batch.VecStats.since`."""
-        return ParStats(
-            **{f: getattr(self, f) - getattr(baseline, f)
-               for f in self.__dataclass_fields__}
-        )
 
 
 class ParallelEvaluator:

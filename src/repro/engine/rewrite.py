@@ -522,6 +522,13 @@ VIEW_RULES: list[Rule] = [r for r in DEFAULT_RULES if r.name != "seed-closure"]
 # The rewriter
 # ---------------------------------------------------------------------------
 
+#: The sampled algebraic gate of the cost-directed recursion rules
+#: (:meth:`Rewriter.combiner_is_acu`): the random seed of its carrier and
+#: how many random values of the carrier type it draws.
+ACU_SEED = 0
+ACU_CARRIER_SAMPLES = 6
+
+
 class Rewriter:
     """Applies a rule registry bottom-up to a fixpoint, recording firings."""
 
@@ -532,13 +539,9 @@ class Rewriter:
         self,
         rules: Optional[list[Rule]] = None,
         sigma: Signature = EMPTY_SIGMA,
-        seed: int = 0,
-        carrier_samples: int = 6,
     ) -> None:
         self.rules = list(DEFAULT_RULES) if rules is None else list(rules)
         self.sigma = sigma
-        self.seed = seed
-        self.carrier_samples = carrier_samples
         self._acu_cache: dict[tuple[Expr, Expr], bool] = {}
 
     # -- services used by rules ---------------------------------------------------
@@ -595,9 +598,9 @@ class Rewriter:
         def op(a: Value, b: Value) -> Value:
             return u_fn(PairVal(a, b))
 
-        rng = random.Random(self.seed)
+        rng = random.Random(ACU_SEED)
         samples: list[Value] = [seed_val]
-        for _ in range(self.carrier_samples):
+        for _ in range(ACU_CARRIER_SAMPLES):
             try:
                 samples.append(random_object(carrier_type, rng, max_set_size=3, atom_pool=5))
             except TypeError:

@@ -57,6 +57,7 @@ from ..nra.externals import ExternalFunction, Signature
 from ..nra.pretty import pretty
 from ..objects.types import BaseType, BoolType, ProdType, SetType, Type, UnitType
 from ..objects.values import BaseVal, BoolVal, PairVal, SetVal, UnitVal, Value, canonical_set
+from ..obs.metrics import Counters
 from .vectorized.plan import PlanNode, leaf, node
 
 # ---------------------------------------------------------------------------
@@ -193,8 +194,8 @@ class RouteRecord:
     history: list[RerouteEvent] = field(default_factory=list)
 
 
-@dataclass
-class RouterStats:
+@dataclass(slots=True)
+class RouterStats(Counters):
     """Monotone counters; the session/service layers difference these."""
 
     routes: int = 0  # fresh decisions
@@ -204,17 +205,6 @@ class RouterStats:
     estimate_failures: int = 0
     joins_reordered: int = 0
     runs_recorded: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "routes": self.routes,
-            "route_hits": self.route_hits,
-            "reroutes": self.reroutes,
-            "recalibrations": self.recalibrations,
-            "estimate_failures": self.estimate_failures,
-            "joins_reordered": self.joins_reordered,
-            "runs_recorded": self.runs_recorded,
-        }
 
 
 def _has_parallel_externals(e: Expr) -> bool:

@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Optional
 from ...nra.errors import NRAEvalError
 from ...nra.externals import EMPTY_SIGMA, Signature
 from ...objects.values import SetVal, Value
-from ...obs.metrics import METRICS
+from ...obs.metrics import METRICS, Counters
 from ..interning import InternTable, patch_column
 from .flat import (
     CODE_BITS,
@@ -54,9 +54,15 @@ _MISSING = object()
 EnvFn = Callable[[dict], object]
 
 
-@dataclass
-class VecStats:
-    """Counters describing the strategies one vectorized run actually used."""
+@dataclass(slots=True)
+class VecStats(Counters):
+    """Counters describing the strategies one vectorized run actually used.
+
+    The evaluator's own ``stats`` run for its whole lifetime (they back the
+    engine-scoped caches); ``Engine.run``/``run_many`` take a ``copy`` before
+    evaluating and report ``since`` it, so ``Engine.last_stats`` always
+    describes just the last call.
+    """
 
     bulk_maps: int = 0
     bulk_selects: int = 0
@@ -82,21 +88,6 @@ class VecStats:
     flat_fixpoints: int = 0
     flat_rounds: int = 0
     flat_fallbacks: int = 0
-
-    def copy(self) -> "VecStats":
-        return VecStats(**{f: getattr(self, f) for f in self.__dataclass_fields__})
-
-    def since(self, baseline: "VecStats") -> "VecStats":
-        """The per-call view: counters accumulated after ``baseline`` was taken.
-
-        The evaluator's own ``stats`` run for its whole lifetime (they back
-        the engine-scoped caches); ``Engine.run``/``run_many`` snapshot before
-        evaluating and report the difference, so ``Engine.last_stats`` always
-        describes just the last call.
-        """
-        return VecStats(
-            **{f: getattr(self, f) - getattr(baseline, f) for f in self.__dataclass_fields__}
-        )
 
 
 @dataclass

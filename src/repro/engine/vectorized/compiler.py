@@ -1186,6 +1186,19 @@ class PlanCompiler:
         body_c = self.compile(step.body)
         body_fn = body_c.fn
 
+        def _full_run(captured, start, rounds):
+            """Exact full iteration: ``rounds`` steps or until stable."""
+            ctx.stats.full_loops += 1
+            vtok = bind(captured, var)
+            try:
+                def one_step(v):
+                    captured[var] = v
+                    return _value(body_fn(captured), "iterator step")
+
+                return iterate_stable(one_step, start, rounds)
+            finally:
+                unbind(captured, var, vtok)
+
         spec = None
         if is_inflationary_step(step):
             dv = fresh_name("delta")
@@ -1335,18 +1348,6 @@ class PlanCompiler:
 
                 return run
 
-            def _full_run(captured, start, rounds):
-                ctx.stats.full_loops += 1
-                vtok = bind(captured, var)
-                try:
-                    def one_step(v):
-                        captured[var] = v
-                        return _value(body_fn(captured), "iterator step")
-
-                    return iterate_stable(one_step, start, rounds)
-                finally:
-                    unbind(captured, var, vtok)
-
             return PlanCompiler.StepRunner(plan, make_seminaive)
 
         plan = node(
@@ -1355,20 +1356,7 @@ class PlanCompiler:
 
         def make_full(env):
             captured = dict(env)
-
-            def run(start, rounds):
-                ctx.stats.full_loops += 1
-                vtok = bind(captured, var)
-                try:
-                    def one_step(v):
-                        captured[var] = v
-                        return _value(body_fn(captured), "iterator step")
-
-                    return iterate_stable(one_step, start, rounds)
-                finally:
-                    unbind(captured, var, vtok)
-
-            return run
+            return lambda start, rounds: _full_run(captured, start, rounds)
 
         return PlanCompiler.StepRunner(plan, make_full)
 

@@ -3,15 +3,18 @@
 Counters, gauges, and fixed-bucket histograms behind one
 :class:`MetricsRegistry`, with Prometheus-text and JSON exposition.
 
-The registry *absorbs* the engine's pre-existing per-subsystem counter
-bags (``VecStats``, ``ParStats``, ``ServerStats``, router counters)
-without moving them: those objects stay the in-process source of truth
-(compatibility shims -- every existing ``stats``/``since`` API keeps
-working), and their owners register scrape-time *collectors* that fold
-the current counter values into the exposition under stable
-``repro_``-prefixed names.  Collectors are held by weak reference so a
-closed engine or server drops out of the scrape instead of pinning the
-object alive; two live owners emitting the same name are summed.
+Every per-subsystem counter bag (``VecStats``, ``ParStats``,
+``ViewStats``, ``SessionStats``, ``ServerStats``, ``RouterStats``) is a
+slotted dataclass over :class:`Counters`: the fields are the closed set
+of counter names (a misspelled one is an ``AttributeError``, not a new
+attribute), and the base supplies the per-call ``copy``/``since`` views,
+the plain-dict ``as_dict`` and the scrape names ``sample(family)``.  The
+bags stay the in-process source of truth; their owners register
+scrape-time *collectors* that fold the current values into the
+exposition under stable ``repro_{family}_{field}_total`` names.
+Collectors are held by weak reference so a closed engine or server drops
+out of the scrape instead of pinning the object alive; two live owners
+emitting the same name are summed.
 
 Direct metrics (the ``repro_queries_total`` counter and the
 ``repro_query_seconds`` histogram) are updated inline by the engine and
@@ -29,6 +32,7 @@ from typing import Callable, Iterable, Optional
 
 __all__ = [
     "Counter",
+    "Counters",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -53,6 +57,36 @@ def _sane(name: str) -> str:
     name, brace, labels = name.partition("{")
     out = "".join(c if (c.isalnum() or c in "_:") else "_" for c in name)
     return (out if out and not out[0].isdigit() else "_" + out) + brace + labels
+
+
+class Counters:
+    """A bag of monotone integer counters: one ``@dataclass(slots=True)`` field each.
+
+    Subclasses declare nothing but their fields.  The bags are mutated in
+    place by their owners; callers take per-call views by differencing
+    (``before = s.copy(); ...; s.since(before)``) instead of resetting.
+    """
+
+    __slots__ = ()
+
+    def copy(self):
+        return type(self)(*[getattr(self, f) for f in self.__dataclass_fields__])
+
+    def since(self, baseline):
+        """The counters accumulated after ``baseline`` (an earlier ``copy``) was taken."""
+        return type(self)(
+            *[getattr(self, f) - getattr(baseline, f) for f in self.__dataclass_fields__]
+        )
+
+    def as_dict(self) -> dict:
+        """``{field: value}`` (JSON-ready; the wire service's stats frames)."""
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
+
+    def sample(self, family: str) -> dict:
+        """``{"repro_{family}_{field}_total": value}``: a scrape collector's output."""
+        return {
+            f"repro_{family}_{f}_total": getattr(self, f) for f in self.__dataclass_fields__
+        }
 
 
 class Counter:
@@ -190,7 +224,7 @@ class MetricsRegistry:
                 )
             return h
 
-    # -- collectors (the compatibility shims) -------------------------------------
+    # -- collectors ---------------------------------------------------------------
 
     def register_collector(self, fn: Callable[[], dict]) -> None:
         """Register a scrape-time callable returning ``{name: number}``.

@@ -65,7 +65,7 @@ from ..nra.parser import parse
 from ..objects.encoding import from_jsonable, to_jsonable
 from ..objects.types import format_type, parse_type
 from ..objects.values import SetVal
-from ..obs.metrics import METRICS
+from ..obs.metrics import METRICS, Counters
 from ..obs.trace import TRACER
 from .protocol import (
     MAX_FRAME_BYTES,
@@ -101,8 +101,8 @@ class ServerConfig:
     slow_query_s: Optional[float] = None
 
 
-@dataclass
-class ServerStats:
+@dataclass(slots=True)
+class ServerStats(Counters):
     """Server-wide counters; mutate only under the server lock."""
 
     connections_opened: int = 0
@@ -114,9 +114,6 @@ class ServerStats:
     notifications: int = 0
     busy_rejections: int = 0
     errors: int = 0
-
-    def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 @dataclass
@@ -522,10 +519,7 @@ class QueryServer:
 
     def _metrics_sample(self) -> dict:
         """Scrape-time collector: server counters as prometheus names."""
-        return {
-            f"repro_service_{f}_total": getattr(self.stats, f)
-            for f in self.stats.__dataclass_fields__
-        }
+        return self.stats.sample("service")
 
     # -- ops: sessions ------------------------------------------------------------
 

@@ -70,7 +70,7 @@ class TestExecutemanyZeroBindings:
 
     def test_zero_bindings_still_counts_the_batch(self, session):
         q = Q.coll("edges").where(lambda e: e.fst == Q.param("src"))
-        before = session.stats.snapshot()
+        before = session.stats.copy()
         session.executemany(q, [])
         assert session.stats.batches == before.batches + 1
         assert session.stats.executes == before.executes
@@ -120,7 +120,7 @@ class TestStatsAcrossClearPlans:
     def test_rerun_after_clear_plans_recompiles_and_is_counted(self, session):
         q = Q.coll("edges").where(lambda e: e.fst == Q.param("src"))
         session.execute(q, params={"src": 1})
-        snap = session.stats.snapshot()
+        snap = session.stats.copy()
         session.engine.clear_plans()
         session.execute(q, params={"src": 1})
         # The rewrite plan was dropped, so this session pays (and records)
@@ -132,7 +132,7 @@ class TestStatsAcrossClearPlans:
     def test_warm_rerun_without_clear_is_all_hits(self, session):
         q = Q.coll("edges").where(lambda e: e.fst == Q.param("src"))
         session.execute(q, params={"src": 1})
-        snap = session.stats.snapshot()
+        snap = session.stats.copy()
         session.execute(q, params={"src": 2})
         assert session.stats.rewrites == snap.rewrites
         assert session.stats.vec_compiles == snap.vec_compiles

@@ -35,7 +35,7 @@ def session():
 def test_prepare_then_execute_compiles_once(session):
     q = Q.coll("edges").fix().where(lambda e: e.fst == Q.param("src"))
     ps = session.prepare(q)
-    after_prepare = session.stats.snapshot()
+    after_prepare = session.stats.copy()
     # Preparing did the one rewrite and the one (multi-subexpression)
     # compile pass for the template.
     assert after_prepare.prepares == 1
@@ -72,7 +72,7 @@ def test_preparing_same_template_twice_returns_cached(session):
 def test_unprepared_distinct_constants_share_one_plan(session):
     """Four rebuilt queries with four literals are one shape: the first pays
     the rewrite and the compiles, the rest hit the plan cache."""
-    before = session.stats.snapshot()
+    before = session.stats.copy()
     compiles = []
     for k in range(4):
         cur = session.execute(Q.coll("edges").where(lambda e, k=k: e.fst == k))
@@ -110,7 +110,7 @@ def test_prepare_raw_expr_lifts_constants(session):
     # Default binding reproduces the original expression's result.
     assert ps.execute().fetchall() == [(2, 3)]
     # Rebinding the lifted slot needs no recompilation.
-    snap = session.stats.snapshot()
+    snap = session.stats.copy()
     assert ps.execute(c0=7).fetchall() == [(7, 8)]
     assert session.stats.rewrites == snap.rewrites
     assert session.stats.vec_compiles == snap.vec_compiles
@@ -174,7 +174,7 @@ def test_unbound_and_unknown_params_raise(session):
 def test_executemany_single_param_delegates_to_run_many(session):
     q = reachable_from_query()
     ps = session.prepare(q)
-    snap = session.stats.snapshot()
+    snap = session.stats.copy()
     cursors = session.executemany(ps, [0, 3, 7, 0])
     assert session.stats.batches == snap.batches + 1
     assert session.stats.rewrites == snap.rewrites + 1  # the closed Lambda form
@@ -264,7 +264,7 @@ def test_sessions_can_share_one_engine():
     s2 = connect(db, engine=s1.engine)
     q = Q.coll("edges").fix()
     a = s1.execute(q)
-    snap = s2.stats.snapshot()
+    snap = s2.stats.copy()
     b = s2.execute(q)
     assert a.value == b.value
     # The second session rides the first one's plan: a hit, not a rewrite.

@@ -68,7 +68,7 @@ def test_executemany_with_a_literal_is_one_run_many(session):
     count only slots without a default (it raised ``TypeError: multi-parameter
     executemany needs dict bindings``)."""
     q = Q.coll("edges").where(lambda e: e.fst == Q.param("s")).map(lambda e: Row.pair(e.snd, 7))
-    before = session.stats.snapshot()
+    before = session.stats.copy()
     cursors = session.executemany(q, [1, {"s": 2}])
     assert [c.fetchall() for c in cursors] == [[(2, 7)], [(3, 7)]]
     assert [c.value for c in cursors] == [reference(session, q, s=1), reference(session, q, s=2)]

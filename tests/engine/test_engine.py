@@ -140,7 +140,9 @@ def test_engine_surface_is_one_executor_and_one_pool():
         Engine(backend="memo")
     with pytest.raises(TypeError):
         Engine(pool="shm")
-    assert len(inspect.signature(Engine.__init__).parameters) - 1 == 7
+    with pytest.raises(TypeError):
+        Engine(seed=0)
+    assert len(inspect.signature(Engine.__init__).parameters) - 1 == 6
 
 
 def test_intern_table_shares_structure():

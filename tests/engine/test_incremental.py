@@ -528,18 +528,27 @@ class TestDeletionStreamOracle:
 # ---------------------------------------------------------------------------
 
 class TestFallbacks:
-    def test_difference_shape_runs_in_recompute_mode(self):
+    @pytest.mark.parametrize("beside", [False, True], ids=["alone", "under-a-union"])
+    def test_difference_shape_runs_in_recompute_mode(self, beside):
+        # Under a union the plan keeps its delta nodes around the one
+        # recompute node, but that node still sends the whole view to
+        # recompute mode: one fallback per commit, not one per node.
         db = fresh_graph_db(6)
         session = connect(db)
         q = Q.coll("edges") - Q.coll("edges").where(lambda e: e.fst == 2)
+        if beside:
+            q = Q.coll("edges").where(lambda e: e.fst == 0).union(q)
         view = session.materialize(q)
-        assert "ivm-recompute" in view.maintenance_plan().ops()
-        assert view.recompute_only
+        kinds = [op.kind for op in view.plan_ops.walk()]
+        assert kinds.count("recompute") == 1 and ("union" in kinds) == beside
+        assert view.recompute_only and "mode=recompute" in repr(view)
         db.insert("edges", [(2, 0), (4, 0)])
         assert_matches_cold(session, view, q)
+        assert view.stats.fallback_recomputes == 1
         db.delete("edges", [(2, 3)])
         assert_matches_cold(session, view, q)
         assert view.stats.fallback_recomputes == 2
+        assert session.stats.fallback_recomputes == 2
 
     def test_correlated_flat_map_is_recognised_as_a_join(self):
         # A correlated subquery in the equi-join shape is maintained

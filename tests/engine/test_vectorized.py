@@ -16,6 +16,9 @@ from repro.engine.rewrite import insert_as_step, is_inflationary_step, union_ope
 from repro.nra.ast import (
     Apply,
     Bdcr,
+    BlogLoop,
+    Bloop,
+    Bsri,
     Const,
     Dcr,
     EmptySet,
@@ -128,17 +131,44 @@ def test_departments_pipeline_agrees():
     assert vec_engine().run(q, db) == run(q, db)
 
 
-def test_bounded_recursion_agrees():
-    bound = Const(from_python({1, 2, 3}), SetType(BASE))
-    combine = Lambda(
-        "p", ProdType(SetType(BASE), SetType(BASE)), Union(Proj1(Var("p")), Proj2(Var("p")))
-    )
+def _bounded_forms() -> dict:
+    """One closed query per bounded form the compiler lowers, plus bare ``ext``."""
+    set_t = SetType(BASE)
+    bound = Const(from_python({1, 2, 3}), set_t)
+    inp = Const(from_python({1, 2, 5, 9}), set_t)
+    combine = Lambda("p", ProdType(set_t, set_t), Union(Proj1(Var("p")), Proj2(Var("p"))))
     item = Lambda("x", BASE, Singleton(Var("x")))
-    phi = Bdcr(EmptySet(BASE), item, combine, bound)
-    inp = from_python({1, 2, 5, 9})
-    expr = Apply(phi, Const(inp, SetType(BASE)))
-    assert vec_engine().run(expr) == run(expr)
-    assert to_python(vec_engine().run(expr)) == frozenset({1, 2})
+    insert = lam2("x", BASE, "acc", set_t, Union(Singleton(Var("x")), Var("acc")))
+    # Squaring steps over a 6-node path, clipped to the pairs leaving 0 or 1.
+    square = Lambda("r", REL_T, Union(Var("r"), compose(Var("r"), Var("r"), BASE)))
+    pairs = Const(from_python({(a, b) for a in (0, 1) for b in range(6)}), REL_T)
+    budget = Pair(Const(from_python({0, 1, 2}), set_t), Const(path_graph(6).value(), REL_T))
+    singleton = Ext(Lambda("x", BASE, Singleton(Var("x"))))
+    nested = Const(from_python({frozenset({1, 2}), frozenset({3}), frozenset()}), SetType(set_t))
+    # name -> (query, the plan op the vectorized compiler lowers it to)
+    return {
+        "bdcr": (Apply(Bdcr(EmptySet(BASE), item, combine, bound), inp), "dcr-tree"),
+        "bsri": (Apply(Bsri(EmptySet(BASE), insert, bound), inp), "sri-elementwise"),
+        "bloop": (Apply(Bloop(square, pairs, BASE), budget), "loop-full"),
+        "blog_loop": (Apply(BlogLoop(square, pairs, BASE), budget), "loop-full"),
+        # ext(f) as a value: the step of a loop, and the f of another ext.
+        "dynamic_step_loop": (Apply(Loop(singleton, BASE), Pair(inp, inp)), "ext-dynamic"),
+        "bare_ext": (Apply(Ext(singleton), nested), "ext-dynamic"),
+    }
+
+
+@pytest.mark.parametrize("backend", ["vectorized", "parallel"])
+@pytest.mark.parametrize("form", list(_bounded_forms()))
+def test_bounded_recursion_agrees(form, backend):
+    expr, op = _bounded_forms()[form]
+    eng = Engine(backend=backend, workers=2)
+    try:
+        assert eng.run(expr) == run(expr)
+        assert op in eng.explain_plan(expr, backend="vectorized").ops()
+    finally:
+        eng.close()
+    if form in ("bdcr", "bsri"):
+        assert to_python(run(expr)) == frozenset({1, 2})
 
 
 def test_externals_agree():

@@ -86,7 +86,7 @@ def test_explain_analyze_tc_actuals_beside_prediction(session):
 
 
 def test_explain_analyze_attributes_session_stats(session):
-    before = session.stats.snapshot()
+    before = session.stats.copy()
     session.explain_analyze(TC)
     assert session.stats.executes == before.executes + 1
     assert session.stats.rewrites == before.rewrites + 1  # fresh template
