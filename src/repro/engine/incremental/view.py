@@ -197,17 +197,20 @@ class _FlatIJoinState:
     sound.
     """
 
-    __slots__ = ("parts", "lpath", "rpath", "a_left", "apath", "b_left",
-                 "bpath", "counts", "lindex", "rindex", "present", "seeds")
+    __slots__ = ("parts", "paths", "a_left", "b_left", "counts", "lindex",
+                 "rindex", "present", "seeds")
 
     def __init__(self, parts: dict, lpath, rpath, fst, snd):
         self.parts = parts          # live pair-part view of the intern table
-        self.lpath = lpath          # left key as a projection path
-        self.rpath = rpath          # right key as a projection path
+        #: The left key, right key, output fst and output snd paths, each as
+        #: (shift to its head half, the part walk after it): a one-step
+        #: path -- the closure's every path -- is a shift and a mask.
+        self.paths = tuple(
+            (CODE_BITS if p[0] == "f" else 0, p[1:])
+            for p in (lpath, rpath, fst[1], snd[1])
+        )
         self.a_left = fst[0] == "l"  # output fst: path over left (else right)
-        self.apath = fst[1]
         self.b_left = snd[0] == "l"  # output snd: path over left (else right)
-        self.bpath = snd[1]
         self.counts: dict[int, int] = {}       # out code -> derivation count
         self.lindex: dict[int, dict] = {}      # key id -> {element code}
         self.rindex: dict[int, dict] = {}
@@ -215,19 +218,12 @@ class _FlatIJoinState:
         self.seeds: set[int] = set()           # codes of the child (seed) set,
                                                # maintained from batch deltas
 
-    def follow(self, code: int, path) -> int:
-        """Walk a projection path from an element code (KeyError on non-pair)."""
-        d = (code >> CODE_BITS) if path[0] == "f" else (code & CODE_MASK)
+    def walk(self, d: int, rest) -> int:
+        """Follow the part steps ``rest`` from dense id ``d`` (KeyError on non-pair)."""
         parts = self.parts
-        for step in path[1:]:
-            pr = parts[d]
-            d = pr[0] if step == "f" else pr[1]
+        for step in rest:
+            d = parts[d][0 if step == "f" else 1]
         return d
-
-    def derive_code(self, left: int, right: int) -> int:
-        a = self.follow(left if self.a_left else right, self.apath)
-        b = self.follow(left if self.b_left else right, self.bpath)
-        return (a << CODE_BITS) | b
 
     def count(self, code: int, sign: int, touched: list) -> None:
         """Count the join derivations pairing ``code`` with the indexed fixpoint.
@@ -240,33 +236,33 @@ class _FlatIJoinState:
         callers use it as the next frontier.  A ``KeyError`` means a key
         path hit a non-pair.
         """
-        lk = self.follow(code, self.lpath)
-        rk = self.follow(code, self.rpath)
+        (lsh, lrest), (rsh, rrest), (ash, arest), (bsh, brest) = self.paths
+        a_left, b_left, walk = self.a_left, self.b_left, self.walk
+        lk = (code >> lsh) & CODE_MASK
+        if lrest:
+            lk = walk(lk, lrest)
+        rk = (code >> rsh) & CODE_MASK
+        if rrest:
+            rk = walk(rk, rrest)
         counts, lindex, rindex = self.counts, self.lindex, self.rindex
         if sign > 0:
             lindex.setdefault(lk, {})[code] = None
             rindex.setdefault(rk, {})[code] = None
-        matches = rindex.get(lk)
-        if matches:
+        # ``code`` joins as the left element against rindex[lk], then as the
+        # right one against lindex[rk]; each match derives one output code.
+        for left_role, matches in ((True, rindex.get(lk)), (False, lindex.get(rk))):
+            if not matches:
+                continue
             for y in list(matches):
-                z = self.derive_code(code, y)
-                c = counts.get(z, 0) + sign
-                if c > 0:
-                    counts[z] = c
-                elif c == 0:
-                    counts.pop(z, None)
-                else:
-                    raise AssertionError(
-                        "negative fixpoint support count: a derivation "
-                        "was dropped twice"
-                    )
-                touched.append(z)
-        matches = lindex.get(rk)
-        if matches:
-            for y in list(matches):
-                if y == code:
-                    continue  # the self-pair was counted above
-                z = self.derive_code(y, code)
+                if not left_role and y == code:
+                    continue  # the self-pair was counted in the left role
+                a = ((code if a_left == left_role else y) >> ash) & CODE_MASK
+                if arest:
+                    a = walk(a, arest)
+                b = ((code if b_left == left_role else y) >> bsh) & CODE_MASK
+                if brest:
+                    b = walk(b, brest)
+                z = (a << CODE_BITS) | b
                 c = counts.get(z, 0) + sign
                 if c > 0:
                     counts[z] = c

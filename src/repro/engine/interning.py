@@ -86,6 +86,9 @@ class InternTable:
         #: sorted-unique dense-id bytes -> SetVal: recognises a set that was
         #: already materialized from ids without re-sorting by object keys.
         self._sets_by_ids: dict[bytes, Value] = {}
+        #: sorted-unique pair-code bytes -> SetVal: the same for a set of
+        #: pairs, recognised before any code is resolved to its pair.
+        self._sets_by_codes: dict[bytes, Value] = {}
         self.hits = 0
         self.misses = 0
         self.unit = self._store(("u",), UnitVal())
@@ -200,10 +203,10 @@ class InternTable:
     def set_from_ids(self, ids: Sequence[int]) -> Value:
         """Interned set from element dense ids (dedupes; any order).
 
-        This is the flat kernels' plan-boundary materialization: integer
+        One of the flat kernels' plan-boundary materializations: integer
         sort-unique replaces the object-key sort, and a bytes-keyed cache
-        recognises a set of ids seen before (frontier rounds and repeated
-        probes hit it constantly) without touching the elements at all.
+        recognises a set of ids seen before (a repeated probe's answer)
+        without touching the elements at all.
         """
         uniq = sorted(set(ids))
         key = array("q", uniq).tobytes()
@@ -219,19 +222,29 @@ class InternTable:
         return s
 
     def set_from_pair_codes(self, codes: Iterable[int]) -> Value:
-        """Interned set of pairs from packed ``(fst << 32) | snd`` codes."""
-        pair_codes = self._pair_codes
-        dense = self._dense
-        out = []
-        for c in codes:
-            p = pair_codes.get(c)
-            if p is None:
-                p = self.pair(
-                    self._by_dense[c >> _CODE_BITS],
-                    self._by_dense[c & (_DENSE_LIMIT - 1)],
-                )
-            out.append(dense[id(p)])
-        return self.set_from_ids(out)
+        """Interned set of pairs from packed ``(fst << 32) | snd`` codes (dedupes; any order).
+
+        The pair-emitting kernels' plan boundary.  Keyed on the sorted unique
+        codes themselves, so a set of pairs seen before costs one integer
+        sort and one lookup: no code is resolved to its pair.  A new one is
+        built once -- each code's pair, one sort by the cached keys -- and
+        distinct codes are distinct pairs, so no second dedup is needed.
+        """
+        uniq = sorted(set(codes))
+        key = array("Q", uniq).tobytes()  # codes reach 2**64 - 1
+        found = self._sets_by_codes.get(key)
+        if found is not None:
+            self.hits += 1
+            return found
+        get, pair, by_dense, keys = self._pair_codes.get, self.pair, self._by_dense, self._keys
+        pairs = [
+            get(c) or pair(by_dense[c >> _CODE_BITS], by_dense[c & (_DENSE_LIMIT - 1)])
+            for c in uniq
+        ]
+        pairs.sort(key=lambda v: keys[id(v)])
+        s = self._set_from_canonical(tuple(pairs))
+        self._sets_by_codes[key] = s
+        return s
 
     # -- interning ----------------------------------------------------------------
 

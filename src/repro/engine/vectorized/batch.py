@@ -38,11 +38,11 @@ from ...obs.metrics import METRICS, Counters
 from ..interning import InternTable, patch_column
 from .flat import (
     CODE_BITS,
-    ID_LIMIT,
     FlatUnavailable,
     build_inv_index,
     equal_mask,
     follow_id,
+    guard_pack,
     patch_inv_index,
     set_column,
 )
@@ -488,8 +488,8 @@ def union_all(ctx: BatchContext, parts: Iterable[SetVal]) -> SetVal:
 
 def _guard_pack(ctx: BatchContext, out_spec: tuple) -> None:
     """Refuse a pair-code output once ids outgrow the 32-bit pack width."""
-    if out_spec[0] == "pair" and ctx.interner.dense_size >= ID_LIMIT:
-        raise FlatUnavailable("dense-id space exceeds the 32-bit pack limit")
+    if out_spec[0] == "pair":
+        guard_pack(ctx.interner)
 
 
 def flat_map(ctx: BatchContext, source: SetVal, out_spec: tuple) -> SetVal:
@@ -527,17 +527,18 @@ def flat_group_map(
     O(|S| + |inner|), where the select per element probes and dedups per row.
     """
     it = ctx.interner
+    guard_pack(it)
     ocol = ctx.flat_column(inner, opath)
     rows_of = ctx.flat_probe_index(inner, lpath).get
-    dense_id, set_from_ids, pair = it.dense_id, it.set_from_ids, it.pair_from_ids
-    out = [
-        pair(k, dense_id(set_from_ids([ocol[r] for r in rows_of(k, ())])))
+    dense_id, set_from_ids = it.dense_id, it.set_from_ids
+    codes = [
+        (k << CODE_BITS) | dense_id(set_from_ids([ocol[r] for r in rows_of(k, ())]))
         for k in dict.fromkeys(keys)
     ]
     ctx.stats.bulk_maps += 1
     ctx.stats.flat_maps += 1
-    ctx.stats.flat_dedups += len(out)
-    return it.mkset(out)
+    ctx.stats.flat_dedups += len(codes)
+    return it.set_from_pair_codes(codes)
 
 
 def flat_unnest(
@@ -554,7 +555,7 @@ def flat_unnest(
     deduplicated once -- no closure call per element of either level.
     """
     it = ctx.interner
-    _guard_pack(ctx, ("pair",))
+    guard_pack(it)
     scol = ctx.flat_column(source, spath)
     acol = None if apath is None else ctx.flat_column(source, apath)
     bcol = None if bpath is None else ctx.flat_column(source, bpath)

@@ -70,6 +70,12 @@ class FlatUnavailable(Exception):
     """
 
 
+def guard_pack(it) -> None:
+    """Refuse pair codes once the table's dense ids outgrow the pack width."""
+    if it.dense_size >= ID_LIMIT:
+        raise FlatUnavailable("dense-id space exceeds the 32-bit pack limit")
+
+
 # ---------------------------------------------------------------------------
 # Accessor paths
 # ---------------------------------------------------------------------------
@@ -422,8 +428,7 @@ class FlatLoop:
         (matching the object path's evaluation order).  Raises
         :class:`FlatUnavailable` before any state is shared.
         """
-        if self.it.dense_size >= ID_LIMIT:
-            raise FlatUnavailable("dense-id space exceeds the 32-bit pack limit")
+        guard_pack(self.it)
         fs, ss = self._encode_rows(acc)
         if delta is not acc:
             # The frontier goes to the tail of the queue, behind the rest.
@@ -601,4 +606,4 @@ class FlatLoop:
     def materialize(self) -> SetVal:
         """The accumulator as a canonical interned set (the plan boundary)."""
         self.stats.flat_dedups += 1
-        return self.it.set_from_pair_codes(_codes(self._acc_f, self._acc_s))
+        return self.it.set_from_pair_codes(self._acc_codes)

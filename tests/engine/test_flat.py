@@ -12,20 +12,30 @@ The PR-7 representation change is only sound if two layers hold together:
   ``VecStats``/``ViewStats`` counters prove which representation actually
   served the run (a silent fallback would trivially pass the value check).
 
-Everything here is deterministic.  The closure inputs straddle
-``flat._NP_MIN``: the small graphs' frontiers take the pure-Python sort,
-``gnp-24``'s first rounds the numpy one, all held to the reference.
+Everything here is deterministic.  The closure inputs run from a path,
+one row per level, to ``gnp-24``, whose first levels are the widest; all
+are held to the reference.  Past the pair-code width every pair-emitting
+kernel must fall back to its object twin (section 3).
 """
+
+import random
 
 import pytest
 
 from repro.engine import Engine
 from repro.engine.interning import InternTable
 from repro.engine.vectorized import flat
+from repro.nra.ast import (
+    Apply, Const, EmptySet, Eq, If, Lambda, LogLoop, Pair, Proj1, Proj2, Singleton, Union,
+    Var,
+)
+from repro.nra.derived import compose, ext_apply, field_of, nest, unnest
 from repro.nra.eval import run as reference_run
+from repro.objects.types import BASE, ProdType, SetType
 from repro.objects.values import BaseVal, PairVal, SetVal, from_python
-from repro.relational.queries import reachable_pairs_query
+from repro.relational.queries import REL_T, reachable_pairs_query
 from repro.workloads.graphs import binary_tree, path_graph, random_graph
+from repro.workloads.nested_graphs import ADJ_DB_T, nested_random_graph, two_hop_query
 
 pytestmark = pytest.mark.columnar
 
@@ -34,7 +44,7 @@ def _tc_inputs():
     yield "path-16", path_graph(16).value()
     yield "tree-3", binary_tree(3).value()
     yield "gnp-7", random_graph(12, 0.3, seed=7).value()
-    yield "gnp-24", random_graph(24, 0.15, seed=5).value()  # frontiers >= _NP_MIN
+    yield "gnp-24", random_graph(24, 0.15, seed=5).value()
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +88,54 @@ class TestInternDenseIds:
         ids = [it.dense_id(v) for v in elems]
         assert it.set_from_ids(ids) is it.mkset(elems)
 
+    @staticmethod
+    def _codes(it, s):
+        parts = it.pair_parts()
+        return [(f << flat.CODE_BITS) | b
+                for f, b in (parts[it.dense_id(e)] for e in s.elements)]
+
     def test_set_from_pair_codes(self):
         it = InternTable()
         s = it.intern(from_python({(1, 2), (7, 8)}))
-        codes = []
-        for e in s.elements:
-            fid, sid = it.pair_parts()[it.dense_id(e)]
-            codes.append((fid << flat.CODE_BITS) | sid)
-        assert it.set_from_pair_codes(codes) is s
+        assert it.set_from_pair_codes(self._codes(it, s)) is s
+
+    def test_pair_codes_key_the_set_in_any_order_and_form(self):
+        it = InternTable()
+        s = it.intern(from_python({(1, 2), (7, 8), (2, 1), (3, 3)}))
+        codes = self._codes(it, s)
+        first = it.set_from_pair_codes(codes)  # the miss: builds and records
+        assert first is s
+        size, dense_size = it.size, it.dense_size
+        for form in (
+            list(reversed(codes)) + codes[:2],   # any order, duplicates
+            (c for c in codes + codes),          # a generator
+            set(codes),                          # a set
+        ):
+            assert it.set_from_pair_codes(form) is s
+        # Hits build nothing: no new value and no new dense id.
+        assert (it.size, it.dense_size) == (size, dense_size)
+
+    def test_pair_codes_build_new_pairs_on_a_miss(self):
+        it = InternTable()
+        a, b = it.base(1), it.base(2)
+        ia, ib = it.dense_id(a), it.dense_id(b)
+        codes = [(ib << flat.CODE_BITS) | ia, (ia << flat.CODE_BITS) | ib]
+        assert it.set_from_pair_codes(codes) is it.intern(from_python({(1, 2), (2, 1)}))
+
+    def test_ids_and_codes_reach_one_set_in_either_order(self):
+        for ids_first in (True, False):
+            it = InternTable()
+            s = it.intern(from_python({(1, 2), (5, 6), (9, 0)}))
+            by_ids = lambda: it.set_from_ids([it.dense_id(e) for e in s.elements])
+            by_codes = lambda: it.set_from_pair_codes(self._codes(it, s))
+            first, second = (by_ids, by_codes) if ids_first else (by_codes, by_ids)
+            assert first() is s
+            assert second() is s
+
+    def test_no_pair_codes_are_the_empty_set(self):
+        it = InternTable()
+        assert it.set_from_pair_codes([]) is it.empty_set
+        assert it.set_from_pair_codes(iter(())) is it.empty_set
 
     def test_engine_clear_plans_keeps_dense_ids(self):
         # clear_plans drops query-scoped caches but must keep the intern
@@ -135,6 +185,22 @@ class TestFlatKernelParity:
             eng_flat.close()
             eng_obj.close()
 
+    def test_a_seen_grouped_answer_builds_no_pair(self, monkeypatch):
+        # nest(two-hop) ends in codes: the second run finds every set it
+        # materializes by its codes and resolves no code to a pair.
+        q = Lambda("db", ADJ_DB_T, nest(Apply(two_hop_query(), Var("db")), BASE, BASE))
+        db = nested_random_graph(32, 0.05, seed=4)
+        eng = Engine(backend="vectorized")
+        first = eng.run(q, db)
+        assert first == reference_run(q, db)
+        built = []
+        monkeypatch.setattr(PairVal, "__init__", lambda *a: built.append(a))
+        monkeypatch.setattr(InternTable, "pair_from_ids", lambda *a: built.append(a))
+        size = eng.interner.size
+        assert eng.run(q, db) is first
+        assert eng.last_stats.flat_maps > 0 and eng.last_stats.flat_fallbacks == 0
+        assert built == [] and eng.interner.size == size
+
     def test_thread_pool_runs_the_flat_fixpoint_on_the_driver(self):
         g = path_graph(24).value()
         q = reachable_pairs_query("logloop")
@@ -150,10 +216,64 @@ class TestFlatKernelParity:
 
 
 # ---------------------------------------------------------------------------
-# 3. Maintained fixpoint views ride the dense-id indexed walk
+# 3. Past the pack width every pair-code kernel falls back
 # ---------------------------------------------------------------------------
 
-from repro.api import Q, connect  # noqa: E402
+_EDGE = ProdType(BASE, BASE)
+_r, _x = Var("r"), Var("x")
+_SWAP = Singleton(Pair(Proj2(_x), Proj1(_x)))
+
+
+def _over_edges(body):
+    return Lambda("r", REL_T, body)
+
+
+#: (kernel, query, input, the counter the flat kernel bumps when it serves).
+_PACKING = [
+    ("flat_map", _over_edges(ext_apply(Lambda("x", _EDGE, _SWAP), _r)), "edges", "flat_maps"),
+    ("flat_select", _over_edges(ext_apply(Lambda("x", _EDGE, If(
+        Eq(Proj1(_x), Const(BaseVal(3), BASE)), _SWAP, EmptySet(_EDGE))), _r)),
+     "edges", "flat_selects"),
+    ("flat_join", _over_edges(compose(_r, _r, BASE)), "edges", "flat_joins"),
+    ("flat_unnest", Lambda("db", ADJ_DB_T, unnest(Var("db"), BASE, BASE)), "adj", "flat_maps"),
+    ("flat_group_map", _over_edges(nest(_r, BASE, BASE)), "edges", "flat_maps"),
+    ("FlatLoop", reachable_pairs_query("logloop"), "edges", "flat_fixpoints"),
+]
+
+
+class TestPackGuard:
+    """A table whose dense ids outgrow the pair-code width (``flat.ID_LIMIT``)
+    takes every pair-emitting kernel back to its object twin, with the
+    reference's value: the guard is the only thing between an oversized id
+    and a code that silently aliases another pair."""
+
+    INPUTS = {
+        "edges": random_graph(10, 0.3, seed=3).value(),
+        "adj": nested_random_graph(10, 0.3, seed=3),
+    }
+
+    @pytest.mark.parametrize("kernel,q,arg,served", _PACKING,
+                             ids=[case[0] for case in _PACKING])
+    def test_each_kernel_falls_back_past_the_limit(self, monkeypatch, kernel, q, arg, served):
+        value = self.INPUTS[arg]
+        want = reference_run(q, value)
+        eng = Engine(backend="vectorized")
+        assert eng.run(q, value) == want
+        assert getattr(eng.last_stats, served) > 0  # the flat kernel serves it
+        assert eng.last_stats.flat_fallbacks == 0
+        eng = Engine(backend="vectorized")
+        # A fresh table already holds unit, true, false and the empty set.
+        monkeypatch.setattr(flat, "ID_LIMIT", 1)
+        assert eng.run(q, value) == want
+        assert getattr(eng.last_stats, served) == 0
+        assert eng.last_stats.flat_fallbacks > 0
+
+
+# ---------------------------------------------------------------------------
+# 4. Maintained fixpoint views ride the dense-id indexed walk
+# ---------------------------------------------------------------------------
+
+from repro.api import Database, Q, connect  # noqa: E402
 from repro.workloads.streams import (  # noqa: E402
     graph_update_stream,
     stream_graph_database,
@@ -175,6 +295,36 @@ class TestFlatIndexedView:
         # Every maintenance pass of the indexed fixpoint was served by the
         # dense-id mirror -- no silent fall to the generic frontier path.
         assert view.stats.flat_index_applies > 0
+
+    def test_fix_view_with_nested_key_paths(self):
+        # Nodes are pairs and the join keys reach two levels in:
+        # pi2(pi2 x) = pi1(pi1 y).  The counted indexes walk those paths
+        # through the pair parts, and must keep the cold run's value.
+        node = ProdType(BASE, BASE)
+        elem = ProdType(node, node)
+        rel = SetType(elem)
+        x, y = Var("x"), Var("y")
+        join = ext_apply(Lambda("x", elem, ext_apply(Lambda("y", elem, If(
+            Eq(Proj2(Proj2(x)), Proj1(Proj1(y))),
+            Singleton(Pair(Proj1(x), Proj2(y))), EmptySet(elem))), Var("rr"))), Var("rr"))
+        step = Lambda("rr", rel, Union(Var("rr"), join))
+        q = Q.raw(Apply(LogLoop(step, node), Pair(field_of(Var("pe"), node, node), Var("pe"))), rel)
+        edges = {((a, a + 1), (a + 1, a + 2)) for a in range(8)}
+        db = Database("g").register("pe", from_python(edges), type=rel)
+        view = connect(db).materialize(q, name="tc")
+        rng = random.Random(5)
+        for _ in range(8):
+            a = rng.randrange(9)
+            e = ((a, a + 1), (a + 1, a + 2))
+            if e in edges:
+                db.delete("pe", [e])
+                edges.discard(e)
+            else:
+                db.insert("pe", [e])
+                edges.add(e)
+            assert view.value == connect(db).execute(q).value
+        assert view.stats.flat_index_applies == 8
+        assert view.stats.fallback_recomputes == 0 and view.stats.dred_applies > 0
 
     def test_fix_view_on_object_engine_matches(self):
         # The dense-id mirror is maintenance state, not an executor kernel:

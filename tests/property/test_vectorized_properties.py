@@ -1,6 +1,6 @@
 """Property tests for the set-at-a-time backend.
 
-Two families:
+Three families:
 
 * **Compiler soundness** -- the seeded-random closed-expression generator of
   ``test_engine_properties`` drives the vectorized evaluator against the
@@ -13,6 +13,10 @@ Two families:
   relation, start value and round count.  The generator is checked to
   actually produce steps the analysis accepts, so the property genuinely
   exercises the frontier path rather than the fallback.
+
+* **Grouped two-hop answers** -- ``nest()`` over two-hop pairs of random
+  small adjacency databases equals the reference, and a second run on the
+  same engine returns the very set the first built.
 """
 
 import random
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 
 from test_engine_properties import _random_expr
 
+from repro.api import Database, Q, connect
 from repro.engine import Engine
 from repro.engine.vectorized import VectorizedEvaluator
 from repro.nra.ast import (
@@ -43,6 +48,7 @@ from repro.nra.eval import run
 from repro.objects.types import BASE, ProdType, SetType
 from repro.objects.values import from_python
 from repro.relational.queries import REL_T
+from repro.workloads.nested_graphs import ADJ_DB_T, two_hop_query
 
 EDGE_T = ProdType(BASE, BASE)
 
@@ -155,3 +161,30 @@ def test_nonmonotone_random_steps_fall_back():
     ev = VectorizedEvaluator()
     assert ev.run(expr) == run(expr)
     assert "loop-seminaive" not in ev.plan(expr).ops()
+
+
+# ---------------------------------------------------------------------------
+# Grouped two-hop answers: the second run hits the code-keyed set cache
+# ---------------------------------------------------------------------------
+
+_adjacency = st.dictionaries(
+    st.integers(min_value=0, max_value=5),
+    st.frozensets(st.integers(min_value=0, max_value=5), max_size=4),
+    max_size=6,
+)
+
+
+class TestGroupedTwoHop:
+    @settings(max_examples=40, deadline=None)
+    @given(_adjacency)
+    def test_nested_two_hop_matches_reference_twice(self, adj):
+        value = from_python({(node, succ) for node, succ in adj.items()})
+        db = Database("nested").register("adj", value, type=ADJ_DB_T)
+        q = Q.coll("adj").pipe(two_hop_query()).nest()
+        want = connect(db, backend="reference").execute(q).value
+        session = connect(db)
+        first = session.execute(q).value
+        # The second run materializes every set from codes seen before.
+        second = session.execute(q).value
+        assert first == want
+        assert second is first

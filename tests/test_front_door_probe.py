@@ -9,6 +9,7 @@ from repro.api.cursor import Cursor
 from repro.api.query import Query
 from repro.api.session import Session
 from repro.engine.engine import Engine
+from repro.engine.interning import InternTable
 from repro.engine.vectorized.flat import FlatLoop
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,19 +21,24 @@ spec.loader.exec_module(front_door_probe)
 
 def _patched():
     return (Query.elaborate, Session._template_of, Session._bind,
-            Engine.optimize, Engine._execute, FlatLoop.run, Cursor.fetchall)
+            Engine.optimize, Engine._execute, FlatLoop.run, Cursor.fetchall,
+            InternTable.set_from_pair_codes, InternTable.set_from_ids, InternTable.mkset)
 
 
-@pytest.mark.parametrize("workload", ["adhoc_cold", "tc_inproc"])
+@pytest.mark.parametrize("workload", ["adhoc_cold", "tc_inproc", "nested_objects"])
 def test_every_step_is_timed_and_the_tree_is_restored(workload):
     before = _patched()
     steps = front_door_probe.probe(ROOT, workload, reads=30, warm=5)
     assert list(steps) == [*front_door_probe.STEPS, "sum", "op", "rounds", "us_per_round"]
-    assert all(steps[s] > 0 for s in ("recognize", "bind", "plan lookup", "run", "fetch"))
+    assert all(steps[s] > 0
+               for s in ("recognize", "bind", "plan lookup", "materialize", "run", "fetch"))
     # Prepared reads elaborate nothing; ad-hoc ones elaborate every op.
     assert (steps["elaborate"] > 0) == (workload == "adhoc_cold")
     if workload == "tc_inproc":
         # reach(src) on the 96-node path: the flat loop, one round per edge walked.
         assert 0 < steps["loop"] < steps["op"]
         assert steps["rounds"] > 0 and steps["us_per_round"] > 0
+    if workload == "nested_objects":
+        # nest(two-hop): join, unnest and group-map kernels, no fixpoint.
+        assert steps["loop"] == 0 and steps["rounds"] == 0
     assert _patched() == before

@@ -16,7 +16,11 @@ prints the median microseconds each step took per op:
 * ``bind``: ``Session._bind``, parameters and defaults into the environment;
 * ``plan lookup``: ``Engine.optimize``, the plan cache;
 * ``loop``: ``FlatLoop.run``, the flat fixpoint's rounds;
-* ``run``: ``Engine._execute`` less the loop inside it, the other kernels;
+* ``materialize``: the outermost ``InternTable.set_from_pair_codes`` /
+  ``set_from_ids`` / ``mkset`` calls inside ``Engine._execute``, the
+  plan-boundary sets built from ids, codes or interned elements;
+* ``run``: ``Engine._execute`` less the loop and the materializations
+  inside it, the other kernels;
 * ``fetch``: ``Cursor.fetchall``, rows materialized as python values;
 * ``other``: the rest of the op (environment copy, locks, counters, cursor).
 
@@ -40,7 +44,8 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Steps in op order; ``other`` is what the op spent outside them.
-STEPS = ("elaborate", "recognize", "bind", "plan lookup", "loop", "run", "fetch", "other")
+STEPS = ("elaborate", "recognize", "bind", "plan lookup", "loop", "materialize", "run",
+         "fetch", "other")
 WORKLOADS = ("adhoc_cold", "tc_inproc", "nested_objects")
 
 
@@ -53,18 +58,25 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
     import repro.api.query as query
     import repro.api.session as session
     import repro.engine.engine as engine
+    import repro.engine.interning as interning
     import repro.engine.vectorized.flat as flat
     from workloads import WORKLOADS as ALL
 
     if Path(repro.__file__).resolve().parent != (tree / "src" / "repro").resolve():
         raise RuntimeError(f"imported repro from {repro.__file__}, not from {tree}/src")
     spent: dict = {}
+    active: set = set()  # steps with a timed call on the stack
     rounds = [0]
 
-    def timed(owner, attr: str, step: str):
+    def timed(owner, attr: str, step: str, within: str = ""):
+        """Time ``owner.attr`` as ``step``: only its outermost calls, and
+        with ``within``, only those made inside that step."""
         original = getattr(owner, attr)
 
         def wrapper(*args, **kwargs):
+            if step in active or (within and within not in active):
+                return original(*args, **kwargs)
+            active.add(step)
             t0 = perf_counter()
             try:
                 out = original(*args, **kwargs)
@@ -73,6 +85,7 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
                 return out
             finally:
                 spent[step] = spent.get(step, 0.0) + perf_counter() - t0
+                active.discard(step)
 
         setattr(owner, attr, wrapper)
         return owner, attr, original
@@ -84,6 +97,8 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
         timed(engine.Engine, "optimize", "plan lookup"),
         timed(engine.Engine, "_execute", "run"),
         timed(flat.FlatLoop, "run", "loop"),
+        *(timed(interning.InternTable, name, "materialize", within="run")
+          for name in ("set_from_pair_codes", "set_from_ids", "mkset")),
         timed(cursor.Cursor, "fetchall", "fetch"),
     ]
     w = ALL[workload](seed, 1.0, False)
@@ -103,7 +118,7 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
                     continue
                 steps = {step: spent.get(step, 0.0) for step in STEPS[:-1]}
                 steps["recognize"] -= steps["elaborate"]  # it ran inside
-                steps["run"] -= steps["loop"]
+                steps["run"] -= steps["loop"] + steps["materialize"]
                 steps["other"] = op - sum(steps.values())
                 for step, s in steps.items():
                     samples[step].append(s)
