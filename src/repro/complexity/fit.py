@@ -3,7 +3,7 @@
 The benchmarks produce series like "parallel depth of the dcr query at
 n = 16, 32, ..., 4096".  The paper's claims are asymptotic (Theta(log n),
 Theta(log^k n), Theta(n), polynomial); this module fits the measured points to
-those shapes with plain least squares (numpy) and reports which shape explains
+those shapes with closed-form least squares and reports which shape explains
 the data best.  It deliberately stays simple -- the point is to make "the
 growth is logarithmic, not linear" a checked, printed fact rather than a
 claim.
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -54,17 +52,20 @@ def fit_model(model: str, ns: Sequence[float], ys: Sequence[float]) -> FitResult
     """Least-squares fit of ``y = a * basis(n) + b`` for the named model."""
     if len(ns) != len(ys) or len(ns) < 2:
         raise ValueError("need at least two matching points to fit")
-    basis = np.array([_basis_value(model, n) for n in ns], dtype=float)
-    target = np.array(ys, dtype=float)
-    if model == "constant":
-        offset = float(np.mean(target))
-        residual = float(np.sqrt(np.mean((target - offset) ** 2)))
-        return FitResult(model, 0.0, offset, residual)
-    design = np.vstack([basis, np.ones_like(basis)]).T
-    (a, b), *_ = np.linalg.lstsq(design, target, rcond=None)
-    predictions = design @ np.array([a, b])
-    residual = float(np.sqrt(np.mean((predictions - target) ** 2)))
-    return FitResult(model, float(a), float(b), residual)
+    xs = [_basis_value(model, n) for n in ns]
+    ys = [float(y) for y in ys]
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    if sxx:
+        a = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
+        b = mean_y - a * mean_x
+    else:
+        # One distinct basis value (always, for "constant"): the
+        # minimum-norm solution of ``a * x + b = mean_y``.
+        scale = mean_x * mean_x + 1.0
+        a, b = mean_x * mean_y / scale, mean_y / scale
+    residual = math.sqrt(sum((a * x + b - y) ** 2 for x, y in zip(xs, ys)) / len(ys))
+    return FitResult(model, a, b, residual)
 
 
 DEFAULT_MODELS = ("constant", "log", "log^2", "log^3", "linear", "n log n", "n^2", "n^3")
@@ -81,7 +82,7 @@ def best_fit(
     compared on relative error; ties (within 5%) are broken towards the
     slower-growing model, which keeps the verdicts conservative.
     """
-    mean = float(np.mean(np.abs(np.array(ys, dtype=float)))) or 1.0
+    mean = sum(abs(float(y)) for y in ys) / len(ys) or 1.0
     fits = [fit_model(m, ns, ys) for m in models]
     order = {m: i for i, m in enumerate(models)}
     fits.sort(key=lambda f: (round(f.residual / mean, 3), order[f.model]))

@@ -28,7 +28,8 @@ shapes are lowered onto these kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, count, repeat
+from operator import eq, ne
 from typing import Callable, Iterable, Optional
 
 from ...nra.errors import NRAEvalError
@@ -40,7 +41,6 @@ from .flat import (
     CODE_BITS,
     FlatUnavailable,
     build_inv_index,
-    equal_mask,
     follow_id,
     guard_pack,
     patch_inv_index,
@@ -602,8 +602,8 @@ def flat_select(
             rows = index.get(rhs[1], ())
     if rows is None:
         la = ctx.flat_column(source, lpath)
-        mask = equal_mask(la, ctx.flat_column(source, rhs[1]) if rhs[0] == "path" else rhs[1])
-        rows = [r for r, m in enumerate(mask) if m != negate]
+        rb = ctx.flat_column(source, rhs[1]) if rhs[0] == "path" else repeat(rhs[1])
+        rows = list(compress(count(), map(ne if negate else eq, la, rb)))
     if out_spec[0] == "elems":
         # Identity output: a kept subsequence of a canonical set is
         # canonical, so no re-sort (and no dedup) is needed.

@@ -1,12 +1,12 @@
 """The vectorized evaluator: compiled set-at-a-time plans, executed.
 
-:class:`VectorizedEvaluator` is the third evaluation backend of the engine
-(after the reference interpreter and the memoizing evaluator) and mirrors
-their API: ``evaluate`` / ``run`` over an optional environment and argument.
-It owns one :class:`~.batch.BatchContext` (intern table, join-index cache,
-strategy statistics) and a structural compile cache, so a batch of inputs run
-through the same evaluator shares one compiled plan, one intern table and all
-loop-invariant join indexes -- the substrate of ``Engine.run_many``.
+:class:`VectorizedEvaluator` is the engine's compiling evaluation backend
+and mirrors the reference interpreter's API: ``evaluate`` / ``run`` over an
+optional environment and argument.  It owns one :class:`~.batch.BatchContext`
+(intern table, join-index cache, strategy statistics) and a structural compile
+cache, so a batch of inputs run through the same evaluator shares one compiled
+plan, one intern table and all loop-invariant join indexes -- the substrate of
+``Engine.run_many``.
 """
 
 from __future__ import annotations

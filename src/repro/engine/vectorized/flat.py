@@ -12,11 +12,8 @@ compares, integer hashing and integer set algebra, materializing canonical
 (:meth:`~repro.engine.interning.InternTable.set_from_ids` /
 ``set_from_pair_codes``).
 
-Three layers live here:
+Two layers live here:
 
-* the size gate (``_NP_MIN``): numpy runs the column compares of long
-  columns; short ones stay in pure-Python ``array`` code, where the numpy
-  round-trip would cost more than it saves;
 * **accessor paths**: the syntactic analysis mapping projection chains
   (``pi2(pi1(x))``) to column walks, shared by the select/map/join kernels in
   ``batch.py`` and by the flat fixpoint;
@@ -46,8 +43,6 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import Callable, Optional
 
-import numpy as np
-
 from ...nra import ast
 from ...nra.ast import Expr, free_variables
 from ...nra.errors import NRAEvalError
@@ -57,9 +52,6 @@ from ...objects.values import SetVal
 CODE_BITS = 32
 CODE_MASK = (1 << CODE_BITS) - 1
 ID_LIMIT = 1 << CODE_BITS
-
-#: Below this column length the numpy round-trip costs more than it saves.
-_NP_MIN = 64
 
 
 class FlatUnavailable(Exception):
@@ -164,17 +156,6 @@ def set_column(it, s: SetVal, path: tuple[str, ...]) -> array:
             raise FlatUnavailable(f"non-pair under path {path}")
         out[row] = j
     return out
-
-
-def equal_mask(la: array, rb) -> list:
-    """Boolean mask ``la[i] == rb[i]`` (or ``== rb`` for a scalar)."""
-    if len(la) >= _NP_MIN:
-        a = np.frombuffer(la, dtype=np.int64)
-        b = np.frombuffer(rb, dtype=np.int64) if isinstance(rb, array) else rb
-        return (a == b).tolist()
-    if isinstance(rb, array):
-        return [x == y for x, y in zip(la, rb)]
-    return [x == rb for x in la]
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,12 @@ from .protocol import (
 
 SERVER_NAME = "repro-service/1"
 
+#: Largest ``recv`` an accepted connection makes.  asyncio's socket transport
+#: asks for 256 KiB per readable event, above glibc's 128 KiB mmap threshold,
+#: so every request would map and unmap a fresh block; a request frame is a
+#: few hundred bytes, and a larger one is read in several reads.
+READ_BYTES = 64 * 1024
+
 
 @dataclass
 class ServerConfig:
@@ -280,6 +286,7 @@ class QueryServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         conn = _Connection(writer)
+        writer.transport.max_size = READ_BYTES
         with self._lock:
             self.stats.connections_opened += 1
         try:

@@ -37,9 +37,8 @@ Two families, matching the paper's two kinds of queries:
   ext-fusion benchmarks), and boolean-tagged inputs for the parity queries.
 
 Everything takes an explicit seed or :class:`random.Random`, so every test,
-example and benchmark run is reproducible.  The generators are intentionally
-dependency-light: only :mod:`networkx` (for the random digraphs) beyond the
-standard library.
+example and benchmark run is reproducible.  The generators use the standard
+library alone.
 """
 
 from .graphs import (

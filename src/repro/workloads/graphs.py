@@ -8,8 +8,7 @@ edge relations the benchmarks sweep over, as
   (diameter ``n``), the best showcase of the squaring/dcr advantage;
 * :func:`cycle_graph`, :func:`binary_tree`, :func:`grid_graph` -- structured
   graphs with different diameters;
-* :func:`random_graph` -- Erdos-Renyi digraphs (networkx), seeded for
-  reproducibility;
+* :func:`random_graph` -- Erdos-Renyi digraphs, seeded for reproducibility;
 * :func:`layered_dag` -- the "pipeline" DAGs typical of provenance/dataflow
   workloads the paper's introduction gestures at.
 
@@ -21,9 +20,8 @@ workloads directly.
 from __future__ import annotations
 
 import random
+from itertools import permutations
 from typing import Iterable
-
-import networkx as nx
 
 from ..relational.relation import Relation
 
@@ -70,9 +68,17 @@ def grid_graph(rows: int, cols: int, name: str = "r") -> Relation:
 
 
 def random_graph(n: int, p: float, seed: int = 0, name: str = "r") -> Relation:
-    """An Erdos-Renyi ``G(n, p)`` digraph with a fixed seed."""
-    g = nx.gnp_random_graph(n, p, seed=seed, directed=True)
-    return _relation_from_edges(name, g.edges())
+    """An Erdos-Renyi ``G(n, p)`` digraph with a fixed seed.
+
+    One draw from ``random.Random(seed)`` per ordered pair of distinct
+    nodes, in ``permutations`` order, keeps the pair when it is below ``p``.
+    A draw lies in ``[0, 1)``, so ``p <= 0`` keeps no edge and ``p >= 1``
+    keeps them all.
+    """
+    rng = random.Random(seed)
+    return _relation_from_edges(
+        name, (e for e in permutations(range(n), 2) if rng.random() < p)
+    )
 
 
 def layered_dag(layers: int, width: int, seed: int = 0, name: str = "r") -> Relation:
