@@ -159,31 +159,6 @@ class Workload:
         }
 
 
-def _batch_workload(quick: bool) -> dict:
-    """run_many over a batch of graphs: shared-cache evaluation vs the reference."""
-    sizes = (6, 8, 10, 12) if quick else (8, 12, 16, 20, 24, 16, 12, 8)
-    graphs = [path_graph(n).value() for n in sizes]
-    q = reachable_pairs_query("dcr")
-    t_ref, want = _best_of(lambda: [reference_run(q, g) for g in graphs], 1)
-    t_vec, got = _best_of(lambda: Engine().run_many(q, graphs), 3)
-    times = {"reference": t_ref, "vectorized": t_vec}
-    checked = got == want
-    if not checked:
-        raise AssertionError("run_many batch: vectorized disagrees with the reference")
-    speedups = {}
-    if t_vec > 0:
-        speedups["vectorized_vs_reference"] = t_ref / t_vec
-    return {
-        "name": "run-many-tc-dcr-batch",
-        "family": "batched",
-        "n": len(graphs),
-        "acceptance": False,
-        "times_s": times,
-        "speedups": speedups,
-        "checked": checked,
-    }
-
-
 def _prepared_workload(quick: bool) -> dict:
     """Prepared-statement speedup on a parametrized selection (PR-3 acceptance).
 
@@ -1151,7 +1126,6 @@ def main(argv: list[str] | None = None) -> int:
         args.output = DEFAULT_QUICK_OUTPUT if args.quick else DEFAULT_OUTPUT
 
     rows = [w.run() for w in build_workloads(args.quick)]
-    rows.append(_batch_workload(args.quick))
     service_rows = [_prepared_workload(args.quick), _cursor_workload(args.quick)]
     rows.extend(service_rows)
     columnar_rows = [_columnar_tc_workload(args.quick)]

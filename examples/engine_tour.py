@@ -90,9 +90,12 @@ def main() -> None:
           f"{s.plan_hits - after_prepare.plan_hits} plan-cache hits")
 
     # ------------------------------------------------------------ batching
+    before_batch = session.stats.copy()
     curs = session.executemany(by_src, [5, 10, 15, 20])
-    print(f"\n-- executemany over 4 bindings (one Engine.run_many batch): "
-          f"{[len(c) for c in curs]} rows each")
+    print(f"\n-- executemany over 4 bindings (one prepared execute each): "
+          f"{[len(c) for c in curs]} rows each, "
+          f"{session.stats.rewrites - before_batch.rewrites} rewrites, "
+          f"{session.stats.vec_compiles - before_batch.vec_compiles} compiles")
 
     # ------------------------------------------- materialized views (PR 5)
     # A *mutable* database and a standing query: commits refresh the view by

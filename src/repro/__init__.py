@@ -31,7 +31,7 @@ The package implements, end to end, the systems the paper describes:
 * :mod:`repro.api` -- the query-service layer over the engine: named
   :class:`~repro.api.catalog.Database` collections with type-checked
   schemas, the fluent :class:`~repro.api.query.Q` builder, sessions with
-  prepared statements, batched ``executemany`` and streaming cursors.
+  prepared statements, ``executemany`` and streaming cursors.
 
 Quick start (the query-service API)::
 

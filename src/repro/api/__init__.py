@@ -13,7 +13,7 @@ hand-builds AST nodes or re-derives plumbing per query:
 * :class:`Row` (:mod:`repro.api.expr`) -- the typed row DSL inside
   combinator callables;
 * :class:`Session` (:mod:`repro.api.session`) -- execution, per-session
-  stats, ``executemany`` batching over ``Engine.run_many``;
+  stats, ``executemany`` (one prepared execute per binding);
 * :class:`PreparedStatement` / :func:`canonical_template`
   (:mod:`repro.api.prepare`) -- the template/slot split every runnable goes
   through, so one query shape costs one rewrite and one compile total,

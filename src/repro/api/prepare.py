@@ -221,7 +221,7 @@ def recognize(e: Expr) -> tuple[Expr, dict[str, Type], dict[str, Value]]:
 class PreparedStatement:
     """A query prepared against one session: bound once, executed many times."""
 
-    __slots__ = ("session", "template", "param_types", "defaults", "label", "backend")
+    __slots__ = ("session", "template", "param_types", "defaults", "label")
 
     def __init__(
         self,
@@ -230,14 +230,12 @@ class PreparedStatement:
         param_types: dict[str, Type],
         defaults: Optional[dict[str, Value]] = None,
         label: str = "prepared",
-        backend: Optional[str] = None,
     ) -> None:
         self.session = session
         self.template = template
         self.param_types = dict(param_types)
         self.defaults = dict(defaults or {})
         self.label = label
-        self.backend = backend
 
     @property
     def param_names(self) -> list[str]:
@@ -250,7 +248,7 @@ class PreparedStatement:
         return self.session._execute_prepared(self, bindings)
 
     def executemany(self, bindings: list) -> list[Cursor]:
-        """One cursor per binding, all through the session's batch path."""
+        """One cursor per binding (see :meth:`Session.executemany`)."""
         return self.session.executemany(self, bindings)
 
     def __repr__(self) -> str:

@@ -13,10 +13,8 @@ one :class:`~repro.engine.Engine`, and per-session bookkeeping:
   + one vectorized compile per query *shape*, prepared or not;
 * ``prepare(query)`` -- the same template held as a statement: the split and
   the cache warm-up are paid once, ahead of the first binding;
-* ``executemany(query, bindings)`` -- the batch path; templates with one
-  open parameter are closed into a unary function and delegated to
-  ``Engine.run_many``, so the whole batch shares one compiled plan, one
-  intern table and all join indexes;
+* ``executemany(query, bindings)`` -- one statement executed once per
+  binding; every execute after the first hits the template's cached plan;
 * ``stats`` -- per-session counters (executes, rewrites, vectorized
   compiles, plan-cache hits, rows streamed), fed by the engine's own
   plan-cache and backend counters.
@@ -41,7 +39,7 @@ from typing import Iterable, Optional, Union
 from ..engine.engine import Engine
 from ..engine.incremental.view import MaterializedView
 from ..engine.router import placeholder_value
-from ..nra.ast import Expr, Lambda, free_variables
+from ..nra.ast import Expr, free_variables
 from ..nra.externals import EMPTY_SIGMA, Signature
 from ..objects.values import Value, from_python
 from ..obs.metrics import Counters
@@ -113,9 +111,9 @@ class Session:
         # The engine's snapshot of the database, taken on the first read and
         # held (it follows commits only while someone holds it) until close.
         self._snapshot = None
-        # Keyed on (template, defaults, backend): two queries whose literals
-        # differ share the template but not the defaults, and must not share
-        # a statement.
+        # Keyed on (template, defaults): two queries whose literals differ
+        # share the template but not the defaults, and must not share a
+        # statement.
         self._prepared: dict[tuple, PreparedStatement] = {}
         # Views this session materialized; closed (and hence unregistered
         # from the database) with the session, so short-lived sessions do
@@ -212,17 +210,18 @@ class Session:
         self,
         query: Runnable,
         params: Optional[dict] = None,
-        backend: Optional[str] = None,
         optimize: bool = True,
     ) -> Cursor:
         """Elaborate, optimize (cached), evaluate; returns a streaming cursor."""
         self._check_open()
-        if isinstance(query, PreparedStatement):
-            backend = backend if backend is not None else query.backend
         template, ptypes, defaults, _ = self._template_of(query)
         env = dict(self._environment())
         env.update(self._bind(ptypes, defaults, params))
-        value = self._run(template, env, backend, optimize)
+        value = self._charged(
+            lambda: self.engine.run(template, env=env, optimize=optimize),
+            runs=True,
+            executes=1,
+        )
         return self._cursor(value)
 
     def _execute_prepared(self, ps: PreparedStatement, params: dict) -> Cursor:
@@ -253,56 +252,37 @@ class Session:
             executes=1,
         )
 
-    def executemany(
-        self,
-        query: Runnable,
-        bindings: Iterable,
-        backend: Optional[str] = None,
-    ) -> list[Cursor]:
-        """Run one query over many parameter bindings, caches shared batch-wide.
+    def executemany(self, query: Runnable, bindings: Iterable) -> list[Cursor]:
+        """Run one statement once per parameter binding; one cursor each.
 
-        ``bindings`` is an iterable of parameter dicts (or, for queries with
-        one open parameter, bare values).  A template with a single slot
-        that has no default -- literals are slots too, but theirs are bound
-        once for the whole batch -- is closed into a unary function over
-        that slot and delegated to ``Engine.run_many``: one compiled plan,
-        one intern table and all join indexes serve the whole batch.
-        Templates with several open parameters fall back to per-binding
-        execution, which still hits every template-keyed cache.
+        ``bindings`` is an iterable of parameter dicts or, for a statement
+        with one slot that has no default (literals are slots too, but
+        theirs have one), bare values for that slot.  A statement already
+        prepared is taken as it is, so its executes add no rewrite and no
+        compile; anything else is split into a statement once for the batch.
         """
         self._check_open()
-        template, ptypes, defaults, label = self._template_of(query)
+        statement = query if isinstance(query, PreparedStatement) else (
+            PreparedStatement(self, *self._template_of(query))
+        )
         bindings = list(bindings)
         with self._lock:
             self.stats.batches += 1
-        if backend is None and isinstance(query, PreparedStatement):
-            backend = query.backend
+        ptypes, defaults = statement.param_types, statement.defaults
         open_slots = [n for n in ptypes if n not in defaults] or list(ptypes)
-        if len(open_slots) == 1:
-            (name,) = open_slots
-            slot, var = {name: ptypes[name]}, param_var(name)
-            values = [
-                self._bind(slot, defaults, b if isinstance(b, dict) else {name: b})[var]
-                for b in bindings
-            ]
-            shared = {n: t for n, t in ptypes.items() if n != name}
-            env = dict(self._environment())
-            env.update(self._bind(shared, defaults, None))
-            closed = Lambda(var, ptypes[name], template)
-            return [self._cursor(v) for v in self._run_many(closed, values, env, backend)]
-        # Split once for the whole batch, not once per binding.
-        statement = PreparedStatement(self, template, ptypes, defaults, label, backend)
         out = []
         for b in bindings:
             if not isinstance(b, dict):
-                raise TypeError(
-                    "multi-parameter executemany needs dict bindings, "
-                    f"got {b!r} for parameters {sorted(open_slots)}"
-                )
-            out.append(self.execute(statement, params=b))
+                if len(open_slots) != 1:
+                    raise TypeError(
+                        "multi-parameter executemany needs dict bindings, "
+                        f"got {b!r} for parameters {sorted(open_slots)}"
+                    )
+                b = {open_slots[0]: b}
+            out.append(statement.execute(params=b))
         return out
 
-    def prepare(self, query: Runnable, backend: Optional[str] = None) -> PreparedStatement:
+    def prepare(self, query: Runnable) -> PreparedStatement:
         """Split into template + slots and warm the template's caches.
 
         The split is :func:`~repro.api.prepare.canonical_template`'s, as for
@@ -314,7 +294,7 @@ class Session:
         self._check_open()
         if isinstance(query, PreparedStatement):
             return query
-        return self.prepare_template(*self._template_of(query), backend)
+        return self.prepare_template(*self._template_of(query))
 
     def prepare_template(
         self,
@@ -322,7 +302,6 @@ class Session:
         param_types: dict,
         defaults: dict,
         label: str = "prepared",
-        backend: Optional[str] = None,
     ) -> PreparedStatement:
         """Prepare an already-split template (the wire service's entry point).
 
@@ -335,7 +314,7 @@ class Session:
         """
         self._check_open()
         ptypes, defaults = dict(param_types), dict(defaults)
-        cache_key = (template, tuple(sorted(defaults.items())), backend)
+        cache_key = (template, tuple(sorted(defaults.items())))
         with self._lock:
             found = self._prepared.get(cache_key)
             if found is not None:
@@ -343,7 +322,7 @@ class Session:
                 return found
         # Warm the rewrite and (for the vectorized backend) the compiled plan
         # now, so the first execute is as cheap as the hundredth.
-        chosen = backend if backend is not None else self.engine.backend
+        chosen = self.engine.backend
 
         def warm() -> None:
             self.engine.optimize(template)
@@ -361,7 +340,7 @@ class Session:
         # The warm-up's second look at the plan cache is a hit, charged here
         # like the rest of its work.
         self._charged(warm, prepares=1)
-        ps = PreparedStatement(self, template, ptypes, defaults, label, backend)
+        ps = PreparedStatement(self, template, ptypes, defaults, label)
         with self._lock:
             self._prepared[cache_key] = ps
         return ps
@@ -489,22 +468,6 @@ class Session:
 
     # -- engine call-throughs with stats accounting --------------------------------
 
-    def _run(self, template, env, backend, optimize) -> Value:
-        return self._charged(
-            lambda: self.engine.run(
-                template, db=None, env=env, optimize=optimize, backend=backend
-            ),
-            runs=True,
-            executes=1,
-        )
-
-    def _run_many(self, closed, values, env, backend) -> list[Value]:
-        return self._charged(
-            lambda: self.engine.run_many(closed, values, env=env, backend=backend),
-            runs=True,
-            executes=len(values),
-        )
-
     def _charged(self, call, runs: bool = False, **own_counts):
         """``call()``, with the engine work it caused charged to this session.
 
@@ -513,8 +476,8 @@ class Session:
         engine each call's rewrites, plan hits, compiles and routing
         decisions are charged to exactly one session: engine totals equal
         the sum over sessions (the invariant the concurrency stress suite
-        asserts).  ``runs``: the call was a ``run``/``run_many``, whose
-        per-call ``last_stats`` also carry its flat-column counters (0 for a
+        asserts).  ``runs``: the call was a ``run``, whose per-call
+        ``last_stats`` also carry its flat-column counters (0 for a
         backend that does not track them).  ``own_counts`` are this
         session's own counters to add (``executes=1``, ...).
         """

@@ -26,9 +26,8 @@ Layers (each usable on its own):
   indexes, semi-naive fixpoint continuation) kept consistent under
   ``Changeset`` mutations instead of being recomputed;
 * :mod:`repro.engine.engine` -- the :class:`Engine` facade:
-  ``Engine.run(expr, db, optimize=True, backend=...)``, the batched
-  ``Engine.run_many(expr, inputs)``, ``Engine.explain(expr)`` and
-  ``Engine.explain_plan(expr)``.  Engine-scoped caches are serialized
+  ``Engine(backend=...)``, then ``Engine.run(expr, db, optimize=True)``,
+  ``Engine.explain(expr)`` and ``Engine.explain_plan(expr)``.  Engine-scoped caches are serialized
   behind one lock (see the concurrency note on :class:`Engine`); the
   client-facing layer over this facade -- catalogs, sessions, fluent
   queries, prepared statements -- is :mod:`repro.api`.

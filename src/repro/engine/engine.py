@@ -34,7 +34,6 @@ optimization layers of this package --
 
     eng = Engine()
     closure = eng.run(transitive_closure_dcr(), path_graph(24))
-    batch = eng.run_many(transitive_closure_dcr(), [path_graph(8), path_graph(16)])
 
 ``Engine.explain`` returns the :class:`Plan` -- the rewritten expression plus
 the log of fired rules -- and ``Engine.explain_plan`` the set-at-a-time
@@ -48,9 +47,10 @@ verifies on a sampled carrier -- pass ``rules=STRUCTURAL_RULES`` to disable
 them when evaluating recursions with deliberately ill-behaved combiners (see
 :mod:`repro.engine.rewrite`).
 
-``run_many`` is the batched entry point: one compiled plan, one intern table
-and all join indexes are shared across the whole batch of inputs, so
-overlapping inputs pay only for what is genuinely new.
+An engine runs one query on one input, through the backend it was built
+with; the compiled plans, the intern table and the join indexes it keeps
+serve every later run, so a repeated or overlapping input pays only for
+what is genuinely new.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from ..nra.ast import Expr, subexpressions
 from ..nra.eval import run as reference_run
@@ -76,10 +76,9 @@ from .rewrite import DEFAULT_RULES, VIEW_RULES, Rewriter, Rule, RuleFiring
 from .router import RouteDecision, Router
 from .vectorized import Compiled, PlanNode, VecStats, VectorizedEvaluator
 
-#: The evaluation backends an :class:`Engine` can run (``run``/``run_many``
-#: and the constructor default).  ``auto`` is the adaptive cost-based router
-#: of :mod:`repro.engine.router`: it picks ``vectorized`` or ``parallel`` per
-#: query.
+#: The evaluation backends an :class:`Engine` can be built with.  ``auto``
+#: is the adaptive cost-based router of :mod:`repro.engine.router`: it picks
+#: ``vectorized`` or ``parallel`` per query.
 BACKENDS = ("reference", "vectorized", "parallel", "auto")
 
 #: Explain-only views: valid for ``explain_plan(backend=...)`` but not for
@@ -99,19 +98,19 @@ def default_workers() -> int:
 
 
 def _validate_backend(name: str, explain: bool = False) -> str:
-    """The single point of backend-name validation, for every entry point.
+    """The single point of backend-name validation.
 
-    The constructor, ``run``/``run_many`` overrides and ``explain_plan`` all
-    come through here and share one message: run entry points accept
-    :data:`BACKENDS`, ``explain_plan`` additionally accepts the explain-only
-    views in :data:`EXPLAIN_ONLY_BACKENDS`.
+    The constructor and ``explain_plan`` both come through here and share
+    one message: the constructor accepts :data:`BACKENDS`, ``explain_plan``
+    additionally accepts the explain-only views in
+    :data:`EXPLAIN_ONLY_BACKENDS`.
     """
     allowed = BACKENDS + EXPLAIN_ONLY_BACKENDS if explain else BACKENDS
     if name not in allowed:
         raise ValueError(
-            f"unknown backend {name!r}: run/run_many (and the Engine "
-            f"constructor) accept {BACKENDS}; explain_plan additionally "
-            f"accepts {EXPLAIN_ONLY_BACKENDS}"
+            f"unknown backend {name!r}: the Engine constructor accepts "
+            f"{BACKENDS}; explain_plan additionally accepts "
+            f"{EXPLAIN_ONLY_BACKENDS}"
         )
     return name
 
@@ -171,39 +170,38 @@ class Engine:
         :data:`repro.engine.rewrite.DEFAULT_RULES`.  Pass ``[]`` to measure
         the evaluation backend alone.
     backend:
-        Default evaluation backend, one of :data:`BACKENDS`; ``run`` and
-        ``run_many`` accept a per-call override.  ``vectorized``, the
-        set-at-a-time compiler every session runs, is the default;
-        ``parallel`` is the sharded backend over a thread pool; ``auto``
-        routes each query to one of those two and adapts from observed
-        runtimes; ``reference`` is the oracle interpreter.
+        The evaluation backend every ``run`` goes through, one of
+        :data:`BACKENDS`.  ``vectorized``, the set-at-a-time compiler, is
+        the default; ``parallel`` is the sharded backend over a thread
+        pool; ``auto`` routes each query to one of those two and adapts
+        from observed runtimes; ``reference`` is the oracle interpreter.
     workers / shards:
         Parallel-backend knobs (ignored by the other backends): pool size
         (default :func:`default_workers`) and target shards per wave
         (default ``2 * workers``).  Both must be at least 1 whatever the
-        backend, since a per-call override can select ``parallel`` later.
+        backend, since ``explain_plan(backend="parallel")`` builds the pool.
     flat:
         Whether the compiled backends may use the dense-id column kernels.
 
     The intern table is engine-scoped (values are shared across runs and
     backends of the same engine), and so are the vectorized backend's
     compiled plans and join indexes.
-    ``last_stats`` always describes just the most recent ``run`` /
-    ``run_many`` call (a whole batch for ``run_many``), whatever the
-    backend; a second call on a warm engine therefore reports zero compiles.
+    ``last_stats`` always describes just the most recent ``run`` call,
+    whatever the backend; a second call on a warm engine therefore reports
+    zero compiles.
 
     Concurrency.  An engine owns four engine-scoped mutable caches, none of
     which is safe under unsynchronized concurrent mutation: the plan cache
     (``_plans``), the intern table (plain dicts; identity-keyed soundness
     additionally requires values to be interned exactly once), and the
     vectorized backend's compile cache and join-index cache.  The engine
-    therefore serializes ``optimize`` / ``run`` / ``run_many`` /
-    ``explain_plan`` / ``clear_plans`` behind one reentrant lock: sharing an
-    engine across threads (e.g. many :class:`repro.api.session.Session`
-    objects over one engine) is *correct* but not parallel at the call
-    level.  The ``parallel`` backend parallelizes *inside* a call: its
-    worker pool is internal to ``run``/``run_many``, its workers own private
-    intern tables and never touch the engine-scoped caches, and the driver
+    therefore serializes ``optimize`` / ``run`` / ``explain_plan`` /
+    ``clear_plans`` behind one reentrant lock: sharing an engine across
+    threads (e.g. many :class:`repro.api.session.Session` objects over one
+    engine) is *correct* but not parallel at the call level.  The
+    ``parallel`` backend parallelizes *inside* a call: its worker pool is
+    internal to ``run``, its workers own private intern tables and never
+    touch the engine-scoped caches, and the driver
     thread (which holds the lock) is the only one re-interning worker
     results -- so the lock contract is unchanged.  For parallel
     serving, give each worker thread its own engine -- caches are warm per
@@ -271,7 +269,7 @@ class Engine:
         # never outlives the engine) that flattens the per-subsystem stats
         # bags into ``repro_``-prefixed metric names.
         self._m_queries = METRICS.counter(
-            "repro_queries_total", "engine run/run_many calls"
+            "repro_queries_total", "engine run calls"
         )
         self._m_latency = METRICS.histogram(
             "repro_query_seconds", help="engine query wall time (seconds)"
@@ -452,7 +450,7 @@ class Engine:
 
         Monotone; callers (the session stats layer) difference it around
         calls to attribute compile work.  Complements ``last_stats``, which
-        only describes the most recent ``run``/``run_many``.
+        only describes the most recent ``run``.
 
         Includes compiles performed *inside* the parallel backend's worker
         threads (mirrored into ``ParStats.worker_compiles`` at the end of
@@ -476,7 +474,6 @@ class Engine:
         db=None,
         env: Optional[dict] = None,
         optimize: bool = True,
-        backend: Optional[str] = None,
     ) -> Value:
         """Optimize and evaluate ``e``, optionally applying it to input ``db``.
 
@@ -484,11 +481,10 @@ class Engine:
         :class:`~repro.relational.relation.Relation`, or plain Python data
         (converted with :func:`~repro.objects.values.from_python`); ``env``
         supplies values of free variables.  With ``optimize=False`` the
-        expression is evaluated as-is (still through the selected backend),
+        expression is evaluated as-is (still through the engine's backend),
         which is how the benchmarks isolate the contribution of the rewrites.
-        ``backend`` overrides the engine default for this call.
         """
-        chosen = self._backend(backend)
+        chosen = self.backend
         with self._lock:
             with TRACER.span("query", backend=chosen) as sp:
                 t_start = perf_counter()
@@ -555,75 +551,6 @@ class Engine:
         result = ev.run_compiled(entry, arg=arg, env=env)
         self.last_stats = ev.stats.since(before)
         return result
-
-    def run_many(
-        self,
-        e: Expr,
-        inputs: Iterable,
-        env: Optional[dict] = None,
-        optimize: bool = True,
-        backend: Optional[str] = None,
-    ) -> list[Value]:
-        """Apply one query to a batch of inputs with all caches shared.
-
-        The expression is optimized and compiled once; the compiled plan,
-        intern table, join indexes and per-denotation caches are shared
-        across inputs, so re-running an input, or running inputs with
-        overlapping substructure, turns evaluation into cache hits.
-        ``last_stats`` reports batch-wide counters.  Returns one result per
-        input, in order.
-        """
-        chosen = self._backend(backend)
-        with self._lock:
-            with TRACER.span("query", backend=chosen) as sp:
-                t_start = perf_counter()
-                expr = self.optimize(e).optimized if optimize else e
-                args = [self._to_value(db) for db in inputs]
-                if sp is not None:
-                    sp.set(batch=len(args))
-                if chosen == "auto":
-                    # Route from the first input (the batch shares one
-                    # template); record the *per-input* runtime so batch and
-                    # single runs feed the same adaptation scale.
-                    first = args[0] if args else None
-                    decision = self.router().route(expr, arg=first, env=env)
-                    if sp is not None:
-                        sp.set(
-                            backend=decision.backend, route=decision.reason,
-                            shards=decision.shards,
-                        )
-                    t0 = perf_counter()
-                    out = self._execute_many(
-                        decision.backend, decision.expr, args, env
-                    )
-                    if args:
-                        self.router().record_runtime(
-                            expr, decision.backend,
-                            (perf_counter() - t0) / len(args),
-                        )
-                else:
-                    out = self._execute_many(chosen, expr, args, env)
-                self._observe_query(perf_counter() - t_start)
-                return out
-
-    def _execute_many(
-        self, chosen: str, expr: Expr, args: list, env: Optional[dict]
-    ) -> list[Value]:
-        """Dispatch one batched evaluation (lock already held)."""
-        if chosen == "reference":
-            self.last_stats = None
-            return [reference_run(expr, a, env=env, sigma=self.sigma) for a in args]
-        if chosen == "parallel":
-            pv = self._par()
-            before_par = pv.stats.copy()
-            out = pv.run_many(expr, args, env=env)
-            self.last_stats = pv.stats.since(before_par)
-            return out
-        ev = self._vec()
-        before = ev.stats.copy()
-        out = ev.run_many(expr, args, env=env)
-        self.last_stats = ev.stats.since(before)
-        return out
 
     # -- profiling and metrics ----------------------------------------------------
 
@@ -702,9 +629,6 @@ class Engine:
 
     # -- helpers ------------------------------------------------------------------
 
-    def _backend(self, override: Optional[str]) -> str:
-        return self.backend if override is None else _validate_backend(override)
-
     def _vec(self) -> VectorizedEvaluator:
         with self._lock:
             if self._vectorized is None:
@@ -746,7 +670,7 @@ class Engine:
         ``env`` may hold catalog *samples* with ``counts`` giving the full
         cardinalities -- the decision is then made from statistics alone,
         before any execution.  The decision is cached per optimized template;
-        subsequent ``run(backend="auto")`` calls reuse and adapt it.
+        subsequent runs on an ``auto`` engine reuse and adapt it.
         """
         with self._lock:
             expr = self.optimize(e).optimized if optimize else e

@@ -484,7 +484,7 @@ class MaterializedView:
         it = self._it
         old = self._root.out
         new = _expect_set(
-            self.engine.run(self.expr, env=self._env, optimize=False, backend="vectorized"),
+            self._vec.run(self.expr, env=self._env),
             f"view {self.name!r}",
         )
         if not self.recompute_only:

@@ -50,8 +50,6 @@ class ParStats(Counters):
 
     shard_runs: int = 0        # runs executed shard-at-a-time
     fallback_runs: int = 0     # runs delegated whole to the driver
-    batch_runs: int = 0        # run_many fan-outs
-    batch_inputs: int = 0      # inputs fanned out across workers
     tasks: int = 0             # worker tasks dispatched
     shards: int = 0            # shards produced
     worker_compiles: int = 0   # subexpression compiles inside pool workers
@@ -145,7 +143,7 @@ class ParallelEvaluator:
         if ws:
             self.stats.worker_compiles = sum(s.compiled_exprs for s in ws)
 
-    def _run_wave(self, tasks: list, kind: str) -> list:
+    def _run_wave(self, tasks: list) -> list:
         """One pool wave, with a driver-side span when tracing is on.
 
         The driver blocks on the wave, so timing it here attributes all
@@ -154,7 +152,7 @@ class ParallelEvaluator:
         dropped, never misparented).
         """
         if TRACER.enabled:
-            with TRACER.span("shard-wave", kind=kind, tasks=len(tasks)):
+            with TRACER.span("shard-wave", tasks=len(tasks)):
                 return self.pool.run_tasks(tasks)
         return self.pool.run_tasks(tasks)
 
@@ -237,56 +235,8 @@ class ParallelEvaluator:
         tasks = [
             ShardTask(spec.body, {**env, spec.var: shard}) for shard in shards
         ]
-        results = self._run_wave(tasks, "shard")
+        results = self._run_wave(tasks)
         self.stats.shard_runs += 1
         self.stats.tasks += len(tasks)
         self.stats.shards += len(shards)
         return self._combine(results)
-
-    def run_many(
-        self,
-        e: Expr,
-        args: list,
-        env: Optional[dict] = None,
-    ) -> list[Value]:
-        """Fan a batch of inputs out across the workers (order preserved).
-
-        Each input is evaluated whole by one worker (shard-at-a-time *within*
-        an input would shard-and-combine per input; across a batch, whole
-        inputs are the natural unit), so a batch of B inputs keeps every
-        worker busy as long as B >= workers.  Worker caches persist across
-        batches: re-running an input on the worker it hashes to pays only
-        re-application.
-        """
-        try:
-            return self._run_many(e, args, env)
-        finally:
-            self._mirror_worker_compiles()
-
-    def _run_many(
-        self,
-        e: Expr,
-        args: list,
-        env: Optional[dict] = None,
-    ) -> list[Value]:
-        env = intern_env(self.interner, env)
-        values = [self.interner.intern(a) for a in args]
-        if not values:
-            return self.driver.run_many(e, [], env=env)
-        groups: list[list[int]] = [[] for _ in range(min(self.workers, len(values)))]
-        for i in range(len(values)):
-            groups[i % len(groups)].append(i)
-        tasks = [
-            ShardTask(e, env, args=tuple(values[i] for i in group))
-            for group in groups
-        ]
-        grouped = self._run_wave(tasks, "batch")
-        self.stats.batch_runs += 1
-        self.stats.batch_inputs += len(values)
-        self.stats.tasks += len(tasks)
-        out: list[Optional[Value]] = [None] * len(values)
-        it = self.interner
-        for group, results in zip(groups, grouped):
-            for i, r in zip(group, results):
-                out[i] = it.intern(r)
-        return out  # type: ignore[return-value]

@@ -39,17 +39,10 @@ from ..vectorized.compiler import VFunction
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One unit of worker work: evaluate ``expr`` under ``env``.
-
-    With ``args`` unset the expression must denote a value (a shard-local
-    sub-plan evaluated for its set); with ``args`` set it must denote a
-    function, which is applied to each argument in order (the ``run_many``
-    fan-out path).
-    """
+    """One unit of worker work: evaluate ``expr`` under ``env`` to a value."""
 
     expr: Expr
     env: dict
-    args: Optional[tuple] = None
 
 
 class ShardWorker:
@@ -100,15 +93,11 @@ class ShardWorker:
             for name, v in task.env.items()
         }
         d = self.evaluator.compile(task.expr).fn(env)
-        if task.args is None:
-            if isinstance(d, VFunction):
-                raise NRAEvalError(
-                    "shard task produced a function denotation; expected a value"
-                )
-            return d
-        if not isinstance(d, VFunction):
-            raise NRAEvalError(f"run_many: expected a function expression, got {d!r}")
-        return [d(self.translate(a)) for a in task.args]
+        if isinstance(d, VFunction):
+            raise NRAEvalError(
+                "shard task produced a function denotation; expected a value"
+            )
+        return d
 
     def reset(self) -> None:
         """Drop every cache (compiled plans, join indexes, translations)."""

@@ -17,7 +17,7 @@ view of interned values:
   analysis of :mod:`repro.engine.rewrite` proves union-distributive, and
   by-cardinality sharing for constant-item ``dcr``;
 * :mod:`~repro.engine.vectorized.executor` -- :class:`VectorizedEvaluator`,
-  the ``run``/``run_many`` front end used by ``Engine(backend="vectorized")``.
+  the ``run`` front end used by ``Engine(backend="vectorized")``.
 
 Every strategy is justified syntactically, so results are value-for-value
 identical to the reference interpreter on *all* inputs -- no sampled

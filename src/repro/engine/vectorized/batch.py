@@ -59,7 +59,7 @@ class VecStats(Counters):
     """Counters describing the strategies one vectorized run actually used.
 
     The evaluator's own ``stats`` run for its whole lifetime (they back the
-    engine-scoped caches); ``Engine.run``/``run_many`` take a ``copy`` before
+    engine-scoped caches); ``Engine.run`` takes a ``copy`` before
     evaluating and report ``since`` it, so ``Engine.last_stats`` always
     describes just the last call.
     """

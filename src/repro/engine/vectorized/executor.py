@@ -4,9 +4,8 @@
 and mirrors the reference interpreter's API: ``evaluate`` / ``run`` over an
 optional environment and argument.  It owns one :class:`~.batch.BatchContext`
 (intern table, join-index cache, strategy statistics) and a structural compile
-cache, so a batch of inputs run through the same evaluator shares one compiled
-plan, one intern table and all loop-invariant join indexes -- the substrate of
-``Engine.run_many``.
+cache, so every run through the same evaluator shares its compiled plans, one
+intern table and all loop-invariant join indexes.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .plan import PlanNode
 
 
 class VectorizedEvaluator:
-    """Compile-once, run-batched evaluation of NRA expressions."""
+    """Compile-once evaluation of NRA expressions, caches shared across runs."""
 
     def __init__(
         self,
@@ -98,25 +97,3 @@ class VectorizedEvaluator:
         if isinstance(d, VFunction):
             raise NRAEvalError("result is a function; supply an argument to run it")
         return d
-
-    def run_many(
-        self,
-        e: Expr,
-        args: list,
-        env: Optional[dict] = None,
-    ) -> list[Value]:
-        """Run one expression over a batch of inputs with everything shared.
-
-        The expression is compiled once; the intern table, the join-index
-        cache and every per-denotation cache (e.g. the by-size table of a
-        constant-item ``dcr``) persist across the batch, so repeated or
-        overlapping inputs pay only for what is genuinely new.
-        """
-        d = self.evaluate(e, env)
-        if not isinstance(d, VFunction):
-            raise NRAEvalError(f"run_many: expected a function expression, got {d!r}")
-        out = []
-        intern = self.interner.intern
-        for a in args:
-            out.append(d(intern(a)))
-        return out

@@ -336,11 +336,10 @@ def cmd_trace(
     host: str = DEFAULT_HOST,
     port: int = DEFAULT_PORT,
     params: Optional[list[str]] = None,
-    backend: Optional[str] = None,
     as_json: bool = False,
 ) -> int:
     bindings = _parse_bindings(params or [])
-    with connect(host, port) as conn, conn.session(backend=backend) as s:
+    with connect(host, port) as conn, conn.session() as s:
         result = s.trace(query, params=bindings)
         cur = result["cursor"]
         total = cur.total
@@ -416,7 +415,6 @@ def _build_argparse():
     common(p)
     p.add_argument("query", help="NRA concrete syntax, e.g. 'edges'")
     p.add_argument("--param", action="append", default=[], metavar="NAME=JSON")
-    p.add_argument("--backend", default=None)
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -457,7 +455,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "trace":
             return cmd_trace(
                 args.query, host=args.host, port=args.port,
-                params=args.param, backend=args.backend, as_json=args.json,
+                params=args.param, as_json=args.json,
             )
     except (ServiceError, ValueError, OSError) as exc:
         print(f"repro-cli: error: {exc}", file=sys.stderr)

@@ -279,10 +279,9 @@ class RemoteConnection:
 
     # -- public surface -----------------------------------------------------------
 
-    def session(self, backend: Optional[str] = None) -> "RemoteSession":
+    def session(self) -> "RemoteSession":
         """Open a logical session (raises :class:`ServerBusy` at the cap)."""
-        reply = self.request("open_session", backend=backend)
-        return RemoteSession(self, reply["session"], reply.get("backend"))
+        return RemoteSession(self, self.request("open_session")["session"])
 
     def ping(self) -> bool:
         self.request("ping")
@@ -332,10 +331,9 @@ class RemoteConnection:
 class RemoteSession:
     """The wire twin of :class:`~repro.api.session.Session`."""
 
-    def __init__(self, conn: RemoteConnection, sid: str, backend: Optional[str]) -> None:
+    def __init__(self, conn: RemoteConnection, sid: str) -> None:
         self.conn = conn
         self.sid = sid
-        self.backend = backend
         self.closed = False
 
     # -- query shipping -----------------------------------------------------------
@@ -502,7 +500,7 @@ class RemoteSession:
         self.close()
 
     def __repr__(self) -> str:
-        return f"<RemoteSession {self.sid} backend={self.backend!r}>"
+        return f"<RemoteSession {self.sid}>"
 
 
 class RemoteCursor:

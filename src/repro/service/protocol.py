@@ -22,7 +22,9 @@ its ``protocol`` pair and the server either accepts (echoing the negotiated
 version, the database schema, and its frame-size limit) or rejects with
 ``PROTOCOL_MISMATCH``.  Version negotiation is major-exact / minor-min:
 the major versions must match, and the connection runs at the smaller of the
-two minor versions.
+two minor versions.  Version 1.1 dropped the per-session backend: every
+session runs on the server engine's backend, and an ``open_session`` naming
+another one is refused with a :class:`ProtocolError`.
 
 Errors travel as ``{"code", "error_class", "message"}`` dictionaries.
 ``code`` is the coarse machine-readable taxonomy below (``SERVER_BUSY`` is
@@ -54,7 +56,7 @@ from ..nra.errors import (
 from ..objects.encoding import EncodingError
 
 #: (major, minor).  Major must match exactly; minor negotiates downward.
-PROTOCOL_VERSION = (1, 0)
+PROTOCOL_VERSION = (1, 1)
 
 #: Default refusal threshold for a single frame, either direction.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
@@ -163,6 +165,7 @@ _WIRE_CLASSES: dict[str, type] = {
         ValueError,
         TypeError,
         RuntimeError,
+        ProtocolError,
         ServerBusy,
     )
 }

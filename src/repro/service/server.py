@@ -129,7 +129,6 @@ class _SessionState:
     sid: str
     session: Session
     conn: "_Connection"
-    backend: Optional[str]
     inflight: int = 0
     next_handle: int = 0
     cursors: dict = field(default_factory=dict)
@@ -535,6 +534,13 @@ class QueryServer:
 
     def _op_open_session(self, conn, frame) -> dict:
         backend = frame.get("backend")
+        if backend is not None and backend != self.engine.backend:
+            # Protocol 1.0 clients could ask for a per-session backend; this
+            # server runs every session on its engine's.
+            raise ProtocolError(
+                f"this server runs backend {self.engine.backend!r} for every "
+                f"session; open_session asked for {backend!r}"
+            )
         with self._lock:
             if len(self._sessions) >= self.config.max_sessions:
                 raise ServerBusy(
@@ -545,11 +551,11 @@ class QueryServer:
             sid = f"s{self._next_sid}"
             self.stats.sessions_opened += 1
         session = Session(db=self.db, engine=self.engine)
-        st = _SessionState(sid=sid, session=session, conn=conn, backend=backend)
+        st = _SessionState(sid=sid, session=session, conn=conn)
         with self._lock:
             self._sessions[sid] = st
         conn.sessions[sid] = st
-        return {"session": sid, "backend": backend or self.engine.backend}
+        return {"session": sid}
 
     def _op_close_session(self, conn, frame) -> dict:
         st = self._state(conn, frame)
@@ -567,8 +573,8 @@ class QueryServer:
             for name, obj in (frame.get("params") or {}).items()
         }
 
-    def _shipped(self, st: _SessionState, frame: dict) -> tuple:
-        """(template, slot types, defaults, label, backend) as the client split them.
+    def _shipped(self, frame: dict) -> tuple:
+        """(template, slot types, defaults, label) as the client split them.
 
         The arguments of ``Session.prepare_template`` -- which only the
         ``prepare`` op calls -- and of ``PreparedStatement(session, ...)``:
@@ -586,7 +592,6 @@ class QueryServer:
                 for name, obj in (frame.get("defaults") or {}).items()
             },
             frame.get("label", "remote"),
-            frame.get("backend", st.backend),
         )
 
     def _cursor_reply(self, st: _SessionState, cursor: Cursor, frame: dict) -> dict:
@@ -609,17 +614,14 @@ class QueryServer:
         """``execute`` and ``trace``: run a shipped query, reply with its first chunk."""
         params = self._decode_params(frame)
         if frame.get("param_types"):
-            ps = PreparedStatement(st.session, *self._shipped(st, frame))
+            ps = PreparedStatement(st.session, *self._shipped(frame))
             cursor = ps.execute(params=params)
         else:
-            cursor = st.session.execute(
-                parse(frame["query"]), params=params,
-                backend=frame.get("backend", st.backend),
-            )
+            cursor = st.session.execute(parse(frame["query"]), params=params)
         return self._cursor_reply(st, cursor, frame)
 
     def _job_prepare(self, conn, st, frame) -> dict:
-        ps = st.session.prepare_template(*self._shipped(st, frame))
+        ps = st.session.prepare_template(*self._shipped(frame))
         return {
             "statement": self._register(st, "p", st.statements, ps),
             "params": {n: format_type(t) for n, t in ps.param_types.items()},
@@ -662,7 +664,7 @@ class QueryServer:
 
     def _job_materialize(self, conn, st, frame) -> dict:
         if frame.get("param_types"):
-            runnable = PreparedStatement(st.session, *self._shipped(st, frame))
+            runnable = PreparedStatement(st.session, *self._shipped(frame))
         else:
             runnable = parse(frame["query"])
         view = st.session.materialize(
@@ -786,7 +788,7 @@ class QueryServer:
             states = list(self._sessions.values())
         return {"sessions": [{
             "session": st.sid,
-            "backend": st.backend or self.engine.backend,
+            "backend": self.engine.backend,
             "inflight": st.inflight,
             "cursors": len(st.cursors),
             "statements": len(st.statements),

@@ -12,12 +12,13 @@ import threading
 import pytest
 
 from repro.api import Database, PreparedStatement, Q, Row, canonical_template, connect
+from repro.api.session import Session
+from repro.engine import Engine
 from repro.nra import ast
 from repro.nra.ast import Const, Eq, Lambda, Proj1, Var
 from repro.nra.eval import run as ref_run
 from repro.objects.types import BASE, ProdType, SetType
 from repro.objects.values import BaseVal, from_python
-from repro.relational.queries import reachable_from_query
 from repro.workloads.graphs import path_graph, random_graph
 
 EDGE_T = ProdType(BASE, BASE)
@@ -153,9 +154,8 @@ def test_prepared_cache_distinguishes_lifted_defaults(session):
     assert ps3 is not ps5
     assert ps3.execute().fetchall() == [(3, 4)]
     assert ps5.execute().fetchall() == [(5, 6)]
-    # Same template, same defaults -> cached; different backend -> distinct.
+    # Same template, same defaults -> cached.
     assert session.prepare(selection(3)) is ps3
-    assert session.prepare(selection(3), backend="reference") is not ps3
 
 
 def test_unbound_and_unknown_params_raise(session):
@@ -171,32 +171,64 @@ def test_unbound_and_unknown_params_raise(session):
 # executemany
 # ---------------------------------------------------------------------------
 
-def test_executemany_single_param_delegates_to_run_many(session):
-    q = reachable_from_query()
-    ps = session.prepare(q)
-    snap = session.stats.copy()
-    cursors = session.executemany(ps, [0, 3, 7, 0])
-    assert session.stats.batches == snap.batches + 1
-    assert session.stats.rewrites == snap.rewrites + 1  # the closed Lambda form
-    want = [
-        session.execute(q, params={"src": s}).value for s in (0, 3, 7, 0)
-    ]
-    assert [c.value for c in cursors] == want
-    # Dict bindings are accepted too.
-    again = session.executemany(q, [{"src": 0}, {"src": 3}])
-    assert [c.value for c in again] == want[:2]
+@pytest.mark.parametrize("backend", ["vectorized", "parallel", "auto", "reference"])
+def test_executemany_is_one_prepared_execute_per_binding(backend):
+    """Bare values bind the one slot without a default (the literal's slot
+    keeps its own), dicts bind by name; each binding's result is its own
+    ``execute``'s; after ``prepare`` the batch rewrites and compiles nothing."""
+    engine = Engine(backend=backend)
+    try:
+        session = Session(Database.of("g", edges=path_graph(12)), engine=engine)
+
+        def query(k):
+            return Q.coll("edges").fix().where(lambda e: e.fst == Q.param("src")).map(
+                lambda e: Row.pair(e.snd, k)
+            )
+
+        ps = session.prepare(query(7))
+        bindings = [0, {"src": 3}, 7, 0, {"src": 0}]  # bare, dict, mixed, duplicates
+        want = [
+            session.execute(query(7), params=b if isinstance(b, dict) else {"src": b}).value
+            for b in bindings
+        ]
+        before = session.stats.copy()
+        cursors = session.executemany(ps, bindings)
+        assert [c.value for c in cursors] == want
+        assert session.stats.batches == before.batches + 1
+        assert session.stats.executes == before.executes + len(bindings)
+        assert session.stats.rewrites == before.rewrites
+        assert session.stats.vec_compiles == before.vec_compiles
+
+        before = session.stats.copy()
+        assert session.executemany(ps, []) == []
+        assert session.stats.batches == before.batches + 1
+        assert session.stats.executes == before.executes
+
+        # Not prepared, another literal: the same template, so no new plan.
+        before = session.stats.copy()
+        again = session.executemany(query(8), [1, {"src": 2}])
+        assert [c.fetchall() for c in again] == [
+            sorted((d, 8) for d in range(2, 12)),
+            sorted((d, 8) for d in range(3, 12)),
+        ]
+        assert session.stats.rewrites == before.rewrites
+    finally:
+        engine.close()
 
 
-def test_executemany_respects_prepared_backend(session):
-    """A statement prepared for the parallel backend batches on parallel, not
-    the session default (regression: the single-param fast path dropped it)."""
+def test_executemany_runs_on_the_engine_backend():
+    """A batch runs through the backend the engine was built with."""
     from repro.engine import ParStats
 
-    q = Q.coll("edges").where(lambda e: e.fst == Q.param("src"))
-    ps = session.prepare(q, backend="parallel")
-    curs = session.executemany(ps, [0, 1])
-    assert isinstance(session.engine.last_stats, ParStats)
-    assert [c.fetchall() for c in curs] == [[(0, 1)], [(1, 2)]]
+    engine = Engine(backend="parallel")
+    try:
+        session = Session(Database.of("g", edges=path_graph(12)), engine=engine)
+        ps = session.prepare(Q.coll("edges").where(lambda e: e.fst == Q.param("src")))
+        curs = session.executemany(ps, [0, 1])
+        assert isinstance(session.engine.last_stats, ParStats)
+        assert [c.fetchall() for c in curs] == [[(0, 1)], [(1, 2)]]
+    finally:
+        engine.close()
 
 
 def test_executemany_multi_param_falls_back(session):

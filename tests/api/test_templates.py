@@ -1,8 +1,9 @@
 """Every ad-hoc entry point keys its plan on the query's shape.
 
 One case per way a non-prepared runnable reaches the engine -- ``execute``,
-``prepare``, ``executemany``, ``materialize``, ``explain_analyze`` (the remote
-``execute`` is in ``tests/service/test_service.py``) -- each rebuilt per
+``prepare``, ``materialize``, ``explain_analyze`` (``executemany`` is in
+``tests/api/test_session.py``, the remote ``execute`` in
+``tests/service/test_service.py``) -- each rebuilt per
 literal so binders are fresh, each held to the reference interpreter on the
 term ``Query.elaborate`` returns (literals inline), with the flat kernels on
 and off.
@@ -61,24 +62,6 @@ def test_prepare_finds_the_statement_of_a_rebuilt_query(session):
     assert first.execute().value == reference(session, reach_from(3))
     assert other.execute().value == reference(session, reach_from(6))
     assert session.stats.rewrites == 1
-
-
-def test_executemany_with_a_literal_is_one_run_many(session):
-    """Regression: with literals as slots the single-parameter fast path must
-    count only slots without a default (it raised ``TypeError: multi-parameter
-    executemany needs dict bindings``)."""
-    q = Q.coll("edges").where(lambda e: e.fst == Q.param("s")).map(lambda e: Row.pair(e.snd, 7))
-    before = session.stats.copy()
-    cursors = session.executemany(q, [1, {"s": 2}])
-    assert [c.fetchall() for c in cursors] == [[(2, 7)], [(3, 7)]]
-    assert [c.value for c in cursors] == [reference(session, q, s=1), reference(session, q, s=2)]
-    assert session.stats.batches == before.batches + 1
-    assert session.stats.rewrites == before.rewrites + 1  # the one closed form
-    assert session.stats.executes == before.executes + 2
-    # Another literal, rebuilt: the same closed form, so no new plan.
-    again = Q.coll("edges").where(lambda e: e.fst == Q.param("s")).map(lambda e: Row.pair(e.snd, 8))
-    assert [c.fetchall() for c in session.executemany(again, [1])] == [[(2, 8)]]
-    assert session.stats.rewrites == before.rewrites + 1
 
 
 def test_materialize_a_closure_selected_by_a_literal(session):

@@ -600,6 +600,34 @@ class TestFallbacks:
 # Invalidation ordering, staleness, lifecycle
 # ---------------------------------------------------------------------------
 
+class TestViewsOnEveryBackend:
+    """A view evaluates through the engine's vectorized evaluator whatever
+    backend the engine was built with; a cold execute runs that backend."""
+
+    @pytest.mark.parametrize("backend", ["reference", "parallel", "auto"])
+    def test_delta_and_recompute_views_match_a_cold_execute(self, backend):
+        engine = Engine(backend=backend)
+        try:
+            db = fresh_graph_db(8)
+            session = connect(db, engine=engine)
+            queries = {
+                "fix": Q.coll("edges").fix(),
+                "recompute": Q.coll("edges") - Q.coll("edges").where(lambda e: e.fst == 2),
+            }
+            views = {name: session.materialize(q) for name, q in queries.items()}
+            assert not views["fix"].recompute_only
+            assert views["recompute"].recompute_only
+            for step in (None, ("insert", [(7, 2)]), ("delete", [(3, 4)])):
+                if step is not None:
+                    getattr(db, step[0])("edges", step[1])
+                for name, q in queries.items():
+                    assert views[name].rows() == session.execute(q).rows(), (name, step)
+            assert views["fix"].stats.delta_applies == 2
+            assert views["recompute"].stats.fallback_recomputes == 2
+        finally:
+            engine.close()
+
+
 class TestViewLifecycle:
     def test_views_refresh_in_registration_order(self):
         db = fresh_graph_db(6)
@@ -739,8 +767,7 @@ class TestStatsAndExplain:
 
     def test_run_rejects_incremental_as_an_execution_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
-            Engine().run(Var("x"), env={"x": from_python({1})},
-                         backend="incremental")
+            Engine(backend="incremental")
 
 
 # ---------------------------------------------------------------------------

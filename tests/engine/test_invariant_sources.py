@@ -7,8 +7,7 @@ vectorized compiler runs every such source behind a once-cell
 * **exactness**, observed through a call-counting external: once per run
   under a ten-element outer set, never when the reference interpreter would
   not reach the source, again on the next run, per element when the source
-  mentions the binder, shared across a ``run_many`` batch, and an error is
-  raised on every run and never kept;
+  mentions the binder, and an error is raised on every run and never kept;
 * the cell is replaced whole, so two threads on one compiler never read a
   key from one evaluation with the value of another;
 * the entry points that call ``compile(e).fn(env)`` themselves (the three
@@ -100,6 +99,17 @@ def test_invariant_source_is_evaluated_once_per_run_and_again_on_the_next():
         assert ext.calls == run  # ten outer elements, one call; nothing kept
 
 
+def test_a_function_calls_its_invariant_source_once_per_input_that_reaches_it():
+    ext = Counting()
+    fn = Lambda("xs", SET_T, cross(ExternalCall("count", Var("ys"))))
+    env = {"ys": from_python({7, 8})}
+    inputs = [from_python({1, 2, 3}), from_python({4}), from_python(set()), from_python({5, 6})]
+    engine = Engine(sigma=ext.sigma, backend="vectorized")
+    got = [engine.run(fn, a, env=env, optimize=False) for a in inputs]
+    assert got == [reference_run(fn, a, env=env, sigma=Counting().sigma) for a in inputs]
+    assert ext.calls == 3  # the empty input never reaches the source
+
+
 def test_empty_outer_set_and_dead_branch_never_reach_the_source():
     ext = Counting()
     source = ExternalCall("count", Var("ys"))
@@ -154,19 +164,6 @@ def test_inner_binder_reusing_the_outer_name():
         assert ext.calls == calls
         assert got == reference_run(expr, env=env, sigma=ext.sigma)
         assert len(got) == rows
-
-
-def test_run_many_shares_within_the_batch():
-    ext = Counting()
-    fn = Lambda("xs", SET_T, cross(ExternalCall("count", Var("ys"))))
-    env = {"ys": from_python({7, 8})}
-    batch = [from_python({1, 2, 3}), from_python({4}), from_python(set()), from_python({5, 6})]
-    engine = Engine(sigma=ext.sigma, backend="vectorized")
-    got = engine.run_many(fn, batch, env=env, optimize=False)
-    assert ext.calls == 1
-    assert got == [reference_run(fn, a, env=env, sigma=Counting().sigma) for a in batch]
-    engine.run_many(fn, batch, env=env, optimize=False)
-    assert ext.calls == 2
 
 
 def test_structurally_equal_sources_share_one_evaluation():
@@ -259,7 +256,8 @@ def test_worker_pools_agree_with_the_reference(workers, shards):
             assert engine.run(expr, env=env) == want, name  # warm plan, new run
         fn = Lambda("r", REL_T, DIRECT_ENTRY_QUERIES["nest"])
         batch = [from_python(set(EDGES[:k])) for k in (0, 4, 9, len(EDGES))]
-        assert engine.run_many(fn, batch) == [reference_run(fn, a) for a in batch]
+        for a in batch:
+            assert engine.run(fn, a) == reference_run(fn, a)
     finally:
         engine.close()
 

@@ -258,18 +258,6 @@ class TestParallelExecution:
         finally:
             eng.close()
 
-    def test_run_many_fans_out(self):
-        q = Lambda("r", REL_T, compose(Var("r"), Var("r"), BASE))
-        inputs = [path_graph(n).value() for n in (4, 6, 8, 10, 12)]
-        eng = parallel_engine()
-        try:
-            got = eng.run_many(q, inputs)
-            assert got == [reference_run(q, g) for g in inputs]
-            assert eng.last_stats.batch_runs == 1
-            assert eng.last_stats.batch_inputs == 5
-        finally:
-            eng.close()
-
     def test_scalar_valued_distributive_body(self):
         # A body whose value ignores the sharded variable: every shard
         # returns the same non-set value and the combiner must not union.
@@ -288,6 +276,18 @@ class TestParallelExecution:
         try:
             assert eng.run(q, v) == reference_run(q, v, sigma=sigma)
             assert eng.last_stats.shard_runs == 1
+        finally:
+            eng.close()
+
+    def test_reused_engine_runs_each_input_on_the_pool(self):
+        q = edges_query()
+        inputs = [nested_random_graph(n, 0.2, seed=n) for n in (8, 12, 16, 20, 24)]
+        eng = parallel_engine()
+        try:
+            for g in inputs:
+                assert eng.run(q, g) == reference_run(q, g)
+                assert eng.last_stats.shard_runs == 1
+                assert eng.last_stats.shards > 1
         finally:
             eng.close()
 
@@ -420,6 +420,17 @@ class TestWorkerPool:
 # ---------------------------------------------------------------------------
 
 class TestEngineWiring:
+    def test_run_has_no_per_call_backend(self):
+        q = edges_query()
+        db = nested_random_graph(15, 0.15, seed=2)
+        eng = Engine(backend="vectorized")
+        try:
+            with pytest.raises(TypeError, match="backend"):
+                eng.run(q, db, backend="parallel")
+            assert eng.run(q, db) == reference_run(q, db)
+        finally:
+            eng.close()
+
     def test_explain_plan_shows_shards_and_combiner(self):
         eng = parallel_engine()
         try:
@@ -454,16 +465,6 @@ class TestEngineWiring:
             plan = eng.explain_plan(two_hop_query(), backend="vectorized")
             assert "hash-join" in plan.ops()
             assert "parallel" not in plan.ops()
-        finally:
-            eng.close()
-
-    def test_backend_override_per_call(self):
-        q = edges_query()
-        db = nested_random_graph(15, 0.15, seed=2)
-        eng = Engine(backend="vectorized")
-        try:
-            assert eng.run(q, db, backend="parallel") == eng.run(q, db)
-            assert eng.run(q, db, backend="parallel") == reference_run(q, db)
         finally:
             eng.close()
 
@@ -527,7 +528,7 @@ class TestEngineWiring:
         with pytest.raises(ValueError):
             Engine(backend="sharded")
         # Bad pool knobs fail at construction, naming the parameter, for
-        # every backend: a per-call override can select ``parallel`` later.
+        # every backend: ``auto`` can route to the pool later.
         for backend in ("parallel", "vectorized"):
             with pytest.raises(ValueError, match="workers"):
                 Engine(backend=backend, workers=0)

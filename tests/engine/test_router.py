@@ -61,7 +61,7 @@ def edge_set(pairs):
 
 
 class TestBackendValidation:
-    """One validator, one message, all three entry points."""
+    """One validator, one message, both entry points."""
 
     def _message(self, call):
         with pytest.raises(ValueError) as info:
@@ -72,8 +72,6 @@ class TestBackendValidation:
         eng = Engine()
         msgs = {
             self._message(lambda: Engine(backend="bogus")),
-            self._message(lambda: eng.run(Var("x"), backend="bogus")),
-            self._message(lambda: eng.run_many(Var("x"), [], backend="bogus")),
             self._message(lambda: eng.explain_plan(Var("x"), backend="bogus")),
         }
         assert len(msgs) == 1
@@ -83,10 +81,9 @@ class TestBackendValidation:
             assert name in msg
 
     def test_incremental_is_explain_only(self):
-        eng = Engine()
-        msg = self._message(lambda: eng.run(Var("x"), backend="incremental"))
+        msg = self._message(lambda: Engine(backend="incremental"))
         assert "incremental" in msg  # named as explain-only, not unknown
-        plan = eng.explain_plan(Var("edges"), backend="incremental")
+        plan = Engine().explain_plan(Var("edges"), backend="incremental")
         assert "ivm" in str(plan)
 
     def test_auto_is_a_run_backend(self):
@@ -412,17 +409,18 @@ class TestAutoIntegration:
         for n in (6, 24):
             g = path_graph(n)
             auto = Engine(backend="auto")
-            assert auto.run(q, g) == Engine().run(q, g, backend="reference")
+            assert auto.run(q, g) == Engine(backend="reference").run(q, g)
 
-    def test_run_many_routes_once_and_records_per_input(self):
+    def test_repeated_runs_route_once_and_record_each_run(self):
         eng = Engine(backend="auto")
         q = reachable_pairs_query("dcr")
         args = [path_graph(12).value(), path_graph(12).value()]
-        results = eng.run_many(q, args)
-        assert len(results) == 2
+        results = [eng.run(q, a) for a in args]
+        assert results[0] == results[1] == Engine(backend="reference").run(q, args[0])
         stats = eng.router_stats()
         assert stats["routes"] == 1
-        assert stats["runs_recorded"] >= 1
+        assert stats["route_hits"] >= 1
+        assert stats["runs_recorded"] == 2
 
     def test_parallel_route_overrides_shard_count(self):
         sigma = enrichment_sigma()

@@ -5,8 +5,8 @@ input its result equals the reference interpreter's, whatever strategy the
 compiler picked (hash join, semi-naive frontier, by-size dcr, or the faithful
 element-wise fallbacks).  These tests cross-check the whole query library on
 the graph and nested workloads, assert that the intended strategies actually
-fire (via ``Engine.explain_plan``), and pin down the cache-sharing contract
-of ``Engine.run_many``.
+fire (via ``Engine.explain_plan``), and pin down that a reused engine or
+evaluator reports per-call stats and keeps its results per input.
 """
 
 import pytest
@@ -336,27 +336,8 @@ def test_seminaive_iterate_matches_full_iteration():
 
 
 # ---------------------------------------------------------------------------
-# run_many: shared plans, intern table and caches
+# Reuse: plans, intern table and caches shared across runs
 # ---------------------------------------------------------------------------
-
-def test_run_many_matches_reference_on_all_backends():
-    q = reachable_pairs_query("dcr")
-    graphs = [GRAPHS[k] for k in sorted(GRAPHS)]
-    want = [run(q, g.value()) for g in graphs]
-    for backend in ("reference", "vectorized"):
-        assert Engine(backend=backend).run_many(q, graphs) == want, backend
-
-
-def test_run_many_vectorized_compiles_once():
-    eng = vec_engine()
-    q = reachable_pairs_query("logloop")
-    eng.run_many(q, [GRAPHS["path"], GRAPHS["cycle"]])
-    assert eng.last_stats.compiled_exprs > 0
-    # last_stats is per-call: a warm engine recompiles nothing.
-    eng.run_many(q, [GRAPHS["tree"], GRAPHS["random"]])
-    assert eng.last_stats.compiled_exprs == 0
-    assert eng.last_stats.seminaive_loops == 2
-
 
 def test_last_stats_is_per_call_on_a_reused_engine():
     eng = vec_engine()
@@ -366,35 +347,46 @@ def test_last_stats_is_per_call_on_a_reused_engine():
     assert eng.last_stats.seminaive_loops == 1
 
 
-def test_run_many_over_duplicate_inputs_costs_one_run():
+@pytest.mark.parametrize("backend", ["reference", "vectorized", "parallel", "auto"])
+def test_reused_engine_matches_reference_on_every_backend(backend):
+    q = reachable_pairs_query("dcr")
+    eng = Engine(backend=backend)
+    try:
+        for k in sorted(GRAPHS):
+            assert eng.run(q, GRAPHS[k]) == run(q, GRAPHS[k].value()), k
+    finally:
+        eng.close()
+
+
+def test_warm_engine_compiles_nothing():
+    eng = vec_engine()
+    q = reachable_pairs_query("logloop")
+    eng.run(q, GRAPHS["path"])
+    assert eng.last_stats.compiled_exprs > 0
+    eng.run(q, GRAPHS["tree"])
+    assert eng.last_stats.compiled_exprs == 0
+    assert eng.last_stats.seminaive_loops == 1
+
+
+def test_a_repeated_input_adds_no_compile_and_no_value():
     eng = vec_engine()
     q = reachable_pairs_query("dcr")
     g = GRAPHS["path"]
-    eng.run_many(q, [g, g, g])
-    # The second and third inputs reuse the first one's plan and interned
-    # values: no compile and no new value beyond what one run produces.
-    solo = vec_engine()
-    solo.run(q, g)
-    assert eng.last_stats.compiled_exprs == solo.last_stats.compiled_exprs > 0
-    assert eng.interner.size == solo.interner.size
-
-
-def test_run_many_shares_the_intern_table():
-    eng = vec_engine()
-    q = reachable_pairs_query("dcr")
-    eng.run_many(q, [GRAPHS["path"], GRAPHS["path"]])
-    # Interning the second copy of the input is pure hits: no new values.
+    eng.run(q, g)
+    # The second run reuses the first one's plan and interned values:
+    # interning the input again is pure hits.
     hits, size = eng.interner.hits, eng.interner.size
-    eng.run_many(q, [GRAPHS["path"]])
+    eng.run(q, g)
+    assert eng.last_stats.compiled_exprs == 0
     assert eng.interner.size == size
     assert eng.interner.hits > hits
 
 
-def test_run_many_results_are_per_input():
+def test_results_are_per_input_on_a_reused_engine():
     eng = vec_engine()
     q = reachable_pairs_query("dcr")
     a, b = path_graph(4), path_graph(7)
-    ra, rb = eng.run_many(q, [a, b])
+    ra, rb = eng.run(q, a), eng.run(q, b)
     assert ra == run(q, a.value())
     assert rb == run(q, b.value())
     assert ra != rb
@@ -403,7 +395,7 @@ def test_run_many_results_are_per_input():
 def test_evaluator_reuse_without_engine():
     ev = VectorizedEvaluator()
     q = reachable_pairs_query("dcr")
-    outs = ev.run_many(q, [GRAPHS["path"].value(), GRAPHS["tree"].value()])
+    outs = [ev.run(q, GRAPHS[k].value()) for k in ("path", "tree")]
     assert outs == [run(q, GRAPHS["path"].value()), run(q, GRAPHS["tree"].value())]
 
 

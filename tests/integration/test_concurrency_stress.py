@@ -5,8 +5,8 @@ serializes its cache-touching operations behind one reentrant lock, so
 sharing an engine across sessions and threads is correct (not call-parallel);
 the ``parallel`` backend parallelizes *inside* a call with workers that never
 touch engine state.  This suite hammers exactly that contract: N threads over
-M sessions on one shared ``Engine(backend="parallel")``, mixing ``run``
-(execute), ``run_many`` (executemany) and prepared execution, then checks
+M sessions on one shared ``Engine(backend="parallel")``, mixing ad-hoc
+``execute``, ``executemany`` and prepared execution, then checks
 
 * every result matches the single-threaded expectation, and
 * the engine's plan-cache counters are exactly the sum of what the sessions

@@ -34,11 +34,9 @@ PLAN_CACHE_NAMES = [
     "repro_plan_cache_misses_total",
 ]
 
-#: The 43 names the four scraped bags emit: ``vec``, ``par``, ``router``
+#: The 41 names the four scraped bags emit: ``vec``, ``par``, ``router``
 #: (engine) and ``service`` (server).
 BAG_NAMES = [
-    "repro_par_batch_inputs_total",
-    "repro_par_batch_runs_total",
     "repro_par_fallback_runs_total",
     "repro_par_shard_runs_total",
     "repro_par_shards_total",
@@ -121,7 +119,7 @@ def test_the_scraped_names_are_the_documented_ones():
     telemetry_surface = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(telemetry_surface)
     surface = telemetry_surface.surface(ROOT)
-    assert len(BAG_NAMES) == 43
+    assert len(BAG_NAMES) == 41
     assert surface["scrape_names"] == sorted(PLAN_CACHE_NAMES + BAG_NAMES)
     assert surface["server_fields"] == sorted(ServerStats.__dataclass_fields__)
     assert set(RouterStats.__dataclass_fields__) <= set(surface["router_keys"])

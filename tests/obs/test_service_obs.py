@@ -81,7 +81,7 @@ class TestMetricsOp:
 class TestTraceOp:
     def test_trace_returns_span_tree_and_rows(self, server):
         with connect(server.host, server.port) as conn:
-            with conn.session(backend="auto") as s:
+            with conn.session() as s:
                 out = s.trace(Q.coll("edges").fix())
                 rows = out["cursor"].fetchall()
         assert len(rows) == out["cursor"].total > 0
@@ -143,7 +143,7 @@ class TestSlowQueryLog:
         srv.start_in_thread()
         try:
             with connect(srv.host, srv.port) as conn:
-                with conn.session(backend="auto") as s:
+                with conn.session() as s:
                     s.execute("edges").close()       # fast: below threshold
                     s.execute(SLEEPY_QUERY).close()  # blocks past threshold
                 payload = conn.metrics()

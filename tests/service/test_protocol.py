@@ -142,6 +142,7 @@ class TestErrorMapping:
             ValueError("nope"),
             TypeError("mismatch"),
             RuntimeError("closed"),
+            ProtocolError("one backend per server"),
         ):
             back = exception_from_error(error_payload(exc))
             assert type(back) is type(exc)

@@ -30,6 +30,7 @@ from repro.objects.types import BASE
 from repro.objects.values import to_python
 from repro.service import (
     ConnectionClosed,
+    ProtocolError,
     QueryServer,
     RemoteError,
     ServerBusy,
@@ -579,6 +580,22 @@ class TestAutoBackendService:
                     assert s.stats()["stats"]["routes"] >= 1
         finally:
             srv.stop()
+
+
+class TestOneBackendPerServer:
+    def test_open_session_naming_another_backend_is_refused(self, server):
+        """A protocol 1.0 client may still name a session backend: the server
+        refuses any but its own, by name, and the connection lives on."""
+        with connect(server.host, server.port) as conn:
+            sessions = len(conn.sessions())
+            with pytest.raises(ProtocolError) as info:
+                conn.request("open_session", backend="parallel")
+            assert "'vectorized'" in str(info.value) and "'parallel'" in str(info.value)
+            assert len(conn.sessions()) == sessions
+            sid = conn.request("open_session", backend="vectorized")["session"]
+            assert len(conn.sessions()) == sessions + 1
+            conn.request("close_session", session=sid)
+            assert conn.ping()
 
 
 # -- dispatch: loop ops inline, engine ops one pool job each ----------------------

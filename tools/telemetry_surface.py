@@ -4,8 +4,9 @@
 
 Imports ``repro`` from ``TREE/src`` (default: this checkout) and, on a
 16-node path graph, drives one ``vectorized``, one ``parallel`` and one
-``auto`` session through prepare, execute, ``executemany``,
-``explain_analyze``, ``materialize`` and an insert/delete pair, then one
+``auto`` session through prepare, execute, ``executemany`` over three
+bindings (one execute each), ``explain_analyze``, ``materialize`` and an
+insert/delete pair, then one
 wire round trip (open a session, execute, status) against a
 ``QueryServer``.  It prints what the outside world reads of the counter
 bags:
