@@ -1274,10 +1274,7 @@ class PlanCompiler:
 
             def _run_flat_loop(loop, budget, trace_on):
                 try:
-                    if trace_on:
-                        loop.run(budget, _flat_round_event)
-                    else:
-                        loop.run(budget)
+                    loop.run(budget, _flat_round_event if trace_on else None)
                 finally:
                     ctx.stats.seminaive_rounds += loop.rounds
                 return loop.materialize()

@@ -21,13 +21,16 @@ Two layers live here:
   the round structure of :func:`repro.recursion.iterators.seminaive_iterate`
   with the accumulator as a level-ordered queue: a derived code not yet
   seen is appended the moment it is derived, and a round is the level
-  between two boundaries of the queue, so a round costs its rows plus a
-  boundary, with no per-round set, sort or column split.  It is the one
-  round loop of the compiling backends: ``run`` goes to the fixpoint (or
-  the iterator's budget) in one call, because a linear-depth recursion pays
-  whatever a round costs once per unit of depth.  Per-term probe plans are
-  resolved at ``setup``, the indexes are rebuilt or grown in place at level
-  boundaries and the counters are added once per call.
+  between two boundaries of the queue, so a round costs its rows, with no
+  per-round set, sort or column split.  It is the one round loop of the
+  compiling backends: ``run`` goes to the fixpoint (or the iterator's
+  budget) in one call, because a linear-depth recursion pays whatever a
+  round costs once per unit of depth.  One cursor walks the queue, probing
+  each row with the first frontier-left term; a level boundary costs a
+  compare and the budget check, plus only the work some term needs there
+  (an index rebuilt or grown, the level's join of every other term) and,
+  with an observer, a clock read.  Per-term probe plans are resolved once
+  per spec and the counters are added once per call.
 
 Exactness contract: every helper either returns exactly what the object
 kernel would, or raises :class:`FlatUnavailable` *before any observable
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, replace
+from functools import cached_property
 from time import perf_counter
 from typing import Callable, Optional
 
@@ -183,6 +187,26 @@ class FlatTermSpec:
     out_a: tuple[str, tuple[str, ...]]  # (side, path)
     out_b: tuple[str, tuple[str, ...]]
 
+    @cached_property
+    def probe(self) -> tuple:
+        """The static half of the term's probe plan, resolved once per spec.
+
+        ``(a_left, b_left, lk, rk, oa, ob)``: whether the left row supplies
+        each output component, then the left key, right key and output
+        paths, each split into its head step (does it pick the row's fst:
+        free) and the part walk left (rare).  An invariant side may carry an
+        empty path; its rows are element ids, resolved by full-path walks
+        when a loop is set up.
+        """
+        return (self.out_a[0] == "l", self.out_b[0] == "l",
+                _head_rest(self.lkey), _head_rest(self.rkey),
+                _head_rest(self.out_a[1]), _head_rest(self.out_b[1]))
+
+
+def _head_rest(path: tuple[str, ...]) -> tuple[bool, tuple[str, ...]]:
+    """A row-side path as (its head step picks ``fst``, the part walk left)."""
+    return path[:1] == ("f",), path[1:]
+
 
 def _classify_source(src: Expr, var: str, dv: str) -> tuple[Optional[str], Optional[Expr]]:
     if isinstance(src, ast.Var):
@@ -317,47 +341,30 @@ def _codes(fs, ss):
     return ((f << CODE_BITS) | s for f, s in zip(fs, ss))
 
 
-def _head_rest(path: tuple[str, ...]) -> tuple[bool, tuple[str, ...]]:
-    """A row-side path as (its head step picks ``fst``, the part walk left)."""
-    return path[:1] == ("f",), path[1:]
-
-
 class _FlatTerm:
-    """One flat join term inside a :class:`FlatLoop`: its probe plan and index.
+    """One flat join term inside a :class:`FlatLoop`: its spec and this run's
+    index (and, for an invariant left side, its rows).  The static half of
+    the probe plan lives on the spec (:attr:`FlatTermSpec.probe`)."""
 
-    What a round needs to know about the term is resolved here, once per
-    loop: which side supplies each output component, and every row-side path
-    split into its head step (pick fst or snd of the row: free) and the
-    remaining part walk (rare).  An invariant side may carry an empty path;
-    its rows are element ids, resolved by full-path walks at setup.
-    """
-
-    __slots__ = (
-        "spec", "index", "inv_rows", "a_left", "b_left", "lk", "rk", "oa", "ob",
-    )
+    __slots__ = ("spec", "index", "inv_rows")
 
     def __init__(self, spec: FlatTermSpec):
         self.spec = spec
         self.index: dict[int, list] = {}
         self.inv_rows: list = []  # (lkey, la, lb) triples for an invariant left
-        self.a_left = spec.out_a[0] == "l"
-        self.b_left = spec.out_b[0] == "l"
-        self.lk, self.rk = _head_rest(spec.lkey), _head_rest(spec.rkey)
-        self.oa, self.ob = _head_rest(spec.out_a[1]), _head_rest(spec.out_b[1])
 
     def plan(self) -> tuple:
-        """What a round's join reads, unpacked once per level: whether the
-        left rows are the frontier's (else the accumulator's, or the
-        invariant rows when those are given), the index's ``get`` (the
-        index is rebuilt or grown in place, so it stays bound) and the path
-        steps."""
-        return (self.spec.left == "delta", self.index.get, self.a_left, self.b_left,
-                *self.lk, *self.oa, *self.ob,
-                self.inv_rows if self.spec.left == "inv" else None)
+        """What a join of the term reads: the index's ``get`` (the index is
+        rebuilt or grown in place, so it stays bound), then the left key's
+        path steps and, per output component, whether the left row supplies
+        it and its path steps."""
+        a_left, b_left, lk, _, oa, ob = self.spec.probe
+        return (self.index.get, *lk, a_left, *oa, b_left, *ob)
 
 
-def _unobserved(seconds: float, round: int, frontier: int) -> None:
-    """The ``on_round`` of an untraced loop: the round's report is dropped."""
+#: The cursor's plan when no term's left rows are the frontier's (they all
+#: join at the boundaries): an empty index, so every row it passes misses.
+_IDLE_PLAN = ({}.get, True, (), True, True, (), True, True, ())
 
 
 class FlatLoop:
@@ -366,12 +373,12 @@ class FlatLoop:
     The accumulator columns are a level-ordered queue: the starting
     accumulator's rows, frontier last, then every derived row in the order
     it was derived.  A round is a *level* -- the rows between two
-    boundaries -- and a cursor walks them.
+    boundaries -- and one cursor walks every level in turn.
     Construction + :meth:`setup` encode the starting accumulator with the
     frontier at its tail (the whole start for a strict step's round one,
-    else what an object round one left) and resolve the per-term probe plans
-    and indexes; :meth:`run` then walks the queue to the fixpoint or the
-    budget in one call.
+    else what an object round one left) and build the per-term indexes;
+    :meth:`run` then walks the queue to the fixpoint or the budget in one
+    call.
     """
 
     def __init__(self, ctx, specs: list):
@@ -429,14 +436,15 @@ class FlatLoop:
                 continue  # the object join short-circuits an empty left side
             t = _FlatTerm(spec)
             if spec.left == "inv":
-                t.inv_rows = self._inv_left_rows(t, lval)
+                t.inv_rows = self._inv_left_rows(spec, lval)
             if spec.right == "inv":
                 # Shared with later runs over ``rval``: never mutated
                 # (``_index_rows`` extends only acc/delta terms' indexes).
+                a_left, b_left = spec.probe[:2]
                 t.index = self.ctx.inv_index(rval, (
                     "inv", spec.rkey,
-                    None if t.a_left else spec.out_a[1],
-                    None if t.b_left else spec.out_b[1],
+                    None if a_left else spec.out_a[1],
+                    None if b_left else spec.out_b[1],
                 ))
             elif spec.right == "acc":
                 self._index_rows(t, fs, ss)
@@ -453,17 +461,16 @@ class FlatLoop:
             ]
             self._terms = [t for t in self._terms if t not in self._mirrors]
 
-    def _inv_left_rows(self, t: _FlatTerm, s: SetVal) -> list:
-        spec = t.spec
+    def _inv_left_rows(self, spec: FlatTermSpec, s: SetVal) -> list:
+        a_left, b_left = spec.probe[:2]
         tag = ("inv", spec.lkey,
-               spec.out_a[1] if t.a_left else None, spec.out_b[1] if t.b_left else None)
+               spec.out_a[1] if a_left else None, spec.out_b[1] if b_left else None)
         return [(lk, la, lb) for lk, (la, lb) in _inv_rows(self.it, self.it.set_ids(s), tag)]
 
     def _index_rows(self, t: _FlatTerm, fs, ss) -> None:
         """Index (or extend the index of) pair rows by the right key path."""
         parts, by_dense = self._parts, self._by_dense
-        (rk_f, rk_rest), (oa_f, oa_rest), (ob_f, ob_rest) = t.rk, t.oa, t.ob
-        a_left, b_left = t.a_left, t.b_left
+        a_left, b_left, _, (rk_f, rk_rest), (oa_f, oa_rest), (ob_f, ob_rest) = t.spec.probe
         setdefault = t.index.setdefault
         for f, s in zip(fs, ss):
             rk = f if rk_f else s
@@ -482,106 +489,168 @@ class FlatLoop:
 
     # -- rounds -------------------------------------------------------------------
 
-    def run(self, budget: int, on_round: Callable = _unobserved) -> int:
-        """Walk the queue level by level until it is drained or ``budget``
+    def _join_rows(self, t: _FlatTerm, lo: int, hi: int) -> None:
+        """One level ``[lo, hi)``'s join of a term the cursor does not probe
+        with: a frontier-left term walks the level's rows, an
+        accumulator-left one the queue up to the level's end, an
+        invariant-left one its rows."""
+        get, lk_f, lk_rest, a_left, oa_f, oa_rest, b_left, ob_f, ob_rest = t.plan()
+        acc_f, acc_s, seen = self._acc_f, self._acc_s, self._acc_codes
+        add, push_f, push_s = seen.add, acc_f.append, acc_s.append
+        if t.spec.left == "inv":
+            for k, la, lb in t.inv_rows:
+                ms = get(k)
+                if ms:
+                    for ra, rb in ms:
+                        a = la if a_left else ra
+                        b = lb if b_left else rb
+                        c = (a << CODE_BITS) | b
+                        if c not in seen:
+                            add(c)
+                            push_f(a)
+                            push_s(b)
+            return
+        parts, by_dense = self._parts, self._by_dense
+        start = lo if t.spec.left == "delta" else 0
+        for f, s in zip(acc_f[start:hi], acc_s[start:hi]):
+            k = f if lk_f else s
+            if lk_rest:
+                k = _follow_or_raise(parts, by_dense, k, lk_rest)
+            ms = get(k)
+            if ms:
+                la = lb = 0
+                if a_left:
+                    la = f if oa_f else s
+                    if oa_rest:
+                        la = _follow_or_raise(parts, by_dense, la, oa_rest)
+                if b_left:
+                    lb = f if ob_f else s
+                    if ob_rest:
+                        lb = _follow_or_raise(parts, by_dense, lb, ob_rest)
+                for ra, rb in ms:
+                    a = la if a_left else ra
+                    b = lb if b_left else rb
+                    c = (a << CODE_BITS) | b
+                    if c not in seen:
+                        add(c)
+                        push_f(a)
+                        push_s(b)
+
+    def run(self, budget: int, on_round: Optional[Callable] = None) -> int:
+        """Walk the queue with one cursor until it is drained or ``budget``
         levels are done.
 
         A derived code joins the accumulator the moment it is derived, at
         the queue's tail.  While level L is walked every code of level <= L
         is already there, so what is derived and new belongs to level L + 1:
         the levels are exactly the semi-naive rounds, with the same values,
-        budget cut and counters.  Per level every term joins, in term order:
-        a frontier-left term walks the level's rows against its index, an
-        accumulator-left one the queue up to the level's end, an
-        invariant-left one its rows.  The rest is boundary work: before a
-        level the held-back mirror term joins and the frontier-side indexes
-        are rebuilt; after it the acc-side indexes grow by the next level,
-        ``on_round(seconds, round, frontier)`` reports it (traced or not)
-        and the budget is checked.
-        Returns the rounds completed by this call; the counters are added
-        once, on the way out, also when a round raises (its joins count, the
-        round itself does not -- a raise while refreshing counts nothing).
+        budget cut and counters.  The cursor probes each row it passes with
+        the first frontier-left term, whose plan is unpacked once per run.
+        Crossing a level boundary is a compare, the round count, the
+        level's end and the budget check; the rest of the boundary work
+        runs only for the terms that need it: the acc-side indexes grow by
+        the level just derived, the held-back mirror term joins from round
+        two, the frontier-side indexes are rebuilt from the new level, and
+        every other term joins that level once (:meth:`_join_rows`).  Only
+        with an observer is the clock read: ``on_round(seconds, round,
+        frontier)`` reports each level walked, so a traced run executes the
+        same loop.
+        Returns the rounds completed by this call.  The counters follow
+        from the levels begun and are added once, on the way out, also
+        when a round raises (its joins count, the round itself does not --
+        a raise while rebuilding counts nothing).
         """
-        terms, seen, mirrors = self._terms, self._acc_codes, self._mirrors
-        acc_f, acc_s = self._acc_f, self._acc_s
+        acc_f, acc_s, seen = self._acc_f, self._acc_s, self._acc_codes
         add, push_f, push_s = seen.add, acc_f.append, acc_s.append
         parts, by_dense = self._parts, self._by_dense
+        terms, mirrors = self._terms, self._mirrors
+        lead = next((t for t in terms if t.spec.left == "delta"), None)
+        others = [t for t in terms if t is not lead]
+        get, lk_f, lk_rest, a_left, oa_f, oa_rest, b_left, ob_f, ob_rest = (
+            _IDLE_PLAN if lead is None else lead.plan())
         rebuilt = [t for t in terms if t.spec.right == "delta"]
         grown = [t for t in terms if t.spec.right == "acc"]
-        kept = len(terms) - len(rebuilt)  # prebuilt indexes reused per round
-        plans = [t.plan() for t in terms]
-        rounds, lo, hi = self.rounds, self._lo, len(acc_f)
-        done = joins = builds = hits = 0
-        t0 = perf_counter()
+        n_terms, n_rebuilt, n_mirrors = len(terms), len(rebuilt), len(mirrors)
+        refresh = bool(others or rebuilt or mirrors)  # work when a level begins
+        first = rounds = self.rounds
+        stop = first + budget
+        # The level just walked is the empty one before the frontier; the
+        # acc-side indexes already hold every row of the queue.
+        lo = hi = i = self._lo
+        indexed = len(acc_f)
+        rebuilding = finished = False
+        t0 = perf_counter() if on_round is not None else 0.0
         try:
-            while done < budget and lo < hi:
-                rounds += 1
-                if mirrors and rounds > 1:
-                    rebuilt += mirrors  # the frontier left the accumulator
-                    plans += [t.plan() for t in mirrors]
-                    mirrors = self._mirrors = []
-                for t in rebuilt:
-                    t.index.clear()
-                    self._index_rows(t, acc_f[lo:hi], acc_s[lo:hi])
-                if rounds > 1:
-                    hits += kept
-                joins += len(plans)
-                builds += len(rebuilt)
-                for (left, get, a_left, b_left, lk_f, lk_rest,
-                     oa_f, oa_rest, ob_f, ob_rest, inv_rows) in plans:
-                    if inv_rows is not None:
-                        for k, la, lb in inv_rows:
-                            ms = get(k)
-                            if ms:
-                                for ra, rb in ms:
-                                    a = la if a_left else ra
-                                    b = lb if b_left else rb
-                                    c = (a << CODE_BITS) | b
-                                    if c not in seen:
-                                        add(c)
-                                        push_f(a)
-                                        push_s(b)
-                        continue
-                    for i in range(lo if left else 0, hi):
-                        f, s = acc_f[i], acc_s[i]
-                        k = f if lk_f else s
-                        if lk_rest:
-                            k = _follow_or_raise(parts, by_dense, k, lk_rest)
-                        ms = get(k)
-                        if ms:
-                            la = lb = 0
-                            if a_left:
-                                la = f if oa_f else s
-                                if oa_rest:
-                                    la = _follow_or_raise(parts, by_dense, la, oa_rest)
-                            if b_left:
-                                lb = f if ob_f else s
-                                if ob_rest:
-                                    lb = _follow_or_raise(parts, by_dense, lb, ob_rest)
-                            for ra, rb in ms:
-                                a = la if a_left else ra
-                                b = lb if b_left else rb
-                                c = (a << CODE_BITS) | b
-                                if c not in seen:
-                                    add(c)
-                                    push_f(a)
-                                    push_s(b)
-                size, lo, hi = hi - lo, hi, len(acc_f)
-                for t in grown:
-                    self._index_rows(t, acc_f[lo:hi], acc_s[lo:hi])
-                done += 1
-                t1 = perf_counter()
-                on_round(t1 - t0, rounds, size)
-                t0 = t1
+            while True:
+                if i == hi:  # the boundary after level [lo, hi)
+                    end = len(acc_f)
+                    if grown:
+                        for t in grown:
+                            self._index_rows(t, acc_f[indexed:end], acc_s[indexed:end])
+                        indexed = end
+                    if on_round is not None and rounds > first:
+                        t1 = perf_counter()
+                        on_round(t1 - t0, rounds, hi - lo)
+                        t0 = t1
+                    if rounds >= stop or end == hi:
+                        break
+                    lo, hi = hi, end
+                    rounds += 1
+                    if refresh:
+                        if mirrors and rounds > 1:
+                            rebuilt += mirrors  # the frontier left the accumulator
+                            others += mirrors
+                            mirrors = self._mirrors = []
+                        if rebuilt:
+                            rebuilding = True
+                            for t in rebuilt:
+                                t.index.clear()
+                                self._index_rows(t, acc_f[lo:hi], acc_s[lo:hi])
+                            rebuilding = False
+                        for t in others:
+                            self._join_rows(t, lo, hi)
+                f = acc_f[i]
+                s = acc_s[i]
+                i += 1
+                k = f if lk_f else s
+                if lk_rest:
+                    k = _follow_or_raise(parts, by_dense, k, lk_rest)
+                ms = get(k)
+                if ms:
+                    la = lb = 0
+                    if a_left:
+                        la = f if oa_f else s
+                        if oa_rest:
+                            la = _follow_or_raise(parts, by_dense, la, oa_rest)
+                    if b_left:
+                        lb = f if ob_f else s
+                        if ob_rest:
+                            lb = _follow_or_raise(parts, by_dense, lb, ob_rest)
+                    for ra, rb in ms:
+                        a = la if a_left else ra
+                        b = lb if b_left else rb
+                        c = (a << CODE_BITS) | b
+                        if c not in seen:
+                            add(c)
+                            push_f(a)
+                            push_s(b)
+            finished = True
         finally:
-            self.rounds, self._lo = rounds, lo
+            self.rounds, self._lo = rounds, hi
+            begun = rounds - first
+            done = begun if finished else begun - 1
+            # The levels whose joins began (not one whose rebuild raised),
+            # and how many of them come after round one.
+            joined = begun - 1 if rebuilding else begun
+            later = joined - 1 if first == 0 and joined else joined
+            joins = n_terms * joined + n_mirrors * later
             stats = self.stats
             stats.flat_rounds += done
             stats.flat_dedups += done
             stats.hash_joins += joins
             stats.flat_joins += joins
-            stats.index_builds += builds
-            stats.index_hits += hits
+            stats.index_builds += n_rebuilt * joined + n_mirrors * later
+            stats.index_hits += (n_terms - n_rebuilt) * later
         return done
 
     def materialize(self) -> SetVal:

@@ -15,11 +15,12 @@ the semi-naive rounds.  What is pinned here:
   the fixpoint) give the same value from the same number of rounds and
   joins, equal to the object kernels and the reference interpreter;
 * the **budget** stops the loop exactly where the iterator's cardinality
-  argument says, for a linear step and for a bilinear (squaring) one;
+  argument says, for a linear step, for one with two frontier terms and
+  for a bilinear (squaring) one;
 * **tracing** reports one ``fixpoint-round`` event per round and does not
   fork the loop (values and counters equal with the tracer on and off),
-  and a round that raises leaves the error, the counters and a usable
-  engine behind;
+  an untraced loop reads no clock per round, and a round that raises
+  leaves the error, the counters and a usable engine behind;
 * **round one** runs in the frontier loop exactly when no branch of the
   step is loop-invariant (the plan says ``round-one-frontier``), so the
   first read after a commit builds no index and runs no map.
@@ -32,6 +33,7 @@ came to be read off the collection's id columns (no ``bulk_maps``).
 
 import pytest
 
+import repro.engine.vectorized.flat as flat
 from repro.api import Database, Q
 from repro.complexity.fit import is_polylog
 from repro.engine import Engine
@@ -125,16 +127,23 @@ OFF_GRAPH = Const(from_python({(100, 101)}), REL_T)
 
 
 def _query(style):
-    """The closure in ``style``, or ``loop(\\v. v U C U v o r)`` from ``r`` or from {}.
+    """The closure in ``style``, ``loop(\\v. v U C U v o r)`` from ``r`` or from {},
+    or the left-linear ``loop(\\v. v U r o v)`` from ``r``.
 
     The invariant branch ``C`` keeps the step's object round one: started
-    in the frontier loop, the empty start would wrongly stay empty.
+    in the frontier loop, the empty start would wrongly stay empty.  The
+    left-linear step has no frontier-left term: ``r o v`` joins each level
+    at its boundary, against the level's rebuilt index.
     """
     if style in ("logloop", "sri"):
         return reachable_pairs_query(style)
-    step = Lambda("v", REL_T, Union(
-        Union(Var("v"), OFF_GRAPH), compose(Var("v"), Var("r"), BASE)))
-    start = Var("r") if style == "invariant-branch" else EmptySet(ProdType(BASE, BASE))
+    if style == "left-linear":
+        step = Lambda("v", REL_T, Union(Var("v"), compose(Var("r"), Var("v"), BASE)))
+        start = Var("r")
+    else:
+        step = Lambda("v", REL_T, Union(
+            Union(Var("v"), OFF_GRAPH), compose(Var("v"), Var("r"), BASE)))
+        start = Var("r") if style == "invariant-branch" else EmptySet(ProdType(BASE, BASE))
     return Lambda("r", REL_T, Apply(
         Loop(step, BASE), Pair(field_of(Var("r"), BASE, BASE), start)))
 
@@ -150,7 +159,8 @@ def _run_with(query, graph, **engine_args):
         engine.close()
 
 
-@pytest.mark.parametrize("style", ["logloop", "sri", "invariant-branch", "invariant-branch-empty"])
+@pytest.mark.parametrize(
+    "style", ["logloop", "sri", "invariant-branch", "invariant-branch-empty", "left-linear"])
 @pytest.mark.parametrize("gname", list(GRAPHS))
 def test_local_and_thread_drivers_agree_with_object_kernels_and_reference(gname, style):
     graph, query = GRAPHS[gname].value(), _query(style)
@@ -200,6 +210,55 @@ def test_a_budget_below_the_depth_stops_exactly_there(budget):
     assert len(engine.run(expr, env=env, optimize=False).elements) == sum(
         16 - d for d in range(1, min(budget + 1, 15) + 1)
     )
+
+
+#: ``\v. v U v o r U v o s``: two frontier terms, one edge or one skip (two
+#: edges) further per round.
+TWO_STEPS = Lambda("v", REL_T, Union(
+    Union(Var("v"), compose(Var("v"), Var("r"), BASE)), compose(Var("v"), Var("s"), BASE)))
+
+
+def _reference_rounds(step, env, budget):
+    """The rounds the reference iterates ``step`` from ``r``: up to and
+    including the first that adds nothing, or ``budget``."""
+    before = env["r"]
+    for k in range(1, budget + 1):
+        expr = Apply(Loop(step, BASE), Pair(Var("n"), Var("r")))
+        now = reference_run(expr, env=env | {"n": from_python(set(range(k)))})
+        if now == before:
+            return k
+        before = now
+    return budget
+
+
+def _counted(expr, env, **engine_args):
+    """Value, ``COUNTERS`` and ``flat_fixpoints`` of one run on a fresh engine,
+    read off its vectorized evaluator: the one that runs every fixpoint,
+    under either backend."""
+    engine = Engine(**engine_args)
+    try:
+        value = engine.run(expr, env=env, optimize=False)
+        stats = engine._vec().stats
+        return value, tuple(getattr(stats, c) for c in COUNTERS), stats.flat_fixpoints
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("budget", [1, 2, 5, 40])
+def test_a_budget_cuts_a_step_with_two_frontier_terms_where_the_reference_does(budget):
+    # The cursor probes each row with ``v o r``; ``v o s`` joins each level
+    # at its boundary.  Round k finds the paths of length 2k and 2k + 1.
+    expr = Apply(Loop(TWO_STEPS, BASE), Pair(Var("n"), Var("r")))
+    env = {
+        "r": path_graph(16).value(),
+        "s": from_python({(i, i + 2) for i in range(14)}),
+        "n": from_python(set(range(budget))),
+    }
+    value, counters, fixpoints = _counted(expr, env, backend="vectorized")
+    assert value == reference_run(expr, env=env) and fixpoints == 1
+    seminaive_rounds, flat_rounds = counters[:2]
+    assert seminaive_rounds == flat_rounds == _reference_rounds(TWO_STEPS, env, budget)
+    assert _counted(expr, env, backend="parallel", workers=2) == (value, counters, fixpoints)
 
 
 #: ``loop(\v. v U v o v)``: squaring, a bilinear step -- J(delta, acc) from
@@ -254,6 +313,22 @@ def test_one_fixpoint_round_event_per_round(tracer, engine_args):
         assert all("pool" not in sp.attrs for sp in events)
     finally:
         engine.close()
+
+
+def test_an_untraced_loop_reads_no_clock_per_round(monkeypatch):
+    session, reach = _reach(96)
+    reads = []
+    clock = flat.perf_counter
+
+    def counted():
+        reads.append(1)
+        return clock()
+
+    monkeypatch.setattr(flat, "perf_counter", counted)
+    assert not TRACER.enabled
+    assert len(reach.execute(src=0).fetchall()) == 95
+    assert session.engine.last_stats.flat_rounds == 95
+    assert len(reads) <= 1
 
 
 def _observed(case):

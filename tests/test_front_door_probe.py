@@ -25,7 +25,7 @@ def _patched():
             InternTable.set_from_pair_codes, InternTable.set_from_ids, InternTable.mkset)
 
 
-@pytest.mark.parametrize("workload", ["adhoc_cold", "tc_inproc", "nested_objects"])
+@pytest.mark.parametrize("workload", ["adhoc_cold", "tc_inproc", "ivm_churn", "nested_objects"])
 def test_every_step_is_timed_and_the_tree_is_restored(workload):
     before = _patched()
     steps = front_door_probe.probe(ROOT, workload, reads=30, warm=5)
@@ -34,8 +34,9 @@ def test_every_step_is_timed_and_the_tree_is_restored(workload):
                for s in ("recognize", "bind", "plan lookup", "materialize", "run", "fetch"))
     # Prepared reads elaborate nothing; ad-hoc ones elaborate every op.
     assert (steps["elaborate"] > 0) == (workload == "adhoc_cold")
-    if workload == "tc_inproc":
-        # reach(src) on the 96-node path: the flat loop, one round per edge walked.
+    if workload in ("tc_inproc", "ivm_churn"):
+        # reach(src) on the 96-node path (one round per edge walked) or on
+        # ivm_churn's base tree (one round per tree level): the flat loop.
         assert 0 < steps["loop"] < steps["op"]
         assert steps["rounds"] > 0 and steps["us_per_round"] > 0
     if workload == "nested_objects":

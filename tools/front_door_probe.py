@@ -7,8 +7,10 @@ The in-process twin of ``tools/hop_probe.py``.  Imports ``repro`` from
 ``TREE/src`` and the workload from ``TREE/perf/workloads.py`` (default: this
 checkout), sets the workload up as ``perf/run.py`` does, runs ``--reads`` of
 its ops (after ``--warm`` untimed ones) -- a prepared statement's bindings,
-or for ``adhoc_cold`` a never-seen query per op over its five shapes -- and
-prints the median microseconds each step took per op:
+or for ``adhoc_cold`` a never-seen query per op over its five shapes; for
+``ivm_churn`` its reads alone, ``reach(src)`` on the base tree with both
+views materialized, no writes between them -- and prints the median
+microseconds each step took per op:
 
 * ``elaborate``: ``Query.elaborate`` (ad-hoc ops only);
 * ``recognize``: ``Session._template_of`` less the elaboration inside it --
@@ -29,7 +31,7 @@ rounds per op and microseconds per round of the loop (over the ops that ran
 one).  The steps patch only names the parent and the change both have, so
 the same command on two trees -- alternately, nothing else running --
 compares them.  Every op's rows are checked against the workload's closed
-form, outside the timing.
+form (``ivm_churn``: the base tree's answer), outside the timing.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Steps in op order; ``other`` is what the op spent outside them.
 STEPS = ("elaborate", "recognize", "bind", "plan lookup", "loop", "materialize", "run",
          "fetch", "other")
-WORKLOADS = ("adhoc_cold", "tc_inproc", "nested_objects")
+WORKLOADS = ("adhoc_cold", "tc_inproc", "ivm_churn", "nested_objects")
 
 
 def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> dict:
@@ -102,6 +104,13 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
         timed(cursor.Cursor, "fetchall", "fetch"),
     ]
     w = ALL[workload](seed, 1.0, False)
+    if workload == "ivm_churn":
+        def expected(i: int) -> frozenset:
+            """Its reads only: setup leaves the database at its base state,
+            so op i returns the base tree's reach(src) of its cycle."""
+            return w.want[i % len(w.want)][1]
+    else:
+        expected = w.expected
     samples: dict = {step: [] for step in (*STEPS, "op", "rounds", "us_per_round")}
     wrong = 0
     try:
@@ -113,7 +122,7 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
                 t0 = perf_counter()
                 rows = w.read(i)
                 op = perf_counter() - t0
-                wrong += not w.check(i, rows, w.expected(i))
+                wrong += not w.check(i, rows, expected(i))
                 if i < warm:
                     continue
                 steps = {step: spent.get(step, 0.0) for step in STEPS[:-1]}
