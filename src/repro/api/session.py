@@ -99,11 +99,10 @@ class Session:
         engine: Optional[Engine] = None,
         backend: str = "vectorized",
         sigma: Signature = EMPTY_SIGMA,
-        rules=None,
     ) -> None:
         self.db = db
         self.engine = engine if engine is not None else Engine(
-            sigma=sigma, rules=rules, backend=backend
+            sigma=sigma, backend=backend
         )
         self.stats = SessionStats()
         self.closed = False

@@ -12,6 +12,10 @@ Layers (each usable on its own):
   fusion and unit laws, identity elimination, short-circuits, and the
   Proposition 2.1 translations applied as cost-directed ``sri`` -> ``dcr``
   rewrites;
+* :mod:`repro.engine.shapes` -- the one shape analysis: equi-joins,
+  projection chains as column walks, and which fixpoint steps run
+  semi-naively (:func:`~repro.engine.shapes.analyze_step`), for the
+  rewriter, the compiler, the router and the views alike;
 * :mod:`repro.engine.interning` -- hash-consing :class:`InternTable` for
   complex object values;
 * :mod:`repro.engine.vectorized` -- the set-at-a-time executor: a compiler
@@ -67,11 +71,9 @@ from .rewrite import (
     Rewriter,
     Rule,
     RuleFiring,
-    insert_as_step,
-    is_inflationary_step,
     rewrite,
-    union_operands,
 )
+from .shapes import insert_as_step, is_inflationary_step, union_operands
 from .vectorized import PlanNode, VecStats, VectorizedEvaluator
 
 __all__ = [

@@ -70,6 +70,7 @@ from ..obs.metrics import METRICS
 from ..obs.profile import PlanProfiler, QueryProfile
 from ..obs.trace import TRACER
 from ..relational.relation import Relation
+from .incremental.delta import maintenance_plan
 from .interning import InternTable
 from .parallel import ParallelEvaluator, ParStats
 from .rewrite import DEFAULT_RULES, VIEW_RULES, Rewriter, Rule, RuleFiring
@@ -436,8 +437,6 @@ class Engine:
             if inner_backend == "parallel":
                 inner = self._par().shard_plan(inner_expr)
             elif inner_backend == "incremental":
-                from .incremental.delta import maintenance_plan
-
                 inner = maintenance_plan(inner_expr)
             else:
                 inner = self._vec().plan(inner_expr)

@@ -27,33 +27,8 @@ delta rules and the cost model.
 """
 
 from .changeset import Changeset, CollectionDelta
-
-# The analysis and runtime halves import the rewriter and the vectorized
-# compiler, which sit downstream of repro.workloads -> repro.api.catalog ->
-# this package's changeset module; loading them lazily (PEP 562) keeps that
-# chain acyclic while `from repro.engine.incremental import MaterializedView`
-# still works.
-_LAZY = {
-    "DELTA_KINDS": "delta",
-    "DeltaOp": "delta",
-    "derive": "delta",
-    "maintenance_plan": "delta",
-    "MaterializedView": "view",
-    "ViewDelta": "view",
-    "ViewStats": "view",
-}
-
-
-def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
-
+from .delta import DELTA_KINDS, DeltaOp, derive, maintenance_plan
+from .view import MaterializedView, ViewDelta, ViewStats
 
 __all__ = [
     "Changeset",

@@ -25,9 +25,9 @@ approximate rule.  The accepted shapes, and the rules they get:
     over support counts.
 
 ``join``
-    the equi-join nest :func:`repro.engine.vectorized.compiler.match_join`
-    recognises, with keys and output pure in their own side.  **Bilinear**
-    rule ``delta(L >< R) = dL >< R_old  U  L_new >< dR`` over incrementally
+    the equi-join nest :func:`repro.engine.shapes.match_join` recognises,
+    with keys and output pure in their own side.  **Bilinear** rule
+    ``delta(L >< R) = dL >< R_old  U  L_new >< dR`` over incrementally
     maintained hash indexes on both sides.
 
 ``union``
@@ -35,27 +35,30 @@ approximate rule.  The accepted shapes, and the rules they get:
     both sides survive the deletion of one.
 
 ``fixpoint``
-    ``apply(loop/log_loop(step), (ctrl, base))`` where the step passes the
-    inflationary + union-distributive analysis of the vectorized backend
-    (:func:`~repro.engine.vectorized.compiler.delta_terms` -- the *same*
-    analysis that gates semi-naive execution, so a view is fixpoint-
-    maintainable iff its loop runs semi-naively).  Insertions are maintained
-    by semi-naive **continuation** from the new frontier; deletions by
+    ``apply(loop/log_loop(step), (ctrl, base))`` where
+    :func:`repro.engine.shapes.analyze_step` gives the step a shape -- the
+    *same* analysis that makes the compiler's loop semi-naive, so a view is
+    fixpoint-maintainable iff its loop runs semi-naively, and the node holds
+    the :class:`~repro.engine.shapes.StepShape` itself.  The view builds the
+    fixpoint and continues it after insertions on the compiler's own step
+    runner (``resume``, the flat loop where the terms lower); deletions run
     **delete/rederive** (DRed) -- over-delete every derivation through a
     deleted element, re-prove the still-supported survivors, continue
     semi-naively (the ``ivm-dred-*`` nodes under the fixpoint in the
-    rendered plan).  Whether a fixpoint is **indexed** is decided here, once:
-    when the step is the bilinear self-join ``\\v. v U (v >< v)`` (the
-    library's ``fix()``) with projection-chain keys and a pair of
-    projection chains as output, the node carries those paths
-    (``DeltaOp.self_join``, the ``bilinear-indexed`` annotation) and the
-    view keeps counted two-sided indexes over the fixpoint on dense ids, so
-    both DRed passes cost the derivation cone, never a full re-join.  Every
-    other accepted step -- and an indexed node that meets a value outside
-    the pair domain at run time -- runs DRed over the generic frontier
-    terms.  Both are sound for exactly the accepted grammar, which is why
-    no *extra* analysis gates them: a shape that compiles to ``fixpoint``
-    is deletion-maintainable, and a shape that does not never reaches DRed.
+    rendered plan).  Whether a fixpoint is **indexed** is part of the same
+    shape: ``StepShape.self_join`` is the ``(delta, acc)`` flat join spec
+    when the step is strict (no loop-invariant branch) and its only other
+    join term is its ``(acc, delta)`` mirror -- the bilinear self-join
+    ``\\v. v U (v >< v)`` of the library's ``fix()``, with projection-chain
+    keys and a pair of projection chains as output.  The plan shows it as
+    ``bilinear-indexed``, and the view keeps counted two-sided indexes over
+    the fixpoint on dense ids, so both DRed passes cost the derivation cone,
+    never a full re-join.  Every other accepted step -- and an indexed node
+    that meets a value outside the pair domain at run time -- runs DRed over
+    the generic frontier terms.  Both are sound for exactly the accepted
+    grammar, which is why no *extra* analysis gates them: a shape that
+    compiles to ``fixpoint`` is deletion-maintainable, and a shape that does
+    not never reaches DRed.
 
 ``static``
     any subexpression mentioning no mutable collection: evaluated once,
@@ -79,14 +82,12 @@ tests.  Compilation is pure analysis: no state is allocated here (that is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ...nra import ast
-from ...nra.ast import Expr, free_variables, fresh_name, substitute
-from ..rewrite import is_inflationary_step
-from ..vectorized.compiler import delta_terms, match_join
-from ..vectorized.flat import join_paths
+from ...nra.ast import Expr, free_variables, substitute
+from ..shapes import StepShape, analyze_step, match_join
 from ..vectorized.plan import PlanNode, node
 
 #: The maintenance-rule vocabulary (``DeltaOp.kind`` ranges over these).
@@ -113,14 +114,10 @@ class DeltaOp:
     lkey: Optional[Expr] = None
     rkey: Optional[Expr] = None
     out: Optional[Expr] = None
-    #: ``fixpoint``: the step lambda, the frontier variable, the frontier terms.
+    #: ``fixpoint``: the step lambda and its shape (frontier variable and
+    #: terms, flat specs, and the self-join spec of an indexed fixpoint).
     step: Optional[ast.Lambda] = None
-    delta_var: str = ""
-    terms: tuple[Expr, ...] = field(default=())
-    #: ``fixpoint``: an indexed fixpoint's self-join as projection paths --
-    #: ``(lpath, rpath, fst, snd)``, as ``flat.join_paths`` returns them --
-    #: or ``None`` for every other step.
-    self_join: Optional[tuple] = None
+    shape: Optional[StepShape] = None
 
     def walk(self):
         yield self
@@ -211,7 +208,7 @@ def _derive_ext(e: ast.Apply, bases: frozenset[str]) -> DeltaOp:
 def _derive_fixpoint(e: ast.Apply, bases: frozenset[str]) -> Optional[DeltaOp]:
     step = e.func.step  # type: ignore[union-attr]
     ctrl, base_expr = e.arg.fst, e.arg.snd  # type: ignore[union-attr]
-    if not isinstance(step, ast.Lambda) or not is_inflationary_step(step):
+    if not isinstance(step, ast.Lambda):
         return None
     if (free_variables(step.body) - {step.var}) & bases:
         # The step reads a mutable collection beyond the accumulator: a
@@ -227,65 +224,10 @@ def _derive_fixpoint(e: ast.Apply, bases: frozenset[str]) -> Optional[DeltaOp]:
         # and diverge later.  The library's ``fix()`` shape (control =
         # field of the seed relation) satisfies this exactly.
         return None
-    dv = fresh_name("ivmdelta")
-    terms = delta_terms(step.body, step.var, dv)
-    if terms is None:
+    shape = analyze_step(step)
+    if shape is None:
         return None
-    return DeltaOp(
-        "fixpoint",
-        e,
-        (derive(base_expr, bases),),
-        step=step,
-        delta_var=dv,
-        terms=tuple(terms),
-        self_join=_match_self_join(step),
-    )
-
-
-def _match_self_join(step: ast.Lambda) -> Optional[tuple]:
-    """Recognise the indexed self-join step ``\\v. v U (v >< v)``.
-
-    The shape the library's ``fix()`` emits (repeated-squaring transitive
-    closure): a union of the accumulator with an equi-join of the
-    accumulator against itself, whose keys are projection chains and whose
-    output is a pair of projection chains -- exactly what the view's
-    dense-id mirror runs on packed pair codes.  For this shape the view
-    keeps **two-sided hash indexes and per-output support counts over the
-    fixpoint itself**, so deletion maintenance walks the derivation cone by
-    index probes and rederives by remaining-support counts instead of
-    re-running the step body (see ``MaterializedView._ijoin_dred``).
-    Returns the paths or ``None``; a miss is not an error -- the generic
-    frontier-term DRed still applies.
-    """
-    body = step.body
-    if not isinstance(body, ast.Union):
-        return None
-    for ident, joined in ((body.left, body.right), (body.right, body.left)):
-        if not (isinstance(ident, ast.Var) and ident.name == step.var):
-            continue
-        if not (
-            isinstance(joined, ast.Apply)
-            and isinstance(joined.func, ast.Ext)
-            and isinstance(joined.func.func, ast.Lambda)
-            and isinstance(joined.arg, ast.Var)
-            and joined.arg.name == step.var
-        ):
-            continue
-        f = joined.func.func
-        m = match_join(f.var, f.body)
-        if m is None:
-            continue
-        rvar, lkey, rkey, out, inner_src = m
-        if not (isinstance(inner_src, ast.Var) and inner_src.name == step.var):
-            continue
-        if step.var in (f.var, rvar):
-            continue  # a binder shadowing the accumulator
-        paths = join_paths(f.var, rvar, lkey, rkey, out)
-        # Empty paths would key on (or output) the element itself, whose
-        # dense id a packed pair code does not carry.
-        if paths is not None and all((paths[0], paths[1], paths[2][1], paths[3][1])):
-            return paths
-    return None
+    return DeltaOp("fixpoint", e, (derive(base_expr, bases),), step=step, shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +249,8 @@ def _plan_of(op: DeltaOp) -> PlanNode:
     elif op.kind == "union":
         annotations = ("counted",)
     elif op.kind == "fixpoint":
-        detail = f"{len(op.terms)} frontier terms"
+        n_terms = len(op.shape.terms)
+        detail = f"{n_terms} frontier terms"
         annotations = ("semi-naive continuation", "delete-rederive")
         # The deletion strategy, rendered as explicit sub-steps.  An indexed
         # fixpoint (fix()'s self-join over projection chains) keeps counted
@@ -316,7 +259,7 @@ def _plan_of(op: DeltaOp) -> PlanNode:
         # reads the remaining support counts.  Other accepted steps reuse
         # the continuation's frontier terms for the sweep and re-prove
         # survivors' one-step consequences with the step body.
-        if op.self_join is not None:
+        if op.shape.self_join is not None:
             annotations += ("bilinear-indexed",)
             children.append(node("ivm-dred-overdelete",
                                  "indexed derivation cone, counts decremented",
@@ -326,7 +269,7 @@ def _plan_of(op: DeltaOp) -> PlanNode:
                                  annotations=("semi-naive continuation",)))
         else:
             children.append(node("ivm-dred-overdelete",
-                                 f"{len(op.terms)} frontier terms over old fixpoint",
+                                 f"{n_terms} frontier terms over old fixpoint",
                                  annotations=("derivation-cone",)))
             children.append(node("ivm-dred-rederive",
                                  "seed + one-step support, then continuation",

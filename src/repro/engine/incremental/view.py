@@ -14,16 +14,18 @@ Runtime state, per :class:`~repro.engine.incremental.delta.DeltaOp` node:
 * ``join`` nodes additionally hold **hash indexes on both sides**
   (key value -> matching elements), maintained incrementally, so a delta of
   ``k`` elements probes in ``O(k * matches)`` instead of re-joining;
-* ``fixpoint`` nodes hold the current fixpoint set; insertions re-enter the
-  engine's semi-naive frontier iteration *from the new frontier* (the old
-  result is the accumulator, so converged work is never re-derived), and
+* ``fixpoint`` nodes hold the current fixpoint set and the compiler's step
+  runner for the node's :class:`~repro.engine.shapes.StepShape`: the build
+  runs it from the seed, and insertions re-enter it *from the new
+  frontier* (the old result is the accumulator, so converged work is
+  never re-derived), and
   deletions run **delete/rederive** (DRed): an over-deletion pass propagates
   the deleted elements through the loop's frontier terms to drop everything
   with a derivation through a deleted element, and a rederivation pass
   re-proves the over-deleted elements still supported by the survivors, then
   continues semi-naively -- work scales with the affected derivation cone,
   not the result (see :meth:`MaterializedView._dred_fixpoint`); an
-  *indexed* fixpoint (the plan's ``self_join``, ``fix()``'s repeated
+  *indexed* fixpoint (the shape's ``self_join``, ``fix()``'s repeated
   squaring) instead keeps counted two-sided indexes over its own output on
   dense ids (:class:`_FlatIJoinState`), so both passes cost index probes
   over the derivation cone;
@@ -52,7 +54,8 @@ pays one splice per commit where an eager output paid one merge.
 ``len(view)`` is kept from the root delta and renders nothing.
 
 All per-element evaluation (ext bodies, join keys, outputs,
-frontier terms) runs through closures compiled by the engine's
+frontier terms) and every fixpoint continuation runs through closures and
+step runners compiled by the engine's
 :class:`~repro.engine.vectorized.compiler.PlanCompiler`, so a view shares the
 engine's compile cache and intern table, and all state mutation happens under
 the engine lock (the same contract every backend follows).
@@ -133,7 +136,7 @@ class _NodeState:
     """
 
     __slots__ = ("it", "stats", "rendered", "pending", "counts", "lindex",
-                 "rindex", "children", "flat")
+                 "rindex", "children", "flat", "runner")
 
     def __init__(self, it, stats: ViewStats) -> None:
         self.it = it          # the engine's intern table (renders splice there)
@@ -149,6 +152,9 @@ class _NodeState:
         #: (any other fixpoint, or one that left the pair domain) runs the
         #: generic frontier-term passes.
         self.flat: Optional["_FlatIJoinState"] = None
+        #: A fixpoint's step runner, compiled by the engine's compiler: its
+        #: ``resume`` builds and continues the fixpoint.
+        self.runner = None
 
     @property
     def out(self) -> Optional[SetVal]:
@@ -200,17 +206,18 @@ class _FlatIJoinState:
     __slots__ = ("parts", "paths", "a_left", "b_left", "counts", "lindex",
                  "rindex", "present", "seeds")
 
-    def __init__(self, parts: dict, lpath, rpath, fst, snd):
+    def __init__(self, parts: dict, spec):
         self.parts = parts          # live pair-part view of the intern table
-        #: The left key, right key, output fst and output snd paths, each as
-        #: (shift to its head half, the part walk after it): a one-step
-        #: path -- the closure's every path -- is a shift and a mask.
+        #: The left key, right key, output fst and output snd paths of the
+        #: self-join ``spec``, each as (shift to its head half, the part walk
+        #: after it): a one-step path -- the closure's every path -- is a
+        #: shift and a mask.
         self.paths = tuple(
             (CODE_BITS if p[0] == "f" else 0, p[1:])
-            for p in (lpath, rpath, fst[1], snd[1])
+            for p in (spec.lkey, spec.rkey, spec.out_a[1], spec.out_b[1])
         )
-        self.a_left = fst[0] == "l"  # output fst: path over left (else right)
-        self.b_left = snd[0] == "l"  # output snd: path over left (else right)
+        self.a_left = spec.out_a[0] == "l"  # output fst: over left (else right)
+        self.b_left = spec.out_b[0] == "l"  # output snd: over left (else right)
         self.counts: dict[int, int] = {}       # out code -> derivation count
         self.lindex: dict[int, dict] = {}      # key id -> {element code}
         self.rindex: dict[int, dict] = {}
@@ -550,9 +557,10 @@ class MaterializedView:
             st.out = self._it.mkset(st.counts)
             return st
         if kind == "fixpoint":
+            st.runner = self._vec.compiler.step_runner(op.step, op.shape)
             base = st.children[0].out
-            st.out = self._fixpoint_from(op, base, base)
-            if op.self_join is not None:
+            st.out = self._resume(st, base, base)
+            if op.shape.self_join is not None:
                 st.flat = self._ijoin_build(op, st)
             return st
         raise AssertionError(f"unknown delta op kind {kind!r}")
@@ -722,37 +730,13 @@ class MaterializedView:
 
     # -- fixpoint --------------------------------------------------------------
 
-    def _fixpoint_from(self, op: DeltaOp, acc: SetVal, frontier: SetVal) -> SetVal:
-        """Semi-naive iteration to convergence from ``acc`` with ``frontier``.
-
-        With an inflationary, union-distributive step the least fixpoint
-        containing ``acc`` is reached exactly when the frontier empties --
-        the same rounds the vectorized backend runs, re-entered here from an
-        arbitrary frontier so insertions continue where the old result
-        stopped instead of starting over.
-        """
-        it = self._it
-        env = self._env
-        term_fns = [self._fn(t) for t in op.terms]
-        var, dv = op.step.var, op.delta_var
-        vtok, dtok = bind(env, var), bind(env, dv)
-        try:
-            while frontier.elements:
-                self.stats.seminaive_rounds += 1
-                env[var] = acc
-                env[dv] = frontier
-                derived: list[Value] = []
-                for fn in term_fns:
-                    derived.extend(
-                        _expect_set(fn(env), "fixpoint frontier term").elements
-                    )
-                new = it.union(acc, it.mkset(derived))
-                frontier = it.difference(new, acc)
-                acc = new
-        finally:
-            unbind(env, dv, dtok)
-            unbind(env, var, vtok)
-        return acc
+    def _resume(self, st: _NodeState, acc: SetVal, frontier: SetVal) -> SetVal:
+        """Semi-naive rounds from ``acc`` with ``frontier`` to the least
+        fixpoint containing ``acc``: the node's step runner, the loop a
+        query runs, re-entered where the old result stopped."""
+        out, rounds = st.runner.resume(self._env, acc, frontier)
+        self.stats.seminaive_rounds += rounds
+        return out
 
     def _apply_fixpoint(self, op: DeltaOp, st: _NodeState, d: SetDelta) -> SetDelta:
         if not d:
@@ -777,7 +761,7 @@ class MaterializedView:
         else:
             insset = it.mkset(ins)
             frontier = it.difference(insset, old)
-            st.out = self._fixpoint_from(op, it.union(old, frontier), frontier)
+            st.out = self._resume(st, it.union(old, frontier), frontier)
         delta: SetDelta = {}
         for v in it.difference(st.out, old).elements:
             delta[v] = 1
@@ -802,8 +786,9 @@ class MaterializedView:
         **Rederivation.**  An over-deleted element is still derivable iff it
         is in the maintained seed or one step of the loop body away from
         ``R``; those plus the batch's insertions re-enter the ordinary
-        semi-naive continuation, which re-proves everything they transitively
-        support.  Work scales with the affected derivation cone, not the
+        semi-naive continuation (:meth:`_resume`), which re-proves everything
+        they transitively support.  The over-deletion sweep is a loop of its
+        own: it pins the accumulator at the old fixpoint.  Work scales with the affected derivation cone, not the
         result; when the cone *is* the result (a hub deletion) DRed
         degenerates to roughly one recompute plus the over-deletion sweep --
         see DESIGN.md, "when maintenance loses".
@@ -816,8 +801,8 @@ class MaterializedView:
         over: dict = dict.fromkeys(v for v in dels if id(v) in old_ids)
         frontier = it.mkset(over)
         over_ids = set(map(id, over))
-        term_fns = [self._fn(t) for t in op.terms]
-        var, dv = op.step.var, op.delta_var
+        term_fns = [self._fn(t) for t in op.shape.terms]
+        var, dv = op.shape.var, op.shape.delta_var
         vtok, dtok = bind(env, var), bind(env, dv)
         try:
             env[var] = old
@@ -849,7 +834,7 @@ class MaterializedView:
         rederived = [v for v in over
                      if id(v) in seed_ids or id(v) in one_step_ids]
         frontier = it.difference(it.mkset(rederived + list(ins)), surviving)
-        out = self._fixpoint_from(op, it.union(surviving, frontier), frontier)
+        out = self._resume(st, it.union(surviving, frontier), frontier)
         out_ids = set(map(id, out.elements))
         self.stats.dred_applies += 1
         self.stats.dred_overdeletes += len(over)
@@ -884,7 +869,7 @@ class MaterializedView:
 
     def _ijoin_build(self, op: DeltaOp, st: _NodeState) -> Optional[_FlatIJoinState]:
         """Index the built fixpoint and count every join derivation once."""
-        flat = _FlatIJoinState(self._it.pair_parts(), *op.self_join)
+        flat = _FlatIJoinState(self._it.pair_parts(), op.shape.self_join)
         codes = self._flat_codes(flat, st.out.elements)
         seed_codes = self._flat_codes(flat, st.children[0].out.elements)
         if codes is None or seed_codes is None:

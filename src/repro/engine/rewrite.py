@@ -38,7 +38,11 @@ the paper's expressiveness translations read as an optimization:
 
 Rules live in a registry (:data:`DEFAULT_RULES`); a :class:`Rewriter` runs
 them bottom-up to a fixpoint and records every firing, which is what
-``Engine.explain`` reports.
+``Engine.explain`` reports.  The syntactic analyses the rules lean on (where
+a variable sits under a projection) live in :mod:`repro.engine.shapes`, the
+one module that decides what shape an expression has -- including which
+fixpoint steps the vectorized loop and the materialized views run
+semi-naively (:func:`~repro.engine.shapes.analyze_step`).
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ from ..recursion.algebraic import (
     is_commutative,
 )
 from ..workloads.nested import random_object
+from .shapes import _only_under, _replace_under
 
 
 @dataclass(frozen=True)
@@ -304,27 +309,6 @@ def _ext_fusion(e: Expr, rw: "Rewriter") -> Optional[Expr]:
 # Proposition 2.1 as a cost-directed rewrite: sri/esr -> dcr
 # ---------------------------------------------------------------------------
 
-def _only_under(e: Expr, name: str, proj: type) -> bool:
-    """True iff every occurrence of ``Var(name)`` in ``e`` sits under ``proj``
-    (:class:`~repro.nra.ast.Proj1` or :class:`~repro.nra.ast.Proj2`)."""
-    if isinstance(e, proj) and isinstance(e.pair, ast.Var) and e.pair.name == name:
-        return True
-    if isinstance(e, ast.Var):
-        return e.name != name
-    if isinstance(e, ast.Lambda) and e.var == name:
-        return True
-    return all(_only_under(c, name, proj) for c in e.children())
-
-
-def _replace_under(e: Expr, name: str, proj: type, replacement: Expr) -> Expr:
-    """Rewrite ``proj(Var(name))`` to ``replacement`` everywhere in ``e``."""
-    if isinstance(e, proj) and isinstance(e.pair, ast.Var) and e.pair.name == name:
-        return replacement
-    if isinstance(e, ast.Lambda) and e.var == name:
-        return e
-    return map_children(e, lambda c: _replace_under(c, name, proj, replacement))
-
-
 @rule("sri-to-dcr")
 def _sri_to_dcr(e: Expr, rw: "Rewriter") -> Optional[Expr]:
     """Prefer divide-and-conquer over insert recursion (Proposition 2.1).
@@ -443,59 +427,6 @@ def _seed_closure(e: Expr, rw: "Rewriter") -> Optional[Expr]:
     )
     seeded = seeded_closure(r, src.arg.fst, ast.Apply(seed_select, r), base, backward)
     return seeded if keeps_row else ast.Apply(e.func, seeded)
-
-
-# ---------------------------------------------------------------------------
-# Inflationary-step analysis (hooks for the set-at-a-time backend)
-# ---------------------------------------------------------------------------
-#
-# The vectorized engine (:mod:`repro.engine.vectorized`) evaluates the
-# iterators and the insert recursions semi-naively when it can *prove* the
-# step inflationary: a step ``\v. v U F1(v) U ... U Fk(v)`` only ever grows
-# its accumulator, so each round needs to re-derive only from the previous
-# round's newly discovered elements (the frontier).  The proofs here are
-# syntactic -- no sampled algebraic gate is involved, so unlike the
-# cost-directed rules these analyses never mis-fire on adversarial inputs.
-
-def union_operands(e: Expr) -> list[Expr]:
-    """Flatten a ``Union`` tree into its operand list, in syntactic order."""
-    if isinstance(e, ast.Union):
-        return union_operands(e.left) + union_operands(e.right)
-    return [e]
-
-
-def is_inflationary_step(step: Expr) -> bool:
-    """True iff ``step`` is syntactically ``\\v. v U ...``: a union tree with
-    the loop variable itself as one operand, so ``step(v)`` is a superset of
-    ``v`` for every set ``v``.  Inflationary steps form monotone iteration
-    sequences, the precondition for frontier (semi-naive) evaluation."""
-    if not isinstance(step, ast.Lambda):
-        return False
-    return any(
-        isinstance(op, ast.Var) and op.name == step.var
-        for op in union_operands(step.body)
-    )
-
-
-def insert_as_step(insert: Expr) -> Optional[ast.Lambda]:
-    """View an ``sri``/``esr`` insert function as a pure iteration step.
-
-    An insert ``\\z^(s x t). body`` that never looks at the inserted element
-    (every occurrence of ``z`` is under ``pi2``) computes the same value for
-    every element, so ``sri(e, i)(s)`` degenerates to iterating
-    ``\\acc. body[pi2 z := acc]`` exactly ``|s|`` times -- the shape the
-    paper's Proposition 6.6 PTIME queries take (e.g. transitive closure by
-    ``sri``), and the entry point for the loop strategies of the vectorized
-    backend.  Returns the step lambda, or ``None`` if the insert inspects the
-    element (in which case only element-by-element evaluation is faithful).
-    """
-    if not (isinstance(insert, ast.Lambda) and isinstance(insert.var_type, ProdType)):
-        return None
-    if not _only_under(insert.body, insert.var, ast.Proj2):
-        return None
-    acc = fresh_name("acc")
-    body = _replace_under(insert.body, insert.var, ast.Proj2, ast.Var(acc))
-    return ast.Lambda(acc, insert.var_type.snd, body)
 
 
 #: The unconditionally semantics-preserving rules: algebraic identities of

@@ -58,6 +58,7 @@ from ..nra.pretty import pretty
 from ..objects.types import BaseType, BoolType, ProdType, SetType, Type, UnitType
 from ..objects.values import BaseVal, BoolVal, PairVal, SetVal, UnitVal, Value, canonical_set
 from ..obs.metrics import Counters
+from .shapes import match_join_apply
 from .vectorized.plan import PlanNode, leaf, node
 
 # ---------------------------------------------------------------------------
@@ -375,11 +376,6 @@ class Router:
         joins between base collections of *known* size are touched, and only
         when the swap is capture-free (see :func:`match_join_apply`).
         """
-        # Imported here, not at module level: the compiler pulls in the
-        # rewriter, whose sampled-carrier gate reaches the workloads/catalog
-        # layer -- which imports this module for CollectionStats.
-        from .vectorized.compiler import match_join_apply
-
         def size_of(src: Expr) -> Optional[int]:
             if not isinstance(src, ast.Var):
                 return None

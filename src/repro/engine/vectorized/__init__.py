@@ -13,8 +13,9 @@ view of interned values:
 * :mod:`~repro.engine.vectorized.plan` -- plan descriptions
   (:class:`PlanNode`), what ``Engine.explain_plan`` shows;
 * :mod:`~repro.engine.vectorized.compiler` -- the lowering itself, including
-  the **semi-naive** frontier strategy for loops/inserts the inflationary
-  analysis of :mod:`repro.engine.rewrite` proves union-distributive, and
+  the **semi-naive** frontier strategy for loops/inserts
+  :func:`repro.engine.shapes.analyze_step` proves union-distributive (the
+  one step runner, which materialized views continue through too), and
   by-cardinality sharing for constant-item ``dcr``;
 * :mod:`~repro.engine.vectorized.executor` -- :class:`VectorizedEvaluator`,
   the ``run`` front end used by ``Engine(backend="vectorized")``.

@@ -472,7 +472,7 @@ def union_all(ctx: BatchContext, parts: Iterable[SetVal]) -> SetVal:
 #
 # These are the array counterparts of the object kernels above, used when the
 # compiler could reduce a shape's keys and outputs to accessor paths
-# (:func:`repro.engine.vectorized.flat.accessor_path`).  Inputs are the same
+# (:func:`repro.engine.shapes.accessor_path`).  Inputs are the same
 # canonical sets; the difference is that per-element work is integer loads
 # and compares over ``array('q')`` columns, and outputs are materialized from
 # ids in one batch at the end.  Each kernel raises

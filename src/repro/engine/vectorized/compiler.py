@@ -17,17 +17,20 @@ Strategy selection, from most to least specialised:
   ``ext(\\p. ext(\\q. if k1(p) = k2(q) then {out} else {})(s2))(s1)`` -- the
   paper's relation composition, Example 7.1 -- becomes a **hash equi-join**.
 
-* ``loop``/``log_loop`` steps that the inflationary analysis of
-  :mod:`repro.engine.rewrite` proves to be ``\\v. v U F(v)`` with ``F``
-  union-distributive run **semi-naively**: each round re-derives only from
-  the previous round's frontier (:func:`_delta_terms` constructs the
-  frontier variants of the step body, which are compiled by this same
-  compiler and therefore get hash joins of their own).  Every other loop
-  falls back to full set-at-a-time iteration with an exact early exit at the
-  fixpoint (:func:`repro.recursion.iterators.iterate_stable`).
+* ``loop``/``log_loop`` steps that :func:`repro.engine.shapes.analyze_step`
+  proves to be ``\\v. v U F(v)`` with ``F`` union-distributive run
+  **semi-naively**: each round re-derives only from the previous round's
+  frontier.  The shape's frontier terms are compiled by this same compiler
+  (so they get hash joins of their own) or, when they lower to flat joins,
+  run as one :class:`~repro.engine.vectorized.flat.FlatLoop`.  The runner
+  :meth:`PlanCompiler.step_runner` builds is the one frontier loop
+  of the engine: its ``resume`` is how a materialized view builds and
+  continues its fixpoints too.  Every other loop falls back to full
+  set-at-a-time iteration with an exact early exit at the fixpoint
+  (:func:`repro.recursion.iterators.iterate_stable`).
 
 * ``sri``/``esr`` whose insert ignores the inserted element are iterations in
-  disguise (:func:`repro.engine.rewrite.insert_as_step`) and reuse the loop
+  disguise (:func:`repro.engine.shapes.insert_as_step`) and reuse the loop
   machinery, frontier evaluation included; ``dcr``/``sru`` with a *constant*
   item function evaluate their combining tree **by cardinality** -- the
   subtree value depends only on the subtree size, so ``Theta(log n)``
@@ -44,20 +47,30 @@ the property suite enforce this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Optional
 
 from ...nra import ast
-from ...nra.ast import Expr, free_variables, fresh_name
+from ...nra.ast import Expr, free_variables
 from ...nra.derived import match_field_of
 from ...nra.errors import NRAEvalError
-from ...objects.types import Type
 from ...objects.values import PairVal, SetVal, Value
 from ...recursion.bounded import ps_intersect_values
 from ...recursion.forms import dcr as dcr_combinator, sri as sri_combinator
 from ...recursion.iterators import iterate_stable, log_iterations
-from ..rewrite import insert_as_step, is_inflationary_step
+from ..shapes import (
+    StepShape,
+    accessor_path,
+    analyze_step,
+    flat_group_spec,
+    flat_out_spec,
+    flat_unnest_spec,
+    insert_as_step,
+    join_paths,
+    match_join,
+)
 from .batch import (
     BatchContext,
     bind,
@@ -74,13 +87,7 @@ from .batch import (
     unbind,
     union_all,
 )
-from .flat import (
-    FlatLoop,
-    FlatTermSpec,
-    FlatUnavailable,
-    accessor_path,
-    analyze_flat_terms,
-)
+from .flat import FlatLoop, FlatUnavailable
 from .plan import PlanNode, leaf, node
 from ...obs.trace import TRACER
 
@@ -185,201 +192,6 @@ def _function(d: object, what: str) -> VFunction:
 def _flat_round_event(seconds: float, rnd: int, frontier: int) -> None:
     """A flat loop's round as a ``fixpoint-round`` trace event."""
     TRACER.event("fixpoint-round", seconds, round=rnd, frontier=frontier, flat=True)
-
-
-# ---------------------------------------------------------------------------
-# Frontier (delta) decomposition of inflationary step bodies
-# ---------------------------------------------------------------------------
-
-def _delta_terms(e: Expr, v: str, dv: str) -> Optional[tuple[list[Expr], bool]]:
-    """Decompose ``e`` as a union-distributive function of ``Var(v)``.
-
-    Returns ``(terms, strict)``: expressions whose union, evaluated with ``v``
-    bound to the current accumulator and ``dv`` to the frontier, covers every
-    element ``e`` newly derives -- the semi-naive round.  The grammar accepted
-    is exactly the fragment where distributivity ``e(a U b) = e(a) U e(b)`` is
-    a syntactic theorem: the variable itself, unions, and ``ext`` applications
-    whose source and/or parameter body are themselves distributive.  Returns
-    ``None`` anywhere else (the loop then falls back to full iteration).
-
-    ``strict`` says no branch was loop-invariant: every branch reads ``v``, so
-    ``e({}) = {}``, and the terms evaluated with ``dv`` and ``v`` both bound to
-    one set ``s`` compute all of ``e(s)`` -- round one is a frontier round.
-    """
-    if v not in free_variables(e):
-        return [], False  # loop-invariant: derives nothing new after round one
-    if isinstance(e, ast.Var) and e.name == v:
-        return [ast.Var(dv)], True
-    if isinstance(e, ast.Union):
-        lhs = _delta_terms(e.left, v, dv)
-        if lhs is None:
-            return None
-        rhs = _delta_terms(e.right, v, dv)
-        if rhs is None:
-            return None
-        return lhs[0] + rhs[0], lhs[1] and rhs[1]
-    if isinstance(e, ast.Apply) and isinstance(e.func, ast.Ext):
-        f, src = e.func.func, e.arg
-        terms: list[Expr] = []
-        strict = True
-        if v in free_variables(src):
-            inner = _delta_terms(src, v, dv)
-            if inner is None:
-                return None
-            terms.extend(ast.Apply(e.func, t) for t in inner[0])
-            strict = inner[1]
-        if v in free_variables(e.func):
-            # The parameter mentions the accumulator (e.g. squaring
-            # ``v o v``): decompose its body too, keeping the source at the
-            # full accumulator -- together with the branch above this yields
-            # the classical  J(delta, acc) U J(acc, delta)  bilinear rounds.
-            if not (isinstance(f, ast.Lambda) and f.var != v):
-                return None
-            body_terms = _delta_terms(f.body, v, dv)
-            if body_terms is None:
-                return None
-            terms.extend(
-                ast.Apply(ast.Ext(ast.Lambda(f.var, f.var_type, t)), src)
-                for t in body_terms[0]
-            )
-            strict = strict and body_terms[1]
-        return terms, strict
-    return None
-
-
-def delta_terms(e: Expr, v: str, dv: str) -> Optional[list[Expr]]:
-    """Public delta entry point: the union-distributive decomposition of ``e``.
-
-    The incremental view-maintenance subsystem (:mod:`repro.engine.incremental`)
-    compiles fixpoint continuation rounds from exactly the frontier terms the
-    semi-naive loop strategy uses; both go through this one analysis so a
-    shape is delta-maintainable iff it runs semi-naively.
-    """
-    decomposed = _delta_terms(e, v, dv)
-    return None if decomposed is None else decomposed[0]
-
-
-def match_join(lvar: str, body: Expr) -> Optional[tuple[str, Expr, Expr, Expr, Expr]]:
-    """Recognise the equi-join ``ext`` body shape.
-
-    Given the outer bound variable ``lvar`` and the outer ``ext`` body,
-    returns ``(rvar, lkey, rkey, out, right_source)`` when the body is the
-    nested ``ext(\\rvar. if lkey = rkey then {out} else {})(right)`` shape
-    with an uncorrelated right source and side-pure keys -- the shape the
-    vectorized backend hash-joins and the incremental subsystem maintains
-    bilinearly -- or ``None``.
-    """
-    if not (
-        isinstance(body, ast.Apply)
-        and isinstance(body.func, ast.Ext)
-        and isinstance(body.func.func, ast.Lambda)
-    ):
-        return None
-    g = body.func.func
-    inner_src = body.arg
-    if lvar in free_variables(inner_src):
-        return None  # correlated inner source: not a join
-    inner = g.body
-    rvar = g.var
-    if rvar == lvar:
-        return None
-    if not (
-        isinstance(inner, ast.If)
-        and isinstance(inner.cond, ast.Eq)
-        and isinstance(inner.then, ast.Singleton)
-        and isinstance(inner.orelse, ast.EmptySet)
-    ):
-        return None
-    a, b = inner.cond.left, inner.cond.right
-    fa, fb = free_variables(a), free_variables(b)
-    if rvar not in fa and lvar not in fb:
-        lkey, rkey = a, b
-    elif rvar not in fb and lvar not in fa:
-        lkey, rkey = b, a
-    else:
-        return None  # a key mixes both sides: no hash index applies
-    return (rvar, lkey, rkey, inner.then.item, inner_src)
-
-
-@dataclass(frozen=True)
-class JoinShape:
-    """A whole equi-join application, decomposed (public analysis).
-
-    ``Apply(Ext(\\lvar. Apply(Ext(\\rvar. if lkey = rkey then {out} else {}),
-    right_source)), left_source)`` -- the shape :func:`match_join` recognises,
-    lifted to the outer ``Apply`` so callers that reason about *both* sides
-    (the backend router's join-order rewrite) see the sources and binder types
-    together.  The compiler streams the left source and builds the hash index
-    on the right source, so side choice is a performance decision the router
-    owns; :meth:`swapped` rebuilds the same join with the sides exchanged.
-    """
-
-    lvar: str
-    lvar_type: Type
-    rvar: str
-    rvar_type: Type
-    lkey: Expr
-    rkey: Expr
-    out: Expr
-    empty: Expr  # the typed EmptySet node of the non-matching branch
-    left_source: Expr
-    right_source: Expr
-
-    def swapped(self) -> Expr:
-        """The same join with streamed and indexed sides exchanged."""
-        inner = ast.If(
-            ast.Eq(self.rkey, self.lkey), ast.Singleton(self.out), self.empty
-        )
-        return ast.Apply(
-            ast.Ext(
-                ast.Lambda(
-                    self.rvar,
-                    self.rvar_type,
-                    ast.Apply(
-                        ast.Ext(ast.Lambda(self.lvar, self.lvar_type, inner)),
-                        self.left_source,
-                    ),
-                )
-            ),
-            self.right_source,
-        )
-
-
-def match_join_apply(e: Expr) -> Optional[JoinShape]:
-    """Decompose a full equi-join application, or return ``None``.
-
-    Sides may only be exchanged without capture when neither binder occurs
-    free in the *other* side's source; ``match_join`` already guarantees the
-    right source is uncorrelated (no free ``lvar``), and this helper refuses
-    the mirror case (a free variable merely *named* ``rvar`` in the left
-    source would be captured by the swap).
-    """
-    if not (
-        isinstance(e, ast.Apply)
-        and isinstance(e.func, ast.Ext)
-        and isinstance(e.func.func, ast.Lambda)
-    ):
-        return None
-    f = e.func.func
-    m = match_join(f.var, f.body)
-    if m is None:
-        return None
-    rvar, lkey, rkey, out, right_source = m
-    if rvar in free_variables(e.arg):
-        return None
-    inner_lambda = f.body.func.func  # the Ext's Lambda; shape checked by match_join
-    return JoinShape(
-        lvar=f.var,
-        lvar_type=f.var_type,
-        rvar=rvar,
-        rvar_type=inner_lambda.var_type,
-        lkey=lkey,
-        rkey=rkey,
-        out=out,
-        empty=inner_lambda.body.orelse,
-        left_source=e.arg,
-        right_source=right_source,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -659,18 +471,6 @@ class PlanCompiler:
             return it.dense_id(it.empty_set)
         return None
 
-    def _flat_out_spec(self, e: Expr, var: str) -> Optional[tuple]:
-        """Lower a single-source kernel output to id columns, or ``None``."""
-        p = accessor_path(e, var)
-        if p is not None:
-            return ("one", "l", p)
-        if isinstance(e, ast.Pair):
-            pa = accessor_path(e.fst, var)
-            pb = accessor_path(e.snd, var)
-            if pa is not None and pb is not None:
-                return ("pair", ("l", pa), ("l", pb))
-        return None
-
     def _flat_rhs(self, e: Expr, var: str) -> Optional[tuple]:
         """The non-column side of a flat compare: a literal's dense id, or the
         closure of an expression that does not mention the selected element
@@ -704,73 +504,10 @@ class PlanCompiler:
         if isinstance(out_expr, ast.Var) and out_expr.name == var:
             out: Optional[tuple] = ("elems",)
         else:
-            out = self._flat_out_spec(out_expr, var)
+            out = flat_out_spec(out_expr, var)
         if out is None:
             return None
         return lpath, rhs, out
-
-    def _flat_join_spec(
-        self, lvar: str, rvar: str, lkey: Expr, rkey: Expr, out: Expr
-    ) -> Optional[tuple]:
-        """Lower a join's keys/output to id columns: ``(lpath, rpath, out_spec)``."""
-        lp = accessor_path(lkey, lvar)
-        rp = accessor_path(rkey, rvar)
-        if lp is None or rp is None:
-            return None
-
-        def comp(e: Expr) -> Optional[tuple[str, tuple[str, ...]]]:
-            p = accessor_path(e, lvar)
-            if p is not None:
-                return ("l", p)
-            p = accessor_path(e, rvar)
-            if p is not None:
-                return ("r", p)
-            return None
-
-        c = comp(out)
-        if c is not None:
-            return lp, rp, ("one", c[0], c[1])
-        if isinstance(out, ast.Pair):
-            ca, cb = comp(out.fst), comp(out.snd)
-            if ca is not None and cb is not None:
-                return lp, rp, ("pair", ca, cb)
-        return None
-
-    def _flat_group_spec(self, item: Expr, var: str) -> Optional[tuple]:
-        """Lower a grouped map's output ``(k(x), ext(\\y. if l(y) = k(x) then
-        {o(y)} else {})(T))`` -- ``nest``, and any select per key of an outer
-        set -- to ``(kpath, T, lpath, opath)``, or ``None``."""
-        if not isinstance(item, ast.Pair):
-            return None
-        kpath = accessor_path(item.fst, var)
-        join = match_join(var, item.snd) if kpath is not None else None
-        if join is None:
-            return None
-        rvar, lkey, rkey, out, inner_src = join
-        lpath, opath = accessor_path(rkey, rvar), accessor_path(out, rvar)
-        if accessor_path(lkey, var) != kpath or lpath is None or opath is None:
-            return None
-        return kpath, inner_src, lpath, opath
-
-    def _flat_unnest_spec(self, body: Expr, var: str) -> Optional[tuple]:
-        """Lower an unnest's body ``ext(\\y. {(a, b)})(s(x))`` to ``(spath,
-        apath, bpath)`` -- a component is a path of ``x``, or ``None`` for
-        ``y`` itself -- or ``None``."""
-        if not (
-            isinstance(body, ast.Apply)
-            and isinstance(body.func, ast.Ext)
-            and isinstance(body.func.func, ast.Lambda)
-        ):
-            return None
-        g, spath = body.func.func, accessor_path(body.arg, var)
-        item = g.body.item if isinstance(g.body, ast.Singleton) else None
-        if spath is None or g.var == var or not isinstance(item, ast.Pair):
-            return None
-        comps = (item.fst, item.snd)
-        paths = [accessor_path(c, var) for c in comps]  # None: not a path of x
-        if any(p is None and c != ast.Var(g.var) for p, c in zip(paths, comps)):
-            return None
-        return (spath, *paths)
 
     # -- kernel sources -----------------------------------------------------------
 
@@ -820,7 +557,7 @@ class PlanCompiler:
             oc = self.compile(body.item)
             ofn = oc.fn
             out_fn = lambda env: _value(ofn(env), "singleton")
-            group_spec = self._flat_group_spec(body.item, var) if ctx.use_flat else None
+            group_spec = flat_group_spec(body.item, var) if ctx.use_flat else None
             if group_spec is not None:
                 kpath, inner_src, lpath, opath = group_spec
                 # _source: nest's two occurrences of its argument share a once-cell.
@@ -849,9 +586,7 @@ class PlanCompiler:
                     ),
                     group_map_fn,
                 )
-            flat_spec = (
-                self._flat_out_spec(body.item, var) if ctx.use_flat else None
-            )
+            flat_spec = flat_out_spec(body.item, var) if ctx.use_flat else None
             if flat_spec is not None:
                 def flat_map_fn(env, flat_spec=flat_spec):
                     source = expect_set(sfn(env), "ext")
@@ -946,8 +681,7 @@ class PlanCompiler:
             # cache tag, so structurally equal keys share indexes.
             rkey_tag = rkey if free_variables(rkey) <= {rvar} else None
             flat_spec = (
-                self._flat_join_spec(var, rvar, lkey, rkey, out_expr)
-                if ctx.use_flat else None
+                join_paths(var, rvar, lkey, rkey, out_expr) if ctx.use_flat else None
             )
 
             def join_fn(env):
@@ -995,7 +729,7 @@ class PlanCompiler:
         # set construction for the output.
         bc = self.compile(body)
         bfn = bc.fn
-        unnest_spec = self._flat_unnest_spec(body, var) if ctx.use_flat else None
+        unnest_spec = flat_unnest_spec(body, var) if ctx.use_flat else None
         if unnest_spec is not None:
             def flat_unnest_fn(env):
                 source = expect_set(sfn(env), "ext")
@@ -1123,7 +857,7 @@ class PlanCompiler:
         # disguise; reuse the loop machinery (frontier evaluation included).
         step_lam = insert_as_step(e.insert) if not bounded else None
         if step_lam is not None:
-            runner = self._compile_step_runner(step_lam)
+            runner = self.step_runner(step_lam, analyze_step(step_lam))
             seed_fn = seed_c.fn
             plan = node(
                 "sri-as-loop",
@@ -1174,13 +908,25 @@ class PlanCompiler:
 
     @dataclass
     class StepRunner:
-        """Compiled loop machinery: ``make(env)(start, rounds) -> value``."""
+        """Compiled loop machinery: ``make(env)(start, rounds) -> value``.
+
+        A semi-naive step's ``resume(env, acc, delta) -> (value, rounds)``
+        runs its frontier phase alone, from ``acc`` with frontier ``delta``
+        (a subset of ``acc``) until the frontier is exhausted: how a view
+        builds and continues its fixpoints on the loop queries run.
+        """
 
         plan: PlanNode
         make: Callable[[dict], Callable[[Value, int], Value]]
+        resume: Optional[Callable[[dict, SetVal, SetVal], tuple[SetVal, int]]] = None
 
-    def _compile_step_runner(self, step: ast.Lambda) -> "PlanCompiler.StepRunner":
-        """Lower a step lambda to a round-runner (semi-naive when provable)."""
+    def step_runner(
+        self, step: ast.Lambda, shape: Optional[StepShape]
+    ) -> "PlanCompiler.StepRunner":
+        """Lower a step lambda to a round-runner: semi-naive when ``shape``
+        (its :func:`~repro.engine.shapes.analyze_step`) is given, full
+        iteration when it is ``None``.  Loops and materialized views both
+        continue their fixpoints through the runner this returns."""
         ctx, it = self.ctx, self.it
         var = step.var
         body_c = self.compile(step.body)
@@ -1199,163 +945,160 @@ class PlanCompiler:
             finally:
                 unbind(captured, var, vtok)
 
-        spec = None
-        if is_inflationary_step(step):
-            dv = fresh_name("delta")
-            decomposed = _delta_terms(step.body, var, dv)
-            if decomposed is not None:
-                terms, strict = decomposed
-                spec = (dv, [self.compile(t) for t in terms])
+        if shape is None:
+            plan = node("loop-full", "", body_c.plan, annotations=("early-exit",))
 
-        if spec is not None:
-            dv, term_cs = spec
-            term_fns = [t.fn for t in term_cs]
-            # Flat lowering of the frontier terms: when every term is a
-            # path-keyed equi-join over delta/acc/invariant sources, the
-            # whole loop runs over packed pair codes (FlatLoop) and the
-            # object rounds below become the fallback.
-            flat_specs = None
-            flat_inv_cs: list = []
-            if ctx.use_flat:
-                flat_specs = analyze_flat_terms(terms, var, dv, match_join)
-                if flat_specs is not None:
-                    flat_inv_cs = [
-                        (
-                            self._source(s.left_src) if isinstance(s, FlatTermSpec) and s.left_src is not None else None,
-                            self._source(s.right_src) if isinstance(s, FlatTermSpec) and s.right_src is not None else None,
-                        )
-                        for s in flat_specs
-                    ]
-            # A strict step (no loop-invariant branch) has f({}) = {}: its
-            # frontier terms with delta = acc = start are round one whole.
-            round_one_frontier = flat_specs is not None and strict
-            annotations = ("semi-naive",)
-            if flat_specs is not None:
-                annotations += ("flat-columns",)
-            if round_one_frontier:
-                annotations += ("round-one-frontier",)
-            plan = node(
-                "loop-seminaive",
-                f"{len(term_fns)} frontier terms",
-                body_c.plan,
-                *[t.plan for t in term_cs],
-                annotations=annotations,
-            )
-
-            def _try_flat_loop(captured, acc, delta):
-                """Build the flat loop, or ``None`` to fall back.
-
-                Invariant sources are evaluated here, in term order with the
-                object join's empty-left short-circuit, so errors surface at
-                the same point the object rounds would raise them.  Only
-                :class:`FlatUnavailable` falls back; canonical evaluation
-                errors propagate.
-                """
-                try:
-                    inv_vals = []
-                    for s, (lc, rc) in zip(flat_specs, flat_inv_cs):
-                        lval = rval = None
-                        if isinstance(s, FlatTermSpec):
-                            if lc is not None:
-                                lval = expect_set(lc.fn(captured), "ext")
-                                if not lval.elements:
-                                    inv_vals.append((lval, None))
-                                    continue
-                            if rc is not None:
-                                rval = expect_set(rc.fn(captured), "ext")
-                        inv_vals.append((lval, rval))
-                    loop = FlatLoop(ctx, flat_specs)
-                    loop.setup(acc, delta, inv_vals)
-                    ctx.stats.flat_fixpoints += 1
-                    return loop
-                except FlatUnavailable:
-                    ctx.stats.flat_fallbacks += 1
-                    return None
-
-            def _run_flat_loop(loop, budget, trace_on):
-                try:
-                    loop.run(budget, _flat_round_event if trace_on else None)
-                finally:
-                    ctx.stats.seminaive_rounds += loop.rounds
-                return loop.materialize()
-
-            def make_seminaive(env):
+            def make_full(env):
                 captured = dict(env)
+                return lambda start, rounds: _full_run(captured, start, rounds)
 
-                def run(start, rounds):
-                    if not isinstance(start, SetVal):
-                        # The analysis proved the step set-valued on set
-                        # accumulators; a non-set start still follows the
-                        # exact full-iteration path.
-                        return _full_run(captured, start, rounds)
-                    ctx.stats.seminaive_loops += 1
-                    trace_on = TRACER.enabled  # captured once per run
-                    if rounds <= 0:
-                        return start
-                    vtok = bind(captured, var)
-                    dtok = bind(captured, dv)
-                    try:
-                        # The round structure below is seminaive_iterate's,
-                        # inlined so the flat loop can take over: at round
-                        # one for a strict step (the loop starts from
-                        # delta = acc = start and probes the invariant
-                        # indexes that followed a commit), else after the
-                        # full round one, frontier = acc - start; then
-                        # frontier rounds until exhaustion or the budget.
-                        flat_ok = flat_specs is not None
-                        if round_one_frontier and start.elements:
-                            loop = _try_flat_loop(captured, start, start)
-                            if loop is not None:
-                                return _run_flat_loop(loop, rounds, trace_on)
-                            flat_ok = False  # declined: it would again
-                        captured[var] = start
-                        acc = expect_set(body_fn(captured), "iterator step")
-                        delta = it.difference(acc, start)
-                        done = 1
-                        if flat_ok and done < rounds and delta.elements:
-                            loop = _try_flat_loop(captured, acc, delta)
-                            if loop is not None:
-                                return _run_flat_loop(loop, rounds - done, trace_on)
-                        while done < rounds and delta.elements:
-                            ctx.stats.seminaive_rounds += 1
-                            if trace_on:
-                                frontier = len(delta.elements)
-                                rt0 = perf_counter()
-                            captured[var] = acc
-                            captured[dv] = delta
-                            derived = union_all(
-                                ctx,
-                                [expect_set(f(captured), "iterator step") for f in term_fns],
-                            )
-                            nxt = it.union(acc, derived)
-                            delta = it.difference(nxt, acc)
-                            acc = nxt
-                            done += 1
-                            if trace_on:
-                                TRACER.event(
-                                    "fixpoint-round",
-                                    seconds=perf_counter() - rt0,
-                                    round=done - 1, frontier=frontier,
-                                    flat=False,
-                                )
-                        return acc
-                    finally:
-                        unbind(captured, dv, dtok)
-                        unbind(captured, var, vtok)
+            return PlanCompiler.StepRunner(plan, make_full)
 
-                return run
-
-            return PlanCompiler.StepRunner(plan, make_seminaive)
-
+        dv = shape.delta_var
+        term_cs = [self.compile(t) for t in shape.terms]
+        term_fns = [t.fn for t in term_cs]
+        # Flat lowering of the frontier terms: when every term is a
+        # path-keyed equi-join over delta/acc/invariant sources, the whole
+        # loop runs over packed pair codes (FlatLoop) and the object rounds
+        # below become the fallback.
+        flat_specs = shape.flat if ctx.use_flat else None
+        flat_inv_cs = [
+            (None, None) if s == "copy" else tuple(
+                None if src is None else self._source(src)
+                for src in (s.left_src, s.right_src)
+            )
+            for s in flat_specs or ()
+        ]
+        # A strict step (no loop-invariant branch) has f({}) = {}: its
+        # frontier terms with delta = acc = start are round one whole.
+        round_one_frontier = flat_specs is not None and shape.strict
+        annotations = ("semi-naive",)
+        if flat_specs is not None:
+            annotations += ("flat-columns",)
+        if round_one_frontier:
+            annotations += ("round-one-frontier",)
         plan = node(
-            "loop-full", "", body_c.plan, annotations=("early-exit",)
+            "loop-seminaive",
+            f"{len(term_fns)} frontier terms",
+            body_c.plan,
+            *[t.plan for t in term_cs],
+            annotations=annotations,
         )
 
-        def make_full(env):
-            captured = dict(env)
-            return lambda start, rounds: _full_run(captured, start, rounds)
+        def _try_flat_loop(env, acc, delta):
+            """Build the flat loop, or ``None`` to fall back.
 
-        return PlanCompiler.StepRunner(plan, make_full)
+            Invariant sources are evaluated here, in term order with the
+            object join's empty-left short-circuit, so errors surface at
+            the same point the object rounds would raise them.  Only
+            :class:`FlatUnavailable` falls back; canonical evaluation
+            errors propagate.
+            """
+            try:
+                inv_vals = []
+                for lc, rc in flat_inv_cs:
+                    lval = rval = None
+                    if lc is not None:
+                        lval = expect_set(lc.fn(env), "ext")
+                    if rc is not None and (lval is None or lval.elements):
+                        rval = expect_set(rc.fn(env), "ext")
+                    inv_vals.append((lval, rval))
+                loop = FlatLoop(ctx, flat_specs)
+                loop.setup(acc, delta, inv_vals)
+                ctx.stats.flat_fixpoints += 1
+                return loop
+            except FlatUnavailable:
+                ctx.stats.flat_fallbacks += 1
+                return None
+
+        def _run_flat_loop(loop, budget, trace_on):
+            try:
+                loop.run(budget, _flat_round_event if trace_on else None)
+            finally:
+                ctx.stats.seminaive_rounds += loop.rounds
+            return loop.materialize(), loop.rounds
+
+        def frontier(env, acc, delta, budget, flat_ok, trace_on):
+            """The frontier phase: rounds from ``acc`` with frontier ``delta``
+            until the frontier is exhausted or ``budget`` rounds are done,
+            on the flat loop when the terms lower, else as object rounds --
+            ``seminaive_iterate``'s round structure.  ``(value, rounds)``."""
+            if flat_ok and budget > 0 and delta.elements:
+                loop = _try_flat_loop(env, acc, delta)
+                if loop is not None:
+                    return _run_flat_loop(loop, budget, trace_on)
+            done = 0
+            vtok, dtok = bind(env, var), bind(env, dv)
+            try:
+                while done < budget and delta.elements:
+                    ctx.stats.seminaive_rounds += 1
+                    if trace_on:
+                        size = len(delta.elements)
+                        rt0 = perf_counter()
+                    env[var] = acc
+                    env[dv] = delta
+                    derived = union_all(
+                        ctx, [expect_set(f(env), "iterator step") for f in term_fns]
+                    )
+                    nxt = it.union(acc, derived)
+                    delta = it.difference(nxt, acc)
+                    acc = nxt
+                    done += 1
+                    if trace_on:
+                        TRACER.event(
+                            "fixpoint-round",
+                            seconds=perf_counter() - rt0,
+                            round=done, frontier=size, flat=False,
+                        )
+            finally:
+                unbind(env, dv, dtok)
+                unbind(env, var, vtok)
+            return acc, done
+
+        def resume(env, acc, delta):
+            """The frontier phase with no budget, entered from outside a run."""
+            if not delta.elements:
+                return acc, 0
+            ctx.stats.seminaive_loops += 1
+            return frontier(env, acc, delta, math.inf, flat_specs is not None,
+                            TRACER.enabled)
+
+        def make_seminaive(env):
+            captured = dict(env)
+
+            def run(start, rounds):
+                if not isinstance(start, SetVal):
+                    # The analysis proved the step set-valued on set
+                    # accumulators; a non-set start still follows the
+                    # exact full-iteration path.
+                    return _full_run(captured, start, rounds)
+                ctx.stats.seminaive_loops += 1
+                trace_on = TRACER.enabled  # captured once per run
+                if rounds <= 0:
+                    return start
+                # Round one: a strict step's is a frontier round (the flat
+                # loop starts from delta = acc = start and probes the
+                # invariant indexes that followed a commit); otherwise the
+                # full body, frontier = acc - start.  Then the frontier
+                # phase, within the budget.
+                flat_ok = flat_specs is not None
+                if round_one_frontier and start.elements:
+                    loop = _try_flat_loop(captured, start, start)
+                    if loop is not None:
+                        return _run_flat_loop(loop, rounds, trace_on)[0]
+                    flat_ok = False  # declined: it would again
+                vtok = bind(captured, var)
+                try:
+                    captured[var] = start
+                    acc = expect_set(body_fn(captured), "iterator step")
+                finally:
+                    unbind(captured, var, vtok)
+                delta = it.difference(acc, start)
+                return frontier(captured, acc, delta, rounds - 1, flat_ok, trace_on)[0]
+
+            return run
+
+        return PlanCompiler.StepRunner(plan, make_seminaive, resume)
 
     def _compile_iterator(self, e: Expr) -> Compiled:
         ctx, it = self.ctx, self.it
@@ -1366,7 +1109,7 @@ class PlanCompiler:
         bound_fn = bound_c.fn if bound_c is not None else None
 
         if isinstance(e.step, ast.Lambda) and not bounded:
-            runner = self._compile_step_runner(e.step)
+            runner = self.step_runner(e.step, analyze_step(e.step))
             plan = node(
                 runner.plan.op,
                 kind,

@@ -14,18 +14,22 @@ compares, integer hashing and integer set algebra, materializing canonical
 
 Two layers live here:
 
-* **accessor paths**: the syntactic analysis mapping projection chains
-  (``pi2(pi1(x))``) to column walks, shared by the select/map/join kernels in
-  ``batch.py`` and by the flat fixpoint;
+* **accessor paths, walked**: :func:`follow_id` and :func:`set_column` run
+  the column walks that :func:`repro.engine.shapes.accessor_path` reads off
+  projection chains (``pi2(pi1(x))``), for the select/map/join kernels in
+  ``batch.py`` and for the flat fixpoint;
 * :class:`FlatLoop`: the semi-naive frontier loop over packed pair codes --
   the round structure of :func:`repro.recursion.iterators.seminaive_iterate`
   with the accumulator as a level-ordered queue: a derived code not yet
   seen is appended the moment it is derived, and a round is the level
   between two boundaries of the queue, so a round costs its rows, with no
   per-round set, sort or column split.  It is the one round loop of the
-  compiling backends: ``run`` goes to the fixpoint (or the iterator's
-  budget) in one call, because a linear-depth recursion pays whatever a
-  round costs once per unit of depth.  One cursor walks the queue, probing
+  compiling backends, run by the compiler's step runner for queries and
+  views alike over the terms :func:`repro.engine.shapes.analyze_step`
+  lowered (:class:`~repro.engine.shapes.FlatTermSpec`).  ``run`` goes to
+  the fixpoint (or the iterator's budget) in one call, because a
+  linear-depth recursion pays whatever a round costs once per unit of
+  depth.  One cursor walks the queue, probing
   each row with the first frontier-left term; a level boundary costs a
   compare and the budget check, plus only the work some term needs there
   (an index rebuilt or grown, the level's join of every other term) and,
@@ -42,15 +46,13 @@ canonical ``NRAEvalError`` if the input was genuinely ill-shaped).  A
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import replace
 from time import perf_counter
 from typing import Callable, Optional
 
-from ...nra import ast
-from ...nra.ast import Expr, free_variables
 from ...nra.errors import NRAEvalError
 from ...objects.values import SetVal
+from ..shapes import FlatTermSpec
 
 #: Pair codes pack ``(fst_dense_id << CODE_BITS) | snd_dense_id``.
 CODE_BITS = 32
@@ -73,49 +75,8 @@ def guard_pack(it) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Accessor paths
+# Accessor paths, walked
 # ---------------------------------------------------------------------------
-
-def accessor_path(e: Expr, var: str) -> Optional[tuple[str, ...]]:
-    """``e`` as a projection chain over ``Var(var)``, as column steps.
-
-    ``pi2(pi1(x))`` becomes ``('f', 's')`` -- steps apply left to right from
-    the element (``'f'`` = first, ``'s'`` = second).  Returns ``None`` when
-    ``e`` is not a pure projection chain over ``var``.
-    """
-    steps: list[str] = []
-    while isinstance(e, (ast.Proj1, ast.Proj2)):
-        steps.append("f" if isinstance(e, ast.Proj1) else "s")
-        e = e.pair
-    if isinstance(e, ast.Var) and e.name == var:
-        return tuple(reversed(steps))
-    return None
-
-
-def join_paths(lvar: str, rvar: str, lkey: Expr, rkey: Expr, out: Expr) -> Optional[tuple]:
-    """A join's keys and pair output as accessor paths, or ``None``.
-
-    Returns ``(lpath, rpath, fst, snd)``: the key paths over each side's
-    element, and per output component ``('l' | 'r', path)`` -- the side it
-    projects from and how.  ``None`` unless both keys are paths over their
-    own side and ``out`` is a syntactic ``Pair`` of such paths.
-    """
-    lp, rp = accessor_path(lkey, lvar), accessor_path(rkey, rvar)
-    if lp is None or rp is None or not isinstance(out, ast.Pair):
-        return None
-
-    def comp(e: Expr) -> Optional[tuple[str, tuple[str, ...]]]:
-        p = accessor_path(e, lvar)
-        if p is not None:
-            return ("l", p)
-        p = accessor_path(e, rvar)
-        return None if p is None else ("r", p)
-
-    fst, snd = comp(out.fst), comp(out.snd)
-    if fst is None or snd is None:
-        return None
-    return lp, rp, fst, snd
-
 
 def follow_id(parts: dict, dense: int, path: tuple[str, ...]) -> Optional[int]:
     """Walk ``path`` from dense id ``dense`` through the pair-part columns.
@@ -160,122 +121,6 @@ def set_column(it, s: SetVal, path: tuple[str, ...]) -> array:
             raise FlatUnavailable(f"non-pair under path {path}")
         out[row] = j
     return out
-
-
-# ---------------------------------------------------------------------------
-# Flat fixpoint: analysis
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FlatTermSpec:
-    """One frontier term lowered to a flat join (or the literal copy term).
-
-    ``left``/``right`` classify the sources: ``'delta'`` (the frontier),
-    ``'acc'`` (the accumulator), or ``'inv'`` (loop-invariant, carrying the
-    source expression).  Keys and output components are accessor paths;
-    output components carry their side (``'l'``/``'r'``).  Paths over the
-    ``delta``/``acc`` sides are required non-empty: those rows exist only as
-    ``(fst, snd)`` id pairs, never as interned elements.
-    """
-
-    left: str
-    right: str
-    left_src: Optional[Expr]
-    right_src: Optional[Expr]
-    lkey: tuple[str, ...]
-    rkey: tuple[str, ...]
-    out_a: tuple[str, tuple[str, ...]]  # (side, path)
-    out_b: tuple[str, tuple[str, ...]]
-
-    @cached_property
-    def probe(self) -> tuple:
-        """The static half of the term's probe plan, resolved once per spec.
-
-        ``(a_left, b_left, lk, rk, oa, ob)``: whether the left row supplies
-        each output component, then the left key, right key and output
-        paths, each split into its head step (does it pick the row's fst:
-        free) and the part walk left (rare).  An invariant side may carry an
-        empty path; its rows are element ids, resolved by full-path walks
-        when a loop is set up.
-        """
-        return (self.out_a[0] == "l", self.out_b[0] == "l",
-                _head_rest(self.lkey), _head_rest(self.rkey),
-                _head_rest(self.out_a[1]), _head_rest(self.out_b[1]))
-
-
-def _head_rest(path: tuple[str, ...]) -> tuple[bool, tuple[str, ...]]:
-    """A row-side path as (its head step picks ``fst``, the part walk left)."""
-    return path[:1] == ("f",), path[1:]
-
-
-def _classify_source(src: Expr, var: str, dv: str) -> tuple[Optional[str], Optional[Expr]]:
-    if isinstance(src, ast.Var):
-        if src.name == dv:
-            return "delta", None
-        if src.name == var:
-            return "acc", None
-    fv = free_variables(src)
-    if var in fv or dv in fv:
-        return None, None
-    return "inv", src
-
-
-def analyze_flat_terms(
-    terms: list[Expr],
-    var: str,
-    dv: str,
-    match_join: Callable,
-) -> Optional[list]:
-    """Lower semi-naive frontier terms to flat join specs, or ``None``.
-
-    Accepts exactly: the copy term ``Var(dv)`` (represented as the string
-    ``"copy"`` -- skippable, since the frontier is already in the
-    accumulator), and equi-join terms whose keys are accessor paths, whose
-    output is a syntactic ``Pair`` of per-side accessor paths, and whose
-    sources are the frontier, the accumulator, or loop-invariant.  Anything
-    else returns ``None`` and the loop runs the object semi-naive path.
-    ``match_join`` is passed in from the compiler to avoid a module cycle.
-    """
-    specs: list = []
-    for t in terms:
-        if isinstance(t, ast.Var) and t.name == dv:
-            specs.append("copy")
-            continue
-        if not (
-            isinstance(t, ast.Apply)
-            and isinstance(t.func, ast.Ext)
-            and isinstance(t.func.func, ast.Lambda)
-        ):
-            return None
-        f = t.func.func
-        m = match_join(f.var, f.body)
-        if m is None:
-            return None
-        rvar, lkey, rkey, out, rsrc = m
-        lkind, lsrc = _classify_source(t.arg, var, dv)
-        rkind, rsrc_expr = _classify_source(rsrc, var, dv)
-        if lkind is None or rkind is None:
-            return None
-        paths = join_paths(f.var, rvar, lkey, rkey, out)
-        if paths is None:
-            return None
-        lp, rp, oa, ob = paths
-        # Rows of the delta/acc sides are (fst, snd) id pairs without an id
-        # of their own: every path rooted there must project at least once.
-        for kind, path in (
-            (lkind, lp),
-            (rkind, rp),
-            (lkind if oa[0] == "l" else rkind, oa[1]),
-            (lkind if ob[0] == "l" else rkind, ob[1]),
-        ):
-            if kind != "inv" and not path:
-                return None
-        specs.append(
-            FlatTermSpec(lkind, rkind, lsrc, rsrc_expr, lp, rp, oa, ob)
-        )
-    if not any(isinstance(s, FlatTermSpec) for s in specs):
-        return None  # nothing but copies: the flat loop would do no work
-    return specs
 
 
 # ---------------------------------------------------------------------------

@@ -164,14 +164,13 @@ class QueryServer:
         db: Optional[Database] = None,
         backend: str = "vectorized",
         sigma: Signature = EMPTY_SIGMA,
-        rules=None,
         engine: Optional[Engine] = None,
         config: Optional[ServerConfig] = None,
     ) -> None:
         self.db = db
         self.config = config if config is not None else ServerConfig()
         self.engine = engine if engine is not None else Engine(
-            sigma=sigma, rules=rules, backend=backend
+            sigma=sigma, backend=backend
         )
         self.stats = ServerStats()
         self.host: Optional[str] = None

@@ -21,7 +21,7 @@ import pytest
 
 from repro.api import Changeset, Database, MaterializedView, Q, connect
 from repro.engine import Engine
-from repro.engine.incremental.delta import derive
+from repro.engine.incremental.delta import derive, maintenance_plan
 from repro.nra import ast
 from repro.nra.ast import Lambda, Singleton, Var
 from repro.nra.derived import compose, ext_apply, select
@@ -408,6 +408,123 @@ class TestDRed:
         assert view.rows() == frozenset()
         assert view.stats.fallback_recomputes == 0
         assert view.stats.dred_applies == 5
+
+
+def _join_fixpoint(cond=None, out=None, inner="q", right=None, invariant=None):
+    """``loop(\\rr. rr U J(rr, right))(edges, edges)`` for the equi-join
+    ``J`` of ``p`` over ``rr`` and ``inner`` over ``right`` (default ``rr``):
+    ``fix()``'s squaring step unless an argument says otherwise.  An
+    ``invariant`` relation joins the union as a loop-invariant branch."""
+    p, q = Var("p"), Var(inner)
+    cond = ast.Eq(ast.Proj2(p), ast.Proj1(q)) if cond is None else cond
+    out = ast.Pair(ast.Proj1(p), ast.Proj2(q)) if out is None else out
+    join = ext_apply(Lambda("p", EDGE_T, ext_apply(Lambda(inner, EDGE_T, ast.If(
+        cond, Singleton(out), ast.EmptySet(EDGE_T),
+    )), Var("rr") if right is None else right)), Var("rr"))
+    acc = Var("rr") if invariant is None else ast.Union(Var("rr"), invariant)
+    step = Lambda("rr", REL_T, ast.Union(acc, join))
+    return ast.Apply(ast.Loop(step, BASE), ast.Pair(Var("edges"), Var("edges")))
+
+
+def _with_constant_branch():
+    """``fix()``'s squaring step with a constant branch ``C`` of two edges a
+    path graph has: not strict, since ``C`` does not read the accumulator."""
+    return _join_fixpoint(invariant=ast.Const(from_python({(2, 3), (3, 4)}), REL_T))
+
+
+def _symmetric_closure():
+    swap = Lambda("p", EDGE_T,
+                  Singleton(ast.Pair(ast.Proj2(Var("p")), ast.Proj1(Var("p")))))
+    step = Lambda("rr", REL_T, ast.Union(Var("rr"), ext_apply(swap, Var("rr"))))
+    return ast.Apply(ast.Loop(step, BASE), ast.Pair(Var("edges"), Var("edges")))
+
+
+#: (case, the fixpoint, engine options or None for the bare plan, indexed).
+SELF_JOIN_CASES = [
+    ("fix", lambda: Q.coll("edges").fix(), {}, True),
+    ("fix-object-kernels", lambda: Q.coll("edges").fix(), {"flat": False}, True),
+    ("keys-right-to-left", lambda: _join_fixpoint(
+        cond=ast.Eq(ast.Proj1(Var("q")), ast.Proj2(Var("p")))), None, True),
+    ("symmetric-closure", _symmetric_closure, None, False),
+    ("keys-on-constructed-pairs", lambda: _join_fixpoint(cond=ast.Eq(
+        ast.Pair(ast.Proj2(Var("p")), ast.Proj2(Var("p"))),
+        ast.Pair(ast.Proj1(Var("q")), ast.Proj1(Var("q"))))), None, False),
+    ("one-component-output", lambda: _join_fixpoint(out=ast.Proj1(Var("p"))),
+     None, False),
+    ("against-a-constant", lambda: _join_fixpoint(
+        right=ast.Const(from_python({(1, 2), (2, 3)}), REL_T)), None, False),
+    ("binder-shadows-the-accumulator", lambda: _join_fixpoint(inner="rr"),
+     None, False),
+    ("a-loop-invariant-branch", _with_constant_branch, None, False),
+]
+
+
+@pytest.mark.parametrize(
+    "make, engine_options, indexed",
+    [case[1:] for case in SELF_JOIN_CASES],
+    ids=[case[0] for case in SELF_JOIN_CASES],
+)
+def test_which_fixpoint_steps_are_indexed_self_joins(make, engine_options, indexed):
+    if engine_options is None:
+        plan = maintenance_plan(make(), frozenset({"edges"}))
+    else:
+        session = connect(fresh_graph_db(6), engine=Engine(**engine_options))
+        view = session.materialize(make())
+        plan = view.maintenance_plan()
+        session.db.insert("edges", [(5, 0)])
+        # The index serves the commit whatever kernels the engine runs.
+        assert view.stats.flat_index_applies == 1
+        assert_matches_cold(session, view, make())
+    fix = next(n for n in plan.walk() if n.op == "ivm-fixpoint")
+    assert ("bilinear-indexed" in fix.annotations) is indexed
+
+
+@pytest.mark.dred
+def test_a_self_join_with_an_invariant_branch_keeps_what_the_branch_adds():
+    # Deleting an edge the constant branch also holds must keep it, and what
+    # it derives, in the view: a cold run re-adds it every round.
+    session = connect(fresh_graph_db(8))
+    view = session.materialize(_with_constant_branch())
+    assert_matches_cold(session, view, _with_constant_branch())
+    session.db.delete("edges", [(3, 4)])
+    assert_matches_cold(session, view, _with_constant_branch())
+    session.db.apply(Changeset.of(edges=([(7, 0)], [(2, 3)])))
+    assert_matches_cold(session, view, _with_constant_branch())
+    assert view.stats.fallback_recomputes == 0
+
+
+@pytest.mark.dred
+def test_a_generic_view_continues_through_the_compilers_loop():
+    # Squaring written twice, the second time with its sides swapped: every
+    # frontier term lowers to a flat join, but the step is no single
+    # self-join, so the view is not indexed and its continuations run on
+    # the compiler's step runner -- the flat loop a query runs.
+    p, q = Var("p"), Var("q")
+    twice = ext_apply(Lambda("q", EDGE_T, ext_apply(Lambda("p", EDGE_T, ast.If(
+        ast.Eq(ast.Proj1(q), ast.Proj2(p)),
+        Singleton(ast.Pair(ast.Proj1(p), ast.Proj2(q))), ast.EmptySet(EDGE_T),
+    )), Var("rr"))), Var("rr"))
+    step = _join_fixpoint().func.step
+    step = Lambda("rr", REL_T, ast.Union(step.body, twice))
+    expr = ast.Apply(ast.Loop(step, BASE), ast.Pair(Var("edges"), Var("edges")))
+    db = fresh_graph_db(10)
+    session = connect(db)
+    view = session.materialize(expr)
+    fix = next(n for n in view.maintenance_plan().walk() if n.op == "ivm-fixpoint")
+    assert "bilinear-indexed" not in fix.annotations
+    assert_matches_cold(session, view, expr)
+    stats = session.engine._vec().stats
+    before = stats.flat_fixpoints
+    db.insert("edges", [(9, 10), (10, 11)])
+    assert stats.flat_fixpoints > before
+    assert_matches_cold(session, view, expr)
+    db.delete("edges", [(4, 5)])
+    assert_matches_cold(session, view, expr)
+    db.apply(Changeset.of(edges=([(4, 5), (11, 0)], [(9, 10)])))
+    assert_matches_cold(session, view, expr)
+    assert view.stats.dred_applies == 2
+    assert view.stats.flat_index_applies == 0
+    assert view.stats.fallback_recomputes == 0
 
 
 class TestDRedHonestyBoundary:

@@ -274,7 +274,7 @@ class TestJoinReorder:
     def test_capture_risk_refuses_the_swap(self):
         # A free variable named like the inner binder in the outer source:
         # swapping would capture it.  match_join_apply must refuse.
-        from repro.engine.vectorized.compiler import match_join_apply
+        from repro.engine.shapes import match_join_apply
 
         l, r = Var("l"), Var("r")
         body = If(

@@ -12,7 +12,7 @@ evaluator reports per-call stats and keeps its results per input.
 import pytest
 
 from repro.engine import Engine, VectorizedEvaluator
-from repro.engine.rewrite import insert_as_step, is_inflationary_step, union_operands
+from repro.engine.shapes import insert_as_step, is_inflationary_step, union_operands
 from repro.nra.ast import (
     Apply,
     Bdcr,
