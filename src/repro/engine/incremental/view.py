@@ -12,23 +12,28 @@ Runtime state, per :class:`~repro.engine.incremental.delta.DeltaOp` node:
   currently produce it -- so a deletion removes an element from the output
   exactly when its last derivation disappears, with no recount;
 * ``join`` nodes additionally hold **hash indexes on both sides**
-  (key value -> matching elements), maintained incrementally, so a delta of
-  ``k`` elements probes in ``O(k * matches)`` instead of re-joining;
+  (key value -> matching elements).  One probe serves the build and every
+  batch: an element indexes (or unindexes) itself on its own side, then
+  counts its derivations against the other side's index, so a delta of
+  ``k`` elements probes in ``O(k * matches)`` instead of re-joining, and
+  the build is the right side, then the left side, probed into empty
+  indexes;
 * ``fixpoint`` nodes hold the current fixpoint set and the compiler's step
-  runner for the node's :class:`~repro.engine.shapes.StepShape`: the build
-  runs it from the seed, and insertions re-enter it *from the new
-  frontier* (the old result is the accumulator, so converged work is
-  never re-derived), and
-  deletions run **delete/rederive** (DRed): an over-deletion pass propagates
-  the deleted elements through the loop's frontier terms to drop everything
-  with a derivation through a deleted element, and a rederivation pass
-  re-proves the over-deleted elements still supported by the survivors, then
-  continues semi-naively -- work scales with the affected derivation cone,
-  not the result (see :meth:`MaterializedView._dred_fixpoint`); an
-  *indexed* fixpoint (the shape's ``self_join``, ``fix()``'s repeated
-  squaring) instead keeps counted two-sided indexes over its own output on
-  dense ids (:class:`_FlatIJoinState`), so both passes cost index probes
-  over the derivation cone;
+  runner for the node's :class:`~repro.engine.shapes.StepShape`, and run
+  one pass per batch, **delete/rederive** (DRed): an over-deletion pass
+  propagates the deleted elements through the loop's frontier terms to drop
+  everything with a derivation through a deleted element, a rederivation
+  pass re-proves the over-deleted elements still supported by the
+  survivors, and the runner continues semi-naively *from the new frontier*
+  (the survivors are the accumulator, so converged work is never
+  re-derived) -- work scales with the affected derivation cone, not the
+  result (see :meth:`MaterializedView._dred_fixpoint`).  An insert-only
+  batch is that pass with nothing deleted, and the build is that pass from
+  an empty fixpoint with the seed inserted.  An *indexed* fixpoint (the
+  shape's ``self_join``, ``fix()``'s repeated squaring) runs the same pass
+  over counted two-sided indexes of its own output on dense ids
+  (:class:`_FlatIJoinState`), so it costs index probes over the derivation
+  cone, its build included;
 * a plan with any ``recompute`` node is not maintained node by node: the
   whole view runs in *recompute mode*, re-evaluating the template through
   the engine's vectorized backend on every relevant commit and diffing the
@@ -46,7 +51,7 @@ rendered set, by bisection over cached sort keys
 (:meth:`~repro.engine.interning.InternTable.splice`), when and only when
 something reads it: :attr:`MaterializedView.value` / ``rows()`` /
 ``refresh``, a recompute-mode diff, the generic (non-indexed)
-fixpoint and DRed passes.  A commit therefore costs the derivation cone;
+fixpoint pass.  A commit therefore costs the derivation cone;
 a read costs O(|pending| log n) python steps plus one C-level copy and is
 free when nothing changed.  The property this rests on is that *a view is
 read less often than its bases are written*; a reader after every commit
@@ -76,12 +81,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ...nra.ast import Expr
-from ...nra.errors import NRAEvalError
 from ...objects.values import SetVal, Value
 from ...obs.metrics import Counters
 from ...obs.trace import TRACER
-from ..vectorized.batch import bind, unbind
-from ..vectorized.flat import CODE_BITS, CODE_MASK
+from ..interning import CODE_BITS, CODE_MASK
+from ..vectorized.batch import bind, expect_set, unbind
 from .changeset import Changeset
 from .delta import DeltaOp, derive, maintenance_plan
 
@@ -195,12 +199,12 @@ class _FlatIJoinState:
     per-derivation pair interning.  Values are materialized only at the
     boundaries (the elements that actually enter or leave the result).
 
-    Built by ``MaterializedView._ijoin_build`` for a fixpoint the plan
-    marks indexed; the standing invariant is ``present = seeds U
-    support(counts)``.  Any element or key outside the flat pair domain
-    makes a pass decline (``None``) before the node's output moves, and the
-    node continues on the generic frontier-term passes, which are always
-    sound.
+    Built empty for a fixpoint the plan marks indexed and filled by the
+    node's one pass, ``MaterializedView._ijoin_dred``, over the seed; the
+    standing invariant is ``present = seeds U support(counts)``.  Any
+    element or key outside the flat pair domain makes a pass decline
+    (``None``) before the node's output moves, and the node continues on
+    the generic frontier-term pass, which is always sound.
     """
 
     __slots__ = ("parts", "paths", "a_left", "b_left", "counts", "lindex",
@@ -294,12 +298,6 @@ class _FlatIJoinState:
                     del rindex[rk]
 
 
-def _expect_set(v, what: str) -> SetVal:
-    if not isinstance(v, SetVal):
-        raise NRAEvalError(f"{what}: expected a set, got {v!r}")
-    return v
-
-
 class MaterializedView:
     """A standing query whose result is maintained under base-table updates."""
 
@@ -388,20 +386,20 @@ class MaterializedView:
                 for name in changeset:
                     if name in env:
                         env[name] = current[name]
-                before = self.stats.copy()
-                if self.recompute_only:
+                stats = self.stats
+                fallback = self.recompute_only
+                over, rederived = stats.dred_overdeletes, stats.dred_rederives
+                if fallback:
                     delta = self._rebuild()
-                    self.stats.fallback_recomputes += 1
+                    stats.fallback_recomputes += 1
                 else:
                     root_delta = self._apply_node(self.plan_ops, self._root, changeset)
                     delta = self._commit_root(root_delta)
-                moved = self.stats.since(before)
-                fallback = moved.fallback_recomputes > 0
-                delta.dred_overdeleted = moved.dred_overdeletes
-                delta.dred_rederived = moved.dred_rederives
-                self.stats.delta_applies += 1
-                self.stats.rows_inserted += len(delta.inserted)
-                self.stats.rows_deleted += len(delta.deleted)
+                delta.dred_overdeleted = stats.dred_overdeletes - over
+                delta.dred_rederived = stats.dred_rederives - rederived
+                stats.delta_applies += 1
+                stats.rows_inserted += len(delta.inserted)
+                stats.rows_deleted += len(delta.deleted)
                 if sp is not None:
                     sp.set(
                         inserted=len(delta.inserted),
@@ -490,7 +488,7 @@ class MaterializedView:
         """Re-evaluate from the current bases; the diff against what was served."""
         it = self._it
         old = self._root.out
-        new = _expect_set(
+        new = expect_set(
             self._vec.run(self.expr, env=self._env),
             f"view {self.name!r}",
         )
@@ -526,47 +524,44 @@ class MaterializedView:
         if kind in ("static", "base"):
             st.out = self._eval_set(op.expr)
             return st
+        if kind == "fixpoint":
+            # The node's one pass, from empty with the seed as the insertion.
+            st.runner = self._vec.compiler.step_runner(op.step, op.shape)
+            seed = st.children[0].out.elements
+            st.out = self._it.empty_set
+            if op.shape.self_join is not None:
+                st.flat = _FlatIJoinState(self._it.pair_parts(), op.shape.self_join)
+                if self._ijoin_dred(st, seed, ()) is not None:
+                    # Keyed on the codes: the cold run in ``_rebuild`` has
+                    # just interned this very set.
+                    st.out = self._it.set_from_pair_codes(st.flat.present)
+                    return st
+                st.flat = None
+            st.out = self._dred_fixpoint(op, st, seed, ())
+            return st
+        # A counted node writes its build's derivations straight into its
+        # counts; its output is their support.
+        st.counts = counts = {}
         if kind in ("map", "select", "ext"):
-            st.counts = {}
-            src = st.children[0].out
-            self._ext_accumulate(op, st.counts, src.elements, +1)
-            st.out = self._it.mkset(st.counts)
-            return st
-        if kind == "join":
-            st.counts = {}
-            st.lindex = {}
-            st.rindex = {}
-            left, right = st.children[0].out, st.children[1].out
-            rkey_fn, env = self._fn(op.rkey), self._env
-            token = bind(env, op.rvar)
-            try:
-                for y in right.elements:
-                    env[op.rvar] = y
-                    st.rindex.setdefault(rkey_fn(env), {})[y] = None
-            finally:
-                unbind(env, op.rvar, token)
-            # Probe with the whole left side: builds lindex and the counts.
-            self._join_probe_left(op, st, left.elements, +1, st.counts)
-            st.out = self._it.mkset(st.counts)
-            return st
-        if kind == "union":
-            st.counts = {}
+            self._ext_accumulate(op, counts, st.children[0].out.elements, +1)
+        elif kind == "join":
+            st.lindex, st.rindex = {}, {}
+            left, right = st.children
+            # The bilinear pass from empty: the right side meets an empty
+            # left index, then the left side derives every pair.
+            self._join_probe(op, st, False, right.out.elements, +1, counts)
+            self._join_probe(op, st, True, left.out.elements, +1, counts)
+        elif kind == "union":
             for child in st.children:
                 for v in child.out.elements:
-                    st.counts[v] = st.counts.get(v, 0) + 1
-            st.out = self._it.mkset(st.counts)
-            return st
-        if kind == "fixpoint":
-            st.runner = self._vec.compiler.step_runner(op.step, op.shape)
-            base = st.children[0].out
-            st.out = self._resume(st, base, base)
-            if op.shape.self_join is not None:
-                st.flat = self._ijoin_build(op, st)
-            return st
-        raise AssertionError(f"unknown delta op kind {kind!r}")
+                    counts[v] = counts.get(v, 0) + 1
+        else:
+            raise AssertionError(f"unknown delta op kind {kind!r}")
+        st.out = self._it.mkset(counts)
+        return st
 
     def _eval_set(self, e: Expr) -> SetVal:
-        return _expect_set(self._fn(e)(self._env), "maintenance subexpression")
+        return expect_set(self._fn(e)(self._env), "maintenance subexpression")
 
     # -- delta propagation -----------------------------------------------------
 
@@ -648,7 +643,7 @@ class MaterializedView:
         try:
             for x in elements:
                 env[op.var] = x
-                piece = _expect_set(body_fn(env), "ext maintenance body")
+                piece = expect_set(body_fn(env), "ext maintenance body")
                 for y in piece.elements:
                     acc[y] = acc.get(y, 0) + sign
         finally:
@@ -656,76 +651,56 @@ class MaterializedView:
 
     # -- join ------------------------------------------------------------------
 
-    def _join_probe_left(
-        self, op: DeltaOp, st: _NodeState, elements, sign: int, counts: dict
+    def _join_probe(
+        self, op: DeltaOp, st: _NodeState, left: bool, elements, sign: int, counts: dict
     ) -> None:
-        """Probe the right index with left-side elements; maintain lindex."""
+        """Index (``+1``) or unindex (``-1``) each element on its own side,
+        then count its derivations against the other side's index."""
         env = self._env
-        lkey_fn, out_fn = self._fn(op.lkey), self._fn(op.out)
-        lindex, rindex = st.lindex, st.rindex
-        ltok, rtok = bind(env, op.var), bind(env, op.rvar)
+        out_fn = self._fn(op.out)
+        if left:
+            key_fn, var, other_var = self._fn(op.lkey), op.var, op.rvar
+            own, other = st.lindex, st.rindex
+        else:
+            key_fn, var, other_var = self._fn(op.rkey), op.rvar, op.var
+            own, other = st.rindex, st.lindex
+        tok, other_tok = bind(env, var), bind(env, other_var)
         try:
             for x in elements:
-                env[op.var] = x
-                k = lkey_fn(env)
+                env[var] = x
+                k = key_fn(env)
                 if sign > 0:
-                    lindex.setdefault(k, {})[x] = None
+                    own.setdefault(k, {})[x] = None
                 else:
-                    bucket = lindex.get(k)
+                    bucket = own.get(k)
                     if bucket is not None:
                         bucket.pop(x, None)
                         if not bucket:
-                            del lindex[k]
-                matches = rindex.get(k)
+                            del own[k]
+                matches = other.get(k)
                 if matches:
                     for y in matches:
-                        env[op.rvar] = y
+                        env[other_var] = y
                         out = out_fn(env)
                         counts[out] = counts.get(out, 0) + sign
         finally:
-            unbind(env, op.rvar, rtok)
-            unbind(env, op.var, ltok)
+            unbind(env, other_var, other_tok)
+            unbind(env, var, tok)
 
     def _apply_join(
         self, op: DeltaOp, st: _NodeState, dl: SetDelta, dr: SetDelta
     ) -> SetDelta:
-        """Bilinear rule: ``dL >< R_old``, then ``L_new >< dR``."""
+        """Bilinear rule: ``dL >< R_old``, then ``L_new >< dR``.
+
+        The left delta probes the *old* right index while the left index
+        advances to its new contents; the right delta then probes the
+        *updated* left index.  Each side applies its deletes, then its inserts.
+        """
         acc: SetDelta = {}
-        env = self._env
-        if dl:
-            # The left delta probes the *old* right index (while the left
-            # index advances to its new contents)...
-            deleted = [v for v, dc in dl.items() if dc < 0]
-            inserted = [v for v, dc in dl.items() if dc > 0]
-            self._join_probe_left(op, st, deleted, -1, acc)
-            self._join_probe_left(op, st, inserted, +1, acc)
-        if dr:
-            # ...then the right delta against the *updated* left index.
-            lindex = st.lindex
-            rkey_fn, out_fn = self._fn(op.rkey), self._fn(op.out)
-            ltok, rtok = bind(env, op.var), bind(env, op.rvar)
-            rindex = st.rindex
-            try:
-                for y, dc in dr.items():
-                    env[op.rvar] = y
-                    k = rkey_fn(env)
-                    if dc > 0:
-                        rindex.setdefault(k, {})[y] = None
-                    else:
-                        bucket = rindex.get(k)
-                        if bucket is not None:
-                            bucket.pop(y, None)
-                            if not bucket:
-                                del rindex[k]
-                    matches = lindex.get(k)
-                    if matches:
-                        for x in matches:
-                            env[op.var] = x
-                            out = out_fn(env)
-                            acc[out] = acc.get(out, 0) + dc
-            finally:
-                unbind(env, op.rvar, rtok)
-                unbind(env, op.var, ltok)
+        for left, d in ((True, dl), (False, dr)):
+            if d:
+                self._join_probe(op, st, left, [v for v, dc in d.items() if dc < 0], -1, acc)
+                self._join_probe(op, st, left, [v for v, dc in d.items() if dc > 0], +1, acc)
         return self._commit_counts(st, acc)
 
     # -- fixpoint --------------------------------------------------------------
@@ -744,24 +719,20 @@ class MaterializedView:
         ins = [v for v, dc in d.items() if dc > 0]
         dels = [v for v, dc in d.items() if dc < 0]
         if st.flat is not None:
-            # The indexed passes know their exact deltas (what fell for good,
+            # The indexed pass knows its exact delta (what fell for good,
             # what is genuinely new): no full-set diff, and no render.
-            delta = self._ijoin_dred(st, ins, dels) if dels else self._ijoin_continue(st, ins)
+            delta = self._ijoin_dred(st, ins, dels)
             if delta is not None:
+                self.stats.flat_index_applies += 1
                 st.moved(delta)
                 return delta
             # A value outside the pair domain: drop the mirror for good.  The
             # declined pass touched only the mirror, so ``st.out`` is still
-            # the pre-pass fixpoint and the generic passes below run on it.
+            # the pre-pass fixpoint and the generic pass below runs on it.
             st.flat = None
         it = self._it
         old = st.out
-        if dels:
-            st.out = self._dred_fixpoint(op, st, ins, dels)
-        else:
-            insset = it.mkset(ins)
-            frontier = it.difference(insset, old)
-            st.out = self._resume(st, it.union(old, frontier), frontier)
+        st.out = self._dred_fixpoint(op, st, ins, dels)
         delta: SetDelta = {}
         for v in it.difference(st.out, old).elements:
             delta[v] = 1
@@ -770,7 +741,7 @@ class MaterializedView:
         return delta
 
     def _dred_fixpoint(self, op: DeltaOp, st: _NodeState, ins, dels) -> SetVal:
-        """Delete/rederive (DRed): deletion-sound maintenance of a fixpoint.
+        """Delete/rederive (DRed): the fixpoint node's one pass, every batch.
 
         **Over-deletion.**  Starting from the deleted seed elements, apply
         the loop's frontier terms with the *old* fixpoint as the accumulator
@@ -788,14 +759,35 @@ class MaterializedView:
         ``R``; those plus the batch's insertions re-enter the ordinary
         semi-naive continuation (:meth:`_resume`), which re-proves everything
         they transitively support.  The over-deletion sweep is a loop of its
-        own: it pins the accumulator at the old fixpoint.  Work scales with the affected derivation cone, not the
-        result; when the cone *is* the result (a hub deletion) DRed
-        degenerates to roughly one recompute plus the over-deletion sweep --
-        see DESIGN.md, "when maintenance loses".
+        own: it pins the accumulator at the old fixpoint.  Work scales with
+        the affected derivation cone, not the result; when the cone *is* the
+        result (a hub deletion) DRed degenerates to roughly one recompute
+        plus the over-deletion sweep -- see DESIGN.md, "when maintenance
+        loses".
+
+        With nothing deleted, neither pass runs: an insert-only batch is the
+        continuation from the inserted frontier, and the node's build is
+        this pass from an empty fixpoint with the seed inserted -- the
+        runner's loop from the seed, as a query runs it.
         """
         it = self._it
-        env = self._env
         old = st.out
+        surviving, over, rederived = old, {}, []
+        if dels:
+            surviving, over, rederived = self._dred_cut(op, st, old, dels)
+        frontier = it.difference(it.mkset(rederived + list(ins)), surviving)
+        out = self._resume(st, it.union(surviving, frontier), frontier)
+        if dels:
+            out_ids = set(map(id, out.elements))
+            self.stats.dred_applies += 1
+            self.stats.dred_overdeletes += len(over)
+            self.stats.dred_rederives += sum(1 for v in over if id(v) in out_ids)
+        return out
+
+    def _dred_cut(self, op: DeltaOp, st: _NodeState, old: SetVal, dels):
+        """DRed's first two passes: ``(survivors, over-deleted, rederived)``."""
+        it = self._it
+        env = self._env
         old_ids = set(map(id, old.elements))
         # -- over-deletion pass ------------------------------------------------
         over: dict = dict.fromkeys(v for v in dels if id(v) in old_ids)
@@ -811,7 +803,7 @@ class MaterializedView:
                 env[dv] = frontier
                 fell: list[Value] = []
                 for fn in term_fns:
-                    for y in _expect_set(fn(env), "dred over-deletion term").elements:
+                    for y in expect_set(fn(env), "dred over-deletion term").elements:
                         if id(y) in old_ids and id(y) not in over_ids:
                             over[y] = None
                             over_ids.add(id(y))
@@ -827,30 +819,20 @@ class MaterializedView:
         vtok = bind(env, var)
         try:
             env[var] = surviving
-            one_step = _expect_set(self._fn(op.step.body)(env), "dred rederivation step")
+            one_step = expect_set(self._fn(op.step.body)(env), "dred rederivation step")
         finally:
             unbind(env, var, vtok)
         one_step_ids = set(map(id, one_step.elements))
         rederived = [v for v in over
                      if id(v) in seed_ids or id(v) in one_step_ids]
-        frontier = it.difference(it.mkset(rederived + list(ins)), surviving)
-        out = self._resume(st, it.union(surviving, frontier), frontier)
-        out_ids = set(map(id, out.elements))
-        self.stats.dred_applies += 1
-        self.stats.dred_overdeletes += len(over)
-        self.stats.dred_rederives += sum(1 for v in over if id(v) in out_ids)
-        return out
+        return surviving, over, rederived
 
     # -- indexed fixpoint (the self-join step of ``fix()``) --------------------
     #
-    # When the plan marks the step ``\v. v U (v >< v)`` indexed, the fixpoint
-    # node keeps, over its *own* output: hash indexes on both join sides and,
-    # per output element, the count of join derivations currently producing
-    # it -- all on packed dense-id pair codes (``_FlatIJoinState``).  Every
-    # maintenance pass then costs the derivation cone of the change -- index
-    # probes per touched element -- never a re-join or per-round index
-    # rebuild over the whole fixpoint.  A pass returns ``None`` instead when
-    # a value lies outside the pair domain, having touched only the mirror.
+    # The pass costs the derivation cone of the change -- index probes per
+    # touched element over ``_FlatIJoinState`` -- never a re-join or a
+    # per-round index rebuild.  It returns ``None`` instead when a value lies
+    # outside the pair domain, having touched only the mirror.
 
     def _flat_codes(self, flat: _FlatIJoinState, values) -> Optional[list]:
         """Packed pair codes of interned values; ``None`` outside the domain."""
@@ -867,66 +849,6 @@ class MaterializedView:
             codes.append((pr[0] << CODE_BITS) | pr[1])
         return codes
 
-    def _ijoin_build(self, op: DeltaOp, st: _NodeState) -> Optional[_FlatIJoinState]:
-        """Index the built fixpoint and count every join derivation once."""
-        flat = _FlatIJoinState(self._it.pair_parts(), op.shape.self_join)
-        codes = self._flat_codes(flat, st.out.elements)
-        seed_codes = self._flat_codes(flat, st.children[0].out.elements)
-        if codes is None or seed_codes is None:
-            return None
-        sink: list = []
-        try:
-            for c in codes:
-                flat.count(c, +1, sink)
-        except KeyError:
-            return None  # a key path hit a non-pair
-        flat.present.update(codes)
-        flat.seeds.update(seed_codes)
-        return flat
-
-    def _flat_walk(self, flat: _FlatIJoinState, codes: list) -> list:
-        """Indexed insert-side continuation over codes; returns what joined.
-
-        Each genuinely new element is indexed and probed once; a derivation
-        output becomes part of the fixpoint the moment its support count
-        leaves zero (or it arrives as seed), and only *then* joins the next
-        frontier -- the counted mirror of semi-naive iteration, with work
-        proportional to the new derivation cone instead of a per-round
-        re-index of the accumulator.  A mid-walk ``KeyError`` propagates to
-        the caller, which declines the pass.
-        """
-        present = flat.present
-        added: list = []
-        frontier = [c for c in codes if c not in present]
-        rounds = 0
-        while frontier:
-            rounds += 1
-            touched: list = []
-            for c in frontier:
-                if c in present:
-                    continue
-                present.add(c)
-                added.append(c)
-                flat.count(c, +1, touched)
-            frontier = [z for z in touched if z not in present]
-        self.stats.seminaive_rounds += rounds
-        return added
-
-    def _ijoin_continue(self, st: _NodeState, ins) -> Optional[SetDelta]:
-        """Insert-side continuation by index probes; the node's set delta."""
-        flat = st.flat
-        codes = self._flat_codes(flat, ins)
-        if codes is None:
-            return None
-        flat.seeds.update(codes)  # ins is the child's (seed) insert delta
-        try:
-            added = self._flat_walk(flat, codes)
-        except KeyError:
-            return None
-        self.stats.flat_index_applies += 1
-        pair = self._it.pair_from_ids
-        return {pair(c >> CODE_BITS, c & CODE_MASK): 1 for c in added}
-
     def _ijoin_dred(self, st: _NodeState, ins, dels) -> Optional[SetDelta]:
         """Delete/rederive over the counted indexes (see ``_dred_fixpoint``).
 
@@ -941,6 +863,11 @@ class MaterializedView:
         they transitively support and re-counts each restored derivation
         exactly once.  Only the boundary elements -- what fell for good,
         what is genuinely new -- are materialized as values.
+
+        With nothing deleted the over-delete walk is empty: an insert-only
+        batch is the indexed continuation alone, and the node's build is
+        this pass over the seed into a fresh :class:`_FlatIJoinState`.  The
+        ``dred_*`` counters count only batches that delete.
         """
         flat = st.flat
         del_codes = self._flat_codes(flat, dels)
@@ -969,14 +896,27 @@ class MaterializedView:
             rederived = [c for c in over
                          if c in seed_set or counts.get(c, 0) > 0]
             present.difference_update(over)
-            added = self._flat_walk(flat, rederived + ins_codes)
+            # The counted mirror of semi-naive iteration: a code joins the
+            # fixpoint, and the next frontier, when it arrives as seed or its
+            # support leaves zero, and is indexed and probed once.
+            added: list = []
+            frontier = [c for c in rederived + ins_codes if c not in present]
+            while frontier:
+                rounds += 1
+                touched = []
+                for c in frontier:
+                    if c not in present:
+                        present.add(c)
+                        added.append(c)
+                        flat.count(c, +1, touched)
+                frontier = [z for z in touched if z not in present]
         except KeyError:
             return None
         self.stats.seminaive_rounds += rounds
-        self.stats.flat_index_applies += 1
-        self.stats.dred_applies += 1
-        self.stats.dred_overdeletes += len(over)
-        self.stats.dred_rederives += sum(1 for c in over if c in present)
+        if dels:
+            self.stats.dred_applies += 1
+            self.stats.dred_overdeletes += len(over)
+            self.stats.dred_rederives += sum(1 for c in over if c in present)
         pair = self._it.pair_from_ids
         delta: SetDelta = {}
         for c in over:

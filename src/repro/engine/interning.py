@@ -40,12 +40,14 @@ from ..objects.values import (
 )
 
 
-#: Pair codes pack two dense ids into one ``int``: ``(fst << 32) | snd``.
-#: 2**32 distinct values per engine is far beyond anything the benchmarks
-#: reach; a table that somehow exceeds it simply stops registering codes and
-#: the flat kernels fall back to the object path.
-_CODE_BITS = 32
-_DENSE_LIMIT = 1 << _CODE_BITS
+#: Pair codes pack two dense ids into one ``int``:
+#: ``(fst << CODE_BITS) | snd``.  ``ID_LIMIT`` (2**32) distinct values per
+#: engine is far beyond anything the benchmarks reach; a table that somehow
+#: exceeds it simply stops registering codes and the flat kernels fall back
+#: to the object path.
+CODE_BITS = 32
+CODE_MASK = (1 << CODE_BITS) - 1
+ID_LIMIT = 1 << CODE_BITS
 
 
 #: Canonical-tuple SetVal constructor (skips the sort; see values.canonical_set).
@@ -134,8 +136,8 @@ class InternTable:
             si = self._dense.get(id(v.snd))
             if fi is not None and si is not None:
                 self._pair_parts[dense] = (fi, si)
-                if fi < _DENSE_LIMIT and si < _DENSE_LIMIT:
-                    self._pair_codes[(fi << _CODE_BITS) | si] = v
+                if fi < ID_LIMIT and si < ID_LIMIT:
+                    self._pair_codes[(fi << CODE_BITS) | si] = v
         return v
 
     def _canon(self, key: tuple, build, elem_keys: Optional[tuple] = None) -> Value:
@@ -180,8 +182,8 @@ class InternTable:
 
     def pair_from_ids(self, fid: int, sid: int) -> Value:
         """Interned pair from two dense part ids (code-cache fast path)."""
-        if fid < _DENSE_LIMIT and sid < _DENSE_LIMIT:
-            found = self._pair_codes.get((fid << _CODE_BITS) | sid)
+        if fid < ID_LIMIT and sid < ID_LIMIT:
+            found = self._pair_codes.get((fid << CODE_BITS) | sid)
             if found is not None:
                 self.hits += 1
                 return found
@@ -238,7 +240,7 @@ class InternTable:
             return found
         get, pair, by_dense, keys = self._pair_codes.get, self.pair, self._by_dense, self._keys
         pairs = [
-            get(c) or pair(by_dense[c >> _CODE_BITS], by_dense[c & (_DENSE_LIMIT - 1)])
+            get(c) or pair(by_dense[c >> CODE_BITS], by_dense[c & CODE_MASK])
             for c in uniq
         ]
         pairs.sort(key=lambda v: keys[id(v)])

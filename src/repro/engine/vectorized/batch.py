@@ -36,9 +36,8 @@ from ...nra.errors import NRAEvalError
 from ...nra.externals import EMPTY_SIGMA, Signature
 from ...objects.values import SetVal, Value
 from ...obs.metrics import METRICS, Counters
-from ..interning import InternTable, patch_column
+from ..interning import CODE_BITS, InternTable, patch_column
 from .flat import (
-    CODE_BITS,
     FlatUnavailable,
     build_inv_index,
     follow_id,

@@ -52,12 +52,8 @@ from typing import Callable, Optional
 
 from ...nra.errors import NRAEvalError
 from ...objects.values import SetVal
+from ..interning import CODE_BITS, ID_LIMIT
 from ..shapes import FlatTermSpec
-
-#: Pair codes pack ``(fst_dense_id << CODE_BITS) | snd_dense_id``.
-CODE_BITS = 32
-CODE_MASK = (1 << CODE_BITS) - 1
-ID_LIMIT = 1 << CODE_BITS
 
 
 class FlatUnavailable(Exception):

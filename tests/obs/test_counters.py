@@ -126,3 +126,11 @@ def test_the_scraped_names_are_the_documented_ones():
     for stats in surface["sessions"].values():
         assert list(stats) == list(SessionStats.__dataclass_fields__)
         assert stats["executes"] == 6 and stats["prepares"] == 1
+    # Every view is maintained by delta; an earlier session's views also
+    # absorb the later sessions' commits, so no one count is pinned.
+    assert {name.split(".")[1] for name in surface["views"]} == {"tc", "compose"}
+    for name, stats in surface["views"].items():
+        assert list(stats) == list(ViewStats.__dataclass_fields__)
+        assert stats["delta_applies"] > 0 and stats["fallback_recomputes"] == 0
+        if name.endswith(".tc"):
+            assert stats["dred_applies"] > 0

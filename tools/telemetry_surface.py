@@ -5,13 +5,16 @@
 Imports ``repro`` from ``TREE/src`` (default: this checkout) and, on a
 16-node path graph, drives one ``vectorized``, one ``parallel`` and one
 ``auto`` session through prepare, execute, ``executemany`` over three
-bindings (one execute each), ``explain_analyze``, ``materialize`` and an
+bindings (one execute each), ``explain_analyze``, ``materialize`` (the
+``tc`` closure, plus one ``compose`` view on the first session) and an
 insert/delete pair, then one
 wire round trip (open a session, execute, status) against a
 ``QueryServer``.  It prints what the outside world reads of the counter
 bags:
 
 * ``sessions``: each session's ``stats.as_dict()``;
+* ``views``: each materialized view's ``ViewStats.as_dict()``, keyed
+  ``backend.name`` (a view keeps absorbing the later sessions' commits);
 * ``router_keys``: the keys of the ``auto`` engine's ``router_stats()``;
 * ``server_fields``: the keys of the ``status`` reply's ``stats``;
 * ``scrape_names``: the sorted ``repro_*_total`` names the process-wide
@@ -41,7 +44,7 @@ def surface(tree: Path = ROOT) -> dict:
 
     db = Database.of("g", edges=path_graph(16))
     reach = Q.coll("edges").fix().where(lambda e: e.fst == Q.param("src"))
-    sessions, engines = {}, []
+    sessions, engines, views = {}, [], {}
     for backend in ("vectorized", "parallel", "auto"):
         s = connect(db, backend=backend)
         engines.append(s.engine)
@@ -51,10 +54,13 @@ def surface(tree: Path = ROOT) -> dict:
         for cursor in s.executemany(reach, [0, 1, 2]):
             cursor.fetchall()
         s.explain_analyze(reach, params={"src": 4})
-        view = s.materialize(Q.coll("edges").fix(), name="tc")
+        views[f"{backend}.tc"] = s.materialize(Q.coll("edges").fix(), name="tc")
+        if not sessions:
+            views[f"{backend}.compose"] = s.materialize(
+                Q.coll("edges").compose(Q.coll("edges")), name="compose")
         db.insert("edges", [(15, 16)])
         db.delete("edges", [(15, 16)])
-        len(view.value.elements)
+        len(views[f"{backend}.tc"].value.elements)
         sessions[backend] = s.stats.as_dict()
     router_keys = sorted(engines[-1].router_stats())
     server = QueryServer(db=db)
@@ -73,6 +79,7 @@ def surface(tree: Path = ROOT) -> dict:
         engine.close()
     return {
         "sessions": sessions,
+        "views": {name: view.stats.as_dict() for name, view in views.items()},
         "router_keys": router_keys,
         "server_fields": server_fields,
         "scrape_names": scrape_names,
