@@ -721,9 +721,14 @@ class MaterializedView:
         if st.flat is not None:
             # The indexed pass knows its exact delta (what fell for good,
             # what is genuinely new): no full-set diff, and no render.
-            delta = self._ijoin_dred(st, ins, dels)
-            if delta is not None:
+            moved = self._ijoin_dred(st, ins, dels)
+            if moved is not None:
                 self.stats.flat_index_applies += 1
+                pair = self._it.pair_from_ids
+                fell, added = moved
+                delta = {pair(c >> CODE_BITS, c & CODE_MASK): -1 for c in fell}
+                for c in added:
+                    delta[pair(c >> CODE_BITS, c & CODE_MASK)] = 1
                 st.moved(delta)
                 return delta
             # A value outside the pair domain: drop the mirror for good.  The
@@ -849,7 +854,7 @@ class MaterializedView:
             codes.append((pr[0] << CODE_BITS) | pr[1])
         return codes
 
-    def _ijoin_dred(self, st: _NodeState, ins, dels) -> Optional[SetDelta]:
+    def _ijoin_dred(self, st: _NodeState, ins, dels) -> Optional[tuple[list, list]]:
         """Delete/rederive over the counted indexes (see ``_dred_fixpoint``).
 
         Same two passes as the generic DRed, at cone cost.  **Over-delete**:
@@ -861,8 +866,9 @@ class MaterializedView:
         seed or with surviving support re-enter the indexed continuation,
         together with the batch's insertions, which re-proves everything
         they transitively support and re-counts each restored derivation
-        exactly once.  Only the boundary elements -- what fell for good,
-        what is genuinely new -- are materialized as values.
+        exactly once.  Returns the boundary as codes -- what fell for good,
+        what is genuinely new -- for the caller to decode: a batch renders
+        them as its delta, the build renders ``present`` once instead.
 
         With nothing deleted the over-delete walk is empty: an insert-only
         batch is the indexed continuation alone, and the node's build is
@@ -917,12 +923,5 @@ class MaterializedView:
             self.stats.dred_applies += 1
             self.stats.dred_overdeletes += len(over)
             self.stats.dred_rederives += sum(1 for c in over if c in present)
-        pair = self._it.pair_from_ids
-        delta: SetDelta = {}
-        for c in over:
-            if c not in present:
-                delta[pair(c >> CODE_BITS, c & CODE_MASK)] = -1
-        for c in added:
-            if c not in over:
-                delta[pair(c >> CODE_BITS, c & CODE_MASK)] = 1
-        return delta
+        return ([c for c in over if c not in present],
+                [c for c in added if c not in over])

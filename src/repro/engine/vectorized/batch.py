@@ -27,6 +27,7 @@ shapes are lowered onto these kernels.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from operator import eq, ne
@@ -184,29 +185,35 @@ class BatchContext:
         value (kept and aged out with its indexes).
 
         This is one structure derived from one collection, not a cache of
-        subterm results.  It does not follow a commit itself: the first read
-        of the next version builds its own, from the ``fst``/``snd`` columns
-        that did (:meth:`carry`), and an unchanged node set comes back as the
-        interned set it already was.  ``build()``, the union as written, runs
-        instead when the flat kernels are off or an element is not a pair, so
-        its errors and counters stay the union's own.
+        subterm results.  Beside it the flat build keeps the relation's node
+        counts (dense id -> ``fst``/``snd`` occurrences, a sibling ``"nodes"``
+        entry), which :meth:`carry` moves across a commit by the delta: the
+        next version finds its field already kept when no node came or went,
+        and otherwise builds it from the carried counts, with no column walk.
+        A hit refreshes both entries, so they age out together.  ``build()``,
+        the union as written, runs instead when the flat kernels are off or
+        an element is not a pair, so its errors and counters stay the union's
+        own.
         """
         indexes = self._indexes
-        key = (id(source), "field")
+        key, nodes_key = (id(source), "field"), (id(source), "nodes")
+        nodes = indexes.pop(nodes_key, None)
+        if nodes is not None:
+            indexes[nodes_key] = nodes
         cached = indexes.pop(key, None)
         if cached is not None:
             indexes[key] = cached
             return cached
-        field = None
-        if self.use_flat:
+        if nodes is None and self.use_flat:
             try:
-                field = self.interner.set_from_ids(
-                    set(self.flat_column(source, ("f",)))
-                    | set(self.flat_column(source, ("s",)))
-                )
+                nodes = Counter(self.flat_column(source, ("f",)))
+                nodes.update(self.flat_column(source, ("s",)))
             except FlatUnavailable:
-                pass
-        return self._keep(indexes, key, build() if field is None else field)
+                nodes = None
+            else:
+                self._keep(indexes, nodes_key, nodes)
+        field = build() if nodes is None else self.interner.set_from_ids(nodes)
+        return self._keep(indexes, key, field)
 
     def flat_probe_index(
         self, source: SetVal, key_path: tuple[str, ...]
@@ -275,8 +282,11 @@ class BatchContext:
 
         ``dels``/``ins`` came with ``new`` from :meth:`InternTable.advance`.
         Each path column and invariant index of ``old`` is copied once at C
-        level and edited at the delta's rows only; the next version's
-        :meth:`field_of` is then read off its ``fst``/``snd`` columns.  An
+        level and edited at the delta's rows only.  The node counts behind
+        :meth:`field_of` are copied and moved by the pair parts of the
+        delta's elements, O(|delta|): when no node came or went, ``new``'s
+        field is ``old``'s interned set itself (no intern probe at commit);
+        otherwise its first :meth:`field_of` builds it from the counts.  An
         entry the delta cannot extend (a new element lacks the pair shape a
         path needs) is left out: the read takes the cold build, and its errors.
         """
@@ -290,7 +300,7 @@ class BatchContext:
                 self._keep(self._columns, (id(new), key[1]),
                            patch_column(self._columns[key], dels, values))
         for key in [k for k in self._indexes if k[0] == id(old)]:
-            tag = key[1]  # an Expr (object index), "field", ("flat", path) or ("inv", ...)
+            tag = key[1]  # an Expr (object index), "field", "nodes", ("flat", path) or ("inv", ...)
             if type(tag) is tuple and tag[0] == "inv" and (id(new), tag) not in self._indexes:
                 try:
                     patched = patch_inv_index(self._indexes[key], it, tag, dels, ins)
@@ -298,6 +308,24 @@ class BatchContext:
                     continue
                 self._keep(self._indexes, (id(new), tag), patched)
                 _count_inv_index("patched")
+        nodes = self._indexes.get((id(old), "nodes"))
+        if nodes is None or (id(new), "nodes") in self._indexes:
+            return
+        if any(d not in parts for _, d in ins):
+            return  # a non-pair element: the next field_of is the cold build
+        moved = nodes.copy()
+        for _, d in dels:
+            moved.subtract(parts[d])
+        for _, d in ins:
+            moved.update(parts[d])
+        touched = {n for _, d in dels + ins for n in parts[d]}
+        for n in touched:
+            if not moved[n]:
+                del moved[n]
+        field = self._indexes.get((id(old), "field"))
+        self._keep(self._indexes, (id(new), "nodes"), moved)
+        if field is not None and all((n in nodes) == (n in moved) for n in touched):
+            self._keep(self._indexes, (id(new), "field"), field)
 
 
 def _count_inv_index(kind: str) -> None:

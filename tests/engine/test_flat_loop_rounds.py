@@ -23,7 +23,11 @@ the semi-naive rounds.  What is pinned here:
   leaves the error, the counters and a usable engine behind;
 * **round one** runs in the frontier loop exactly when no branch of the
   step is loop-invariant (the plan says ``round-one-frontier``), so the
-  first read after a commit builds no index and runs no map.
+  first read after a commit builds no index and runs no map;
+* the loop's **node set** ``field_of(edges)`` follows a commit by its node
+  counts: the first read after one builds no set when no node came or
+  went, reads the set off the carried counts when one did, and a
+  collection of non-pairs still takes the union as written, errors included.
 
 Counter literals were recorded when a strict step's round one moved into
 the frontier loop (one round more than the object round one counted; no
@@ -34,9 +38,12 @@ came to be read off the collection's id columns (no ``bulk_maps``).
 import pytest
 
 import repro.engine.vectorized.flat as flat
-from repro.api import Database, Q
+from repro.api import Changeset, Database, Q
+from repro.api.query import param_var
 from repro.complexity.fit import is_polylog
 from repro.engine import Engine
+from repro.engine.interning import InternTable
+from repro.engine.vectorized.batch import BatchContext
 from repro.nra.ast import (
     Apply, Const, EmptySet, Eq, Ext, If, Lambda, Loop, Pair, Proj1, Proj2,
     Singleton, Union, Var,
@@ -458,3 +465,96 @@ def test_the_first_read_after_a_commit_costs_what_a_warm_read_does(write):
     assert (stats.index_builds, stats.bulk_maps, stats.flat_fallbacks) == (0, 0, 0)
     assert METRICS.counter('repro_carried_indexes_total{kind="built"}').value == built
     assert ctx._indexes[id(session.engine.intern(db["edges"])), "field"] is field
+
+
+def _field_builds(monkeypatch) -> list:
+    """Record each ``InternTable.set_from_ids`` call made inside ``field_of``."""
+    field_of, set_from_ids = BatchContext.field_of, InternTable.set_from_ids
+    inside, builds = [], []
+
+    def traced_field_of(self, source, build):
+        inside.append(source)
+        try:
+            return field_of(self, source, build)
+        finally:
+            inside.pop()
+
+    def counted_set_from_ids(self, ids):
+        if inside:
+            builds.append(inside[-1])
+        return set_from_ids(self, ids)
+
+    monkeypatch.setattr(BatchContext, "field_of", traced_field_of)
+    monkeypatch.setattr(InternTable, "set_from_ids", counted_set_from_ids)
+    return builds
+
+
+@pytest.mark.ivm
+@pytest.mark.parametrize("write", ["insert", "delete"])
+def test_a_commit_that_keeps_the_node_set_builds_no_node_set(monkeypatch, write):
+    session, reach = _reach(16)
+    db = session.db
+    reach.execute(src=0).fetchall()
+    # (3, 9) joins two path nodes; both ends of (7, 8) keep another edge.
+    getattr(db, write)("edges", [(3, 9)] if write == "insert" else [(7, 8)])
+    builds = _field_builds(monkeypatch)
+    assert len(reach.execute(src=0).fetchall()) == (15 if write == "insert" else 7)
+    assert builds == []
+
+
+def _reference_reach(db, src):
+    el = Q.coll("edges").fix().where(lambda e: e.fst == Q.param("src")).elaborate(db.schema())
+    env = db.environment()
+    env[param_var("src")] = from_python(src)
+    return reference_run(el.expr, env=env)
+
+
+@pytest.mark.ivm
+@pytest.mark.parametrize("inserts, deletes, same_nodes", [
+    ([(15, 16)], [], False),          # node 16 arrives
+    ([], [(14, 15)], False),          # node 15 leaves with its only edge
+    ([(15, 14)], [(14, 15)], True),   # ...and comes back on another, in one changeset
+])
+def test_a_commit_that_moves_the_node_set_carries_its_counts(
+        monkeypatch, inserts, deletes, same_nodes):
+    session, reach = _reach(16)
+    db, engine = session.db, session.engine
+    ctx = engine._vec().ctx
+    for src in (0, 5):
+        reach.execute(src=src).fetchall()
+    old_field = ctx._indexes[id(engine.intern(db["edges"])), "field"]
+    db.apply(Changeset.of(edges=(inserts, deletes)))
+    new = engine.intern(db["edges"])
+    assert (id(new), "nodes") in ctx._indexes
+    assert ((id(new), "field") in ctx._indexes) is same_nodes
+    builds = _field_builds(monkeypatch)
+    for src in range(17):
+        assert reach.execute(src=src).value == _reference_reach(db, src), src
+    # Built once from the carried counts when the nodes moved, never otherwise.
+    assert builds == ([] if same_nodes else [new])
+    field = ctx._indexes[id(new), "field"]
+    assert field == reference_run(field_of(Var("r"), BASE, BASE), env={"r": new})
+    assert (field is old_field) is same_nodes
+
+
+@pytest.mark.ivm
+def test_a_collection_of_non_pairs_takes_the_union_and_its_errors():
+    # Under the same name ``r``: the relation first, then a nested set of
+    # non-pairs, then the relation with a non-pair committed into it.
+    expr = Apply(Loop(WALK, BASE), Pair(field_of(Var("r"), BASE, BASE), Var("r")))
+    engine = Engine(backend="vectorized")
+    ctx = engine._vec().ctx
+    edges = engine.intern(path_graph(16).value())
+    assert engine.run(expr, env={"r": edges}, optimize=False) == reference_run(
+        expr, env={"r": edges})
+    assert (id(edges), "nodes") in ctx._indexes
+    mixed = engine.advance(edges, [from_python(5)], [])
+    assert not [k for k in ctx._indexes if k[0] == id(mixed)]
+    nested = from_python(frozenset({frozenset({1}), frozenset({2, 3})}))
+    for r in (nested, mixed):
+        with pytest.raises(NRAEvalError) as reference_error:
+            reference_run(expr, env={"r": r})
+        with pytest.raises(NRAEvalError) as error:
+            engine.run(expr, env={"r": r}, optimize=False)
+        assert str(error.value) == str(reference_error.value)
+        assert (id(engine.intern(r)), "nodes") not in ctx._indexes

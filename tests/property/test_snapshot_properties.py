@@ -8,7 +8,8 @@ sharing one engine, with and without views.  After *every* step
    ``Engine.intern(db[name])`` returns -- advancing and re-interning are two
    ways to one hash-consed value;
 2. every cached column and index -- carried across a commit or built on a
-   miss -- equals its from-scratch build over the set it is keyed on;
+   miss -- equals its from-scratch build over the set it is keyed on, a
+   relation's node counts included;
 3. every result, and every open view, equals the reference interpreter
    ``repro.nra.eval.run`` on the live database.
 
@@ -17,6 +18,7 @@ carried flat state).
 """
 
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,11 @@ class World:
                 as_written = reference_run(
                     field_of(Var("r"), BASE, BASE), env={"r": sets[sid]})
                 assert index == as_written, tag
+                continue
+            if tag == "nodes":  # its node counts, carried across a commit
+                built = Counter(set_column(it, sets[sid], ("f",)))
+                built.update(set_column(it, sets[sid], ("s",)))
+                assert dict(index) == dict(built), tag
                 continue
             if index is None or type(tag) is not tuple:
                 continue  # a select's touch mark / an object-kernel index

@@ -10,6 +10,7 @@ from repro.api.query import Query
 from repro.api.session import Session
 from repro.engine.engine import Engine
 from repro.engine.interning import InternTable
+from repro.engine.vectorized.batch import BatchContext
 from repro.engine.vectorized.flat import FlatLoop
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +29,7 @@ def _patched():
 @pytest.mark.parametrize("workload", ["adhoc_cold", "tc_inproc", "ivm_churn", "nested_objects"])
 def test_every_step_is_timed_and_the_tree_is_restored(workload):
     before = _patched()
+    field_of = BatchContext.field_of
     steps = front_door_probe.probe(ROOT, workload, reads=30, warm=5)
     assert list(steps) == [*front_door_probe.STEPS, "sum", "op", "rounds", "us_per_round"]
     assert all(steps[s] > 0
@@ -36,10 +38,19 @@ def test_every_step_is_timed_and_the_tree_is_restored(workload):
     assert (steps["elaborate"] > 0) == (workload == "adhoc_cold")
     if workload in ("tc_inproc", "ivm_churn"):
         # reach(src) on the 96-node path (one round per edge walked) or on
-        # ivm_churn's base tree (one round per tree level): the flat loop.
+        # ivm_churn's tree (one round per tree level): the flat loop.
         assert 0 < steps["loop"] < steps["op"]
         assert steps["rounds"] > 0 and steps["us_per_round"] > 0
+        # The loop's cardinality argument: field_of(edges), once per op.
+        assert 0 < steps["field"] < steps["op"]
     if workload == "nested_objects":
         # nest(two-hop): join, unnest and group-map kernels, no fixpoint.
         assert steps["loop"] == 0 and steps["rounds"] == 0
+        assert steps["field"] == 0
+    if workload == "ivm_churn":
+        # The reads after inserts and after deletes, each half on its own.
+        for half in ("insert", "delete"):
+            steps = front_door_probe.probe(ROOT, workload, reads=30, warm=6, half=half)
+            assert 0 < steps["field"] < steps["op"] and steps["rounds"] > 0
     assert _patched() == before
+    assert BatchContext.field_of is field_of

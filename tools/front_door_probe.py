@@ -1,16 +1,18 @@
 """Where one in-process op's time goes: the front door, step by step.
 
     python tools/front_door_probe.py [TREE] [--workload adhoc_cold] [--reads 3000]
-                                     [--warm 200] [--seed 1]
+                                     [--warm 200] [--seed 1] [--half insert|delete]
 
 The in-process twin of ``tools/hop_probe.py``.  Imports ``repro`` from
 ``TREE/src`` and the workload from ``TREE/perf/workloads.py`` (default: this
 checkout), sets the workload up as ``perf/run.py`` does, runs ``--reads`` of
 its ops (after ``--warm`` untimed ones) -- a prepared statement's bindings,
 or for ``adhoc_cold`` a never-seen query per op over its five shapes; for
-``ivm_churn`` its reads alone, ``reach(src)`` on the base tree with both
-views materialized, no writes between them -- and prints the median
-microseconds each step took per op:
+``ivm_churn`` its reads as the benchmark makes them, op ``i`` being the
+``reach(src)`` read after cycle ``i // 2``'s untimed insert (even ``i``) or
+delete (odd ``i``) of its four edges, with both views materialized and one
+fresh batch per cycle, and ``--half`` times only the reads after inserts or
+after deletes -- and prints the median microseconds each step took per op:
 
 * ``elaborate``: ``Query.elaborate`` (ad-hoc ops only);
 * ``recognize``: ``Session._template_of`` less the elaboration inside it --
@@ -19,10 +21,14 @@ microseconds each step took per op:
 * ``plan lookup``: ``Engine.optimize``, the plan cache;
 * ``loop``: ``FlatLoop.run``, the flat fixpoint's rounds;
 * ``materialize``: the outermost ``InternTable.set_from_pair_codes`` /
-  ``set_from_ids`` / ``mkset`` calls inside ``Engine._execute``, the
-  plan-boundary sets built from ids, codes or interned elements;
-* ``run``: ``Engine._execute`` less the loop and the materializations
-  inside it, the other kernels;
+  ``set_from_ids`` / ``mkset`` calls inside ``Engine._execute`` (and not
+  inside ``field``), the plan-boundary sets built from ids, codes or
+  interned elements;
+* ``field``: the outermost ``BatchContext.field_of`` calls inside
+  ``Engine._execute``, a loop's node set (a dictionary lookup once the
+  collection version has one);
+* ``run``: ``Engine._execute`` less the loop, the materializations and the
+  field inside it, the other kernels;
 * ``fetch``: ``Cursor.fetchall``, rows materialized as python values;
 * ``other``: the rest of the op (environment copy, locks, counters, cursor).
 
@@ -31,7 +37,8 @@ rounds per op and microseconds per round of the loop (over the ops that ran
 one).  The steps patch only names the parent and the change both have, so
 the same command on two trees -- alternately, nothing else running --
 compares them.  Every op's rows are checked against the workload's closed
-form (``ivm_churn``: the base tree's answer), outside the timing.
+form (``ivm_churn``: its cycle's answer with the batch in or out), outside
+the timing.
 """
 
 from __future__ import annotations
@@ -46,13 +53,15 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Steps in op order; ``other`` is what the op spent outside them.
-STEPS = ("elaborate", "recognize", "bind", "plan lookup", "loop", "materialize", "run",
-         "fetch", "other")
+STEPS = ("elaborate", "recognize", "bind", "plan lookup", "loop", "materialize", "field",
+         "run", "fetch", "other")
 WORKLOADS = ("adhoc_cold", "tc_inproc", "ivm_churn", "nested_objects")
 
 
-def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> dict:
-    """Median microseconds per step and per op, over ``reads`` timed ops."""
+def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
+          half: str = "") -> dict:
+    """Median microseconds per step and per op, over ``reads`` timed ops
+    (with ``half``, over those of them that read after an insert or a delete)."""
     for path in (tree / "perf", tree / "src"):
         sys.path.insert(0, str(path))
     import repro
@@ -61,6 +70,7 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
     import repro.api.session as session
     import repro.engine.engine as engine
     import repro.engine.interning as interning
+    import repro.engine.vectorized.batch as batch
     import repro.engine.vectorized.flat as flat
     from workloads import WORKLOADS as ALL
 
@@ -70,13 +80,15 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
     active: set = set()  # steps with a timed call on the stack
     rounds = [0]
 
-    def timed(owner, attr: str, step: str, within: str = ""):
-        """Time ``owner.attr`` as ``step``: only its outermost calls, and
-        with ``within``, only those made inside that step."""
+    def timed(owner, attr: str, step: str, within: str = "", outside: str = ""):
+        """Time ``owner.attr`` as ``step``: only its outermost calls, with
+        ``within`` only those made inside that step, and with ``outside``
+        none made inside that one."""
         original = getattr(owner, attr)
 
         def wrapper(*args, **kwargs):
-            if step in active or (within and within not in active):
+            if (step in active or (within and within not in active)
+                    or outside in active):
                 return original(*args, **kwargs)
             active.add(step)
             t0 = perf_counter()
@@ -99,17 +111,34 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
         timed(engine.Engine, "optimize", "plan lookup"),
         timed(engine.Engine, "_execute", "run"),
         timed(flat.FlatLoop, "run", "loop"),
-        *(timed(interning.InternTable, name, "materialize", within="run")
+        *(timed(interning.InternTable, name, "materialize", within="run", outside="field")
           for name in ("set_from_pair_codes", "set_from_ids", "mkset")),
+        timed(batch.BatchContext, "field_of", "field", within="run"),
         timed(cursor.Cursor, "fetchall", "fetch"),
     ]
-    w = ALL[workload](seed, 1.0, False)
     if workload == "ivm_churn":
+        # As many cycles as ops read, each with its own batch, as in a run:
+        # a batch seen again would find its version's entries still cached.
+        w = ALL[workload](seed, (warm + reads) / 2 / ALL[workload].FULL["rate"] + 1, False)
+
+        def write(i: int) -> None:
+            """Cycle ``i // 2``'s insert (even ``i``) or delete (odd ``i``)."""
+            (w.db.delete if i % 2 else w.db.insert)("edges", w.write_batches[i // 2])
+
+        def read(i: int) -> list:
+            return w.read(i // 2)
+
         def expected(i: int) -> frozenset:
-            """Its reads only: setup leaves the database at its base state,
-            so op i returns the base tree's reach(src) of its cycle."""
-            return w.want[i % len(w.want)][1]
+            return w.want[i // 2][i % 2]
     else:
+        w = ALL[workload](seed, 1.0, False)
+
+        def write(i: int) -> None:
+            pass
+
+        def read(i: int) -> list:
+            return w.read(i)
+
         expected = w.expected
     samples: dict = {step: [] for step in (*STEPS, "op", "rounds", "us_per_round")}
     wrong = 0
@@ -117,17 +146,18 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1) -> di
         w.setup()
         try:
             for i in range(warm + reads):
+                write(i)  # untimed
                 spent.clear()
                 rounds[0] = 0
                 t0 = perf_counter()
-                rows = w.read(i)
+                rows = read(i)
                 op = perf_counter() - t0
                 wrong += not w.check(i, rows, expected(i))
-                if i < warm:
+                if i < warm or (half and i % 2 != (half == "delete")):
                     continue
                 steps = {step: spent.get(step, 0.0) for step in STEPS[:-1]}
                 steps["recognize"] -= steps["elaborate"]  # it ran inside
-                steps["run"] -= steps["loop"] + steps["materialize"]
+                steps["run"] -= steps["loop"] + steps["materialize"] + steps["field"]
                 steps["other"] = op - sum(steps.values())
                 for step, s in steps.items():
                     samples[step].append(s)
@@ -158,8 +188,11 @@ def main() -> int:
     ap.add_argument("--reads", type=int, default=3000)
     ap.add_argument("--warm", type=int, default=200)
     ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--half", choices=("insert", "delete"), default="",
+                    help="ivm_churn: time only the reads after an insert or a delete")
     args = ap.parse_args()
-    steps = probe(Path(args.tree).resolve(), args.workload, args.reads, args.warm, args.seed)
+    steps = probe(Path(args.tree).resolve(), args.workload, args.reads, args.warm, args.seed,
+                  args.half)
     for step in (*STEPS, "sum", "op"):
         print(f"{step:<14}{steps[step]:9.1f} us")
     print(f"{'rounds/op':<14}{steps['rounds']:9.1f}")
