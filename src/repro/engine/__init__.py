@@ -54,7 +54,7 @@ for where this sits in the package architecture.
 
 from .engine import BACKENDS, Engine, Plan, default_workers
 from .incremental import Changeset, MaterializedView, ViewDelta, ViewStats
-from .interning import InternTable
+from .interning import DenseIdLimitError, InternTable
 from .parallel import ParallelEvaluator, ParStats
 from .router import (
     CollectionStats,
@@ -85,6 +85,7 @@ __all__ = [
     "ViewDelta",
     "ViewStats",
     "InternTable",
+    "DenseIdLimitError",
     "ParallelEvaluator",
     "ParStats",
     "CollectionStats",

@@ -304,12 +304,13 @@ class Engine:
         """Interned ``(s - deletes) | inserts``; what is cached for ``s`` follows it.
 
         How an interned collection moves across a commit without being
-        re-interned or re-indexed: :meth:`InternTable.advance` splices the
-        delta in and the vectorized backend's columns and invariant indexes
-        over ``s`` are patched onto the result.
+        re-interned or re-indexed: :meth:`InternTable.splice` places the
+        interned delta and the vectorized backend's record of ``s`` -- its
+        columns, invariant indexes and node set -- is carried onto the result.
         """
         with self._lock:
-            new, dels, ins = self.interner.advance(s, inserts, deletes)
+            it = self.interner
+            new, dels, ins = it.splice(s, map(it.intern, inserts), map(it.intern, deletes))
             if new is not s and self._vectorized is not None:
                 self._vectorized.ctx.carry(s, new, dels, ins)
             return new

@@ -207,21 +207,17 @@ class _FlatIJoinState:
     the generic frontier-term pass, which is always sound.
     """
 
-    __slots__ = ("parts", "paths", "a_left", "b_left", "counts", "lindex",
-                 "rindex", "present", "seeds")
+    __slots__ = ("parts", "probe", "counts", "lindex", "rindex", "present",
+                 "seeds")
 
     def __init__(self, parts: dict, spec):
         self.parts = parts          # live pair-part view of the intern table
-        #: The left key, right key, output fst and output snd paths of the
-        #: self-join ``spec``, each as (shift to its head half, the part walk
-        #: after it): a one-step path -- the closure's every path -- is a
-        #: shift and a mask.
-        self.paths = tuple(
-            (CODE_BITS if p[0] == "f" else 0, p[1:])
-            for p in (spec.lkey, spec.rkey, spec.out_a[1], spec.out_b[1])
-        )
-        self.a_left = spec.out_a[0] == "l"  # output fst: over left (else right)
-        self.b_left = spec.out_b[0] == "l"  # output snd: over left (else right)
+        #: The self-join ``spec``'s probe plan (:attr:`FlatTermSpec.probe`):
+        #: whether each output component is over the left element, then the
+        #: left key, right key and output paths as (head step picks ``fst``,
+        #: the part walk after it) -- a one-step path, the closure's every
+        #: path, is a shift or a mask.
+        self.probe = spec.probe
         self.counts: dict[int, int] = {}       # out code -> derivation count
         self.lindex: dict[int, dict] = {}      # key id -> {element code}
         self.rindex: dict[int, dict] = {}
@@ -247,12 +243,12 @@ class _FlatIJoinState:
         callers use it as the next frontier.  A ``KeyError`` means a key
         path hit a non-pair.
         """
-        (lsh, lrest), (rsh, rrest), (ash, arest), (bsh, brest) = self.paths
-        a_left, b_left, walk = self.a_left, self.b_left, self.walk
-        lk = (code >> lsh) & CODE_MASK
+        a_left, b_left, (lf, lrest), (rf, rrest), (af, arest), (bf, brest) = self.probe
+        walk = self.walk
+        lk = code >> CODE_BITS if lf else code & CODE_MASK
         if lrest:
             lk = walk(lk, lrest)
-        rk = (code >> rsh) & CODE_MASK
+        rk = code >> CODE_BITS if rf else code & CODE_MASK
         if rrest:
             rk = walk(rk, rrest)
         counts, lindex, rindex = self.counts, self.lindex, self.rindex
@@ -267,10 +263,12 @@ class _FlatIJoinState:
             for y in list(matches):
                 if not left_role and y == code:
                     continue  # the self-pair was counted in the left role
-                a = ((code if a_left == left_role else y) >> ash) & CODE_MASK
+                a = code if a_left == left_role else y
+                a = a >> CODE_BITS if af else a & CODE_MASK
                 if arest:
                     a = walk(a, arest)
-                b = ((code if b_left == left_role else y) >> bsh) & CODE_MASK
+                b = code if b_left == left_role else y
+                b = b >> CODE_BITS if bf else b & CODE_MASK
                 if brest:
                     b = walk(b, brest)
                 z = (a << CODE_BITS) | b

@@ -10,16 +10,20 @@ equal values are represented by the **same Python object**, so that
 * equality checks are ``O(1)`` identity comparisons (``a is b``),
 * the total-order key of :mod:`repro.objects.order` is computed once per
   distinct value and cached, and
-* the compiled backends' caches and join indexes can key on ``id(value)``.
+* every value gets a dense integer id, so the flat kernels can ship ids in
+  integer columns and pack a pair of ids into one code.
 
 Interning preserves canonical form exactly: an interned value is ``==`` to the
 value it was built from, so results of the optimized engine are
 indistinguishable from the reference interpreter's (the cross-checks in
-``tests/engine`` assert this).  The table holds strong references to every
-canonical representative, which is what makes ``id``-keying sound: an interned
-value can never be garbage collected while its table is alive.  Tables are
-scoped to an :class:`~repro.engine.engine.Engine`, so the memory is reclaimed
-when the engine is dropped.
+``tests/engine`` assert this).  The table's own ``id``-keyed maps (cached
+sort keys, dense ids) are sound because it holds strong references to every
+canonical representative: an interned value can never be garbage collected
+while its table is alive.  Caches outside the table that key on ``id(value)``
+hold the value they are keyed by themselves (the vectorized backend's set
+records do), so their soundness does not rest on the table never freeing a
+value.  Tables are scoped to an :class:`~repro.engine.engine.Engine`, so the
+memory is reclaimed when the engine is dropped.
 """
 
 from __future__ import annotations
@@ -41,13 +45,13 @@ from ..objects.values import (
 
 
 #: Pair codes pack two dense ids into one ``int``:
-#: ``(fst << CODE_BITS) | snd``.  ``ID_LIMIT`` (2**32) distinct values per
-#: engine is far beyond anything the benchmarks reach; a table that somehow
-#: exceeds it simply stops registering codes and the flat kernels fall back
-#: to the object path.
+#: ``(fst << CODE_BITS) | snd``.
 CODE_BITS = 32
 CODE_MASK = (1 << CODE_BITS) - 1
-ID_LIMIT = 1 << CODE_BITS
+
+
+class DenseIdLimitError(OverflowError):
+    """An intern table was asked for a value past its dense-id limit."""
 
 
 #: Canonical-tuple SetVal constructor (skips the sort; see values.canonical_set).
@@ -63,6 +67,13 @@ class InternTable:
     canonicalisation is a merge of pre-sorted sequences rather than a fresh
     sort with recursive key recomputation.
     """
+
+    #: Dense ids this table may issue: ids below it pack into pair codes.
+    #: 2**32 distinct values per engine is far beyond anything the
+    #: benchmarks reach; the table refuses the next one
+    #: (:class:`DenseIdLimitError`), so every code any kernel or view packs
+    #: names exactly one pair.
+    id_limit = 1 << CODE_BITS
 
     def __init__(self) -> None:
         self._table: dict[tuple, Value] = {}
@@ -83,8 +94,6 @@ class InternTable:
         #: packed ``(fst << 32) | snd`` code -> pair, so a flat join can
         #: materialize its output pairs without re-probing ``("p", ...)`` keys.
         self._pair_codes: dict[int, Value] = {}
-        #: id(SetVal) -> element dense-id column (canonical element order).
-        self._set_cols: dict[int, array] = {}
         #: sorted-unique dense-id bytes -> SetVal: recognises a set that was
         #: already materialized from ids without re-sorting by object keys.
         self._sets_by_ids: dict[bytes, Value] = {}
@@ -101,6 +110,11 @@ class InternTable:
     # -- plumbing -----------------------------------------------------------------
 
     def _store(self, key: tuple, v: Value, elem_keys: Optional[tuple] = None) -> Value:
+        dense = len(self._by_dense)
+        if dense >= self.id_limit:  # before any write: the table stays as it was
+            raise DenseIdLimitError(
+                f"intern table full: dense id {dense} is past the limit of "
+                f"{self.id_limit} ids that pair codes pack")
         self._table[key] = v
         # The parts of a stored pair/set are interned already (every
         # constructor's contract), so their keys are cached: assemble the
@@ -124,7 +138,6 @@ class InternTable:
             keys[id(v)] = (3, fk, sk)
         else:
             keys[id(v)] = sort_key(v)
-        dense = len(self._by_dense)
         self._by_dense.append(v)
         self._dense[id(v)] = dense
         if isinstance(v, PairVal):
@@ -136,8 +149,7 @@ class InternTable:
             si = self._dense.get(id(v.snd))
             if fi is not None and si is not None:
                 self._pair_parts[dense] = (fi, si)
-                if fi < ID_LIMIT and si < ID_LIMIT:
-                    self._pair_codes[(fi << CODE_BITS) | si] = v
+                self._pair_codes[(fi << CODE_BITS) | si] = v
         return v
 
     def _canon(self, key: tuple, build, elem_keys: Optional[tuple] = None) -> Value:
@@ -182,25 +194,11 @@ class InternTable:
 
     def pair_from_ids(self, fid: int, sid: int) -> Value:
         """Interned pair from two dense part ids (code-cache fast path)."""
-        if fid < ID_LIMIT and sid < ID_LIMIT:
-            found = self._pair_codes.get((fid << CODE_BITS) | sid)
-            if found is not None:
-                self.hits += 1
-                return found
+        found = self._pair_codes.get((fid << CODE_BITS) | sid)
+        if found is not None:
+            self.hits += 1
+            return found
         return self.pair(self._by_dense[fid], self._by_dense[sid])
-
-    def set_ids(self, s: SetVal) -> array:
-        """The element dense-id column of an *interned* set (canonical order).
-
-        Cached per set; sound because the table keeps the set (and its id)
-        alive, and elements of an interned set are interned.
-        """
-        col = self._set_cols.get(id(s))
-        if col is None:
-            dense = self._dense
-            col = array("q", (dense[id(e)] for e in s.elements))
-            self._set_cols[id(s)] = col
-        return col
 
     def set_from_ids(self, ids: Sequence[int]) -> Value:
         """Interned set from element dense ids (dedupes; any order).
@@ -376,8 +374,9 @@ class InternTable:
         dense id)`` pairs, ``dels`` in descending row order and ``ins`` in
         the order applied: deleting, then inserting, those rows turns any
         column of ``s`` into that column of ``new``.  How a collection
-        follows a commit (:meth:`advance`) and how a maintained view's output
-        is rendered from what joined and left it since the last read.
+        follows a commit (``Engine.advance``, which then carries the
+        backend's record of ``s`` by the patch) and how a maintained view's
+        output is rendered from what joined and left it since the last read.
         """
         keys, dense = self._keys, self._dense
         elems, elem_keys = s.elements, keys[id(s)][2]
@@ -403,17 +402,6 @@ class InternTable:
             elems = _weave(elems, rows, new)
             elem_keys = _weave(elem_keys, rows, [keys[id(v)] for v in new])
         return self._set_from_canonical(tuple(elems), tuple(elem_keys)), dels, ins
-
-    def advance(
-        self, s: SetVal, inserts: Iterable[Value], deletes: Iterable[Value]
-    ) -> tuple[Value, list, list]:
-        """:meth:`splice` for a delta that need not be interned; ``set_ids`` follows."""
-        new, dels, ins = self.splice(
-            s, map(self.intern, inserts), map(self.intern, deletes))
-        col = self._set_cols.get(id(s))
-        if col is not None and id(new) not in self._set_cols:
-            self._set_cols[id(new)] = patch_column(col, dels, ins)
-        return new, dels, ins
 
 
 def _cut(xs: Sequence, rows: list) -> list:

@@ -14,9 +14,13 @@ id), and pair-sets expose their ``fst``/``snd`` columns by attribute access.
 
 * the :class:`~repro.engine.interning.InternTable` that keeps identity
   equality sound and set construction a merge over cached sort keys, and
-* a **join-index cache**: hash indexes (``id(key) -> rows``) built over a set
-  are remembered per ``(set, key accessor)``, so the loop-invariant side of a
-  join inside a semi-naive iteration is indexed once, not once per round.
+* one **record per set** (:class:`SetRecord`) in a bounded LRU keyed by
+  ``id(set)``: the set's dense-id columns, its join, select and loop
+  indexes and ``field_of``'s node set, so the loop-invariant side of a join
+  inside a semi-naive iteration is indexed once, not once per round, and a
+  commit moves the whole record onto the next version (:meth:`BatchContext.carry`).
+  The record holds its set, which is what makes the ``id`` key sound: the
+  set cannot be freed, and its id reused, while its record lives.
 
 All kernels bind the iteration variable by *mutating the environment dict in
 place* (saving and restoring any shadowed binding once per batch, not once
@@ -27,6 +31,7 @@ shapes are lowered onto these kernels.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
@@ -42,7 +47,6 @@ from .flat import (
     FlatUnavailable,
     build_inv_index,
     follow_id,
-    guard_pack,
     patch_inv_index,
     set_column,
 )
@@ -90,16 +94,54 @@ class VecStats(Counters):
     flat_fallbacks: int = 0
 
 
+class SetRecord:
+    """What the kernels derived from one interned set version, in one place.
+
+    :class:`BatchContext` keeps one record per set in an LRU keyed by
+    ``id(set)``.  The record holds the set itself, so its key names that
+    set for as long as the record lives, whether or not anything else
+    keeps the set alive.  Every entry is a pure function of the set
+    (interned sets are immutable), so any of them may be dropped and built
+    again:
+
+    * ``columns``: accessor path -> the dense-id column of that path over
+      the elements, in canonical order; ``()`` is the elements' own ids;
+    * ``indexes``: tag -> index.  A compiled accessor expression tags an
+      object index (``id(key) -> [element]``, :meth:`BatchContext.probe_index`),
+      ``("flat", path)`` a row index (``key id -> [row]``,
+      :meth:`BatchContext.flat_probe_index`) and ``("inv", key path, out_a
+      path, out_b path)`` the flat loop's invariant-source index (``key id
+      -> [(out_a id, out_b id)]``, :meth:`BatchContext.inv_index`);
+    * ``scanned``: the key paths a key-equality select has scanned once
+      (:meth:`BatchContext.select_index`);
+    * ``nodes`` and ``field``: the node counts (dense id -> ``fst``/``snd``
+      occurrences) and the node set of :meth:`BatchContext.field_of`.
+    """
+
+    __slots__ = ("set", "columns", "indexes", "scanned", "nodes", "field")
+
+    def __init__(self, s: SetVal):
+        self.set = s
+        self.columns: dict[tuple, array] = {}
+        self.indexes: dict[object, dict] = {}
+        self.scanned: set[tuple] = set()
+        self.nodes: Optional[Counter] = None
+        self.field: Optional[SetVal] = None
+
+
 @dataclass
 class BatchContext:
-    """Shared state of one vectorized evaluation: interner, indexes, stats."""
+    """Shared state of one vectorized evaluation: interner, set records, stats."""
 
-    #: Bound on cached join indexes.  Inside a semi-naive loop each round's
-    #: accumulator is a fresh interned set whose index is used once; without a
-    #: cap those single-use entries would accumulate for the lifetime of a
-    #: long-lived engine.  LRU keeps the loop-invariant indexes (re-probed
-    #: every round) hot while single-use ones age out.
-    MAX_CACHED_INDEXES = 128
+    #: Bound on the sets whose records are kept.  Inside a semi-naive loop
+    #: each round's accumulator is a fresh interned set whose structures are
+    #: used once, and every commit makes a new version of a collection;
+    #: without a cap those records would accumulate for the lifetime of a
+    #: long-lived engine.  LRU keeps the loop-invariant sets (re-probed
+    #: every round) and the current versions hot while the rest age out.
+    #: The measured working sets are 1-4 sets per op on the benchmark's
+    #: reach, ad hoc and churn workloads and 30 on its nested one.
+    MAX_CACHED_SETS = 64
 
     interner: InternTable
     sigma: Signature = EMPTY_SIGMA
@@ -113,22 +155,26 @@ class BatchContext:
     #: steady-state contexts keep ``None`` and pay a single ``is None``
     #: check per compile miss.
     profiler: Optional[object] = None
-    _indexes: dict[tuple, object] = field(default_factory=dict)
-    _columns: dict[tuple, object] = field(default_factory=dict)
+    _records: dict[int, SetRecord] = field(default_factory=dict)
 
     def clear_indexes(self) -> None:
-        """Drop every cached join index and flat column (correctness is unaffected)."""
-        self._indexes.clear()
-        self._columns.clear()
+        """Drop every set's record: its columns, indexes and node set
+        (correctness is unaffected)."""
+        self._records.clear()
 
-    # -- index plumbing -----------------------------------------------------------
+    def record(self, source: SetVal) -> SetRecord:
+        """The record of ``source``, made most recently used (a new, empty
+        one if it has none), evicting the least recently used past the bound."""
+        records = self._records
+        rec = records.pop(id(source), None)
+        if rec is None:
+            rec = SetRecord(source)
+            if len(records) >= self.MAX_CACHED_SETS:
+                del records[next(iter(records))]
+        records[id(source)] = rec
+        return rec
 
-    def _keep(self, cache: dict, key: tuple, entry):
-        """Cache ``entry`` as most recently used, evicting the least recently used."""
-        cache[key] = entry
-        if len(cache) > self.MAX_CACHED_INDEXES:
-            cache.pop(next(iter(cache)))
-        return entry
+    # -- indexes, columns and the node set ----------------------------------------
 
     def probe_index(
         self,
@@ -141,15 +187,12 @@ class BatchContext:
         ``cache_tag`` identifies the accessor; pass ``None`` when the key
         function closes over loop-dependent state (the index is then rebuilt),
         or a stable token when the key is a pure function of the element (the
-        index is cached per ``(set, accessor)`` -- sound because interned sets
-        are immutable and kept alive by the intern table).
+        index is kept in the set's record under that tag).
         """
-        indexes = self._indexes
         if cache_tag is not None:
-            key = (id(source), cache_tag)
-            cached = indexes.pop(key, None)
+            indexes = self.record(source).indexes
+            cached = indexes.get(cache_tag)
             if cached is not None:
-                indexes[key] = cached  # re-insert: most recently used last
                 self.stats.index_hits += 1
                 return cached
         index: dict[int, list[Value]] = {}
@@ -157,63 +200,52 @@ class BatchContext:
             index.setdefault(id(key_of(x)), []).append(x)
         self.stats.index_builds += 1
         if cache_tag is not None:
-            self._keep(indexes, (id(source), cache_tag), index)
+            indexes[cache_tag] = index
         return index
 
-    # -- flat columns and indexes -------------------------------------------------
+    def flat_column(self, source: SetVal, path: tuple[str, ...]) -> array:
+        """The dense-id column of ``path`` over ``source`` (``()``: the element
+        ids), kept in its record.  Raises :class:`FlatUnavailable` when an
+        element lacks the required pair shape."""
+        return self._column(self.record(source), path)
 
-    def flat_column(self, source: SetVal, path: tuple[str, ...]):
-        """The dense-id column of ``path`` over ``source`` (LRU-cached).
-
-        Sound for the same reason the join-index cache is: interned sets are
-        immutable and kept alive by the intern table, and a path column is a
-        pure function of the set.  Raises :class:`FlatUnavailable` when an
-        element lacks the required pair shape.
-        """
-        if not path:
-            return self.interner.set_ids(source)
-        columns = self._columns
-        key = (id(source), path)
-        cached = columns.pop(key, None)
-        if cached is not None:
-            columns[key] = cached
-            return cached
-        return self._keep(columns, key, set_column(self.interner, source, path))
+    def _column(self, rec: SetRecord, path: tuple[str, ...]) -> array:
+        col = rec.columns.get(path)
+        if col is None:
+            if path:
+                col = set_column(self.interner, self._column(rec, ()), path)
+            else:
+                dense = self.interner._dense  # every element is interned
+                col = array("q", map(dense.__getitem__, map(id, rec.set.elements)))
+            rec.columns[path] = col
+        return col
 
     def field_of(self, source: SetVal, build: Callable[[], SetVal]) -> SetVal:
         """The values binary relation ``source`` mentions, once per collection
-        value (kept and aged out with its indexes).
+        value (kept in its record).
 
         This is one structure derived from one collection, not a cache of
         subterm results.  Beside it the flat build keeps the relation's node
-        counts (dense id -> ``fst``/``snd`` occurrences, a sibling ``"nodes"``
-        entry), which :meth:`carry` moves across a commit by the delta: the
-        next version finds its field already kept when no node came or went,
-        and otherwise builds it from the carried counts, with no column walk.
-        A hit refreshes both entries, so they age out together.  ``build()``,
-        the union as written, runs instead when the flat kernels are off or
-        an element is not a pair, so its errors and counters stay the union's
+        counts (dense id -> ``fst``/``snd`` occurrences), which :meth:`carry`
+        moves across a commit by the delta: the next version finds its
+        field already there when no node came or went, and otherwise builds
+        it from the carried counts, with no column walk.  ``build()``, the
+        union as written, runs instead when the flat kernels are off or an
+        element is not a pair, so its errors and counters stay the union's
         own.
         """
-        indexes = self._indexes
-        key, nodes_key = (id(source), "field"), (id(source), "nodes")
-        nodes = indexes.pop(nodes_key, None)
-        if nodes is not None:
-            indexes[nodes_key] = nodes
-        cached = indexes.pop(key, None)
-        if cached is not None:
-            indexes[key] = cached
-            return cached
-        if nodes is None and self.use_flat:
-            try:
-                nodes = Counter(self.flat_column(source, ("f",)))
-                nodes.update(self.flat_column(source, ("s",)))
-            except FlatUnavailable:
-                nodes = None
-            else:
-                self._keep(indexes, nodes_key, nodes)
-        field = build() if nodes is None else self.interner.set_from_ids(nodes)
-        return self._keep(indexes, key, field)
+        rec = self.record(source)
+        if rec.field is None:
+            if rec.nodes is None and self.use_flat:
+                try:
+                    nodes = Counter(self._column(rec, ("f",)))
+                    nodes.update(self._column(rec, ("s",)))
+                except FlatUnavailable:
+                    pass
+                else:
+                    rec.nodes = nodes
+            rec.field = build() if rec.nodes is None else self.interner.set_from_ids(rec.nodes)
+        return rec.field
 
     def flat_probe_index(
         self, source: SetVal, key_path: tuple[str, ...]
@@ -221,24 +253,26 @@ class BatchContext:
         """A hash index ``key_id -> [row, ...]`` over a flat key column.
 
         The path is always a pure function of the element, so the index is
-        cached per ``(set, path)`` like :meth:`probe_index` caches the object
-        indexes (and shares its LRU bound and counters).  It names rows, and
-        rows shift under an insert, so it does not follow a commit itself:
-        the next version's is built here, from the key column that did.
+        kept in the set's record like :meth:`probe_index`'s (and shares its
+        counters).  It names rows, and rows shift under an insert, so it
+        does not follow a commit itself: the next version's is built here,
+        from the key column that did.
         """
-        indexes = self._indexes
-        key = (id(source), ("flat", key_path))
-        cached = indexes.pop(key, None)
-        if cached is not None:
-            indexes[key] = cached
+        return self._row_index(self.record(source), key_path)
+
+    def _row_index(self, rec: SetRecord, key_path: tuple[str, ...]) -> dict[int, list[int]]:
+        tag = ("flat", key_path)
+        index = rec.indexes.get(tag)
+        if index is not None:
             self.stats.index_hits += 1
-            return cached
-        index: dict[int, list[int]] = {}
+            return index
+        index = {}
         setdefault = index.setdefault
-        for row, k in enumerate(self.flat_column(source, key_path)):
+        for row, k in enumerate(self._column(rec, key_path)):
             setdefault(k, []).append(row)
         self.stats.index_builds += 1
-        return self._keep(indexes, key, index)
+        rec.indexes[tag] = index
+        return index
 
     def select_index(
         self, source: SetVal, key_path: tuple[str, ...]
@@ -247,72 +281,68 @@ class BatchContext:
 
         ``None`` the first time ``source`` is selected from on ``key_path``:
         building the index costs more than the one scan it would save, so a
-        set selected from once is scanned.  The touch is remembered in the
-        index cache itself (a ``None`` entry, aged out by the same LRU), and
-        from the second select on -- or at once when a join already indexed
-        this set on this path -- the index is built or fetched by
-        :meth:`flat_probe_index` and shared with the joins.
+        set selected from once is scanned, and the path is noted in the
+        set's record.  From the second select on -- or at once when a join
+        already indexed this set on this path -- the index is built or
+        fetched as :meth:`flat_probe_index` does and shared with the joins.
         """
-        indexes = self._indexes
-        key = (id(source), ("flat", key_path))
-        if key in indexes:
-            return self.flat_probe_index(source, key_path)
-        self._keep(indexes, key, None)
+        rec = self.record(source)
+        if key_path in rec.scanned or ("flat", key_path) in rec.indexes:
+            return self._row_index(rec, key_path)
+        rec.scanned.add(key_path)
         return None
 
     def inv_index(self, source: SetVal, tag: tuple) -> dict[int, list]:
-        """The flat loop's index over an invariant right source (LRU-cached).
+        """The flat loop's index over an invariant right source (kept in its record).
 
         ``tag`` is that of :func:`~repro.engine.vectorized.flat.build_inv_index`.
         Readers must not mutate the result: it serves every run over ``source``.
         """
-        indexes = self._indexes
-        key = (id(source), tag)
-        cached = indexes.pop(key, None)
-        if cached is not None:
-            indexes[key] = cached
+        rec = self.record(source)
+        index = rec.indexes.get(tag)
+        if index is not None:
             self.stats.index_hits += 1
-            return cached
+            return index
         self.stats.index_builds += 1
         _count_inv_index("built")
-        return self._keep(indexes, key, build_inv_index(self.interner, source, tag))
+        index = rec.indexes[tag] = build_inv_index(self.interner, self._column(rec, ()), tag)
+        return index
 
     def carry(self, old: SetVal, new: SetVal, dels: list, ins: list) -> None:
-        """Give ``new`` what is cached for ``old``, moved by the row patch.
+        """Build ``new``'s record from ``old``'s, moved by the row patch.
 
-        ``dels``/``ins`` came with ``new`` from :meth:`InternTable.advance`.
-        Each path column and invariant index of ``old`` is copied once at C
-        level and edited at the delta's rows only.  The node counts behind
-        :meth:`field_of` are copied and moved by the pair parts of the
-        delta's elements, O(|delta|): when no node came or went, ``new``'s
-        field is ``old``'s interned set itself (no intern probe at commit);
-        otherwise its first :meth:`field_of` builds it from the counts.  An
-        entry the delta cannot extend (a new element lacks the pair shape a
-        path needs) is left out: the read takes the cold build, and its errors.
+        ``dels``/``ins`` came with ``new`` from :meth:`InternTable.splice`.
+        Each column of ``old`` (the element ids included) and each invariant
+        index is copied once at C level and edited at the delta's rows only.
+        The node counts behind :meth:`field_of` are copied and moved by the
+        pair parts of the delta's elements, O(|delta|): when no node came or
+        went, ``new``'s field is ``old``'s interned set itself (no intern
+        probe at commit); otherwise its first :meth:`field_of` builds it
+        from the counts.  What ``new``'s record already holds is kept, and
+        an entry the delta cannot extend (a new element lacks the pair shape
+        a path needs) is left out: the read takes the cold build, and its
+        errors.
         """
-        it = self.interner
+        rec = self._records.get(id(old))
+        if rec is None:
+            return
+        to, it = self.record(new), self.interner
         parts = it.pair_parts()
-        for key in [k for k in self._columns if k[0] == id(old)]:
-            if (id(new), key[1]) in self._columns:
-                continue
-            values = [(row, follow_id(parts, d, key[1])) for row, d in ins]
-            if None not in [v for _, v in values]:
-                self._keep(self._columns, (id(new), key[1]),
-                           patch_column(self._columns[key], dels, values))
-        for key in [k for k in self._indexes if k[0] == id(old)]:
-            tag = key[1]  # an Expr (object index), "field", "nodes", ("flat", path) or ("inv", ...)
-            if type(tag) is tuple and tag[0] == "inv" and (id(new), tag) not in self._indexes:
+        for path, col in rec.columns.items():
+            if path not in to.columns:
+                values = [(row, follow_id(parts, d, path)) for row, d in ins]
+                if None not in [v for _, v in values]:
+                    to.columns[path] = patch_column(col, dels, values)
+        for tag, index in rec.indexes.items():
+            if type(tag) is tuple and tag[0] == "inv" and tag not in to.indexes:
                 try:
-                    patched = patch_inv_index(self._indexes[key], it, tag, dels, ins)
+                    to.indexes[tag] = patch_inv_index(index, it, tag, dels, ins)
                 except NRAEvalError:
                     continue
-                self._keep(self._indexes, (id(new), tag), patched)
                 _count_inv_index("patched")
-        nodes = self._indexes.get((id(old), "nodes"))
-        if nodes is None or (id(new), "nodes") in self._indexes:
-            return
-        if any(d not in parts for _, d in ins):
-            return  # a non-pair element: the next field_of is the cold build
+        nodes = rec.nodes
+        if nodes is None or to.nodes is not None or any(d not in parts for _, d in ins):
+            return  # no counts, or ``new``'s own, or a non-pair element: the cold build
         moved = nodes.copy()
         for _, d in dels:
             moved.subtract(parts[d])
@@ -322,10 +352,9 @@ class BatchContext:
         for n in touched:
             if not moved[n]:
                 del moved[n]
-        field = self._indexes.get((id(old), "field"))
-        self._keep(self._indexes, (id(new), "nodes"), moved)
-        if field is not None and all((n in nodes) == (n in moved) for n in touched):
-            self._keep(self._indexes, (id(new), "field"), field)
+        to.nodes = moved
+        if rec.field is not None and all((n in nodes) == (n in moved) for n in touched):
+            to.field = rec.field
 
 
 def _count_inv_index(kind: str) -> None:
@@ -513,16 +542,9 @@ def union_all(ctx: BatchContext, parts: Iterable[SetVal]) -> SetVal:
 #: pair codes, ``("elems",)`` (select only) keeps the input element.  The
 #: owner is ``"l"``/``"r"`` for joins and ignored for single-source kernels.
 
-def _guard_pack(ctx: BatchContext, out_spec: tuple) -> None:
-    """Refuse a pair-code output once ids outgrow the 32-bit pack width."""
-    if out_spec[0] == "pair":
-        guard_pack(ctx.interner)
-
-
 def flat_map(ctx: BatchContext, source: SetVal, out_spec: tuple) -> SetVal:
     """``ext(\\x. {out})(source)`` where ``out`` is made of accessor paths."""
     it = ctx.interner
-    _guard_pack(ctx, out_spec)
     if out_spec[0] == "one":
         col = ctx.flat_column(source, out_spec[2])
         result = it.set_from_ids(col)
@@ -554,7 +576,6 @@ def flat_group_map(
     O(|S| + |inner|), where the select per element probes and dedups per row.
     """
     it = ctx.interner
-    guard_pack(it)
     ocol = ctx.flat_column(inner, opath)
     rows_of = ctx.flat_probe_index(inner, lpath).get
     dense_id, set_from_ids = it.dense_id, it.set_from_ids
@@ -582,17 +603,16 @@ def flat_unnest(
     deduplicated once -- no closure call per element of either level.
     """
     it = ctx.interner
-    guard_pack(it)
     scol = ctx.flat_column(source, spath)
     acol = None if apath is None else ctx.flat_column(source, apath)
     bcol = None if bpath is None else ctx.flat_column(source, bpath)
-    value_of, set_ids = it.value_of, it.set_ids
+    value_of, flat_column = it.value_of, ctx.flat_column
     codes: list[int] = []
     for row, s in enumerate(scol):
         inner = value_of(s)
         if not isinstance(inner, SetVal):
             raise FlatUnavailable("non-set under the unnested path")
-        ys = set_ids(inner)
+        ys = flat_column(inner, ())
         a_ids = ys if acol is None else repeat(acol[row], len(ys))
         b_ids = ys if bcol is None else repeat(bcol[row], len(ys))
         codes += [(a << CODE_BITS) | b for a, b in zip(a_ids, b_ids)]
@@ -621,7 +641,6 @@ def flat_select(
     from a scan of the column otherwise.
     """
     it = ctx.interner
-    _guard_pack(ctx, out_spec)
     rows = None  # the kept row numbers, ascending
     if rhs[0] == "id" and not negate:
         index = ctx.select_index(source, lpath)
@@ -670,7 +689,6 @@ def flat_join(
     into codes, deduplicated as integers and materialized once.
     """
     it = ctx.interner
-    _guard_pack(ctx, out_spec)
     index = ctx.flat_probe_index(right, rkey_path)
     lk = ctx.flat_column(left, lkey_path)
     if out_spec[0] == "one":

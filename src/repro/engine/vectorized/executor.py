@@ -49,7 +49,7 @@ class VectorizedEvaluator:
         return self.compiler.compile(e)
 
     def clear_caches(self) -> None:
-        """Drop the compile cache and every join index (results unaffected).
+        """Drop the compile cache and every set's record (results unaffected).
 
         The intern table is deliberately kept: interned values back ``id``-
         keyed equality across the engine.  This is what ``Engine.clear_plans`` calls for long-lived

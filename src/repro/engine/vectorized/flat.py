@@ -52,7 +52,7 @@ from typing import Callable, Optional
 
 from ...nra.errors import NRAEvalError
 from ...objects.values import SetVal
-from ..interning import CODE_BITS, ID_LIMIT
+from ..interning import CODE_BITS
 from ..shapes import FlatTermSpec
 
 
@@ -62,12 +62,6 @@ class FlatUnavailable(Exception):
     Raised by flat helpers before any observable effect; callers fall back to
     the object kernel (and count ``flat_fallbacks``).  Never user-visible.
     """
-
-
-def guard_pack(it) -> None:
-    """Refuse pair codes once the table's dense ids outgrow the pack width."""
-    if it.dense_size >= ID_LIMIT:
-        raise FlatUnavailable("dense-id space exceeds the 32-bit pack limit")
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +93,13 @@ def _follow_or_raise(parts: dict, by_dense: list, dense: int, path: tuple[str, .
     return dense
 
 
-def set_column(it, s: SetVal, path: tuple[str, ...]) -> array:
-    """The dense-id column of ``path`` over every element of interned ``s``.
+def set_column(it, ids: array, path: tuple[str, ...]) -> array:
+    """The dense-id column of ``path`` over a set's element-id column ``ids``.
 
     Raises :class:`FlatUnavailable` when any element lacks the pair shape the
     path requires (the object kernel then reproduces the canonical error, or
     succeeds if the expression never actually projects that element).
     """
-    ids = it.set_ids(s)
-    if not path:
-        return ids
     parts = it.pair_parts()
     out = array("q", bytes(8 * len(ids)))
     for row, dense in enumerate(ids):
@@ -137,8 +128,9 @@ def _inv_rows(it, ids, tag):
         )
 
 
-def build_inv_index(it, s: SetVal, tag: tuple) -> dict[int, list]:
-    """Index a loop-invariant right source: ``key id -> [(out_a id, out_b id)]``.
+def build_inv_index(it, ids: array, tag: tuple) -> dict[int, list]:
+    """Index a loop-invariant right source, given as its element-id column
+    ``ids``: ``key id -> [(out_a id, out_b id)]``.
 
     ``tag`` is ``("inv", key path, out_a path, out_b path)``, a ``None`` path
     where the left row supplies the component (stored as 0).  No row is
@@ -146,13 +138,13 @@ def build_inv_index(it, s: SetVal, tag: tuple) -> dict[int, list]:
     """
     index: dict[int, list] = {}
     setdefault = index.setdefault
-    for rk, out in _inv_rows(it, it.set_ids(s), tag):
+    for rk, out in _inv_rows(it, ids, tag):
         setdefault(rk, []).append(out)
     return index
 
 
 def patch_inv_index(index: dict, it, tag: tuple, dels: list, ins: list) -> dict[int, list]:
-    """A copy of ``index`` moved by a row patch of ``InternTable.advance``.
+    """A copy of ``index`` moved by a row patch of ``InternTable.splice``.
 
     One C-level dict copy; only buckets the delta touches are copied and
     edited.  Equals the build over the advanced set up to the order inside a
@@ -223,7 +215,7 @@ class FlatLoop:
     """
 
     def __init__(self, ctx, specs: list):
-        self.ctx = ctx  # the BatchContext: interner, stats, index cache
+        self.ctx = ctx  # the BatchContext: interner, stats, set records
         self.it = it = ctx.interner
         self.stats = ctx.stats
         #: Rounds begun so far (a round that raised while deriving counts).
@@ -244,7 +236,7 @@ class FlatLoop:
     # -- setup --------------------------------------------------------------------
 
     def _encode_rows(self, s: SetVal) -> tuple[list, list]:
-        rows = list(map(self._parts.get, self.it.set_ids(s)))
+        rows = list(map(self._parts.get, self.ctx.flat_column(s, ())))
         if None in rows:
             raise FlatUnavailable("non-pair accumulator element")
         return [f for f, _ in rows], [s for _, s in rows]
@@ -257,7 +249,6 @@ class FlatLoop:
         (matching the object path's evaluation order).  Raises
         :class:`FlatUnavailable` before any state is shared.
         """
-        guard_pack(self.it)
         fs, ss = self._encode_rows(acc)
         if delta is not acc:
             # The frontier goes to the tail of the queue, behind the rest.
@@ -306,7 +297,8 @@ class FlatLoop:
         a_left, b_left = spec.probe[:2]
         tag = ("inv", spec.lkey,
                spec.out_a[1] if a_left else None, spec.out_b[1] if b_left else None)
-        return [(lk, la, lb) for lk, (la, lb) in _inv_rows(self.it, self.it.set_ids(s), tag)]
+        ids = self.ctx.flat_column(s, ())
+        return [(lk, la, lb) for lk, (la, lb) in _inv_rows(self.it, ids, tag)]
 
     def _index_rows(self, t: _FlatTerm, fs, ss) -> None:
         """Index (or extend the index of) pair rows by the right key path."""

@@ -6,7 +6,7 @@ Three pieces, one import surface:
   (:mod:`repro.obs.trace`); off by default, enabled explicitly or by the
   service's slow-query log / ``trace`` op.
 - :data:`METRICS` -- the process-wide metrics registry
-  (:mod:`repro.obs.metrics`); counters/gauges/histograms with
+  (:mod:`repro.obs.metrics`); counters and histograms with
   Prometheus-text and JSON exposition, absorbing the per-subsystem stats
   bags through weakly-held scrape collectors.
 - :class:`PlanProfiler` / :class:`QueryProfile`
@@ -15,7 +15,7 @@ Three pieces, one import surface:
   ``Engine.profile`` and ``Session.explain_analyze``.
 """
 
-from .metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import METRICS, Counter, Histogram, MetricsRegistry
 from .profile import NodeProfile, PlanProfiler, QueryProfile
 from .trace import TRACER, Span, Tracer
 
@@ -23,7 +23,6 @@ __all__ = [
     "METRICS",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "TRACER",
     "Tracer",

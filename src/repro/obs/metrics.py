@@ -1,6 +1,6 @@
 """Process-wide metrics registry.
 
-Counters, gauges, and fixed-bucket histograms behind one
+Counters and fixed-bucket histograms behind one
 :class:`MetricsRegistry`, with Prometheus-text and JSON exposition.
 
 Every per-subsystem counter bag (``VecStats``, ``ParStats``,
@@ -33,7 +33,6 @@ from typing import Callable, Iterable, Optional
 __all__ = [
     "Counter",
     "Counters",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "METRICS",
@@ -111,32 +110,6 @@ class Counter:
         return self._value
 
 
-class Gauge:
-    """A value that can go up and down."""
-
-    __slots__ = ("name", "help", "_value", "_lock")
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, v: float) -> None:
-        self._value = float(v)
-
-    def inc(self, n: float = 1.0) -> None:
-        with self._lock:
-            self._value += n
-
-    def dec(self, n: float = 1.0) -> None:
-        self.inc(-n)
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
 class Histogram:
     """Fixed-bucket histogram (cumulative on exposition, like Prometheus)."""
 
@@ -182,13 +155,12 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Name-keyed counters/gauges/histograms plus weakly-held collectors."""
+    """Name-keyed counters and histograms plus weakly-held collectors."""
 
     def __init__(self) -> None:
         self.enabled = True
         self._lock = threading.Lock()
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         # Each entry resolves to a zero-arg callable returning a flat
         # {name: number} dict, or to None once its owner is collected.
@@ -202,13 +174,6 @@ class MetricsRegistry:
             if c is None:
                 c = self._counters[name] = Counter(name, help)
             return c
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        with self._lock:
-            g = self._gauges.get(name)
-            if g is None:
-                g = self._gauges[name] = Gauge(name, help)
-            return g
 
     def histogram(
         self,
@@ -270,7 +235,6 @@ class MetricsRegistry:
         counters.update(self.scraped())
         return {
             "counters": counters,
-            "gauges": {g.name: g.value for g in self._gauges.values()},
             "histograms": {
                 h.name: {
                     "count": h.count,
@@ -300,12 +264,6 @@ class MetricsRegistry:
             name = _sane(name)
             lines.append(f"# TYPE {name} counter")
             lines.append(f"{name} {value}")
-        for g in sorted(self._gauges.values(), key=lambda g: g.name):
-            name = _sane(g.name)
-            if g.help:
-                lines.append(f"# HELP {name} {g.help}")
-            lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name} {g.value}")
         for h in sorted(self._histograms.values(), key=lambda h: h.name):
             name = _sane(h.name)
             if h.help:
@@ -324,7 +282,6 @@ class MetricsRegistry:
         """Drop every instrument and collector (test isolation only)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
             self._collectors.clear()
 

@@ -309,7 +309,6 @@ def cmd_metrics(host: str = DEFAULT_HOST, port: int = DEFAULT_PORT,
         return 0
     metrics = payload.get("metrics", {})
     rows = sorted([[k, v] for k, v in metrics.get("counters", {}).items()])
-    rows += sorted([[k, v] for k, v in metrics.get("gauges", {}).items()])
     rows += sorted(
         [[k, f"count={h['count']} sum={h['sum']:.6f}s"]
          for k, h in metrics.get("histograms", {}).items()]

@@ -20,13 +20,14 @@ def db():
 
 
 def carried(engine, value):
-    """Every cached column and index of ``value``, as comparable bytes."""
-    ctx = engine._vec().ctx
-    return repr(sorted(
-        (repr(key[1]), repr(entry))
-        for cache in (ctx._columns, ctx._indexes)
-        for key, entry in cache.items() if key[0] == id(value)
-    )).encode() + bytes(engine.interner._set_cols.get(id(value), b""))
+    """Every cached column, index and node state of ``value``'s record, as comparable bytes."""
+    rec = engine._vec().ctx._records.get(id(value))
+    if rec is None:
+        return b"[]"
+    entries = [*rec.columns.items(), *rec.indexes.items(),
+               *((("scanned", path), None) for path in rec.scanned),
+               *((k, v) for k, v in (("nodes", rec.nodes), ("field", rec.field)) if v is not None)]
+    return repr(sorted((repr(key), repr(entry)) for key, entry in entries)).encode()
 
 
 def probes(engine):

@@ -14,8 +14,9 @@ The PR-7 representation change is only sound if two layers hold together:
 
 Everything here is deterministic.  The closure inputs run from a path,
 one row per level, to ``gnp-24``, whose first levels are the widest; all
-are held to the reference.  Past the pair-code width every pair-emitting
-kernel must fall back to its object twin (section 3).
+are held to the reference.  Past the pair-code width the table refuses to
+issue an id, so every pair-emitting kernel and a ``fix()`` view stop with
+the limit's error instead of packing a code that aliases (section 3).
 """
 
 import random
@@ -23,8 +24,10 @@ import random
 import pytest
 
 from repro.engine import Engine
+from repro.api import Database, Q, connect
+from repro.engine import DenseIdLimitError
 from repro.engine.interning import InternTable
-from repro.engine.vectorized import flat
+from repro.engine.vectorized import BatchContext, flat
 from repro.nra.ast import (
     Apply, Const, EmptySet, Eq, If, Lambda, LogLoop, Pair, Proj1, Proj2, Singleton, Union,
     Var,
@@ -75,10 +78,10 @@ class TestInternDenseIds:
         assert it.value_of(sid) == BaseVal(4)
         assert it.pair_from_ids(fid, sid) is p
 
-    def test_set_ids_column_round_trips(self):
+    def test_id_column_round_trips(self):
         it = InternTable()
         s = it.intern(from_python({(1, 2), (2, 3), (3, 1)}))
-        ids = it.set_ids(s)
+        ids = BatchContext(it).flat_column(s, ())
         assert [it.value_of(i) for i in ids] == list(s.elements)
         assert it.set_from_ids(list(ids)) is s
 
@@ -216,7 +219,7 @@ class TestFlatKernelParity:
 
 
 # ---------------------------------------------------------------------------
-# 3. Past the pack width every pair-code kernel falls back
+# 3. The table issues no dense id past the pack width
 # ---------------------------------------------------------------------------
 
 _EDGE = ProdType(BASE, BASE)
@@ -232,7 +235,7 @@ def _over_edges(body):
 _PACKING = [
     ("flat_map", _over_edges(ext_apply(Lambda("x", _EDGE, _SWAP), _r)), "edges", "flat_maps"),
     ("flat_select", _over_edges(ext_apply(Lambda("x", _EDGE, If(
-        Eq(Proj1(_x), Const(BaseVal(3), BASE)), _SWAP, EmptySet(_EDGE))), _r)),
+        Eq(Proj1(_x), Const(BaseVal(4), BASE)), _SWAP, EmptySet(_EDGE))), _r)),
      "edges", "flat_selects"),
     ("flat_join", _over_edges(compose(_r, _r, BASE)), "edges", "flat_joins"),
     ("flat_unnest", Lambda("db", ADJ_DB_T, unnest(Var("db"), BASE, BASE)), "adj", "flat_maps"),
@@ -242,10 +245,12 @@ _PACKING = [
 
 
 class TestPackGuard:
-    """A table whose dense ids outgrow the pair-code width (``flat.ID_LIMIT``)
-    takes every pair-emitting kernel back to its object twin, with the
-    reference's value: the guard is the only thing between an oversized id
-    and a code that silently aliases another pair."""
+    """An intern table refuses to issue the dense id at its limit
+    (``InternTable.id_limit``, the pair-code width), with an error that
+    names the limit: every pair-emitting kernel and a ``fix()`` view's
+    counted indexes stop there instead of packing a code that aliases
+    another pair.  Nothing past the limit is issued, and the same engine
+    answers again once the limit allows."""
 
     INPUTS = {
         "edges": random_graph(10, 0.3, seed=3).value(),
@@ -254,7 +259,7 @@ class TestPackGuard:
 
     @pytest.mark.parametrize("kernel,q,arg,served", _PACKING,
                              ids=[case[0] for case in _PACKING])
-    def test_each_kernel_falls_back_past_the_limit(self, monkeypatch, kernel, q, arg, served):
+    def test_each_kernel_stops_at_the_limit(self, monkeypatch, kernel, q, arg, served):
         value = self.INPUTS[arg]
         want = reference_run(q, value)
         eng = Engine(backend="vectorized")
@@ -262,18 +267,38 @@ class TestPackGuard:
         assert getattr(eng.last_stats, served) > 0  # the flat kernel serves it
         assert eng.last_stats.flat_fallbacks == 0
         eng = Engine(backend="vectorized")
-        # A fresh table already holds unit, true, false and the empty set.
-        monkeypatch.setattr(flat, "ID_LIMIT", 1)
+        eng.intern(value)
+        limit = eng.interner.dense_size  # the input fits; its answer does not
+        monkeypatch.setattr(eng.interner, "id_limit", limit)
+        with pytest.raises(DenseIdLimitError, match=f"limit of {limit} "):
+            eng.run(q, value)
+        assert eng.interner.dense_size == limit
+        monkeypatch.undo()
         assert eng.run(q, value) == want
-        assert getattr(eng.last_stats, served) == 0
-        assert eng.last_stats.flat_fallbacks > 0
+        assert getattr(eng.last_stats, served) > 0
+
+    def test_a_fix_view_stops_at_the_limit(self, monkeypatch):
+        db = Database.of("g", edges=path_graph(8))
+        session = connect(db)
+        view = session.materialize(Q.coll("edges").fix(), name="tc")
+        it = session.engine.interner
+        # The commit's own values fit -- the pair (7, 0) and the next version
+        # of ``edges`` -- but not the pairs the closed cycle derives.
+        limit = it.dense_size + 2
+        monkeypatch.setattr(it, "id_limit", limit)
+        with pytest.raises(DenseIdLimitError, match=f"limit of {limit} ") as error:
+            db.insert("edges", [(7, 0)])
+        assert it.dense_size == limit
+        # The snapshot moved; the view's maintenance is what stopped.
+        assert session._environment()["edges"] is session.engine.intern(db["edges"])
+        assert any(entry.path.name == "view.py" for entry in error.traceback)
+        assert view.stats.delta_applies == 0
 
 
 # ---------------------------------------------------------------------------
 # 4. Maintained fixpoint views ride the dense-id indexed walk
 # ---------------------------------------------------------------------------
 
-from repro.api import Database, Q, connect  # noqa: E402
 from repro.workloads.streams import (  # noqa: E402
     graph_update_stream,
     stream_graph_database,

@@ -454,7 +454,7 @@ def test_the_first_read_after_a_commit_costs_what_a_warm_read_does(write):
     reach = session.prepare(Q.coll("edges").fix().where(lambda e: e.fst == Q.param("src")))
     ctx = session.engine._vec().ctx
     reach.execute(src=0).fetchall()
-    field = ctx._indexes[id(session.engine.intern(db["edges"])), "field"]
+    field = ctx._records[id(session.engine.intern(db["edges"]))].field
     built = METRICS.counter('repro_carried_indexes_total{kind="built"}').value
     # Neither write changes the node set: (3, 9) joins two path nodes, and
     # both ends of (7, 8) keep another edge.
@@ -464,7 +464,7 @@ def test_the_first_read_after_a_commit_costs_what_a_warm_read_does(write):
     stats = session.engine.last_stats
     assert (stats.index_builds, stats.bulk_maps, stats.flat_fallbacks) == (0, 0, 0)
     assert METRICS.counter('repro_carried_indexes_total{kind="built"}').value == built
-    assert ctx._indexes[id(session.engine.intern(db["edges"])), "field"] is field
+    assert ctx._records[id(session.engine.intern(db["edges"]))].field is field
 
 
 def _field_builds(monkeypatch) -> list:
@@ -522,17 +522,17 @@ def test_a_commit_that_moves_the_node_set_carries_its_counts(
     ctx = engine._vec().ctx
     for src in (0, 5):
         reach.execute(src=src).fetchall()
-    old_field = ctx._indexes[id(engine.intern(db["edges"])), "field"]
+    old_field = ctx._records[id(engine.intern(db["edges"]))].field
     db.apply(Changeset.of(edges=(inserts, deletes)))
     new = engine.intern(db["edges"])
-    assert (id(new), "nodes") in ctx._indexes
-    assert ((id(new), "field") in ctx._indexes) is same_nodes
+    assert ctx._records[id(new)].nodes is not None
+    assert (ctx._records[id(new)].field is not None) is same_nodes
     builds = _field_builds(monkeypatch)
     for src in range(17):
         assert reach.execute(src=src).value == _reference_reach(db, src), src
     # Built once from the carried counts when the nodes moved, never otherwise.
     assert builds == ([] if same_nodes else [new])
-    field = ctx._indexes[id(new), "field"]
+    field = ctx._records[id(new)].field
     assert field == reference_run(field_of(Var("r"), BASE, BASE), env={"r": new})
     assert (field is old_field) is same_nodes
 
@@ -547,9 +547,10 @@ def test_a_collection_of_non_pairs_takes_the_union_and_its_errors():
     edges = engine.intern(path_graph(16).value())
     assert engine.run(expr, env={"r": edges}, optimize=False) == reference_run(
         expr, env={"r": edges})
-    assert (id(edges), "nodes") in ctx._indexes
+    assert ctx._records[id(edges)].nodes is not None
     mixed = engine.advance(edges, [from_python(5)], [])
-    assert not [k for k in ctx._indexes if k[0] == id(mixed)]
+    rec = ctx._records[id(mixed)]
+    assert not rec.indexes and not rec.scanned and rec.nodes is None and rec.field is None
     nested = from_python(frozenset({frozenset({1}), frozenset({2, 3})}))
     for r in (nested, mixed):
         with pytest.raises(NRAEvalError) as reference_error:
@@ -557,4 +558,4 @@ def test_a_collection_of_non_pairs_takes_the_union_and_its_errors():
         with pytest.raises(NRAEvalError) as error:
             engine.run(expr, env={"r": r}, optimize=False)
         assert str(error.value) == str(reference_error.value)
-        assert (id(engine.intern(r)), "nodes") not in ctx._indexes
+        assert ctx._records[id(engine.intern(r))].nodes is None

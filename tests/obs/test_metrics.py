@@ -14,7 +14,6 @@ from repro.api import Database, Q, connect
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     METRICS,
     MetricsRegistry,
@@ -37,14 +36,6 @@ def test_counter_monotone():
         c.inc(-1)
 
 
-def test_gauge_goes_both_ways():
-    g = Gauge("g")
-    g.set(10)
-    g.dec(4)
-    g.inc()
-    assert g.value == 7.0
-
-
 def test_histogram_buckets_cumulative():
     h = Histogram("h", buckets=(0.1, 1.0, 10.0))
     for v in (0.05, 0.5, 0.5, 5.0, 50.0):
@@ -65,7 +56,6 @@ def test_histogram_boundary_lands_in_its_bucket():
 def test_registry_get_or_create_is_idempotent():
     reg = MetricsRegistry()
     assert reg.counter("x") is reg.counter("x")
-    assert reg.gauge("y") is reg.gauge("y")
     h = reg.histogram("z")
     assert reg.histogram("z") is h
     assert h.buckets == tuple(sorted(DEFAULT_LATENCY_BUCKETS))
@@ -117,12 +107,11 @@ def test_plain_function_collector_is_held_strongly():
 def test_as_dict_shape():
     reg = MetricsRegistry()
     reg.counter("repro_c_total", help="c").inc(2)
-    reg.gauge("repro_g").set(1.5)
     reg.histogram("repro_h", buckets=(1.0,)).observe(0.5)
     reg.register_collector(lambda: {"repro_scraped_total": 9})
     d = reg.as_dict()
     assert d["counters"] == {"repro_c_total": 2.0, "repro_scraped_total": 9.0}
-    assert d["gauges"] == {"repro_g": 1.5}
+    assert set(d) == {"counters", "histograms"}
     h = d["histograms"]["repro_h"]
     assert h["count"] == 1 and h["sum"] == 0.5
     assert h["buckets"] == {"1.0": 1, "+Inf": 1}

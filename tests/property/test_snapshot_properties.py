@@ -33,7 +33,7 @@ from repro.nra.ast import Var
 from repro.nra.derived import field_of
 from repro.nra.eval import run as reference_run
 from repro.objects.types import BASE, ProdType, SetType
-from repro.objects.values import SetVal, from_python
+from repro.objects.values import from_python
 
 pytestmark = [pytest.mark.columnar, pytest.mark.ivm]
 
@@ -149,34 +149,32 @@ class World:
 
     def check_flat_state(self) -> None:
         it = self.engine.interner
-        sets = {id(v): v for v in it._by_dense if isinstance(v, SetVal)}
-        for sid, col in it._set_cols.items():
-            assert col == array("q", map(it.dense_id, sets[sid].elements))
         ctx = self.engine._vec().ctx
-        for (sid, path), col in ctx._columns.items():
-            assert col == set_column(it, sets[sid], path), path
-        for (sid, tag), index in ctx._indexes.items():
-            if tag == "field":  # a relation's nodes, kept per collection value
-                as_written = reference_run(
-                    field_of(Var("r"), BASE, BASE), env={"r": sets[sid]})
-                assert index == as_written, tag
-                continue
-            if tag == "nodes":  # its node counts, carried across a commit
-                built = Counter(set_column(it, sets[sid], ("f",)))
-                built.update(set_column(it, sets[sid], ("s",)))
-                assert dict(index) == dict(built), tag
-                continue
-            if index is None or type(tag) is not tuple:
-                continue  # a select's touch mark / an object-kernel index
-            if tag[0] == "inv":
-                built = build_inv_index(it, sets[sid], tag)
-                assert {k: sorted(b) for k, b in index.items()} == {
-                    k: sorted(b) for k, b in built.items()}, tag
-            else:
-                built = {}
-                for row, k in enumerate(set_column(it, sets[sid], tag[1])):
-                    built.setdefault(k, []).append(row)
-                assert index == built, tag
+        for sid, rec in ctx._records.items():
+            s = rec.set
+            assert id(s) == sid and it.is_interned(s)
+            ids = array("q", map(it.dense_id, s.elements))
+            for path, col in rec.columns.items():
+                assert col == (set_column(it, ids, path) if path else ids), path
+            if rec.field is not None:  # a relation's nodes, kept per collection value
+                as_written = reference_run(field_of(Var("r"), BASE, BASE), env={"r": s})
+                assert rec.field == as_written
+            if rec.nodes is not None:  # its node counts, carried across a commit
+                built = Counter(set_column(it, ids, ("f",)))
+                built.update(set_column(it, ids, ("s",)))
+                assert dict(rec.nodes) == dict(built)
+            for tag, index in rec.indexes.items():
+                if type(tag) is not tuple:
+                    continue  # an object-kernel index
+                if tag[0] == "inv":
+                    built = build_inv_index(it, ids, tag)
+                    assert {k: sorted(b) for k, b in index.items()} == {
+                        k: sorted(b) for k, b in built.items()}, tag
+                else:
+                    built = {}
+                    for row, k in enumerate(set_column(it, ids, tag[1])):
+                        built.setdefault(k, []).append(row)
+                    assert index == built, tag
 
 
 @pytest.mark.parametrize("flat", [True, False], ids=["flat", "objects"])

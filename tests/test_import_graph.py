@@ -73,3 +73,15 @@ def test_incremental_package_loads_its_modules_eagerly():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
     assert "__getattr__" not in defined
+
+
+def test_interning_imports_only_the_object_layer_and_the_stdlib():
+    imported = _imported_modules(SRC / "repro" / "engine" / "interning.py")
+    assert imported, "the parse found no imports at all"
+    for name in imported:
+        top = name.partition(".")[0]
+        allowed = (
+            name.startswith("repro.objects")
+            or (top != "repro" and top in sys.stdlib_module_names)
+        )
+        assert allowed, f"interning.py imports {name}"
