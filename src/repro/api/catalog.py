@@ -246,7 +246,11 @@ class Database:
         in registration order.  Raises ``TypeError`` if an inserted row does
         not inhabit the collection's element type, ``KeyError`` for unknown
         collections, and ``RuntimeError`` on a frozen (``mutable=False``)
-        database; a failed commit changes nothing.
+        database; a commit refused for any of these changes nothing.  A view
+        whose maintenance raises does not stop the commit: it is published,
+        the changeset still reaches every later view, the first error is
+        raised after them, and the failed view rebuilds from the committed
+        bases on its next read or commit.
         """
         if not self.mutable:
             raise RuntimeError(
@@ -273,8 +277,14 @@ class Database:
                     # Snapshots first: a view reads its bases from its
                     # engine's snapshot, already at this commit.
                     self._notify(moved, normalized)
+                    errors = []
                     for v in views:
-                        v._on_commit(normalized)
+                        try:
+                            v._on_commit(normalized)
+                        except Exception as e:
+                            errors.append(e)
+                    if errors:
+                        raise errors[0]
             return normalized
 
     def _normalize(self, changeset: Changeset) -> tuple[Changeset, dict[str, Value]]:

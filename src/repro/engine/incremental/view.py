@@ -315,6 +315,9 @@ class MaterializedView:
         self.stats = ViewStats()
         self.stale = False
         self.closed = False
+        #: A maintenance pass raised part way: the state is not the
+        #: committed one, and the next read or commit rebuilds it.
+        self._rebuild_due = False
         self._on_apply = on_apply
         # Extra per-apply observers (same signature as on_apply).  The wire
         # service attaches one per remote subscription to turn view deltas
@@ -347,14 +350,20 @@ class MaterializedView:
         """The current (maintained) result, a canonical interned set.
 
         Rendered here, not at commit: the first read after a run of commits
-        splices their net root delta into the last value read.
+        splices their net root delta into the last value read.  After a
+        maintenance pass that raised, the read is a rebuild from the
+        committed bases instead.
         """
         self._check_usable()
         with self.engine.lock:
+            if self._rebuild_due:
+                self.refresh()
             return self._root.out
 
     def __len__(self) -> int:
         """Rows in the current result, kept from the root delta (no render)."""
+        if self._rebuild_due and not (self.closed or self.stale):
+            self.refresh()
         return self._size
 
     def rows(self) -> frozenset:
@@ -385,13 +394,19 @@ class MaterializedView:
                     if name in env:
                         env[name] = current[name]
                 stats = self.stats
-                fallback = self.recompute_only
+                fallback = self.recompute_only or self._rebuild_due
                 over, rederived = stats.dred_overdeletes, stats.dred_rederives
                 if fallback:
                     delta = self._rebuild()
                     stats.fallback_recomputes += 1
                 else:
-                    root_delta = self._apply_node(self.plan_ops, self._root, changeset)
+                    try:
+                        root_delta = self._apply_node(self.plan_ops, self._root, changeset)
+                    except BaseException:
+                        # Half maintained: the bases above are this commit's,
+                        # so a rebuild from them is the committed state.
+                        self._rebuild_due = True
+                        raise
                     delta = self._commit_root(root_delta)
                 delta.dred_overdeleted = stats.dred_overdeletes - over
                 delta.dred_rederived = stats.dred_rederives - rederived
@@ -500,6 +515,7 @@ class MaterializedView:
             self._root = _NodeState(it, self.stats)
             self._root.out = new
         self._size = len(new.elements)
+        self._rebuild_due = False
         return ViewDelta(it.difference(new, old).elements, it.difference(old, new).elements)
 
     def _commit_root(self, root_delta: SetDelta) -> ViewDelta:

@@ -50,6 +50,10 @@ CODE_BITS = 32
 CODE_MASK = (1 << CODE_BITS) - 1
 
 
+#: Sorts above every value's key: :func:`sort_key`'s kinds run 0 to 4.
+_TOP = (5,)
+
+
 class DenseIdLimitError(OverflowError):
     """An intern table was asked for a value past its dense-id limit."""
 
@@ -360,6 +364,36 @@ class InternTable:
         if len(kept) == len(xs):
             return a
         return self._set_from_canonical(kept)
+
+    def fst_run(self, s: SetVal, depth: int, key_id: int) -> Optional[range]:
+        """The rows of interned ``s`` whose ``fst``, taken ``depth`` (>= 1)
+        times, is the value of dense id ``key_id``; ``None`` when some
+        element is not a pair at every step.
+
+        A pair's key is ``(3, key(fst), key(snd))``, so in canonical order
+        the elements whose first component has key ``K`` are one run, from
+        ``(3, K)`` up to ``(3, K, TOP)`` (each further step nests both
+        bounds once more), and two bisections over the set's cached element
+        keys find it, as :meth:`splice` places a row.  Kinds sort first, so
+        the first and last elements are pairs at every step only if all are.
+        A value's key is injective (equal keys, one interned object), so the
+        run is exactly the rows whose path column holds ``key_id``.
+        """
+        keys = self._keys
+        elem_keys = keys[id(s)][2]
+        if not elem_keys:
+            return range(0)
+        first, last = elem_keys[0], elem_keys[-1]
+        for _ in range(depth):
+            if first[0] != 3 or last[0] != 3:
+                return None
+            first, last = first[1], last[1]
+        k = keys[id(self._by_dense[key_id])]
+        lo, hi = (3, k), (3, k, _TOP)
+        for _ in range(depth - 1):
+            lo, hi = (3, lo), (3, hi)
+        start = bisect_left(elem_keys, lo)
+        return range(start, bisect_left(elem_keys, hi, start))
 
     def splice(
         self, s: SetVal, inserts: Iterable[Value], deletes: Iterable[Value]

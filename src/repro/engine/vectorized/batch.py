@@ -113,7 +113,8 @@ class SetRecord:
       path, out_b path)`` the flat loop's invariant-source index (``key id
       -> [(out_a id, out_b id)]``, :meth:`BatchContext.inv_index`);
     * ``scanned``: the key paths a key-equality select has scanned once
-      (:meth:`BatchContext.select_index`);
+      (:meth:`BatchContext.select_index`; a select on ``fst`` steps over
+      pairs bisects instead and leaves none);
     * ``nodes`` and ``field``: the node counts (dense id -> ``fst``/``snd``
       occurrences) and the node set of :meth:`BatchContext.field_of`.
     """
@@ -208,6 +209,17 @@ class BatchContext:
         ids), kept in its record.  Raises :class:`FlatUnavailable` when an
         element lacks the required pair shape."""
         return self._column(self.record(source), path)
+
+    def element_ids(self, source: SetVal) -> Iterable[int]:
+        """``source``'s element ids in canonical order: its record's ``()``
+        column when it has one, else read off the intern table, making no
+        record (for a set read once, whose record would only evict one that
+        is in use)."""
+        rec = self._records.get(id(source))
+        col = rec.columns.get(()) if rec is not None else None
+        if col is None:
+            return map(self.interner._dense.__getitem__, map(id, source.elements))
+        return col
 
     def _column(self, rec: SetRecord, path: tuple[str, ...]) -> array:
         col = rec.columns.get(path)
@@ -636,16 +648,21 @@ def flat_select(
     ``rhs`` is ``("path", path)`` for a column-column compare or
     ``("id", dense_id)`` for a column-constant compare (identity equality of
     interned values *is* dense-id equality).  A positive column-constant
-    compare is a key lookup: the kept rows come from the ``(set, path)``
-    index once :meth:`BatchContext.select_index` has one (O(matches)), and
-    from a scan of the column otherwise.
+    compare is a key lookup.  On a path of ``fst`` steps over pairs the kept
+    rows are one run of the canonical order, found by bisection
+    (:meth:`InternTable.fst_run`): no record, index or scan.  Otherwise they
+    come from the ``(set, path)`` index once :meth:`BatchContext.select_index`
+    has one (O(matches)), and from a scan of the column before that.
     """
     it = ctx.interner
     rows = None  # the kept row numbers, ascending
     if rhs[0] == "id" and not negate:
-        index = ctx.select_index(source, lpath)
-        if index is not None:
-            rows = index.get(rhs[1], ())
+        if lpath and "s" not in lpath:
+            rows = it.fst_run(source, len(lpath), rhs[1])
+        if rows is None:
+            index = ctx.select_index(source, lpath)
+            if index is not None:
+                rows = index.get(rhs[1], ())
     if rows is None:
         la = ctx.flat_column(source, lpath)
         rb = ctx.flat_column(source, rhs[1]) if rhs[0] == "path" else repeat(rhs[1])
@@ -656,6 +673,8 @@ def flat_select(
         elements = source.elements
         if len(rows) == len(elements):
             result = source
+        elif type(rows) is range:
+            result = it.canonical_set(elements[rows.start:rows.stop])
         else:
             result = it.canonical_set(elements[r] for r in rows)
     elif out_spec[0] == "one":

@@ -236,7 +236,8 @@ class FlatLoop:
     # -- setup --------------------------------------------------------------------
 
     def _encode_rows(self, s: SetVal) -> tuple[list, list]:
-        rows = list(map(self._parts.get, self.ctx.flat_column(s, ())))
+        # A start set is read once: no record is made for it.
+        rows = list(map(self._parts.get, self.ctx.element_ids(s)))
         if None in rows:
             raise FlatUnavailable("non-pair accumulator element")
         return [f for f, _ in rows], [s for _, s in rows]

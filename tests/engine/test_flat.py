@@ -294,6 +294,32 @@ class TestPackGuard:
         assert any(entry.path.name == "view.py" for entry in error.traceback)
         assert view.stats.delta_applies == 0
 
+    @pytest.mark.ivm
+    @pytest.mark.parametrize("read_first", [True, False], ids=["read", "commit"])
+    def test_a_view_whose_maintenance_raised_rebuilds_from_the_commit(
+            self, monkeypatch, read_first):
+        db = Database.of("g", edges=path_graph(8))
+        session = connect(db)
+        q = Q.coll("edges").fix()
+        view = session.materialize(q, name="tc")
+        later = session.materialize(Q.coll("edges"), name="edges")  # registered after
+        it = session.engine.interner
+        monkeypatch.setattr(it, "id_limit", it.dense_size + 2)
+        with pytest.raises(DenseIdLimitError):
+            db.insert("edges", [(7, 0)])
+        monkeypatch.undo()
+        # The commit reached the view registered after the one that raised.
+        assert (7, 0) in later.rows() and later.stats.delta_applies == 1
+        cold = session.execute(q).value
+        assert len(cold.elements) == 64  # the 8-cycle's closure
+        if read_first:  # read at once: the read rebuilds (28 rows before)
+            assert len(view) == 64 and view.value is cold
+        db.insert("edges", [(3, 9)])
+        cold = session.execute(q).value
+        assert len(view) == len(cold.elements) == 72
+        assert view.value is cold
+        assert view.stats.fallback_recomputes == 1
+
 
 # ---------------------------------------------------------------------------
 # 4. Maintained fixpoint views ride the dense-id indexed walk

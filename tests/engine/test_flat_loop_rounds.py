@@ -94,8 +94,9 @@ def test_reach_on_a_path_takes_one_round_per_edge_walked(n):
 
 def test_reach_counters_on_path_16_are_the_recorded_ones():
     session, reach = _reach(16)
-    # src 3 builds the select's index on fst: the second select of edges.
-    recorded = {0: (15, 15, 15, 15, 16, 1, 14), 3: (12, 12, 12, 12, 13, 1, 12)}
+    # src 0 builds the loop's index over edges; src 3 builds none: its
+    # select on fst is a bisection of edges, not an index (was 1 at src 3).
+    recorded = {0: (15, 15, 15, 15, 16, 1, 14), 3: (12, 12, 12, 12, 13, 0, 12)}
     for src, want in recorded.items():
         reach.execute(src=src).fetchall()
         stats = session.engine.last_stats

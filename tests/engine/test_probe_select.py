@@ -1,9 +1,11 @@
-"""Key-equality selects probe the cached ``(set, path)`` index.
+"""Key-equality selects bisect the canonical order or probe the ``(set, path)`` index.
 
 ``ext(\\q. if path(q) = k then {out} else {})(s)`` with ``k`` free of ``q``
-is a key lookup: the flat select scans the first time ``s`` is selected from
-and probes the index :meth:`BatchContext.flat_probe_index` keeps for the
-joins from then on.  The same select under the binder of an outer set is a
+is a key lookup.  On a path of ``fst`` steps the kept rows are one run of
+``s``'s canonical order, found by two bisections of its cached element keys
+(:meth:`InternTable.fst_run`).  On any other path the flat select scans the
+first time ``s`` is selected from and probes the index
+:meth:`BatchContext.flat_probe_index` keeps for the joins from then on.  The same select under the binder of an outer set is a
 *grouped map* (``nest`` is one), and ``unnest`` a flattening pass: one
 kernel each over id columns.  Every case below is run twice on one engine
 (so both the scan and the probe answer it) and on ``Engine(flat=False)``,
@@ -32,8 +34,8 @@ from repro.nra.ast import (
 from repro.nra.derived import compose, difference, intersection, member, nest, unnest
 from repro.nra.errors import NRAEvalError
 from repro.nra.eval import run as reference_run
-from repro.objects.types import BASE, ProdType
-from repro.objects.values import from_python
+from repro.objects.types import BASE, ProdType, SetType
+from repro.objects.values import BaseVal, BoolVal, PairVal, SetVal, from_python
 from repro.relational.queries import REL_T
 from repro.workloads.nested_graphs import ADJ_T
 
@@ -208,6 +210,91 @@ def test_nest_and_unnest_are_inverse(rel, adj):
 
 
 # ---------------------------------------------------------------------------
+# A key select on fst steps is a bisection of the canonical order
+# ---------------------------------------------------------------------------
+
+MIXED = st.one_of(st.integers(min_value=0, max_value=4), st.sampled_from(["a", "b", "c"]))
+MIXED_FLAT = st.frozensets(st.tuples(MIXED, MIXED), max_size=12)                 # {D x D}
+NEST_T = ProdType(PAIR_T, BASE)
+MIXED_NESTED = st.frozensets(st.tuples(st.tuples(MIXED, MIXED), MIXED), max_size=12)  # {(D x D) x D}
+SET_FST_T = ProdType(SetType(BASE), BASE)
+SET_FST = st.frozensets(st.tuples(st.frozensets(MIXED, max_size=2), MIXED), max_size=8)  # {{D} x D}
+OUTS = st.sampled_from([whole, Proj1, Proj2, swap])
+
+
+def fst_fst(q):
+    return Proj1(Proj1(q))
+
+
+def bisected(elem_t, key_side, key, out, env):
+    """``agree`` on ``select(...)`` from ``r``, and on the flat engine no index
+    built or probed; an identity output makes no record of ``r`` either."""
+    engine = agree(select(elem_t, key_side, key, out, Var("r")), env)
+    assert (engine.last_stats.index_builds, engine.last_stats.index_hits) == (0, 0)
+    ev = engine._vec()
+    if out is whole:
+        assert id(ev.interner.intern(env["r"])) not in ev.ctx._records
+
+
+@settings(max_examples=60, deadline=None)
+@given(MIXED_FLAT, MIXED, OUTS, st.sampled_from([None, 7, "z", ()]))
+def test_a_fst_select_over_ints_and_strings_agrees(rel, key, out, stray):
+    # Keys absent from the set and the empty set included; a stray non-pair
+    # element sorts before or after every pair and takes the scan's error.
+    env = {"r": from_python(set(rel)), "k": from_python(key)}
+    if stray is None:
+        bisected(PAIR_T, Proj1, Var("k"), out, env)
+    else:
+        env["r"] = from_python(set(rel) | {stray})
+        same_error(select(PAIR_T, Proj1, Var("k"), out, Var("r")), env, "pi1: expected a pair")
+
+
+@settings(max_examples=60, deadline=None)
+@given(MIXED_NESTED, st.tuples(MIXED, MIXED), OUTS)
+def test_a_select_on_one_and_two_fst_steps_of_nested_pairs_agrees(rel, key, out):
+    env = {"r": from_python(set(rel)), "k": from_python(key), "a": from_python(key[0])}
+    bisected(NEST_T, Proj1, Var("k"), out, env)
+    bisected(NEST_T, fst_fst, Var("a"), out, env)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SET_FST, st.frozensets(MIXED, max_size=2), OUTS)
+def test_a_select_on_a_set_valued_fst_agrees(rel, key, out):
+    env = {"r": from_python(set(rel)), "k": from_python(set(key))}
+    bisected(SET_FST_T, Proj1, Var("k"), out, env)
+
+
+def test_a_fst_that_is_not_a_pair_under_two_steps_takes_the_scans_error():
+    # (3, 4)'s fst is no pair: it sorts first, so the bisection declines.
+    env = {"r": from_python({((0, 1), 2), (3, 4), ((5, 6), 7)}), "a": from_python(0)}
+    same_error(select(NEST_T, fst_fst, Var("a"), whole, Var("r")), env, "pi1: expected a pair")
+    env["r"] = from_python({((0, 1), 2), ((5, 6), 7), (frozenset({3}), 4)})  # sorts last
+    same_error(select(NEST_T, fst_fst, Var("a"), whole, Var("r")), env, "pi1: expected a pair")
+
+
+def test_distinct_interned_values_have_distinct_cached_keys():
+    # The bisection's soundness: equal keys are one interned value, so a
+    # run of equal key prefixes is exactly the rows of one dense id.  True
+    # and 1 cannot share a typed set (B against D), but they can share an
+    # untyped one, and there too they are two keys.
+    engine = Engine(backend="vectorized")
+    mixed = SetVal([PairVal(BoolVal(True), BaseVal(0)), PairVal(BaseVal(1), BaseVal(0)),
+                    PairVal(BaseVal("1"), BaseVal(0)), PairVal(BoolVal(False), BaseVal(0))])
+    for key, want in ((BaseVal(1), 1), (BoolVal(True), 1), (BaseVal("1"), 1), (BaseVal(0), 0)):
+        expr = select(PAIR_T, Proj1, Var("k"), whole, Var("r"))
+        got = engine.run(expr, env={"r": mixed, "k": key}, optimize=False)
+        assert got == reference_run(expr, env={"r": mixed, "k": key})
+        assert len(got.elements) == want
+    for v in (True, False, 0, 1, "0", "1", (), (1, 2), (True, 2), ((1, 2), 3), (1, (2, 3)),
+              frozenset(), frozenset({1}), frozenset({"1"}), frozenset({True}),
+              (frozenset({1}), 1), frozenset({(1, 2)})):
+        engine.intern(from_python(v))
+    it = engine.interner
+    values = it._by_dense
+    assert len({it.sort_key_of(v) for v in values}) == len(values) == len(set(map(id, values)))
+
+
+# ---------------------------------------------------------------------------
 # What must stay a scan, and what the probe may not change
 # ---------------------------------------------------------------------------
 
@@ -232,17 +319,32 @@ def test_probe_starts_at_the_second_select_and_shares_the_join_index():
     assert (fresh.last_stats.index_builds, fresh.last_stats.index_hits) == (0, 1)
     assert fresh.last_stats.flat_dedups == 5  # one per distinct key, the empty groups of 2 and 4 too
     # The scan-first, probe-second rule still serves a select whose key is
-    # bound from outside ($param selects): successive bindings on one engine.
+    # bound from outside ($param selects) on a path with a ``snd`` step:
+    # successive bindings on one engine.
+    by_snd = select(PAIR_T, Proj2, Var("k"), Proj1, Var("r"))
     bound = Engine(backend="vectorized")
     counts = []
     for k in range(4):
-        bound.run(one, env={**env, "k": from_python(k)}, optimize=False)
+        bound.run(by_snd, env={**env, "k": from_python(k)}, optimize=False)
         counts.append((bound.last_stats.index_builds, bound.last_stats.index_hits))
     assert counts == [(0, 0), (1, 0), (0, 1), (0, 1)]  # scan, build, probe, probe
+    # Re-pinned: on ``fst`` the kept rows are one run of the canonical order,
+    # two bisections, so no binding builds or probes an index (was the
+    # snd sequence above).
+    by_fst = Engine(backend="vectorized")
+    counts = []
+    for k in range(4):
+        by_fst.run(one, env={**env, "k": from_python(k)}, optimize=False)
+        counts.append((by_fst.last_stats.index_builds, by_fst.last_stats.index_hits))
+    assert counts == [(0, 0)] * 4
     # A join on the same (set, path) leaves an index the very first select finds.
+    p, q = Var("p"), Var("q")
+    same_snd = If(Eq(Proj2(p), Proj2(q)), Singleton(Pair(Proj1(p), Proj1(q))), EmptySet(PAIR_T))
     joined = Engine(backend="vectorized")
-    joined.run(compose(Var("r"), Var("r"), BASE), env=env, optimize=False)
-    joined.run(select(PAIR_T, Proj1, Var("k"), whole, Var("r")),
+    joined.run(Apply(Ext(Lambda("p", PAIR_T, Apply(Ext(Lambda("q", PAIR_T, same_snd)), Var("r")))),
+                     Var("r")), env=env, optimize=False)
+    assert joined.last_stats.flat_joins == 1
+    joined.run(select(PAIR_T, Proj2, Var("k"), whole, Var("r")),
                env={**env, "k": from_python(0)}, optimize=False)
     assert (joined.last_stats.index_builds, joined.last_stats.index_hits) == (0, 1)
 

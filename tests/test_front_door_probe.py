@@ -10,6 +10,7 @@ from repro.api.query import Query
 from repro.api.session import Session
 from repro.engine.engine import Engine
 from repro.engine.interning import InternTable
+from repro.engine.vectorized import compiler
 from repro.engine.vectorized.batch import BatchContext
 from repro.engine.vectorized.flat import FlatLoop
 
@@ -29,7 +30,7 @@ def _patched():
 @pytest.mark.parametrize("workload", ["adhoc_cold", "tc_inproc", "ivm_churn", "nested_objects"])
 def test_every_step_is_timed_and_the_tree_is_restored(workload):
     before = _patched()
-    field_of = BatchContext.field_of
+    field_of, flat_select = BatchContext.field_of, compiler.flat_select
     steps = front_door_probe.probe(ROOT, workload, reads=30, warm=5)
     assert list(steps) == [*front_door_probe.STEPS, "sum", "op", "rounds", "us_per_round"]
     assert all(steps[s] > 0
@@ -43,14 +44,18 @@ def test_every_step_is_timed_and_the_tree_is_restored(workload):
         assert steps["rounds"] > 0 and steps["us_per_round"] > 0
         # The loop's cardinality argument: field_of(edges), once per op.
         assert 0 < steps["field"] < steps["op"]
+        # The loop's seed: the key select of edges on fst == src.
+        assert 0 < steps["select"] < steps["op"]
     if workload == "nested_objects":
         # nest(two-hop): join, unnest and group-map kernels, no fixpoint.
         assert steps["loop"] == 0 and steps["rounds"] == 0
-        assert steps["field"] == 0
+        assert steps["field"] == 0 and steps["select"] == 0
     if workload == "ivm_churn":
         # The reads after inserts and after deletes, each half on its own.
         for half in ("insert", "delete"):
             steps = front_door_probe.probe(ROOT, workload, reads=30, warm=6, half=half)
             assert 0 < steps["field"] < steps["op"] and steps["rounds"] > 0
+            assert 0 < steps["select"] < steps["op"]
     assert _patched() == before
     assert BatchContext.field_of is field_of
+    assert compiler.flat_select is flat_select

@@ -22,13 +22,16 @@ after deletes -- and prints the median microseconds each step took per op:
 * ``loop``: ``FlatLoop.run``, the flat fixpoint's rounds;
 * ``materialize``: the outermost ``InternTable.set_from_pair_codes`` /
   ``set_from_ids`` / ``mkset`` calls inside ``Engine._execute`` (and not
-  inside ``field``), the plan-boundary sets built from ids, codes or
-  interned elements;
+  inside ``field`` or ``select``), the plan-boundary sets built from ids,
+  codes or interned elements;
 * ``field``: the outermost ``BatchContext.field_of`` calls inside
   ``Engine._execute``, a loop's node set (a dictionary lookup once the
   collection version has one);
-* ``run``: ``Engine._execute`` less the loop, the materializations and the
-  field inside it, the other kernels;
+* ``select``: the outermost ``flat_select`` calls inside ``Engine._execute``
+  (patched as ``compiler.flat_select``, the name the compiler calls), the
+  flat selects with their output sets;
+* ``run``: ``Engine._execute`` less the loop, the materializations, the
+  field and the selects inside it, the other kernels;
 * ``fetch``: ``Cursor.fetchall``, rows materialized as python values;
 * ``other``: the rest of the op (environment copy, locks, counters, cursor).
 
@@ -54,7 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Steps in op order; ``other`` is what the op spent outside them.
 STEPS = ("elaborate", "recognize", "bind", "plan lookup", "loop", "materialize", "field",
-         "run", "fetch", "other")
+         "select", "run", "fetch", "other")
 WORKLOADS = ("adhoc_cold", "tc_inproc", "ivm_churn", "nested_objects")
 
 
@@ -71,6 +74,7 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
     import repro.engine.engine as engine
     import repro.engine.interning as interning
     import repro.engine.vectorized.batch as batch
+    import repro.engine.vectorized.compiler as compiler
     import repro.engine.vectorized.flat as flat
     from workloads import WORKLOADS as ALL
 
@@ -80,15 +84,15 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
     active: set = set()  # steps with a timed call on the stack
     rounds = [0]
 
-    def timed(owner, attr: str, step: str, within: str = "", outside: str = ""):
+    def timed(owner, attr: str, step: str, within: str = "", outside: tuple = ()):
         """Time ``owner.attr`` as ``step``: only its outermost calls, with
         ``within`` only those made inside that step, and with ``outside``
-        none made inside that one."""
+        none made inside any of those."""
         original = getattr(owner, attr)
 
         def wrapper(*args, **kwargs):
             if (step in active or (within and within not in active)
-                    or outside in active):
+                    or not active.isdisjoint(outside)):
                 return original(*args, **kwargs)
             active.add(step)
             t0 = perf_counter()
@@ -111,9 +115,11 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
         timed(engine.Engine, "optimize", "plan lookup"),
         timed(engine.Engine, "_execute", "run"),
         timed(flat.FlatLoop, "run", "loop"),
-        *(timed(interning.InternTable, name, "materialize", within="run", outside="field")
+        *(timed(interning.InternTable, name, "materialize", within="run",
+                outside=("field", "select"))
           for name in ("set_from_pair_codes", "set_from_ids", "mkset")),
         timed(batch.BatchContext, "field_of", "field", within="run"),
+        timed(compiler, "flat_select", "select", within="run"),
         timed(cursor.Cursor, "fetchall", "fetch"),
     ]
     if workload == "ivm_churn":
@@ -157,7 +163,8 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
                     continue
                 steps = {step: spent.get(step, 0.0) for step in STEPS[:-1]}
                 steps["recognize"] -= steps["elaborate"]  # it ran inside
-                steps["run"] -= steps["loop"] + steps["materialize"] + steps["field"]
+                steps["run"] -= (steps["loop"] + steps["materialize"] + steps["field"]
+                                 + steps["select"])
                 steps["other"] = op - sum(steps.values())
                 for step, s in steps.items():
                     samples[step].append(s)
