@@ -4,8 +4,9 @@ Engine results are canonical :class:`~repro.objects.values.SetVal` values --
 interned, shared, cheap to hold.  What is *not* cheap is eagerly converting a
 quarter-million-row result to a python list of tuples when the caller wanted
 the first ten rows, or wanted to stream rows into a socket.  A
-:class:`Cursor` wraps the raw result value and converts **one row at a time**
-on demand (`to_python` per element), DB-API style:
+:class:`Cursor` wraps the raw result value and converts rows on demand --
+one at a time when iterated (`to_python` per element), a fetched chunk one
+row shape at a time (`rows_of`) -- DB-API style:
 
     cur = session.execute(query)
     first = cur.fetchone()
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-from ..objects.values import SetVal, Value, to_python
+from ..objects.values import SetVal, Value, rows_of, to_python
 
 
 class Cursor:
@@ -88,7 +89,7 @@ class Cursor:
         if size < 0:
             raise ValueError("fetchmany size must be >= 0")
         stop = min(self._pos + size, len(self._elements))
-        rows = [to_python(e) for e in self._elements[self._pos:stop]]
+        rows = rows_of(self._elements[self._pos:stop])
         if self._rows_hook is not None and rows:
             self._rows_hook(len(rows))
         self._pos = stop
@@ -118,7 +119,7 @@ class Cursor:
 
     def rows(self) -> frozenset:
         """All rows as a frozenset of python data (order-free comparison aid)."""
-        return frozenset(to_python(e) for e in self._elements) if isinstance(
+        return frozenset(rows_of(self._elements)) if isinstance(
             self._value, SetVal
         ) else frozenset((to_python(self._value),))
 

@@ -186,7 +186,10 @@ class Engine:
 
     The intern table is engine-scoped (values are shared across runs and
     backends of the same engine), and so are the vectorized backend's
-    compiled plans and join indexes.
+    compiled plans and join indexes.  The outermost ``run`` or ``advance``
+    ends in a sweep of the table once it has grown by half
+    (:meth:`InternTable.sweep`), freeing the values nothing holds and
+    nothing has used since the sweep before.
     ``last_stats`` always describes just the most recent ``run`` call,
     whatever the backend; a second call on a warm engine therefore reports
     zero compiles.
@@ -264,6 +267,9 @@ class Engine:
         # Serializes access to every engine-scoped cache; see the class
         # docstring's concurrency note.
         self._lock = threading.RLock()
+        #: ``run``/``advance`` calls in progress on the lock holder's thread:
+        #: only the outermost one ends in an intern-table sweep.
+        self._depth = 0
         # Observability: every engine shares the process-wide registry's
         # direct query counter + latency histogram, and contributes a
         # scrape-time collector (held by weak reference, so registration
@@ -310,9 +316,14 @@ class Engine:
         """
         with self._lock:
             it = self.interner
-            new, dels, ins = it.splice(s, map(it.intern, inserts), map(it.intern, deletes))
-            if new is not s and self._vectorized is not None:
-                self._vectorized.ctx.carry(s, new, dels, ins)
+            self._depth += 1
+            try:
+                new, dels, ins = it.splice(s, map(it.intern, inserts), map(it.intern, deletes))
+                if new is not s and self._vectorized is not None:
+                    self._vectorized.ctx.carry(s, new, dels, ins)
+            finally:
+                self._depth -= 1
+            self._sweep_if_due()
             return new
 
     # -- planning -----------------------------------------------------------------
@@ -371,8 +382,8 @@ class Engine:
         Clears the rewrite-plan cache and, when the vectorized backend has
         run, its compile cache and join indexes -- the engine-scoped memory
         that grows with the number of *distinct queries* seen.  The intern
-        table is kept: it grows with the *data*, and dropping it would
-        invalidate ``id``-keyed state.
+        table is kept: dropping it would invalidate ``id``-keyed state, and
+        its own sweep frees what nothing holds or uses.
         """
         with self._lock:
             self._plans.clear()
@@ -488,32 +499,54 @@ class Engine:
         with self._lock:
             with TRACER.span("query", backend=chosen) as sp:
                 t_start = perf_counter()
-                plan = self.optimize(e) if optimize else None
-                expr = e if plan is None else plan.optimized
-                arg = self._to_value(db)
-                if chosen == "auto":
-                    decision = self.router().route(expr, arg=arg, env=env)
-                    if sp is not None:
-                        sp.set(
-                            backend=decision.backend, route=decision.reason,
-                            shards=decision.shards,
+                self._depth += 1
+                try:
+                    plan = self.optimize(e) if optimize else None
+                    expr = e if plan is None else plan.optimized
+                    arg = self._to_value(db)
+                    if chosen == "auto":
+                        decision = self.router().route(expr, arg=arg, env=env)
+                        if sp is not None:
+                            sp.set(
+                                backend=decision.backend, route=decision.reason,
+                                shards=decision.shards,
+                            )
+                        t0 = perf_counter()
+                        result = self._execute(
+                            decision.backend, decision.expr, arg, env,
+                            shards=decision.shards, plan=plan,
                         )
-                    t0 = perf_counter()
-                    result = self._execute(
-                        decision.backend, decision.expr, arg, env,
-                        shards=decision.shards, plan=plan,
-                    )
-                    self.router().record_runtime(
-                        expr, decision.backend, perf_counter() - t0
-                    )
-                else:
-                    result = self._execute(chosen, expr, arg, env, plan=plan)
+                        self.router().record_runtime(
+                            expr, decision.backend, perf_counter() - t0
+                        )
+                    else:
+                        result = self._execute(chosen, expr, arg, env, plan=plan)
+                finally:
+                    self._depth -= 1
                 if sp is not None:
                     els = getattr(result, "elements", None)
                     if isinstance(els, (frozenset, set, tuple, list)):
                         sp.set(rows=len(els))
+                self._sweep_if_due()
                 self._observe_query(perf_counter() - t_start)
                 return result
+
+    def _sweep_if_due(self) -> None:
+        """Sweep the intern table once it has grown enough (lock held).
+
+        Only at the end of the outermost ``run`` or ``advance``: no kernel,
+        loop or maintenance pass is in flight then, and the caller holds its
+        result.  Traced, the sweep is an ``intern-sweep`` span under the
+        query or commit span that paid for it.
+        """
+        it = self.interner
+        if self._depth or not it.sweep_due:
+            return
+        with TRACER.span("intern-sweep") as sp:
+            t0 = perf_counter()
+            freed = it.sweep()
+            if sp is not None:
+                sp.set(freed=freed, kept=it.size, ms=round((perf_counter() - t0) * 1e3, 3))
 
     def _execute(
         self,

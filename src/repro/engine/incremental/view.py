@@ -77,6 +77,7 @@ See DESIGN.md ("when maintenance loses") for the cost model.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -205,6 +206,12 @@ class _FlatIJoinState:
     element or key outside the flat pair domain makes a pass decline
     (``None``) before the node's output moves, and the node continues on
     the generic frontier-term pass, which is always sound.
+
+    It holds no value itself: every code it keeps names a pair of the
+    node's rendered output or pending delta (``present``, the counts and
+    index buckets), or of the seed child's output (``seeds``), and every
+    key id a part of one, so the node state holds what an intern-table
+    sweep must not free.
     """
 
     __slots__ = ("parts", "probe", "counts", "lindex", "rindex", "present",
@@ -352,25 +359,42 @@ class MaterializedView:
         Rendered here, not at commit: the first read after a run of commits
         splices their net root delta into the last value read.  After a
         maintenance pass that raised, the read is a rebuild from the
-        committed bases instead.
+        committed bases instead (:meth:`_catch_up`).
         """
         self._check_usable()
+        if self._rebuild_due:
+            self._catch_up()
         with self.engine.lock:
-            if self._rebuild_due:
-                self.refresh()
             return self._root.out
 
     def __len__(self) -> int:
         """Rows in the current result, kept from the root delta (no render)."""
         if self._rebuild_due and not (self.closed or self.stale):
-            self.refresh()
+            self._catch_up()
         return self._size
+
+    def _catch_up(self) -> None:
+        """The rebuild a read makes after a maintenance pass raised.
+
+        The listeners get its delta as they get a commit's -- under the
+        database's commit lock, outside the engine lock, flagged a fallback
+        -- so a subscriber's mirror follows the rebuild too.  The session's
+        stats observer does not: this is a read, not an ``apply``.
+        """
+        registry = self._registry
+        with registry._commit_lock if registry is not None else nullcontext():
+            with self.engine.lock:
+                if not self._rebuild_due:
+                    return
+                delta = self.refresh()
+            for listener in list(self._listeners):
+                listener(self, delta, True)
 
     def rows(self) -> frozenset:
         """The result as plain python rows (order-free comparison aid)."""
-        from ...objects.values import to_python
+        from ...objects.values import rows_of
 
-        return frozenset(to_python(e) for e in self.value.elements)
+        return frozenset(rows_of(self.value.elements))
 
     def maintenance_plan(self):
         """The ``ivm-*`` plan tree this view maintains by (for explain/tests)."""

@@ -16,20 +16,36 @@ equal values are represented by the **same Python object**, so that
 Interning preserves canonical form exactly: an interned value is ``==`` to the
 value it was built from, so results of the optimized engine are
 indistinguishable from the reference interpreter's (the cross-checks in
-``tests/engine`` assert this).  The table's own ``id``-keyed maps (cached
-sort keys, dense ids) are sound because it holds strong references to every
-canonical representative: an interned value can never be garbage collected
-while its table is alive.  Caches outside the table that key on ``id(value)``
-hold the value they are keyed by themselves (the vectorized backend's set
-records do), so their soundness does not rest on the table never freeing a
-value.  Tables are scoped to an :class:`~repro.engine.engine.Engine`, so the
-memory is reclaimed when the engine is dropped.
+``tests/engine`` assert this).
+
+The table is also the engine's result cache: a set of pairs seen before is
+found by its codes, with no pair touched.  So it keeps what nothing else
+holds, but not forever.  :meth:`InternTable.sweep` frees every canonical
+value that nothing outside the table holds (its reference count is the
+table's own) *and* that nothing has used -- created, or found by a
+constructor -- since the previous sweep: an answer asked for again within
+a sweep interval stays canonical, garbage goes after at most two.  A freed
+value leaves every map of the table, its dense id is never issued again,
+and no survivor's id or pair code moves.  The contract this puts on
+everything outside the table: **whoever keeps a dense id, a pair code or an
+``id(value)`` across a sweep must hold a value that holds it** -- the value
+itself, or a set or pair it is a part of.  Set records hold their set, a
+compiled compare constant its value, the flat loop its input sets, and a
+maintained fixpoint's codes name the pairs its rendered output holds.  An
+``id``-keyed map that holds neither would, after a sweep, name a freed
+value or a newer one at the same address.  The engine sweeps under its
+lock, at the end of a run or a commit's advance, once the table has grown
+by half since the last sweep (:attr:`InternTable.sweep_due`).  Tables are
+scoped to an :class:`~repro.engine.engine.Engine`, so the memory is
+reclaimed when the engine is dropped.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from ..objects.values import (
@@ -79,18 +95,27 @@ class InternTable:
     #: names exactly one pair.
     id_limit = 1 << CODE_BITS
 
+    #: A sweep is due once the table's load (values plus set elements) has
+    #: grown by this much, or by half, since the last sweep kept what it
+    #: kept, whichever is more: below it the table is a few MB, and a sweep
+    #: walks every value.
+    SWEEP_MIN = 1 << 14
+
     def __init__(self) -> None:
         self._table: dict[tuple, Value] = {}
         # Cached sort_key per interned value, keyed by id (sound because the
-        # table keeps every canonical value alive).
+        # table holds every canonical value until a sweep frees it, and the
+        # sweep drops its entry with it).
         self._keys: dict[int, tuple] = {}
         # -- dense-id assignment (the flat-column backbone) -------------------
         # Every canonical value gets a small integer id in interning order.
         # The assignment is append-only and survives ``Engine.clear_plans``
         # (which never touches the intern table), so ``dense_id -> value ->
-        # dense_id`` round-trips for the lifetime of the engine.  Flat kernels
-        # ship these ids in ``array('q')`` columns instead of object tuples.
-        self._by_dense: list[Value] = []
+        # dense_id`` round-trips while the value lives; a sweep leaves
+        # ``None`` at a freed value's id, which is never issued again.  Flat
+        # kernels ship these ids in ``array('q')`` columns instead of object
+        # tuples.
+        self._by_dense: list[Optional[Value]] = []
         self._dense: dict[int, int] = {}  # id(value) -> dense id
         #: pair dense id -> (fst dense id, snd dense id); the column
         #: decomposition flat kernels walk instead of attribute access.
@@ -104,6 +129,17 @@ class InternTable:
         #: sorted-unique pair-code bytes -> SetVal: the same for a set of
         #: pairs, recognised before any code is resolved to its pair.
         self._sets_by_codes: dict[bytes, Value] = {}
+        # -- sweeping ---------------------------------------------------------
+        #: ids of the values a constructor found since the last sweep (the
+        #: values created since are those from dense id ``_swept`` on).
+        self._used: set[int] = set()
+        #: Dense ids the last sweep kept, ascending, and the first id it did
+        #: not see: the next sweep walks ``_swept`` on, then these.
+        self._live = array("q")
+        self._swept = 0
+        #: Elements of the stored sets: with the value count, the table's load.
+        self._slots = 0
+        self._sweep_at = self.SWEEP_MIN
         self.hits = 0
         self.misses = 0
         self.unit = self._store(("u",), UnitVal())
@@ -127,6 +163,7 @@ class InternTable:
         keys = self._keys
         if elem_keys:  # a spliced set: its element keys were spliced with it
             keys[id(v)] = (4, len(elem_keys), elem_keys)
+            self._slots += len(elem_keys)
         elif isinstance(v, SetVal):
             try:
                 # All-cached is the norm; C-level map beats a python-level
@@ -136,6 +173,7 @@ class InternTable:
                 elem_keys = tuple(keys.get(id(e)) or sort_key(e)
                                   for e in v.elements)
             keys[id(v)] = (4, len(v.elements), elem_keys)
+            self._slots += len(elem_keys)
         elif isinstance(v, PairVal):
             fk = keys.get(id(v.fst)) or sort_key(v.fst)
             sk = keys.get(id(v.snd)) or sort_key(v.snd)
@@ -160,6 +198,7 @@ class InternTable:
         found = self._table.get(key)
         if found is not None:
             self.hits += 1
+            self._used.add(id(found))
             return found
         self.misses += 1
         return self._store(key, build(), elem_keys)
@@ -174,7 +213,7 @@ class InternTable:
 
     @property
     def size(self) -> int:
-        """Number of distinct values interned so far."""
+        """Number of canonical values the table holds now."""
         return len(self._table)
 
     # -- dense ids / flat columns -------------------------------------------------
@@ -183,13 +222,14 @@ class InternTable:
         """The stable dense id of an *interned* value (interning order)."""
         return self._dense[id(v)]
 
-    def value_of(self, dense: int) -> Value:
-        """The canonical value carrying dense id ``dense``."""
+    def value_of(self, dense: int) -> Optional[Value]:
+        """The canonical value carrying dense id ``dense`` (``None`` once freed)."""
         return self._by_dense[dense]
 
     @property
     def dense_size(self) -> int:
-        """Number of dense ids assigned (== :attr:`size`)."""
+        """Number of dense ids issued so far: :attr:`size` plus the ids of
+        values a sweep freed, which are never issued again."""
         return len(self._by_dense)
 
     def pair_parts(self) -> dict[int, tuple[int, int]]:
@@ -201,6 +241,7 @@ class InternTable:
         found = self._pair_codes.get((fid << CODE_BITS) | sid)
         if found is not None:
             self.hits += 1
+            self._used.add(id(found))
             return found
         return self.pair(self._by_dense[fid], self._by_dense[sid])
 
@@ -217,6 +258,7 @@ class InternTable:
         found = self._sets_by_ids.get(key)
         if found is not None:
             self.hits += 1
+            self._used.add(id(found))
             return found
         by_dense, keys = self._by_dense, self._keys
         elems = [by_dense[i] for i in uniq]
@@ -239,6 +281,7 @@ class InternTable:
         found = self._sets_by_codes.get(key)
         if found is not None:
             self.hits += 1
+            self._used.add(id(found))
             return found
         get, pair, by_dense, keys = self._pair_codes.get, self.pair, self._by_dense, self._keys
         pairs = [
@@ -249,6 +292,76 @@ class InternTable:
         s = self._set_from_canonical(tuple(pairs))
         self._sets_by_codes[key] = s
         return s
+
+    # -- sweeping -----------------------------------------------------------------
+
+    @property
+    def sweep_due(self) -> bool:
+        """Whether the table's load -- its values plus the elements of its
+        sets -- has grown by :attr:`SWEEP_MIN`, and by half, since the last
+        sweep: sweeping then costs amortized O(1) per value and element
+        interned, and the table stays within a constant factor of what it
+        holds plus what the last two intervals used."""
+        return len(self._table) + self._slots >= self._sweep_at
+
+    def sweep(self) -> int:
+        """Free every value that nothing outside the table holds and nothing
+        has used since the previous sweep; returns how many were freed.
+
+        A value was used if it was created since the previous sweep or a
+        constructor found it since (``_canon``, :meth:`pair_from_ids`,
+        :meth:`set_from_ids`, :meth:`set_from_pair_codes`): a second chance,
+        so an answer that only the table holds survives while it recurs.
+        Held means a reference count above the table's own references.
+        Values are acyclic and a part is interned before its whole, so the
+        walk runs from the newest dense id down, and a freed set or pair
+        has released its parts before they are looked at.  A freed value
+        leaves every map, the set caches entry by entry; ``None`` stays at
+        its dense id.  Callers hold the engine lock; nothing may keep an id
+        of a value it does not hold (see the module docstring).
+        """
+        by_dense, table, keys, dense = self._by_dense, self._table, self._keys, self._dense
+        parts, codes = self._pair_parts, self._pair_codes
+        by_ids, by_codes = self._sets_by_ids, self._sets_by_codes
+        cached = {id(s): k for k, s in by_ids.items()}
+        coded = {id(s): k for k, s in by_codes.items()}
+        used, refcount, fresh = self._used, sys.getrefcount, self._swept
+        issued = len(by_dense)
+        kept: list[int] = []
+        freed = 0
+        for d in chain(range(issued - 1, fresh - 1, -1), reversed(self._live)):
+            v = by_dense[d]
+            vid = id(v)
+            if d >= fresh or vid in used:
+                kept.append(d)
+                continue
+            # The table's own references: ``_by_dense`` and ``_table``, the
+            # code of a pair, the cache entries of a set; then ``v`` and the
+            # call's argument.
+            pq = parts.get(d)
+            ck, kk = cached.get(vid), coded.get(vid)
+            own = 4 + (pq is not None) + (ck is not None) + (kk is not None)
+            if refcount(v) > own:
+                kept.append(d)
+                continue
+            del table[_key_of(v)], keys[vid], dense[vid]
+            by_dense[d] = None
+            if pq is not None:
+                del parts[d], codes[(pq[0] << CODE_BITS) | pq[1]]
+            if ck is not None:
+                del by_ids[ck]
+            if kk is not None:
+                del by_codes[kk]
+            if type(v) is SetVal:
+                self._slots -= len(v.elements)
+            freed += 1
+        kept.reverse()
+        self._live = array("q", kept)
+        self._swept = issued
+        self._used = set()
+        load = len(table) + self._slots
+        self._sweep_at = load + max(self.SWEEP_MIN, load // 2)
+        return freed
 
     # -- interning ----------------------------------------------------------------
 
@@ -436,6 +549,20 @@ class InternTable:
             elems = _weave(elems, rows, new)
             elem_keys = _weave(elem_keys, rows, [keys[id(v)] for v in new])
         return self._set_from_canonical(tuple(elems), tuple(elem_keys)), dels, ins
+
+
+def _key_of(v: Value) -> tuple:
+    """The ``_table`` key a sweep frees ``v`` under (its parts are interned).
+
+    Only atoms, pairs and sets are ever freed: the unit and both booleans
+    are held by the table's own attributes.
+    """
+    cls = type(v)
+    if cls is PairVal:
+        return ("p", id(v.fst), id(v.snd))
+    if cls is SetVal:
+        return ("s", *map(id, v.elements))
+    return ("b", v.value)
 
 
 def _cut(xs: Sequence, rows: list) -> list:

@@ -100,14 +100,17 @@ class SetRecord:
     :class:`BatchContext` keeps one record per set in an LRU keyed by
     ``id(set)``.  The record holds the set itself, so its key names that
     set for as long as the record lives, whether or not anything else
-    keeps the set alive.  Every entry is a pure function of the set
+    keeps the set alive.  Every dense id an entry keeps names the set's
+    elements or their parts, so the set holds those values too, as the
+    intern table's sweep requires.  Every entry is a pure function of the set
     (interned sets are immutable), so any of them may be dropped and built
     again:
 
     * ``columns``: accessor path -> the dense-id column of that path over
       the elements, in canonical order; ``()`` is the elements' own ids;
     * ``indexes``: tag -> index.  A compiled accessor expression tags an
-      object index (``id(key) -> [element]``, :meth:`BatchContext.probe_index`),
+      object index (``id(key) -> [element]``, kept with its keys,
+      :meth:`BatchContext.probe_index`),
       ``("flat", path)`` a row index (``key id -> [row]``,
       :meth:`BatchContext.flat_probe_index`) and ``("inv", key path, out_a
       path, out_b path)`` the flat loop's invariant-source index (``key id
@@ -188,20 +191,26 @@ class BatchContext:
         ``cache_tag`` identifies the accessor; pass ``None`` when the key
         function closes over loop-dependent state (the index is then rebuilt),
         or a stable token when the key is a pure function of the element (the
-        index is kept in the set's record under that tag).
+        index is kept in the set's record under that tag, with its keys: a
+        computed key may be held by nothing else, and the index names it by
+        ``id``).
         """
         if cache_tag is not None:
             indexes = self.record(source).indexes
             cached = indexes.get(cache_tag)
             if cached is not None:
                 self.stats.index_hits += 1
-                return cached
+                return cached[0]
         index: dict[int, list[Value]] = {}
+        keys: dict[int, Value] = {}
         for x in source.elements:
-            index.setdefault(id(key_of(x)), []).append(x)
+            k = key_of(x)
+            kid = id(k)
+            keys[kid] = k
+            index.setdefault(kid, []).append(x)
         self.stats.index_builds += 1
         if cache_tag is not None:
-            indexes[cache_tag] = index
+            indexes[cache_tag] = (index, tuple(keys.values()))
         return index
 
     def flat_column(self, source: SetVal, path: tuple[str, ...]) -> array:
@@ -646,7 +655,7 @@ def flat_select(
     """``ext(\\x. if a = b then {out} else {})(source)`` on id columns.
 
     ``rhs`` is ``("path", path)`` for a column-column compare or
-    ``("id", dense_id)`` for a column-constant compare (identity equality of
+    ``("id", dense_id, ...)`` for a column-constant compare (identity equality of
     interned values *is* dense-id equality).  A positive column-constant
     compare is a key lookup.  On a path of ``fst`` steps over pairs the kept
     rows are one run of the canonical order, found by bisection

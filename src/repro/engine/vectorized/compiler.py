@@ -458,17 +458,17 @@ class PlanCompiler:
 
     # -- flat-shape analysis ------------------------------------------------------
 
-    def _const_id(self, e: Expr) -> Optional[int]:
-        """The dense id of a literal expression (flat compare constant)."""
+    def _const(self, e: Expr) -> Optional[Value]:
+        """The interned value of a literal expression (flat compare constant)."""
         it = self.it
         if isinstance(e, ast.Const):
-            return it.dense_id(it.intern(e.value))
+            return it.intern(e.value)
         if isinstance(e, ast.BoolConst):
-            return it.dense_id(it.boolean(e.value))
+            return it.boolean(e.value)
         if isinstance(e, ast.UnitConst):
-            return it.dense_id(it.unit)
+            return it.unit
         if isinstance(e, ast.EmptySet):
-            return it.dense_id(it.empty_set)
+            return it.empty_set
         return None
 
     def _flat_rhs(self, e: Expr, var: str) -> Optional[tuple]:
@@ -476,9 +476,11 @@ class PlanCompiler:
         closure of an expression that does not mention the selected element
         (a ``$param``, an enclosing binder, ``pi1`` of one: the key of a
         correlated select), evaluated once per select."""
-        cid = self._const_id(e)
-        if cid is not None:
-            return ("id", cid)
+        const = self._const(e)
+        if const is not None:
+            # The compiled plan holds the constant itself, so no intern-table
+            # sweep frees it while its dense id is compared against.
+            return ("id", self.it.dense_id(const), const)
         if isinstance(e, ast.Var) or var not in free_variables(e):
             return ("key", self.compile(e).fn)
         return None

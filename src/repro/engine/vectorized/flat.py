@@ -223,6 +223,10 @@ class FlatLoop:
         self._parts = it.pair_parts()
         self._by_dense = it._by_dense
         self._specs = specs
+        #: The sets :meth:`setup` encoded: every id in the queue and the
+        #: term indexes names a part of their elements, so holding them
+        #: keeps those values canonical (the intern table's sweep contract).
+        self._inputs: tuple = ()
         self._terms: list[_FlatTerm] = []
         #: Terms that join from round two on (see :meth:`setup`).
         self._mirrors: list[_FlatTerm] = []
@@ -250,6 +254,7 @@ class FlatLoop:
         (matching the object path's evaluation order).  Raises
         :class:`FlatUnavailable` before any state is shared.
         """
+        self._inputs = (acc, delta, inv_vals)
         fs, ss = self._encode_rows(acc)
         if delta is not acc:
             # The frontier goes to the tail of the queue, behind the rest.

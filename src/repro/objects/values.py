@@ -24,7 +24,8 @@ paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Union
+from operator import attrgetter
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 from .types import (
     BASE,
@@ -359,6 +360,33 @@ def to_python(v: Value) -> Any:
     if cls is UnitVal:
         return ()
     raise TypeError(f"not a complex object value: {v!r}")
+
+
+#: Row getters for :func:`rows_of`, most common shape first.  Only
+#: ``BaseVal``/``BoolVal`` have ``value``, only ``PairVal`` has ``fst``/``snd``
+#: and only ``SetVal`` has ``elements``, so each either returns
+#: :func:`to_python`'s row or raises ``AttributeError``.
+_ATOM = attrgetter("value")
+_PAIR_OF_ATOMS = attrgetter("fst.value", "snd.value")
+
+
+def _atom_and_atoms(v: Value) -> tuple:
+    return (v.fst.value, frozenset(map(_ATOM, v.snd.elements)))
+
+
+def rows_of(elements: Sequence[Value]) -> list:
+    """``[to_python(e) for e in elements]``, converted one row shape at a time.
+
+    Tries a pair of atoms, an atom with a set of atoms, then an atom, each
+    as one C-level ``map`` over the whole chunk; a chunk of no single such
+    shape is converted element by element.
+    """
+    for getter in (_PAIR_OF_ATOMS, _atom_and_atoms, _ATOM):
+        try:
+            return list(map(getter, elements))
+        except AttributeError:
+            pass
+    return [to_python(e) for e in elements]
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,31 @@ class TestPackGuard:
         assert view.value is cold
         assert view.stats.fallback_recomputes == 1
 
+    @pytest.mark.ivm
+    def test_a_read_that_rebuilds_sends_listeners_the_rebuild(self, monkeypatch):
+        db = Database.of("g", edges=path_graph(8))
+        session = connect(db)
+        view = session.materialize(Q.coll("edges").fix(), name="tc")
+        mirror = set(view.value.elements)
+        flags = []
+
+        def fold(_, delta, fallback):
+            mirror.difference_update(delta.deleted)
+            mirror.update(delta.inserted)
+            flags.append(fallback)
+
+        view.add_listener(fold)
+        it = session.engine.interner
+        monkeypatch.setattr(it, "id_limit", it.dense_size + 2)
+        with pytest.raises(DenseIdLimitError):
+            db.insert("edges", [(7, 0)])
+        monkeypatch.undo()
+        assert len(view) == 64  # the read rebuilds, and the mirror follows it
+        assert mirror == set(view.value.elements) and flags == [True]
+        db.insert("edges", [(3, 9)])
+        assert len(view) == len(mirror) == 72
+        assert mirror == set(view.value.elements) and flags == [True, False]
+
 
 # ---------------------------------------------------------------------------
 # 4. Maintained fixpoint views ride the dense-id indexed walk

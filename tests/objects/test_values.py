@@ -1,6 +1,8 @@
 """Tests for complex object values: canonicity, conversions, typing, measures."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.objects.types import BASE, BOOL, ProdType, SetType, parse_type
 from repro.objects.values import (
@@ -21,6 +23,7 @@ from repro.objects.values import (
     mkset,
     pair,
     rename_atoms,
+    rows_of,
     singleton,
     to_python,
     tup,
@@ -123,6 +126,41 @@ class TestConversions:
     def test_untup_wrong_arity(self):
         with pytest.raises(TypeError):
             untup(base(1), 2)
+
+
+ATOMS = st.one_of(st.integers(-3, 3).map(base), st.sampled_from("ab").map(base))
+SCALARS = st.one_of(ATOMS, st.booleans().map(boolean), st.just(UnitVal()))
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda t: pair(*t)),
+        st.lists(inner, max_size=3).map(SetVal),
+    ),
+    max_leaves=8,
+)
+#: Chunks of each shape ``rows_of`` has a getter for, and of any shape.
+CHUNKS = st.one_of(
+    st.lists(st.tuples(ATOMS, ATOMS).map(lambda t: pair(*t)), max_size=6),
+    st.lists(st.tuples(ATOMS, st.lists(ATOMS, max_size=3).map(SetVal))
+             .map(lambda t: pair(*t)), max_size=6),
+    st.lists(st.one_of(ATOMS, st.booleans().map(boolean)), max_size=6),
+    st.lists(VALUES, max_size=6),
+)
+
+
+class TestRowsOf:
+    @settings(max_examples=300, deadline=None)
+    @given(CHUNKS)
+    def test_rows_of_is_to_python_per_element(self, chunk):
+        s = SetVal(chunk)
+        assert rows_of(s.elements) == [to_python(e) for e in s.elements]
+
+    def test_each_shape_and_a_mixed_chunk(self):
+        for data in ({(1, 2), (3, 4)}, {(1, frozenset({2, 3})), (4, frozenset())},
+                     {1, "a"}, {True, False}, {(), (1, 2)}, {1, (2, frozenset({(3, 4)}))}):
+            s = from_python(data)
+            assert rows_of(s.elements) == [to_python(e) for e in s.elements]
+            assert frozenset(rows_of(s.elements)) == data
 
 
 class TestTyping:

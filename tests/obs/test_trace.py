@@ -213,3 +213,34 @@ def test_a_commit_advances_the_snapshot_once_then_applies_views(tracer):
     tracer.clear()
     db.insert("edges", [(5, 6)])  # already there: nothing committed, nothing traced
     assert not tracer.recent()
+
+
+def test_a_sweep_is_a_span_under_the_query_or_commit_that_paid_for_it(tracer, monkeypatch):
+    db = Database.of("g", edges=path_graph(8))
+    s = connect(db)
+    reach = Q.coll("edges").fix().where(lambda e: e.fst == Q.param("src"))
+    for src in range(8):
+        s.execute(reach, {"src": src})
+    it = s.engine.interner
+    it.sweep()  # what the reads made survives one sweep on its second chance
+    tracer.clear()
+    monkeypatch.setattr(it, "_sweep_at", 0)  # due: the next run ends in one
+    size = it.size
+    s.execute(Q.coll("edges").map(lambda e: e.snd))
+    (q,) = [sp for sp in tracer.recent() if sp.name == "query"]
+    assert [c.name for c in q.children][-1] == "intern-sweep"
+    sweep = q.children[-1]
+    assert set(sweep.attrs) == {"freed", "kept", "ms"}
+    assert sweep.attrs["freed"] > 0 and sweep.attrs["kept"] == it.size
+    assert it.size <= size + 2 - sweep.attrs["freed"]  # the map's answer and its set
+    assert sweep.attrs["ms"] >= 0 and sweep.seconds > 0
+    # Not due: no span.  Due at a commit: under the commit's advance.
+    tracer.clear()
+    s.execute(reach, {"src": 0})
+    assert not [sp for sp in tracer.recent()[-1].walk() if sp.name == "intern-sweep"]
+    monkeypatch.setattr(it, "_sweep_at", 0)
+    tracer.clear()
+    db.insert("edges", [(7, 8)])
+    (commit,) = [sp for sp in tracer.recent() if sp.name == "commit"]
+    (advance,) = commit.children
+    assert [c.name for c in advance.children] == ["intern-sweep"]

@@ -11,7 +11,10 @@ sharing one engine, with and without views.  After *every* step
    miss -- equals its from-scratch build over the set it is keyed on, a
    relation's node counts included;
 3. every result, and every open view, equals the reference interpreter
-   ``repro.nra.eval.run`` on the live database.
+   ``repro.nra.eval.run`` on the live database;
+4. no live structure -- a set record, a fixpoint view's dense-id state --
+   names a dense id the intern table's sweep freed (a ``sweep`` step runs
+   two, so what nothing holds goes).
 
 Runs with the flat kernels on and off (``flat=False`` must simply ignore
 carried flat state).
@@ -69,6 +72,7 @@ STEP = st.one_of(
     st.tuples(st.just("execute"), WHO, WHICH, ATOM),
     st.tuples(st.just("materialize"), WHO, WHICH),
     st.tuples(st.just("close"), WHO),
+    st.tuples(st.just("sweep")),
 )
 
 
@@ -113,6 +117,10 @@ class World:
         elif kind == "drop":
             if "extra" in db:
                 db.drop("extra")
+        elif kind == "sweep":
+            with self.engine.lock:
+                self.engine.interner.sweep()
+                self.engine.interner.sweep()
         elif kind == "prepare":
             self.prepared[op[1], op[2]] = self.session(op[1]).prepare(QUERIES[op[2]][0])
         elif kind == "execute":
@@ -146,6 +154,36 @@ class World:
         for view, query in self.views:
             assert view.value == reference(db, query), f"view {view.name} is stale"
         self.check_flat_state()
+        self.check_no_freed_ids()
+
+    def check_no_freed_ids(self) -> None:
+        by_dense = self.engine.interner._by_dense
+        named = set()
+        for rec in self.engine._vec().ctx._records.values():
+            for col in rec.columns.values():
+                named.update(col)
+            for tag, index in rec.indexes.items():
+                if type(tag) is tuple:  # key ids; an invariant index's outputs too
+                    named.update(index)
+                    if tag[0] == "inv":
+                        named.update(i for b in index.values() for out in b for i in out)
+            named.update(rec.nodes or ())
+        for view, _ in self.views:
+            states = [view._root]
+            while states:
+                node = states.pop()
+                states.extend(node.children)
+                flat = node.flat
+                if flat is not None:
+                    codes = [*flat.present, *flat.counts, *flat.seeds,
+                             *(c for side in (flat.lindex, flat.rindex)
+                               for b in side.values() for c in b)]
+                    named.update(c >> 32 for c in codes)
+                    named.update(c & 0xFFFFFFFF for c in codes)
+                    named.update(flat.lindex)
+                    named.update(flat.rindex)
+        freed = sorted(d for d in named if by_dense[d] is None)
+        assert not freed, f"live structures name freed dense ids {freed[:8]}"
 
     def check_flat_state(self) -> None:
         it = self.engine.interner
