@@ -125,6 +125,11 @@ class Database:
         # collection values are canonical sorted tuples, so count and sample
         # are O(1) per commit (see repro.engine.router.collection_stats).
         self._stats: dict[str, CollectionStats] = {}
+        # Per collection, its live set and that set's element sort keys in
+        # row order: a commit bisects them at C level and edits them with
+        # the rows it cuts and inserts (a set that is no longer live has
+        # its keys recomputed once).
+        self._keys: dict[str, tuple[Value, list]] = {}
         # Guards registration against concurrent sessions reading the schema.
         self._lock = threading.Lock()
         # Serializes commits *and* view registration, so every view observes
@@ -189,6 +194,7 @@ class Database:
                 del self._collections[name]
                 del self._schema[name]
                 self._stats.pop(name, None)
+                self._keys.pop(name, None)
                 self.version += 1
                 before = self._versions.pop(name)
                 views = list(self._views)
@@ -301,24 +307,28 @@ class Database:
             elem_t = t.elem if isinstance(t, SetType) else None
             d = changeset[name]
             # The live contents tuple is canonical, so a row is found -- and a
-            # new one placed -- by bisection over the total order: a commit
-            # costs O(|delta| log n), with no pass over the collection.
+            # new one placed -- by bisection over its cached sort keys: a
+            # commit costs O(|delta| log n), with no pass over the collection.
             elems = current.elements
+            cached = self._keys.get(name)
+            keys = (cached[1] if cached is not None and cached[0] is current
+                    else [sort_key(v) for v in elems])
 
-            def row_of(v: Value) -> tuple[int, bool]:
-                row = bisect_left(elems, sort_key(v), key=sort_key)
+            def row_of(v: Value, k: tuple) -> tuple[int, bool]:
+                row = bisect_left(keys, k)
                 return row, row < len(elems) and elems[row] == v
 
             dels: dict[Value, int] = {}  # element -> its row
             for v in d.deletes:
-                row, present = row_of(v)
+                row, present = row_of(v, sort_key(v))
                 if present:
                     dels[v] = row
-            ins: dict[Value, int] = {}   # element -> the row it goes before
+            ins: dict[Value, tuple] = {}  # element -> (the row it goes before, its key)
             for v in d.inserts:
                 if v in ins:
                     continue
-                row, present = row_of(v)
+                k = sort_key(v)
+                row, present = row_of(v, k)
                 if present and v not in dels:
                     continue
                 if elem_t is not None and not check_type(v, elem_t):
@@ -332,18 +342,22 @@ class Database:
                     # disjointness invariant.
                     del dels[v]
                 else:
-                    ins[v] = row
+                    ins[v] = (row, k)
             if ins or dels:
                 deltas[name] = CollectionDelta(ins, dels)
-                kept = list(elems)
+                kept, kept_keys = list(elems), list(keys)
                 gone = sorted(dels.values())
                 for row in reversed(gone):
                     del kept[row]
+                    del kept_keys[row]
                 # Rows were found in the old tuple: shift each insert left by
                 # the deletes before it and right by the inserts before it.
-                for n, v in enumerate(sorted(ins, key=sort_key)):
-                    kept.insert(ins[v] - bisect_left(gone, ins[v]) + n, v)
+                for n, (v, (row, k)) in enumerate(sorted(ins.items(), key=lambda i: i[1][1])):
+                    at = row - bisect_left(gone, row) + n
+                    kept.insert(at, v)
+                    kept_keys.insert(at, k)
                 updates[name] = canonical_set(tuple(kept))
+                self._keys[name] = (updates[name], kept_keys)
         return Changeset(deltas), updates
 
     # -- materialized views ---------------------------------------------------

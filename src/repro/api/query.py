@@ -440,7 +440,9 @@ class Query:
 
         The step ``rr -> rr U rr o rr`` is provably inflationary, so the
         vectorized backend runs it semi-naively; the source is ``let``-bound
-        to keep the template linear in the input expression.
+        to keep the template linear in the input expression.  A materialized
+        view maintains the equal linear closure ``rr -> rr U rr o src``
+        instead (:func:`repro.nra.derived.seeded_closure`).
         """
 
         def build(ctx: ElabContext) -> tuple[Expr, Type]:

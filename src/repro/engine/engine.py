@@ -73,7 +73,7 @@ from ..relational.relation import Relation
 from .incremental.delta import maintenance_plan
 from .interning import InternTable
 from .parallel import ParallelEvaluator, ParStats
-from .rewrite import DEFAULT_RULES, VIEW_RULES, Rewriter, Rule, RuleFiring
+from .rewrite import DEFAULT_RULES, Rewriter, Rule, RuleFiring
 from .router import RouteDecision, Router
 from .vectorized import Compiled, PlanNode, VecStats, VectorizedEvaluator
 
@@ -365,17 +365,6 @@ class Engine:
         if self._router is not None:
             self._router.retain(live)
 
-    def optimize_view(self, e: Expr) -> Expr:
-        """The template a materialized view over ``e`` maintains.
-
-        Rewritten with :data:`~repro.engine.rewrite.VIEW_RULES` -- this
-        engine's rules minus the ones that trade away a shape incremental
-        maintenance keeps state for.  Uncached: views are built once.
-        """
-        with self._lock:
-            rules = [r for r in self.rewriter.rules if r in VIEW_RULES]
-            return Rewriter(rules, self.sigma).rewrite(e)[0]
-
     def clear_plans(self) -> None:
         """Drop all per-query caches (long-lived engines over many ad-hoc queries).
 
@@ -433,12 +422,7 @@ class Engine:
             chosen = _validate_backend(
                 backend if backend is not None else self.backend, explain=True
             )
-            if not optimize:
-                expr = e
-            elif chosen == "incremental":
-                expr = self.optimize_view(e)
-            else:
-                expr = self.optimize(e).optimized
+            expr = self.optimize(e).optimized if optimize else e
             if chosen == "auto":
                 router = self.router()
                 decision = router.route(expr)

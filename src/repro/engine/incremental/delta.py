@@ -39,26 +39,33 @@ approximate rule.  The accepted shapes, and the rules they get:
     :func:`repro.engine.shapes.analyze_step` gives the step a shape -- the
     *same* analysis that makes the compiler's loop semi-naive, so a view is
     fixpoint-maintainable iff its loop runs semi-naively, and the node holds
-    the :class:`~repro.engine.shapes.StepShape` itself.  The view builds the
-    fixpoint and continues it after insertions on the compiler's own step
-    runner (``resume``, the flat loop where the terms lower); deletions run
-    **delete/rederive** (DRed) -- over-delete every derivation through a
+    the :class:`~repro.engine.shapes.StepShape` itself.  Deletions run
+    **delete/rederive** (DRed): over-delete every derivation through a
     deleted element, re-prove the still-supported survivors, continue
     semi-naively (the ``ivm-dred-*`` nodes under the fixpoint in the
-    rendered plan).  Whether a fixpoint is **indexed** is part of the same
-    shape: ``StepShape.self_join`` is the ``(delta, acc)`` flat join spec
-    when the step is strict (no loop-invariant branch) and its only other
-    join term is its ``(acc, delta)`` mirror -- the bilinear self-join
-    ``\\v. v U (v >< v)`` of the library's ``fix()``, with projection-chain
-    keys and a pair of projection chains as output.  The plan shows it as
-    ``bilinear-indexed``, and the view keeps counted two-sided indexes over
-    the fixpoint on dense ids, so both DRed passes cost the derivation cone,
-    never a full re-join.  Every other accepted step -- and an indexed node
-    that meets a value outside the pair domain at run time -- runs DRed over
-    the generic frontier terms.  Both are sound for exactly the accepted
-    grammar, which is why no *extra* analysis gates them: a shape that
-    compiles to ``fixpoint`` is deletion-maintainable, and a shape that does
-    not never reaches DRed.
+    rendered plan).  A **linear** step (``StepShape.linear``: ``\\v. v U
+    J(v, R)``, one join of the accumulator against a relation ``R`` that
+    does not read it) is maintained by counting: ``R`` is the node's second
+    child, maintained like any other, and the view keeps support counts over
+    accumulator x ``R`` with the accumulator indexed on its join key and
+    ``R`` on its own, on dense ids -- a new tuple probes ``R``'s index, a
+    change to ``R`` is one more delta term that probes the accumulator's.
+    This is counting/DRed for linear recursion (Gupta, Mumick and
+    Subrahmanian, SIGMOD 1993).  A step that reads a mutable collection is
+    accepted only as :func:`~repro.nra.derived.seeded_closure`'s own loop,
+    ``rr U rr o R`` or ``rr U R o rr`` under a ``loop`` over
+    ``field_of(R)``: ``|field_of(R)|`` rounds reach every simple path of
+    ``R``, so the cold run's budget can never stop short of the least
+    fixpoint whatever a commit does.
+    ``closure(R)`` -- Example 7.1's repeated squaring, the library's
+    ``fix()`` -- is maintained as the equal linear
+    ``seeded_closure(R, field_of(R), R)``: squaring buys logarithmic depth
+    with extra work, and a commit pays only the work (each closure tuple has
+    one derivation per in-edge instead of one per intermediate node).  Every
+    other accepted step -- a hand-written squaring loop, say -- runs DRed
+    over the generic frontier terms, continued on the compiler's step
+    runner.  Both are sound for exactly the accepted grammar, which is why
+    no *extra* analysis gates them.
 
 ``static``
     any subexpression mentioning no mutable collection: evaluated once,
@@ -86,7 +93,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...nra import ast
-from ...nra.ast import Expr, free_variables, substitute
+from ...nra.ast import Expr, alpha_equal, free_variables, substitute
+from ...nra.derived import field_of, match_closure, seeded_closure
 from ..shapes import StepShape, analyze_step, match_join
 from ..vectorized.plan import PlanNode, node
 
@@ -115,7 +123,7 @@ class DeltaOp:
     rkey: Optional[Expr] = None
     out: Optional[Expr] = None
     #: ``fixpoint``: the step lambda and its shape (frontier variable and
-    #: terms, flat specs, and the self-join spec of an indexed fixpoint).
+    #: terms, flat specs, and the join spec of a linear fixpoint).
     step: Optional[ast.Lambda] = None
     shape: Optional[StepShape] = None
 
@@ -153,6 +161,10 @@ def derive(e: Expr, bases: frozenset[str]) -> DeltaOp:
             return derive(substitute(e.func.body, e.func.var, e.arg), bases)
         if isinstance(e.func, ast.Ext) and isinstance(e.func.func, ast.Lambda):
             return _derive_ext(e, bases)
+        found = match_closure(e)
+        if found is not None:
+            r, base = found
+            e = seeded_closure(r, field_of(r, base, base), r, base)
         if isinstance(e.func, (ast.Loop, ast.LogLoop)) and isinstance(e.arg, ast.Pair):
             fix = _derive_fixpoint(e, bases)
             if fix is not None:
@@ -210,9 +222,24 @@ def _derive_fixpoint(e: ast.Apply, bases: frozenset[str]) -> Optional[DeltaOp]:
     ctrl, base_expr = e.arg.fst, e.arg.snd  # type: ignore[union-attr]
     if not isinstance(step, ast.Lambda):
         return None
+    shape = analyze_step(step)
+    if shape is None:
+        return None
+    children = (derive(base_expr, bases),)
+    if shape.linear is not None:
+        children += (derive(shape.base, bases),)
     if (free_variables(step.body) - {step.var}) & bases:
-        # The step reads a mutable collection beyond the accumulator: a
-        # commit would change the step function itself, not just the seed.
+        # The step reads a mutable collection, so a commit changes the step
+        # function itself.  Accepted only as ``seeded_closure``'s own loop,
+        # ``rr U rr o R`` (or ``R o rr``) over ``field_of(R)``: a change to R
+        # is one more delta term, and ``|field_of(R)|`` rounds reach every
+        # simple path of R, so the cold run's budget follows any commit.
+        r, t = shape.base, e.func.set_elem_type  # type: ignore[union-attr]
+        if r is not None and any(
+            alpha_equal(e, seeded_closure(r, field_of(r, t, t), base_expr, t, backward))
+            for backward in (False, True)
+        ):
+            return DeltaOp("fixpoint", e, children, step=step, shape=shape)
         return None
     if _bases_in(ctrl, bases) != _bases_in(base_expr, bases):
         # The iteration budget must read exactly the collections the seed
@@ -221,13 +248,9 @@ def _derive_fixpoint(e: ast.Apply, bases: frozenset[str]) -> Optional[DeltaOp]:
         # control set) stays fixed while the data grows, so a cold run's
         # round count can stop short of the fixpoint the continuation
         # reaches -- the build-time verification would pass on small data
-        # and diverge later.  The library's ``fix()`` shape (control =
-        # field of the seed relation) satisfies this exactly.
+        # and diverge later.
         return None
-    shape = analyze_step(step)
-    if shape is None:
-        return None
-    return DeltaOp("fixpoint", e, (derive(base_expr, bases),), step=step, shape=shape)
+    return DeltaOp("fixpoint", e, children, step=step, shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -252,21 +275,20 @@ def _plan_of(op: DeltaOp) -> PlanNode:
         n_terms = len(op.shape.terms)
         detail = f"{n_terms} frontier terms"
         annotations = ("semi-naive continuation", "delete-rederive")
-        # The deletion strategy, rendered as explicit sub-steps.  An indexed
-        # fixpoint (fix()'s self-join over projection chains) keeps counted
-        # two-sided indexes over the fixpoint itself: the over-deletion
-        # sweep walks the derivation cone by index probes and rederivation
-        # reads the remaining support counts.  Other accepted steps reuse
-        # the continuation's frontier terms for the sweep and re-prove
-        # survivors' one-step consequences with the step body.
-        if op.shape.self_join is not None:
-            annotations += ("bilinear-indexed",)
+        # The deletion strategy, rendered as explicit sub-steps.  A linear
+        # fixpoint counts its derivations over accumulator x base on dense
+        # ids: the over-deletion walks the derivation cone by index probes
+        # and rederivation reads the remaining support counts.  Other
+        # accepted steps reuse the continuation's frontier terms for the
+        # sweep and re-prove survivors' one-step consequences with the body.
+        if op.shape.linear is not None:
+            annotations += ("linear-indexed",)
             children.append(node("ivm-dred-overdelete",
                                  "indexed derivation cone, counts decremented",
                                  annotations=("derivation-cone", "indexed")))
             children.append(node("ivm-dred-rederive",
-                                 "surviving support counts + seed, then continuation",
-                                 annotations=("semi-naive continuation",)))
+                                 "surviving support counts + seed, base delta, continuation",
+                                 annotations=("counted continuation",)))
         else:
             children.append(node("ivm-dred-overdelete",
                                  f"{n_terms} frontier terms over old fixpoint",

@@ -29,11 +29,12 @@ Runtime state, per :class:`~repro.engine.incremental.delta.DeltaOp` node:
   re-derived) -- work scales with the affected derivation cone, not the
   result (see :meth:`MaterializedView._dred_fixpoint`).  An insert-only
   batch is that pass with nothing deleted, and the build is that pass from
-  an empty fixpoint with the seed inserted.  An *indexed* fixpoint (the
-  shape's ``self_join``, ``fix()``'s repeated squaring) runs the same pass
-  over counted two-sided indexes of its own output on dense ids
-  (:class:`_FlatIJoinState`), so it costs index probes over the derivation
-  cone, its build included;
+  an empty fixpoint with the seed inserted.  A *linear* fixpoint (the
+  shape's ``linear``: ``\\v. v U J(v, R)``, which is how a ``fix()`` is
+  maintained) runs the same pass over support counts on accumulator x ``R``
+  on dense ids (:class:`_LinearState`): a new tuple probes ``R``'s index,
+  a change to ``R`` probes the accumulator's, so it costs index probes over
+  the derivation cone, its build included;
 * a plan with any ``recompute`` node is not maintained node by node: the
   whole view runs in *recompute mode*, re-evaluating the template through
   the engine's vectorized backend on every relevant commit and diffing the
@@ -50,7 +51,7 @@ undone by a delete cancels) and the pending delta is spliced into the last
 rendered set, by bisection over cached sort keys
 (:meth:`~repro.engine.interning.InternTable.splice`), when and only when
 something reads it: :attr:`MaterializedView.value` / ``rows()`` /
-``refresh``, a recompute-mode diff, the generic (non-indexed)
+``refresh``, a recompute-mode diff, the generic (non-linear)
 fixpoint pass.  A commit therefore costs the derivation cone;
 a read costs O(|pending| log n) python steps plus one C-level copy and is
 free when nothing changed.  The property this rests on is that *a view is
@@ -106,7 +107,7 @@ class ViewStats(Counters):
     dred_applies: int = 0         # fixpoint deletions absorbed by delete/rederive
     dred_overdeletes: int = 0     # elements over-deleted across all DRed passes
     dred_rederives: int = 0       # over-deleted elements re-proved by rederivation
-    flat_index_applies: int = 0   # indexed-fixpoint passes served by dense-id codes
+    flat_index_applies: int = 0   # linear-fixpoint passes served by dense-id codes
     materializations: int = 0     # node outputs rendered (pending deltas folded on a read)
 
     def rows_touched(self) -> int:
@@ -153,10 +154,10 @@ class _NodeState:
         self.lindex: Optional[dict] = None
         self.rindex: Optional[dict] = None
         self.children: tuple["_NodeState", ...] = ()
-        #: The counted indexes of an indexed fixpoint, on dense ids; ``None``
-        #: (any other fixpoint, or one that left the pair domain) runs the
-        #: generic frontier-term passes.
-        self.flat: Optional["_FlatIJoinState"] = None
+        #: A linear fixpoint's counted state, on dense ids; ``None`` for any
+        #: other fixpoint (the generic frontier-term passes), or for a
+        #: linear one that left the pair domain (it recomputes itself).
+        self.flat: Optional["_LinearState"] = None
         #: A fixpoint's step runner, compiled by the engine's compiler: its
         #: ``resume`` builds and continues the fixpoint.
         self.runner = None
@@ -189,118 +190,92 @@ class _NodeState:
                 pending[v] = dc
 
 
-class _FlatIJoinState:
-    """The counted two-sided indexes of an indexed fixpoint, on dense ids.
+class _LinearState:
+    """The counted state of a linear fixpoint ``\\v. v U J(v, R)``, on dense ids.
 
-    The PR-7 flat representation applied to maintenance state: every element
-    of the fixpoint is a pair of interned values, carried as the packed code
-    ``(fst_dense_id << 32) | snd_dense_id``; join keys and derivation
-    outputs are projection chains, so a cone probe is dict lookups and
-    integer packing -- no environment binds, no compiled-closure calls, no
-    per-derivation pair interning.  Values are materialized only at the
-    boundaries (the elements that actually enter or leave the result).
+    Every element of the fixpoint and of ``R`` is a pair of interned values,
+    carried as the packed code ``(fst_dense_id << 32) | snd_dense_id``; the
+    join keys and the output are projection chains, so a probe is dict
+    lookups and integer packing -- no environment binds, no compiled-closure
+    calls, no per-derivation pair interning.  Values are materialized only
+    at the boundaries (the elements that actually enter or leave the result).
 
-    Built empty for a fixpoint the plan marks indexed and filled by the
-    node's one pass, ``MaterializedView._ijoin_dred``, over the seed; the
-    standing invariant is ``present = seeds U support(counts)``.  Any
-    element or key outside the flat pair domain makes a pass decline
-    (``None``) before the node's output moves, and the node continues on
-    the generic frontier-term pass, which is always sound.
+    ``counts`` holds, per derived code, its derivations over accumulator x
+    ``R``: pairs ``(a, b)`` of a code ``a`` of the fixpoint and ``b`` of
+    ``R`` whose keys meet.  ``acc`` indexes the fixpoint by its join key and
+    ``base`` indexes ``R`` by its own, so a tuple joining either side finds
+    its partners in one probe.  The standing invariant is ``present = seeds
+    U support(counts)``.  A code or key outside the pair domain raises
+    ``KeyError``; the pass that meets one is dropped with the state.
 
     It holds no value itself: every code it keeps names a pair of the
-    node's rendered output or pending delta (``present``, the counts and
-    index buckets), or of the seed child's output (``seeds``), and every
-    key id a part of one, so the node state holds what an intern-table
-    sweep must not free.
+    node's rendered output or pending delta (``present``, the counts and the
+    ``acc`` buckets) or of a child's output (``seeds``, the ``base``
+    buckets), and every key id a part of one, so the node state holds what
+    an intern-table sweep must not free.
     """
 
-    __slots__ = ("parts", "probe", "counts", "lindex", "rindex", "present",
-                 "seeds")
+    __slots__ = ("parts", "akey", "bkey", "outs", "counts", "acc", "base",
+                 "present", "seeds")
 
-    def __init__(self, parts: dict, spec):
+    def __init__(self, parts: dict, spec) -> None:
         self.parts = parts          # live pair-part view of the intern table
-        #: The self-join ``spec``'s probe plan (:attr:`FlatTermSpec.probe`):
-        #: whether each output component is over the left element, then the
-        #: left key, right key and output paths as (head step picks ``fst``,
-        #: the part walk after it) -- a one-step path, the closure's every
-        #: path, is a shift or a mask.
-        self.probe = spec.probe
-        self.counts: dict[int, int] = {}       # out code -> derivation count
-        self.lindex: dict[int, dict] = {}      # key id -> {element code}
-        self.rindex: dict[int, dict] = {}
-        self.present: set[int] = set()         # codes of the current fixpoint
-        self.seeds: set[int] = set()           # codes of the child (seed) set,
-                                               # maintained from batch deltas
+        # The spec's probe plan (:attr:`FlatTermSpec.probe`) re-read by role:
+        # each path is (head step picks ``fst``, the part walk after it), and
+        # each output component says whether the accumulator supplies it.
+        a_left, b_left, lk, rk, oa, ob = spec.probe
+        acc_left = spec.left == "delta"
+        self.akey, self.bkey = (lk, rk) if acc_left else (rk, lk)
+        self.outs = ((a_left == acc_left, oa), (b_left == acc_left, ob))
+        self.counts: dict[int, int] = {}    # out code -> derivation count
+        self.acc: dict[int, dict] = {}      # key id -> {fixpoint code}
+        self.base: dict[int, dict] = {}     # key id -> {code of R}
+        self.present: set[int] = set()      # codes of the current fixpoint
+        self.seeds: set[int] = set()        # codes of the seed child's output
 
-    def walk(self, d: int, rest) -> int:
-        """Follow the part steps ``rest`` from dense id ``d`` (KeyError on non-pair)."""
+    def part(self, code: int, path) -> int:
+        """Follow ``path`` from a pair code (``KeyError`` on a non-pair)."""
+        head, rest = path
+        d = code >> CODE_BITS if head else code & CODE_MASK
         parts = self.parts
         for step in rest:
             d = parts[d][0 if step == "f" else 1]
         return d
 
-    def count(self, code: int, sign: int, touched: list) -> None:
-        """Count the join derivations pairing ``code`` with the indexed fixpoint.
-
-        ``sign=+1`` indexes ``code`` *before* probing, so the self-derivation
-        is found exactly once (by the left-role probe); ``sign=-1`` probes
-        first and unindexes ``code`` last -- the exact mirror -- so walking a
-        set of removals decrements every derivation exactly once.  Each
-        derivation's output is appended to ``touched`` (with multiplicity);
-        callers use it as the next frontier.  A ``KeyError`` means a key
-        path hit a non-pair.
-        """
-        a_left, b_left, (lf, lrest), (rf, rrest), (af, arest), (bf, brest) = self.probe
-        walk = self.walk
-        lk = code >> CODE_BITS if lf else code & CODE_MASK
-        if lrest:
-            lk = walk(lk, lrest)
-        rk = code >> CODE_BITS if rf else code & CODE_MASK
-        if rrest:
-            rk = walk(rk, rrest)
-        counts, lindex, rindex = self.counts, self.lindex, self.rindex
+    def probe(self, code: int, on_acc: bool, sign: int, touched: list) -> None:
+        """Index (``+1``) or unindex (``-1``) ``code`` on its side, then
+        count its derivations against the other side's index, appending
+        each output to ``touched`` (with multiplicity): the next frontier."""
+        own, other = (self.acc, self.base) if on_acc else (self.base, self.acc)
+        k = self.part(code, self.akey if on_acc else self.bkey)
         if sign > 0:
-            lindex.setdefault(lk, {})[code] = None
-            rindex.setdefault(rk, {})[code] = None
-        # ``code`` joins as the left element against rindex[lk], then as the
-        # right one against lindex[rk]; each match derives one output code.
-        for left_role, matches in ((True, rindex.get(lk)), (False, lindex.get(rk))):
-            if not matches:
-                continue
-            for y in list(matches):
-                if not left_role and y == code:
-                    continue  # the self-pair was counted in the left role
-                a = code if a_left == left_role else y
-                a = a >> CODE_BITS if af else a & CODE_MASK
-                if arest:
-                    a = walk(a, arest)
-                b = code if b_left == left_role else y
-                b = b >> CODE_BITS if bf else b & CODE_MASK
-                if brest:
-                    b = walk(b, brest)
-                z = (a << CODE_BITS) | b
-                c = counts.get(z, 0) + sign
-                if c > 0:
-                    counts[z] = c
-                elif c == 0:
-                    counts.pop(z, None)
-                else:
-                    raise AssertionError(
-                        "negative fixpoint support count: a derivation "
-                        "was dropped twice"
-                    )
-                touched.append(z)
-        if sign < 0:
-            bucket = lindex.get(lk)
-            if bucket is not None:
-                bucket.pop(code, None)
-                if not bucket:
-                    del lindex[lk]
-            bucket = rindex.get(rk)
-            if bucket is not None:
-                bucket.pop(code, None)
-                if not bucket:
-                    del rindex[rk]
+            own.setdefault(k, {})[code] = None
+        else:
+            bucket = own[k]
+            del bucket[code]
+            if not bucket:
+                del own[k]
+        matches = other.get(k)
+        if not matches:
+            return
+        counts, part = self.counts, self.part
+        # An output component ``code`` supplies is the same for every match.
+        (fa, pa), (fb, pb) = self.outs
+        hi = part(code, pa) << CODE_BITS if fa == on_acc else None
+        lo = part(code, pb) if fb == on_acc else None
+        for y in matches:
+            z = ((part(y, pa) << CODE_BITS) if hi is None else hi) | (
+                part(y, pb) if lo is None else lo)
+            c = counts.get(z, 0) + sign
+            if c > 0:
+                counts[z] = c
+            elif c == 0:
+                del counts[z]
+            else:
+                raise AssertionError(
+                    "negative fixpoint support count: a derivation was dropped twice"
+                )
+            touched.append(z)
 
 
 class MaterializedView:
@@ -335,10 +310,9 @@ class MaterializedView:
         self._registry = None
         self._snapshot = None
         with engine.lock:
-            # The view maintains the *optimized* template, rewritten with
-            # the view rules: a query's rules minus the ones that would
-            # trade away a shape the delta state below is built for.
-            self.expr = engine.optimize_view(template)
+            # The view maintains the *optimized* template: the plan a query
+            # over it runs (a ``closure`` in it is maintained linearly).
+            self.expr = engine.optimize(template).optimized
             self._vec = engine._vec()
             self._it = self._vec.interner
             self._env = {k: self._it.intern(v) if isinstance(v, Value) else v
@@ -425,7 +399,14 @@ class MaterializedView:
                     stats.fallback_recomputes += 1
                 else:
                     try:
-                        root_delta = self._apply_node(self.plan_ops, self._root, changeset)
+                        # Each written base, interned once for every node
+                        # that reads it.
+                        it, deltas = self._it, {}
+                        for name in self.bases.intersection(changeset):
+                            d = changeset.get(name)
+                            deltas[name] = {it.intern(v): 1 for v in d.inserts}
+                            deltas[name].update((it.intern(v), -1) for v in d.deletes)
+                        root_delta = self._apply_node(self.plan_ops, self._root, deltas)
                     except BaseException:
                         # Half maintained: the bases above are this commit's,
                         # so a rebuild from them is the committed state.
@@ -563,19 +544,23 @@ class MaterializedView:
             st.out = self._eval_set(op.expr)
             return st
         if kind == "fixpoint":
-            # The node's one pass, from empty with the seed as the insertion.
-            st.runner = self._vec.compiler.step_runner(op.step, op.shape)
-            seed = st.children[0].out.elements
+            # The node's one pass, from empty with the seed (and a linear
+            # step's R) as the insertion.
             st.out = self._it.empty_set
-            if op.shape.self_join is not None:
-                st.flat = _FlatIJoinState(self._it.pair_parts(), op.shape.self_join)
-                if self._ijoin_dred(st, seed, ()) is not None:
-                    # Keyed on the codes: the cold run in ``_rebuild`` has
-                    # just interned this very set.
-                    st.out = self._it.set_from_pair_codes(st.flat.present)
-                    return st
+            seed = st.children[0].out.elements
+            if op.shape.linear is None:
+                st.runner = self._vec.compiler.step_runner(op.step, op.shape)
+                st.out = self._dred_fixpoint(op, st, seed, ())
+                return st
+            st.flat = _LinearState(self._it.pair_parts(), op.shape.linear)
+            if self._linear_pass(st, dict.fromkeys(seed, 1),
+                                 dict.fromkeys(st.children[1].out.elements, 1)) is None:
                 st.flat = None
-            st.out = self._dred_fixpoint(op, st, seed, ())
+                st.out = self._eval_set(op.expr)
+            else:
+                # Keyed on the codes: the cold run in ``_rebuild`` has just
+                # interned this very set.
+                st.out = self._it.set_from_pair_codes(st.flat.present)
             return st
         # A counted node writes its build's derivations straight into its
         # counts; its output is their support.
@@ -603,25 +588,20 @@ class MaterializedView:
 
     # -- delta propagation -----------------------------------------------------
 
-    def _apply_node(self, op: DeltaOp, st: _NodeState, cs: Changeset) -> SetDelta:
+    def _apply_node(self, op: DeltaOp, st: _NodeState, deltas: dict) -> SetDelta:
+        """One node's set-level delta for a commit's interned base ``deltas``."""
         kind = op.kind
         if kind == "static":
             return {}
         if kind == "base":
-            d = cs.get(op.source)
-            if d is None:
+            delta = deltas.get(op.source)
+            if delta is None:
                 return {}
-            it = self._it
-            delta: SetDelta = {}
-            for v in d.inserts:
-                delta[it.intern(v)] = 1
-            for v in d.deletes:
-                delta[it.intern(v)] = -1
             st.out = self._env[op.source]
             return delta
 
         child_deltas = [
-            self._apply_node(c, cst, cs) for c, cst in zip(op.children, st.children)
+            self._apply_node(c, cst, deltas) for c, cst in zip(op.children, st.children)
         ]
         if kind in ("map", "select", "ext"):
             (d,) = child_deltas
@@ -641,7 +621,7 @@ class MaterializedView:
         if kind == "join":
             return self._apply_join(op, st, child_deltas[0], child_deltas[1])
         if kind == "fixpoint":
-            return self._apply_fixpoint(op, st, child_deltas[0])
+            return self._apply_fixpoint(op, st, *child_deltas)
         raise AssertionError(f"unknown delta op kind {kind!r}")
 
     def _commit_counts(self, st: _NodeState, acc: SetDelta) -> SetDelta:
@@ -751,15 +731,14 @@ class MaterializedView:
         self.stats.seminaive_rounds += rounds
         return out
 
-    def _apply_fixpoint(self, op: DeltaOp, st: _NodeState, d: SetDelta) -> SetDelta:
-        if not d:
+    def _apply_fixpoint(self, op: DeltaOp, st: _NodeState, d: SetDelta,
+                        dr: Optional[SetDelta] = None) -> SetDelta:
+        if not (d or dr):
             return {}
-        ins = [v for v, dc in d.items() if dc > 0]
-        dels = [v for v, dc in d.items() if dc < 0]
         if st.flat is not None:
-            # The indexed pass knows its exact delta (what fell for good,
+            # The counted pass knows its exact delta (what fell for good,
             # what is genuinely new): no full-set diff, and no render.
-            moved = self._ijoin_dred(st, ins, dels)
+            moved = self._linear_pass(st, d, dr)
             if moved is not None:
                 self.stats.flat_index_applies += 1
                 pair = self._it.pair_from_ids
@@ -769,13 +748,17 @@ class MaterializedView:
                     delta[pair(c >> CODE_BITS, c & CODE_MASK)] = 1
                 st.moved(delta)
                 return delta
-            # A value outside the pair domain: drop the mirror for good.  The
-            # declined pass touched only the mirror, so ``st.out`` is still
-            # the pre-pass fixpoint and the generic pass below runs on it.
+            # A value outside the pair domain: drop the counts for good.  The
+            # declined pass touched only them, so ``st.out`` is still the
+            # pre-pass fixpoint, and the node recomputes itself from now on.
             st.flat = None
         it = self._it
         old = st.out
-        st.out = self._dred_fixpoint(op, st, ins, dels)
+        if op.shape.linear is not None:
+            st.out = self._eval_set(op.expr)
+        else:
+            st.out = self._dred_fixpoint(op, st, [v for v, dc in d.items() if dc > 0],
+                                         [v for v, dc in d.items() if dc < 0])
         delta: SetDelta = {}
         for v in it.difference(st.out, old).elements:
             delta[v] = 1
@@ -870,94 +853,81 @@ class MaterializedView:
                      if id(v) in seed_ids or id(v) in one_step_ids]
         return surviving, over, rederived
 
-    # -- indexed fixpoint (the self-join step of ``fix()``) --------------------
-    #
-    # The pass costs the derivation cone of the change -- index probes per
-    # touched element over ``_FlatIJoinState`` -- never a re-join or a
-    # per-round index rebuild.  It returns ``None`` instead when a value lies
-    # outside the pair domain, having touched only the mirror.
+    # -- linear fixpoint (``fix()``, maintained as the linear closure) -----------
 
-    def _flat_codes(self, flat: _FlatIJoinState, values) -> Optional[list]:
-        """Packed pair codes of interned values; ``None`` outside the domain."""
-        it = self._it
-        parts = flat.parts
-        codes: list = []
-        for v in values:
-            try:
-                pr = parts.get(it.dense_id(v))
-            except KeyError:
-                return None
-            if pr is None:
-                return None
-            codes.append((pr[0] << CODE_BITS) | pr[1])
-        return codes
-
-    def _ijoin_dred(self, st: _NodeState, ins, dels) -> Optional[tuple[list, list]]:
-        """Delete/rederive over the counted indexes (see ``_dred_fixpoint``).
+    def _linear_pass(self, st: _NodeState, d: SetDelta,
+                     dr: Optional[SetDelta]) -> Optional[tuple[list, list]]:
+        """Delete/rederive over the counts (see ``_dred_fixpoint``), for a
+        seed delta ``d`` and a delta ``dr`` of the step's relation ``R``.
 
         Same two passes as the generic DRed, at cone cost.  **Over-delete**:
-        walk every derivation through a deleted element by index probes,
-        unindexing each fallen element and decrementing the counts of the
-        derivations it carried -- when the walk ends, a fallen element's
-        remaining count is exactly its support among the survivors.
-        **Rederive**: the fallen elements still in the (already-maintained)
-        seed or with surviving support re-enter the indexed continuation,
-        together with the batch's insertions, which re-proves everything
-        they transitively support and re-counts each restored derivation
-        exactly once.  Returns the boundary as codes -- what fell for good,
-        what is genuinely new -- for the caller to decode: a batch renders
-        them as its delta, the build renders ``present`` once instead.
+        a deleted row of ``R`` leaves its index and decrements the
+        derivations it carried (probing the old fixpoint's index); those
+        outputs and the deleted seeds fall, and the walk follows every
+        derivation through a fallen code, unindexing it and decrementing the
+        counts it carried -- when the walk ends, a fallen code's remaining
+        count is exactly its support among the survivors and the new ``R``.
+        **Rederive**: the fallen codes still in the (already-maintained)
+        seed or with surviving support re-enter the counted continuation,
+        with the inserted seeds and the outputs of the inserted rows of
+        ``R`` against the survivors; each code joins the fixpoint, indexes
+        itself and probes ``R`` once, so every derivation is counted once.
+        Returns the boundary as codes -- what fell for good, what is
+        genuinely new -- for the caller to decode, or ``None`` when a value
+        lies outside the pair domain (having touched only the counts).
 
         With nothing deleted the over-delete walk is empty: an insert-only
-        batch is the indexed continuation alone, and the node's build is
-        this pass over the seed into a fresh :class:`_FlatIJoinState`.  The
-        ``dred_*`` counters count only batches that delete.
+        batch is the counted continuation alone, and the node's build is
+        this pass over the seed and ``R`` into a fresh :class:`_LinearState`.
+        The ``dred_*`` counters count only batches that delete.
         """
-        flat = st.flat
-        del_codes = self._flat_codes(flat, dels)
-        ins_codes = self._flat_codes(flat, ins)
-        if del_codes is None or ins_codes is None:
-            return None
-        # The seed-code cache replays the child's (already applied) delta --
-        # the membership tests below must not pay O(|seed|) per batch.
-        flat.seeds.difference_update(del_codes)
-        flat.seeds.update(ins_codes)
-        present, counts = flat.present, flat.counts
-        over: dict = {}
-        rounds = 0
+        lin = st.flat
+        present, counts, seeds, probe = lin.present, lin.counts, lin.seeds, lin.probe
+        parts, dense = lin.parts, self._it.dense_id
+
+        def codes(delta, sign):
+            out = []
+            for v, dc in delta.items():
+                if dc == sign:
+                    f, s = parts[dense(v)]
+                    out.append((f << CODE_BITS) | s)
+            return out
+
         try:
-            frontier = [c for c in del_codes if c in present]
-            while frontier:
+            s_ins, s_del = codes(d, 1), codes(d, -1)
+            r_ins, r_del = (codes(dr, 1), codes(dr, -1)) if dr else ((), ())
+            seeds.difference_update(s_del)
+            touched = [c for c in s_del if c in present]
+            for b in r_del:
+                probe(b, False, -1, touched)
+            over: dict = {}
+            rounds = 0
+            while touched:
                 rounds += 1
-                touched: list = []
+                frontier, touched = touched, []
                 for c in frontier:
-                    if c in over:
-                        continue
-                    over[c] = None
-                    flat.count(c, -1, touched)
-                frontier = [z for z in touched if z not in over]
-            seed_set = flat.seeds
-            rederived = [c for c in over
-                         if c in seed_set or counts.get(c, 0) > 0]
+                    if c not in over:
+                        over[c] = None
+                        probe(c, True, -1, touched)
             present.difference_update(over)
-            # The counted mirror of semi-naive iteration: a code joins the
-            # fixpoint, and the next frontier, when it arrives as seed or its
-            # support leaves zero, and is indexed and probed once.
+            seeds.update(s_ins)
+            touched = [c for c in over if c in seeds or c in counts]
+            touched += s_ins
+            for b in r_ins:
+                probe(b, False, 1, touched)
             added: list = []
-            frontier = [c for c in rederived + ins_codes if c not in present]
-            while frontier:
+            while touched:
                 rounds += 1
-                touched = []
+                frontier, touched = touched, []
                 for c in frontier:
                     if c not in present:
                         present.add(c)
                         added.append(c)
-                        flat.count(c, +1, touched)
-                frontier = [z for z in touched if z not in present]
+                        probe(c, True, 1, touched)
         except KeyError:
             return None
         self.stats.seminaive_rounds += rounds
-        if dels:
+        if s_del or r_del:
             self.stats.dred_applies += 1
             self.stats.dred_overdeletes += len(over)
             self.stats.dred_rederives += sum(1 for c in over if c in present)

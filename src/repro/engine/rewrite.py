@@ -34,7 +34,9 @@ the paper's expressiveness translations read as an optimization:
   derives exactly what the selection would keep.  An unconditional identity,
   cost-directed the other way round: depth ``Theta(log n)`` joins becomes
   ``Theta(n)`` rounds, work drops from the whole closure to the selected
-  part.  With ``p <= 2`` processors Brent's ``W/p + D`` is all work.
+  part.  With ``p <= 2`` processors Brent's ``W/p + D`` is all work.  The
+  seeded loop reads ``R`` once, linearly, so a materialized view keeps it as
+  a counted linear fixpoint (views and queries share one rule set).
 
 Rules live in a registry (:data:`DEFAULT_RULES`); a :class:`Rewriter` runs
 them bottom-up to a fixpoint and records every firing, which is what
@@ -439,14 +441,6 @@ STRUCTURAL_RULES: list[Rule] = [r for r in DEFAULT_RULES if r.name != "sri-to-dc
 #: verifies on a sampled carrier (complete, not sound -- see
 #: :meth:`Rewriter.combiner_is_acu`).
 COST_DIRECTED_RULES: list[Rule] = [r for r in DEFAULT_RULES if r.name == "sri-to-dcr"]
-
-#: What a materialized view's template is optimized with.  A view over
-#: ``fix().where(...)`` maintains the *squaring* step: its counted two-sided
-#: indexes recognise ``\\v. v U v o v``, whose step reads nothing but the
-#: accumulator.  The seeded loop's step reads the base relation itself, so a
-#: commit would change the step function, not just the seed, and the view
-#: would fall back to recomputing on every commit.
-VIEW_RULES: list[Rule] = [r for r in DEFAULT_RULES if r.name != "seed-closure"]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ The central decision is :func:`analyze_step`: a fixpoint step ``\\v. v U
 F(v)`` with ``F`` union-distributive only ever grows its accumulator, so
 each round needs to re-derive only from the previous round's new elements
 (the frontier).  Its :class:`StepShape` -- frontier terms, ``strict``, flat
-join specs, the indexed self-join -- is what the compiler's loop runs and
+join specs, the linear join -- is what the compiler's loop runs and
 what a view maintains, so the two can never disagree.  Every proof here is
 syntactic: no sampled algebraic gate is involved, so unlike the
 cost-directed rewrite rules these analyses never mis-fire.
@@ -19,7 +19,7 @@ cost-directed rewrite rules these analyses never mis-fire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -506,9 +506,11 @@ class StepShape:
     ``strict`` says round one is a frontier round too (no loop-invariant
     branch).  ``flat`` lowers the terms to flat join specs (``"copy"`` or a
     :class:`FlatTermSpec` per term) when every term allows it, else
-    ``None``.  ``self_join`` is the ``(delta, acc)`` spec of the bilinear
-    self-join ``\\v. v U (v >< v)`` -- the library's ``fix()`` -- when that
-    is the whole step (strict, so no loop-invariant branch), else ``None``.
+    ``None``.  ``linear`` is the one join spec of a *linear* step
+    ``\\v. v U J(v, R)`` -- the accumulator joined once against a relation
+    ``R`` that does not read it, as in :func:`repro.nra.derived.seeded_closure`
+    -- when that is the whole step (strict, so no loop-invariant branch) and
+    every path on ``R``'s side projects, else ``None``.
     """
 
     var: str
@@ -516,7 +518,13 @@ class StepShape:
     terms: tuple[Expr, ...]
     strict: bool
     flat: Optional[tuple] = None
-    self_join: Optional[FlatTermSpec] = None
+    linear: Optional[FlatTermSpec] = None
+
+    @property
+    def base(self) -> Optional[Expr]:
+        """The relation ``R`` a linear step joins the accumulator against."""
+        s = self.linear
+        return None if s is None else (s.left_src if s.left == "inv" else s.right_src)
 
 
 def _binds(e: Expr, name: str) -> bool:
@@ -526,25 +534,20 @@ def _binds(e: Expr, name: str) -> bool:
     return any(_binds(c, name) for c in e.children())
 
 
-def _self_join(
-    step: ast.Lambda, strict: bool, flat: Optional[tuple]
-) -> Optional[FlatTermSpec]:
-    """The ``(delta, acc)`` spec when the only other join is its mirror:
-    ``J(delta, acc) U J(acc, delta)``, the frontier terms of ``J(v, v)``.
-    A binder that shadows the accumulator is refused, and so is a step that
-    is not strict: the frontier terms skip a loop-invariant branch, and the
-    view's indexed rederivation would drop what that branch adds."""
-    if flat is None or not strict:
+def _linear(step: ast.Lambda, strict: bool, flat: Optional[tuple]) -> Optional[FlatTermSpec]:
+    """The spec of the step's one join when it pairs the frontier with an
+    invariant relation whose rows are pairs (every path on its side
+    projects), the step is strict and no binder shadows the accumulator."""
+    if flat is None or not strict or _binds(step.body, step.var):
         return None
     joins = [s for s in flat if s != "copy"]
-    if len(joins) != 2 or _binds(step.body, step.var):
+    if len(joins) != 1 or {joins[0].left, joins[0].right} != {"delta", "inv"}:
         return None
-    for s in joins:
-        if (s.left, s.right) == ("delta", "acc") and (
-            replace(s, left="acc", right="delta") in joins
-        ):
-            return s
-    return None
+    s = joins[0]
+    inv_left = s.left == "inv"
+    paths = [s.lkey if inv_left else s.rkey]
+    paths += [path for side, path in (s.out_a, s.out_b) if (side == "l") == inv_left]
+    return s if all(paths) else None
 
 
 def analyze_step(step: Expr) -> Optional[StepShape]:
@@ -564,5 +567,5 @@ def analyze_step(step: Expr) -> Optional[StepShape]:
     flat = analyze_flat_terms(terms, step.var, dv)
     flat = None if flat is None else tuple(flat)
     return StepShape(
-        step.var, dv, tuple(terms), strict, flat, _self_join(step, strict, flat)
+        step.var, dv, tuple(terms), strict, flat, _linear(step, strict, flat)
     )

@@ -38,6 +38,7 @@ from .ast import (
     Union,
     Var,
     alpha_equal,
+    free_variables,
     fresh_name,
 )
 
@@ -226,7 +227,7 @@ def match_closure(e: Expr) -> Optional[tuple[Expr, Type]]:
     return (r, base) if alpha_equal(e, closure(r, base)) else None
 
 
-def seeded_closure(r: Var, nodes: Expr, seed: Expr, base: Type, backward: bool = False) -> Expr:
+def seeded_closure(r: Expr, nodes: Expr, seed: Expr, base: Type, backward: bool = False) -> Expr:
     """The part of ``closure(r)`` grown from ``seed``, one edge per round.
 
     ``loop(\\rr. rr U rr o r)(nodes, seed)`` -- or ``rr U r o rr`` when
@@ -237,8 +238,10 @@ def seeded_closure(r: Var, nodes: Expr, seed: Expr, base: Type, backward: bool =
     reach every path the logarithmic one's ``ceil(log(n+1))`` squarings do.
     The accumulator is the outer source of the join in both directions, so a
     semi-naive backend streams the frontier and probes an index on ``r``.
+    ``seeded_closure(r, field_of(r), r)`` is ``closure(r)`` itself, grown
+    linearly: what a materialized view maintains for a ``fix()``.
     """
-    acc = "rr" if r.name != "rr" else fresh_name("rr")
+    acc = "rr" if "rr" not in free_variables(r) else fresh_name("rr")
     grown = (
         compose(r, Var(acc), base, stream_right=True)
         if backward

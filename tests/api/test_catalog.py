@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.api import Catalog, Changeset, Database, Q
 from repro.objects.types import BASE, BOOL, ProdType, SetType
-from repro.objects.values import SetVal, from_python, to_python
+from repro.objects.values import SetVal, from_python, sort_key, to_python
 from repro.relational.database import OrderedDatabase
 from repro.relational.relation import Relation
 from repro.workloads.graphs import path_graph
@@ -115,6 +115,9 @@ def test_commits_place_rows_by_bisection_like_a_set_model(initial, commits):
                                and len(got.deletes) == len(want_dels))
         model = (model - want_dels) | want_ins
         assert db["edges"].elements == from_python(frozenset(model)).elements
+        # The element keys a commit bisects were edited with the same cuts.
+        live, keys = db._keys.get("edges", (db["edges"], None))
+        assert live is db["edges"] and keys in (None, [sort_key(v) for v in live.elements])
 
 
 def test_ill_typed_insert_is_refused_wherever_it_sorts():
@@ -125,3 +128,5 @@ def test_ill_typed_insert_is_refused_wherever_it_sorts():
     with pytest.raises(KeyError):
         db.insert("nodes", [(1, 2)])
     assert db["edges"] == from_python({(1, 2), (3, 4)})
+    db.insert("edges", [(2, 3), (0, 9)])  # a refused commit left no stale keys
+    assert db["edges"] == from_python({(0, 9), (1, 2), (2, 3), (3, 4)})

@@ -29,7 +29,7 @@ from repro.engine import DenseIdLimitError
 from repro.engine.interning import InternTable
 from repro.engine.vectorized import BatchContext, flat
 from repro.nra.ast import (
-    Apply, Const, EmptySet, Eq, If, Lambda, LogLoop, Pair, Proj1, Proj2, Singleton, Union,
+    Apply, Const, EmptySet, Eq, If, Lambda, Loop, Pair, Proj1, Proj2, Singleton, Union,
     Var,
 )
 from repro.nra.derived import compose, ext_apply, field_of, nest, unnest
@@ -374,18 +374,23 @@ class TestFlatIndexedView:
 
     def test_fix_view_with_nested_key_paths(self):
         # Nodes are pairs and the join keys reach two levels in:
-        # pi2(pi2 x) = pi1(pi1 y).  The counted indexes walk those paths
-        # through the pair parts, and must keep the cold run's value.
+        # pi2(pi2 x) = pi1(pi1 y), the accumulator's x against y in a
+        # constant chain.  The counted indexes walk those paths through the
+        # pair parts, and must keep the cold run's value as the seed moves
+        # (a budget of at least 20 rounds: the chain is 4 joins deep).
         node = ProdType(BASE, BASE)
         elem = ProdType(node, node)
         rel = SetType(elem)
         x, y = Var("x"), Var("y")
+        edges = {((a, a + 1), (a + 1, a + 2)) for a in range(8)}
+        chain = Const(from_python(edges), rel)
         join = ext_apply(Lambda("x", elem, ext_apply(Lambda("y", elem, If(
             Eq(Proj2(Proj2(x)), Proj1(Proj1(y))),
-            Singleton(Pair(Proj1(x), Proj2(y))), EmptySet(elem))), Var("rr"))), Var("rr"))
+            Singleton(Pair(Proj1(x), Proj2(y))), EmptySet(elem))), chain)), Var("rr"))
         step = Lambda("rr", rel, Union(Var("rr"), join))
-        q = Q.raw(Apply(LogLoop(step, node), Pair(field_of(Var("pe"), node, node), Var("pe"))), rel)
-        edges = {((a, a + 1), (a + 1, a + 2)) for a in range(8)}
+        budget = Union(field_of(Var("pe"), node, node),
+                       Const(from_python({(i, i) for i in range(20)}), SetType(node)))
+        q = Q.raw(Apply(Loop(step, node), Pair(budget, Var("pe"))), rel)
         db = Database("g").register("pe", from_python(edges), type=rel)
         view = connect(db).materialize(q, name="tc")
         rng = random.Random(5)

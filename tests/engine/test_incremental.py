@@ -24,7 +24,7 @@ from repro.engine import Engine
 from repro.engine.incremental.delta import derive, maintenance_plan
 from repro.nra import ast
 from repro.nra.ast import Lambda, Singleton, Var
-from repro.nra.derived import compose, ext_apply, select
+from repro.nra.derived import compose, ext_apply, field_of, select
 from repro.nra.errors import NRAEvalError
 from repro.nra.externals import ExternalFunction, Signature
 from repro.objects.types import BASE, ProdType, SetType
@@ -359,7 +359,7 @@ class TestDRed:
         view = session.materialize(expr)
         fix = next(n for n in view.maintenance_plan().walk()
                    if n.op == "ivm-fixpoint")
-        assert "bilinear-indexed" not in fix.annotations
+        assert "linear-indexed" not in fix.annotations
         db.delete("edges", [(1, 2)])
         assert_matches_cold(session, view, expr)
         assert view.rows() == {(0, 1), (1, 0), (2, 3), (3, 2)}
@@ -385,7 +385,7 @@ class TestDRed:
         view = session.materialize(expr)
         fix = next(n for n in view.maintenance_plan().walk()
                    if n.op == "ivm-fixpoint")
-        assert "bilinear-indexed" not in fix.annotations
+        assert "linear-indexed" not in fix.annotations
         assert len(view.value.elements) == 64
         db.delete("edges", [(3, 4)])
         assert_matches_cold(session, view, expr)
@@ -439,20 +439,34 @@ def _symmetric_closure():
     return ast.Apply(ast.Loop(step, BASE), ast.Pair(Var("edges"), Var("edges")))
 
 
-#: (case, the fixpoint, engine options or None for the bare plan, indexed).
-SELF_JOIN_CASES = [
+def _linear_closure(backward=False, log=False, budget=None):
+    """``loop(\\rr. rr U rr o edges)(field_of(edges), edges)`` -- or
+    ``edges o rr``, a ``log_loop``, or another round budget -- written out."""
+    grown = compose(Var("edges"), Var("rr"), BASE, stream_right=True) if backward else compose(
+        Var("rr"), Var("edges"), BASE)
+    step = Lambda("rr", REL_T, ast.Union(Var("rr"), grown))
+    it = (ast.LogLoop if log else ast.Loop)(step, BASE)
+    ctrl = field_of(Var("edges"), BASE, BASE) if budget is None else budget
+    return ast.Apply(it, ast.Pair(ctrl, Var("edges")))
+
+
+#: (case, the fixpoint, engine options or None for the bare plan, linear).
+LINEAR_CASES = [
     ("fix", lambda: Q.coll("edges").fix(), {}, True),
     ("fix-object-kernels", lambda: Q.coll("edges").fix(), {"flat": False}, True),
+    ("rr-o-edges", _linear_closure, {}, True),
+    ("edges-o-rr", lambda: _linear_closure(backward=True), {}, True),
+    ("against-a-constant", lambda: _join_fixpoint(
+        right=ast.Const(from_python({(1, 2), (2, 3)}), REL_T)), None, True),
+    ("hand-written-squaring", _join_fixpoint, None, False),
     ("keys-right-to-left", lambda: _join_fixpoint(
-        cond=ast.Eq(ast.Proj1(Var("q")), ast.Proj2(Var("p")))), None, True),
+        cond=ast.Eq(ast.Proj1(Var("q")), ast.Proj2(Var("p")))), None, False),
     ("symmetric-closure", _symmetric_closure, None, False),
     ("keys-on-constructed-pairs", lambda: _join_fixpoint(cond=ast.Eq(
         ast.Pair(ast.Proj2(Var("p")), ast.Proj2(Var("p"))),
         ast.Pair(ast.Proj1(Var("q")), ast.Proj1(Var("q"))))), None, False),
     ("one-component-output", lambda: _join_fixpoint(out=ast.Proj1(Var("p"))),
      None, False),
-    ("against-a-constant", lambda: _join_fixpoint(
-        right=ast.Const(from_python({(1, 2), (2, 3)}), REL_T)), None, False),
     ("binder-shadows-the-accumulator", lambda: _join_fixpoint(inner="rr"),
      None, False),
     ("a-loop-invariant-branch", _with_constant_branch, None, False),
@@ -460,11 +474,11 @@ SELF_JOIN_CASES = [
 
 
 @pytest.mark.parametrize(
-    "make, engine_options, indexed",
-    [case[1:] for case in SELF_JOIN_CASES],
-    ids=[case[0] for case in SELF_JOIN_CASES],
+    "make, engine_options, linear",
+    [case[1:] for case in LINEAR_CASES],
+    ids=[case[0] for case in LINEAR_CASES],
 )
-def test_which_fixpoint_steps_are_indexed_self_joins(make, engine_options, indexed):
+def test_which_fixpoint_steps_are_linear_indexed(make, engine_options, linear):
     if engine_options is None:
         plan = maintenance_plan(make(), frozenset({"edges"}))
     else:
@@ -472,11 +486,31 @@ def test_which_fixpoint_steps_are_indexed_self_joins(make, engine_options, index
         view = session.materialize(make())
         plan = view.maintenance_plan()
         session.db.insert("edges", [(5, 0)])
-        # The index serves the commit whatever kernels the engine runs.
+        # The counts serve the commit whatever kernels the engine runs.
         assert view.stats.flat_index_applies == 1
         assert_matches_cold(session, view, make())
     fix = next(n for n in plan.walk() if n.op == "ivm-fixpoint")
-    assert ("bilinear-indexed" in fix.annotations) is indexed
+    assert ("linear-indexed" in fix.annotations) is linear
+
+
+def _swapped_join_over_edges():
+    """A linear join against the edges that is no compose: ``(snd q, fst p)``."""
+    step = _join_fixpoint(out=ast.Pair(ast.Proj2(Var("q")), ast.Proj1(Var("p"))),
+                          right=Var("edges")).func.step
+    return ast.Apply(ast.Loop(step, BASE),
+                     ast.Pair(field_of(Var("edges"), BASE, BASE), Var("edges")))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _linear_closure(log=True),
+    lambda: _linear_closure(budget=Var("edges")),
+    _swapped_join_over_edges,
+], ids=["log-loop", "budget-not-field-of", "not-a-compose"])
+def test_a_linear_step_over_a_base_needs_a_loop_over_its_field(make):
+    # The step reads the edges: only seeded_closure's ``loop`` over
+    # ``field_of(edges)`` is proven to reach the least fixpoint whatever a
+    # commit does.
+    assert "ivm-recompute" in maintenance_plan(make(), frozenset({"edges"})).ops()
 
 
 @pytest.mark.dred
@@ -511,7 +545,7 @@ def test_a_generic_view_continues_through_the_compilers_loop():
     session = connect(db)
     view = session.materialize(expr)
     fix = next(n for n in view.maintenance_plan().walk() if n.op == "ivm-fixpoint")
-    assert "bilinear-indexed" not in fix.annotations
+    assert "linear-indexed" not in fix.annotations
     assert_matches_cold(session, view, expr)
     stats = session.engine._vec().stats
     before = stats.flat_fixpoints
@@ -573,7 +607,7 @@ def _recorded(view) -> list:
 @pytest.mark.parametrize("make", [
     lambda: Q.coll("edges").fix(),
     lambda: Q.coll("edges").compose(Q.coll("edges")),
-    next(c[1] for c in SELF_JOIN_CASES if c[0] == "keys-on-constructed-pairs"),
+    next(c[1] for c in LINEAR_CASES if c[0] == "keys-on-constructed-pairs"),
 ], ids=["fix", "compose", "generic-fixpoint"])
 def test_a_built_view_and_a_grown_view_agree(make):
     # A build is a commit from empty: a view built on D and one built on an
@@ -656,6 +690,31 @@ class TestDRedHonestyBoundary:
         assert_matches_cold(session, view, q)
         assert view.stats.fallback_recomputes == 1
         assert view.stats.dred_applies == 0
+
+
+@pytest.mark.dred
+def test_a_fix_view_on_a_cycle_deletes_and_reinserts_an_edge_without_recomputing():
+    # The cycle probe's steps, counted (no timing): on cycle(32) every node
+    # reaches every node, so one deleted edge over-deletes the whole
+    # closure; the view still follows each step by its counted pass.
+    db = fresh_graph_db(32, "cycle")
+    session = connect(db)
+    q = Q.coll("edges").fix()
+    view = session.materialize(q)
+    assert len(view) == 32 * 32
+    db.delete("edges", [(7, 8)])
+    assert_matches_cold(session, view, q)
+    assert len(view) == 32 * 31 // 2
+    db.insert("edges", [(7, 8)])
+    assert_matches_cold(session, view, q)
+    assert len(view) == 32 * 32
+    assert view.stats.fallback_recomputes == 0
+    assert view.stats.flat_index_applies == 2
+    assert view.stats.dred_applies == 1
+    # Linear counting over-deletes what a path through (7, 8) derives, and
+    # rederives the tuples whose own paths avoid it.
+    assert view.stats.dred_overdeletes == 32 * 32
+    assert view.stats.dred_rederives == 32 * 31 // 2
 
 
 class TestDeletionStreamOracle:

@@ -86,10 +86,10 @@ def kept_ids(engine, views=()) -> set:
             if flat is None:
                 continue
             codes = [*flat.present, *flat.counts, *flat.seeds,
-                     *(c for index in (flat.lindex, flat.rindex)
+                     *(c for index in (flat.acc, flat.base)
                        for bucket in index.values() for c in bucket)]
-            ids.update(flat.lindex)
-            ids.update(flat.rindex)
+            ids.update(flat.acc)
+            ids.update(flat.base)
             ids.update(c >> CODE_BITS for c in codes)
             ids.update(c & ((1 << CODE_BITS) - 1) for c in codes)
     return ids

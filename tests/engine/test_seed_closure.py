@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.api import Changeset, Q, connect
 from repro.engine import Engine
-from repro.engine.rewrite import DEFAULT_RULES, VIEW_RULES, Rewriter
+from repro.engine.rewrite import DEFAULT_RULES, Rewriter
 from repro.nra.ast import (
     Apply,
     BlogLoop,
@@ -302,17 +302,22 @@ def test_flat_select_against_an_unbound_or_function_variable_falls_back():
 
 
 # ---------------------------------------------------------------------------
-# Views keep the squaring template
+# Views maintain the seeded loop a query runs
 # ---------------------------------------------------------------------------
 
 @pytest.mark.ivm
 def test_view_over_selected_closure_stays_in_delta_mode():
-    assert [r.name for r in DEFAULT_RULES if r not in VIEW_RULES] == ["seed-closure"]
     db = graph_database(10, "path", mutable=True)
     query = Q.coll("edges").fix().where(lambda e: e.fst == 2)
     with connect(db) as session:
         view = session.materialize(query)
-        assert "ivm-fixpoint" in view.maintenance_plan().ops()
+        template = query.elaborate(db.schema()).expr
+        # One rule set: the view maintains the plan a query runs, and the
+        # seeded loop reads the edges linearly, so it is a counted fixpoint.
+        assert "seed-closure" in session.engine.explain(template).fired_rules
+        assert isinstance(view.expr.func, Loop)  # seeded, not squared
+        fix = next(n for n in view.maintenance_plan().walk() if n.op == "ivm-fixpoint")
+        assert "linear-indexed" in fix.annotations
         assert "ivm-recompute" not in view.maintenance_plan().ops()
         db.apply(Changeset.of(edges=([(9, 0), (4, 7)], [])))
         assert view.value == session.execute(query).value
@@ -321,10 +326,7 @@ def test_view_over_selected_closure_stays_in_delta_mode():
         assert view.value == session.execute(query).value
         assert view.rows() == frozenset({(2, 3), (2, 4), (2, 7), (2, 8), (2, 9)})
         assert view.stats.delta_applies == 2
+        assert view.stats.flat_index_applies == 2
         assert view.stats.fallback_recomputes == 0
-        # The query path, meanwhile, is seeded -- and explain's incremental
-        # view shows what the view maintains, not what a query runs.
-        template = query.elaborate(db.schema()).expr
-        assert "seed-closure" in session.engine.explain(template).fired_rules
         ivm = session.engine.explain_plan(template, backend="incremental")
         assert "ivm-recompute" not in ivm.ops()

@@ -176,12 +176,12 @@ class World:
                 flat = node.flat
                 if flat is not None:
                     codes = [*flat.present, *flat.counts, *flat.seeds,
-                             *(c for side in (flat.lindex, flat.rindex)
+                             *(c for side in (flat.acc, flat.base)
                                for b in side.values() for c in b)]
                     named.update(c >> 32 for c in codes)
                     named.update(c & 0xFFFFFFFF for c in codes)
-                    named.update(flat.lindex)
-                    named.update(flat.rindex)
+                    named.update(flat.acc)
+                    named.update(flat.base)
         freed = sorted(d for d in named if by_dense[d] is None)
         assert not freed, f"live structures name freed dense ids {freed[:8]}"
 

@@ -59,3 +59,24 @@ def test_every_step_is_timed_and_the_tree_is_restored(workload):
     assert _patched() == before
     assert BatchContext.field_of is field_of
     assert compiler.flat_select is flat_select
+
+
+def test_the_commit_split_times_every_commit_step_and_restores_the_tree():
+    from repro.api.catalog import Database
+
+    before = (Database._normalize, Engine.advance, InternTable.splice,
+              BatchContext.carry, InternTable.sweep)
+    steps = front_door_probe.probe(ROOT, "ivm_churn", reads=30, warm=6, commits=True)
+    views = ["apply reach", "apply two_hop"]
+    assert list(steps) == [*front_door_probe.COMMIT_STEPS, *views, "other", "sum", "op",
+                           "share"]
+    # Every commit normalizes, advances the snapshot (splice, then carry)
+    # and maintains both views; a sweep is rare, so its median is 0.
+    for step in ("normalize", "advance", "splice", "carry", *views):
+        assert 0 < steps[step] < steps["op"], step
+    assert steps["splice"] + steps["carry"] <= steps["advance"]
+    assert 0.9 < sum(steps["share"][s] for s in ("normalize", "advance", *views, "other")) < 1.1
+    assert (Database._normalize, Engine.advance, InternTable.splice,
+            BatchContext.carry, InternTable.sweep) == before
+    with pytest.raises(ValueError):
+        front_door_probe.probe(ROOT, "tc_inproc", reads=5, warm=1, commits=True)

@@ -2,6 +2,7 @@
 
     python tools/front_door_probe.py [TREE] [--workload adhoc_cold] [--reads 3000]
                                      [--warm 200] [--seed 1] [--half insert|delete]
+    python tools/front_door_probe.py [TREE] --workload ivm_churn --commits [--reads 3000]
 
 The in-process twin of ``tools/hop_probe.py``.  Imports ``repro`` from
 ``TREE/src`` and the workload from ``TREE/perf/workloads.py`` (default: this
@@ -42,6 +43,19 @@ the same command on two trees -- alternately, nothing else running --
 compares them.  Every op's rows are checked against the workload's closed
 form (``ivm_churn``: its cycle's answer with the batch in or out), outside
 the timing.
+
+With ``--commits`` (``ivm_churn`` only) the op is the write instead of the
+read -- cycle ``i // 2``'s insert or delete, its read untimed and checked --
+and the steps are the commit's (each with its share of all the commits'
+time, which names a step that is rare but dear, like a sweep):
+
+* ``normalize``: ``Database._normalize``, the changeset netted against the
+  live rows and the new canonical rows;
+* ``advance``: ``Engine.advance``, the engine's snapshot moved to them, with
+  ``splice`` (``InternTable.splice``), ``carry`` (``BatchContext.carry``)
+  and ``sweep`` (``InternTable.sweep``) inside it, not added to the sum;
+* ``apply <view>``: that view's ``MaterializedView.apply``, its maintenance;
+* ``other``: the rest of the commit (locks, changeset, snapshot, notify).
 """
 
 from __future__ import annotations
@@ -59,15 +73,23 @@ ROOT = Path(__file__).resolve().parent.parent
 STEPS = ("elaborate", "recognize", "bind", "plan lookup", "loop", "materialize", "field",
          "select", "run", "fetch", "other")
 WORKLOADS = ("adhoc_cold", "tc_inproc", "ivm_churn", "nested_objects")
+#: ``--commits``: the commit's steps before the views' ``apply <name>``;
+#: ``splice``, ``carry`` and ``sweep`` run inside ``advance``.
+COMMIT_STEPS = ("normalize", "advance", "splice", "carry", "sweep")
+INSIDE_ADVANCE = ("splice", "carry", "sweep")
 
 
 def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
-          half: str = "") -> dict:
+          half: str = "", commits: bool = False) -> dict:
     """Median microseconds per step and per op, over ``reads`` timed ops
-    (with ``half``, over those of them that read after an insert or a delete)."""
+    (with ``half``, over those of them that read after an insert or a delete;
+    with ``commits``, of the writes, plus each step's ``share`` of them)."""
+    if commits and workload != "ivm_churn":
+        raise ValueError("--commits times ivm_churn's writes; other workloads write nothing")
     for path in (tree / "perf", tree / "src"):
         sys.path.insert(0, str(path))
     import repro
+    import repro.api.catalog as catalog
     import repro.api.cursor as cursor
     import repro.api.query as query
     import repro.api.session as session
@@ -87,8 +109,11 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
     def timed(owner, attr: str, step: str, within: str = "", outside: tuple = ()):
         """Time ``owner.attr`` as ``step``: only its outermost calls, with
         ``within`` only those made inside that step, and with ``outside``
-        none made inside any of those."""
-        original = getattr(owner, attr)
+        none made inside any of those.  ``None`` when the tree has no
+        ``owner.attr``."""
+        original = getattr(owner, attr, None)
+        if original is None:
+            return None
 
         def wrapper(*args, **kwargs):
             if (step in active or (within and within not in active)
@@ -108,7 +133,7 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
         setattr(owner, attr, wrapper)
         return owner, attr, original
 
-    patches = [
+    patches = [] if commits else [
         timed(query.Query, "elaborate", "elaborate"),
         timed(session.Session, "_template_of", "recognize"),
         timed(session.Session, "_bind", "bind"),
@@ -146,26 +171,49 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
             return w.read(i)
 
         expected = w.expected
+    steps_of = STEPS
     samples: dict = {step: [] for step in (*STEPS, "op", "rounds", "us_per_round")}
     wrong = 0
     try:
         w.setup()
+        if commits:
+            views = getattr(w, "views", {})
+            steps_of = (*COMMIT_STEPS, *(f"apply {name}" for name in views), "other")
+            samples = {step: [] for step in (*steps_of, "op")}
+            patches += [
+                timed(catalog.Database, "_normalize", "normalize"),
+                timed(engine.Engine, "advance", "advance"),
+                *(timed(owner, step, step, within="advance") for owner, step in (
+                    (interning.InternTable, "splice"), (batch.BatchContext, "carry"),
+                    (interning.InternTable, "sweep"))),
+                *(timed(view, "apply", f"apply {name}") for name, view in views.items()),
+            ]
         try:
             for i in range(warm + reads):
-                write(i)  # untimed
+                if not commits:
+                    write(i)  # untimed
                 spent.clear()
                 rounds[0] = 0
                 t0 = perf_counter()
-                rows = read(i)
-                op = perf_counter() - t0
+                if commits:
+                    write(i)
+                    op = perf_counter() - t0
+                    rows = read(i)  # untimed
+                else:
+                    rows = read(i)
+                    op = perf_counter() - t0
                 wrong += not w.check(i, rows, expected(i))
                 if i < warm or (half and i % 2 != (half == "delete")):
                     continue
-                steps = {step: spent.get(step, 0.0) for step in STEPS[:-1]}
-                steps["recognize"] -= steps["elaborate"]  # it ran inside
-                steps["run"] -= (steps["loop"] + steps["materialize"] + steps["field"]
-                                 + steps["select"])
-                steps["other"] = op - sum(steps.values())
+                steps = {step: spent.get(step, 0.0) for step in steps_of[:-1]}
+                if commits:
+                    steps["other"] = op - sum(s for step, s in steps.items()
+                                              if step not in INSIDE_ADVANCE)
+                else:
+                    steps["recognize"] -= steps["elaborate"]  # it ran inside
+                    steps["run"] -= (steps["loop"] + steps["materialize"] + steps["field"]
+                                     + steps["select"])
+                    steps["other"] = op - sum(steps.values())
                 for step, s in steps.items():
                     samples[step].append(s)
                 samples["op"].append(op)
@@ -175,10 +223,19 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
         finally:
             w.teardown()
     finally:
-        for owner, attr, original in patches:
-            setattr(owner, attr, original)
+        for patch in patches:
+            if patch is not None:
+                setattr(*patch)
     if wrong:
         raise RuntimeError(f"{workload}: {wrong} ops returned wrong rows")
+    if commits:
+        medians = {step: statistics.median(samples[step]) * 1e6 for step in steps_of}
+        total = sum(samples["op"])
+        return medians | {
+            "sum": sum(m for step, m in medians.items() if step not in INSIDE_ADVANCE),
+            "op": statistics.median(samples["op"]) * 1e6,
+            "share": {step: sum(samples[step]) / total for step in steps_of},
+        }
     medians = {step: statistics.median(samples[step]) * 1e6 for step in STEPS}
     return medians | {
         "sum": sum(medians.values()),
@@ -197,13 +254,24 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--half", choices=("insert", "delete"), default="",
                     help="ivm_churn: time only the reads after an insert or a delete")
+    ap.add_argument("--commits", action="store_true",
+                    help="ivm_churn: time the commits instead of the reads")
     args = ap.parse_args()
+    if args.commits and args.workload != "ivm_churn":
+        ap.error("--commits needs --workload ivm_churn")
     steps = probe(Path(args.tree).resolve(), args.workload, args.reads, args.warm, args.seed,
-                  args.half)
-    for step in (*STEPS, "sum", "op"):
-        print(f"{step:<14}{steps[step]:9.1f} us")
-    print(f"{'rounds/op':<14}{steps['rounds']:9.1f}")
-    print(f"{'per round':<14}{steps['us_per_round']:9.2f} us")
+                  args.half, args.commits)
+    if args.commits:
+        for step, share in steps["share"].items():
+            indent = "  " if step in INSIDE_ADVANCE else ""
+            print(f"{indent + step:<18}{steps[step]:9.1f} us  {share:6.1%}")
+        for step in ("sum", "op"):
+            print(f"{step:<18}{steps[step]:9.1f} us")
+    else:
+        for step in (*STEPS, "sum", "op"):
+            print(f"{step:<14}{steps[step]:9.1f} us")
+        print(f"{'rounds/op':<14}{steps['rounds']:9.1f}")
+        print(f"{'per round':<14}{steps['us_per_round']:9.2f} us")
     print(json.dumps(steps))
     return 0
 
