@@ -381,12 +381,13 @@ class Session:
     ) -> MaterializedView:
         """Create a :class:`MaterializedView` maintained under database updates.
 
-        The query is elaborated, its result computed once, and a maintenance
-        plan compiled (delta rules where they are syntactic theorems,
-        recompute fallbacks elsewhere -- ``view.maintenance_plan()`` shows
-        which).  The view is registered with the session's database: every
-        subsequent ``insert``/``delete``/``apply`` commit refreshes it before
-        returning, and the session's stats aggregate the maintenance work
+        The query is elaborated and a maintenance plan compiled (delta rules
+        where they are syntactic theorems, recompute fallbacks elsewhere --
+        ``view.maintenance_plan()`` shows which); the view's state is that
+        plan's pass from empty, or one cold run for a recompute view.  The
+        view is registered with the session's database: every subsequent
+        ``insert``/``delete``/``apply`` commit refreshes it before returning,
+        and the session's stats aggregate the maintenance work
         (``delta_applies``, ``fallback_recomputes``, ``view_rows_touched``,
         and the delete/rederive counters ``dred_overdeletes`` /
         ``dred_rederives``).

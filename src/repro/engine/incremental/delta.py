@@ -35,37 +35,35 @@ approximate rule.  The accepted shapes, and the rules they get:
     both sides survive the deletion of one.
 
 ``fixpoint``
-    ``apply(loop/log_loop(step), (ctrl, base))`` where
-    :func:`repro.engine.shapes.analyze_step` gives the step a shape -- the
-    *same* analysis that makes the compiler's loop semi-naive, so a view is
-    fixpoint-maintainable iff its loop runs semi-naively, and the node holds
-    the :class:`~repro.engine.shapes.StepShape` itself.  Deletions run
-    **delete/rederive** (DRed): over-delete every derivation through a
-    deleted element, re-prove the still-supported survivors, continue
-    semi-naively (the ``ivm-dred-*`` nodes under the fixpoint in the
-    rendered plan).  A **linear** step (``StepShape.linear``: ``\\v. v U
-    J(v, R)``, one join of the accumulator against a relation ``R`` that
-    does not read it) is maintained by counting: ``R`` is the node's second
-    child, maintained like any other, and the view keeps support counts over
-    accumulator x ``R`` with the accumulator indexed on its join key and
-    ``R`` on its own, on dense ids -- a new tuple probes ``R``'s index, a
-    change to ``R`` is one more delta term that probes the accumulator's.
-    This is counting/DRed for linear recursion (Gupta, Mumick and
-    Subrahmanian, SIGMOD 1993).  A step that reads a mutable collection is
-    accepted only as :func:`~repro.nra.derived.seeded_closure`'s own loop,
-    ``rr U rr o R`` or ``rr U R o rr`` under a ``loop`` over
-    ``field_of(R)``: ``|field_of(R)|`` rounds reach every simple path of
-    ``R``, so the cold run's budget can never stop short of the least
-    fixpoint whatever a commit does.
-    ``closure(R)`` -- Example 7.1's repeated squaring, the library's
-    ``fix()`` -- is maintained as the equal linear
+    ``apply(loop(step), (field_of(R), seed))`` where ``step`` is
+    :func:`~repro.nra.derived.seeded_closure`'s, ``rr U rr o R`` or ``rr U
+    R o rr``, and ``R`` reads a mutable collection.  The node maintains the
+    *least* fixpoint and the template means the loop's bounded rounds, so
+    they are one value only where the budget is a theorem at every
+    database state; nothing checks it at build.  This one is
+    (``shapes``: "Fixpoint budgets"): ``|field_of(R)|`` rounds reach every
+    simple path of ``R`` from every seed.
+    :func:`~repro.engine.shapes.analyze_step` gives the step its shape --
+    the *same* analysis that makes the compiler's loop semi-naive -- and its
+    join spec (``StepShape.linear``); ``R`` is the node's second child,
+    maintained like any other.  The view keeps support counts over accumulator x ``R``
+    with the accumulator indexed on its join key and ``R`` on its own, on
+    dense ids -- a new tuple probes ``R``'s index, a change to ``R`` is one
+    more delta term that probes the accumulator's -- and deletions run
+    **delete/rederive** (DRed) over them: over-delete every derivation
+    through a deleted element, re-prove the still-supported survivors,
+    continue (the ``ivm-dred-*`` nodes under the fixpoint in the rendered
+    plan).  This is counting/DRed for linear recursion (Gupta, Mumick and
+    Subrahmanian, SIGMOD 1993).  ``closure(R)`` -- Example 7.1's repeated
+    squaring, the library's ``fix()`` -- is maintained as the equal linear
     ``seeded_closure(R, field_of(R), R)``: squaring buys logarithmic depth
     with extra work, and a commit pays only the work (each closure tuple has
-    one derivation per in-edge instead of one per intermediate node).  Every
-    other accepted step -- a hand-written squaring loop, say -- runs DRed
-    over the generic frontier terms, continued on the compiler's step
-    runner.  Both are sound for exactly the accepted grammar, which is why
-    no *extra* analysis gates them.
+    one derivation per in-edge instead of one per intermediate node).
+    Every other loop -- a squaring ``closure`` does not match, a step
+    reading a constant, another join, a map over the accumulator, another
+    budget -- is ``recompute``: a budget fixed while the data grows, or one
+    over a collection that shrinks, can stop short of the fixpoint the
+    passes reach.
 
 ``static``
     any subexpression mentioning no mutable collection: evaluated once,
@@ -93,9 +91,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...nra import ast
-from ...nra.ast import Expr, alpha_equal, free_variables, substitute
+from ...nra.ast import Expr, free_variables, substitute
 from ...nra.derived import field_of, match_closure, seeded_closure
-from ..shapes import StepShape, analyze_step, match_join
+from ..shapes import (
+    StepShape, analyze_step, is_linear_closure, match_join,
+)
 from ..vectorized.plan import PlanNode, node
 
 #: The maintenance-rule vocabulary (``DeltaOp.kind`` ranges over these).
@@ -122,9 +122,8 @@ class DeltaOp:
     lkey: Optional[Expr] = None
     rkey: Optional[Expr] = None
     out: Optional[Expr] = None
-    #: ``fixpoint``: the step lambda and its shape (frontier variable and
-    #: terms, flat specs, and the join spec of a linear fixpoint).
-    step: Optional[ast.Lambda] = None
+    #: ``fixpoint``: the step's shape (frontier terms, flat specs, and the
+    #: join spec of the linear step).
     shape: Optional[StepShape] = None
 
     def walk(self):
@@ -141,13 +140,9 @@ class DeltaOp:
         return "recompute" not in self.kinds()
 
 
-def _bases_in(e: Expr, bases: frozenset[str]) -> frozenset[str]:
-    return free_variables(e) & bases
-
-
 def derive(e: Expr, bases: frozenset[str]) -> DeltaOp:
     """Compile the delta-maintenance plan for ``e`` over mutable ``bases``."""
-    if not _bases_in(e, bases):
+    if not free_variables(e) & bases:
         return DeltaOp("static", e)
     if isinstance(e, ast.Var):
         return DeltaOp("base", e, source=e.name)
@@ -219,38 +214,19 @@ def _derive_ext(e: ast.Apply, bases: frozenset[str]) -> DeltaOp:
 
 def _derive_fixpoint(e: ast.Apply, bases: frozenset[str]) -> Optional[DeltaOp]:
     step = e.func.step  # type: ignore[union-attr]
-    ctrl, base_expr = e.arg.fst, e.arg.snd  # type: ignore[union-attr]
     if not isinstance(step, ast.Lambda):
         return None
     shape = analyze_step(step)
-    if shape is None:
+    if shape is None or shape.linear is None:
         return None
-    children = (derive(base_expr, bases),)
-    if shape.linear is not None:
-        children += (derive(shape.base, bases),)
-    if (free_variables(step.body) - {step.var}) & bases:
-        # The step reads a mutable collection, so a commit changes the step
-        # function itself.  Accepted only as ``seeded_closure``'s own loop,
-        # ``rr U rr o R`` (or ``R o rr``) over ``field_of(R)``: a change to R
-        # is one more delta term, and ``|field_of(R)|`` rounds reach every
-        # simple path of R, so the cold run's budget follows any commit.
-        r, t = shape.base, e.func.set_elem_type  # type: ignore[union-attr]
-        if r is not None and any(
-            alpha_equal(e, seeded_closure(r, field_of(r, t, t), base_expr, t, backward))
-            for backward in (False, True)
-        ):
-            return DeltaOp("fixpoint", e, children, step=step, shape=shape)
+    # The passes reach the least fixpoint: the cold run must provably reach
+    # it too, whatever a commit does (``shapes``: "Fixpoint budgets").  A
+    # commit changes the step itself: a change to R is one more term.
+    if not ((free_variables(step.body) - {step.var}) & bases
+            and is_linear_closure(e, shape.base)):
         return None
-    if _bases_in(ctrl, bases) != _bases_in(base_expr, bases):
-        # The iteration budget must read exactly the collections the seed
-        # reads.  A budget over extra collections could change without the
-        # continuation seeing it; a budget over *fewer* (e.g. a constant
-        # control set) stays fixed while the data grows, so a cold run's
-        # round count can stop short of the fixpoint the continuation
-        # reaches -- the build-time verification would pass on small data
-        # and diverge later.
-        return None
-    return DeltaOp("fixpoint", e, children, step=step, shape=shape)
+    children = (derive(e.arg.snd, bases), derive(shape.base, bases))  # type: ignore[union-attr]
+    return DeltaOp("fixpoint", e, children, shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -275,27 +251,17 @@ def _plan_of(op: DeltaOp) -> PlanNode:
         n_terms = len(op.shape.terms)
         detail = f"{n_terms} frontier terms"
         annotations = ("semi-naive continuation", "delete-rederive")
-        # The deletion strategy, rendered as explicit sub-steps.  A linear
-        # fixpoint counts its derivations over accumulator x base on dense
-        # ids: the over-deletion walks the derivation cone by index probes
-        # and rederivation reads the remaining support counts.  Other
-        # accepted steps reuse the continuation's frontier terms for the
-        # sweep and re-prove survivors' one-step consequences with the body.
-        if op.shape.linear is not None:
-            annotations += ("linear-indexed",)
-            children.append(node("ivm-dred-overdelete",
-                                 "indexed derivation cone, counts decremented",
-                                 annotations=("derivation-cone", "indexed")))
-            children.append(node("ivm-dred-rederive",
-                                 "surviving support counts + seed, base delta, continuation",
-                                 annotations=("counted continuation",)))
-        else:
-            children.append(node("ivm-dred-overdelete",
-                                 f"{n_terms} frontier terms over old fixpoint",
-                                 annotations=("derivation-cone",)))
-            children.append(node("ivm-dred-rederive",
-                                 "seed + one-step support, then continuation",
-                                 annotations=("semi-naive continuation",)))
+        # The deletion strategy, rendered as explicit sub-steps: the node
+        # counts its derivations over accumulator x base on dense ids, the
+        # over-deletion walks the derivation cone by index probes and
+        # rederivation reads the remaining support counts.
+        annotations += ("linear-indexed",)
+        children.append(node("ivm-dred-overdelete",
+                             "indexed derivation cone, counts decremented",
+                             annotations=("derivation-cone", "indexed")))
+        children.append(node("ivm-dred-rederive",
+                             "surviving support counts + seed, base delta, continuation",
+                             annotations=("counted continuation",)))
     elif op.kind == "recompute":
         annotations = ("fallback",)
     return node(f"ivm-{op.kind}", detail, *children, annotations=annotations)

@@ -18,23 +18,15 @@ Runtime state, per :class:`~repro.engine.incremental.delta.DeltaOp` node:
   ``k`` elements probes in ``O(k * matches)`` instead of re-joining, and
   the build is the right side, then the left side, probed into empty
   indexes;
-* ``fixpoint`` nodes hold the current fixpoint set and the compiler's step
-  runner for the node's :class:`~repro.engine.shapes.StepShape`, and run
-  one pass per batch, **delete/rederive** (DRed): an over-deletion pass
-  propagates the deleted elements through the loop's frontier terms to drop
-  everything with a derivation through a deleted element, a rederivation
-  pass re-proves the over-deleted elements still supported by the
-  survivors, and the runner continues semi-naively *from the new frontier*
-  (the survivors are the accumulator, so converged work is never
-  re-derived) -- work scales with the affected derivation cone, not the
-  result (see :meth:`MaterializedView._dred_fixpoint`).  An insert-only
-  batch is that pass with nothing deleted, and the build is that pass from
-  an empty fixpoint with the seed inserted.  A *linear* fixpoint (the
-  shape's ``linear``: ``\\v. v U J(v, R)``, which is how a ``fix()`` is
-  maintained) runs the same pass over support counts on accumulator x ``R``
-  on dense ids (:class:`_LinearState`): a new tuple probes ``R``'s index,
-  a change to ``R`` probes the accumulator's, so it costs index probes over
-  the derivation cone, its build included;
+* ``fixpoint`` nodes (a linear closure ``\\v. v U J(v, R)``, how a
+  ``fix()`` is maintained) hold support counts on accumulator x ``R`` on
+  dense ids (:class:`_LinearState`) and run one **delete/rederive** (DRed)
+  pass over them per batch: over-delete everything with a derivation
+  through a deleted element, re-prove the over-deleted elements the
+  survivors still support, and continue semi-naively *from the new
+  frontier* -- work scales with the affected derivation cone, not the
+  result.  An insert-only batch is that pass with nothing deleted, and the
+  build is that pass from empty with the seed and ``R`` inserted;
 * a plan with any ``recompute`` node is not maintained node by node: the
   whole view runs in *recompute mode*, re-evaluating the template through
   the engine's vectorized backend on every relevant commit and diffing the
@@ -51,28 +43,27 @@ undone by a delete cancels) and the pending delta is spliced into the last
 rendered set, by bisection over cached sort keys
 (:meth:`~repro.engine.interning.InternTable.splice`), when and only when
 something reads it: :attr:`MaterializedView.value` / ``rows()`` /
-``refresh``, a recompute-mode diff, the generic (non-linear)
-fixpoint pass.  A commit therefore costs the derivation cone;
+``refresh``, a recompute-mode diff, a fixpoint that left the pair
+domain.  A commit therefore costs the derivation cone;
 a read costs O(|pending| log n) python steps plus one C-level copy and is
 free when nothing changed.  The property this rests on is that *a view is
 read less often than its bases are written*; a reader after every commit
 pays one splice per commit where an eager output paid one merge.
 ``len(view)`` is kept from the root delta and renders nothing.
 
-All per-element evaluation (ext bodies, join keys, outputs,
-frontier terms) and every fixpoint continuation runs through closures and
-step runners compiled by the engine's
+All per-element evaluation (ext bodies, join keys, outputs) runs through
+closures compiled by the engine's
 :class:`~repro.engine.vectorized.compiler.PlanCompiler`, so a view shares the
 engine's compile cache and intern table, and all state mutation happens under
 the engine lock (the same contract every backend follows).
 
 Exactness.  The maintained value is defined to equal a cold
 ``engine.run(template)`` after every changeset; the differential maintenance
-oracle in ``tests/property/test_backend_differential.py`` enforces this.  For
-fixpoint nodes the initial build *verifies* the equality once (the semi-naive
-least fixpoint against the cold evaluation, whose iteration budget could in
-principle stop short of convergence); a view whose cold value is not a
-fixpoint degrades to whole-view recompute mode instead of serving a superset.
+oracle in ``tests/property/test_backend_differential.py`` enforces this.  A
+fixpoint node maintains the *least* fixpoint, accepted only where the loop's
+budget provably reaches it at every database state (:mod:`.delta`), so a
+build is the maintenance pass from empty: no cold run verifies it.  Only a
+recompute-mode view evaluates the template cold.
 See DESIGN.md ("when maintenance loses") for the cost model.
 """
 
@@ -142,7 +133,7 @@ class _NodeState:
     """
 
     __slots__ = ("it", "stats", "rendered", "pending", "counts", "lindex",
-                 "rindex", "children", "flat", "runner")
+                 "rindex", "children", "flat")
 
     def __init__(self, it, stats: ViewStats) -> None:
         self.it = it          # the engine's intern table (renders splice there)
@@ -154,13 +145,9 @@ class _NodeState:
         self.lindex: Optional[dict] = None
         self.rindex: Optional[dict] = None
         self.children: tuple["_NodeState", ...] = ()
-        #: A linear fixpoint's counted state, on dense ids; ``None`` for any
-        #: other fixpoint (the generic frontier-term passes), or for a
-        #: linear one that left the pair domain (it recomputes itself).
+        #: A fixpoint's counted state, on dense ids; ``None`` once it left
+        #: the pair domain (it recomputes itself).
         self.flat: Optional["_LinearState"] = None
-        #: A fixpoint's step runner, compiled by the engine's compiler: its
-        #: ``resume`` builds and continues the fixpoint.
-        self.runner = None
 
     @property
     def out(self) -> Optional[SetVal]:
@@ -191,63 +178,52 @@ class _NodeState:
 
 
 class _LinearState:
-    """The counted state of a linear fixpoint ``\\v. v U J(v, R)``, on dense ids.
+    """The counted state of a linear fixpoint, on dense ids.
 
+    The step is :func:`~repro.nra.derived.seeded_closure`'s, ``rr U rr o R``
+    or (``backward``) ``rr U R o rr`` -- the one linear step a view accepts.
     Every element of the fixpoint and of ``R`` is a pair of interned values,
-    carried as the packed code ``(fst_dense_id << 32) | snd_dense_id``; the
-    join keys and the output are projection chains, so a probe is dict
-    lookups and integer packing -- no environment binds, no compiled-closure
-    calls, no per-derivation pair interning.  Values are materialized only
-    at the boundaries (the elements that actually enter or leave the result).
+    carried as the packed code ``(fst_dense_id << 32) | snd_dense_id``, and
+    a derivation composes a left factor ``x`` with a right factor ``y``
+    where ``snd x = fst y`` into ``(fst x, snd y)``: a probe is dict lookups
+    and bit arithmetic -- no environment binds, no compiled-closure calls,
+    no per-derivation pair interning.  Values are made only at the
+    boundaries (the elements that actually enter or leave the result).
 
     ``counts`` holds, per derived code, its derivations over accumulator x
     ``R``: pairs ``(a, b)`` of a code ``a`` of the fixpoint and ``b`` of
     ``R`` whose keys meet.  ``acc`` indexes the fixpoint by its join key and
     ``base`` indexes ``R`` by its own, so a tuple joining either side finds
     its partners in one probe.  The standing invariant is ``present = seeds
-    U support(counts)``.  A code or key outside the pair domain raises
-    ``KeyError``; the pass that meets one is dropped with the state.
+    U support(counts)``.
 
-    It holds no value itself: every code it keeps names a pair of the
-    node's rendered output or pending delta (``present``, the counts and the
-    ``acc`` buckets) or of a child's output (``seeds``, the ``base``
-    buckets), and every key id a part of one, so the node state holds what
-    an intern-table sweep must not free.
+    It holds no value itself, and what it names stays alive without it.
+    Every code in ``present`` -- and in the counts and the ``acc`` buckets
+    -- is built from parts of the current seed's and ``R``'s elements (by
+    induction over the derivations), ``seeds`` and the ``base`` buckets name
+    those elements themselves, and every key id is a part of one.  The
+    children's outputs hold those elements (rendered, or pending in their
+    deltas), so an intern-table sweep frees none of these ids.
     """
 
-    __slots__ = ("parts", "akey", "bkey", "outs", "counts", "acc", "base",
-                 "present", "seeds")
+    __slots__ = ("backward", "counts", "acc", "base", "present", "seeds")
 
-    def __init__(self, parts: dict, spec) -> None:
-        self.parts = parts          # live pair-part view of the intern table
-        # The spec's probe plan (:attr:`FlatTermSpec.probe`) re-read by role:
-        # each path is (head step picks ``fst``, the part walk after it), and
-        # each output component says whether the accumulator supplies it.
-        a_left, b_left, lk, rk, oa, ob = spec.probe
-        acc_left = spec.left == "delta"
-        self.akey, self.bkey = (lk, rk) if acc_left else (rk, lk)
-        self.outs = ((a_left == acc_left, oa), (b_left == acc_left, ob))
+    def __init__(self, spec) -> None:
+        # ``R o rr`` joins the accumulator on its fst: it is the right factor.
+        self.backward = (spec.lkey if spec.left == "delta" else spec.rkey) == ("f",)
         self.counts: dict[int, int] = {}    # out code -> derivation count
         self.acc: dict[int, dict] = {}      # key id -> {fixpoint code}
         self.base: dict[int, dict] = {}     # key id -> {code of R}
         self.present: set[int] = set()      # codes of the current fixpoint
         self.seeds: set[int] = set()        # codes of the seed child's output
 
-    def part(self, code: int, path) -> int:
-        """Follow ``path`` from a pair code (``KeyError`` on a non-pair)."""
-        head, rest = path
-        d = code >> CODE_BITS if head else code & CODE_MASK
-        parts = self.parts
-        for step in rest:
-            d = parts[d][0 if step == "f" else 1]
-        return d
-
     def probe(self, code: int, on_acc: bool, sign: int, touched: list) -> None:
         """Index (``+1``) or unindex (``-1``) ``code`` on its side, then
         count its derivations against the other side's index, appending
         each output to ``touched`` (with multiplicity): the next frontier."""
         own, other = (self.acc, self.base) if on_acc else (self.base, self.acc)
-        k = self.part(code, self.akey if on_acc else self.bkey)
+        left = on_acc != self.backward  # ``code`` is the left factor
+        k = code & CODE_MASK if left else code >> CODE_BITS
         if sign > 0:
             own.setdefault(k, {})[code] = None
         else:
@@ -258,14 +234,14 @@ class _LinearState:
         matches = other.get(k)
         if not matches:
             return
-        counts, part = self.counts, self.part
-        # An output component ``code`` supplies is the same for every match.
-        (fa, pa), (fb, pb) = self.outs
-        hi = part(code, pa) << CODE_BITS if fa == on_acc else None
-        lo = part(code, pb) if fb == on_acc else None
-        for y in matches:
-            z = ((part(y, pa) << CODE_BITS) if hi is None else hi) | (
-                part(y, pb) if lo is None else lo)
+        if left:
+            hi = code >> CODE_BITS << CODE_BITS
+            derived = [hi | (y & CODE_MASK) for y in matches]
+        else:
+            lo = code & CODE_MASK
+            derived = [(y >> CODE_BITS << CODE_BITS) | lo for y in matches]
+        counts = self.counts
+        for z in derived:
             c = counts.get(z, 0) + sign
             if c > 0:
                 counts[z] = c
@@ -275,7 +251,7 @@ class _LinearState:
                 raise AssertionError(
                     "negative fixpoint support count: a derivation was dropped twice"
                 )
-            touched.append(z)
+        touched += derived
 
 
 class MaterializedView:
@@ -320,9 +296,7 @@ class MaterializedView:
             self.plan_ops = derive(self.expr, self.bases)
             # Delta mode needs a fully non-recompute plan over a set result.
             self.recompute_only = not self.plan_ops.maintainable()
-            self._root = _NodeState(self._it, self.stats)
-            self._root.out = self._it.empty_set
-            self._rebuild()
+            self._build()
 
     # -- public surface --------------------------------------------------------
 
@@ -502,25 +476,25 @@ class MaterializedView:
         return (f"<MaterializedView {self.name!r} mode={mode} "
                 f"rows={len(self)} applies={self.stats.delta_applies}>")
 
-    def _rebuild(self) -> ViewDelta:
-        """Re-evaluate from the current bases; the diff against what was served."""
-        it = self._it
-        old = self._root.out
-        new = expect_set(
-            self._vec.run(self.expr, env=self._env),
-            f"view {self.name!r}",
-        )
-        if not self.recompute_only:
-            self._root = self._init_node(self.plan_ops)
-            # Where the maintenance semantics (least fixpoints) disagrees
-            # with the cold evaluation, serve the cold value and recompute
-            # from now on.
-            self.recompute_only = self._root.out != new
+    def _build(self) -> None:
+        """The view's state from the current bases: in delta mode the
+        maintenance build alone, each node's pass from empty, which equals a
+        cold run by the budget proofs (:mod:`.delta`) without running one."""
         if self.recompute_only:
-            self._root = _NodeState(it, self.stats)
-            self._root.out = new
-        self._size = len(new.elements)
+            root = _NodeState(self._it, self.stats)
+            root.out = expect_set(self._vec.run(self.expr, env=self._env),
+                                  f"view {self.name!r}")
+        else:
+            root = self._init_node(self.plan_ops)
+        self._root = root
+        self._size = len(root.out.elements)
         self._rebuild_due = False
+
+    def _rebuild(self) -> ViewDelta:
+        """Rebuild from the current bases; the diff against what was served."""
+        old = self._root.out
+        self._build()
+        new, it = self._root.out, self._it
         return ViewDelta(it.difference(new, old).elements, it.difference(old, new).elements)
 
     def _commit_root(self, root_delta: SetDelta) -> ViewDelta:
@@ -544,22 +518,15 @@ class MaterializedView:
             st.out = self._eval_set(op.expr)
             return st
         if kind == "fixpoint":
-            # The node's one pass, from empty with the seed (and a linear
-            # step's R) as the insertion.
-            st.out = self._it.empty_set
+            # The node's one pass, from empty with the seed and R as the
+            # insertion.
             seed = st.children[0].out.elements
-            if op.shape.linear is None:
-                st.runner = self._vec.compiler.step_runner(op.step, op.shape)
-                st.out = self._dred_fixpoint(op, st, seed, ())
-                return st
-            st.flat = _LinearState(self._it.pair_parts(), op.shape.linear)
+            st.flat = _LinearState(op.shape.linear)
             if self._linear_pass(st, dict.fromkeys(seed, 1),
                                  dict.fromkeys(st.children[1].out.elements, 1)) is None:
                 st.flat = None
                 st.out = self._eval_set(op.expr)
             else:
-                # Keyed on the codes: the cold run in ``_rebuild`` has just
-                # interned this very set.
                 st.out = self._it.set_from_pair_codes(st.flat.present)
             return st
         # A counted node writes its build's derivations straight into its
@@ -723,14 +690,6 @@ class MaterializedView:
 
     # -- fixpoint --------------------------------------------------------------
 
-    def _resume(self, st: _NodeState, acc: SetVal, frontier: SetVal) -> SetVal:
-        """Semi-naive rounds from ``acc`` with ``frontier`` to the least
-        fixpoint containing ``acc``: the node's step runner, the loop a
-        query runs, re-entered where the old result stopped."""
-        out, rounds = st.runner.resume(self._env, acc, frontier)
-        self.stats.seminaive_rounds += rounds
-        return out
-
     def _apply_fixpoint(self, op: DeltaOp, st: _NodeState, d: SetDelta,
                         dr: Optional[SetDelta] = None) -> SetDelta:
         if not (d or dr):
@@ -749,16 +708,12 @@ class MaterializedView:
                 st.moved(delta)
                 return delta
             # A value outside the pair domain: drop the counts for good.  The
-            # declined pass touched only them, so ``st.out`` is still the
+            # declined pass touched nothing, so ``st.out`` is still the
             # pre-pass fixpoint, and the node recomputes itself from now on.
             st.flat = None
         it = self._it
         old = st.out
-        if op.shape.linear is not None:
-            st.out = self._eval_set(op.expr)
-        else:
-            st.out = self._dred_fixpoint(op, st, [v for v, dc in d.items() if dc > 0],
-                                         [v for v, dc in d.items() if dc < 0])
+        st.out = self._eval_set(op.expr)
         delta: SetDelta = {}
         for v in it.difference(st.out, old).elements:
             delta[v] = 1
@@ -766,124 +721,43 @@ class MaterializedView:
             delta[v] = -1
         return delta
 
-    def _dred_fixpoint(self, op: DeltaOp, st: _NodeState, ins, dels) -> SetVal:
-        """Delete/rederive (DRed): the fixpoint node's one pass, every batch.
-
-        **Over-deletion.**  Starting from the deleted seed elements, apply
-        the loop's frontier terms with the *old* fixpoint as the accumulator
-        and the freshly over-deleted elements as the frontier, until nothing
-        new falls: because the step is union-distributive, the terms cover
-        exactly the derivations touching the frontier, so the pass collects
-        every element with *some* derivation through a deleted element (an
-        over-approximation -- alternative support is ignored on purpose,
-        which is what breaks cyclic self-support).  The terms are monotone
-        in both slots, so the survivors ``R = old \\ over`` provably all lie
-        in the new least fixpoint.
-
-        **Rederivation.**  An over-deleted element is still derivable iff it
-        is in the maintained seed or one step of the loop body away from
-        ``R``; those plus the batch's insertions re-enter the ordinary
-        semi-naive continuation (:meth:`_resume`), which re-proves everything
-        they transitively support.  The over-deletion sweep is a loop of its
-        own: it pins the accumulator at the old fixpoint.  Work scales with
-        the affected derivation cone, not the result; when the cone *is* the
-        result (a hub deletion) DRed degenerates to roughly one recompute
-        plus the over-deletion sweep -- see DESIGN.md, "when maintenance
-        loses".
-
-        With nothing deleted, neither pass runs: an insert-only batch is the
-        continuation from the inserted frontier, and the node's build is
-        this pass from an empty fixpoint with the seed inserted -- the
-        runner's loop from the seed, as a query runs it.
-        """
-        it = self._it
-        old = st.out
-        surviving, over, rederived = old, {}, []
-        if dels:
-            surviving, over, rederived = self._dred_cut(op, st, old, dels)
-        frontier = it.difference(it.mkset(rederived + list(ins)), surviving)
-        out = self._resume(st, it.union(surviving, frontier), frontier)
-        if dels:
-            out_ids = set(map(id, out.elements))
-            self.stats.dred_applies += 1
-            self.stats.dred_overdeletes += len(over)
-            self.stats.dred_rederives += sum(1 for v in over if id(v) in out_ids)
-        return out
-
-    def _dred_cut(self, op: DeltaOp, st: _NodeState, old: SetVal, dels):
-        """DRed's first two passes: ``(survivors, over-deleted, rederived)``."""
-        it = self._it
-        env = self._env
-        old_ids = set(map(id, old.elements))
-        # -- over-deletion pass ------------------------------------------------
-        over: dict = dict.fromkeys(v for v in dels if id(v) in old_ids)
-        frontier = it.mkset(over)
-        over_ids = set(map(id, over))
-        term_fns = [self._fn(t) for t in op.shape.terms]
-        var, dv = op.shape.var, op.shape.delta_var
-        vtok, dtok = bind(env, var), bind(env, dv)
-        try:
-            env[var] = old
-            while frontier.elements:
-                self.stats.seminaive_rounds += 1
-                env[dv] = frontier
-                fell: list[Value] = []
-                for fn in term_fns:
-                    for y in expect_set(fn(env), "dred over-deletion term").elements:
-                        if id(y) in old_ids and id(y) not in over_ids:
-                            over[y] = None
-                            over_ids.add(id(y))
-                            fell.append(y)
-                frontier = it.mkset(fell)
-        finally:
-            unbind(env, dv, dtok)
-            unbind(env, var, vtok)
-        surviving = it.difference(old, it.mkset(over))
-        # -- rederivation pass -------------------------------------------------
-        seed = st.children[0].out  # already maintained: this batch applied
-        seed_ids = set(map(id, seed.elements))
-        vtok = bind(env, var)
-        try:
-            env[var] = surviving
-            one_step = expect_set(self._fn(op.step.body)(env), "dred rederivation step")
-        finally:
-            unbind(env, var, vtok)
-        one_step_ids = set(map(id, one_step.elements))
-        rederived = [v for v in over
-                     if id(v) in seed_ids or id(v) in one_step_ids]
-        return surviving, over, rederived
-
     # -- linear fixpoint (``fix()``, maintained as the linear closure) -----------
 
     def _linear_pass(self, st: _NodeState, d: SetDelta,
                      dr: Optional[SetDelta]) -> Optional[tuple[list, list]]:
-        """Delete/rederive over the counts (see ``_dred_fixpoint``), for a
-        seed delta ``d`` and a delta ``dr`` of the step's relation ``R``.
+        """Delete/rederive (DRed) over the counts: the fixpoint node's one
+        pass, for a seed delta ``d`` and a delta ``dr`` of the step's
+        relation ``R``.
 
-        Same two passes as the generic DRed, at cone cost.  **Over-delete**:
-        a deleted row of ``R`` leaves its index and decrements the
-        derivations it carried (probing the old fixpoint's index); those
-        outputs and the deleted seeds fall, and the walk follows every
-        derivation through a fallen code, unindexing it and decrementing the
-        counts it carried -- when the walk ends, a fallen code's remaining
-        count is exactly its support among the survivors and the new ``R``.
-        **Rederive**: the fallen codes still in the (already-maintained)
-        seed or with surviving support re-enter the counted continuation,
+        **Over-delete**: a deleted row of ``R`` leaves its index and
+        decrements the derivations it carried (probing the old fixpoint's
+        index); those outputs and the deleted seeds fall, and the walk
+        follows every derivation through a fallen code, unindexing it and
+        decrementing the counts it carried -- when the walk ends, a fallen
+        code's remaining count is exactly its support among the survivors
+        and the new ``R``.  The over-approximation is on purpose: ignoring
+        alternative support while walking is what breaks cyclic
+        self-support.  **Rederive**: the fallen codes still in the
+        (already-maintained) seed or with surviving support re-enter the
+        counted continuation,
         with the inserted seeds and the outputs of the inserted rows of
         ``R`` against the survivors; each code joins the fixpoint, indexes
         itself and probes ``R`` once, so every derivation is counted once.
         Returns the boundary as codes -- what fell for good, what is
         genuinely new -- for the caller to decode, or ``None`` when a value
-        lies outside the pair domain (having touched only the counts).
+        lies outside the pair domain (having touched nothing).
 
         With nothing deleted the over-delete walk is empty: an insert-only
         batch is the counted continuation alone, and the node's build is
         this pass over the seed and ``R`` into a fresh :class:`_LinearState`.
-        The ``dred_*`` counters count only batches that delete.
+        Work scales with the affected derivation cone, not the result; when
+        the cone *is* the result (a hub deletion) the pass costs about a
+        recompute -- see DESIGN.md, "when maintenance loses".  The ``dred_*``
+        counters count only batches that delete.
         """
         lin = st.flat
         present, counts, seeds, probe = lin.present, lin.counts, lin.seeds, lin.probe
-        parts, dense = lin.parts, self._it.dense_id
+        parts, dense = self._it.pair_parts(), self._it.dense_id
 
         def codes(delta, sign):
             out = []
@@ -896,36 +770,36 @@ class MaterializedView:
         try:
             s_ins, s_del = codes(d, 1), codes(d, -1)
             r_ins, r_del = (codes(dr, 1), codes(dr, -1)) if dr else ((), ())
-            seeds.difference_update(s_del)
-            touched = [c for c in s_del if c in present]
-            for b in r_del:
-                probe(b, False, -1, touched)
-            over: dict = {}
-            rounds = 0
-            while touched:
-                rounds += 1
-                frontier, touched = touched, []
-                for c in frontier:
-                    if c not in over:
-                        over[c] = None
-                        probe(c, True, -1, touched)
-            present.difference_update(over)
-            seeds.update(s_ins)
-            touched = [c for c in over if c in seeds or c in counts]
-            touched += s_ins
-            for b in r_ins:
-                probe(b, False, 1, touched)
-            added: list = []
-            while touched:
-                rounds += 1
-                frontier, touched = touched, []
-                for c in frontier:
-                    if c not in present:
-                        present.add(c)
-                        added.append(c)
-                        probe(c, True, 1, touched)
         except KeyError:
             return None
+        seeds.difference_update(s_del)
+        touched = [c for c in s_del if c in present]
+        for b in r_del:
+            probe(b, False, -1, touched)
+        over: dict = {}
+        rounds = 0
+        while touched:
+            rounds += 1
+            frontier, touched = touched, []
+            for c in frontier:
+                if c not in over:
+                    over[c] = None
+                    probe(c, True, -1, touched)
+        present.difference_update(over)
+        seeds.update(s_ins)
+        touched = [c for c in over if c in seeds or c in counts]
+        touched += s_ins
+        for b in r_ins:
+            probe(b, False, 1, touched)
+        added: list = []
+        while touched:
+            rounds += 1
+            frontier, touched = touched, []
+            for c in frontier:
+                if c not in present:
+                    present.add(c)
+                    added.append(c)
+                    probe(c, True, 1, touched)
         self.stats.seminaive_rounds += rounds
         if s_del or r_del:
             self.stats.dred_applies += 1

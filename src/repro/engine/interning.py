@@ -45,7 +45,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Optional, Sequence
 
 from ..objects.values import (
@@ -55,6 +55,7 @@ from ..objects.values import (
     SetVal,
     UnitVal,
     Value,
+    bulk_pairs,
     canonical_set,
     sort_key,
 )
@@ -274,7 +275,9 @@ class InternTable:
         codes themselves, so a set of pairs seen before costs one integer
         sort and one lookup: no code is resolved to its pair.  A new one is
         built once -- each code's pair, one sort by the cached keys -- and
-        distinct codes are distinct pairs, so no second dedup is needed.
+        distinct codes are distinct pairs, so no second dedup is needed.  The
+        pairs not interned yet are stored first, more than a few of them in
+        one batch (:meth:`_store_pairs`).
         """
         uniq = sorted(set(codes))
         key = array("Q", uniq).tobytes()  # codes reach 2**64 - 1
@@ -283,15 +286,57 @@ class InternTable:
             self.hits += 1
             self._used.add(id(found))
             return found
-        get, pair, by_dense, keys = self._pair_codes.get, self.pair, self._by_dense, self._keys
-        pairs = [
-            get(c) or pair(by_dense[c >> CODE_BITS], by_dense[c & CODE_MASK])
-            for c in uniq
-        ]
+        by_code, keys = self._pair_codes, self._keys
+        try:
+            pairs = list(map(by_code.__getitem__, uniq))
+        except KeyError:  # new pairs: stored in one batch, unless a few
+            new = [c for c in uniq if c not in by_code]
+            if len(new) > 4:
+                self._store_pairs(new)
+            else:
+                by_dense = self._by_dense
+                for c in new:
+                    self.pair(by_dense[c >> CODE_BITS], by_dense[c & CODE_MASK])
+            pairs = list(map(by_code.__getitem__, uniq))
         pairs.sort(key=lambda v: keys[id(v)])
         s = self._set_from_canonical(tuple(pairs))
         self._sets_by_codes[key] = s
         return s
+
+    def _store_pairs(self, codes: list[int]) -> None:
+        """Store the pairs of ``codes``, none of them interned yet: what
+        :meth:`_store` does for one pair, one map at a time.
+
+        A fixpoint's build renders a closure whose pairs are mostly new, and
+        per pair the generic path's lookups, type dispatch and constructor
+        checks cost about as much as the maps they fill: a batch of
+        thousands stores in about half the time, while below five pairs the
+        batch's fixed cost loses.  Every lookup runs before the first write,
+        so a code naming a freed part (``KeyError``) or a batch past
+        :attr:`id_limit` leaves the table as it was.
+        """
+        by_dense, keys = self._by_dense, self._keys
+        start = len(by_dense)
+        if start + len(codes) > self.id_limit:
+            raise DenseIdLimitError(
+                f"intern table full: dense id {start + len(codes) - 1} is past "
+                f"the limit of {self.id_limit} ids that pair codes pack")
+        fids = [c >> CODE_BITS for c in codes]
+        sids = [c & CODE_MASK for c in codes]
+        fsts = list(map(by_dense.__getitem__, fids))
+        snds = list(map(by_dense.__getitem__, sids))
+        fk, sk = list(map(id, fsts)), list(map(id, snds))
+        pair_keys = list(zip(repeat(3), map(keys.__getitem__, fk), map(keys.__getitem__, sk)))
+        pairs = bulk_pairs(fsts, snds)
+        ids = list(map(id, pairs))
+        dense = range(start, start + len(codes))
+        self._table.update(zip(zip(repeat("p"), fk, sk), pairs))
+        keys.update(zip(ids, pair_keys))
+        by_dense.extend(pairs)
+        self._dense.update(zip(ids, dense))
+        self._pair_parts.update(zip(dense, zip(fids, sids)))
+        self._pair_codes.update(zip(codes, pairs))
+        self.misses += len(codes)
 
     # -- sweeping -----------------------------------------------------------------
 

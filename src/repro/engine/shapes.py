@@ -25,6 +25,7 @@ from typing import Optional
 
 from ..nra import ast
 from ..nra.ast import Expr, fresh_name, free_variables, map_children
+from ..nra.derived import field_of, seeded_closure
 from ..objects.types import ProdType, Type
 
 
@@ -569,3 +570,31 @@ def analyze_step(step: Expr) -> Optional[StepShape]:
     return StepShape(
         step.var, dv, tuple(terms), strict, flat, _linear(step, strict, flat)
     )
+
+
+# ---------------------------------------------------------------------------
+# Fixpoint budgets: when a bounded loop is its least fixpoint
+# ---------------------------------------------------------------------------
+#
+# ``loop``/``log_loop`` run a step a number of rounds read off their control
+# set, so the value equals the least fixpoint only where that number is
+# provably enough -- at *every* value of the free variables, not just the
+# ones a view was built on.  One shape carries the proof, matched up to the
+# names of bound variables and nothing looser.
+
+def is_linear_closure(e: Expr, r: Expr) -> bool:
+    """True iff ``e`` is :func:`~repro.nra.derived.seeded_closure` over ``r``:
+    ``loop(\\rr. rr U rr o r)(field_of(r), seed)``, or ``r o rr``.
+
+    ``|field_of(r)|`` rounds reach every simple path of ``r`` from every
+    seed, so the budget follows ``r`` and the seed wherever they go.
+    """
+    if not (isinstance(e, ast.Apply) and isinstance(e.func, ast.Loop)
+            and isinstance(e.arg, ast.Pair)):
+        return False
+    t, seed = e.func.set_elem_type, e.arg.snd
+    return any(
+        ast.alpha_equal(e, seeded_closure(r, field_of(r, t, t), seed, t, backward))
+        for backward in (False, True)
+    )
+

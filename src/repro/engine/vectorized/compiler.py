@@ -24,8 +24,7 @@ Strategy selection, from most to least specialised:
   (so they get hash joins of their own) or, when they lower to flat joins,
   run as one :class:`~repro.engine.vectorized.flat.FlatLoop`.  The runner
   :meth:`PlanCompiler.step_runner` builds is the one frontier loop
-  of the engine: its ``resume`` is how a materialized view builds and
-  continues its fixpoints too.  Every other loop falls back to full
+  of the engine.  Every other loop falls back to full
   set-at-a-time iteration with an exact early exit at the fixpoint
   (:func:`repro.recursion.iterators.iterate_stable`).
 
@@ -47,7 +46,6 @@ the property suite enforce this.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Optional
@@ -910,25 +908,17 @@ class PlanCompiler:
 
     @dataclass
     class StepRunner:
-        """Compiled loop machinery: ``make(env)(start, rounds) -> value``.
-
-        A semi-naive step's ``resume(env, acc, delta) -> (value, rounds)``
-        runs its frontier phase alone, from ``acc`` with frontier ``delta``
-        (a subset of ``acc``) until the frontier is exhausted: how a view
-        builds and continues its fixpoints on the loop queries run.
-        """
+        """Compiled loop machinery: ``make(env)(start, rounds) -> value``."""
 
         plan: PlanNode
         make: Callable[[dict], Callable[[Value, int], Value]]
-        resume: Optional[Callable[[dict, SetVal, SetVal], tuple[SetVal, int]]] = None
 
     def step_runner(
         self, step: ast.Lambda, shape: Optional[StepShape]
     ) -> "PlanCompiler.StepRunner":
         """Lower a step lambda to a round-runner: semi-naive when ``shape``
         (its :func:`~repro.engine.shapes.analyze_step`) is given, full
-        iteration when it is ``None``.  Loops and materialized views both
-        continue their fixpoints through the runner this returns."""
+        iteration when it is ``None``."""
         ctx, it = self.ctx, self.it
         var = step.var
         body_c = self.compile(step.body)
@@ -1057,14 +1047,6 @@ class PlanCompiler:
                 unbind(env, var, vtok)
             return acc, done
 
-        def resume(env, acc, delta):
-            """The frontier phase with no budget, entered from outside a run."""
-            if not delta.elements:
-                return acc, 0
-            ctx.stats.seminaive_loops += 1
-            return frontier(env, acc, delta, math.inf, flat_specs is not None,
-                            TRACER.enabled)
-
         def make_seminaive(env):
             captured = dict(env)
 
@@ -1100,7 +1082,7 @@ class PlanCompiler:
 
             return run
 
-        return PlanCompiler.StepRunner(plan, make_seminaive, resume)
+        return PlanCompiler.StepRunner(plan, make_seminaive)
 
     def _compile_iterator(self, e: Expr) -> Compiled:
         ctx, it = self.ctx, self.it

@@ -23,7 +23,9 @@ paper).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 from typing import Any, Iterable, Iterator, Sequence, Union
 
@@ -221,6 +223,27 @@ def canonical_set(elements: tuple["Value", ...]) -> "SetVal":
     object.__setattr__(s, "elements", elements)
     object.__setattr__(s, "_hash", None)
     return s
+
+
+#: ``PairVal``'s slot setters, for :func:`bulk_pairs`.
+_PAIR_FST, _PAIR_SND, _PAIR_HASH = (
+    PairVal.fst.__set__, PairVal.snd.__set__, PairVal._hash.__set__)  # type: ignore[attr-defined]
+
+
+def bulk_pairs(fsts: Sequence["Value"], snds: Sequence["Value"]) -> list[PairVal]:
+    """Build ``PairVal(f, s)`` for each ``f, s`` of ``fsts``/``snds``, skipping
+    the constructor's checks.
+
+    Only sound when every component is a :class:`Value`; the intern table
+    builds a whole closure's new pairs this way from interned parts.  Each
+    step is one C-level pass over the batch (no Python frame per pair), a
+    little under half the constructor's cost.
+    """
+    pairs = list(map(object.__new__, repeat(PairVal, len(fsts))))
+    for slot, values in ((_PAIR_FST, fsts), (_PAIR_SND, snds),
+                         (_PAIR_HASH, repeat(None))):
+        deque(map(slot, pairs, values), 0)
+    return pairs
 
 
 #: The empty set value (usable at any set type).

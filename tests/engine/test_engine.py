@@ -8,7 +8,7 @@ whole query library plus bounded-recursion and external-function cases.
 
 import pytest
 
-from repro.engine import Engine, InternTable
+from repro.engine import DenseIdLimitError, Engine, InternTable
 from repro.nra.ast import (
     Apply,
     Bdcr,
@@ -160,6 +160,52 @@ def test_intern_union_matches_setval_union():
     b = table.intern(from_python({2, 3, 6}))
     assert table.union(a, b) == a.union(b)
     assert table.union(a, b) is table.intern(a.union(b))
+
+
+def _codes(table, pairs):
+    bits = 32
+    return [(table.dense_id(table.base(a)) << bits) | table.dense_id(table.base(b))
+            for a, b in pairs]
+
+
+def test_a_set_of_new_pairs_is_interned_as_the_pair_constructor_would():
+    # set_from_pair_codes stores the pairs it has not seen in one batch; the
+    # table must then look exactly as if each had gone through ``pair``.
+    held = {(1, 2), (3, 1)}
+    fresh = {(2, 3), (1, 1), (3, 2), (2, 1), (3, 3), (2, 2)}  # one batch
+    bulk, single = InternTable(), InternTable()
+    for table in (bulk, single):
+        for k in (3, 1, 2):
+            table.base(k)
+        for a, b in sorted(held):
+            table.pair(table.base(a), table.base(b))
+    misses = bulk.misses
+    s = bulk.set_from_pair_codes(_codes(bulk, held | fresh))
+    assert bulk.misses == misses + len(fresh) + 1  # the pairs and the set
+    want = single.mkset([single.pair(single.base(a), single.base(b))
+                         for a, b in held | fresh])
+    assert s == want == from_python(held | fresh) and to_python(s) == held | fresh
+    for v in s.elements:
+        assert bulk.pair(v.fst, v.snd) is v                 # found, not rebuilt
+        assert bulk.sort_key_of(v) == single.sort_key_of(single.intern(v))
+        assert hash(v) == hash(from_python((v.fst.value, v.snd.value)))
+        fid, sid = bulk.pair_parts()[bulk.dense_id(v)]
+        assert bulk.value_of(fid) is v.fst and bulk.value_of(sid) is v.snd
+        assert bulk.pair_from_ids(fid, sid) is v
+    assert bulk.set_from_pair_codes(reversed(_codes(bulk, held | fresh))) is s
+
+
+def test_a_set_of_new_pairs_past_the_id_limit_leaves_the_table_as_it_was():
+    table = InternTable()
+    chain = {(k, k + 1) for k in range(6)}  # one batch
+    codes = _codes(table, chain)
+    size = table.dense_size
+    table.id_limit = size + 5  # five of the six pairs would fit
+    with pytest.raises(DenseIdLimitError, match=f"limit of {size + 5} "):
+        table.set_from_pair_codes(codes)
+    assert table.dense_size == size and table.size == size
+    del table.id_limit
+    assert to_python(table.set_from_pair_codes(codes)) == chain
 
 
 def test_structural_rules_only_never_touch_recursions():

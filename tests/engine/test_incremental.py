@@ -341,10 +341,9 @@ class TestDRed:
         assert view.stats.fallback_recomputes == 0
         assert view.stats.dred_applies == 2
 
-    def test_non_join_step_takes_the_generic_frontier_path(self):
+    def test_a_map_over_the_accumulator_recomputes(self):
         # Symmetric closure: the step maps over the accumulator instead of
-        # joining it against itself, so the bilinear self-indexes don't
-        # apply and deletions run the generic frontier-term DRed.
+        # joining it, so no budget proof covers it and the view recomputes.
         swap = Lambda(
             "p", EDGE_T,
             Singleton(ast.Pair(ast.Proj2(Var("p")), ast.Proj1(Var("p")))),
@@ -357,21 +356,17 @@ class TestDRed:
         )
         session = connect(db)
         view = session.materialize(expr)
-        fix = next(n for n in view.maintenance_plan().walk()
-                   if n.op == "ivm-fixpoint")
-        assert "linear-indexed" not in fix.annotations
+        assert "ivm-recompute" in view.maintenance_plan().ops()
         db.delete("edges", [(1, 2)])
         assert_matches_cold(session, view, expr)
         assert view.rows() == {(0, 1), (1, 0), (2, 3), (3, 2)}
-        assert view.stats.dred_applies == 1
-        assert view.stats.dred_overdeletes == 2  # (1, 2) and its mirror
-        assert view.stats.fallback_recomputes == 0
+        assert view.stats.dred_applies == 0
+        assert view.stats.fallback_recomputes == 1
 
-    def test_self_join_off_projection_chains_takes_the_generic_path(self):
-        # fix()'s self-join, but keyed on a constructed pair: the keys are no
-        # projection chains, so the plan does not mark the fixpoint indexed
-        # and every pass -- inserts and deletes -- runs the generic
-        # frontier terms, never the dense-id mirror.
+    def test_self_join_off_projection_chains_recomputes(self):
+        # fix()'s self-join, but keyed on a constructed pair: no squaring
+        # and no seeded closure, so no budget proof covers it and every
+        # commit -- inserts and deletes -- recomputes the view.
         p, q = Var("p"), Var("q")
         join = ext_apply(Lambda("p", EDGE_T, ext_apply(Lambda("q", EDGE_T, ast.If(
             ast.Eq(ast.Pair(ast.Proj2(p), ast.Proj2(p)), ast.Pair(ast.Proj1(q), ast.Proj1(q))),
@@ -383,9 +378,7 @@ class TestDRed:
         db = fresh_graph_db(8, "cycle")
         session = connect(db)
         view = session.materialize(expr)
-        fix = next(n for n in view.maintenance_plan().walk()
-                   if n.op == "ivm-fixpoint")
-        assert "linear-indexed" not in fix.annotations
+        assert "ivm-recompute" in view.maintenance_plan().ops()
         assert len(view.value.elements) == 64
         db.delete("edges", [(3, 4)])
         assert_matches_cold(session, view, expr)
@@ -393,9 +386,9 @@ class TestDRed:
         assert_matches_cold(session, view, expr)
         db.apply(Changeset.of(edges=([(1, 6)], [(5, 6), (0, 5)])))
         assert_matches_cold(session, view, expr)
-        assert view.stats.dred_applies == 2
+        assert view.stats.dred_applies == 0
         assert view.stats.flat_index_applies == 0
-        assert view.stats.fallback_recomputes == 0
+        assert view.stats.fallback_recomputes == 3
 
     def test_repeated_deletions_converge_to_the_empty_closure(self):
         db = fresh_graph_db(6)
@@ -439,6 +432,15 @@ def _symmetric_closure():
     return ast.Apply(ast.Loop(step, BASE), ast.Pair(Var("edges"), Var("edges")))
 
 
+def _squaring(log=False, stream_right=False):
+    """``loop(\\rr. rr U rr o rr)(field_of(edges), edges)`` -- or a ``log_loop``,
+    or the other side streamed: Example 7.1's squaring, written out."""
+    step = Lambda("rr", REL_T, ast.Union(Var("rr"), compose(
+        Var("rr"), Var("rr"), BASE, stream_right=stream_right)))
+    it = (ast.LogLoop if log else ast.Loop)(step, BASE)
+    return ast.Apply(it, ast.Pair(field_of(Var("edges"), BASE, BASE), Var("edges")))
+
+
 def _linear_closure(backward=False, log=False, budget=None):
     """``loop(\\rr. rr U rr o edges)(field_of(edges), edges)`` -- or
     ``edges o rr``, a ``log_loop``, or another round budget -- written out."""
@@ -450,15 +452,19 @@ def _linear_closure(backward=False, log=False, budget=None):
     return ast.Apply(it, ast.Pair(ctrl, Var("edges")))
 
 
-#: (case, the fixpoint, engine options or None for the bare plan, linear).
+#: (case, the fixpoint, engine options or None for the bare plan, whether it
+#: is maintained as a linear fixpoint; every other case recomputes).
 LINEAR_CASES = [
     ("fix", lambda: Q.coll("edges").fix(), {}, True),
     ("fix-object-kernels", lambda: Q.coll("edges").fix(), {"flat": False}, True),
     ("rr-o-edges", _linear_closure, {}, True),
     ("edges-o-rr", lambda: _linear_closure(backward=True), {}, True),
+    ("squaring", _squaring, None, False),
+    ("squaring-log-loop-streamed-right", lambda: _squaring(log=True, stream_right=True),
+     None, False),
     ("against-a-constant", lambda: _join_fixpoint(
-        right=ast.Const(from_python({(1, 2), (2, 3)}), REL_T)), None, True),
-    ("hand-written-squaring", _join_fixpoint, None, False),
+        right=ast.Const(from_python({(1, 2), (2, 3)}), REL_T)), None, False),
+    ("squaring-over-its-seed", _join_fixpoint, None, False),
     ("keys-right-to-left", lambda: _join_fixpoint(
         cond=ast.Eq(ast.Proj1(Var("q")), ast.Proj2(Var("p")))), None, False),
     ("symmetric-closure", _symmetric_closure, None, False),
@@ -479,6 +485,10 @@ LINEAR_CASES = [
     ids=[case[0] for case in LINEAR_CASES],
 )
 def test_which_fixpoint_steps_are_linear_indexed(make, engine_options, linear):
+    # Only a budget proof keeps a fixpoint in delta mode: seeded_closure's
+    # own loop, counted.  Every other loop -- the squaring written out, one
+    # over its seed rather than its field, one reading a constant --
+    # recomputes.
     if engine_options is None:
         plan = maintenance_plan(make(), frozenset({"edges"}))
     else:
@@ -489,8 +499,11 @@ def test_which_fixpoint_steps_are_linear_indexed(make, engine_options, linear):
         # The counts serve the commit whatever kernels the engine runs.
         assert view.stats.flat_index_applies == 1
         assert_matches_cold(session, view, make())
+    if not linear:
+        assert plan.ops() == {"ivm-recompute"}
+        return
     fix = next(n for n in plan.walk() if n.op == "ivm-fixpoint")
-    assert ("linear-indexed" in fix.annotations) is linear
+    assert "linear-indexed" in fix.annotations
 
 
 def _swapped_join_over_edges():
@@ -516,7 +529,8 @@ def test_a_linear_step_over_a_base_needs_a_loop_over_its_field(make):
 @pytest.mark.dred
 def test_a_self_join_with_an_invariant_branch_keeps_what_the_branch_adds():
     # Deleting an edge the constant branch also holds must keep it, and what
-    # it derives, in the view: a cold run re-adds it every round.
+    # it derives, in the view: a cold run re-adds it every round.  The step
+    # reads a constant, so the view recomputes.
     session = connect(fresh_graph_db(8))
     view = session.materialize(_with_constant_branch())
     assert_matches_cold(session, view, _with_constant_branch())
@@ -524,15 +538,39 @@ def test_a_self_join_with_an_invariant_branch_keeps_what_the_branch_adds():
     assert_matches_cold(session, view, _with_constant_branch())
     session.db.apply(Changeset.of(edges=([(7, 0)], [(2, 3)])))
     assert_matches_cold(session, view, _with_constant_branch())
-    assert view.stats.fallback_recomputes == 0
+    assert view.recompute_only and view.stats.fallback_recomputes == 2
 
 
 @pytest.mark.dred
-def test_a_generic_view_continues_through_the_compilers_loop():
-    # Squaring written twice, the second time with its sides swapped: every
-    # frontier term lowers to a flat join, but the step is no single
-    # self-join, so the view is not indexed and its continuations run on
-    # the compiler's step runner -- the flat loop a query runs.
+def test_the_squaring_written_out_recomputes():
+    # The squaring over its own field: its budget covers every path, but the
+    # step is no linear join, so the view recomputes -- on the flat loop a
+    # query runs -- and keeps the cold run's value.
+    expr = _squaring()
+    db = fresh_graph_db(10)
+    session = connect(db)
+    view = session.materialize(expr)
+    assert view.maintenance_plan().ops() == {"ivm-recompute"}
+    assert_matches_cold(session, view, expr)
+    stats = session.engine._vec().stats
+    before = stats.flat_fixpoints
+    db.insert("edges", [(9, 10), (10, 11)])
+    assert stats.flat_fixpoints > before
+    assert_matches_cold(session, view, expr)
+    db.delete("edges", [(4, 5)])
+    assert_matches_cold(session, view, expr)
+    db.apply(Changeset.of(edges=([(4, 5), (11, 0)], [(9, 10)])))
+    assert_matches_cold(session, view, expr)
+    assert view.stats.dred_applies == 0
+    assert view.stats.flat_index_applies == 0
+    assert view.stats.fallback_recomputes == 3
+
+
+@pytest.mark.dred
+def test_squaring_written_twice_recomputes():
+    # The squaring's join written twice, the second time with its sides
+    # swapped, under a loop over its seed: no budget proof names the shape,
+    # so the view recomputes, and keeps the cold run's value.
     p, q = Var("p"), Var("q")
     twice = ext_apply(Lambda("q", EDGE_T, ext_apply(Lambda("p", EDGE_T, ast.If(
         ast.Eq(ast.Proj1(q), ast.Proj2(p)),
@@ -544,21 +582,16 @@ def test_a_generic_view_continues_through_the_compilers_loop():
     db = fresh_graph_db(10)
     session = connect(db)
     view = session.materialize(expr)
-    fix = next(n for n in view.maintenance_plan().walk() if n.op == "ivm-fixpoint")
-    assert "linear-indexed" not in fix.annotations
+    assert view.maintenance_plan().ops() == {"ivm-recompute"}
     assert_matches_cold(session, view, expr)
-    stats = session.engine._vec().stats
-    before = stats.flat_fixpoints
     db.insert("edges", [(9, 10), (10, 11)])
-    assert stats.flat_fixpoints > before
     assert_matches_cold(session, view, expr)
     db.delete("edges", [(4, 5)])
     assert_matches_cold(session, view, expr)
     db.apply(Changeset.of(edges=([(4, 5), (11, 0)], [(9, 10)])))
     assert_matches_cold(session, view, expr)
-    assert view.stats.dred_applies == 2
-    assert view.stats.flat_index_applies == 0
-    assert view.stats.fallback_recomputes == 0
+    assert view.stats.dred_applies == 0
+    assert view.stats.fallback_recomputes == 3
 
 
 #: A constant relation sharing the edges (1, 2) and (4, 5) of the path graph.
@@ -607,8 +640,8 @@ def _recorded(view) -> list:
 @pytest.mark.parametrize("make", [
     lambda: Q.coll("edges").fix(),
     lambda: Q.coll("edges").compose(Q.coll("edges")),
-    next(c[1] for c in LINEAR_CASES if c[0] == "keys-on-constructed-pairs"),
-], ids=["fix", "compose", "generic-fixpoint"])
+    lambda: _standing_queries()["select-over-fix"],
+], ids=["fix", "compose", "select-over-fix"])
 def test_a_built_view_and_a_grown_view_agree(make):
     # A build is a commit from empty: a view built on D and one built on an
     # empty collection that then absorbs D in one commit hold the same state,
@@ -690,6 +723,110 @@ class TestDRedHonestyBoundary:
         assert_matches_cold(session, view, q)
         assert view.stats.fallback_recomputes == 1
         assert view.stats.dred_applies == 0
+
+
+    def test_a_loop_against_a_constant_follows_its_shrinking_budget(self):
+        # loop(\\rr. rr U rr o C)(field_of(edges), edges), C the constant
+        # chain 0 -> 1 -> ... -> 30.  Built on (0, 1) plus 40 disjoint edges,
+        # the 82 rounds walk the whole chain; once the 40 go, the budget is 2
+        # rounds, and the cold run stops at (0, 3).  The least fixpoint the
+        # passes would reach keeps all 30 rows: the step reads a constant,
+        # so no budget proof covers it and the view recomputes.
+        from repro.nra.eval import run as reference_run
+        from repro.objects.values import to_python
+
+        chain = ast.Const(from_python({(i, i + 1) for i in range(30)}), REL_T)
+        step = Lambda("rr", REL_T, ast.Union(Var("rr"), compose(Var("rr"), chain, BASE)))
+        expr = ast.Apply(ast.Loop(step, BASE), ast.Pair(
+            field_of(Var("edges"), BASE, BASE), Var("edges")))
+        extra = [(100 + 2 * i, 101 + 2 * i) for i in range(40)]
+        db, session, view = self._materialize(expr, {(0, 1), *extra})
+        assert view.maintenance_plan().ops() == {"ivm-recompute"}
+        assert len(view) == 30 + 40
+        db.delete("edges", extra)
+        want = to_python(reference_run(expr, env=db.environment()))
+        assert want == {(0, 1), (0, 2), (0, 3)}
+        assert view.rows() == want and len(view) == 3
+        assert view.stats.fallback_recomputes == 1
+
+
+def _counting_runs(monkeypatch, session) -> list:
+    """Every cold run of a template through the session's engine, recorded."""
+    vec = session.engine._vec()
+    runs: list = []
+    run = vec.run
+
+    def counted(expr, *args, **kwargs):
+        runs.append(expr)
+        return run(expr, *args, **kwargs)
+
+    monkeypatch.setattr(vec, "run", counted)
+    return runs
+
+
+@pytest.mark.parametrize("shape", ["fix", "compose", "select-over-fix"])
+def test_a_delta_view_never_runs_its_template_cold(monkeypatch, shape):
+    # The build is the maintenance pass from empty -- at materialize, at
+    # refresh and at the rebuild after a raised pass -- and equals the cold
+    # run by the budget proofs, without running it.
+    query = _standing_queries()[shape]
+    db = fresh_graph_db(10)
+    session = connect(db)
+    runs = _counting_runs(monkeypatch, session)
+    view = session.materialize(query)
+    assert not view.recompute_only and runs == []
+    db.insert("edges", [(9, 0)])
+    assert view.refresh() is not None and runs == []
+    apply_node, raised = view._apply_node, []
+
+    def raises_once(*args):
+        if not raised:
+            raised.append(True)
+            raise RuntimeError("maintenance failed")
+        return apply_node(*args)
+
+    monkeypatch.setattr(view, "_apply_node", raises_once)
+    with pytest.raises(RuntimeError, match="maintenance failed"):
+        db.delete("edges", [(4, 5)])
+    rows = view.rows()  # the read rebuilds
+    assert runs == [] and view.stats.fallback_recomputes == 2
+    assert rows == session.execute(query).rows()
+
+
+def test_a_recompute_view_runs_its_template_cold_once_at_build(monkeypatch):
+    session = connect(fresh_graph_db(8))
+    runs = _counting_runs(monkeypatch, session)
+    view = session.materialize(Q.coll("edges").fix() - Q.coll("edges"))
+    assert view.recompute_only and len(runs) == 1
+
+
+@pytest.mark.ivm
+def test_an_unread_fix_view_whose_decode_raised_sends_listeners_the_rebuild(monkeypatch):
+    # A commit whose boundary cannot be decoded (the pairs it derives pass
+    # the dense-id limit) records nothing on the output, so the read that
+    # rebuilds diffs against what the listener was sent.
+    from repro.engine.interning import DenseIdLimitError
+
+    db = Database("g").register("edges", [], type=REL_T)
+    session = connect(db)
+    view = session.materialize(Q.coll("edges").fix(), name="tc")
+    mirror: set = set()
+
+    def fold(_view, delta, _fallback):
+        mirror.difference_update(delta.deleted)
+        mirror.update(delta.inserted)
+
+    view.add_listener(fold)
+    db.insert("edges", [(i, i + 1) for i in range(6)])
+    assert len(mirror) == len(view) == 21 and view.stats.materializations == 0
+    it = session.engine.interner
+    monkeypatch.setattr(it, "id_limit", it.dense_size + 2)
+    with pytest.raises(DenseIdLimitError):
+        db.insert("edges", [(6, 0)])
+    monkeypatch.undo()
+    assert len(view) == 49  # the read rebuilds, and the mirror follows it
+    assert mirror == set(view.value.elements)
+    assert view.value == session.execute(Q.coll("edges").fix()).value
 
 
 @pytest.mark.dred

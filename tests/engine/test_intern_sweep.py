@@ -306,6 +306,31 @@ def test_a_fix_views_dense_id_state_names_only_held_values():
     check_table(engine.interner)
 
 
+def test_an_unread_fix_view_reads_right_after_any_number_of_sweeps():
+    # Between reads the commits' changes are pending codes and pairs: every
+    # code's parts are held by the children's outputs, so sweeps between
+    # commits free none of them, and the first read folds them all.
+    db = Database.of("g", edges=path_graph(10))
+    session = db.connect()
+    engine = session.engine
+    it = engine.interner
+    it.SWEEP_MIN = 16
+    it._sweep_at = 0                          # the next commit sweeps
+    view = session.materialize(Q.coll("edges").fix(), name="tc")
+    for kind, edges in [("insert", [(9, 60), (60, 61)]), ("delete", [(4, 5)]),
+                        ("insert", [(4, 5), (61, 0)]), ("delete", [(9, 60), (2, 3)]),
+                        ("insert", [(70, 71)])]:
+        getattr(db, kind)("edges", edges)
+        sweep_out(engine)
+        assert_no_freed_ids(engine, [view])
+    assert view.stats.materializations == 0
+    want = reference_run(
+        Q.coll("edges").fix().elaborate(db.schema()).expr, env=db.environment())
+    assert view.value == want and len(view) == len(want.elements)
+    assert view.stats.materializations == 1 and view.stats.fallback_recomputes == 0
+    check_table(it)
+
+
 def test_a_flat_loop_holds_the_sets_it_was_set_up_from():
     engine = Engine()
     it, ctx = engine.interner, engine._vec().ctx

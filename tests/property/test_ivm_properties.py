@@ -30,7 +30,7 @@ code itself uses.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from repro.api import Changeset, Database, MaterializedView, Q, connect
@@ -97,7 +97,7 @@ def _assert_linear_state_consistent(view, st, label):
     assert all(lin.acc.values()) and all(lin.base.values()), (
         f"{label}: empty index buckets were not pruned"
     )
-    backward = lin.akey[0]  # the accumulator's key is its fst
+    backward = lin.backward  # edges o rr: the accumulator's key is its fst
     want: dict = {}
     for a in lin.present:
         for b in base:
@@ -425,9 +425,9 @@ def test_a_fix_view_maintains_the_linear_base_indexed_fixpoint():
         "ivm-fixpoint", "ivm-base", "ivm-dred-overdelete", "ivm-dred-rederive"}
 
 
-def test_a_hand_written_squaring_loop_view_is_still_maintained():
-    # \rr. rr U rr o rr under a loop (not Example 7.1's closure): the
-    # generic frontier-term pass maintains it, through cycles and deletes.
+def test_a_hand_written_squaring_loop_view_recomputes():
+    # \rr. rr U rr o rr under a loop (not Example 7.1's closure): no budget
+    # proof names it, so the view recomputes, through cycles and deletes.
     from repro.nra import ast
     from repro.nra.derived import compose, field_of
 
@@ -438,12 +438,103 @@ def test_a_hand_written_squaring_loop_view_is_still_maintained():
     db = stream_graph_database(10, "cycle", seed=0)
     with connect(db) as session, connect(db) as cold:
         view = session.materialize(expr)
-        assert "linear-indexed" not in _fixpoint_of(view).annotations
+        assert view.maintenance_plan().ops() == {"ivm-recompute"}
         for cs in (Changeset.of(edges=([], [(3, 4)])),
                    Changeset.of(edges=([(3, 4), (5, 5)], [(7, 8)])),
                    Changeset.of(edges=([(7, 8)], [(5, 5), (0, 1)]))):
             db.apply(cs)
             assert view.value == cold.execute(expr).value
-        assert view.stats.dred_applies == 3
+        assert view.stats.dred_applies == 0
         assert view.stats.flat_index_applies == 0
-        assert view.stats.fallback_recomputes == 0
+        assert view.stats.fallback_recomputes == 3
+
+
+# ---------------------------------------------------------------------------
+# 6. Hand-written loops: constant steps, shrinking budgets
+# ---------------------------------------------------------------------------
+
+_MARKS_T = SetType(BASE)
+_LOOP_STEPS = ("rr-o-C", "C-o-rr", "rr-o-rr", "rr-o-edges", "squaring-and-C")
+_BUDGETS = ("field-of-edges", "marks", "constant")
+#: A constant relation: a chain (what a shrunken budget stops short on) plus
+#: a few random pairs.
+_CONST = hst.tuples(_NODE, hst.integers(min_value=0, max_value=5),
+                    hst.lists(hst.tuples(_NODE, _NODE), max_size=3)).map(
+    lambda t: [(t[0] + i, t[0] + i + 1) for i in range(t[1])] + t[2])
+_LOOP_COMMIT = hst.one_of(
+    hst.tuples(hst.sampled_from(["edges", "marks"]), _EDGES, _EDGES),
+    hst.tuples(hst.just("shrink")),
+)
+
+
+def _hand_written_loop(log: bool, step_kind: str, budget_kind: str, const) -> "ast.Expr":
+    """``loop``/``log_loop(\\rr. rr U F(rr))(budget, edges)`` for a step that
+    reads a constant ``C``, its accumulator alone, or the edges, over a
+    budget that follows the edges, a second collection, or nothing."""
+    from repro.nra import ast
+    from repro.nra.derived import compose, field_of
+    from repro.objects.values import from_python
+
+    rr, edges = ast.Var("rr"), ast.Var("edges")
+    c = ast.Const(from_python(frozenset(const)), FLAT_T)
+    grown = {
+        "rr-o-C": lambda: compose(rr, c, BASE),
+        "C-o-rr": lambda: compose(c, rr, BASE, stream_right=True),
+        "rr-o-rr": lambda: compose(rr, rr, BASE),
+        "rr-o-edges": lambda: compose(rr, edges, BASE),
+        "squaring-and-C": lambda: ast.Union(compose(rr, rr, BASE), c),
+    }[step_kind]()
+    budget = {
+        "field-of-edges": lambda: field_of(edges, BASE, BASE),
+        "marks": lambda: ast.Var("marks"),
+        "constant": lambda: ast.Const(from_python(frozenset({0, 1})), _MARKS_T),
+    }[budget_kind]()
+    step = ast.Lambda("rr", FLAT_T, ast.Union(rr, grown))
+    return ast.Apply((ast.LogLoop if log else ast.Loop)(step, BASE), ast.Pair(budget, edges))
+
+
+@settings(max_examples=80, deadline=None)
+@example(log=False, step_kind="rr-o-C", budget_kind="field-of-edges",
+         const=[(1, 2), (2, 3), (3, 4), (4, 5)], initial=[(0, 1), (5, 5), (3, 0)],
+         marks=[], commits=[("shrink",)])
+@example(log=False, step_kind="rr-o-rr", budget_kind="field-of-edges", const=[(0, 1)],
+         initial=[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5)], marks=[],
+         commits=[("edges", [(5, 0)], [(2, 3)]), ("shrink",), ("edges", [(1, 4)], [])])
+@given(log=hst.booleans(), step_kind=hst.sampled_from(_LOOP_STEPS),
+       budget_kind=hst.sampled_from(_BUDGETS), const=_CONST,
+       initial=hst.lists(hst.tuples(_NODE, _NODE), min_size=1, max_size=8),
+       marks=hst.lists(_NODE, max_size=6),
+       commits=hst.lists(_LOOP_COMMIT, min_size=1, max_size=6))
+def test_hand_written_loop_views_equal_the_reference_interpreter(
+        log, step_kind, budget_kind, const, initial, marks, commits):
+    # A view keeps delta maintenance only where the loop's budget provably
+    # reaches the least fixpoint; every other loop -- a step reading a
+    # constant, a budget over marks that shrink -- must recompute.  After
+    # the build and every commit the view equals the reference interpreter.
+    from repro.nra.eval import run as reference_run
+    from repro.objects.values import to_python
+
+    expr = _hand_written_loop(log, step_kind, budget_kind, const)
+    db = (Database("g").register("edges", frozenset(initial), type=FLAT_T)
+          .register("marks", frozenset(marks), type=_MARKS_T))
+    with connect(db) as session:
+        view = session.materialize(expr)
+        # Delta mode: seeded_closure's own loop, or Example 7.1's closure
+        # (the squaring's ``log_loop``), which is maintained as one.
+        delta_mode = budget_kind == "field-of-edges" and (
+            (step_kind == "rr-o-edges" and not log) or (step_kind == "rr-o-rr" and log))
+        assert view.recompute_only is not delta_mode
+        for i, commit in enumerate([None, *commits]):
+            if commit == ("shrink",):
+                # Every edge but one and every mark but one go: the budgets
+                # that read them shrink to their smallest.
+                db.apply(Changeset.of(edges=([], sorted(to_python(db["edges"]))[1:]),
+                                      marks=([], sorted(to_python(db["marks"]))[1:])))
+            elif commit is not None:
+                name, ins, dels = commit
+                if name == "marks":
+                    ins, dels = [a for a, _ in ins], [a for a, _ in dels]
+                db.apply(Changeset.of(**{name: (ins, dels)}))
+            want = to_python(reference_run(expr, env=db.environment()))
+            assert view.rows() == want, f"commit {i} {commit}: the view != the reference"
+            assert len(view) == len(want)

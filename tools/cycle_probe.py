@@ -3,13 +3,17 @@
     python tools/cycle_probe.py [TREE] [--sizes 64,32] [--reps 5]
 
 Imports ``repro`` from ``TREE/src`` (default: this checkout).  For each size
-``n`` it registers ``cycle(n)``, materializes ``Q.coll("edges").fix()`` on one
-session and, ``--reps`` times, deletes the edge ``(n // 2, n // 2 + 1)`` and
-reads the view (``view.value``), then re-inserts it and reads again.  After
+``n`` it registers ``cycle(n)`` and first times the build, ``--reps`` times on
+a fresh session each: ``materialize`` of ``Q.coll("edges").fix()``, then the
+view's first read (checked against an execute).  Then it materializes the
+view on one session and, ``--reps`` times, deletes the edge
+``(n // 2, n // 2 + 1)`` and reads the view (``view.value``), then
+re-inserts it and reads again.  After
 each commit a second session with no view executes the same query and reads
 its value: what the answer costs without maintenance.  Prints the median
-milliseconds of the delete + read, the re-insert + read and the execute, and
-the view's lifetime counters; every read is checked against the execute.
+milliseconds of the build (``materialize``), the first read, the delete +
+read, the re-insert + read and the execute, and the view's lifetime
+counters; every read is checked against the execute.
 On a cycle every node reaches every node, so the delete's derivation cone is
 the whole closure: the case where maintenance is most likely to lose.
 """
@@ -33,7 +37,18 @@ def probe(n: int, reps: int) -> dict:
     db = Database("cycle").register("edges", cycle_graph(n))
     q = Q.coll("edges").fix()
     edge = [(n // 2, n // 2 + 1)]
-    times: dict = {"delete": [], "insert": [], "execute": []}
+    times: dict = {"materialize": [], "first_read": [],
+                   "delete": [], "insert": [], "execute": []}
+    for _ in range(reps):
+        with connect(db) as session:
+            t0 = perf_counter()
+            view = session.materialize(q, name="tc")
+            times["materialize"].append(perf_counter() - t0)
+            t0 = perf_counter()
+            got = view.value
+            times["first_read"].append(perf_counter() - t0)
+            if got != session.execute(q).value:
+                raise RuntimeError(f"cycle({n}): the view's first read is not the execute")
     with connect(db) as session, connect(db) as plain:
         view = session.materialize(q, name="tc")
         plain.execute(q).value  # the plan and the compiled loop, once
@@ -65,7 +80,9 @@ def main() -> int:
     sys.path.insert(0, str(Path(args.tree).resolve() / "src"))
     for n in (int(x) for x in args.sizes.split(",")):
         out = probe(n, args.reps)
-        print(f"cycle({n}): delete+read {out['delete']:.1f} ms ({out['delete_over_execute']:.2f}x), "
+        print(f"cycle({n}): materialize {out['materialize']:.1f} ms, "
+              f"first read {out['first_read']:.1f} ms, "
+              f"delete+read {out['delete']:.1f} ms ({out['delete_over_execute']:.2f}x), "
               f"re-insert+read {out['insert']:.1f} ms ({out['insert_over_execute']:.2f}x), "
               f"execute {out['execute']:.1f} ms")
         print(json.dumps(out))
