@@ -35,35 +35,33 @@ approximate rule.  The accepted shapes, and the rules they get:
     both sides survive the deletion of one.
 
 ``fixpoint``
-    ``apply(loop(step), (field_of(R), seed))`` where ``step`` is
-    :func:`~repro.nra.derived.seeded_closure`'s, ``rr U rr o R`` or ``rr U
-    R o rr``, and ``R`` reads a mutable collection.  The node maintains the
-    *least* fixpoint and the template means the loop's bounded rounds, so
-    they are one value only where the budget is a theorem at every
-    database state; nothing checks it at build.  This one is
-    (``shapes``: "Fixpoint budgets"): ``|field_of(R)|`` rounds reach every
-    simple path of ``R`` from every seed.
-    :func:`~repro.engine.shapes.analyze_step` gives the step its shape --
-    the *same* analysis that makes the compiler's loop semi-naive -- and its
-    join spec (``StepShape.linear``); ``R`` is the node's second child,
-    maintained like any other.  The view keeps support counts over accumulator x ``R``
-    with the accumulator indexed on its join key and ``R`` on its own, on
-    dense ids -- a new tuple probes ``R``'s index, a change to ``R`` is one
-    more delta term that probes the accumulator's -- and deletions run
-    **delete/rederive** (DRed) over them: over-delete every derivation
-    through a deleted element, re-prove the still-supported survivors,
-    continue (the ``ivm-dred-*`` nodes under the fixpoint in the rendered
-    plan).  This is counting/DRed for linear recursion (Gupta, Mumick and
-    Subrahmanian, SIGMOD 1993).  ``closure(R)`` -- Example 7.1's repeated
-    squaring, the library's ``fix()`` -- is maintained as the equal linear
-    ``seeded_closure(R, field_of(R), R)``: squaring buys logarithmic depth
-    with extra work, and a commit pays only the work (each closure tuple has
-    one derivation per in-edge instead of one per intermediate node).
-    Every other loop -- a squaring ``closure`` does not match, a step
-    reading a constant, another join, a map over the accumulator, another
-    budget -- is ``recompute``: a budget fixed while the data grows, or one
-    over a collection that shrinks, can stop short of the fixpoint the
-    passes reach.
+    :func:`~repro.nra.derived.seeded_closure` over its relation's own field,
+    ``loop(\\rr. rr U rr o R)(field_of(R), seed)`` or ``rr U R o rr``, with
+    ``R`` reading a mutable collection
+    (:func:`~repro.nra.derived.match_seeded_closure`).  The node maintains
+    the *least* fixpoint and the template means the loop's bounded rounds,
+    so they are one value only where the budget is a theorem at every
+    database state; nothing checks it at build.  This one is:
+    ``|field_of(R)|`` rounds reach every simple path of ``R`` from every
+    seed.  The seed is the node's first child and ``R`` its second, each
+    maintained like any other.  The view keeps support counts over
+    accumulator x ``R`` with the accumulator indexed on its join key and
+    ``R`` on its own, on dense ids -- a new tuple probes ``R``'s index, a
+    change to ``R`` is one more delta term that probes the accumulator's --
+    and deletions run **delete/rederive** (DRed) over them: over-delete
+    every derivation through a deleted element, re-prove the
+    still-supported survivors, continue (the ``ivm-dred-*`` nodes under the
+    fixpoint in the rendered plan).  This is counting/DRed for linear
+    recursion (Gupta, Mumick and Subrahmanian, SIGMOD 1993).  ``closure(R)``
+    -- Example 7.1's repeated squaring, the library's ``fix()`` -- is
+    maintained as the equal linear ``seeded_closure(R, field_of(R), R)``:
+    squaring buys logarithmic depth with extra work, and a commit pays only
+    the work (each closure tuple has one derivation per in-edge instead of
+    one per intermediate node).  Every other loop -- a squaring ``closure``
+    does not match, a step reading a constant, another join, a map over the
+    accumulator, another budget -- is ``recompute``: a budget fixed while
+    the data grows, or one over a collection that shrinks, can stop short
+    of the fixpoint the passes reach.
 
 ``static``
     any subexpression mentioning no mutable collection: evaluated once,
@@ -71,8 +69,8 @@ approximate rule.  The accepted shapes, and the rules they get:
 
 ``recompute``
     everything else (difference/intersection bodies, correlated inner
-    sources, steps that fail the inflationary analysis, keys that mix
-    sides, ...): the plan marks where the rules run out.  A plan with
+    sources, loops other than the seeded closure, keys that mix sides,
+    ...): the plan marks where the rules run out.  A plan with
     any ``recompute`` node is not :meth:`~DeltaOp.maintainable`, and the
     view maintains it in whole-view recompute mode -- re-evaluate the
     template on every relevant commit and emit the diff -- so one awkward
@@ -92,10 +90,8 @@ from typing import Optional
 
 from ...nra import ast
 from ...nra.ast import Expr, free_variables, substitute
-from ...nra.derived import field_of, match_closure, seeded_closure
-from ..shapes import (
-    StepShape, analyze_step, is_linear_closure, match_join,
-)
+from ...nra.derived import field_of, match_closure, match_seeded_closure, seeded_closure
+from ..shapes import match_join
 from ..vectorized.plan import PlanNode, node
 
 #: The maintenance-rule vocabulary (``DeltaOp.kind`` ranges over these).
@@ -122,9 +118,8 @@ class DeltaOp:
     lkey: Optional[Expr] = None
     rkey: Optional[Expr] = None
     out: Optional[Expr] = None
-    #: ``fixpoint``: the step's shape (frontier terms, flat specs, and the
-    #: join spec of the linear step).
-    shape: Optional[StepShape] = None
+    #: ``fixpoint``: the step is ``rr U R o rr`` rather than ``rr U rr o R``.
+    backward: bool = False
 
     def walk(self):
         yield self
@@ -160,10 +155,12 @@ def derive(e: Expr, bases: frozenset[str]) -> DeltaOp:
         if found is not None:
             r, base = found
             e = seeded_closure(r, field_of(r, base, base), r, base)
-        if isinstance(e.func, (ast.Loop, ast.LogLoop)) and isinstance(e.arg, ast.Pair):
-            fix = _derive_fixpoint(e, bases)
-            if fix is not None:
-                return fix
+        fix = match_seeded_closure(e)
+        # R reads a mutable collection: a commit to it is the pass's second term.
+        if fix is not None and free_variables(fix[0]) & bases:
+            r, seed, _, backward = fix
+            return DeltaOp("fixpoint", e, (derive(seed, bases), derive(r, bases)),
+                           backward=backward)
     return DeltaOp("recompute", e)
 
 
@@ -212,31 +209,15 @@ def _derive_ext(e: ast.Apply, bases: frozenset[str]) -> DeltaOp:
     return DeltaOp(kind, e, (derive(src, bases),), var=var, body=body)
 
 
-def _derive_fixpoint(e: ast.Apply, bases: frozenset[str]) -> Optional[DeltaOp]:
-    step = e.func.step  # type: ignore[union-attr]
-    if not isinstance(step, ast.Lambda):
-        return None
-    shape = analyze_step(step)
-    if shape is None or shape.linear is None:
-        return None
-    # The passes reach the least fixpoint: the cold run must provably reach
-    # it too, whatever a commit does (``shapes``: "Fixpoint budgets").  A
-    # commit changes the step itself: a change to R is one more term.
-    if not ((free_variables(step.body) - {step.var}) & bases
-            and is_linear_closure(e, shape.base)):
-        return None
-    children = (derive(e.arg.snd, bases), derive(shape.base, bases))  # type: ignore[union-attr]
-    return DeltaOp("fixpoint", e, children, shape=shape)
-
-
 # ---------------------------------------------------------------------------
 # Explain rendering
 # ---------------------------------------------------------------------------
 
-def _plan_of(op: DeltaOp) -> PlanNode:
+def plan_of(op: DeltaOp) -> PlanNode:
+    """A compiled maintenance plan rendered as ``ivm-*`` plan nodes."""
     detail = ""
     annotations: tuple[str, ...] = ()
-    children = [_plan_of(c) for c in op.children]
+    children = [plan_of(c) for c in op.children]
     if op.kind == "base":
         detail = op.source
     elif op.kind in ("map", "select", "ext"):
@@ -248,14 +229,12 @@ def _plan_of(op: DeltaOp) -> PlanNode:
     elif op.kind == "union":
         annotations = ("counted",)
     elif op.kind == "fixpoint":
-        n_terms = len(op.shape.terms)
-        detail = f"{n_terms} frontier terms"
-        annotations = ("semi-naive continuation", "delete-rederive")
+        detail = "rr U R o rr" if op.backward else "rr U rr o R"
         # The deletion strategy, rendered as explicit sub-steps: the node
         # counts its derivations over accumulator x base on dense ids, the
         # over-deletion walks the derivation cone by index probes and
         # rederivation reads the remaining support counts.
-        annotations += ("linear-indexed",)
+        annotations = ("semi-naive continuation", "delete-rederive", "linear-indexed")
         children.append(node("ivm-dred-overdelete",
                              "indexed derivation cone, counts decremented",
                              annotations=("derivation-cone", "indexed")))
@@ -276,4 +255,4 @@ def maintenance_plan(e: Expr, bases: Optional[frozenset[str]] = None) -> PlanNod
     """
     if bases is None:
         bases = free_variables(e)
-    return _plan_of(derive(e, frozenset(bases)))
+    return plan_of(derive(e, frozenset(bases)))

@@ -18,11 +18,12 @@ Runtime state, per :class:`~repro.engine.incremental.delta.DeltaOp` node:
   ``k`` elements probes in ``O(k * matches)`` instead of re-joining, and
   the build is the right side, then the left side, probed into empty
   indexes;
-* ``fixpoint`` nodes (a linear closure ``\\v. v U J(v, R)``, how a
-  ``fix()`` is maintained) hold support counts on accumulator x ``R`` on
-  dense ids (:class:`_LinearState`) and run one **delete/rederive** (DRed)
-  pass over them per batch: over-delete everything with a derivation
-  through a deleted element, re-prove the over-deleted elements the
+* ``fixpoint`` nodes (:func:`~repro.nra.derived.seeded_closure`'s loop,
+  ``\\rr. rr U rr o R`` or ``rr U R o rr``, how a ``fix()`` is maintained)
+  hold support counts on accumulator x ``R`` on dense ids
+  (:class:`_LinearState`) and run one **delete/rederive** (DRed) pass over
+  them per batch: over-delete everything with a derivation through a
+  deleted element, re-prove the over-deleted elements the
   survivors still support, and continue semi-naively *from the new
   frontier* -- work scales with the affected derivation cone, not the
   result.  An insert-only batch is that pass with nothing deleted, and the
@@ -43,8 +44,8 @@ undone by a delete cancels) and the pending delta is spliced into the last
 rendered set, by bisection over cached sort keys
 (:meth:`~repro.engine.interning.InternTable.splice`), when and only when
 something reads it: :attr:`MaterializedView.value` / ``rows()`` /
-``refresh``, a recompute-mode diff, a fixpoint that left the pair
-domain.  A commit therefore costs the derivation cone;
+``refresh``, a recompute-mode diff.  A commit therefore costs the
+derivation cone;
 a read costs O(|pending| log n) python steps plus one C-level copy and is
 free when nothing changed.  The property this rests on is that *a view is
 read less often than its bases are written*; a reader after every commit
@@ -74,13 +75,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ...nra.ast import Expr
+from ...nra.errors import NRAEvalError
 from ...objects.values import SetVal, Value
 from ...obs.metrics import Counters
 from ...obs.trace import TRACER
 from ..interning import CODE_BITS, CODE_MASK
 from ..vectorized.batch import bind, expect_set, unbind
 from .changeset import Changeset
-from .delta import DeltaOp, derive, maintenance_plan
+from .delta import DeltaOp, derive, plan_of
 
 #: A set-level delta: interned element -> +1 (appeared) or -1 (disappeared).
 SetDelta = dict
@@ -145,8 +147,7 @@ class _NodeState:
         self.lindex: Optional[dict] = None
         self.rindex: Optional[dict] = None
         self.children: tuple["_NodeState", ...] = ()
-        #: A fixpoint's counted state, on dense ids; ``None`` once it left
-        #: the pair domain (it recomputes itself).
+        #: A fixpoint's counted state, on dense ids.
         self.flat: Optional["_LinearState"] = None
 
     @property
@@ -208,9 +209,9 @@ class _LinearState:
 
     __slots__ = ("backward", "counts", "acc", "base", "present", "seeds")
 
-    def __init__(self, spec) -> None:
+    def __init__(self, backward: bool) -> None:
         # ``R o rr`` joins the accumulator on its fst: it is the right factor.
-        self.backward = (spec.lkey if spec.left == "delta" else spec.rkey) == ("f",)
+        self.backward = backward
         self.counts: dict[int, int] = {}    # out code -> derivation count
         self.acc: dict[int, dict] = {}      # key id -> {fixpoint code}
         self.base: dict[int, dict] = {}     # key id -> {code of R}
@@ -346,7 +347,7 @@ class MaterializedView:
 
     def maintenance_plan(self):
         """The ``ivm-*`` plan tree this view maintains by (for explain/tests)."""
-        return maintenance_plan(self.expr, self.bases)
+        return plan_of(self.plan_ops)
 
     def depends_on(self, collection: str) -> bool:
         return collection in self.bases
@@ -515,19 +516,15 @@ class MaterializedView:
         st.children = tuple(self._init_node(c) for c in op.children)
         kind = op.kind
         if kind in ("static", "base"):
-            st.out = self._eval_set(op.expr)
+            st.out = expect_set(self._fn(op.expr)(self._env), "maintenance subexpression")
             return st
         if kind == "fixpoint":
             # The node's one pass, from empty with the seed and R as the
             # insertion.
-            seed = st.children[0].out.elements
-            st.flat = _LinearState(op.shape.linear)
-            if self._linear_pass(st, dict.fromkeys(seed, 1),
-                                 dict.fromkeys(st.children[1].out.elements, 1)) is None:
-                st.flat = None
-                st.out = self._eval_set(op.expr)
-            else:
-                st.out = self._it.set_from_pair_codes(st.flat.present)
+            seed, base = (c.out.elements for c in st.children)
+            st.flat = _LinearState(op.backward)
+            self._linear_pass(st, dict.fromkeys(seed, 1), dict.fromkeys(base, 1))
+            st.out = self._it.set_from_pair_codes(st.flat.present)
             return st
         # A counted node writes its build's derivations straight into its
         # counts; its output is their support.
@@ -549,9 +546,6 @@ class MaterializedView:
             raise AssertionError(f"unknown delta op kind {kind!r}")
         st.out = self._it.mkset(counts)
         return st
-
-    def _eval_set(self, e: Expr) -> SetVal:
-        return expect_set(self._fn(e)(self._env), "maintenance subexpression")
 
     # -- delta propagation -----------------------------------------------------
 
@@ -588,7 +582,7 @@ class MaterializedView:
         if kind == "join":
             return self._apply_join(op, st, child_deltas[0], child_deltas[1])
         if kind == "fixpoint":
-            return self._apply_fixpoint(op, st, *child_deltas)
+            return self._apply_fixpoint(st, *child_deltas)
         raise AssertionError(f"unknown delta op kind {kind!r}")
 
     def _commit_counts(self, st: _NodeState, acc: SetDelta) -> SetDelta:
@@ -690,41 +684,23 @@ class MaterializedView:
 
     # -- fixpoint --------------------------------------------------------------
 
-    def _apply_fixpoint(self, op: DeltaOp, st: _NodeState, d: SetDelta,
-                        dr: Optional[SetDelta] = None) -> SetDelta:
+    def _apply_fixpoint(self, st: _NodeState, d: SetDelta, dr: SetDelta) -> SetDelta:
         if not (d or dr):
             return {}
-        if st.flat is not None:
-            # The counted pass knows its exact delta (what fell for good,
-            # what is genuinely new): no full-set diff, and no render.
-            moved = self._linear_pass(st, d, dr)
-            if moved is not None:
-                self.stats.flat_index_applies += 1
-                pair = self._it.pair_from_ids
-                fell, added = moved
-                delta = {pair(c >> CODE_BITS, c & CODE_MASK): -1 for c in fell}
-                for c in added:
-                    delta[pair(c >> CODE_BITS, c & CODE_MASK)] = 1
-                st.moved(delta)
-                return delta
-            # A value outside the pair domain: drop the counts for good.  The
-            # declined pass touched nothing, so ``st.out`` is still the
-            # pre-pass fixpoint, and the node recomputes itself from now on.
-            st.flat = None
-        it = self._it
-        old = st.out
-        st.out = self._eval_set(op.expr)
-        delta: SetDelta = {}
-        for v in it.difference(st.out, old).elements:
-            delta[v] = 1
-        for v in it.difference(old, st.out).elements:
-            delta[v] = -1
+        # The counted pass knows its exact delta (what fell for good, what
+        # is genuinely new): no full-set diff, and no render.
+        fell, added = self._linear_pass(st, d, dr)
+        self.stats.flat_index_applies += 1
+        pair = self._it.pair_from_ids
+        delta = {pair(c >> CODE_BITS, c & CODE_MASK): -1 for c in fell}
+        for c in added:
+            delta[pair(c >> CODE_BITS, c & CODE_MASK)] = 1
+        st.moved(delta)
         return delta
 
     # -- linear fixpoint (``fix()``, maintained as the linear closure) -----------
 
-    def _linear_pass(self, st: _NodeState, d: SetDelta,
-                     dr: Optional[SetDelta]) -> Optional[tuple[list, list]]:
+    def _linear_pass(self, st: _NodeState, d: SetDelta, dr: SetDelta) -> tuple[list, list]:
         """Delete/rederive (DRed) over the counts: the fixpoint node's one
         pass, for a seed delta ``d`` and a delta ``dr`` of the step's
         relation ``R``.
@@ -744,8 +720,9 @@ class MaterializedView:
         ``R`` against the survivors; each code joins the fixpoint, indexes
         itself and probes ``R`` once, so every derivation is counted once.
         Returns the boundary as codes -- what fell for good, what is
-        genuinely new -- for the caller to decode, or ``None`` when a value
-        lies outside the pair domain (having touched nothing).
+        genuinely new -- for the caller to decode.  A value outside the pair
+        domain raises the projection error a cold run raises, having touched
+        nothing.
 
         With nothing deleted the over-delete walk is empty: an insert-only
         batch is the counted continuation alone, and the node's build is
@@ -759,19 +736,22 @@ class MaterializedView:
         present, counts, seeds, probe = lin.present, lin.counts, lin.seeds, lin.probe
         parts, dense = self._it.pair_parts(), self._it.dense_id
 
-        def codes(delta, sign):
+        def codes(delta, sign, proj):
             out = []
             for v, dc in delta.items():
                 if dc == sign:
-                    f, s = parts[dense(v)]
+                    try:
+                        f, s = parts[dense(v)]
+                    except KeyError:
+                        raise NRAEvalError(f"{proj}: expected a pair, got {v!r}") from None
                     out.append((f << CODE_BITS) | s)
             return out
 
-        try:
-            s_ins, s_del = codes(d, 1), codes(d, -1)
-            r_ins, r_del = (codes(dr, 1), codes(dr, -1)) if dr else ((), ())
-        except KeyError:
-            return None
+        # The projection each side's join key takes: the accumulator's
+        # (seeded from ``d``) and R's.
+        acc_key, r_key = ("pi1", "pi2") if lin.backward else ("pi2", "pi1")
+        s_ins, s_del = codes(d, 1, acc_key), codes(d, -1, acc_key)
+        r_ins, r_del = codes(dr, 1, r_key), codes(dr, -1, r_key)
         seeds.difference_update(s_del)
         touched = [c for c in s_del if c in present]
         for b in r_del:

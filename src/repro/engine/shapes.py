@@ -11,10 +11,12 @@ The central decision is :func:`analyze_step`: a fixpoint step ``\\v. v U
 F(v)`` with ``F`` union-distributive only ever grows its accumulator, so
 each round needs to re-derive only from the previous round's new elements
 (the frontier).  Its :class:`StepShape` -- frontier terms, ``strict``, flat
-join specs, the linear join -- is what the compiler's loop runs and
-what a view maintains, so the two can never disagree.  Every proof here is
-syntactic: no sampled algebraic gate is involved, so unlike the
-cost-directed rewrite rules these analyses never mis-fire.
+join specs -- is what the compiler's loop runs.  A view does not read it:
+the one fixpoint a view maintains is
+:func:`~repro.nra.derived.seeded_closure`'s loop, which
+:func:`~repro.nra.derived.match_seeded_closure` recognises whole.  Every
+proof here is syntactic: no sampled algebraic gate is involved, so unlike
+the cost-directed rewrite rules these analyses never mis-fire.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from typing import Optional
 
 from ..nra import ast
 from ..nra.ast import Expr, fresh_name, free_variables, map_children
-from ..nra.derived import field_of, seeded_closure
 from ..objects.types import ProdType, Type
 
 
@@ -507,11 +508,7 @@ class StepShape:
     ``strict`` says round one is a frontier round too (no loop-invariant
     branch).  ``flat`` lowers the terms to flat join specs (``"copy"`` or a
     :class:`FlatTermSpec` per term) when every term allows it, else
-    ``None``.  ``linear`` is the one join spec of a *linear* step
-    ``\\v. v U J(v, R)`` -- the accumulator joined once against a relation
-    ``R`` that does not read it, as in :func:`repro.nra.derived.seeded_closure`
-    -- when that is the whole step (strict, so no loop-invariant branch) and
-    every path on ``R``'s side projects, else ``None``.
+    ``None``.
     """
 
     var: str
@@ -519,36 +516,6 @@ class StepShape:
     terms: tuple[Expr, ...]
     strict: bool
     flat: Optional[tuple] = None
-    linear: Optional[FlatTermSpec] = None
-
-    @property
-    def base(self) -> Optional[Expr]:
-        """The relation ``R`` a linear step joins the accumulator against."""
-        s = self.linear
-        return None if s is None else (s.left_src if s.left == "inv" else s.right_src)
-
-
-def _binds(e: Expr, name: str) -> bool:
-    """True iff some lambda inside ``e`` binds ``name``."""
-    if isinstance(e, ast.Lambda) and e.var == name:
-        return True
-    return any(_binds(c, name) for c in e.children())
-
-
-def _linear(step: ast.Lambda, strict: bool, flat: Optional[tuple]) -> Optional[FlatTermSpec]:
-    """The spec of the step's one join when it pairs the frontier with an
-    invariant relation whose rows are pairs (every path on its side
-    projects), the step is strict and no binder shadows the accumulator."""
-    if flat is None or not strict or _binds(step.body, step.var):
-        return None
-    joins = [s for s in flat if s != "copy"]
-    if len(joins) != 1 or {joins[0].left, joins[0].right} != {"delta", "inv"}:
-        return None
-    s = joins[0]
-    inv_left = s.left == "inv"
-    paths = [s.lkey if inv_left else s.rkey]
-    paths += [path for side, path in (s.out_a, s.out_b) if (side == "l") == inv_left]
-    return s if all(paths) else None
 
 
 def analyze_step(step: Expr) -> Optional[StepShape]:
@@ -567,34 +534,4 @@ def analyze_step(step: Expr) -> Optional[StepShape]:
     terms, strict = decomposed
     flat = analyze_flat_terms(terms, step.var, dv)
     flat = None if flat is None else tuple(flat)
-    return StepShape(
-        step.var, dv, tuple(terms), strict, flat, _linear(step, strict, flat)
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fixpoint budgets: when a bounded loop is its least fixpoint
-# ---------------------------------------------------------------------------
-#
-# ``loop``/``log_loop`` run a step a number of rounds read off their control
-# set, so the value equals the least fixpoint only where that number is
-# provably enough -- at *every* value of the free variables, not just the
-# ones a view was built on.  One shape carries the proof, matched up to the
-# names of bound variables and nothing looser.
-
-def is_linear_closure(e: Expr, r: Expr) -> bool:
-    """True iff ``e`` is :func:`~repro.nra.derived.seeded_closure` over ``r``:
-    ``loop(\\rr. rr U rr o r)(field_of(r), seed)``, or ``r o rr``.
-
-    ``|field_of(r)|`` rounds reach every simple path of ``r`` from every
-    seed, so the budget follows ``r`` and the seed wherever they go.
-    """
-    if not (isinstance(e, ast.Apply) and isinstance(e.func, ast.Loop)
-            and isinstance(e.arg, ast.Pair)):
-        return False
-    t, seed = e.func.set_elem_type, e.arg.snd
-    return any(
-        ast.alpha_equal(e, seeded_closure(r, field_of(r, t, t), seed, t, backward))
-        for backward in (False, True)
-    )
-
+    return StepShape(step.var, dv, tuple(terms), strict, flat)

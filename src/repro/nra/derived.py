@@ -251,6 +251,28 @@ def seeded_closure(r: Expr, nodes: Expr, seed: Expr, base: Type, backward: bool 
     return Apply(Loop(step, base), Pair(nodes, seed))
 
 
+def match_seeded_closure(e: Expr) -> Optional[tuple[Expr, Expr, Type, bool]]:
+    """The inverse of :func:`seeded_closure` over its relation's own field:
+    ``(r, seed, base, backward)`` iff ``e`` is ``seeded_closure(r,
+    field_of(r), seed, base, backward)``.
+
+    Up to the names of bound variables, and nothing looser.  This is the
+    bounded loop whose budget is a theorem at every value of its free
+    variables: ``|field_of(r)|`` rounds reach every simple path of ``r`` from
+    every seed, so the budget follows ``r`` and the seed wherever they go.
+    """
+    if not (isinstance(e, Apply) and isinstance(e.func, Loop) and isinstance(e.arg, Pair)):
+        return None
+    r = match_field_of(e.arg.fst)
+    if r is None:
+        return None
+    seed, base = e.arg.snd, e.func.set_elem_type
+    for backward in (False, True):
+        if alpha_equal(e, seeded_closure(r, field_of(r, base, base), seed, base, backward)):
+            return r, seed, base, backward
+    return None
+
+
 def nest(r: Expr, t1: Type, t2: Type) -> Expr:
     """Nest a binary relation on its first column: ``{s x t} -> {s x {t}}``.
 

@@ -43,9 +43,12 @@ from repro.nra.ast import (
     Var,
     alpha_equal,
     subexpressions,
+    substitute,
 )
 from repro.nra.cost import cost_run
-from repro.nra.derived import closure, compose, field_of, match_closure
+from repro.nra.derived import (
+    closure, compose, field_of, match_closure, match_seeded_closure, seeded_closure,
+)
 from repro.nra.errors import NRAEvalError
 from repro.nra.eval import run
 from repro.objects.types import BASE
@@ -215,6 +218,23 @@ def test_match_closure_inverts_both_constructors():
     assert alpha_equal(fix.func.body, closure(Var(fix.func.var), BASE))
     assert fix.func.body != closure(Var(fix.func.var), BASE)  # binder names differ
     assert match_closure(R) is None
+
+
+def test_match_seeded_closure_inverts_seeded_closure():
+    """The one loop a view maintains: either orientation, any binder names,
+    and a budget over its own relation's field, nothing looser."""
+    nodes, seed = field_of(R, BASE, BASE), Var("seed")
+    for backward in (False, True):
+        e = seeded_closure(R, nodes, seed, BASE, backward)
+        assert match_seeded_closure(e) == (R, seed, BASE, backward)
+        step = e.func.step
+        renamed = Lambda("acc", step.var_type, substitute(step.body, step.var, Var("acc")))
+        assert match_seeded_closure(Apply(Loop(renamed, BASE), e.arg)) == (
+            R, seed, BASE, backward)
+        assert match_seeded_closure(Apply(LogLoop(step, BASE), e.arg)) is None
+    assert match_seeded_closure(closure(R, BASE)) is None
+    other = field_of(Var("other"), BASE, BASE)
+    assert match_seeded_closure(seeded_closure(R, other, seed, BASE)) is None
 
 
 def test_alpha_equal_tells_binders_apart():

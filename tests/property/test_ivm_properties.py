@@ -118,7 +118,7 @@ def _assert_state_consistent(view, label):
         assert interner.is_interned(st.out) and not st.pending, (
             f"{label}: {op.kind} output was not folded to an interned set"
         )
-        if st.flat is not None:
+        if op.kind == "fixpoint":
             _assert_linear_state_consistent(view, st, label)
         if st.counts is not None:
             bad = [c for c in st.counts.values() if c <= 0]
@@ -253,7 +253,6 @@ _STEP = hst.one_of(
     hst.tuples(hst.just("delete"), _ROWS),
     hst.tuples(hst.just("mixed"), _ROWS, _ROWS),
     hst.tuples(hst.just("net-zero"), _ROWS),
-    hst.tuples(hst.just("demote")),
     hst.tuples(hst.just("read"), hst.sampled_from(sorted(_panel()))),
 )
 
@@ -278,7 +277,6 @@ def test_reads_at_random_points_equal_a_cold_run(flat, initial, steps):
         with connect(db, engine=engine) as session, connect(db) as cold:
             views = {name: session.materialize(q, name=name)
                      for name, q in _panel().items()}
-            demoted = False
             for i, step in enumerate(steps):
                 kind = step[0]
                 if kind in ("insert", "delete"):
@@ -298,24 +296,9 @@ def test_reads_at_random_points_equal_a_cold_run(flat, initial, steps):
                     for name, view in views.items():
                         value, renders = before[name]
                         assert view.value is value, f"step {i}: view {name!r} moved"
-                        if not demoted:
-                            assert view.stats.materializations == renders, (
-                                f"step {i}: view {name!r} rendered a net-zero pair"
-                            )
-                elif kind == "demote":
-                    # Typed rows cannot leave the flat pair domain, so decline
-                    # the counted passes by hand and commit a row every
-                    # fixpoint sees: each drops its counts for good,
-                    # mid-sequence, and recomputes itself from then on.
-                    demoted = True
-                    for view in views.values():
-                        view._linear_pass = lambda st, d, dr: None
-                    db.insert("edges", [(7, 7)])  # outside _ATOM: new once
-                    for name, view in views.items():
-                        for op, st in _walk_states(view.plan_ops, view._root):
-                            if op.kind == "fixpoint":
-                                assert st.flat is None, f"step {i}: {name!r} kept its counts"
-                        _assert_read_is_cold(session, cold, views, name, f"step {i}")
+                        assert view.stats.materializations == renders, (
+                            f"step {i}: view {name!r} rendered a net-zero pair"
+                        )
                 else:
                     _assert_read_is_cold(session, cold, views, step[1], f"step {i}")
             for name in views:

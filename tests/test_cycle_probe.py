@@ -16,8 +16,9 @@ def test_the_cycle_probe_times_the_build_and_every_step():
     assert out[0].startswith("cycle(8): materialize ")
     row = json.loads(out[1])
     assert row["n"] == 8
-    assert all(row[step] > 0
-               for step in ("materialize", "first_read", "delete", "insert", "execute"))
+    # Every step on both clocks: the wall clock and the process's CPU time.
+    steps = ("materialize", "first_read", "delete", "insert", "execute")
+    assert all(row[step] > 0 and row["cpu"][step] > 0 for step in steps)
     # One delete and one re-insert, each served by the counted pass.
     assert row["stats"]["flat_index_applies"] == 2
     assert row["stats"]["fallback_recomputes"] == 0

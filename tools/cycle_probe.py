@@ -12,7 +12,9 @@ re-inserts it and reads again.  After
 each commit a second session with no view executes the same query and reads
 its value: what the answer costs without maintenance.  Prints the median
 milliseconds of the build (``materialize``), the first read, the delete +
-read, the re-insert + read and the execute, and the view's lifetime
+read, the re-insert + read and the execute, each on the wall clock and on
+the process's CPU clock (``cpu``: ``time.process_time``, which a busy
+neighbour on a shared host moves far less), and the view's lifetime
 counters; every read is checked against the execute.
 On a cycle every node reaches every node, so the delete's derivation cone is
 the whole closure: the case where maintenance is most likely to lose.
@@ -25,9 +27,17 @@ import json
 import statistics
 import sys
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def timed(times: dict, step: str, fn):
+    """``fn()``, its wall and CPU seconds appended to ``times[step]``."""
+    w, c = perf_counter(), process_time()
+    out = fn()
+    times[step].append((perf_counter() - w, process_time() - c))
+    return out
 
 
 def probe(n: int, reps: int) -> dict:
@@ -41,12 +51,8 @@ def probe(n: int, reps: int) -> dict:
                    "delete": [], "insert": [], "execute": []}
     for _ in range(reps):
         with connect(db) as session:
-            t0 = perf_counter()
-            view = session.materialize(q, name="tc")
-            times["materialize"].append(perf_counter() - t0)
-            t0 = perf_counter()
-            got = view.value
-            times["first_read"].append(perf_counter() - t0)
+            view = timed(times, "materialize", lambda: session.materialize(q, name="tc"))
+            got = timed(times, "first_read", lambda: view.value)
             if got != session.execute(q).value:
                 raise RuntimeError(f"cycle({n}): the view's first read is not the execute")
     with connect(db) as session, connect(db) as plain:
@@ -54,18 +60,18 @@ def probe(n: int, reps: int) -> dict:
         plain.execute(q).value  # the plan and the compiled loop, once
         for _ in range(reps):
             for step, mutate in (("delete", db.delete), ("insert", db.insert)):
-                t0 = perf_counter()
-                mutate("edges", edge)
-                got = view.value
-                times[step].append(perf_counter() - t0)
-                t0 = perf_counter()
-                want = plain.execute(q).value
-                times["execute"].append(perf_counter() - t0)
+                def commit_and_read():
+                    mutate("edges", edge)
+                    return view.value
+
+                got = timed(times, step, commit_and_read)
+                want = timed(times, "execute", lambda: plain.execute(q).value)
                 if got != want:
                     raise RuntimeError(f"cycle({n}): the view after the {step} is not the execute")
         stats = view.stats.as_dict()
-    medians = {step: statistics.median(ts) * 1e3 for step, ts in times.items()}
-    return {"n": n, **medians,
+    medians = {step: statistics.median(w for w, _ in ts) * 1e3 for step, ts in times.items()}
+    cpu = {step: statistics.median(c for _, c in ts) * 1e3 for step, ts in times.items()}
+    return {"n": n, **medians, "cpu": cpu,
             "delete_over_execute": medians["delete"] / medians["execute"],
             "insert_over_execute": medians["insert"] / medians["execute"],
             "stats": stats}
@@ -84,7 +90,8 @@ def main() -> int:
               f"first read {out['first_read']:.1f} ms, "
               f"delete+read {out['delete']:.1f} ms ({out['delete_over_execute']:.2f}x), "
               f"re-insert+read {out['insert']:.1f} ms ({out['insert_over_execute']:.2f}x), "
-              f"execute {out['execute']:.1f} ms")
+              f"execute {out['execute']:.1f} ms; cpu: "
+              + ", ".join(f"{step} {ms:.1f}" for step, ms in out["cpu"].items()) + " ms")
         print(json.dumps(out))
     return 0
 
