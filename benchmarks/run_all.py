@@ -247,16 +247,16 @@ def _parallel_overlap_workload(quick: bool) -> dict:
     service latency: one independent oracle call per element (the paper
     keeps ``ext`` primitive because its applications are one parallel
     step).  The vectorized backend pays the calls serially; the parallel
-    backend shards the request set over >= 4 workers and overlaps them --
-    a wall-clock win that does not require multiple cores, which is what
-    makes it the honest acceptance measurement on single-core CI runners
-    (CPU-bound sharding under the GIL cannot win there; the fixpoint row
-    below records that regime without gating on it).  Bar: **>= 1.5x**,
+    backend cuts the request set into one canonical run per worker (4) and
+    overlaps them -- a wall-clock win that does not require multiple cores,
+    which is what makes it the honest acceptance measurement on single-core
+    CI runners (CPU-bound sharding under the GIL cannot win there; the
+    fixpoint row below records that regime without gating on it).  Bar: **>= 1.5x**,
     typically measured 3-4x.
     """
     n = 64 if quick else 240
     latency = 0.0005  # 0.5 ms simulated round-trip per oracle call
-    workers, shards = 4, (16 if quick else 32)
+    workers = 4
     sigma, query, value = enrichment_workload(n, latency=latency)
 
     t_vec, r_vec = _best_of(
@@ -264,7 +264,7 @@ def _parallel_overlap_workload(quick: bool) -> dict:
     )
 
     def run_parallel():
-        eng = Engine(sigma=sigma, backend="parallel", workers=workers, shards=shards)
+        eng = Engine(sigma=sigma, backend="parallel", workers=workers)
         try:
             return eng.run(query, value)
         finally:
@@ -285,7 +285,6 @@ def _parallel_overlap_workload(quick: bool) -> dict:
         "n": n,
         "acceptance": not quick,
         "workers": workers,
-        "shards": shards,
         "oracle_latency_s": latency,
         "times_s": {"vectorized": t_vec, "parallel": t_par},
         "speedups": {"parallel_vs_vectorized": t_vec / t_par if t_par > 0 else float("inf")},
@@ -811,7 +810,7 @@ def _router_regret_workload(quick: bool) -> dict:
             auto.close()
         baselines: dict[str, float] = {}
         for backend in hand_picked:
-            eng = (Engine(backend="parallel", workers=4, shards=16, **ext)
+            eng = (Engine(backend="parallel", workers=4, **ext)
                    if backend == "parallel"
                    else Engine(backend=backend, **ext))
             try:
@@ -824,7 +823,6 @@ def _router_regret_workload(quick: bool) -> dict:
         best_backend = min(baselines, key=baselines.get)
         legs[name] = {
             "auto_backend": decision.backend,
-            "auto_shards": decision.shards,
             "auto_s": t_auto,
             "baselines_s": baselines,
             "best_backend": best_backend,
@@ -1086,9 +1084,7 @@ def _print_router(rows: list[dict]) -> None:
               f"{r['times_s']['best_hand_picked']*1e3:8.1f}ms)"
               f"{'  *' if r['acceptance'] else ''}")
         for name, leg in r["legs"].items():
-            shards = (f" shards={leg['auto_shards']}"
-                      if leg["auto_shards"] else "")
-            print(f"    {name:<18} auto->{leg['auto_backend']}{shards} "
+            print(f"    {name:<18} auto->{leg['auto_backend']} "
                   f"{leg['auto_s']*1e3:8.1f}ms  "
                   f"best={leg['best_backend']} {leg['best_s']*1e3:8.1f}ms  "
                   f"regret {leg['regret']:5.2f}x")

@@ -21,9 +21,10 @@ Layers (each usable on its own):
 * :mod:`repro.engine.vectorized` -- the set-at-a-time executor: a compiler
   from NRA expressions to columnar plans (hash joins, bulk select/project,
   semi-naive frontier iteration for provably inflationary steps);
-* :mod:`repro.engine.parallel` -- the sharded backend: hash-partitioned
-  inputs, shard-local vectorized sub-plans on a worker thread pool and
-  union combiners for union-distributive queries (external-call overlap);
+* :mod:`repro.engine.parallel` -- the sharded backend: inputs cut into
+  contiguous runs of their canonical order, one per worker, shard-local
+  vectorized sub-plans on a worker thread pool and union combiners for
+  union-distributive queries (external-call overlap);
   everything else runs whole on the vectorized driver;
 * :mod:`repro.engine.incremental` -- the view-maintenance subsystem:
   delta-compiled standing queries (support counts, incremental join

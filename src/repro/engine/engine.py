@@ -15,15 +15,14 @@ optimization layers of this package --
                  select/project, semi-naive frontier iteration
                  (:mod:`repro.engine.vectorized`)
    `parallel`    shard-and-union on a thread pool: a union-distributive query
-                 runs shard-local vectorized sub-plans on hash-partitioned
-                 input, overlapping external-call latency; fixpoints and
-                 every other query run whole on the vectorized driver
-                 (:mod:`repro.engine.parallel`)
+                 runs shard-local vectorized sub-plans on contiguous runs of
+                 its input's canonical order, one per worker, overlapping
+                 external-call latency; fixpoints and every other query run
+                 whole on the vectorized driver (:mod:`repro.engine.parallel`)
    `auto`        the adaptive cost-based router: estimates cost at catalog
-                 scale, picks ``vectorized`` or ``parallel`` (plus shard count
-                 and join order) per query, records actual runtimes and
-                 re-routes on order-of-magnitude misses
-                 (:mod:`repro.engine.router`)
+                 scale, picks ``vectorized`` or ``parallel`` (plus join
+                 order) per query, records actual runtimes and re-routes on
+                 order-of-magnitude misses (:mod:`repro.engine.router`)
    ============  ==================================================================
 
 -- behind an API that mirrors :func:`repro.nra.eval.run`::
@@ -176,11 +175,12 @@ class Engine:
         the default; ``parallel`` is the sharded backend over a thread
         pool; ``auto`` routes each query to one of those two and adapts
         from observed runtimes; ``reference`` is the oracle interpreter.
-    workers / shards:
-        Parallel-backend knobs (ignored by the other backends): pool size
-        (default :func:`default_workers`) and target shards per wave
-        (default ``2 * workers``).  Both must be at least 1 whatever the
-        backend, since ``explain_plan(backend="parallel")`` builds the pool.
+    workers:
+        The parallel backend's pool size (ignored by the other backends;
+        default :func:`default_workers`), which is also the number of
+        contiguous runs a sharded input is cut into.  It must be at least 1
+        whatever the backend, since ``explain_plan(backend="parallel")``
+        builds the pool.
     flat:
         Whether the compiled backends may use the dense-id column kernels.
 
@@ -225,7 +225,6 @@ class Engine:
         rules: Optional[list[Rule]] = None,
         backend: str = "vectorized",
         workers: Optional[int] = None,
-        shards: Optional[int] = None,
         flat: bool = True,
     ) -> None:
         self.sigma = sigma
@@ -235,9 +234,6 @@ class Engine:
         self.workers = workers if workers is not None else default_workers()
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
         #: Whether the vectorized/parallel backends may use the flat
         #: (dense-id array) kernels.  ``False`` pins the object kernels --
         #: the representation benchmarks' baseline and an escape hatch.
@@ -400,9 +396,10 @@ class Engine:
 
         ``backend`` defaults to the *vectorized* view unless the engine's
         default backend is ``parallel`` (or ``backend="parallel"`` is
-        passed), in which case the tree is the sharded plan: the shard
-        partitioning, the shard-local vectorized sub-plan, and the union
-        combiner -- or the driver fallback, clearly labelled.
+        passed), in which case the tree is the sharded plan: the input cut
+        into canonical runs, one per worker, the shard-local vectorized
+        sub-plan, and the union combiner -- or the driver fallback, clearly
+        labelled.
 
         ``backend="incremental"`` (an explain-only view: it is not a ``run``
         backend) returns the **maintenance plan** the incremental
@@ -413,8 +410,8 @@ class Engine:
 
         ``backend="auto"`` returns the router's "why this backend" trace: a
         ``route`` node carrying the cost estimate, the decision (backend,
-        shard count, join-order swaps) and any re-route history, wrapped
-        around the routed backend's own plan.  When the template has already
+        join-order swaps) and any re-route history, wrapped around the
+        routed backend's own plan.  When the template has already
         been routed (a prepare or a run happened) the recorded decision is
         shown; otherwise a fresh statistics-free decision is made.
         """
@@ -491,14 +488,10 @@ class Engine:
                     if chosen == "auto":
                         decision = self.router().route(expr, arg=arg, env=env)
                         if sp is not None:
-                            sp.set(
-                                backend=decision.backend, route=decision.reason,
-                                shards=decision.shards,
-                            )
+                            sp.set(backend=decision.backend, route=decision.reason)
                         t0 = perf_counter()
                         result = self._execute(
-                            decision.backend, decision.expr, arg, env,
-                            shards=decision.shards, plan=plan,
+                            decision.backend, decision.expr, arg, env, plan=plan
                         )
                         self.router().record_runtime(
                             expr, decision.backend, perf_counter() - t0
@@ -538,7 +531,6 @@ class Engine:
         expr: Expr,
         arg: Optional[Value],
         env: Optional[dict],
-        shards: Optional[int] = None,
         plan: Optional[Plan] = None,
     ) -> Value:
         """Dispatch one evaluation to a concrete backend (lock already held).
@@ -552,7 +544,7 @@ class Engine:
         if chosen == "parallel":
             pv = self._par()
             before_par = pv.stats.copy()
-            result = pv.run(expr, arg=arg, env=env, shards=shards)
+            result = pv.run(expr, arg=arg, env=env)
             self.last_stats = pv.stats.since(before_par)
             return result
         ev = self._vec()
@@ -658,10 +650,7 @@ class Engine:
         with self._lock:
             if self._parallel is None:
                 self._parallel = ParallelEvaluator(
-                    self.sigma,
-                    driver=self._vec(),
-                    workers=self.workers,
-                    shards=self.shards,
+                    self.sigma, driver=self._vec(), workers=self.workers
                 )
             return self._parallel
 
@@ -669,9 +658,7 @@ class Engine:
         """The engine's adaptive router (created on first use, lock-scoped)."""
         with self._lock:
             if self._router is None:
-                self._router = Router(
-                    self.sigma, workers=self.workers, shards=self.shards
-                )
+                self._router = Router(self.sigma, workers=self.workers)
             return self._router
 
     def route(

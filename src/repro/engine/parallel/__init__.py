@@ -1,11 +1,8 @@
 """The data-parallel sharded backend (``Engine(backend="parallel")``).
 
 The source paper proves NRA queries parallelizable in principle (NC on a
-PRAM); this package makes the claim operational.  Four layers:
+PRAM); this package makes the claim operational.  Three layers:
 
-* :mod:`~repro.engine.parallel.partition` -- deterministic structural
-  hashing and hash-sharding of canonical sets (shards are canonical
-  subsequences, built without re-sorting);
 * :mod:`~repro.engine.parallel.sharder` -- the syntactic analysis deciding
   *what* may be sharded: union-distributive queries (shard the input, union
   the shard results);
@@ -13,7 +10,8 @@ PRAM); this package makes the claim operational.  Four layers:
   vectorized evaluators (private intern tables, translation caches) driven
   by a thread pool;
 * :mod:`~repro.engine.parallel.executor` -- :class:`ParallelEvaluator`, the
-  backend proper: analysis, dispatch, union combiners, driver fallback.
+  backend proper: the sharded set cut into contiguous runs of its canonical
+  order, one per worker, dispatch, union combiners, driver fallback.
 
 Fixpoints and every other unshardable query run whole on the driver, the
 engine's vectorized evaluator.  What the pool buys is overlap of
@@ -24,15 +22,12 @@ vectorized one.
 """
 
 from .executor import ParallelEvaluator, ParStats
-from .partition import hash_partition, structural_hash
 from .scheduler import ShardTask, ShardWorker, WorkerPool
 from .sharder import ShardSpec, analyze, distributes_over_union
 
 __all__ = [
     "ParallelEvaluator",
     "ParStats",
-    "hash_partition",
-    "structural_hash",
     "ShardTask",
     "ShardWorker",
     "WorkerPool",

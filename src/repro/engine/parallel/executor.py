@@ -2,11 +2,13 @@
 
 :class:`ParallelEvaluator` is the engine's ``parallel`` backend.
 It realises the paper's data-parallel reading of NRA as a measurable system
-property: a query that distributes over union is evaluated on a hash
-partition of its input -- one shard-local *vectorized* sub-plan per shard,
-driven by the worker pool of :mod:`repro.engine.parallel.scheduler` -- and
-recombined with a union combiner.  What that buys is overlap: shard work that
-waits on external calls waits concurrently, even under the GIL.  Everything
+property: a query that distributes over union is evaluated on its input cut
+into contiguous runs of the canonical order, one per worker (the paper's
+processor assignment on an ordered database) -- one shard-local *vectorized*
+sub-plan per run, driven by the worker pool of
+:mod:`repro.engine.parallel.scheduler` -- and recombined with a union
+combiner.  What that buys is overlap: shard work that waits on external
+calls waits concurrently, even under the GIL.  Everything
 else -- fixpoints, bilinear queries, ill-shaped inputs -- falls back whole
 to the **driver**, the engine's own
 :class:`~repro.engine.vectorized.VectorizedEvaluator`, shared so compile
@@ -33,13 +35,12 @@ from typing import Optional
 from ...nra.ast import Expr
 from ...nra.errors import NRAEvalError
 from ...nra.externals import EMPTY_SIGMA, Signature
-from ...objects.values import SetVal, Value
+from ...objects.values import SetVal, Value, canonical_set
 from ...obs.metrics import Counters
 from ...obs.trace import TRACER
 from ..interning import intern_env
 from ..vectorized import VectorizedEvaluator
 from ..vectorized.plan import PlanNode, leaf, node
-from .partition import hash_partition
 from .scheduler import ShardTask, WorkerPool
 from .sharder import ShardSpec, analyze
 
@@ -51,8 +52,27 @@ class ParStats(Counters):
     shard_runs: int = 0        # runs executed shard-at-a-time
     fallback_runs: int = 0     # runs delegated whole to the driver
     tasks: int = 0             # worker tasks dispatched
-    shards: int = 0            # shards produced
+    shards: int = 0            # shards (canonical runs) produced
     worker_compiles: int = 0   # subexpression compiles inside pool workers
+
+
+def canonical_runs(s: SetVal, k: int) -> list[SetVal]:
+    """Cut a canonical set into ``min(k, |s|)`` contiguous canonical runs.
+
+    Run sizes differ by at most one, and run ``i`` holds the ``i``-th block
+    of the canonical order, so the runs are disjoint, cover ``s`` and need
+    no re-sort (a slice of a canonical tuple is canonical).  A set of at
+    most one element, or ``k <= 1``, is returned whole -- the empty input
+    included, so a shard-local plan still runs exactly once: a
+    union-distributive query may contain loop-invariant operands that
+    contribute to the result even on empty input.
+    """
+    els = s.elements
+    n = len(els)
+    if k <= 1 or n <= 1:
+        return [s]
+    k = min(k, n)
+    return [canonical_set(els[i * n // k:(i + 1) * n // k]) for i in range(k)]
 
 
 class ParallelEvaluator:
@@ -67,12 +87,9 @@ class ParallelEvaluator:
         explain, evaluates fallbacks, and owns the intern table all results
         are canonicalized into.
     workers:
-        Pool size.  Worth raising beyond the core count when shard work
-        blocks on external calls (the pool overlaps their latency even under
-        the GIL).
-    shards:
-        Target shard count per wave (defaults to ``2 * workers`` so slightly
-        skewed shards still keep every worker busy).
+        Pool size, and the number of runs a sharded input is cut into.
+        Worth raising beyond the core count when shard work blocks on
+        external calls (the pool overlaps their latency even under the GIL).
     """
 
     def __init__(
@@ -80,14 +97,10 @@ class ParallelEvaluator:
         sigma: Signature = EMPTY_SIGMA,
         driver: Optional[VectorizedEvaluator] = None,
         workers: int = 4,
-        shards: Optional[int] = None,
     ) -> None:
         self.driver = driver if driver is not None else VectorizedEvaluator(sigma)
         self.interner = self.driver.interner
         self.workers = workers
-        self.shard_count = shards if shards is not None else 2 * workers
-        if self.shard_count < 1:
-            raise ValueError("shard count must be >= 1")
         self.pool = WorkerPool(sigma=sigma, workers=workers)
         self.stats = ParStats()
         self._specs: dict[Expr, Optional[ShardSpec]] = {}
@@ -106,7 +119,7 @@ class ParallelEvaluator:
         compile cache ``prepare`` relies on.
         """
         spec = self._spec(e)
-        w, k = self.workers, self.shard_count
+        w = self.workers
         if spec is None:
             return node(
                 "parallel",
@@ -118,10 +131,10 @@ class ParallelEvaluator:
             f"workers={w}",
             node(
                 "shard",
-                f"{spec.kind} {spec.var!r} into <={k} shards by structural hash",
+                f"{spec.kind} {spec.var!r} into <={w} runs of the canonical order",
                 self.driver.plan(spec.body),
             ),
-            leaf("combine-union", f"union of <={k} shard results"),
+            leaf("combine-union", f"union of <={w} shard results"),
         )
 
     def clear_caches(self) -> None:
@@ -194,16 +207,10 @@ class ParallelEvaluator:
         e: Expr,
         arg: Optional[Value] = None,
         env: Optional[dict] = None,
-        shards: Optional[int] = None,
     ) -> Value:
-        """Evaluate ``e``; ``shards`` overrides the per-wave shard target.
-
-        The override is per-call plan input (the adaptive router sizes waves
-        from its cardinality estimate); ``None`` keeps the constructor-time
-        ``shard_count``.
-        """
+        """Evaluate ``e``: shard-at-a-time when it distributes, else whole."""
         try:
-            return self._run(e, arg, env, shards)
+            return self._run(e, arg, env)
         finally:
             self._mirror_worker_compiles()
 
@@ -212,9 +219,7 @@ class ParallelEvaluator:
         e: Expr,
         arg: Optional[Value] = None,
         env: Optional[dict] = None,
-        shards: Optional[int] = None,
     ) -> Value:
-        shard_count = shards if shards is not None else self.shard_count
         env = intern_env(self.interner, env)
         spec = self._spec(e)
         value = None
@@ -231,7 +236,10 @@ class ParallelEvaluator:
             # driver evaluates whole, so its error paths are exact.
             self.stats.fallback_runs += 1
             return self.driver.run(e, arg=arg, env=env)
-        shards = hash_partition(value, min(shard_count, len(value.elements) or 1))
+        # Task i is run i of the canonical order, and the pool re-raises the
+        # failure with the smallest task index: an error names the first
+        # failing element, as the whole-set evaluation would.
+        shards = canonical_runs(value, self.workers)
         tasks = [
             ShardTask(spec.body, {**env, spec.var: shard}) for shard in shards
         ]

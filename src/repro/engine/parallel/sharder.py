@@ -3,11 +3,12 @@
 The paper's central claim is that NRA queries are evaluable by *data-parallel
 machines* (NC on a PRAM); the syntactic handle this module provides is
 **union distributivity**.  A query ``q`` with ``q(A U B) = q(A) U q(B)`` can
-be evaluated on a hash-partition of its input and recombined with a union
-combiner -- the partition is the paper's processor assignment, the combiner
-the log-depth union tree.  Distributivity is decided on a syntactic fragment
-where it is a theorem (not sampled, not approximate), mirroring how the
-vectorized compiler decides semi-naive evaluation:
+be evaluated on a partition of its input and recombined with a union
+combiner -- the partition, one contiguous run of the canonical order per
+worker, is the paper's processor assignment on an ordered database, the
+combiner the log-depth union tree.  Distributivity is decided on a
+syntactic fragment where it is a theorem (not sampled, not approximate),
+mirroring how the vectorized compiler decides semi-naive evaluation:
 
 * the sharded variable itself (``q = id``),
 * unions of distributive operands (idempotence also admits operands that do

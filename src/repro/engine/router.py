@@ -3,8 +3,8 @@
 Two of the run backends are candidates, ``vectorized`` and ``parallel``
 (``reference`` is the oracle, ``incremental`` an explain-only view).  This
 module estimates how expensive a query is at catalog scale with the
-work/depth cost semantics, picks the backend (and shard count, and join
-order), then **adapts** -- it records what actually happened and re-routes
+work/depth cost semantics, picks the backend (and join order), then
+**adapts** -- it records what actually happened and re-routes
 when reality contradicts the estimate by an order of magnitude.
 
 How a decision is made
@@ -25,8 +25,8 @@ How a decision is made
    only the probe side.
 4. **Decision.**  ``ext`` over external calls with at least
    ``MIN_PARALLEL_N`` estimated elements routes to ``parallel`` (latency
-   overlap is the one thing Python threads genuinely win; the shard count
-   scales with the estimated fan-out).  Everything else routes to
+   overlap is the one thing Python threads genuinely win; the input is cut
+   into one canonical run per worker).  Everything else routes to
    ``vectorized``.  CPU-bound work is *never* routed to ``parallel``: under
    the GIL the thread pool loses (DESIGN.md's parallel section has the
    measurement).
@@ -46,7 +46,6 @@ the engine lock (the same contract as the plan cache and intern table).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
@@ -159,7 +158,6 @@ class RouteDecision:
 
     backend: str
     expr: Expr  # the expression to execute (possibly join-reordered)
-    shards: Optional[int]  # only for backend="parallel"
     join_swaps: int
     estimate: Optional[CostEstimate]
     predicted_s: Optional[float]
@@ -241,15 +239,9 @@ class Router:
     #: the first recorded run onward).
     INITIAL_SECONDS_PER_WORK = 2e-7
 
-    def __init__(
-        self,
-        sigma: Signature,
-        workers: int,
-        shards: Optional[int] = None,
-    ) -> None:
+    def __init__(self, sigma: Signature, workers: int) -> None:
         self.sigma = sigma
         self.workers = workers
-        self.default_shards = shards
         self.seconds_per_work = self.INITIAL_SECONDS_PER_WORK
         self.records: dict[Expr, RouteRecord] = {}
         self.stats = RouterStats()
@@ -329,35 +321,26 @@ class Router:
         fan_out = _has_parallel_externals(expr)
         if est is None:
             return RouteDecision(
-                backend="vectorized", expr=expr, shards=None, join_swaps=swaps,
+                backend="vectorized", expr=expr, join_swaps=swaps,
                 estimate=None, predicted_s=None,
                 reason="estimate unavailable; defaulting to vectorized",
             )
         n = est.full_n
         if fan_out and n >= self.MIN_PARALLEL_N:
-            shards = self._pick_shards(n)
             backend, reason = "parallel", (
                 f"ext over external calls, n~{n}: overlap call latency "
-                f"across {shards} shards on {self.workers} workers"
+                f"across {self.workers} workers"
             )
         else:
-            shards = None
             backend, reason = "vectorized", (
                 f"estimated work ~{est.work:.0f} (exponent ~{est.exponent:.2f}, "
                 f"n~{n}): set-at-a-time kernels"
             )
         return RouteDecision(
-            backend=backend, expr=expr, shards=shards, join_swaps=swaps,
+            backend=backend, expr=expr, join_swaps=swaps,
             estimate=est, predicted_s=est.work * self.seconds_per_work,
             reason=reason,
         )
-
-    def _pick_shards(self, n: int) -> int:
-        if self.default_shards is not None:
-            return self.default_shards
-        # One shard per ~8 estimated elements, at least one wave of workers,
-        # at most four (the parallel backend's own default is two).
-        return max(self.workers, min(4 * self.workers, math.ceil(n / 8)))
 
     # -- join order ---------------------------------------------------------------
 
@@ -471,7 +454,6 @@ class Router:
                 f"measured argmin over {sorted(rec.measured)}: "
                 f"{new_backend} at {new_predicted * 1e3:.2f}ms"
             )
-            shards = d.shards if new_backend == "parallel" else None
         else:
             # Re-decide from the corrected cost implied by the observation.
             corrected_work = seconds / max(self.seconds_per_work, 1e-12)
@@ -486,7 +468,6 @@ class Router:
             fresh = self._decide(d.expr, corrected, d.join_swaps)
             new_backend = fresh.backend
             new_predicted = seconds if new_backend == backend else fresh.predicted_s
-            shards = fresh.shards
             reason = (
                 f"observed {seconds * 1e3:.2f}ms >= 10x predicted "
                 f"{d.predicted_s * 1e3:.2f}ms: corrected work "
@@ -500,8 +481,7 @@ class Router:
             )
         )
         rec.decision = replace(
-            d, backend=new_backend, shards=shards,
-            predicted_s=new_predicted, reason=reason,
+            d, backend=new_backend, predicted_s=new_predicted, reason=reason
         )
 
     # -- introspection ------------------------------------------------------------
@@ -526,8 +506,6 @@ class Router:
         else:
             children.append(leaf("route-estimate", "unavailable"))
         detail = d.reason
-        if d.shards is not None:
-            detail += f"; shards={d.shards}"
         if d.join_swaps:
             detail += f"; join sides swapped x{d.join_swaps}"
         children.append(leaf("route-decision", detail))

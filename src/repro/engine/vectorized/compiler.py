@@ -1008,13 +1008,13 @@ class PlanCompiler:
                 loop.run(budget, _flat_round_event if trace_on else None)
             finally:
                 ctx.stats.seminaive_rounds += loop.rounds
-            return loop.materialize(), loop.rounds
+            return loop.materialize()
 
         def frontier(env, acc, delta, budget, flat_ok, trace_on):
             """The frontier phase: rounds from ``acc`` with frontier ``delta``
             until the frontier is exhausted or ``budget`` rounds are done,
             on the flat loop when the terms lower, else as object rounds --
-            ``seminaive_iterate``'s round structure.  ``(value, rounds)``."""
+            ``seminaive_iterate``'s round structure."""
             if flat_ok and budget > 0 and delta.elements:
                 loop = _try_flat_loop(env, acc, delta)
                 if loop is not None:
@@ -1045,7 +1045,7 @@ class PlanCompiler:
             finally:
                 unbind(env, dv, dtok)
                 unbind(env, var, vtok)
-            return acc, done
+            return acc
 
         def make_seminaive(env):
             captured = dict(env)
@@ -1069,7 +1069,7 @@ class PlanCompiler:
                 if round_one_frontier and start.elements:
                     loop = _try_flat_loop(captured, start, start)
                     if loop is not None:
-                        return _run_flat_loop(loop, rounds, trace_on)[0]
+                        return _run_flat_loop(loop, rounds, trace_on)
                     flat_ok = False  # declined: it would again
                 vtok = bind(captured, var)
                 try:
@@ -1078,7 +1078,7 @@ class PlanCompiler:
                 finally:
                     unbind(captured, var, vtok)
                 delta = it.difference(acc, start)
-                return frontier(captured, acc, delta, rounds - 1, flat_ok, trace_on)[0]
+                return frontier(captured, acc, delta, rounds - 1, flat_ok, trace_on)
 
             return run
 

@@ -375,7 +375,7 @@ class FlatLoop:
                         push_f(a)
                         push_s(b)
 
-    def run(self, budget: int, on_round: Optional[Callable] = None) -> int:
+    def run(self, budget: int, on_round: Optional[Callable] = None) -> None:
         """Walk the queue with one cursor until it is drained or ``budget``
         levels are done.
 
@@ -394,8 +394,8 @@ class FlatLoop:
         with an observer is the clock read: ``on_round(seconds, round,
         frontier)`` reports each level walked, so a traced run executes the
         same loop.
-        Returns the rounds completed by this call.  The counters follow
-        from the levels begun and are added once, on the way out, also
+        One call per loop: it leaves the levels begun in ``rounds``.  The
+        counters follow from them and are added once, on the way out, also
         when a round raises (its joins count, the round itself does not --
         a raise while rebuilding counts nothing).
         """
@@ -411,8 +411,7 @@ class FlatLoop:
         grown = [t for t in terms if t.spec.right == "acc"]
         n_terms, n_rebuilt, n_mirrors = len(terms), len(rebuilt), len(mirrors)
         refresh = bool(others or rebuilt or mirrors)  # work when a level begins
-        first = rounds = self.rounds
-        stop = first + budget
+        rounds = 0
         # The level just walked is the empty one before the frontier; the
         # acc-side indexes already hold every row of the queue.
         lo = hi = i = self._lo
@@ -427,11 +426,11 @@ class FlatLoop:
                         for t in grown:
                             self._index_rows(t, acc_f[indexed:end], acc_s[indexed:end])
                         indexed = end
-                    if on_round is not None and rounds > first:
+                    if on_round is not None and rounds:
                         t1 = perf_counter()
                         on_round(t1 - t0, rounds, hi - lo)
                         t0 = t1
-                    if rounds >= stop or end == hi:
+                    if rounds >= budget or end == hi:
                         break
                     lo, hi = hi, end
                     rounds += 1
@@ -475,13 +474,12 @@ class FlatLoop:
                             push_s(b)
             finished = True
         finally:
-            self.rounds, self._lo = rounds, hi
-            begun = rounds - first
-            done = begun if finished else begun - 1
+            self.rounds = rounds
+            done = rounds if finished else rounds - 1
             # The levels whose joins began (not one whose rebuild raised),
             # and how many of them come after round one.
-            joined = begun - 1 if rebuilding else begun
-            later = joined - 1 if first == 0 and joined else joined
+            joined = rounds - 1 if rebuilding else rounds
+            later = max(joined - 1, 0)
             joins = n_terms * joined + n_mirrors * later
             stats = self.stats
             stats.flat_rounds += done
@@ -490,7 +488,6 @@ class FlatLoop:
             stats.flat_joins += joins
             stats.index_builds += n_rebuilt * joined + n_mirrors * later
             stats.index_hits += (n_terms - n_rebuilt) * later
-        return done
 
     def materialize(self) -> SetVal:
         """The accumulator as a canonical interned set (the plan boundary)."""

@@ -162,8 +162,7 @@ class SetVal(Value):
     def __reduce__(self) -> tuple:
         # The immutability guard breaks pickle's default slot restoration;
         # rebuild through the constructor instead (re-canonicalizing a
-        # canonical tuple is the identity).  Process-pool shard workers ship
-        # values this way.
+        # canonical tuple is the identity).
         return (SetVal, (self.elements,))
 
     # -- container protocol -------------------------------------------------------

@@ -511,7 +511,7 @@ class QueryServer:
         if query_span is not None:
             entry["route"] = {
                 k: query_span.attrs[k]
-                for k in ("backend", "route", "shards")
+                for k in ("backend", "route")
                 if k in query_span.attrs
             }
         if hasattr(span, "hottest"):

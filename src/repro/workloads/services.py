@@ -15,10 +15,6 @@ element-at-a-time or set-at-a-time backend pays them serially.
 With ``latency=0`` the external is a pure, cheap integer transform, which is
 what the differential and property tests use: same queries, same values, no
 clock in the loop.
-
-Everything here is picklable (the external's implementation is a
-``functools.partial`` over a module-level function), so the workloads run
-unchanged on the process pool.
 """
 
 from __future__ import annotations

@@ -142,7 +142,9 @@ def test_engine_surface_is_one_executor_and_one_pool():
         Engine(pool="shm")
     with pytest.raises(TypeError):
         Engine(seed=0)
-    assert len(inspect.signature(Engine.__init__).parameters) - 1 == 6
+    with pytest.raises(TypeError):
+        Engine(shards=2)
+    assert len(inspect.signature(Engine.__init__).parameters) - 1 == 5
 
 
 def test_intern_table_shares_structure():

@@ -245,10 +245,10 @@ DIRECT_ENTRY_QUERIES = {
 }
 
 
-@pytest.mark.parametrize("workers,shards", [(1, 1), (2, 3), (4, 8)])
-def test_worker_pools_agree_with_the_reference(workers, shards):
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_worker_pools_agree_with_the_reference(workers):
     env = {"r": from_python(set(EDGES))}
-    engine = Engine(backend="parallel", workers=workers, shards=shards)
+    engine = Engine(backend="parallel", workers=workers)
     try:
         for name, expr in DIRECT_ENTRY_QUERIES.items():
             want = reference_run(expr, env=env)

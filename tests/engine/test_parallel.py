@@ -1,11 +1,11 @@
 """Unit tests for the data-parallel sharded backend (repro.engine.parallel).
 
-Layer by layer: partitioning (determinism, disjoint cover, canonical
-shards), the distributivity analysis, the executor's shard-and-union and
-driver-fallback paths against the reference interpreter, error propagation
-out of workers, the thread pool on its own (ordering, failures, close and
-reuse), the explain tree, and the engine cache contract (clear_plans, warm
-reruns, compile counts across close).
+Layer by layer: partitioning (contiguous, balanced runs of the canonical
+order, one per worker), the distributivity analysis, the executor's
+shard-and-union and driver-fallback paths against the reference
+interpreter, error propagation out of workers, the thread pool on its own
+(ordering, failures, close and reuse), the explain tree, and the engine
+cache contract (clear_plans, warm reruns, compile counts across close).
 """
 
 import pytest
@@ -15,9 +15,8 @@ from repro.engine.parallel import (
     ParallelEvaluator,
     analyze,
     distributes_over_union,
-    hash_partition,
-    structural_hash,
 )
+from repro.engine.parallel.executor import canonical_runs
 from repro.engine.parallel.scheduler import ShardTask, WorkerPool
 from repro.nra import ast
 from repro.nra.ast import (
@@ -52,7 +51,6 @@ EDGE_T = ProdType(BASE, BASE)
 
 def parallel_engine(**kw):
     kw.setdefault("workers", 3)
-    kw.setdefault("shards", 5)
     return Engine(backend="parallel", **kw)
 
 
@@ -63,8 +61,8 @@ def parallel_engine(**kw):
 class TestPartition:
     def test_shards_cover_and_are_disjoint(self):
         s = from_python({(i, i + 1) for i in range(40)})
-        shards = hash_partition(s, 7)
-        assert 1 < len(shards) <= 7
+        shards = canonical_runs(s, 7)
+        assert len(shards) == 7
         seen = []
         for shard in shards:
             assert isinstance(shard, SetVal)
@@ -74,54 +72,41 @@ class TestPartition:
 
     def test_shards_are_canonical_subsequences(self):
         s = from_python({5, 1, 9, 4, 2, 8})
-        for shard in hash_partition(s, 3):
+        for shard in canonical_runs(s, 3):
             # A canonical SetVal equals its own re-canonicalization.
             assert shard == SetVal(shard.elements)
 
     def test_partition_is_deterministic(self):
         s = from_python({("a", i) for i in range(25)})
-        a = hash_partition(s, 4)
-        b = hash_partition(s, 4)
+        a = canonical_runs(s, 4)
+        b = canonical_runs(s, 4)
         assert a == b
 
-    def test_structural_hash_is_structural(self):
-        v1 = from_python({(1, "x"), (2, "y")})
-        v2 = from_python({(2, "y"), (1, "x")})
-        assert v1 is not v2
-        assert structural_hash(v1) == structural_hash(v2)
-        assert structural_hash(from_python(3)) != structural_hash(from_python(4))
-
     def test_empty_set_yields_one_empty_shard(self):
-        shards = hash_partition(from_python(set()), 5)
+        shards = canonical_runs(from_python(set()), 5)
         assert shards == [SetVal()]
-
-    def test_each_shard_is_one_hash_bucket_in_bucket_order(self):
-        s = from_python({(i, i % 3) for i in range(20)})
-        buckets = []
-        for shard in hash_partition(s, 6):
-            assert shard.elements  # empty buckets are dropped
-            (bucket,) = {structural_hash(e) % 6 for e in shard.elements}
-            buckets.append(bucket)
-        assert buckets == sorted(set(buckets))
-
-    @pytest.mark.parametrize("k", [2, 4, 8])
-    def test_a_path_fills_every_shard(self, k):
-        # The edges (i, i + 1) differ in few low bits; the finalizer on pair
-        # digests spreads them, so no shard of 2 * workers is left empty.
-        shards = hash_partition(path_graph(64).value(), k)
-        assert len(shards) == k and all(s.elements for s in shards)
-
-    def test_consecutive_integers_split_evenly(self):
-        # Base digests stay plain FNV-1a: a run of integers deals out evenly
-        # over a power-of-two shard count (the ext-overlap request set).
-        shards = hash_partition(from_python(set(range(64))), 16)
-        assert [len(s.elements) for s in shards] == [4] * 16
 
     def test_one_shard_or_one_element_is_not_split(self):
         s = from_python({1, 2, 3})
-        assert hash_partition(s, 1) == [s]
+        assert canonical_runs(s, 1) == [s]
         single = from_python({7})
-        assert hash_partition(single, 4)[0] is single
+        assert canonical_runs(single, 4)[0] is single
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4, 16])
+    @pytest.mark.parametrize("n", [0, 1, 3, 4, 64])
+    def test_runs_are_balanced_blocks_of_the_canonical_order(self, n, workers):
+        s = from_python(set(range(n)))
+        runs = canonical_runs(s, workers)
+        assert len(runs) == (min(workers, n) if n else 1)
+        if n <= 1 or workers == 1:
+            assert runs == [s] and runs[0] is s
+        # In order, the runs are the canonical tuple cut into blocks: they
+        # cover it, are disjoint and each is contiguous.
+        assert sum((r.elements for r in runs), ()) == s.elements
+        for r in runs:
+            assert isinstance(r, SetVal) and r == SetVal(r.elements)
+        sizes = [len(r.elements) for r in runs]
+        assert max(sizes) - min(sizes) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +257,7 @@ class TestParallelExecution:
 
     def test_oracle_overlap_workload_matches_reference(self):
         sigma, q, v = enrichment_workload(32, latency=0.0)
-        eng = Engine(sigma=sigma, backend="parallel", workers=3, shards=6)
+        eng = Engine(sigma=sigma, backend="parallel", workers=3)
         try:
             assert eng.run(q, v) == reference_run(q, v, sigma=sigma)
             assert eng.last_stats.shard_runs == 1
@@ -329,7 +314,7 @@ class TestErrorPropagation:
             ),
         )
         v = from_python({1, 2, 3, 4, 5, 6, 7, 8})
-        eng = Engine(sigma=sigma, backend="parallel", workers=3, shards=4)
+        eng = Engine(sigma=sigma, backend="parallel", workers=3)
         try:
             with pytest.raises(NRAEvalError):
                 eng.run(q, v)
@@ -346,7 +331,7 @@ class TestErrorPropagation:
                 Var("s"),
             ),
         )
-        eng = Engine(sigma=sigma, backend="parallel", workers=2, shards=4)
+        eng = Engine(sigma=sigma, backend="parallel", workers=2)
         try:
             assert eng.run(q, from_python(set())) == from_python(set())
         finally:
@@ -534,5 +519,6 @@ class TestEngineWiring:
                 Engine(backend=backend, workers=0)
             with pytest.raises(ValueError, match="workers"):
                 Engine(backend=backend, workers=-3)
-            with pytest.raises(ValueError, match="shards"):
-                Engine(backend=backend, shards=0)
+            # The run count is the worker count: there is no shard knob.
+            with pytest.raises(TypeError, match="shards"):
+                Engine(backend=backend, shards=2)

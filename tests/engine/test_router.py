@@ -186,9 +186,8 @@ class TestDecisionPolicy:
             reachable_pairs_query("dcr"), arg=path_graph(40).value()
         )
         assert d.backend == "vectorized"
-        assert d.shards is None
 
-    def test_external_fanout_routes_to_parallel_with_shards(self):
+    def test_external_fanout_routes_to_parallel(self):
         sigma = enrichment_sigma(latency=0.5)  # slow enough that a single
         # *real* call during routing would dominate the test's runtime
         router = Router(sigma, workers=4)
@@ -197,7 +196,7 @@ class TestDecisionPolicy:
             env={"reqs": request_ids(64)},
         )
         assert d.backend == "parallel"
-        assert d.shards is not None and d.shards >= router.workers
+        assert "across 4 workers" in d.reason
 
     def test_small_external_fanout_stays_serial(self):
         sigma = enrichment_sigma()
@@ -363,7 +362,6 @@ class TestAdaptation:
             rec.measured.update({"parallel": 0.5, "vectorized": 0.001})
             router._reroute(rec, "parallel", 0.5)
             assert rec.decision.backend == "vectorized"
-            assert rec.decision.shards is None
             assert "measured argmin" in rec.decision.reason
             rec.measured.update({"parallel": 0.001, "vectorized": 0.5})
             router._reroute(rec, "vectorized", 0.5)
@@ -422,7 +420,7 @@ class TestAutoIntegration:
         assert stats["route_hits"] >= 1
         assert stats["runs_recorded"] == 2
 
-    def test_parallel_route_overrides_shard_count(self):
+    def test_external_fanout_runs_on_the_parallel_backend(self):
         sigma = enrichment_sigma()
         eng = Engine(sigma=sigma, backend="auto", workers=2)
         reqs = request_ids(64)

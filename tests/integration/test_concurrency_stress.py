@@ -50,7 +50,7 @@ def _closure():
 @pytest.fixture()
 def setup():
     db = Database.of("g", edges=path_graph(16))
-    engine = Engine(backend="parallel", workers=2, shards=4)
+    engine = Engine(backend="parallel", workers=2)
     sessions = [Session(db, engine=engine) for _ in range(SESSIONS)]
     # Single-threaded expectations from a private vectorized session.
     oracle = Session(db, backend="vectorized")

@@ -218,9 +218,8 @@ def test_thread_pool_produces_no_foreign_spans():
 
     TRACER.clear()
     TRACER.enable()
-    # Three shards, not a power of two: the structural hash of a path edge
-    # (i, i + 1) is constant modulo 2 and 4, so 4 shards would be 1 task.
-    eng = Engine(backend="parallel", workers=2, shards=3)
+    # Two workers cut the 31 edges into two canonical runs: two tasks.
+    eng = Engine(backend="parallel", workers=2)
     try:
         db = Database.of("g", edges=path_graph(32))
         s = local_connect(db, engine=eng)

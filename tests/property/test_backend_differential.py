@@ -6,9 +6,9 @@ interchangeable.  This harness is generator-driven and **seed-pinned** (plain
 ``random.Random`` seeds, no hypothesis shrinking): every case is a
 well-typed NRA term plus a small database, and the assertion is always the
 same -- all three backends produce the *same outcome*, where an outcome is
-either the result value or the raised error class (raising externals and
-ill-typed evaluations must fail everywhere, not succeed on the backend that
-happened to reorder the work).
+either the result value or the raised error's class and message (raising
+externals and ill-typed evaluations must fail everywhere, on the same
+element, not succeed on the backend that happened to reorder the work).
 
 Case families:
 
@@ -82,23 +82,24 @@ ENGINE_BACKENDS = ("vectorized", "parallel")
 
 
 def _outcome(fn):
-    """Run a backend: ``("value", v)`` or ``("error", exception class name)``.
+    """Run a backend: ``("value", v)`` or ``("error", class name, message)``.
 
-    Error *classes* must agree; messages may differ (a parallel worker
-    reports the first failing shard, the reference the first failing
-    element).
+    Messages must agree too: a parallel worker runs one contiguous run of
+    the canonical order and the pool re-raises the first run's failure, so
+    the error names the first failing element, as the reference's does.
     """
     try:
         return ("value", fn())
     except (NRAError, TypeError, KeyError) as exc:
-        return ("error", type(exc).__name__)
+        return ("error", type(exc).__name__, str(exc))
 
 
-def assert_backends_agree(expr, arg=None, env=None, sigma=EMPTY_SIGMA, label=""):
+def assert_backends_agree(expr, arg=None, env=None, sigma=EMPTY_SIGMA, label="",
+                          workers=2):
     want = _outcome(lambda: reference_run(expr, arg, env=env, sigma=sigma))
     for backend in ENGINE_BACKENDS:
         if backend == "parallel":
-            eng = Engine(sigma=sigma, backend="parallel", workers=2, shards=3)
+            eng = Engine(sigma=sigma, backend="parallel", workers=workers)
         else:
             eng = Engine(sigma=sigma, backend=backend)
         try:
@@ -216,6 +217,22 @@ class TestErrorAgreement:
         assert_backends_agree(
             _boom_map(), from_python({1, 2, 3, 4, 5}), sigma=_raising_sigma(),
             label="raising external, nonempty",
+        )
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize("n", [7, 20, 64])
+    def test_every_backend_names_the_first_failing_element(self, n, workers):
+        # Multiples of 3 raise: every backend must report ``boom 3``, the
+        # first failure in canonical order, not a later run's.
+        def boom(v):
+            if v.value % 3 == 0:
+                raise NRAEvalError(f"boom {v}")
+            return v
+
+        sigma = Signature([ExternalFunction("boom", BASE, BASE, boom, "raises on 3k")])
+        assert_backends_agree(
+            _boom_map(), from_python(set(range(1, n + 1))), sigma=sigma,
+            label=f"raising on multiples of 3, n={n}", workers=workers,
         )
 
     def test_raising_external_on_empty_input(self):

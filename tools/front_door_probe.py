@@ -124,7 +124,7 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
             try:
                 out = original(*args, **kwargs)
                 if step == "loop":
-                    rounds[0] += out  # the rounds this call completed
+                    rounds[0] += args[0].rounds  # the loop's rounds, one call each
                 return out
             finally:
                 spent[step] = spent.get(step, 0.0) + perf_counter() - t0
