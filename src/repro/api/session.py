@@ -443,7 +443,7 @@ class Session:
             self.stats.delta_applies += 1
             if fallback:
                 self.stats.fallback_recomputes += 1
-            self.stats.view_rows_touched += len(delta.inserted) + len(delta.deleted)
+            self.stats.view_rows_touched += delta.n_inserted + delta.n_deleted
             self.stats.dred_overdeletes += delta.dred_overdeleted
             self.stats.dred_rederives += delta.dred_rederived
 

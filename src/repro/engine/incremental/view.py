@@ -44,13 +44,26 @@ undone by a delete cancels) and the pending delta is spliced into the last
 rendered set, by bisection over cached sort keys
 (:meth:`~repro.engine.interning.InternTable.splice`), when and only when
 something reads it: :attr:`MaterializedView.value` / ``rows()`` /
-``refresh``, a recompute-mode diff.  A commit therefore costs the
-derivation cone;
+``refresh``, a recompute-mode diff.  A linear fixpoint's ``pending`` holds
+the pass's pair codes, not pairs: the read decodes them (a code that left
+names a pair of the rendered output; the new pairs of codes that joined
+are stored in one batch), and a fixpoint at the root hands the listeners
+a :class:`ViewDelta` that decodes its codes on first access.  A pair is
+made only when something asks for a value, and a fixpoint under a parent
+hands it values.  A commit therefore costs the derivation cone;
 a read costs O(|pending| log n) python steps plus one C-level copy and is
 free when nothing changed.  The property this rests on is that *a view is
 read less often than its bases are written*; a reader after every commit
 pays one splice per commit where an eager output paid one merge.
 ``len(view)`` is kept from the root delta and renders nothing.
+
+Codes kept without their pairs follow the intern table's sweep contract
+(:mod:`repro.engine.interning`): a ``+1`` pending code is present, so
+the children's current elements hold its parts; a ``-1`` one names a pair
+of the rendered output; a code that joined and left since the last read
+cancels.  An undecoded :class:`ViewDelta` holds its codes' parts itself,
+and so does the view between a maintenance pass that raised and the
+rebuild that reads its pending codes.
 
 All per-element evaluation (ext bodies, join keys, outputs) runs through
 closures compiled by the engine's
@@ -84,7 +97,8 @@ from ..vectorized.batch import bind, expect_set, unbind
 from .changeset import Changeset
 from .delta import DeltaOp, derive, plan_of
 
-#: A set-level delta: interned element -> +1 (appeared) or -1 (disappeared).
+#: A set-level delta: interned element (a linear fixpoint's own: pair code)
+#: -> +1 (appeared) or -1 (disappeared).
 SetDelta = dict
 
 
@@ -107,9 +121,20 @@ class ViewStats(Counters):
         return self.rows_inserted + self.rows_deleted
 
 
-@dataclass
 class ViewDelta:
     """What one ``apply`` did to the view's result.
+
+    ``inserted`` and ``deleted`` are the rows that joined and left it.  A
+    view whose root is a linear fixpoint hands them over as pair codes and
+    decodes them on their first access, under the engine lock; until then
+    the delta holds the parts of its codes, so a sweep in between frees
+    none of them.  ``n_inserted``, ``n_deleted`` and truth never decode:
+    the session's stats observer, :class:`ViewStats` and the ``ivm-apply``
+    span read only those, so a commit nobody reads makes no pairs.  The
+    commit's dense-id room check counts only the codes still pending on the
+    view, so a decode long after it can still raise
+    :class:`~repro.engine.interning.DenseIdLimitError`; a decode that
+    raises leaves the delta on its codes.
 
     The ``dred_*`` fields carry the delete/rederive work of *this* apply
     (the view's :class:`ViewStats` hold the lifetime totals) so the
@@ -117,13 +142,56 @@ class ViewDelta:
     deltas without diffing counters itself.
     """
 
-    inserted: tuple[Value, ...] = ()
-    deleted: tuple[Value, ...] = ()
-    dred_overdeleted: int = 0
-    dred_rederived: int = 0
+    __slots__ = ("_inserted", "_deleted", "_codes", "dred_overdeleted", "dred_rederived")
+
+    def __init__(self, inserted: tuple = (), deleted: tuple = ()) -> None:
+        self._inserted, self._deleted = inserted, deleted
+        #: ``(engine lock, intern table, the parts' values)`` while codes.
+        self._codes: Optional[tuple] = None
+        self.dred_overdeleted = 0
+        self.dred_rederived = 0
+
+    @classmethod
+    def of_codes(cls, inserted: list, deleted: list, lock, it) -> "ViewDelta":
+        """A delta on pair codes, decoded on first access."""
+        delta = cls(inserted, deleted)
+        delta._codes = (lock, it, it.parts_of(inserted + deleted))
+        return delta
+
+    def _decode(self) -> None:
+        lock, it, _parts = self._codes
+        with lock:
+            if self._codes is not None:
+                inserted = tuple(it.pairs_of(self._inserted))
+                deleted = tuple(it.pairs_of(self._deleted))
+                self._inserted, self._deleted, self._codes = inserted, deleted, None
+
+    @property
+    def inserted(self) -> tuple[Value, ...]:
+        if self._codes is not None:
+            self._decode()
+        return self._inserted
+
+    @property
+    def deleted(self) -> tuple[Value, ...]:
+        if self._codes is not None:
+            self._decode()
+        return self._deleted
+
+    @property
+    def n_inserted(self) -> int:
+        return len(self._inserted)
+
+    @property
+    def n_deleted(self) -> int:
+        return len(self._deleted)
 
     def __bool__(self) -> bool:
-        return bool(self.inserted or self.deleted)
+        return bool(self._inserted or self._deleted)
+
+    def __repr__(self) -> str:
+        return (f"<ViewDelta +{self.n_inserted} -{self.n_deleted}"
+                f"{' (codes)' if self._codes is not None else ''}>")
 
 
 class _NodeState:
@@ -131,17 +199,19 @@ class _NodeState:
 
     The node's output set is *rendered on read*: maintenance records the
     elements that joined or left (:meth:`moved`), and :attr:`out` splices
-    them into the last rendered ``SetVal`` when something asks for it.
+    them into the last rendered ``SetVal`` when something asks for it.  A
+    linear fixpoint records pair codes, and the read decodes them first.
     """
 
-    __slots__ = ("it", "stats", "rendered", "pending", "counts", "lindex",
-                 "rindex", "children", "flat")
+    __slots__ = ("it", "stats", "rendered", "pending", "counts", "lindex", "rindex",
+                 "children", "flat")
 
     def __init__(self, it, stats: ViewStats) -> None:
         self.it = it          # the engine's intern table (renders splice there)
         self.stats = stats    # the owning view's counters
         self.rendered: Optional[SetVal] = None
-        #: element -> +1 (joined) / -1 (left) since ``rendered``, netted.
+        #: element (a fixpoint's: pair code) -> +1 (joined) / -1 (left)
+        #: since ``rendered``, netted.
         self.pending: SetDelta = {}
         self.counts: Optional[dict] = None
         self.lindex: Optional[dict] = None
@@ -153,13 +223,16 @@ class _NodeState:
     @property
     def out(self) -> Optional[SetVal]:
         """The node's current output (engine lock held): folds what is pending."""
-        pending = self.pending
+        pending, it = self.pending, self.it
         if pending:
-            self.rendered = self.it.splice(
-                self.rendered,
-                [v for v, dc in pending.items() if dc > 0],
-                [v for v, dc in pending.items() if dc < 0],
-            )[0]
+            ins = [v for v, dc in pending.items() if dc > 0]
+            dels = [v for v, dc in pending.items() if dc < 0]
+            if self.flat is not None:
+                # A ``-1`` code's pair is in ``rendered``: a lookup.  The
+                # ``+1`` codes' parts are the children's, and their pairs
+                # not made yet are stored in one batch.
+                ins, dels = it.pairs_of(ins), it.pairs_of(dels)
+            self.rendered = it.splice(self.rendered, ins, dels)[0]
             pending.clear()
             self.stats.materializations += 1
         return self.rendered
@@ -188,8 +261,9 @@ class _LinearState:
     a derivation composes a left factor ``x`` with a right factor ``y``
     where ``snd x = fst y`` into ``(fst x, snd y)``: a probe is dict lookups
     and bit arithmetic -- no environment binds, no compiled-closure calls,
-    no per-derivation pair interning.  Values are made only at the
-    boundaries (the elements that actually enter or leave the result).
+    no per-derivation pair interning.  Values are made only where the
+    boundary (the elements that actually enter or leave the result) is
+    read: the node's output, a parent, a listener's delta.
 
     ``counts`` holds, per derived code, its derivations over accumulator x
     ``R``: pairs ``(a, b)`` of a code ``a`` of the fixpoint and ``b`` of
@@ -277,6 +351,8 @@ class MaterializedView:
         #: A maintenance pass raised part way: the state is not the
         #: committed one, and the next read or commit rebuilds it.
         self._rebuild_due = False
+        #: While a rebuild is due: the parts of the root's pending codes.
+        self._held: list = []
         self._on_apply = on_apply
         # Extra per-apply observers (same signature as on_apply).  The wire
         # service attaches one per remote subscription to turn view deltas
@@ -386,17 +462,21 @@ class MaterializedView:
                         # Half maintained: the bases above are this commit's,
                         # so a rebuild from them is the committed state.
                         self._rebuild_due = True
+                        if self._root.flat is not None:
+                            # The children may have moved on: until the
+                            # rebuild reads the root, hold its codes' parts.
+                            self._held = self._it.parts_of(list(self._root.pending))
                         raise
                     delta = self._commit_root(root_delta)
                 delta.dred_overdeleted = stats.dred_overdeletes - over
                 delta.dred_rederived = stats.dred_rederives - rederived
                 stats.delta_applies += 1
-                stats.rows_inserted += len(delta.inserted)
-                stats.rows_deleted += len(delta.deleted)
+                stats.rows_inserted += delta.n_inserted
+                stats.rows_deleted += delta.n_deleted
                 if sp is not None:
                     sp.set(
-                        inserted=len(delta.inserted),
-                        deleted=len(delta.deleted),
+                        inserted=delta.n_inserted,
+                        deleted=delta.n_deleted,
                         dred_overdeleted=delta.dred_overdeleted,
                         dred_rederived=delta.dred_rederived,
                         fallback=fallback,
@@ -490,6 +570,7 @@ class MaterializedView:
         self._root = root
         self._size = len(root.out.elements)
         self._rebuild_due = False
+        self._held = []
 
     def _rebuild(self) -> ViewDelta:
         """Rebuild from the current bases; the diff against what was served."""
@@ -499,10 +580,12 @@ class MaterializedView:
         return ViewDelta(it.difference(new, old).elements, it.difference(old, new).elements)
 
     def _commit_root(self, root_delta: SetDelta) -> ViewDelta:
-        ins = tuple(v for v, dc in root_delta.items() if dc > 0)
-        dels = tuple(v for v, dc in root_delta.items() if dc < 0)
+        ins = [v for v, dc in root_delta.items() if dc > 0]
+        dels = [v for v, dc in root_delta.items() if dc < 0]
         self._size += len(ins) - len(dels)
-        return ViewDelta(ins, dels)
+        if self._root.flat is not None:  # pair codes, decoded when read
+            return ViewDelta.of_codes(ins, dels, self.engine.lock, self._it)
+        return ViewDelta(tuple(ins), tuple(dels))
 
     # -- compiled-closure plumbing --------------------------------------------
 
@@ -550,7 +633,8 @@ class MaterializedView:
     # -- delta propagation -----------------------------------------------------
 
     def _apply_node(self, op: DeltaOp, st: _NodeState, deltas: dict) -> SetDelta:
-        """One node's set-level delta for a commit's interned base ``deltas``."""
+        """One node's set-level delta for a commit's interned base ``deltas``
+        -- for a fixpoint at the root, on pair codes."""
         kind = op.kind
         if kind == "static":
             return {}
@@ -582,7 +666,11 @@ class MaterializedView:
         if kind == "join":
             return self._apply_join(op, st, child_deltas[0], child_deltas[1])
         if kind == "fixpoint":
-            return self._apply_fixpoint(st, *child_deltas)
+            delta = self._apply_fixpoint(st, *child_deltas)
+            if st is self._root or not delta:
+                return delta
+            # A parent selects, joins or unions values.
+            return dict(zip(self._it.pairs_of(list(delta)), delta.values()))
         raise AssertionError(f"unknown delta op kind {kind!r}")
 
     def _commit_counts(self, st: _NodeState, acc: SetDelta) -> SetDelta:
@@ -685,16 +773,18 @@ class MaterializedView:
     # -- fixpoint --------------------------------------------------------------
 
     def _apply_fixpoint(self, st: _NodeState, d: SetDelta, dr: SetDelta) -> SetDelta:
+        """The node's delta on pair codes, recorded on its output as codes."""
         if not (d or dr):
             return {}
         # The counted pass knows its exact delta (what fell for good, what
-        # is genuinely new): no full-set diff, and no render.
+        # is genuinely new): no full-set diff, no render, and no pair.
         fell, added = self._linear_pass(st, d, dr)
         self.stats.flat_index_applies += 1
-        pair = self._it.pair_from_ids
-        delta = {pair(c >> CODE_BITS, c & CODE_MASK): -1 for c in fell}
-        for c in added:
-            delta[pair(c >> CODE_BITS, c & CODE_MASK)] = 1
+        # Decoding what will be pending and this delta needs at most this
+        # many new ids: a commit past the limit stops here, recording nothing.
+        self._it.check_room(len(st.pending) + len(added) + len(fell))
+        delta = dict.fromkeys(fell, -1)
+        delta.update(dict.fromkeys(added, 1))
         st.moved(delta)
         return delta
 
@@ -720,7 +810,7 @@ class MaterializedView:
         ``R`` against the survivors; each code joins the fixpoint, indexes
         itself and probes ``R`` once, so every derivation is counted once.
         Returns the boundary as codes -- what fell for good, what is
-        genuinely new -- for the caller to decode.  A value outside the pair
+        genuinely new -- for the caller to record.  A value outside the pair
         domain raises the projection error a cold run raises, having touched
         nothing.
 

@@ -30,8 +30,12 @@ and no survivor's id or pair code moves.  The contract this puts on
 everything outside the table: **whoever keeps a dense id, a pair code or an
 ``id(value)`` across a sweep must hold a value that holds it** -- the value
 itself, or a set or pair it is a part of.  Set records hold their set, a
-compiled compare constant its value, the flat loop its input sets, and a
-maintained fixpoint's codes name the pairs its rendered output holds.  An
+compiled compare constant its value, the flat loop its input sets.  A
+maintained fixpoint's counted codes and the ``+1`` codes pending on its
+output are built from parts of its children's elements, which the children
+hold; a ``-1`` pending code names a pair its rendered output holds; and a
+view delta not decoded yet holds the parts of its codes
+(:meth:`InternTable.parts_of`).  An
 ``id``-keyed map that holds neither would, after a sweep, name a freed
 value or a newer one at the same address.  The engine sweeps under its
 lock, at the end of a run or a commit's advance, once the table has grown
@@ -237,15 +241,6 @@ class InternTable:
         """Read-only view: pair dense id -> (fst dense id, snd dense id)."""
         return self._pair_parts
 
-    def pair_from_ids(self, fid: int, sid: int) -> Value:
-        """Interned pair from two dense part ids (code-cache fast path)."""
-        found = self._pair_codes.get((fid << CODE_BITS) | sid)
-        if found is not None:
-            self.hits += 1
-            self._used.add(id(found))
-            return found
-        return self.pair(self._by_dense[fid], self._by_dense[sid])
-
     def set_from_ids(self, ids: Sequence[int]) -> Value:
         """Interned set from element dense ids (dedupes; any order).
 
@@ -286,22 +281,50 @@ class InternTable:
             self.hits += 1
             self._used.add(id(found))
             return found
-        by_code, keys = self._pair_codes, self._keys
+        keys = self._keys
+        pairs = self.pairs_of(uniq)
+        pairs.sort(key=lambda v: keys[id(v)])
+        s = self._set_from_canonical(tuple(pairs))
+        self._sets_by_codes[key] = s
+        return s
+
+    def pairs_of(self, codes: Sequence[int]) -> list[Value]:
+        """The interned pairs of packed codes, in order, each part a live value.
+
+        A code whose pair is interned is one lookup; the pairs not interned
+        yet are stored first, more than a few of them in one batch
+        (:meth:`_store_pairs`).  A maintained fixpoint's output and delta
+        decode their codes with it on read, so whoever kept the codes must
+        hold their parts (the module docstring's contract).
+        """
+        by_code = self._pair_codes
         try:
-            pairs = list(map(by_code.__getitem__, uniq))
-        except KeyError:  # new pairs: stored in one batch, unless a few
-            new = [c for c in uniq if c not in by_code]
+            return list(map(by_code.__getitem__, codes))
+        except KeyError:
+            new = [c for c in dict.fromkeys(codes) if c not in by_code]
             if len(new) > 4:
                 self._store_pairs(new)
             else:
                 by_dense = self._by_dense
                 for c in new:
                     self.pair(by_dense[c >> CODE_BITS], by_dense[c & CODE_MASK])
-            pairs = list(map(by_code.__getitem__, uniq))
-        pairs.sort(key=lambda v: keys[id(v)])
-        s = self._set_from_canonical(tuple(pairs))
-        self._sets_by_codes[key] = s
-        return s
+            return list(map(by_code.__getitem__, codes))
+
+    def parts_of(self, codes: Sequence[int]) -> list[Value]:
+        """The values of every part the codes name: what holds their ids
+        across a sweep for whoever keeps the codes without their pairs."""
+        by_dense = self._by_dense
+        return [*map(by_dense.__getitem__, [c >> CODE_BITS for c in codes]),
+                *map(by_dense.__getitem__, [c & CODE_MASK for c in codes])]
+
+    def check_room(self, n: int) -> None:
+        """Raise :class:`DenseIdLimitError` unless ``n`` more dense ids fit
+        under :attr:`id_limit`."""
+        last = len(self._by_dense) + n - 1
+        if last >= self.id_limit:
+            raise DenseIdLimitError(
+                f"intern table full: dense id {last} is past the limit of "
+                f"{self.id_limit} ids that pair codes pack")
 
     def _store_pairs(self, codes: list[int]) -> None:
         """Store the pairs of ``codes``, none of them interned yet: what
@@ -315,12 +338,9 @@ class InternTable:
         so a code naming a freed part (``KeyError``) or a batch past
         :attr:`id_limit` leaves the table as it was.
         """
+        self.check_room(len(codes))
         by_dense, keys = self._by_dense, self._keys
         start = len(by_dense)
-        if start + len(codes) > self.id_limit:
-            raise DenseIdLimitError(
-                f"intern table full: dense id {start + len(codes) - 1} is past "
-                f"the limit of {self.id_limit} ids that pair codes pack")
         fids = [c >> CODE_BITS for c in codes]
         sids = [c & CODE_MASK for c in codes]
         fsts = list(map(by_dense.__getitem__, fids))
@@ -354,8 +374,8 @@ class InternTable:
         has used since the previous sweep; returns how many were freed.
 
         A value was used if it was created since the previous sweep or a
-        constructor found it since (``_canon``, :meth:`pair_from_ids`,
-        :meth:`set_from_ids`, :meth:`set_from_pair_codes`): a second chance,
+        constructor found it since (``_canon``, :meth:`set_from_ids`,
+        :meth:`set_from_pair_codes`): a second chance,
         so an answer that only the table holds survives while it recurs.
         Held means a reference count above the table's own references.
         Values are acyclic and a part is interned before its whole, so the

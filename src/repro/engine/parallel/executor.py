@@ -51,8 +51,7 @@ class ParStats(Counters):
 
     shard_runs: int = 0        # runs executed shard-at-a-time
     fallback_runs: int = 0     # runs delegated whole to the driver
-    tasks: int = 0             # worker tasks dispatched
-    shards: int = 0            # shards (canonical runs) produced
+    tasks: int = 0             # worker tasks dispatched (one per canonical run)
     worker_compiles: int = 0   # subexpression compiles inside pool workers
 
 
@@ -246,5 +245,4 @@ class ParallelEvaluator:
         results = self._run_wave(tasks)
         self.stats.shard_runs += 1
         self.stats.tasks += len(tasks)
-        self.stats.shards += len(shards)
         return self._combine(results)

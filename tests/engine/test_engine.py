@@ -9,6 +9,7 @@ whole query library plus bounded-recursion and external-function cases.
 import pytest
 
 from repro.engine import DenseIdLimitError, Engine, InternTable
+from repro.engine.interning import CODE_BITS
 from repro.nra.ast import (
     Apply,
     Bdcr,
@@ -193,7 +194,8 @@ def test_a_set_of_new_pairs_is_interned_as_the_pair_constructor_would():
         assert hash(v) == hash(from_python((v.fst.value, v.snd.value)))
         fid, sid = bulk.pair_parts()[bulk.dense_id(v)]
         assert bulk.value_of(fid) is v.fst and bulk.value_of(sid) is v.snd
-        assert bulk.pair_from_ids(fid, sid) is v
+        [q] = bulk.pairs_of([(fid << CODE_BITS) | sid])
+        assert q is v
     assert bulk.set_from_pair_codes(reversed(_codes(bulk, held | fresh))) is s
 
 

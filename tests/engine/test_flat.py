@@ -26,7 +26,7 @@ import pytest
 from repro.engine import Engine
 from repro.api import Database, Q, connect
 from repro.engine import DenseIdLimitError
-from repro.engine.interning import InternTable
+from repro.engine.interning import CODE_BITS, InternTable
 from repro.engine.vectorized import BatchContext, flat
 from repro.nra.ast import (
     Apply, Const, EmptySet, Eq, If, Lambda, Loop, Pair, Proj1, Proj2, Singleton, Union,
@@ -76,7 +76,8 @@ class TestInternDenseIds:
         fid, sid = it.pair_parts()[it.dense_id(p)]
         assert it.value_of(fid) == BaseVal(3)
         assert it.value_of(sid) == BaseVal(4)
-        assert it.pair_from_ids(fid, sid) is p
+        [q] = it.pairs_of([(fid << CODE_BITS) | sid])
+        assert q is p
 
     def test_id_column_round_trips(self):
         it = InternTable()
@@ -198,7 +199,7 @@ class TestFlatKernelParity:
         assert first == reference_run(q, db)
         built = []
         monkeypatch.setattr(PairVal, "__init__", lambda *a: built.append(a))
-        monkeypatch.setattr(InternTable, "pair_from_ids", lambda *a: built.append(a))
+        monkeypatch.setattr(InternTable, "pairs_of", lambda *a: built.append(a))
         size = eng.interner.size
         assert eng.run(q, db) is first
         assert eng.last_stats.flat_maps > 0 and eng.last_stats.flat_fallbacks == 0

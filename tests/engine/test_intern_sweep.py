@@ -10,6 +10,7 @@ each must hold a value that holds them, and a sweep that freed what one of
 them names would make its next use wrong or raise.
 """
 
+import gc
 from collections import Counter
 
 import pytest
@@ -85,7 +86,7 @@ def kept_ids(engine, views=()) -> set:
             flat = st.flat
             if flat is None:
                 continue
-            codes = [*flat.present, *flat.counts, *flat.seeds,
+            codes = [*flat.present, *flat.counts, *flat.seeds, *st.pending,
                      *(c for index in (flat.acc, flat.base)
                        for bucket in index.values() for c in bucket)]
             ids.update(flat.acc)
@@ -329,6 +330,84 @@ def test_an_unread_fix_view_reads_right_after_any_number_of_sweeps():
     assert view.value == want and len(view) == len(want.elements)
     assert view.stats.materializations == 1 and view.stats.fallback_recomputes == 0
     check_table(it)
+
+
+def test_an_unread_fix_views_deltas_hold_their_codes_parts_until_decoded():
+    # A fix() view's commits record pair codes, and the delta a listener is
+    # sent decodes on its first access.  Edges come and go on atoms that
+    # nothing else names, the view is never read between commits, the
+    # listener folds python rows (it holds no value), and two sweeps run
+    # after every commit and again before the listener first reads what it
+    # was sent: until then only the delta holds its codes' parts.
+    db = Database.of("g", edges=path_graph(8))
+    session = db.connect()
+    engine = session.engine
+    it = engine.interner
+    it.SWEEP_MIN = 16
+    view = session.materialize(Q.coll("edges").fix(), name="tc")
+    mirror = set(view.rows())
+    sent: list = []
+    view.add_listener(lambda _view, delta, _fallback: sent.append(delta))
+
+    def fold() -> None:
+        for delta in sent:
+            mirror.difference_update(to_python(v) for v in delta.deleted)
+            mirror.update(to_python(v) for v in delta.inserted)
+        sent.clear()
+
+    # The insert's delta is read at once; the delete's, holding the only
+    # reference to 100 and 101 once the delete is in, only after the sweeps.
+    db.insert("edges", [(7, 100), (100, 101)])
+    sweep_out(engine)
+    fold()
+    for kind, edges in [("delete", [(7, 100), (100, 101)]), ("insert", [(102, 0), (3, 103)]),
+                        ("insert", [(103, 104)]), ("delete", [(3, 103), (102, 0)])]:
+        getattr(db, kind)("edges", edges)
+        sweep_out(engine)
+        assert_no_freed_ids(engine, [view])
+    assert len(sent) == 4 and all(delta.n_inserted or delta.n_deleted for delta in sent)
+    sweep_out(engine)
+    fold()
+    sweep_out(engine)
+    assert view.stats.materializations == 0
+    want = reference_run(
+        Q.coll("edges").fix().elaborate(db.schema()).expr, env=db.environment())
+    assert view.value == want and mirror == to_python(want)
+    assert view.stats.materializations == 1 and view.stats.fallback_recomputes == 0
+    check_table(it)
+
+
+def test_a_fix_view_whose_pass_raised_holds_its_pending_codes_until_the_rebuild(monkeypatch):
+    # The unread insert leaves codes on 200 and 201 pending on the output;
+    # the delete that takes them out of the bases raises in the pass.  The
+    # read after two sweeps rebuilds, diffing against the pending output.
+    db = Database.of("g", edges=path_graph(8))
+    session = db.connect()
+    engine = session.engine
+    view = session.materialize(Q.coll("edges").fix(), name="tc")
+    mirror, flags = set(view.rows()), []
+
+    def fold(_view, delta, fallback):
+        mirror.difference_update(to_python(v) for v in delta.deleted)
+        mirror.update(to_python(v) for v in delta.inserted)
+        flags.append(fallback)
+
+    view.add_listener(fold)
+    db.insert("edges", [(7, 200), (200, 201)])
+
+    def raises(*args):
+        raise RuntimeError("pass failed")
+
+    monkeypatch.setattr(view, "_linear_pass", raises)
+    with pytest.raises(RuntimeError, match="pass failed"):
+        db.delete("edges", [(7, 200), (200, 201)])
+    monkeypatch.undo()
+    gc.collect()  # the raised error's frames held the commit's rows in a cycle
+    sweep_out(engine)
+    assert len(view) == 28 and flags == [False, True]
+    assert mirror == set(view.rows()) == to_python(
+        connect(db).execute(Q.coll("edges").fix()).value)
+    check_table(engine.interner)
 
 
 def test_a_flat_loop_holds_the_sets_it_was_set_up_from():

@@ -184,7 +184,7 @@ class TestParallelExecution:
         try:
             assert eng.run(q, db) == reference_run(q, db)
             assert eng.last_stats.shard_runs == 1
-            assert eng.last_stats.shards > 1
+            assert eng.last_stats.tasks > 1
         finally:
             eng.close()
 
@@ -272,7 +272,7 @@ class TestParallelExecution:
             for g in inputs:
                 assert eng.run(q, g) == reference_run(q, g)
                 assert eng.last_stats.shard_runs == 1
-                assert eng.last_stats.shards > 1
+                assert eng.last_stats.tasks > 1
         finally:
             eng.close()
 

@@ -34,12 +34,11 @@ PLAN_CACHE_NAMES = [
     "repro_plan_cache_misses_total",
 ]
 
-#: The 41 names the four scraped bags emit: ``vec``, ``par``, ``router``
+#: The 40 names the four scraped bags emit: ``vec``, ``par``, ``router``
 #: (engine) and ``service`` (server).
 BAG_NAMES = [
     "repro_par_fallback_runs_total",
     "repro_par_shard_runs_total",
-    "repro_par_shards_total",
     "repro_par_tasks_total",
     "repro_par_worker_compiles_total",
     "repro_router_estimate_failures_total",
@@ -119,7 +118,7 @@ def test_the_scraped_names_are_the_documented_ones():
     telemetry_surface = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(telemetry_surface)
     surface = telemetry_surface.surface(ROOT)
-    assert len(BAG_NAMES) == 41
+    assert len(BAG_NAMES) == 40
     assert surface["scrape_names"] == sorted(PLAN_CACHE_NAMES + BAG_NAMES)
     assert surface["server_fields"] == sorted(ServerStats.__dataclass_fields__)
     assert set(RouterStats.__dataclass_fields__) <= set(surface["router_keys"])

@@ -54,7 +54,11 @@ time, which names a step that is rare but dear, like a sweep):
 * ``advance``: ``Engine.advance``, the engine's snapshot moved to them, with
   ``splice`` (``InternTable.splice``), ``carry`` (``BatchContext.carry``)
   and ``sweep`` (``InternTable.sweep``) inside it, not added to the sum;
-* ``apply <view>``: that view's ``MaterializedView.apply``, its maintenance;
+* ``apply <view>``: that view's ``MaterializedView.apply``, its maintenance,
+  with ``pass <view>`` (its ``MaterializedView._linear_pass`` calls, the
+  counted fixpoint pass) inside it, not added to the sum: the rest of the
+  apply is the boundary's bookkeeping -- decoding codes to pairs, where a
+  tree does that at commit;
 * ``other``: the rest of the commit (locks, changeset, snapshot, notify).
 """
 
@@ -74,7 +78,8 @@ STEPS = ("elaborate", "recognize", "bind", "plan lookup", "loop", "materialize",
          "select", "run", "fetch", "other")
 WORKLOADS = ("adhoc_cold", "tc_inproc", "ivm_churn", "nested_objects")
 #: ``--commits``: the commit's steps before the views' ``apply <name>``;
-#: ``splice``, ``carry`` and ``sweep`` run inside ``advance``.
+#: ``splice``, ``carry`` and ``sweep`` run inside ``advance``, and each
+#: view's ``pass <name>`` inside its ``apply <name>``.
 COMMIT_STEPS = ("normalize", "advance", "splice", "carry", "sweep")
 INSIDE_ADVANCE = ("splice", "carry", "sweep")
 
@@ -178,7 +183,10 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
         w.setup()
         if commits:
             views = getattr(w, "views", {})
-            steps_of = (*COMMIT_STEPS, *(f"apply {name}" for name in views), "other")
+            steps_of = (*COMMIT_STEPS,
+                        *(f"{step} {name}" for name in views for step in ("apply", "pass")),
+                        "other")
+            inside = (*INSIDE_ADVANCE, *(f"pass {name}" for name in views))
             samples = {step: [] for step in (*steps_of, "op")}
             patches += [
                 timed(catalog.Database, "_normalize", "normalize"),
@@ -187,6 +195,8 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
                     (interning.InternTable, "splice"), (batch.BatchContext, "carry"),
                     (interning.InternTable, "sweep"))),
                 *(timed(view, "apply", f"apply {name}") for name, view in views.items()),
+                *(timed(view, "_linear_pass", f"pass {name}", within=f"apply {name}")
+                  for name, view in views.items()),
             ]
         try:
             for i in range(warm + reads):
@@ -208,7 +218,7 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
                 steps = {step: spent.get(step, 0.0) for step in steps_of[:-1]}
                 if commits:
                     steps["other"] = op - sum(s for step, s in steps.items()
-                                              if step not in INSIDE_ADVANCE)
+                                              if step not in inside)
                 else:
                     steps["recognize"] -= steps["elaborate"]  # it ran inside
                     steps["run"] -= (steps["loop"] + steps["materialize"] + steps["field"]
@@ -232,7 +242,7 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
         medians = {step: statistics.median(samples[step]) * 1e6 for step in steps_of}
         total = sum(samples["op"])
         return medians | {
-            "sum": sum(m for step, m in medians.items() if step not in INSIDE_ADVANCE),
+            "sum": sum(m for step, m in medians.items() if step not in inside),
             "op": statistics.median(samples["op"]) * 1e6,
             "share": {step: sum(samples[step]) / total for step in steps_of},
         }
@@ -263,7 +273,7 @@ def main() -> int:
                   args.half, args.commits)
     if args.commits:
         for step, share in steps["share"].items():
-            indent = "  " if step in INSIDE_ADVANCE else ""
+            indent = "  " if step in INSIDE_ADVANCE or step.startswith("pass ") else ""
             print(f"{indent + step:<18}{steps[step]:9.1f} us  {share:6.1%}")
         for step in ("sum", "op"):
             print(f"{step:<18}{steps[step]:9.1f} us")
