@@ -76,6 +76,14 @@ class Snapshot:
     when the snapshot is at the version the commit started from and the
     delta is no larger than the collection; otherwise, and on first use, it
     is interned whole.  Hash-consing makes both the same object.
+
+    A commit's written rows are interned once, here, for the advance and
+    for every view of the engine: ``rows`` maps each written collection to
+    its ``(inserts, deletes)`` as canonical values, and ``changeset`` is the
+    commit they came from.  Both are replaced at the next move, as ``env``
+    is.  Until then the snapshot holds the deleted rows, which the advance
+    has cut from its collection, across the intern-table sweep that may end
+    the advance, for the views that read them after it.
     """
 
     def __init__(self, engine, db: "Database") -> None:
@@ -83,11 +91,14 @@ class Snapshot:
         with db._lock:
             values, self.versions = dict(db._collections), dict(db._versions)
         self.env: dict[str, Value] = {n: engine.intern(v) for n, v in values.items()}
+        self.changeset: Optional[Changeset] = None
+        self.rows: dict[str, tuple[list, list]] = {}
 
     def _move(self, moved: dict, changeset: Optional[Changeset] = None) -> None:
         """Follow one commit, registration or drop (commit lock held): ``moved``
         maps name to ``(version before, version after, value)``, ``None`` where absent."""
         env, versions, engine = dict(self.env), dict(self.versions), self.engine
+        rows: dict[str, tuple[list, list]] = {}
         counts = {"delta": 0, "rebuild": 0}
         with engine.lock, TRACER.span("snapshot-advance") as sp:
             for name, (before, after, value) in moved.items():
@@ -97,20 +108,23 @@ class Snapshot:
                 d = changeset.get(name) if changeset is not None else None
                 if d is None:  # a registration: the cold load, not an advance
                     env[name] = engine.intern(value)
-                elif (versions.get(name) == before
-                        and len(d.inserts) + len(d.deletes) <= len(env[name].elements)):
-                    env[name] = engine.advance(env[name], d.inserts, d.deletes)
-                    counts["delta"] += 1
                 else:
-                    env[name] = engine.intern(value)
-                    counts["rebuild"] += 1
+                    ins, dels = rows[name] = ([*map(engine.intern, d.inserts)],
+                                              [*map(engine.intern, d.deletes)])
+                    if (versions.get(name) == before
+                            and len(ins) + len(dels) <= len(env[name].elements)):
+                        env[name] = engine.advance(env[name], ins, dels)
+                        counts["delta"] += 1
+                    else:
+                        env[name] = engine.intern(value)
+                        counts["rebuild"] += 1
                 versions[name] = after
             if sp is not None:
                 sp.set(**counts)
         for kind, n in counts.items():
             if n and METRICS.enabled:
                 METRICS.counter(f'repro_snapshot_advances_total{{kind="{kind}"}}').inc(n)
-        self.env, self.versions = env, versions
+        self.env, self.versions, self.changeset, self.rows = env, versions, changeset, rows
 
 
 class Database:

@@ -12,9 +12,11 @@ every operator:
   a present row or removing an absent one is a no-op and never appears here
   (``Database.insert``/``delete`` normalize against the live collection);
 * **disjointness** -- no element appears on both sides for one collection;
-* **canonical values** -- every element is a complex object
-  :class:`~repro.objects.values.Value` (views re-intern them into their
-  engine's table on arrival).
+* **complex object values** -- every element is a
+  :class:`~repro.objects.values.Value`, not yet canonical in any engine:
+  each engine's :class:`~repro.api.catalog.Snapshot` interns a commit's
+  rows once, and its views take those canonical rows from it
+  (``Snapshot.rows``) rather than from the changeset.
 
 With those invariants, the delta a changeset induces at a base-collection
 leaf of a maintenance plan is exactly ``+1`` per insert and ``-1`` per

@@ -24,9 +24,19 @@ approximate rule.  The accepted shapes, and the rules they get:
     classification the vectorized compiler uses); all are **linear** rules
     over support counts.
 
+``compose``
+    :func:`~repro.nra.derived.compose`, ``L o R`` over one base type, in
+    either stream direction (:func:`~repro.nra.derived.match_compose`):
+    the two-hop join inside Example 7.1's closure.  The **bilinear** rule
+    below on packed pair codes, the linear fixpoint's own probe: ``L``
+    indexed on its ``snd``, ``R`` on its ``fst``, support counts over
+    ``L x R`` -- no compiled key or output closure and no pair per
+    derivation.  Rendered as ``ivm-join [compose]``.
+
 ``join``
-    the equi-join nest :func:`repro.engine.shapes.match_join` recognises,
-    with keys and output pure in their own side.  **Bilinear** rule
+    any other equi-join nest :func:`repro.engine.shapes.match_join`
+    recognises (a correlated ``flat_map``, ``Q.join`` on other keys), with
+    keys and output pure in their own side.  **Bilinear** rule
     ``delta(L >< R) = dL >< R_old  U  L_new >< dR`` over incrementally
     maintained hash indexes on both sides.
 
@@ -90,13 +100,15 @@ from typing import Optional
 
 from ...nra import ast
 from ...nra.ast import Expr, free_variables, substitute
-from ...nra.derived import field_of, match_closure, match_seeded_closure, seeded_closure
+from ...nra.derived import (
+    field_of, match_closure, match_compose, match_seeded_closure, seeded_closure,
+)
 from ..shapes import match_join
 from ..vectorized.plan import PlanNode, node
 
 #: The maintenance-rule vocabulary (``DeltaOp.kind`` ranges over these).
 DELTA_KINDS = (
-    "static", "base", "map", "select", "ext", "join", "union",
+    "static", "base", "map", "select", "ext", "compose", "join", "union",
     "fixpoint", "recompute",
 )
 
@@ -169,6 +181,10 @@ def _derive_ext(e: ast.Apply, bases: frozenset[str]) -> DeltaOp:
     src = e.arg
     var, body = f.var, f.body
 
+    found = match_compose(e)
+    if found is not None:
+        r1, r2, _, _ = found
+        return DeltaOp("compose", e, (derive(r1, bases), derive(r2, bases)))
     join = match_join(var, body)
     if join is not None:
         rvar, lkey, rkey, out, inner_src = join
@@ -226,6 +242,10 @@ def plan_of(op: DeltaOp) -> PlanNode:
     elif op.kind == "join":
         detail = f"{op.var} x {op.rvar}"
         annotations = ("bilinear", "indexed")
+    elif op.kind == "compose":
+        # A join in the plan vocabulary, counted on pair codes.
+        return node("ivm-join", "compose", *children,
+                    annotations=("bilinear", "linear-indexed"))
     elif op.kind == "union":
         annotations = ("counted",)
     elif op.kind == "fixpoint":

@@ -11,7 +11,14 @@ Runtime state, per :class:`~repro.engine.incremental.delta.DeltaOp` node:
   **support counts** -- for each output element, how many derivations
   currently produce it -- so a deletion removes an element from the output
   exactly when its last derivation disappears, with no recount;
-* ``join`` nodes additionally hold **hash indexes on both sides**
+* ``compose`` nodes (:func:`~repro.nra.derived.compose`, ``L o R``) hold
+  their counts on packed pair codes in a :class:`_LinearState`: ``acc``
+  indexes ``L`` by its ``snd``, ``base`` indexes ``R`` by its ``fst``, and
+  ``counts`` holds, per output code, its derivations over ``L x R``.  The
+  bilinear pass (:meth:`MaterializedView._compose_pass`) is the linear
+  fixpoint's own probe, dict lookups and bit arithmetic per derivation,
+  and the output's boundary is the codes whose count crossed zero;
+* other ``join`` nodes additionally hold **hash indexes on both sides**
   (key value -> matching elements).  One probe serves the build and every
   batch: an element indexes (or unindexes) itself on its own side, then
   counts its derivations against the other side's index, so a delta of
@@ -44,26 +51,35 @@ undone by a delete cancels) and the pending delta is spliced into the last
 rendered set, by bisection over cached sort keys
 (:meth:`~repro.engine.interning.InternTable.splice`), when and only when
 something reads it: :attr:`MaterializedView.value` / ``rows()`` /
-``refresh``, a recompute-mode diff.  A linear fixpoint's ``pending`` holds
-the pass's pair codes, not pairs: the read decodes them (a code that left
-names a pair of the rendered output; the new pairs of codes that joined
-are stored in one batch), and a fixpoint at the root hands the listeners
-a :class:`ViewDelta` that decodes its codes on first access.  A pair is
-made only when something asks for a value, and a fixpoint under a parent
-hands it values.  A commit therefore costs the derivation cone;
-a read costs O(|pending| log n) python steps plus one C-level copy and is
-free when nothing changed.  The property this rests on is that *a view is
+``refresh``, a recompute-mode diff.  A linear fixpoint's and a
+composition's ``pending`` holds the pass's pair codes, not pairs: the read
+decodes them (a code that left names a pair of the rendered output; the
+new pairs of codes that joined are stored in one batch), and such a node
+at the root hands the listeners a :class:`ViewDelta` that decodes its
+codes on first access.  A pair is made only when something asks for a
+value, and such a node under a parent hands it values.  A commit
+therefore costs the derivation cone; a read costs O(|pending| log n)
+python steps plus one C-level copy and is free when nothing changed.  The property this rests on is that *a view is
 read less often than its bases are written*; a reader after every commit
 pays one splice per commit where an eager output paid one merge.
 ``len(view)`` is kept from the root delta and renders nothing.
 
 Codes kept without their pairs follow the intern table's sweep contract
 (:mod:`repro.engine.interning`): a ``+1`` pending code is present, so
-the children's current elements hold its parts; a ``-1`` one names a pair
-of the rendered output; a code that joined and left since the last read
-cancels.  An undecoded :class:`ViewDelta` holds its codes' parts itself,
-and so does the view between a maintenance pass that raised and the
-rebuild that reads its pending codes.
+the children's current elements hold its parts (a fixpoint's by induction
+over its derivations, a composition's directly: ``fst`` of an element of
+``L``, ``snd`` of one of ``R``); a ``-1`` one names a pair of the rendered
+output; a code that joined and left since the last read cancels.  An
+undecoded :class:`ViewDelta` holds its codes' parts itself, and so does
+the view between a maintenance pass that raised and the rebuild that
+reads its pending codes.
+
+A commit's base deltas are the canonical rows the engine's
+:class:`~repro.api.catalog.Snapshot` interned once for the advance and
+every view (``Snapshot.rows``): a view applies only the changeset its
+snapshot has just followed, and interns none of it again.  The snapshot
+holds the deleted rows, which the advance cut from the collection and may
+have swept after, until the next commit.
 
 All per-element evaluation (ext bodies, join keys, outputs) runs through
 closures compiled by the engine's
@@ -83,6 +99,7 @@ See DESIGN.md ("when maintenance loses") for the cost model.
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -97,7 +114,7 @@ from ..vectorized.batch import bind, expect_set, unbind
 from .changeset import Changeset
 from .delta import DeltaOp, derive, plan_of
 
-#: A set-level delta: interned element (a linear fixpoint's own: pair code)
+#: A set-level delta: interned element (a node on codes' own: pair code)
 #: -> +1 (appeared) or -1 (disappeared).
 SetDelta = dict
 
@@ -125,12 +142,13 @@ class ViewDelta:
     """What one ``apply`` did to the view's result.
 
     ``inserted`` and ``deleted`` are the rows that joined and left it.  A
-    view whose root is a linear fixpoint hands them over as pair codes and
-    decodes them on their first access, under the engine lock; until then
-    the delta holds the parts of its codes, so a sweep in between frees
-    none of them.  ``n_inserted``, ``n_deleted`` and truth never decode:
-    the session's stats observer, :class:`ViewStats` and the ``ivm-apply``
-    span read only those, so a commit nobody reads makes no pairs.  The
+    view whose root is a linear fixpoint or a composition hands them over
+    as pair codes and decodes them on their first access, under the engine
+    lock; until then the delta holds the parts of its codes, so a sweep in
+    between frees none of them.  ``n_inserted``, ``n_deleted`` and truth
+    never decode: the session's stats observer, :class:`ViewStats` and the
+    ``ivm-apply`` span read only those, so a commit nobody reads makes no
+    pairs.  The
     commit's dense-id room check counts only the codes still pending on the
     view, so a decode long after it can still raise
     :class:`~repro.engine.interning.DenseIdLimitError`; a decode that
@@ -200,7 +218,8 @@ class _NodeState:
     The node's output set is *rendered on read*: maintenance records the
     elements that joined or left (:meth:`moved`), and :attr:`out` splices
     them into the last rendered ``SetVal`` when something asks for it.  A
-    linear fixpoint records pair codes, and the read decodes them first.
+    linear fixpoint or a composition records pair codes, and the read
+    decodes them first.
     """
 
     __slots__ = ("it", "stats", "rendered", "pending", "counts", "lindex", "rindex",
@@ -210,14 +229,14 @@ class _NodeState:
         self.it = it          # the engine's intern table (renders splice there)
         self.stats = stats    # the owning view's counters
         self.rendered: Optional[SetVal] = None
-        #: element (a fixpoint's: pair code) -> +1 (joined) / -1 (left)
+        #: element (a node on codes': pair code) -> +1 (joined) / -1 (left)
         #: since ``rendered``, netted.
         self.pending: SetDelta = {}
         self.counts: Optional[dict] = None
         self.lindex: Optional[dict] = None
         self.rindex: Optional[dict] = None
         self.children: tuple["_NodeState", ...] = ()
-        #: A fixpoint's counted state, on dense ids.
+        #: A fixpoint's or a composition's counted state, on dense ids.
         self.flat: Optional["_LinearState"] = None
 
     @property
@@ -252,10 +271,13 @@ class _NodeState:
 
 
 class _LinearState:
-    """The counted state of a linear fixpoint, on dense ids.
+    """The counted state of a linear fixpoint or a composition, on dense ids.
 
     The step is :func:`~repro.nra.derived.seeded_closure`'s, ``rr U rr o R``
     or (``backward``) ``rr U R o rr`` -- the one linear step a view accepts.
+    A composition ``L o R`` is that step's join alone: ``acc`` holds ``L``,
+    ``base`` holds ``R``, ``counts`` the derivations over ``L x R``, and
+    ``present`` and ``seeds`` stay empty.
     Every element of the fixpoint and of ``R`` is a pair of interned values,
     carried as the packed code ``(fst_dense_id << 32) | snd_dense_id``, and
     a derivation composes a left factor ``x`` with a right factor ``y``
@@ -278,7 +300,8 @@ class _LinearState:
     induction over the derivations), ``seeds`` and the ``base`` buckets name
     those elements themselves, and every key id is a part of one.  The
     children's outputs hold those elements (rendered, or pending in their
-    deltas), so an intern-table sweep frees none of these ids.
+    deltas; a child on codes names only parts its own children hold), so
+    an intern-table sweep frees none of these ids.
     """
 
     __slots__ = ("backward", "counts", "acc", "base", "present", "seeds")
@@ -324,7 +347,7 @@ class _LinearState:
                 del counts[z]
             else:
                 raise AssertionError(
-                    "negative fixpoint support count: a derivation was dropped twice"
+                    "negative pair-code support count: a derivation was dropped twice"
                 )
         touched += derived
 
@@ -437,8 +460,12 @@ class MaterializedView:
             with TRACER.span("ivm-apply", view=self.name) as sp:
                 # The database advanced the engine's snapshot by this
                 # changeset just before delivering it here: the written
-                # bases are there, as a cold read would intern them.
-                env, current = self._env, self._snapshot.env
+                # bases are there, as a cold read would intern them, and
+                # so are the commit's rows, interned once for every view.
+                snapshot = self._snapshot
+                assert snapshot.changeset is changeset, (
+                    "a view applies only the commit its snapshot has just followed")
+                env, current, rows = self._env, snapshot.env, snapshot.rows
                 for name in changeset:
                     if name in env:
                         env[name] = current[name]
@@ -450,13 +477,13 @@ class MaterializedView:
                     stats.fallback_recomputes += 1
                 else:
                     try:
-                        # Each written base, interned once for every node
-                        # that reads it.
-                        it, deltas = self._it, {}
+                        # Each written base's delta, on the canonical rows
+                        # the snapshot interned for this commit.
+                        deltas = {}
                         for name in self.bases.intersection(changeset):
-                            d = changeset.get(name)
-                            deltas[name] = {it.intern(v): 1 for v in d.inserts}
-                            deltas[name].update((it.intern(v), -1) for v in d.deletes)
+                            ins, dels = rows[name]
+                            deltas[name] = dict.fromkeys(ins, 1)
+                            deltas[name].update(dict.fromkeys(dels, -1))
                         root_delta = self._apply_node(self.plan_ops, self._root, deltas)
                     except BaseException:
                         # Half maintained: the bases above are this commit's,
@@ -601,13 +628,17 @@ class MaterializedView:
         if kind in ("static", "base"):
             st.out = expect_set(self._fn(op.expr)(self._env), "maintenance subexpression")
             return st
-        if kind == "fixpoint":
-            # The node's one pass, from empty with the seed and R as the
-            # insertion.
-            seed, base = (c.out.elements for c in st.children)
-            st.flat = _LinearState(op.backward)
-            self._linear_pass(st, dict.fromkeys(seed, 1), dict.fromkeys(base, 1))
-            st.out = self._it.set_from_pair_codes(st.flat.present)
+        if kind in ("fixpoint", "compose"):
+            # The node's one pass, from empty with both children as the
+            # insertion, rendered once from its codes.
+            first, second = (dict.fromkeys(c.out.elements, 1) for c in st.children)
+            st.flat = lin = _LinearState(op.backward)
+            if kind == "fixpoint":
+                self._linear_pass(st, first, second)
+                st.out = self._it.set_from_pair_codes(lin.present)
+            else:
+                self._compose_pass(st, first, second)
+                st.out = self._it.set_from_pair_codes(lin.counts)
             return st
         # A counted node writes its build's derivations straight into its
         # counts; its output is their support.
@@ -634,7 +665,7 @@ class MaterializedView:
 
     def _apply_node(self, op: DeltaOp, st: _NodeState, deltas: dict) -> SetDelta:
         """One node's set-level delta for a commit's interned base ``deltas``
-        -- for a fixpoint at the root, on pair codes."""
+        -- for a fixpoint or a composition at the root, on pair codes."""
         kind = op.kind
         if kind == "static":
             return {}
@@ -665,8 +696,22 @@ class MaterializedView:
             return self._commit_counts(st, acc)
         if kind == "join":
             return self._apply_join(op, st, child_deltas[0], child_deltas[1])
-        if kind == "fixpoint":
-            delta = self._apply_fixpoint(st, *child_deltas)
+        if kind in ("fixpoint", "compose"):
+            if not any(child_deltas):
+                return {}
+            # The counted pass knows its exact boundary (what fell for good,
+            # what is genuinely new): no full-set diff, no render, no pair.
+            if kind == "fixpoint":
+                fell, added = self._linear_pass(st, *child_deltas)
+                self.stats.flat_index_applies += 1
+            else:
+                fell, added = self._compose_pass(st, *child_deltas)
+            # Decoding what will be pending and this delta needs at most this
+            # many new ids: a commit past the limit stops here, recording nothing.
+            self._it.check_room(len(st.pending) + len(added) + len(fell))
+            delta = dict.fromkeys(fell, -1)
+            delta.update(dict.fromkeys(added, 1))
+            st.moved(delta)
             if st is self._root or not delta:
                 return delta
             # A parent selects, joins or unions values.
@@ -770,23 +815,57 @@ class MaterializedView:
                 self._join_probe(op, st, left, [v for v, dc in d.items() if dc > 0], +1, acc)
         return self._commit_counts(st, acc)
 
-    # -- fixpoint --------------------------------------------------------------
+    # -- pair codes ------------------------------------------------------------
 
-    def _apply_fixpoint(self, st: _NodeState, d: SetDelta, dr: SetDelta) -> SetDelta:
-        """The node's delta on pair codes, recorded on its output as codes."""
-        if not (d or dr):
-            return {}
-        # The counted pass knows its exact delta (what fell for good, what
-        # is genuinely new): no full-set diff, no render, and no pair.
-        fell, added = self._linear_pass(st, d, dr)
-        self.stats.flat_index_applies += 1
-        # Decoding what will be pending and this delta needs at most this
-        # many new ids: a commit past the limit stops here, recording nothing.
-        self._it.check_room(len(st.pending) + len(added) + len(fell))
-        delta = dict.fromkeys(fell, -1)
-        delta.update(dict.fromkeys(added, 1))
-        st.moved(delta)
-        return delta
+    def _codes(self, delta: SetDelta, sign: int, proj: str) -> list:
+        """The packed codes of ``delta``'s pairs moving by ``sign``; a
+        non-pair raises the error a cold run's projection ``proj`` raises."""
+        parts, dense = self._it.pair_parts(), self._it.dense_id
+        out = []
+        for v, dc in delta.items():
+            if dc == sign:
+                try:
+                    f, s = parts[dense(v)]
+                except KeyError:
+                    raise NRAEvalError(f"{proj}: expected a pair, got {v!r}") from None
+                out.append((f << CODE_BITS) | s)
+        return out
+
+    def _compose_pass(self, st: _NodeState, dl: SetDelta, dr: SetDelta) -> tuple[list, list]:
+        """The compose node's one pass: the bilinear rule ``dL o R_old U
+        L_new o dR`` on pair codes, for deltas ``dl`` of ``L`` and ``dr`` of
+        ``R``.
+
+        ``L``'s deletes, then its inserts, unindex or index themselves on
+        ``acc`` (by ``snd``) and count their derivations against ``R``'s old
+        index ``base``; then ``R``'s deletes and inserts do the same on
+        ``base`` (by ``fst``) against the new ``acc``, so every derivation
+        is counted once -- :meth:`_LinearState.probe` is exactly this step.
+        Returns the boundary as codes -- those whose count fell to zero,
+        those that rose from it -- for the caller to record.  Every code is
+        made before any state moves, so a non-pair raises having touched
+        nothing.  The build is this pass from empty: ``L`` meets an empty
+        index, then ``R`` derives every pair.
+        """
+        probe, counts = st.flat.probe, st.flat.counts
+        batches = [(on_l, sign, self._codes(d, sign, "pi2" if on_l else "pi1"))
+                   for on_l, d in ((True, dl), (False, dr)) for sign in (-1, 1)]
+        lost: list = []
+        gained: list = []
+        for on_l, sign, codes in batches:
+            touched = gained if sign > 0 else lost
+            for c in codes:
+                probe(c, on_l, sign, touched)
+        net = Counter(gained)
+        net.subtract(lost)
+        fell, added = [], []
+        for z, n in net.items():
+            if n:
+                if z not in counts:
+                    fell.append(z)
+                elif counts[z] == n:
+                    added.append(z)
+        return fell, added
 
     # -- linear fixpoint (``fix()``, maintained as the linear closure) -----------
 
@@ -824,19 +903,7 @@ class MaterializedView:
         """
         lin = st.flat
         present, counts, seeds, probe = lin.present, lin.counts, lin.seeds, lin.probe
-        parts, dense = self._it.pair_parts(), self._it.dense_id
-
-        def codes(delta, sign, proj):
-            out = []
-            for v, dc in delta.items():
-                if dc == sign:
-                    try:
-                        f, s = parts[dense(v)]
-                    except KeyError:
-                        raise NRAEvalError(f"{proj}: expected a pair, got {v!r}") from None
-                    out.append((f << CODE_BITS) | s)
-            return out
-
+        codes = self._codes
         # The projection each side's join key takes: the accumulator's
         # (seeded from ``d``) and R's.
         acc_key, r_key = ("pi1", "pi2") if lin.backward else ("pi2", "pi1")

@@ -30,12 +30,15 @@ and no survivor's id or pair code moves.  The contract this puts on
 everything outside the table: **whoever keeps a dense id, a pair code or an
 ``id(value)`` across a sweep must hold a value that holds it** -- the value
 itself, or a set or pair it is a part of.  Set records hold their set, a
-compiled compare constant its value, the flat loop its input sets.  A
-maintained fixpoint's counted codes and the ``+1`` codes pending on its
-output are built from parts of its children's elements, which the children
-hold; a ``-1`` pending code names a pair its rendered output holds; and a
-view delta not decoded yet holds the parts of its codes
-(:meth:`InternTable.parts_of`).  An
+compiled compare constant its value, the flat loop its input sets.  An
+engine's database snapshot holds a commit's canonical rows -- the deleted
+ones too, which the advance cut from its collection before its sweep --
+until the next commit, for the views that read them after the advance.  A
+maintained fixpoint's or composition's counted codes and the ``+1`` codes
+pending on its output are built from parts of its children's elements,
+which the children hold; a ``-1`` pending code names a pair its rendered
+output holds; and a view delta not decoded yet holds the parts of its
+codes (:meth:`InternTable.parts_of`).  An
 ``id``-keyed map that holds neither would, after a sweep, name a freed
 value or a newer one at the same address.  The engine sweeps under its
 lock, at the end of a run or a commit's advance, once the table has grown

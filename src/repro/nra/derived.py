@@ -198,6 +198,29 @@ def compose(r1: Expr, r2: Expr, t: Type, stream_right: bool = False) -> Expr:
     return ext_apply(Lambda(p, rel_t, ext_apply(Lambda(q, rel_t, body), r2)), r1)
 
 
+def match_compose(e: Expr) -> Optional[tuple[Expr, Expr, Type, bool]]:
+    """The inverse of :func:`compose`: ``(r1, r2, base, stream_right)`` iff
+    ``e`` is ``compose(r1, r2, base, stream_right)``.
+
+    Up to the names of bound variables, and nothing looser: an inner source
+    that reads the outer element is a correlated join, not a composition.
+    """
+    if not (isinstance(e, Apply) and isinstance(e.func, Ext)
+            and isinstance(e.func.func, Lambda)):
+        return None
+    outer = e.func.func
+    inner = outer.body
+    t = outer.var_type
+    if not (isinstance(t, ProdType) and t.fst == t.snd and isinstance(inner, Apply)
+            and isinstance(inner.func, Ext)):
+        return None
+    for stream_right in (False, True):
+        r1, r2 = (inner.arg, e.arg) if stream_right else (e.arg, inner.arg)
+        if alpha_equal(e, compose(r1, r2, t.fst, stream_right)):
+            return r1, r2, t.fst, stream_right
+    return None
+
+
 def closure(r: Expr, base: Type) -> Expr:
     """Transitive closure of ``r : {base x base}`` by repeated squaring.
 

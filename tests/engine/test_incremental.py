@@ -1300,6 +1300,42 @@ class TestRenderOnRead:
         assert view.value is session.engine.intern(session.execute(query).value)
 
 
+def test_a_commit_interns_its_rows_once_for_the_snapshot_and_every_view(monkeypatch):
+    # ivm_churn's tree and its two views: the snapshot interns a commit's
+    # four fresh edges, and the advance and both views take those canonical
+    # rows -- four top-level intern calls on non-canonical values, where a
+    # view that re-interned the changeset made one more per row each.
+    from repro.engine.interning import InternTable
+    from repro.objects.values import to_python
+    from repro.workloads.graphs import binary_tree
+
+    db = Database("tree").register("edges", binary_tree(8))
+    session = connect(db)
+    edges = Q.coll("edges")
+    queries = {"reach": edges.fix(), "two_hop": edges.compose(edges)}
+    views = {name: session.materialize(q, name=name) for name, q in queries.items()}
+    calls, depth = [], [0]
+    intern = InternTable.intern
+
+    def counted(self, v):
+        if not depth[0] and not self.is_interned(v):
+            calls.append(v)
+        depth[0] += 1
+        try:
+            return intern(self, v)
+        finally:
+            depth[0] -= 1
+
+    batch = [(0, 5), (1, 9), (2, 30), (4, 100)]
+    monkeypatch.setattr(InternTable, "intern", counted)
+    assert db.insert("edges", batch).rows_touched() == 4
+    monkeypatch.undo()
+    assert len(calls) == 4 and sorted(to_python(v) for v in calls) == batch
+    for name, view in views.items():
+        assert view.stats.delta_applies == 1 and view.stats.fallback_recomputes == 0
+        assert view.rows() == session.execute(queries[name]).rows(), name
+
+
 # ---------------------------------------------------------------------------
 # Error-class agreement with recompute
 # ---------------------------------------------------------------------------

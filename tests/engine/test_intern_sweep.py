@@ -83,7 +83,7 @@ def kept_ids(engine, views=()) -> set:
         while stack:
             st = stack.pop()
             stack.extend(st.children)
-            flat = st.flat
+            flat = st.flat  # a fixpoint's or a composition's state on codes
             if flat is None:
                 continue
             codes = [*flat.present, *flat.counts, *flat.seeds, *st.pending,
@@ -332,19 +332,19 @@ def test_an_unread_fix_view_reads_right_after_any_number_of_sweeps():
     check_table(it)
 
 
-def test_an_unread_fix_views_deltas_hold_their_codes_parts_until_decoded():
-    # A fix() view's commits record pair codes, and the delta a listener is
-    # sent decodes on its first access.  Edges come and go on atoms that
-    # nothing else names, the view is never read between commits, the
-    # listener folds python rows (it holds no value), and two sweeps run
-    # after every commit and again before the listener first reads what it
-    # was sent: until then only the delta holds its codes' parts.
+def _unread_deltas_hold_their_codes_parts(query) -> None:
+    """A view on pair codes records its commits as codes, and the delta a
+    listener is sent decodes on its first access.  Edges come and go on
+    atoms that nothing else names, the view is never read between commits,
+    the listener folds python rows (it holds no value), and two sweeps run
+    after every commit and again before the listener first reads what it
+    was sent: until then only the delta holds its codes' parts."""
     db = Database.of("g", edges=path_graph(8))
     session = db.connect()
     engine = session.engine
     it = engine.interner
     it.SWEEP_MIN = 16
-    view = session.materialize(Q.coll("edges").fix(), name="tc")
+    view = session.materialize(query, name="coded")
     mirror = set(view.rows())
     sent: list = []
     view.add_listener(lambda _view, delta, _fallback: sent.append(delta))
@@ -361,7 +361,8 @@ def test_an_unread_fix_views_deltas_hold_their_codes_parts_until_decoded():
     sweep_out(engine)
     fold()
     for kind, edges in [("delete", [(7, 100), (100, 101)]), ("insert", [(102, 0), (3, 103)]),
-                        ("insert", [(103, 104)]), ("delete", [(3, 103), (102, 0)])]:
+                        ("insert", [(103, 104), (104, 105)]),
+                        ("delete", [(3, 103), (102, 0)])]:
         getattr(db, kind)("edges", edges)
         sweep_out(engine)
         assert_no_freed_ids(engine, [view])
@@ -370,10 +371,65 @@ def test_an_unread_fix_views_deltas_hold_their_codes_parts_until_decoded():
     fold()
     sweep_out(engine)
     assert view.stats.materializations == 0
-    want = reference_run(
-        Q.coll("edges").fix().elaborate(db.schema()).expr, env=db.environment())
+    want = reference_run(query.elaborate(db.schema()).expr, env=db.environment())
     assert view.value == want and mirror == to_python(want)
     assert view.stats.materializations == 1 and view.stats.fallback_recomputes == 0
+    check_table(it)
+
+
+def test_an_unread_fix_views_deltas_hold_their_codes_parts_until_decoded():
+    _unread_deltas_hold_their_codes_parts(Q.coll("edges").fix())
+
+
+def test_an_unread_compose_views_deltas_hold_their_codes_parts_until_decoded():
+    # The composition counts on codes too: (6, 100) and (7, 101) leave with
+    # the delete, named by nothing but the delta that says so.
+    edges = Q.coll("edges")
+    _unread_deltas_hold_their_codes_parts(edges.compose(edges))
+
+
+def test_the_rows_a_commit_deletes_stay_live_until_its_views_read_them(monkeypatch):
+    # The snapshot interns a commit's rows once and hands them to every view
+    # after the advance, which may end in a sweep: forced here on every
+    # commit, with a tiny SWEEP_MIN.  The deleted rows -- on atoms nothing
+    # else names -- are still canonical when each view reads them, and every
+    # read equals a cold run.
+    db = Database.of("g", edges=path_graph(10))
+    session = db.connect()
+    engine = session.engine
+    it = engine.interner
+    it.SWEEP_MIN = 16
+    edges = Q.coll("edges")
+    queries = {"tc": edges.fix(), "two_hop": edges.compose(edges)}
+    views = {name: session.materialize(q, name=name) for name, q in queries.items()}
+    sweeps, read = [], []
+    sweep = it.sweep
+    monkeypatch.setattr(it, "sweep", lambda: sweeps.append(sweep()) or sweeps[-1])
+    for view in views.values():
+        def reading(changeset, apply=view.apply, view=view):
+            for name in changeset:
+                ins, dels = view._snapshot.rows[name]
+                read.append(all(it.is_interned(v) and it.value_of(it.dense_id(v)) is v
+                                for v in (*ins, *dels)))
+            return apply(changeset)
+
+        monkeypatch.setattr(view, "apply", reading)
+    for kind, rows in [("insert", [(9, 60), (60, 61)]), ("delete", [(9, 60), (60, 61)]),
+                       ("insert", [(62, 63), (3, 62)]), ("delete", [(3, 62), (2, 3)]),
+                       ("delete", [(62, 63)])]:
+        it._sweep_at = 0                      # the advance ends in a sweep
+        before = len(sweeps)
+        getattr(db, kind)("edges", rows)
+        assert len(sweeps) == before + 1
+        for name, view in views.items():
+            want = reference_run(queries[name].elaborate(db.schema()).expr,
+                                 env=db.environment())
+            assert view.value == want and len(view) == len(want.elements), name
+        assert_no_freed_ids(engine, views.values())
+    assert len(read) == 10 and all(read)
+    assert sum(sweeps) > 0                    # the sweeps freed what nothing held
+    for view in views.values():
+        assert view.stats.fallback_recomputes == 0
     check_table(it)
 
 

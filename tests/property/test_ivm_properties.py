@@ -111,6 +111,35 @@ def _assert_linear_state_consistent(view, st, label):
     )
 
 
+def _assert_compose_state_consistent(view, st, label):
+    """The counted state a composition ``L o R`` is rendered from, recounted:
+    ``acc`` holds exactly ``L``'s codes by ``snd``, ``base`` exactly ``R``'s
+    by ``fst``, and ``counts`` every derivation over ``L x R``."""
+    lin = st.flat
+    left, right = (_codes(view, c.out.elements) for c in st.children)
+    for index, side, key, name in ((lin.acc, left, CODE_MASK, "left"),
+                                   (lin.base, right, None, "right")):
+        assert {c for b in index.values() for c in b} == side, (
+            f"{label}: the {name} index diverged from the {name} child"
+        )
+        assert all(index.values()), f"{label}: empty {name} index buckets were not pruned"
+        assert all((c & CODE_MASK if key else c >> CODE_BITS) == k
+                   for k, b in index.items() for c in b), (
+            f"{label}: a {name} code is indexed under another key"
+        )
+    want: dict = {}
+    for x in left:
+        for y in right:
+            if x & CODE_MASK == y >> CODE_BITS:
+                z = (x >> CODE_BITS << CODE_BITS) | (y & CODE_MASK)
+                want[z] = want.get(z, 0) + 1
+    assert lin.counts == want, f"{label}: support counts are not left x right"
+    assert _codes(view, st.out.elements) == set(lin.counts), (
+        f"{label}: rendered composition diverged from its support counts"
+    )
+    assert not lin.present and not lin.seeds, f"{label}: a composition keeps fixpoint sets"
+
+
 def _assert_state_consistent(view, label):
     assert not view.recompute_only, f"{label}: panel view degraded unexpectedly"
     interner = view.engine.interner
@@ -120,6 +149,8 @@ def _assert_state_consistent(view, label):
         )
         if op.kind == "fixpoint":
             _assert_linear_state_consistent(view, st, label)
+        if op.kind == "compose":
+            _assert_compose_state_consistent(view, st, label)
         if st.counts is not None:
             bad = [c for c in st.counts.values() if c <= 0]
             assert not bad, f"{label}: {op.kind} node holds non-positive counts"
@@ -423,6 +454,108 @@ def test_fix_views_on_cyclic_graphs_equal_the_reference_interpreter(initial, key
             assert view.stats.fallback_recomputes == 0
 
 
+# ---------------------------------------------------------------------------
+# 6. Compose views on pair codes, against the reference interpreter
+# ---------------------------------------------------------------------------
+
+_COMPOSE_COMMIT = hst.one_of(
+    hst.tuples(hst.sampled_from(["insert", "delete", "delete-reinsert"]),
+               hst.sampled_from(["edges", "other"]), _EDGES),
+    hst.tuples(hst.just("mixed"), _EDGES, _EDGES, _EDGES, _EDGES),
+)
+
+
+def _compose_queries(key: int, const: list) -> dict:
+    """Every place a composition can stand in a view: over two mutable
+    collections (either stream direction), over a constant, with itself,
+    under a select, as a fixpoint's relation and over a fixpoint."""
+    from repro.nra.ast import Var
+    from repro.nra.derived import compose
+
+    edges, other = Q.coll("edges"), Q.coll("other")
+    return {
+        "edges-o-other": edges.compose(other),
+        "other-streamed": compose(Var("edges"), Var("other"), BASE, stream_right=True),
+        "edges-o-const": edges.compose(Q.const(frozenset(const), type=FLAT_T)),
+        "self": edges.compose(edges),
+        "where": edges.compose(other).where(lambda e: e.fst == key),
+        "compose-fix": edges.compose(edges).fix(),
+        "fix-compose": edges.fix().compose(edges),
+    }
+
+
+def _compose_commits(step, db) -> list:
+    """The changesets one generated step commits, given the live rows."""
+    from repro.objects.values import to_python
+
+    kind = step[0]
+    if kind == "mixed":  # both collections in one commit
+        return [Changeset.of(edges=(step[1], step[2]), other=(step[3], step[4]))]
+    name, rows = step[1], step[2]
+    if kind == "insert":
+        return [Changeset.of(**{name: (rows, [])})]
+    if kind == "delete":
+        return [Changeset.of(**{name: ([], rows)})]
+    gone = sorted(to_python(db[name]))[: len(rows) + 1]
+    return [Changeset.of(**{name: ([], gone)}), Changeset.of(**{name: (gone, [])})]
+
+
+@settings(max_examples=100, deadline=None)
+@example(edges=[(0, 1)], other=[(1, 2)], const=[(1, 3)], key=0,
+         steps=[(("mixed", [(2, 3)], [], [(3, 4)], [(1, 2)]), True),
+                (("delete-reinsert", "edges", [(0, 1)]), True)])
+@given(edges=hst.lists(hst.tuples(_NODE, _NODE), max_size=8),
+       other=hst.lists(hst.tuples(_NODE, _NODE), max_size=8),
+       const=hst.lists(hst.tuples(_NODE, _NODE), max_size=4), key=_NODE,
+       steps=hst.lists(hst.tuples(_COMPOSE_COMMIT, hst.booleans()), min_size=1, max_size=8))
+def test_compose_views_equal_the_reference_interpreter(edges, other, const, key, steps):
+    # Every commit -- inserts, deletes, a delete and its re-insert, both
+    # collections at once -- is followed or not by two forced sweeps, before
+    # the listeners' deltas are first read.  After each commit every view
+    # equals the reference interpreter, its deltas fold exactly (an inserted
+    # row was absent, a deleted one present) and its counted state recounts.
+    from repro.nra.eval import run as reference_run
+    from repro.objects.values import to_python
+
+    db = (Database("g").register("edges", frozenset(edges), type=FLAT_T)
+          .register("other", frozenset(other), type=FLAT_T))
+    queries = _compose_queries(key, const)
+    exprs = {name: q.elaborate(db.schema()).expr if hasattr(q, "elaborate") else q
+             for name, q in queries.items()}
+    with connect(db) as session:
+        views = {name: session.materialize(q, name=name) for name, q in queries.items()}
+        for name, view in views.items():
+            assert not view.recompute_only and "compose" in view.plan_ops.kinds(), name
+        mirrors = {name: set(view.rows()) for name, view in views.items()}
+        sent: dict = {name: [] for name in views}
+        for view in views.values():
+            view.add_listener(lambda v, delta, _fb: sent[v.name].append(delta))
+        interner = session.engine.interner
+        for i, (step, sweep) in enumerate(steps):
+            for cs in _compose_commits(step, db):
+                db.apply(cs)
+                if sweep:
+                    interner.sweep()
+                    interner.sweep()
+                env = db.environment()
+                for name, expr in exprs.items():
+                    label = f"step {i} {step[0]} view {name}"
+                    for delta in sent[name]:
+                        gone = {to_python(v) for v in delta.deleted}
+                        new = {to_python(v) for v in delta.inserted}
+                        assert gone <= mirrors[name] and not new & mirrors[name], (
+                            f"{label}: a delta moved a row that did not move")
+                        mirrors[name] = (mirrors[name] - gone) | new
+                    sent[name].clear()
+                    want = to_python(reference_run(expr, env=env))
+                    assert mirrors[name] == want, f"{label}: folded deltas != the reference"
+                    assert views[name].rows() == want, f"{label}: the view != the reference"
+                    assert len(views[name]) == len(want), f"{label}: len(view) drifted"
+                    _assert_state_consistent(views[name], label)
+        for view in views.values():
+            assert view.stats.fallback_recomputes == 0
+
+
 def _fixpoint_of(view):
     return next(n for n in view.maintenance_plan().walk() if n.op == "ivm-fixpoint")
 
@@ -465,7 +598,7 @@ def test_a_hand_written_squaring_loop_view_recomputes():
 
 
 # ---------------------------------------------------------------------------
-# 6. Hand-written loops: constant steps, shrinking budgets
+# 7. Hand-written loops: constant steps, shrinking budgets
 # ---------------------------------------------------------------------------
 
 _MARKS_T = SetType(BASE)

@@ -68,26 +68,29 @@ def test_the_commit_split_times_every_commit_step_and_restores_the_tree():
               BatchContext.carry, InternTable.sweep)
     from repro.engine.incremental.view import MaterializedView
 
-    linear_pass = MaterializedView._linear_pass
+    passes = (MaterializedView._linear_pass, MaterializedView._compose_pass)
     steps = front_door_probe.probe(ROOT, "ivm_churn", reads=30, warm=6, commits=True)
     views = ["apply reach", "apply two_hop"]
     assert list(steps) == [*front_door_probe.COMMIT_STEPS, "apply reach", "pass reach",
-                           "apply two_hop", "pass two_hop", "other", "sum", "op", "share"]
+                           "apply two_hop", "pass two_hop", "other", "sum", "op", "share",
+                           "hits", "misses"]
     # Every commit normalizes, advances the snapshot (splice, then carry)
     # and maintains both views; a sweep is rare, so its median is 0.
     for step in ("normalize", "advance", "splice", "carry", *views):
         assert 0 < steps[step] < steps["op"], step
     assert steps["splice"] + steps["carry"] <= steps["advance"]
-    # reach's counted pass runs inside its apply, and is not summed apart;
-    # two_hop is a join, with no pass.
-    assert 0 < steps["pass reach"] < steps["apply reach"]
-    assert steps["pass two_hop"] == 0 and steps["share"]["pass two_hop"] == 0
-    assert 0 < steps["share"]["pass reach"] < steps["share"]["apply reach"]
+    # Each view's counted pass -- reach's fixpoint, two_hop's composition --
+    # runs inside its apply, and is not summed apart.
+    for name in ("reach", "two_hop"):
+        assert 0 < steps[f"pass {name}"] < steps[f"apply {name}"], name
+        assert 0 < steps["share"][f"pass {name}"] < steps["share"][f"apply {name}"], name
+    # A commit of four rows interns each once and looks up what it reads.
+    assert steps["misses"] > 0 and steps["hits"] > 0
     assert steps["sum"] == pytest.approx(sum(
         steps[s] for s in ("normalize", "advance", *views, "other")))
     assert 0.9 < sum(steps["share"][s] for s in ("normalize", "advance", *views, "other")) < 1.1
     assert (Database._normalize, Engine.advance, InternTable.splice,
             BatchContext.carry, InternTable.sweep) == before
-    assert MaterializedView._linear_pass is linear_pass
+    assert (MaterializedView._linear_pass, MaterializedView._compose_pass) == passes
     with pytest.raises(ValueError):
         front_door_probe.probe(ROOT, "tc_inproc", reads=5, warm=1, commits=True)

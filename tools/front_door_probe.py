@@ -55,11 +55,18 @@ time, which names a step that is rare but dear, like a sweep):
   ``splice`` (``InternTable.splice``), ``carry`` (``BatchContext.carry``)
   and ``sweep`` (``InternTable.sweep``) inside it, not added to the sum;
 * ``apply <view>``: that view's ``MaterializedView.apply``, its maintenance,
-  with ``pass <view>`` (its ``MaterializedView._linear_pass`` calls, the
-  counted fixpoint pass) inside it, not added to the sum: the rest of the
-  apply is the boundary's bookkeeping -- decoding codes to pairs, where a
-  tree does that at commit;
-* ``other``: the rest of the commit (locks, changeset, snapshot, notify).
+  with ``pass <view>`` (its ``MaterializedView._linear_pass`` and
+  ``_compose_pass`` calls, the counted passes of a fixpoint and of a
+  composition, whichever the tree has) inside it, not added to the sum:
+  the rest of the apply is the boundary's bookkeeping -- decoding codes to
+  pairs, where a tree does that at commit, and a generic join's whole
+  maintenance, where a tree has no compose pass;
+* ``other``: the rest of the commit (locks, changeset, snapshot -- its
+  interning of the commit's rows included --, notify).
+
+and then the intern table's hits and misses per commit (their mean over
+the timed commits): how many canonical values the commit looked up and
+how many it made.
 """
 
 from __future__ import annotations
@@ -195,9 +202,12 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
                     (interning.InternTable, "splice"), (batch.BatchContext, "carry"),
                     (interning.InternTable, "sweep"))),
                 *(timed(view, "apply", f"apply {name}") for name, view in views.items()),
-                *(timed(view, "_linear_pass", f"pass {name}", within=f"apply {name}")
-                  for name, view in views.items()),
+                *(timed(view, attr, f"pass {name}", within=f"apply {name}")
+                  for name, view in views.items()
+                  for attr in ("_linear_pass", "_compose_pass")),
             ]
+            interner = w.session.engine.interner
+            intern_counts = {"hits": [], "misses": []}
         try:
             for i in range(warm + reads):
                 if not commits:
@@ -206,8 +216,10 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
                 rounds[0] = 0
                 t0 = perf_counter()
                 if commits:
+                    hits, misses = interner.hits, interner.misses
                     write(i)
                     op = perf_counter() - t0
+                    looked = (interner.hits - hits, interner.misses - misses)
                     rows = read(i)  # untimed
                 else:
                     rows = read(i)
@@ -227,6 +239,9 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
                 for step, s in steps.items():
                     samples[step].append(s)
                 samples["op"].append(op)
+                if commits:
+                    intern_counts["hits"].append(looked[0])
+                    intern_counts["misses"].append(looked[1])
                 if rounds[0]:
                     samples["rounds"].append(rounds[0])
                     samples["us_per_round"].append(steps["loop"] * 1e6 / rounds[0])
@@ -245,6 +260,7 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
             "sum": sum(m for step, m in medians.items() if step not in inside),
             "op": statistics.median(samples["op"]) * 1e6,
             "share": {step: sum(samples[step]) / total for step in steps_of},
+            **{kind: statistics.mean(n) for kind, n in intern_counts.items()},
         }
     medians = {step: statistics.median(samples[step]) * 1e6 for step in STEPS}
     return medians | {
@@ -277,6 +293,8 @@ def main() -> int:
             print(f"{indent + step:<18}{steps[step]:9.1f} us  {share:6.1%}")
         for step in ("sum", "op"):
             print(f"{step:<18}{steps[step]:9.1f} us")
+        for kind in ("hits", "misses"):
+            print(f"{'intern ' + kind:<18}{steps[kind]:9.1f} per commit")
     else:
         for step in (*STEPS, "sum", "op"):
             print(f"{step:<14}{steps[step]:9.1f} us")
