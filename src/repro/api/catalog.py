@@ -78,12 +78,17 @@ class Snapshot:
     is interned whole.  Hash-consing makes both the same object.
 
     A commit's written rows are interned once, here, for the advance and
-    for every view of the engine: ``rows`` maps each written collection to
-    its ``(inserts, deletes)`` as canonical values, and ``changeset`` is the
-    commit they came from.  Both are replaced at the next move, as ``env``
-    is.  Until then the snapshot holds the deleted rows, which the advance
-    has cut from its collection, across the intern-table sweep that may end
-    the advance, for the views that read them after it.
+    for every view of the engine (``InternTable.intern_rows``: a pair of
+    interned atoms is one lookup of its packed code): ``rows`` maps each
+    written collection to its ``(inserts, deletes, insert codes, delete
+    codes)``, the canonical values and beside them their pair codes
+    (``None`` for a row that is no pair), and ``changeset`` is the commit
+    they came from.  A view hands the codes to a fixpoint or composition
+    over the collection and the values to any other node.  Both are
+    replaced at the next move, as ``env`` is.  Until then the snapshot
+    holds the deleted rows, which the advance has cut from its collection,
+    across the intern-table sweep that may end the advance, for the views
+    that read them after it.
     """
 
     def __init__(self, engine, db: "Database") -> None:
@@ -92,13 +97,13 @@ class Snapshot:
             values, self.versions = dict(db._collections), dict(db._versions)
         self.env: dict[str, Value] = {n: engine.intern(v) for n, v in values.items()}
         self.changeset: Optional[Changeset] = None
-        self.rows: dict[str, tuple[list, list]] = {}
+        self.rows: dict[str, tuple[list, list, list, list]] = {}
 
     def _move(self, moved: dict, changeset: Optional[Changeset] = None) -> None:
         """Follow one commit, registration or drop (commit lock held): ``moved``
         maps name to ``(version before, version after, value)``, ``None`` where absent."""
         env, versions, engine = dict(self.env), dict(self.versions), self.engine
-        rows: dict[str, tuple[list, list]] = {}
+        rows: dict[str, tuple[list, list, list, list]] = {}
         counts = {"delta": 0, "rebuild": 0}
         with engine.lock, TRACER.span("snapshot-advance") as sp:
             for name, (before, after, value) in moved.items():
@@ -109,8 +114,10 @@ class Snapshot:
                 if d is None:  # a registration: the cold load, not an advance
                     env[name] = engine.intern(value)
                 else:
-                    ins, dels = rows[name] = ([*map(engine.intern, d.inserts)],
-                                              [*map(engine.intern, d.deletes)])
+                    values, codes = engine.interner.intern_rows([*d.inserts, *d.deletes])
+                    n = len(d.inserts)
+                    ins, dels = values[:n], values[n:]
+                    rows[name] = (ins, dels, codes[:n], codes[n:])
                     if (versions.get(name) == before
                             and len(ins) + len(dels) <= len(env[name].elements)):
                         env[name] = engine.advance(env[name], ins, dels)

@@ -19,12 +19,10 @@ Runtime state, per :class:`~repro.engine.incremental.delta.DeltaOp` node:
   fixpoint's own probe, dict lookups and bit arithmetic per derivation,
   and the output's boundary is the codes whose count crossed zero;
 * other ``join`` nodes additionally hold **hash indexes on both sides**
-  (key value -> matching elements).  One probe serves the build and every
-  batch: an element indexes (or unindexes) itself on its own side, then
-  counts its derivations against the other side's index, so a delta of
-  ``k`` elements probes in ``O(k * matches)`` instead of re-joining, and
-  the build is the right side, then the left side, probed into empty
-  indexes;
+  (key value -> matching elements): an element indexes (or unindexes)
+  itself on its own side, then counts its derivations against the other
+  side's index, so a delta of ``k`` elements probes in ``O(k * matches)``
+  instead of re-joining;
 * ``fixpoint`` nodes (:func:`~repro.nra.derived.seeded_closure`'s loop,
   ``\\rr. rr U rr o R`` or ``rr U R o rr``, how a ``fix()`` is maintained)
   hold support counts on accumulator x ``R`` on dense ids
@@ -33,8 +31,7 @@ Runtime state, per :class:`~repro.engine.incremental.delta.DeltaOp` node:
   deleted element, re-prove the over-deleted elements the
   survivors still support, and continue semi-naively *from the new
   frontier* -- work scales with the affected derivation cone, not the
-  result.  An insert-only batch is that pass with nothing deleted, and the
-  build is that pass from empty with the seed and ``R`` inserted;
+  result;
 * a plan with any ``recompute`` node is not maintained node by node: the
   whole view runs in *recompute mode*, re-evaluating the template through
   the engine's vectorized backend on every relevant commit and diffing the
@@ -42,44 +39,45 @@ Runtime state, per :class:`~repro.engine.incremental.delta.DeltaOp` node:
 
 Between nodes only **set-level deltas** flow (``+1`` when an element appears
 in a node's output, ``-1`` when it disappears); multiplicities are private to
-each node.
+each node.  A commit's base deltas are the canonical rows, and their pair
+codes, the engine's :class:`~repro.api.catalog.Snapshot` interned once for
+the advance and every view (``Snapshot.rows``): a view applies only the
+changeset its snapshot has just followed.  A fixpoint's or a composition's
+(a *coded* node's) delta is on pair codes, and a coded parent takes its
+children's deltas as codes -- a base's are the snapshot's -- so a value
+node's pairs are packed only where it feeds a coded one, and a coded
+node's decoded only where it feeds a value one.  A build is a commit's
+pass from empty states, every base and constant entering whole.
 
-**Outputs are rendered on read.**  A node's output ``SetVal`` is a rendering
-of the state above, not a second copy kept current per commit: ``apply``
-records the boundary elements that joined or left (netted -- an insert
-undone by a delete cancels) and the pending delta is spliced into the last
-rendered set, by bisection over cached sort keys
-(:meth:`~repro.engine.interning.InternTable.splice`), when and only when
+**The output is rendered on read.**  Only the root has an output
+``SetVal``, a rendering of the state above: ``apply`` records the root's
+boundary (netted -- an insert undone by a delete cancels), and the
+pending delta is spliced into the last rendered set
+(:meth:`~repro.engine.interning.InternTable.splice`) when and only when
 something reads it: :attr:`MaterializedView.value` / ``rows()`` /
-``refresh``, a recompute-mode diff.  A linear fixpoint's and a
-composition's ``pending`` holds the pass's pair codes, not pairs: the read
-decodes them (a code that left names a pair of the rendered output; the
-new pairs of codes that joined are stored in one batch), and such a node
-at the root hands the listeners a :class:`ViewDelta` that decodes its
-codes on first access.  A pair is made only when something asks for a
-value, and such a node under a parent hands it values.  A commit
-therefore costs the derivation cone; a read costs O(|pending| log n)
-python steps plus one C-level copy and is free when nothing changed.  The property this rests on is that *a view is
-read less often than its bases are written*; a reader after every commit
-pays one splice per commit where an eager output paid one merge.
+``refresh``, a recompute-mode diff.  A coded root's ``pending`` holds
+codes: the read decodes them (a code that left names a pair of the
+rendered output; new pairs are stored in one batch), and the listeners get
+a :class:`ViewDelta` that decodes on first access.  No node below the root
+keeps an output or a pending delta -- maintenance reads none, and a
+rebuild builds every node afresh -- but a constant, which never moves.  A
+commit costs the derivation cone; a read costs O(|pending| log n) python
+steps plus one C-level copy and is free when nothing changed.  This rests
+on *a view being read less often than its bases are written*.
 ``len(view)`` is kept from the root delta and renders nothing.
 
 Codes kept without their pairs follow the intern table's sweep contract
-(:mod:`repro.engine.interning`): a ``+1`` pending code is present, so
-the children's current elements hold its parts (a fixpoint's by induction
-over its derivations, a composition's directly: ``fst`` of an element of
-``L``, ``snd`` of one of ``R``); a ``-1`` one names a pair of the rendered
-output; a code that joined and left since the last read cancels.  An
+(:mod:`repro.engine.interning`).  A base's elements are held by the
+snapshot's collection, a counted node's by its ``counts``, a constant's by
+its output, and a coded node's codes by its children, by induction: each
+is built from parts of the children's elements (a fixpoint's over its
+derivations, a composition's directly).  The snapshot holds a commit's
+deleted rows, which the advance cut from the collection and may have
+swept after, until the next commit.  At the root a ``+1`` pending code is
+present, so held so; a ``-1`` one names a pair of the rendered output.  An
 undecoded :class:`ViewDelta` holds its codes' parts itself, and so does
 the view between a maintenance pass that raised and the rebuild that
 reads its pending codes.
-
-A commit's base deltas are the canonical rows the engine's
-:class:`~repro.api.catalog.Snapshot` interned once for the advance and
-every view (``Snapshot.rows``): a view applies only the changeset its
-snapshot has just followed, and interns none of it again.  The snapshot
-holds the deleted rows, which the advance cut from the collection and may
-have swept after, until the next commit.
 
 All per-element evaluation (ext bodies, join keys, outputs) runs through
 closures compiled by the engine's
@@ -114,8 +112,8 @@ from ..vectorized.batch import bind, expect_set, unbind
 from .changeset import Changeset
 from .delta import DeltaOp, derive, plan_of
 
-#: A set-level delta: interned element (a node on codes' own: pair code)
-#: -> +1 (appeared) or -1 (disappeared).
+#: A set-level delta: interned element (a coded node's, or one handed to a
+#: coded parent: pair code) -> +1 (appeared) or -1 (disappeared).
 SetDelta = dict
 
 
@@ -215,11 +213,12 @@ class ViewDelta:
 class _NodeState:
     """Mutable runtime state of one DeltaOp node.
 
-    The node's output set is *rendered on read*: maintenance records the
+    The root's output set is *rendered on read*: a commit records the
     elements that joined or left (:meth:`moved`), and :attr:`out` splices
     them into the last rendered ``SetVal`` when something asks for it.  A
-    linear fixpoint or a composition records pair codes, and the read
-    decodes them first.
+    coded root records pair codes, and the read decodes them first.  Below
+    the root only a constant keeps an output (``rendered``), and no node
+    records a delta.
     """
 
     __slots__ = ("it", "stats", "rendered", "pending", "counts", "lindex", "rindex",
@@ -263,6 +262,9 @@ class _NodeState:
     def moved(self, delta: SetDelta) -> None:
         """Record a set-level delta of this node's output; opposite moves cancel."""
         pending = self.pending
+        if not pending:
+            pending.update(delta)
+            return
         for v, dc in delta.items():
             if pending.get(v) == -dc:
                 del pending[v]
@@ -299,9 +301,9 @@ class _LinearState:
     -- is built from parts of the current seed's and ``R``'s elements (by
     induction over the derivations), ``seeds`` and the ``base`` buckets name
     those elements themselves, and every key id is a part of one.  The
-    children's outputs hold those elements (rendered, or pending in their
-    deltas; a child on codes names only parts its own children hold), so
-    an intern-table sweep frees none of these ids.
+    children hold those elements (a base's collection, a counted child's
+    counts, a constant's output; a coded child names only parts its own
+    children hold), so an intern-table sweep frees none of these ids.
     """
 
     __slots__ = ("backward", "counts", "acc", "base", "present", "seeds")
@@ -465,7 +467,7 @@ class MaterializedView:
                 snapshot = self._snapshot
                 assert snapshot.changeset is changeset, (
                     "a view applies only the commit its snapshot has just followed")
-                env, current, rows = self._env, snapshot.env, snapshot.rows
+                env, current = self._env, snapshot.env
                 for name in changeset:
                     if name in env:
                         env[name] = current[name]
@@ -477,14 +479,10 @@ class MaterializedView:
                     stats.fallback_recomputes += 1
                 else:
                     try:
-                        # Each written base's delta, on the canonical rows
-                        # the snapshot interned for this commit.
-                        deltas = {}
-                        for name in self.bases.intersection(changeset):
-                            ins, dels = rows[name]
-                            deltas[name] = dict.fromkeys(ins, 1)
-                            deltas[name].update(dict.fromkeys(dels, -1))
-                        root_delta = self._apply_node(self.plan_ops, self._root, deltas)
+                        # Each written base's delta is the canonical rows, and
+                        # their codes, the snapshot interned for this commit.
+                        delta = self._commit_root(
+                            self._apply_node(self.plan_ops, self._root, snapshot.rows))
                     except BaseException:
                         # Half maintained: the bases above are this commit's,
                         # so a rebuild from them is the committed state.
@@ -494,7 +492,6 @@ class MaterializedView:
                             # rebuild reads the root, hold its codes' parts.
                             self._held = self._it.parts_of(list(self._root.pending))
                         raise
-                    delta = self._commit_root(root_delta)
                 delta.dred_overdeleted = stats.dred_overdeletes - over
                 delta.dred_rederived = stats.dred_rederives - rederived
                 stats.delta_applies += 1
@@ -594,6 +591,11 @@ class MaterializedView:
                                   f"view {self.name!r}")
         else:
             root = self._init_node(self.plan_ops)
+            out = self._apply_node(self.plan_ops, root, None)
+            if root.flat is not None:  # rendered once from its codes
+                root.out = self._it.set_from_pair_codes(out)
+            elif root.rendered is None:  # a constant has its value
+                root.out = self._it.mkset(out)
         self._root = root
         self._size = len(root.out.elements)
         self._rebuild_due = False
@@ -607,10 +609,16 @@ class MaterializedView:
         return ViewDelta(it.difference(new, old).elements, it.difference(old, new).elements)
 
     def _commit_root(self, root_delta: SetDelta) -> ViewDelta:
-        ins = [v for v, dc in root_delta.items() if dc > 0]
-        dels = [v for v, dc in root_delta.items() if dc < 0]
+        """Record the root's delta, pending until a read; the listeners' delta."""
+        root, coded = self._root, self._root.flat is not None
+        ins, dels = _moving(root_delta, 1), _moving(root_delta, -1)
+        if coded:
+            # Decoding what will be pending and this delta needs at most this
+            # many new ids: a commit past the limit stops here, recording nothing.
+            self._it.check_room(len(root.pending) + len(root_delta))
+        root.moved(root_delta)
         self._size += len(ins) - len(dels)
-        if self._root.flat is not None:  # pair codes, decoded when read
+        if coded:  # pair codes, decoded when read
             return ViewDelta.of_codes(ins, dels, self.engine.lock, self._it)
         return ViewDelta(tuple(ins), tuple(dels))
 
@@ -622,80 +630,52 @@ class MaterializedView:
     # -- initial state build ---------------------------------------------------
 
     def _init_node(self, op: DeltaOp) -> _NodeState:
+        """A node's empty state, which a build passes every base into (:meth:`_apply_node`)."""
         st = _NodeState(self._it, self.stats)
-        st.children = tuple(self._init_node(c) for c in op.children)
-        kind = op.kind
-        if kind in ("static", "base"):
-            st.out = expect_set(self._fn(op.expr)(self._env), "maintenance subexpression")
-            return st
-        if kind in ("fixpoint", "compose"):
-            # The node's one pass, from empty with both children as the
-            # insertion, rendered once from its codes.
-            first, second = (dict.fromkeys(c.out.elements, 1) for c in st.children)
-            st.flat = lin = _LinearState(op.backward)
-            if kind == "fixpoint":
-                self._linear_pass(st, first, second)
-                st.out = self._it.set_from_pair_codes(lin.present)
-            else:
-                self._compose_pass(st, first, second)
-                st.out = self._it.set_from_pair_codes(lin.counts)
-            return st
-        # A counted node writes its build's derivations straight into its
-        # counts; its output is their support.
-        st.counts = counts = {}
-        if kind in ("map", "select", "ext"):
-            self._ext_accumulate(op, counts, st.children[0].out.elements, +1)
-        elif kind == "join":
-            st.lindex, st.rindex = {}, {}
-            left, right = st.children
-            # The bilinear pass from empty: the right side meets an empty
-            # left index, then the left side derives every pair.
-            self._join_probe(op, st, False, right.out.elements, +1, counts)
-            self._join_probe(op, st, True, left.out.elements, +1, counts)
-        elif kind == "union":
-            for child in st.children:
-                for v in child.out.elements:
-                    counts[v] = counts.get(v, 0) + 1
-        else:
-            raise AssertionError(f"unknown delta op kind {kind!r}")
-        st.out = self._it.mkset(counts)
+        st.children = tuple(map(self._init_node, op.children))
+        if op.kind in ("fixpoint", "compose"):
+            st.flat = _LinearState(op.backward)
+        elif op.kind not in ("static", "base"):
+            st.counts = {}
+            if op.kind == "join":
+                st.lindex, st.rindex = {}, {}
         return st
 
     # -- delta propagation -----------------------------------------------------
 
-    def _apply_node(self, op: DeltaOp, st: _NodeState, deltas: dict) -> SetDelta:
-        """One node's set-level delta for a commit's interned base ``deltas``
-        -- for a fixpoint or a composition at the root, on pair codes."""
-        kind = op.kind
-        if kind == "static":
-            return {}
-        if kind == "base":
-            delta = deltas.get(op.source)
-            if delta is None:
-                return {}
-            st.out = self._env[op.source]
-            return delta
+    def _apply_node(self, op: DeltaOp, st: _NodeState, deltas: Optional[dict],
+                    proj: Optional[str] = None) -> SetDelta:
+        """One node's set-level delta for a commit's base ``deltas``
+        (``Snapshot.rows``), as its parent takes it; with ``deltas``
+        ``None``, the build's: every base and constant enters whole.
 
-        child_deltas = [
-            self._apply_node(c, cst, deltas) for c, cst in zip(op.children, st.children)
-        ]
-        if kind in ("map", "select", "ext"):
-            (d,) = child_deltas
-            acc: SetDelta = {}
-            if d:
-                inserted = [v for v, dc in d.items() if dc > 0]
-                deleted = [v for v, dc in d.items() if dc < 0]
-                self._ext_accumulate(op, acc, deleted, -1)
-                self._ext_accumulate(op, acc, inserted, +1)
-            return self._commit_counts(st, acc)
-        if kind == "union":
-            acc = {}
-            for d in child_deltas:
-                for v, dc in d.items():
-                    acc[v] = acc.get(v, 0) + dc
-            return self._commit_counts(st, acc)
-        if kind == "join":
-            return self._apply_join(op, st, child_deltas[0], child_deltas[1])
+        A coded node -- a fixpoint or a composition -- hands its delta on
+        pair codes, and a value parent decodes it (:meth:`_values`).  Any
+        other node hands values, or under a coded parent (``proj``: the
+        projection that parent's step takes of its rows) their codes: a
+        base the snapshot's, any other node's packed by :meth:`_codes`; a
+        non-pair raises the error a cold run's ``proj`` raises.  Only the
+        root records its delta (:meth:`_commit_root`)."""
+        kind = op.kind
+        if kind in ("static", "base"):
+            if deltas is not None:
+                rows = deltas.get(op.source) if kind == "base" else None
+                if rows is None:
+                    return {}
+                ins, dels, ins_codes, del_codes = rows
+                if proj is not None and None not in ins_codes and None not in del_codes:
+                    ins, dels, proj = ins_codes, del_codes, None  # on codes already
+            else:
+                s = expect_set(self._fn(op.expr)(self._env), "maintenance subexpression")
+                if kind == "static":  # it holds what a coded parent keeps of it
+                    st.out = s
+                ins, dels = s.elements, ()
+            delta = dict.fromkeys(ins, 1)
+            delta.update(dict.fromkeys(dels, -1))
+            return delta if proj is None else self._codes(delta, proj)
+
+        child_deltas = [self._apply_node(c, cst, deltas, p)
+                        for c, cst, p in zip(op.children, st.children, _projections(op))]
         if kind in ("fixpoint", "compose"):
             if not any(child_deltas):
                 return {}
@@ -703,28 +683,44 @@ class MaterializedView:
             # what is genuinely new): no full-set diff, no render, no pair.
             if kind == "fixpoint":
                 fell, added = self._linear_pass(st, *child_deltas)
-                self.stats.flat_index_applies += 1
+                if deltas is not None:  # a build is no apply
+                    self.stats.flat_index_applies += 1
             else:
                 fell, added = self._compose_pass(st, *child_deltas)
-            # Decoding what will be pending and this delta needs at most this
-            # many new ids: a commit past the limit stops here, recording nothing.
-            self._it.check_room(len(st.pending) + len(added) + len(fell))
             delta = dict.fromkeys(fell, -1)
             delta.update(dict.fromkeys(added, 1))
-            st.moved(delta)
-            if st is self._root or not delta:
-                return delta
-            # A parent selects, joins or unions values.
-            return dict(zip(self._it.pairs_of(list(delta)), delta.values()))
-        raise AssertionError(f"unknown delta op kind {kind!r}")
+            return delta
+        child_deltas = [self._values(cst, d) for cst, d in zip(st.children, child_deltas)]
+        if kind in ("map", "select", "ext"):
+            (d,) = child_deltas
+            acc: SetDelta = {}
+            if d:
+                self._ext_accumulate(op, acc, _moving(d, -1), -1)
+                self._ext_accumulate(op, acc, _moving(d, 1), +1)
+            delta = self._commit_counts(st, acc)
+        elif kind == "union":
+            acc = {}
+            for d in child_deltas:
+                for v, dc in d.items():
+                    acc[v] = acc.get(v, 0) + dc
+            delta = self._commit_counts(st, acc)
+        elif kind == "join":
+            delta = self._apply_join(op, st, child_deltas[0], child_deltas[1])
+        else:
+            raise AssertionError(f"unknown delta op kind {kind!r}")
+        return delta if proj is None else self._codes(delta, proj)
+
+    def _values(self, st: _NodeState, delta: SetDelta) -> SetDelta:
+        """A child's delta for a value parent: a coded child's codes decoded."""
+        if st.flat is None or not delta:
+            return delta
+        return dict(zip(self._it.pairs_of(list(delta)), delta.values()))
 
     def _commit_counts(self, st: _NodeState, acc: SetDelta) -> SetDelta:
         """Fold signed derivation counts into the node; emit the set delta."""
         counts = st.counts
         out_delta: SetDelta = {}
         for v, dc in acc.items():
-            if dc == 0:
-                continue
             old = counts.get(v, 0)
             new = old + dc
             if new < 0:
@@ -732,15 +728,12 @@ class MaterializedView:
                     "negative support count: changeset violated net-effect "
                     "invariants"
                 )
-            if new == 0:
-                counts.pop(v, None)
-            else:
+            if new:
                 counts[v] = new
-            if old == 0 and new > 0:
-                out_delta[v] = 1
-            elif old > 0 and new == 0:
-                out_delta[v] = -1
-        st.moved(out_delta)
+            elif old:
+                del counts[v]
+            if (old > 0) != (new > 0):
+                out_delta[v] = 1 if new else -1
         return out_delta
 
     # -- ext family ------------------------------------------------------------
@@ -811,24 +804,23 @@ class MaterializedView:
         acc: SetDelta = {}
         for left, d in ((True, dl), (False, dr)):
             if d:
-                self._join_probe(op, st, left, [v for v, dc in d.items() if dc < 0], -1, acc)
-                self._join_probe(op, st, left, [v for v, dc in d.items() if dc > 0], +1, acc)
+                self._join_probe(op, st, left, _moving(d, -1), -1, acc)
+                self._join_probe(op, st, left, _moving(d, 1), +1, acc)
         return self._commit_counts(st, acc)
 
     # -- pair codes ------------------------------------------------------------
 
-    def _codes(self, delta: SetDelta, sign: int, proj: str) -> list:
-        """The packed codes of ``delta``'s pairs moving by ``sign``; a
+    def _codes(self, delta: SetDelta, proj: str) -> SetDelta:
+        """``delta`` on its pairs' packed codes, for a coded parent; a
         non-pair raises the error a cold run's projection ``proj`` raises."""
         parts, dense = self._it.pair_parts(), self._it.dense_id
-        out = []
+        out = {}
         for v, dc in delta.items():
-            if dc == sign:
-                try:
-                    f, s = parts[dense(v)]
-                except KeyError:
-                    raise NRAEvalError(f"{proj}: expected a pair, got {v!r}") from None
-                out.append((f << CODE_BITS) | s)
+            try:
+                f, s = parts[dense(v)]
+            except KeyError:
+                raise NRAEvalError(f"{proj}: expected a pair, got {v!r}") from None
+            out[(f << CODE_BITS) | s] = dc
         return out
 
     def _compose_pass(self, st: _NodeState, dl: SetDelta, dr: SetDelta) -> tuple[list, list]:
@@ -842,20 +834,16 @@ class MaterializedView:
         ``base`` (by ``fst``) against the new ``acc``, so every derivation
         is counted once -- :meth:`_LinearState.probe` is exactly this step.
         Returns the boundary as codes -- those whose count fell to zero,
-        those that rose from it -- for the caller to record.  Every code is
-        made before any state moves, so a non-pair raises having touched
-        nothing.  The build is this pass from empty: ``L`` meets an empty
-        index, then ``R`` derives every pair.
+        those that rose from it.  The build is this pass from empty: ``L``
+        meets an empty index, then ``R`` derives every pair.
         """
         probe, counts = st.flat.probe, st.flat.counts
-        batches = [(on_l, sign, self._codes(d, sign, "pi2" if on_l else "pi1"))
-                   for on_l, d in ((True, dl), (False, dr)) for sign in (-1, 1)]
         lost: list = []
         gained: list = []
-        for on_l, sign, codes in batches:
-            touched = gained if sign > 0 else lost
-            for c in codes:
-                probe(c, on_l, sign, touched)
+        for on_l, d in ((True, dl), (False, dr)):
+            for sign, touched in ((-1, lost), (1, gained)):
+                for c in _moving(d, sign):
+                    probe(c, on_l, sign, touched)
         net = Counter(gained)
         net.subtract(lost)
         fell, added = [], []
@@ -889,9 +877,7 @@ class MaterializedView:
         ``R`` against the survivors; each code joins the fixpoint, indexes
         itself and probes ``R`` once, so every derivation is counted once.
         Returns the boundary as codes -- what fell for good, what is
-        genuinely new -- for the caller to record.  A value outside the pair
-        domain raises the projection error a cold run raises, having touched
-        nothing.
+        genuinely new.
 
         With nothing deleted the over-delete walk is empty: an insert-only
         batch is the counted continuation alone, and the node's build is
@@ -903,12 +889,8 @@ class MaterializedView:
         """
         lin = st.flat
         present, counts, seeds, probe = lin.present, lin.counts, lin.seeds, lin.probe
-        codes = self._codes
-        # The projection each side's join key takes: the accumulator's
-        # (seeded from ``d``) and R's.
-        acc_key, r_key = ("pi1", "pi2") if lin.backward else ("pi2", "pi1")
-        s_ins, s_del = codes(d, 1, acc_key), codes(d, -1, acc_key)
-        r_ins, r_del = codes(dr, 1, r_key), codes(dr, -1, r_key)
+        s_ins, s_del = _moving(d, 1), _moving(d, -1)
+        r_ins, r_del = _moving(dr, 1), _moving(dr, -1)
         seeds.difference_update(s_del)
         touched = [c for c in s_del if c in present]
         for b in r_del:
@@ -944,3 +926,19 @@ class MaterializedView:
             self.stats.dred_rederives += sum(1 for c in over if c in present)
         return ([c for c in over if c not in present],
                 [c for c in added if c not in over])
+
+
+def _moving(delta: SetDelta, sign: int) -> list:
+    """The elements (or codes) of ``delta`` that join (``sign`` > 0) or leave."""
+    return [v for v, dc in delta.items() if dc * sign > 0]
+
+
+def _projections(op: DeltaOp) -> tuple:
+    """What ``op`` takes of each child's rows: for a coded node the
+    projection its step's join key takes (the error a non-pair raises), for
+    any other node ``None``, the values themselves."""
+    if op.kind == "fixpoint":  # the accumulator's (seeded from the first) and R's
+        return ("pi1", "pi2") if op.backward else ("pi2", "pi1")
+    if op.kind == "compose":   # L by its snd, R by its fst
+        return ("pi2", "pi1")
+    return (None,) * len(op.children)

@@ -31,16 +31,22 @@ everything outside the table: **whoever keeps a dense id, a pair code or an
 ``id(value)`` across a sweep must hold a value that holds it** -- the value
 itself, or a set or pair it is a part of.  Set records hold their set, a
 compiled compare constant its value, the flat loop its input sets.  An
-engine's database snapshot holds a commit's canonical rows -- the deleted
-ones too, which the advance cut from its collection before its sweep --
-until the next commit, for the views that read them after the advance.  A
-maintained fixpoint's or composition's counted codes and the ``+1`` codes
-pending on its output are built from parts of its children's elements,
-which the children hold; a ``-1`` pending code names a pair its rendered
-output holds; and a view delta not decoded yet holds the parts of its
-codes (:meth:`InternTable.parts_of`).  An
+engine's database snapshot holds a commit's canonical rows and their pair
+codes -- the deleted ones too, which the advance cut from its collection
+before its sweep -- until the next commit, for the views that read them
+after the advance.  In a maintained view a base node's elements are held
+by the snapshot's collection, a counted node's by its ``counts``, a
+constant's by its rendered output, and a coded node's -- a fixpoint's or a
+composition's counted codes, built from parts of its children's elements
+-- by its children, by induction.  Only the root keeps a pending delta: a
+``+1`` code there is present, so held as above, and a ``-1`` code names a
+pair its rendered output holds.  A view delta not decoded yet holds the
+parts of its codes (:meth:`InternTable.parts_of`).  An
 ``id``-keyed map that holds neither would, after a sweep, name a freed
-value or a newer one at the same address.  The engine sweeps under its
+value or a newer one at the same address.  The table keeps each stored
+set's own key beside it: a splice cuts and weaves the old set's key into
+the new one, never rebuilt from the elements, and a sweep frees a set by
+it.  The engine sweeps under its
 lock, at the end of a run or a commit's advance, once the table has grown
 by half since the last sweep (:attr:`InternTable.sweep_due`).  Tables are
 scoped to an :class:`~repro.engine.engine.Engine`, so the memory is
@@ -137,6 +143,10 @@ class InternTable:
         #: sorted-unique pair-code bytes -> SetVal: the same for a set of
         #: pairs, recognised before any code is resolved to its pair.
         self._sets_by_codes: dict[bytes, Value] = {}
+        #: id(set) -> the set's ``_table`` key, for every stored set: a
+        #: splice cuts and weaves it instead of rebuilding it from the
+        #: elements, and a sweep frees a set by it.
+        self._set_keys: dict[int, tuple] = {}
         # -- sweeping ---------------------------------------------------------
         #: ids of the values a constructor found since the last sweep (the
         #: values created since are those from dense id ``_swept`` on).
@@ -168,28 +178,27 @@ class InternTable:
         # constructor's contract), so their keys are cached: assemble the
         # new key from them instead of recomputing recursively -- set
         # construction is the hot path of delta maintenance.
-        keys = self._keys
-        if elem_keys:  # a spliced set: its element keys were spliced with it
-            keys[id(v)] = (4, len(elem_keys), elem_keys)
-            self._slots += len(elem_keys)
-        elif isinstance(v, SetVal):
-            try:
-                # All-cached is the norm; C-level map beats a python-level
-                # genexpr by ~4x on the wide sets delta maintenance stores.
-                elem_keys = tuple(map(keys.__getitem__, map(id, v.elements)))
-            except KeyError:
-                elem_keys = tuple(keys.get(id(e)) or sort_key(e)
-                                  for e in v.elements)
-            keys[id(v)] = (4, len(v.elements), elem_keys)
+        keys, vid = self._keys, id(v)  # one int object for every id-keyed map
+        if isinstance(v, SetVal):
+            if not elem_keys:  # else a spliced set's, spliced with its elements
+                try:
+                    # All-cached is the norm; C-level map beats a python-level
+                    # genexpr by ~4x on the wide sets delta maintenance stores.
+                    elem_keys = tuple(map(keys.__getitem__, map(id, v.elements)))
+                except KeyError:
+                    elem_keys = tuple(keys.get(id(e)) or sort_key(e)
+                                      for e in v.elements)
+            keys[vid] = (4, len(elem_keys), elem_keys)
+            self._set_keys[vid] = key
             self._slots += len(elem_keys)
         elif isinstance(v, PairVal):
             fk = keys.get(id(v.fst)) or sort_key(v.fst)
             sk = keys.get(id(v.snd)) or sort_key(v.snd)
-            keys[id(v)] = (3, fk, sk)
+            keys[vid] = (3, fk, sk)
         else:
-            keys[id(v)] = sort_key(v)
+            keys[vid] = sort_key(v)
         self._by_dense.append(v)
-        self._dense[id(v)] = dense
+        self._dense[vid] = dense
         if isinstance(v, PairVal):
             # Constructor contract: the parts of a stored pair are interned,
             # so they already carry dense ids.  (``.get`` is defensive: a
@@ -308,10 +317,57 @@ class InternTable:
             if len(new) > 4:
                 self._store_pairs(new)
             else:
+                # A code not in ``_pair_codes`` names a pair not in the
+                # table: stored without a probe.
                 by_dense = self._by_dense
                 for c in new:
-                    self.pair(by_dense[c >> CODE_BITS], by_dense[c & CODE_MASK])
+                    fst, snd = by_dense[c >> CODE_BITS], by_dense[c & CODE_MASK]
+                    self._store(("p", id(fst), id(snd)), PairVal(fst, snd))
+                self.misses += len(new)
             return list(map(by_code.__getitem__, codes))
+
+    def intern_rows(self, rows: Sequence[Value]) -> tuple[list, list]:
+        """The canonical values of ``rows``, and beside them each row's pair
+        code (``None`` for a row that is no pair): a commit's rows, interned
+        once for the snapshot's advance and every view.
+
+        A row that is a pair of interned atoms is found by packing the two
+        atoms' dense ids into its code, one lookup in ``_pair_codes``; the
+        pairs not interned yet are stored by :meth:`pairs_of`.  Any other
+        row takes :meth:`intern`.  What is found counts as a hit and is
+        marked used, as :meth:`_canon` counts and marks it: a pair row's two
+        atoms, and its pair if that was there.
+        """
+        table, dense, by_code, used = self._table, self._dense, self._pair_codes, self._used
+        values: list = []
+        codes: list = []
+        new: list[int] = []  # positions of the packed rows whose pair is new
+        for v in rows:
+            code = None
+            if type(v) is PairVal and type(v.fst) is BaseVal and type(v.snd) is BaseVal:
+                fst, snd = table.get(("b", v.fst.value)), table.get(("b", v.snd.value))
+                if fst is not None and snd is not None:
+                    code = (dense[id(fst)] << CODE_BITS) | dense[id(snd)]
+                    used.add(id(fst))
+                    used.add(id(snd))
+                    v = by_code.get(code)
+                    if v is None:
+                        new.append(len(values))
+                        self.hits += 2
+                    else:
+                        used.add(id(v))
+                        self.hits += 3
+            if code is None:
+                v = self.intern(v)
+                parts = self._pair_parts.get(dense[id(v)])
+                if parts is not None:
+                    code = (parts[0] << CODE_BITS) | parts[1]
+            values.append(v)
+            codes.append(code)
+        if new:
+            for i, v in zip(new, self.pairs_of([codes[i] for i in new])):
+                values[i] = v
+        return values, codes
 
     def parts_of(self, codes: Sequence[int]) -> list[Value]:
         """The values of every part the codes name: what holds their ids
@@ -390,7 +446,7 @@ class InternTable:
         """
         by_dense, table, keys, dense = self._by_dense, self._table, self._keys, self._dense
         parts, codes = self._pair_parts, self._pair_codes
-        by_ids, by_codes = self._sets_by_ids, self._sets_by_codes
+        by_ids, by_codes, set_keys = self._sets_by_ids, self._sets_by_codes, self._set_keys
         cached = {id(s): k for k, s in by_ids.items()}
         coded = {id(s): k for k, s in by_codes.items()}
         used, refcount, fresh = self._used, sys.getrefcount, self._swept
@@ -412,7 +468,8 @@ class InternTable:
             if refcount(v) > own:
                 kept.append(d)
                 continue
-            del table[_key_of(v)], keys[vid], dense[vid]
+            del table[set_keys.pop(vid) if type(v) is SetVal else _key_of(v)]
+            del keys[vid], dense[vid]
             by_dense[d] = None
             if pq is not None:
                 del parts[d], codes[(pq[0] << CODE_BITS) | pq[1]]
@@ -477,9 +534,12 @@ class InternTable:
         return self._canon(("s", id(v)), lambda: _raw_set((v,)))
 
     def _set_from_canonical(
-        self, elems: tuple[Value, ...], elem_keys: Optional[tuple] = None
+        self, elems: tuple[Value, ...], elem_keys: Optional[tuple] = None,
+        key: Optional[tuple] = None,
     ) -> Value:
-        return self._canon(("s", *map(id, elems)), lambda: _raw_set(elems), elem_keys)
+        if key is None:
+            key = ("s", *map(id, elems))
+        return self._canon(key, lambda: _raw_set(elems), elem_keys)
 
     def canonical_set(self, elements: Iterable[Value]) -> Value:
         """Interned set from *interned* elements already in canonical order.
@@ -594,7 +654,7 @@ class InternTable:
         output is rendered from what joined and left it since the last read.
         """
         keys, dense = self._keys, self._dense
-        elems, elem_keys = s.elements, keys[id(s)][2]
+        elems, elem_keys, key = s.elements, keys[id(s)][2], self._set_keys[id(s)]
         found = set()
         for v in deletes:
             row = bisect_left(elem_keys, keys[id(v)])
@@ -604,6 +664,7 @@ class InternTable:
         if dels:
             rows = [row for row, _ in reversed(dels)]
             elems, elem_keys = _cut(elems, rows), _cut(elem_keys, rows)
+            key = _cut(key, [row + 1 for row in rows])  # past the key's "s"
         ins, rows, new = [], [], []
         for v in sorted(inserts, key=lambda v: keys[id(v)]):
             row = bisect_left(elem_keys, keys[id(v)])
@@ -616,11 +677,14 @@ class InternTable:
         if ins:
             elems = _weave(elems, rows, new)
             elem_keys = _weave(elem_keys, rows, [keys[id(v)] for v in new])
-        return self._set_from_canonical(tuple(elems), tuple(elem_keys)), dels, ins
+            key = _weave(key, [row + 1 for row in rows], [*map(id, new)])
+        return self._set_from_canonical(tuple(elems), tuple(elem_keys), tuple(key)), dels, ins
 
 
 def _key_of(v: Value) -> tuple:
-    """The ``_table`` key a sweep frees ``v`` under (its parts are interned).
+    """The ``_table`` key of ``v``, built from its interned parts: a sweep
+    frees an atom or a pair under it, and a set under its stored key
+    (``_set_keys``), which equals this.
 
     Only atoms, pairs and sets are ever freed: the unit and both booleans
     are held by the table's own attributes.

@@ -1302,9 +1302,10 @@ class TestRenderOnRead:
 
 def test_a_commit_interns_its_rows_once_for_the_snapshot_and_every_view(monkeypatch):
     # ivm_churn's tree and its two views: the snapshot interns a commit's
-    # four fresh edges, and the advance and both views take those canonical
-    # rows -- four top-level intern calls on non-canonical values, where a
-    # view that re-interned the changeset made one more per row each.
+    # four fresh edges by packing their atoms' dense ids -- no intern call,
+    # no table probe per row -- and the advance and both views take those
+    # canonical rows, the views their codes.  A row on atoms never seen
+    # takes the generic intern.
     from repro.engine.interning import InternTable
     from repro.objects.values import to_python
     from repro.workloads.graphs import binary_tree
@@ -1314,8 +1315,8 @@ def test_a_commit_interns_its_rows_once_for_the_snapshot_and_every_view(monkeypa
     edges = Q.coll("edges")
     queries = {"reach": edges.fix(), "two_hop": edges.compose(edges)}
     views = {name: session.materialize(q, name=name) for name, q in queries.items()}
-    calls, depth = [], [0]
-    intern = InternTable.intern
+    calls, probes, depth = [], [], [0]
+    intern, canon = InternTable.intern, InternTable._canon
 
     def counted(self, v):
         if not depth[0] and not self.is_interned(v):
@@ -1326,14 +1327,50 @@ def test_a_commit_interns_its_rows_once_for_the_snapshot_and_every_view(monkeypa
         finally:
             depth[0] -= 1
 
-    batch = [(0, 5), (1, 9), (2, 30), (4, 100)]
+    def probed(self, key, build, elem_keys=None):
+        if key[0] != "s":  # a row's pair or atom, not a collection's set
+            probes.append(key)
+        return canon(self, key, build, elem_keys)
+
     monkeypatch.setattr(InternTable, "intern", counted)
+    monkeypatch.setattr(InternTable, "_canon", probed)
+    batch = [(0, 5), (1, 9), (2, 30), (4, 100)]
     assert db.insert("edges", batch).rows_touched() == 4
+    assert calls == [] and probes == []
+    assert db.insert("edges", [(600, 601), (3, 9)]).rows_touched() == 2
     monkeypatch.undo()
-    assert len(calls) == 4 and sorted(to_python(v) for v in calls) == batch
+    assert [to_python(v) for v in calls] == [(600, 601)]
+    assert len(probes) == 3  # 600, 601 and their pair
     for name, view in views.items():
-        assert view.stats.delta_applies == 1 and view.stats.fallback_recomputes == 0
+        assert view.stats.delta_applies == 2 and view.stats.fallback_recomputes == 0
         assert view.rows() == session.execute(queries[name]).rows(), name
+
+
+def test_a_fixpoint_under_a_composition_hands_it_codes_and_makes_no_pair():
+    # On path(64), edges.fix().compose(edges): the fixpoint's boundary of
+    # one insert and one delete of (70, 0) reaches the composition as codes,
+    # so neither apply makes a pair.
+    db = Database.of("g", edges=path_graph(64))
+    session = connect(db)
+    edges = Q.coll("edges")
+    query = edges.fix().compose(edges)
+    view = session.materialize(query, name="v")
+    assert [c.kind for c in view.plan_ops.children][0] == "fixpoint"
+    it, apply, misses = session.engine.interner, view.apply, []
+
+    def counted(changeset):
+        before = it.misses
+        try:
+            return apply(changeset)
+        finally:
+            misses.append(it.misses - before)
+
+    view.apply = counted
+    db.insert("edges", [(70, 0)])
+    db.delete("edges", [(70, 0)])
+    assert misses == [0, 0]
+    assert view.value == connect(db).execute(query).value
+    assert view.stats.fallback_recomputes == 0
 
 
 # ---------------------------------------------------------------------------

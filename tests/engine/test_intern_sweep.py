@@ -56,11 +56,14 @@ def check_table(it: InternTable) -> None:
         assert it.dense_id(v) == d
         if isinstance(v, (BaseVal, PairVal, SetVal)):  # what a sweep may free
             assert it._table[_key_of(v)] is v
+        if isinstance(v, SetVal):  # a set's stored key is the one its elements make
+            assert it._set_keys[id(v)] == _key_of(v)
         if isinstance(v, PairVal):
             fi, si = it._pair_parts[d]
             assert it.value_of(fi) is v.fst and it.value_of(si) is v.snd
             assert it._pair_codes[(fi << CODE_BITS) | si] is v
     assert set(it._pair_parts) == {d for d, v in live.items() if isinstance(v, PairVal)}
+    assert set(it._set_keys) == {id(v) for v in live.values() if isinstance(v, SetVal)}
     for s in [*it._sets_by_ids.values(), *it._sets_by_codes.values()]:
         assert it.is_interned(s)
     assert it._slots == sum(len(v.elements) for v in live.values() if isinstance(v, SetVal))
@@ -156,6 +159,58 @@ def test_set_from_pair_codes_after_its_entry_was_pruned():
     assert it.dense_id(again) > first_id
     assert to_python(again) == frozenset((k, k + 1) for k in range(5))
     assert it.set_from_pair_codes(codes) is again
+    check_table(it)
+
+
+def test_intern_rows_counts_and_marks_what_intern_would():
+    # Packing a pair of interned atoms finds what three probes found: the
+    # same hits and misses, and the same values marked used for the
+    # sweep's second chance.  Any other row takes intern itself.
+    rows = [(1, 2), (2, 3), (4, 1), (600, 601), ("a", 1), ((1, 2), 3), 5]
+    tables = InternTable(), InternTable()
+    for it in tables:
+        it.intern(from_python({(2, 3), (3, 4)}))
+        it.sweep()
+    one, batch = tables
+    singly = [one.intern(from_python(r)) for r in rows]
+    values, codes = batch.intern_rows([from_python(r) for r in rows])
+    assert (one.hits, one.misses) == (batch.hits, batch.misses)
+
+    def used(it):
+        return {to_python(it.value_of(it._dense[i])) for i in it._used}
+
+    assert used(one) == used(batch)
+    assert [to_python(v) for v in values] == [to_python(v) for v in singly] == rows
+    assert all(batch.is_interned(v) for v in values)
+    assert [c is None for c in codes] == [not isinstance(v, PairVal) for v in values]
+    assert all(p is v for p, v in zip(
+        batch.pairs_of([c for c in codes if c is not None]),
+        [v for v in values if isinstance(v, PairVal)], strict=True))
+    check_table(batch)
+
+
+def test_a_splice_weaves_its_sets_stored_key():
+    # The spliced set's key is cut and woven from the old set's: equal to
+    # the one its elements make, sharing the old key's ints where the rows
+    # stayed.  Splicing the rows back finds the old set.
+    it = InternTable()
+    s = it.intern(from_python({(k, k + 1) for k in range(0, 40, 2)}))
+    rows = [it.intern(from_python(r)) for r in [(1, 2), (100, 0), (-5, 3)]]
+    gone = [s.elements[0], s.elements[7]]
+    new, dels, ins = it.splice(s, rows, gone)
+    assert len(dels) == 2 and len(ins) == 3
+    assert it.canonical_set(new.elements) is new
+    key, old = it._set_keys[id(new)], it._set_keys[id(s)]
+    assert key == _key_of(new) and old == _key_of(s)
+    row_of = {id(e): row for row, e in enumerate(s.elements)}
+    assert all(key[row + 1] is old[row_of[id(e)] + 1]
+               for row, e in enumerate(new.elements) if id(e) in row_of)
+    assert it.splice(it.splice(s, rows, [])[0], [], rows)[0] is s
+    assert it.splice(new, gone, rows)[0] is s
+    check_table(it)
+    del new
+    sweep_out(it)                          # the spliced sets go, by their stored keys
+    assert set(it._set_keys) == {id(s), id(it.empty_set)}
     check_table(it)
 
 
@@ -307,6 +362,41 @@ def test_a_fix_views_dense_id_state_names_only_held_values():
     check_table(engine.interner)
 
 
+@pytest.mark.parametrize("make", [
+    lambda e: e.fix().where(lambda x: x.fst == 3),
+    lambda e: e.fix().compose(e),
+    lambda e: e.compose(e).fix(),
+    lambda e: e.fix() | e.where(lambda x: x.fst == 3).fix(),
+], ids=["select-over-fix", "fix-compose", "compose-fix", "union-of-fixes"])
+def test_nothing_below_a_views_root_keeps_an_output_across_sweeps(make):
+    # Below the root no node keeps a rendered output or a pending delta: a
+    # base's elements are held by the snapshot's collection, a counted
+    # node's by its counts, a coded node's codes by its children.  With a
+    # sweep in every advance and two before every read, on atoms nothing
+    # else names, each read equals a cold run.
+    db = Database.of("g", edges=path_graph(10))
+    session = db.connect()
+    engine = session.engine
+    it = engine.interner
+    it.SWEEP_MIN = 16
+    query = make(Q.coll("edges"))
+    view = session.materialize(query, name="v")
+    assert not view.recompute_only
+    swept = []
+    for kind, rows in [("insert", [(9, 60), (60, 61), (3, 60)]), ("delete", [(9, 60)]),
+                       ("insert", [(61, 2), (62, 63)]), ("delete", [(3, 60), (4, 5)]),
+                       ("insert", [(4, 5), (63, 3)]),
+                       ("delete", [(60, 61), (61, 2), (62, 63), (63, 3)])]:
+        it._sweep_at = 0                      # the advance ends in a sweep
+        getattr(db, kind)("edges", rows)
+        swept.append(sweep_out(engine))
+        assert_no_freed_ids(engine, [view])
+        want = reference_run(query.elaborate(db.schema()).expr, env=db.environment())
+        assert view.value == want and len(view) == len(want.elements), (kind, rows)
+    assert sum(swept) > 0 and view.stats.fallback_recomputes == 0
+    check_table(it)
+
+
 def test_an_unread_fix_view_reads_right_after_any_number_of_sweeps():
     # Between reads the commits' changes are pending codes and pairs: every
     # code's parts are held by the children's outputs, so sweeps between
@@ -408,9 +498,12 @@ def test_the_rows_a_commit_deletes_stay_live_until_its_views_read_them(monkeypat
     for view in views.values():
         def reading(changeset, apply=view.apply, view=view):
             for name in changeset:
-                ins, dels = view._snapshot.rows[name]
+                ins, dels, ins_codes, del_codes = view._snapshot.rows[name]
+                rows = [*ins, *dels]
                 read.append(all(it.is_interned(v) and it.value_of(it.dense_id(v)) is v
-                                for v in (*ins, *dels)))
+                                for v in rows)
+                            and all(p is v for p, v in zip(
+                                it.pairs_of([*ins_codes, *del_codes]), rows, strict=True)))
             return apply(changeset)
 
         monkeypatch.setattr(view, "apply", reading)

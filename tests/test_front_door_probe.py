@@ -64,7 +64,9 @@ def test_every_step_is_timed_and_the_tree_is_restored(workload):
 def test_the_commit_split_times_every_commit_step_and_restores_the_tree():
     from repro.api.catalog import Database
 
-    before = (Database._normalize, Engine.advance, InternTable.splice,
+    from repro.api.catalog import Snapshot
+
+    before = (Database._normalize, Snapshot._move, Engine.advance, InternTable.splice,
               BatchContext.carry, InternTable.sweep)
     from repro.engine.incremental.view import MaterializedView
 
@@ -74,9 +76,10 @@ def test_the_commit_split_times_every_commit_step_and_restores_the_tree():
     assert list(steps) == [*front_door_probe.COMMIT_STEPS, "apply reach", "pass reach",
                            "apply two_hop", "pass two_hop", "other", "sum", "op", "share",
                            "hits", "misses"]
-    # Every commit normalizes, advances the snapshot (splice, then carry)
-    # and maintains both views; a sweep is rare, so its median is 0.
-    for step in ("normalize", "advance", "splice", "carry", *views):
+    # Every commit normalizes, interns its rows for the snapshot, advances
+    # it (splice, then carry) and maintains both views; a sweep is rare, so
+    # its median is 0.
+    for step in ("normalize", "snapshot", "advance", "splice", "carry", *views):
         assert 0 < steps[step] < steps["op"], step
     assert steps["splice"] + steps["carry"] <= steps["advance"]
     # Each view's counted pass -- reach's fixpoint, two_hop's composition --
@@ -86,10 +89,10 @@ def test_the_commit_split_times_every_commit_step_and_restores_the_tree():
         assert 0 < steps["share"][f"pass {name}"] < steps["share"][f"apply {name}"], name
     # A commit of four rows interns each once and looks up what it reads.
     assert steps["misses"] > 0 and steps["hits"] > 0
-    assert steps["sum"] == pytest.approx(sum(
-        steps[s] for s in ("normalize", "advance", *views, "other")))
-    assert 0.9 < sum(steps["share"][s] for s in ("normalize", "advance", *views, "other")) < 1.1
-    assert (Database._normalize, Engine.advance, InternTable.splice,
+    summed = ("normalize", "snapshot", "advance", *views, "other")
+    assert steps["sum"] == pytest.approx(sum(steps[s] for s in summed))
+    assert 0.9 < sum(steps["share"][s] for s in summed) < 1.1
+    assert (Database._normalize, Snapshot._move, Engine.advance, InternTable.splice,
             BatchContext.carry, InternTable.sweep) == before
     assert (MaterializedView._linear_pass, MaterializedView._compose_pass) == passes
     with pytest.raises(ValueError):

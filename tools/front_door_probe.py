@@ -51,6 +51,8 @@ time, which names a step that is rare but dear, like a sweep):
 
 * ``normalize``: ``Database._normalize``, the changeset netted against the
   live rows and the new canonical rows;
+* ``snapshot``: ``Snapshot._move`` less the ``advance`` inside it, the
+  engine's interning of the commit's rows for the advance and every view;
 * ``advance``: ``Engine.advance``, the engine's snapshot moved to them, with
   ``splice`` (``InternTable.splice``), ``carry`` (``BatchContext.carry``)
   and ``sweep`` (``InternTable.sweep``) inside it, not added to the sum;
@@ -61,8 +63,7 @@ time, which names a step that is rare but dear, like a sweep):
   the rest of the apply is the boundary's bookkeeping -- decoding codes to
   pairs, where a tree does that at commit, and a generic join's whole
   maintenance, where a tree has no compose pass;
-* ``other``: the rest of the commit (locks, changeset, snapshot -- its
-  interning of the commit's rows included --, notify).
+* ``other``: the rest of the commit (locks, changeset, notify).
 
 and then the intern table's hits and misses per commit (their mean over
 the timed commits): how many canonical values the commit looked up and
@@ -85,9 +86,10 @@ STEPS = ("elaborate", "recognize", "bind", "plan lookup", "loop", "materialize",
          "select", "run", "fetch", "other")
 WORKLOADS = ("adhoc_cold", "tc_inproc", "ivm_churn", "nested_objects")
 #: ``--commits``: the commit's steps before the views' ``apply <name>``;
-#: ``splice``, ``carry`` and ``sweep`` run inside ``advance``, and each
-#: view's ``pass <name>`` inside its ``apply <name>``.
-COMMIT_STEPS = ("normalize", "advance", "splice", "carry", "sweep")
+#: ``advance`` runs inside ``snapshot`` and is taken out of it, ``splice``,
+#: ``carry`` and ``sweep`` run inside ``advance``, and each view's
+#: ``pass <name>`` inside its ``apply <name>``.
+COMMIT_STEPS = ("normalize", "snapshot", "advance", "splice", "carry", "sweep")
 INSIDE_ADVANCE = ("splice", "carry", "sweep")
 
 
@@ -197,6 +199,7 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
             samples = {step: [] for step in (*steps_of, "op")}
             patches += [
                 timed(catalog.Database, "_normalize", "normalize"),
+                timed(catalog.Snapshot, "_move", "snapshot"),
                 timed(engine.Engine, "advance", "advance"),
                 *(timed(owner, step, step, within="advance") for owner, step in (
                     (interning.InternTable, "splice"), (batch.BatchContext, "carry"),
@@ -229,6 +232,7 @@ def probe(tree: Path, workload: str, reads: int, warm: int, seed: int = 1,
                     continue
                 steps = {step: spent.get(step, 0.0) for step in steps_of[:-1]}
                 if commits:
+                    steps["snapshot"] -= steps["advance"]  # it ran inside
                     steps["other"] = op - sum(s for step, s in steps.items()
                                               if step not in inside)
                 else:
